@@ -89,36 +89,3 @@ def test_apsp_scaling_exponent(benchmark):
             "note": "simulation-scale exponents include the D-capped local phases",
         },
     )
-
-
-@pytest.mark.parametrize("backend", ["dict", "csr", "csr-njit"])
-def test_apsp_backend_speedup(benchmark, backend):
-    """Dict vs CSR traversal backend at n = 512 on the weighted general case.
-
-    Same algorithm, graph and seeds in both runs (identical round/message/bit
-    counts); the wall-time ratio recorded in BENCH_core.json is the batched
-    kernel speedup on Theorem 1.1's weighted APSP.
-    """
-    from benchmarks.conftest import with_backend
-
-    n = 512
-    graph = with_backend(locality_workload(n, seed=1, max_weight=8), backend)
-
-    def run():
-        network = bench_network(graph)
-        return network, apsp_exact(network)
-
-    network, result = run_once(benchmark, run)
-    attach(
-        benchmark,
-        {
-            "experiment": "core-backend",
-            "algorithm": "apsp",
-            "n": n,
-            "backend": backend,
-            "weighted": True,
-            "measured_rounds": result.rounds,
-            "global_messages": network.metrics.global_messages,
-            "global_bits": network.metrics.global_bits,
-        },
-    )

@@ -3,10 +3,6 @@
 Measures the HYBRID rounds needed to simulate one CLIQUE round among skeleton
 nodes for different skeleton sizes, next to the ``|S|²/n + √|S|`` bound, and
 ablates the skeleton-size exponent ``x`` around the framework optimum.
-
-The ``*_plane_speedup`` pair simulates the identical CLIQUE rounds -- same
-skeleton, transport and padding-token routing plan, so round/message counts
-match exactly -- under the scalar and vectorized global planes at n >= 256.
 """
 
 import pytest
@@ -16,7 +12,6 @@ from benchmarks.conftest import (
     bench_network,
     locality_workload,
     run_once,
-    run_repeated,
     smoke_scaled,
 )
 from repro.core.clique_simulation import HybridCliqueTransport, predicted_simulation_rounds
@@ -52,43 +47,5 @@ def test_clique_round_simulation_cost(benchmark, sampling_exponent):
             "skeleton_size": skeleton.size,
             "hybrid_rounds_per_clique_round": round(per_round, 2),
             "corollary_4_1_shape": round(predicted_simulation_rounds(n, skeleton.size), 2),
-        },
-    )
-
-
-@pytest.mark.parametrize("plane", ["scalar", "vectorized"])
-def test_clique_plane_speedup(benchmark, plane):
-    """Scalar vs vectorized message plane for three simulated CLIQUE rounds.
-
-    Skeleton and transport (helper sets, hash agreement, padding routing
-    plan) are built outside the timed region, so the ratio isolates the
-    per-round token routing on the global message plane.
-    """
-    n = smoke_scaled(256, 32)
-    graph = locality_workload(n, seed=n)
-    graph.hop_diameter()
-    network = bench_network(graph, seed=7, plane=plane)
-    skeleton = compute_skeleton(
-        network, n ** -0.25, ensure_connected=True, keep_local_knowledge=False
-    )
-    transport = HybridCliqueTransport(network, skeleton)
-    rounds_before = network.metrics.total_rounds
-
-    def run():
-        for _ in range(3):
-            transport.exchange({})
-
-    run_repeated(benchmark, run)
-    attach(
-        benchmark,
-        {
-            "experiment": "core-plane",
-            "algorithm": "clique-simulation",
-            "n": n,
-            "plane": plane,
-            "skeleton_size": skeleton.size,
-            "clique_rounds_simulated": transport.rounds_used,
-            "hybrid_rounds": network.metrics.total_rounds - rounds_before,
-            "global_messages": network.metrics.global_messages,
         },
     )

@@ -2,12 +2,6 @@
 
 Sweeps the number of broadcast tokens and reports measured rounds against the
 ``√k + ℓ + k/n`` shape; the aggregation benchmark checks the ``O(log n)`` cost.
-
-The ``*_plane_speedup`` pair runs the identical dissemination -- same graph,
-seeds and therefore identical round/message counts -- under the scalar
-(per-message) and vectorized (whole-array MessageBatch) global planes; the
-wall-time ratio recorded in BENCH_core.json isolates the batched message
-plane's speedup at n >= 256.
 """
 
 import math
@@ -19,7 +13,6 @@ from benchmarks.conftest import (
     bench_network,
     locality_workload,
     run_once,
-    run_repeated,
     smoke_scaled,
 )
 from repro.localnet import aggregate_max, disseminate_tokens
@@ -67,41 +60,5 @@ def test_aggregation_rounds(benchmark):
             "n": n,
             "measured_rounds": network.metrics.total_rounds,
             "lemma_b2_shape_log_n": round(math.log2(n), 1),
-        },
-    )
-
-
-@pytest.mark.parametrize("plane", ["scalar", "vectorized", "compiled"])
-def test_dissemination_plane_speedup(benchmark, plane):
-    """Scalar vs vectorized message plane on a token-heavy dissemination.
-
-    Integer tokens take the value-keyed canonical-hash fast path; the hop
-    diameter is warmed on the shared graph first so both planes time the
-    protocol, not the workload constant.
-    """
-    n = smoke_scaled(512, 32)
-    tokens_per_node = smoke_scaled(16, 2)
-    graph = locality_workload(n, seed=n)
-    graph.hop_diameter()
-    tokens = {
-        node: [node * tokens_per_node + i for i in range(tokens_per_node)] for node in range(n)
-    }
-
-    def run():
-        network = bench_network(graph, seed=9, plane=plane)
-        return network, disseminate_tokens(network, tokens)
-
-    network, result = run_repeated(benchmark, run)
-    attach(
-        benchmark,
-        {
-            "experiment": "core-plane",
-            "algorithm": "dissemination",
-            "n": n,
-            "plane": plane,
-            "total_tokens_k": n * tokens_per_node,
-            "measured_rounds": result.rounds,
-            "global_messages": network.metrics.global_messages,
-            "global_bits": network.metrics.global_bits,
         },
     )

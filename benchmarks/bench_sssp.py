@@ -63,37 +63,3 @@ def test_sssp_on_barbell(benchmark):
             "shortest_path_diameter": reference.shortest_path_diameter(graph),
         },
     )
-
-
-@pytest.mark.parametrize("backend", ["dict", "csr", "csr-njit"])
-def test_sssp_backend_speedup(benchmark, backend):
-    """Dict vs CSR traversal backend at n = 512 on the weighted general case.
-
-    The two runs execute the identical algorithm on the identical graph and
-    seeds -- round, message and bit counts must match exactly -- so the wall
-    time ratio recorded in BENCH_core.json isolates the batched-kernel
-    speedup of the array-backed graph core.
-    """
-    from benchmarks.conftest import with_backend
-
-    n = 512
-    graph = with_backend(locality_workload(n, seed=n, max_weight=8), backend)
-
-    def run():
-        network = bench_network(graph, seed=n)
-        return network, sssp_exact(network, source=0)
-
-    network, result = run_once(benchmark, run)
-    attach(
-        benchmark,
-        {
-            "experiment": "core-backend",
-            "algorithm": "sssp",
-            "n": n,
-            "backend": backend,
-            "weighted": True,
-            "measured_rounds": result.rounds,
-            "global_messages": network.metrics.global_messages,
-            "global_bits": network.metrics.global_bits,
-        },
-    )

@@ -2,13 +2,6 @@
 
 Sweeps the per-sender token count on a fixed locality-heavy graph and reports,
 per configuration, the measured HYBRID rounds next to the Theorem 2.2 shape.
-
-The ``*_plane_speedup`` pair executes the identical Routing-Scheme -- one
-router, one precomputed routing plan, so round/message counts match exactly --
-under the scalar and vectorized global planes at n >= 256.  This is the
-repeated-instance regime of the CLIQUE simulation (TokenRouter's reuse case):
-helper sets and the label-deterministic plan are built once outside the timed
-region, so the recorded ratio isolates the message plane.
 """
 
 import pytest
@@ -18,11 +11,9 @@ from benchmarks.conftest import (
     bench_network,
     locality_workload,
     run_once,
-    run_repeated,
     smoke_scaled,
 )
 from repro.core.token_routing import (
-    TokenRouter,
     make_tokens,
     predicted_routing_rounds,
     route_tokens,
@@ -98,47 +89,5 @@ def test_token_routing_rounds_vs_sender_density(benchmark, sender_count):
             "measured_rounds": result.rounds,
             "mu_senders": result.mu_senders,
             "mu_receivers": result.mu_receivers,
-        },
-    )
-
-
-@pytest.mark.parametrize("plane", ["scalar", "vectorized"])
-def test_token_routing_plane_speedup(benchmark, plane):
-    """Scalar vs vectorized message plane on one Routing-Scheme execution."""
-    n = smoke_scaled(256, 32)
-    sender_count = smoke_scaled(64, 8)
-    tokens_per_sender = smoke_scaled(64, 4)
-    graph = locality_workload(n, seed=n)
-    graph.hop_diameter()
-    tokens = build_tokens(
-        n, sender_count=sender_count, tokens_per_sender=tokens_per_sender, seed=3
-    )
-    per_sender = {}
-    per_receiver = {}
-    for token in tokens:
-        per_sender[token.sender] = per_sender.get(token.sender, 0) + 1
-        per_receiver[token.receiver] = per_receiver.get(token.receiver, 0) + 1
-    network = bench_network(graph, seed=7, plane=plane)
-    router = TokenRouter(
-        network,
-        senders=list(per_sender),
-        receivers=list(per_receiver),
-        max_tokens_per_sender=max(per_sender.values()),
-        max_tokens_per_receiver=max(per_receiver.values()),
-    )
-    plan = router.plan(tokens)
-
-    result = run_repeated(benchmark, lambda: router.route(tokens, plan=plan))
-    attach(
-        benchmark,
-        {
-            "experiment": "core-plane",
-            "algorithm": "token-routing",
-            "n": n,
-            "plane": plane,
-            "tokens": len(tokens),
-            "measured_rounds": result.rounds,
-            "global_messages": network.metrics.global_messages,
-            "max_received_per_round": network.metrics.max_received_per_round,
         },
     )

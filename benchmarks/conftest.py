@@ -8,10 +8,8 @@ tables of EXPERIMENTS.md.
 
 At session end the harness additionally writes ``benchmarks/BENCH_core.json``:
 one machine-readable record per benchmark (name, wall time, and whatever the
-benchmark attached -- ``n``, ``backend``, measured rounds, ...), so future PRs
-can diff the perf trajectory without parsing pytest output.  The dict-vs-CSR
-backend benchmarks in bench_sssp.py / bench_apsp.py are the speedup record for
-the array-backed graph core.
+benchmark attached -- ``n``, measured rounds, ...), so future PRs can diff
+the perf trajectory without parsing pytest output.
 """
 
 from __future__ import annotations
@@ -19,10 +17,9 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.graphs import generators
-from repro.graphs.graph import WeightedGraph
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.rand import RandomSource
 
@@ -48,16 +45,9 @@ def smoke_scaled(default: int, smoke: int) -> int:
     return smoke if SMOKE else default
 
 
-def bench_network(graph, seed: int = 1, plane: Optional[str] = None) -> HybridNetwork:
-    """A HYBRID network with the benchmark configuration.
-
-    ``plane`` pins the global message plane (``"scalar"`` / ``"vectorized"``)
-    for the plane-speedup records; by default the config's ``"auto"`` applies.
-    """
-    config = dict(BENCH_CONFIG)
-    if plane is not None:
-        config["global_plane"] = plane
-    return HybridNetwork(graph, ModelConfig(rng_seed=seed, **config))
+def bench_network(graph, seed: int = 1) -> HybridNetwork:
+    """A HYBRID network with the benchmark configuration."""
+    return HybridNetwork(graph, ModelConfig(rng_seed=seed, **BENCH_CONFIG))
 
 
 def random_workload(n: int, seed: int = 1, weighted: bool = True):
@@ -74,11 +64,6 @@ def locality_workload(n: int, seed: int = 1, max_weight: int = 1):
         extra_edge_probability=0.01,
         max_weight=max_weight,
     )
-
-
-def with_backend(graph: WeightedGraph, backend: str) -> WeightedGraph:
-    """Rebuild a generated graph pinned to the given traversal backend."""
-    return WeightedGraph.from_edges(graph.node_count, graph.edges(), backend=backend)
 
 
 def run_once(benchmark, function: Callable[[], object]):

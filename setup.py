@@ -17,11 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "networkx>=3.0"],
-    extras_require={
-        # Optional compiled kernel plane (DESIGN.md §9): njit graph/message
-        # kernels plus the scipy.sparse.csgraph fallback.  Everything works
-        # without the extra -- kernels degrade to the pure numpy oracle.
-        "fast": ["numba>=0.59", "scipy>=1.10"],
-    },
+    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
 )

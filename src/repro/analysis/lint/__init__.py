@@ -1,8 +1,8 @@
 """Static invariant linter for the reproduction (``repro.analysis.lint``).
 
 The repository's correctness rests on invariants that ordinary linters do not
-know about: execution planes must stay bit-identical (DESIGN.md §9), message
-fates and RNG fork labels must be order- and composition-independent, and
+know about: message fates and RNG fork labels must be order- and
+composition-independent, derived caches must be invalidated on mutation, and
 ``RoundMetrics`` may only move through the accounting layer.  This package
 enforces them *statically* -- at review time, on every PR -- with an
 AST-based checker framework (:mod:`repro.analysis.lint.framework`), inline
@@ -10,22 +10,18 @@ reviewed waivers that fail the build when they go stale
 (:mod:`repro.analysis.lint.waivers`), a whole-program resolution layer
 (symbol table, import resolver, conservative call graph, data-flow pass:
 :mod:`~repro.analysis.lint.symbols` / :mod:`~repro.analysis.lint.callgraph`
-/ :mod:`~repro.analysis.lint.dataflow`), and nine project-specific rules:
+/ :mod:`~repro.analysis.lint.dataflow`), and seven project-specific rules:
 
 ========  ==================================================================
 RL001     nondeterminism sources (``random.*``, wall clocks, ``os.urandom``,
           global ``numpy.random``, ``id()``-keyed ordering)
 RL002     unordered-iteration hazards (set iteration without ``sorted``)
-RL003     plane parity (compiled kernels mirror the ``PLANE_KERNELS``
-          registries of their oracle modules, matching parameter names)
 RL004     metrics accounting (no direct ``RoundMetrics`` field writes
           outside the accounting layer)
 RL005     RNG fork-label discipline (literal, canonical ``area:purpose``,
           globally unique)
 RL006     fork safety (module-level mutable state reachable from the
           ``ExperimentEngine`` worker entry points)
-RL007     njit subset (``@njit`` kernels validated against a conservative
-          nopython allowlist, with numba never imported)
 RL008     cache-invalidation discipline (attribute writes on cache-backed
           classes bump a version or call an invalidation hook)
 RL009     docstring discipline (public serving/session surface documented,

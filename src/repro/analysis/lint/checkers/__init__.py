@@ -1,14 +1,12 @@
-"""The project-specific invariant checkers (RL001-RL009)."""
+"""The project-specific invariant checkers."""
 
 from __future__ import annotations
 
 from repro.analysis.lint.checkers.rl001_determinism import DeterminismChecker
 from repro.analysis.lint.checkers.rl002_ordering import OrderingChecker
-from repro.analysis.lint.checkers.rl003_parity import PlaneParityChecker
 from repro.analysis.lint.checkers.rl004_metrics import MetricsAccountingChecker
 from repro.analysis.lint.checkers.rl005_fork_labels import ForkLabelChecker
 from repro.analysis.lint.checkers.rl006_fork_safety import ForkSafetyChecker
-from repro.analysis.lint.checkers.rl007_njit_subset import NjitSubsetChecker
 from repro.analysis.lint.checkers.rl008_cache_invalidation import CacheInvalidationChecker
 from repro.analysis.lint.checkers.rl009_docstrings import DocstringDisciplineChecker
 
@@ -18,11 +16,9 @@ def default_checkers() -> tuple:
     return (
         DeterminismChecker(),
         OrderingChecker(),
-        PlaneParityChecker(),
         MetricsAccountingChecker(),
         ForkLabelChecker(),
         ForkSafetyChecker(),
-        NjitSubsetChecker(),
         CacheInvalidationChecker(),
         DocstringDisciplineChecker(),
     )
@@ -35,8 +31,6 @@ __all__ = [
     "ForkLabelChecker",
     "ForkSafetyChecker",
     "MetricsAccountingChecker",
-    "NjitSubsetChecker",
     "OrderingChecker",
-    "PlaneParityChecker",
     "default_checkers",
 ]

@@ -12,9 +12,8 @@ nothing crashes.
 
 RL004 flags any assignment or augmented assignment to an attribute named
 like a ``RoundMetrics`` counter field outside the accounting layer itself:
-``hybrid/metrics.py`` (where the mutation methods live) and the two message
-planes (``hybrid/network.py``, ``hybrid/compiled.py``), which are the
-engine-side owners of round/traffic accounting.  Subscript writes through
+``hybrid/metrics.py`` (where the mutation methods live) and the engine
+(``hybrid/network.py``), the owner of round/traffic accounting.  Subscript writes through
 the ``phases`` / ``cut_bits`` mapping fields are flagged the same way.
 """
 
@@ -48,7 +47,6 @@ MAPPING_FIELDS = frozenset({"phases", "cut_bits"})
 ALLOWED_SUFFIXES = (
     "repro/hybrid/metrics.py",
     "repro/hybrid/network.py",
-    "repro/hybrid/compiled.py",
 )
 
 

@@ -43,7 +43,7 @@ from repro.analysis.lint.framework import Checker, SourceFile
 from repro.analysis.lint.symbols import ClassInfo, ProjectSymbols, project_symbols
 
 #: class name -> (version attribute, invalidation hook method names).
-#: Literal registry, mirroring RL003's PLANE_KERNELS: reviewable in one
+#: Literal registry: reviewable in one
 #: place, extended in the same commit that introduces a new cached class.
 CACHE_CLASSES = {
     "WeightedGraph": ("_version", ()),

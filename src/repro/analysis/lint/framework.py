@@ -8,8 +8,8 @@ milliseconds per file.  Checkers come in two granularities:
 * **per-file** -- override :meth:`Checker.check`; called once per parsed
   source file (RL001, RL002, RL004), and
 * **cross-module** -- override :meth:`Checker.check_project`; called once
-  with every parsed file, for invariants no single file can witness (RL003
-  plane parity, RL005 global fork-label uniqueness).
+  with every parsed file, for invariants no single file can witness (RL005
+  global fork-label uniqueness, the whole-program rules RL006 and RL008).
 
 :func:`run_lint` wires it together: discover files, parse, run the selected
 checkers, then fold in the waiver layer (:mod:`repro.analysis.lint.waivers`)

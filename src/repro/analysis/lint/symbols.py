@@ -1,8 +1,8 @@
 """Project-wide symbol table for the whole-program lint rules.
 
 The per-file rules (RL001, RL002, RL004) read one AST at a time; the
-whole-program rules (RL006 fork safety, RL007 njit subset, RL008 cache
-invalidation) need to answer questions no single file can: *which function
+whole-program rules (RL006 fork safety, RL008 cache invalidation) need to
+answer questions no single file can: *which function
 does this imported name refer to?*, *is this module-level name mutable
 state or a constant?*, *where is this class defined?*.  This module builds
 that resolution layer once per lint run:
@@ -140,7 +140,7 @@ def dotted_name(node: ast.expr) -> str | None:
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
-    if isinstance(node, ast.Call):  # e.g. ``@njit(cache=True)``
+    if isinstance(node, ast.Call):  # e.g. ``@decorator(option=True)``
         return dotted_name(node.func)
     if not isinstance(node, ast.Name):
         return None
@@ -177,8 +177,7 @@ def is_constant_value(value: ast.expr | None) -> bool:
 
     Covers literals, tuples of constants, unary/binary arithmetic over
     constants (``(1 << 64) - 1``), and ``frozenset(...)`` / ``tuple(...)`` of
-    constants -- everything an ``@njit`` kernel may safely close over and
-    everything RL006 may safely ignore.
+    constants -- everything RL006 may safely ignore.
     """
     if value is None:
         return False
@@ -333,8 +332,8 @@ class ModuleSymbols:
 def _toplevel_statements(module: ast.Module):
     """Module statements, descending through If/Try blocks but not defs.
 
-    Mirrors the RL003 helper so conditionally defined symbols (numba guards,
-    try/except import fallbacks) are still part of the module's surface.
+    Conditionally defined symbols (``if`` guards, try/except import
+    fallbacks) are still part of the module's surface.
     """
     stack: list[ast.stmt] = list(reversed(module.body))
     while stack:

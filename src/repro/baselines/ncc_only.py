@@ -15,6 +15,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.graphs import reference
+from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 
 
@@ -42,7 +43,7 @@ def ncc_only_shortest_paths(
     gather_outboxes: dict[int, list[tuple[int, object]]] = {}
     for u, v, w in graph.edges():
         gather_outboxes.setdefault(u, []).append((0, ("edge", u, v, w)))
-    network.run_global_exchange(gather_outboxes, phase + ":gather")
+    network.run_global_exchange(MessageBatch.from_outboxes(gather_outboxes), phase + ":gather")
 
     per_source = reference.multi_source_distances(graph, list(sources))
     estimates: list[dict[int, float]] = [dict() for _ in range(network.n)]
@@ -56,7 +57,7 @@ def ncc_only_shortest_paths(
             value = estimates[node].get(source)
             if value is not None and node != 0:
                 scatter_outboxes[0].append((node, ("distance", source, value)))
-    network.run_global_exchange(scatter_outboxes, phase + ":scatter")
+    network.run_global_exchange(MessageBatch.from_outboxes(scatter_outboxes), phase + ":scatter")
 
     rounds = network.metrics.total_rounds - rounds_before
     return NCCOnlyResult(rounds=rounds, distances=estimates)

@@ -8,7 +8,6 @@ Usage::
     python -m repro.cli sweep [--jobs 4] [--resume] [--only E3,E14] [--scale medium]
     python -m repro.cli regress --baseline benchmarks/BENCH_baseline.json
     python -m repro.cli query [--n 200] [--seed 1] [--repeat 2]
-    python -m repro.cli bench [--n 4096] [--profile]
     python -m repro.cli lint [--format json|github] [--select RL001,RL006] [--waiver-report]
 
 ``run`` prints one experiment's markdown table; ``run-all`` renders every
@@ -24,14 +23,11 @@ overhead and accuracy per drop rate and graph family.
 against a committed baseline and exits non-zero on tolerance violations --
 the CI regression gate.  ``query`` serves a mixed SSSP/diameter/APSP workload
 from one :class:`~repro.session.HybridSession` and prints the per-query
-amortized vs cold-equivalent accounting.  ``bench`` times the hot graph
-kernels on the numpy plane vs the compiled plane of
-:mod:`repro.graphs.compiled` (bit-identity checked), with ``--profile``
-adding a cProfile per-kernel breakdown.  ``lint`` runs the static invariant
-linter (:mod:`repro.analysis.lint`): AST-level checks RL001-RL005 for
-nondeterminism sources, unordered iteration, plane parity, metrics-accounting
-discipline and RNG fork labels, plus the whole-program rules RL006-RL008
-(fork safety, njit nopython subset, cache-invalidation discipline) built on
+amortized vs cold-equivalent accounting.  ``lint`` runs the static invariant
+linter (:mod:`repro.analysis.lint`): AST-level checks RL001, RL002, RL004
+and RL005 for nondeterminism sources, unordered iteration,
+metrics-accounting discipline and RNG fork labels, plus the whole-program
+rules RL006 and RL008 (fork safety, cache-invalidation discipline) built on
 the symbol-table/call-graph layer, honouring inline
 ``# repro-lint: waive[CODE] -- reason`` comments and exiting non-zero on any
 unwaived finding or stale waiver -- the CI invariant gate.  ``--format
@@ -168,33 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         "session repairs its contexts through the delta log (DESIGN.md §12)",
     )
 
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="time the hot graph kernels on the numpy vs compiled plane",
-    )
-    bench_parser.add_argument("--n", type=int, default=1024, help="graph size")
-    bench_parser.add_argument("--seed", type=int, default=3, help="graph seed")
-    bench_parser.add_argument(
-        "--sources", type=int, default=64, help="number of traversal sources per kernel"
-    )
-    bench_parser.add_argument(
-        "--max-weight",
-        type=int,
-        default=8,
-        help="edge weights drawn from [1, max-weight]; 1 = unit weights",
-    )
-    bench_parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile each kernel run and print the hottest functions",
-    )
-    bench_parser.add_argument(
-        "--top",
-        type=int,
-        default=10,
-        help="rows of the per-kernel profile breakdown (with --profile)",
-    )
-
     serve_parser = subparsers.add_parser(
         "serve",
         help="run the asyncio multi-tenant query server over TCP (DESIGN.md §11)",
@@ -262,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the static invariant linter (RL001-RL009) over the source tree",
+        help="run the static invariant linter over the source tree",
     )
     lint_parser.add_argument(
         "paths",
@@ -650,109 +619,6 @@ def run_serve_bench_command(args) -> int:
     return 0 if summary["responses_identical"] else 1
 
 
-def run_bench_command(args) -> int:
-    """Time the hot graph kernels on the numpy plane vs the compiled plane.
-
-    Runs multi-source exact distances, BFS levels and hop-limited ``d_h`` on
-    one random connected graph through both :mod:`repro.graphs.csr` (the
-    numpy oracle) and :mod:`repro.graphs.compiled`, verifies the outputs are
-    bit-identical, and prints wall clock plus speedup per kernel.  With
-    ``--profile`` each plane's run happens under :mod:`cProfile` and the
-    hottest functions are printed per kernel -- the quickest way to see where
-    a slow configuration actually spends its time.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    import numpy as np
-
-    from repro.graphs import compiled as compiled_plane
-    from repro.graphs import csr as numpy_plane
-    from repro.graphs import generators
-    from repro.util.rand import RandomSource
-
-    if args.n < 2:
-        print("--n must be at least 2", file=sys.stderr)
-        return 2
-    if args.sources < 1:
-        print("--sources must be at least 1", file=sys.stderr)
-        return 2
-    graph = generators.random_connected_graph(
-        args.n, 4.0, RandomSource(args.seed), max_weight=max(1, args.max_weight)
-    )
-    csr = graph.csr()
-    sources = list(range(min(args.sources, args.n)))
-    hop_limit = max(1, int(args.n).bit_length())
-    report = compiled_plane.kernel_report()
-    print(
-        f"bench: n={args.n}, m={graph.edge_count}, sources={len(sources)}, "
-        f"hop_limit={hop_limit}, unit_weights={csr.unit_weights}"
-    )
-    print(
-        f"compiled plane: numba={'yes' if report['numba'] else 'no'}, "
-        f"scipy={'yes' if report['scipy'] else 'no'} "
-        f"(distance={report['distance_matrix']}, bfs={report['bfs_level_matrix']}, "
-        f"hop-limited={report['hop_limited_matrix']})"
-    )
-    kernels = [
-        ("distance_matrix", lambda plane: plane.distance_matrix(csr, sources)),
-        ("bfs_level_matrix", lambda plane: plane.bfs_level_matrix(csr, sources)),
-        ("hop_limited_matrix", lambda plane: plane.hop_limited_matrix(csr, sources, hop_limit)),
-    ]
-    profiles: list[tuple[str, pstats.Stats]] = []
-
-    def timed(plane, kernel, label):
-        if args.profile:
-            profiler = cProfile.Profile()
-            profiler.enable()
-        # repro-lint: waive[RL001] -- kernel timing harness; measures, never decides
-        started = time.perf_counter()
-        result = kernel(plane)
-        # repro-lint: waive[RL001] -- kernel timing harness; measures, never decides
-        elapsed = time.perf_counter() - started
-        if args.profile:
-            profiler.disable()
-            profiles.append((label, pstats.Stats(profiler)))
-        return result, elapsed
-
-    header = (
-        f"{'kernel':>20s} {'numpy s':>9s} {'compiled s':>11s} {'speedup':>8s} {'identical':>9s}"
-    )
-    print()
-    print(header)
-    print("-" * len(header))
-    mismatched = False
-    for name, kernel in kernels:
-        # Warm-up run so one-time costs (njit compilation, the cached sparse
-        # view) are not billed to the measured pass.
-        kernel(compiled_plane)
-        baseline, baseline_s = timed(numpy_plane, kernel, f"{name} [numpy]")
-        candidate, candidate_s = timed(compiled_plane, kernel, f"{name} [compiled]")
-        identical = bool(np.array_equal(baseline, candidate))
-        mismatched = mismatched or not identical
-        speedup = baseline_s / candidate_s if candidate_s > 0 else float("inf")
-        print(
-            f"{name:>20s} {baseline_s:>9.4f} {candidate_s:>11.4f} {speedup:>7.2f}x "
-            f"{'yes' if identical else 'NO':>9s}"
-        )
-    if args.profile:
-        for label, stats in profiles:
-            buffer = io.StringIO()
-            stats.stream = buffer
-            stats.sort_stats("cumulative").print_stats(args.top)
-            print(f"\n=== profile: {label} (top {args.top} by cumulative time) ===")
-            # Drop the pstats preamble (ordering banner etc.) down to the table.
-            lines = buffer.getvalue().splitlines()
-            for line in lines:
-                if line.strip():
-                    print(line)
-    if mismatched:
-        print("\nbench: compiled plane DIVERGED from the numpy oracle", file=sys.stderr)
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -789,9 +655,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "serve-bench":
         return run_serve_bench_command(args)
-
-    if args.command == "bench":
-        return run_bench_command(args)
 
     if args.command == "lint":
         return run_lint_command(args)

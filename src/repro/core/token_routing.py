@@ -28,6 +28,8 @@ import math
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.core.helper_sets import HelperSets, compute_helper_sets, helper_parameter
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.errors import ProtocolError
@@ -35,24 +37,16 @@ from repro.hybrid.network import HybridNetwork
 from repro.localnet.aggregation import broadcast_value
 from repro.util.hashing import hash_family_for_network
 
-try:  # Array-based helper assignment / grouping; plain loops without numpy.
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
-
 
 def _assign_round_robin(endpoints: Sequence[int], helper_lists: dict[int, list[int]], role: str):
     """Per token, the helper its endpoint deals it to (``c % helper_count``).
 
     ``endpoints[i]`` is token ``i``'s sender (or receiver); token number ``c``
-    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  With
-    numpy the positions are grouped per endpoint and assigned with one take
+    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  Large
+    batches group the positions per endpoint and assign them with one take
     per endpoint instead of dict lookups per token.
     """
-    if not _HAS_NUMPY or len(endpoints) < 64:
+    if len(endpoints) < 64:
         result: list[int] = [0] * len(endpoints)
         counters: dict[int, int] = {}
         for position, endpoint in enumerate(endpoints):

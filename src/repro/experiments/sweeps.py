@@ -853,14 +853,14 @@ def _e13_finalize(scale: str, payloads: list[object]) -> ExperimentTable:
     return ExperimentTable(
         "E13",
         "Scenario families unlocked by the CSR core (SSSP end-to-end)",
-        ["scenario", "n", "m", "D", "backend", "rounds", "skeleton size", "exact", "seconds"],
+        ["scenario", "n", "m", "D", "rounds", "skeleton size", "exact", "seconds"],
         rows,
         notes=[
             "Each family stresses a different resource: power-law graphs load the "
             "global mode's per-hub capacity, grid-with-highways makes weighted d_h "
             "diverge from hop counts, and the ISP hierarchy has LAN-dense leaves "
             "behind a small backbone.  All runs stay exact; benchmarks/BENCH_core.json "
-            "tracks the wall-clock trajectory per backend.",
+            "tracks the wall-clock trajectory.",
         ],
     )
 
@@ -892,7 +892,6 @@ def scenario_scaling_shard(scale: str, seed: int, params: dict[str, object]) -> 
                 n,
                 graph.edge_count,
                 int(graph.hop_diameter()),
-                graph.backend,
                 result.rounds,
                 result.skeleton_size,
                 exact,

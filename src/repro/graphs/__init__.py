@@ -3,8 +3,8 @@
 Public surface:
 
 * :class:`~repro.graphs.graph.WeightedGraph` -- the adjacency structure used by
-  the whole library, with selectable dict/CSR traversal backends and batched
-  multi-source kernels (DESIGN.md §4).
+  the whole library, with single-source traversals and batched multi-source
+  kernels (DESIGN.md §4).
 * :mod:`repro.graphs.csr` -- the frozen numpy CSR view and its kernels.
 * :mod:`repro.graphs.generators` -- workload graph families.
 * :mod:`repro.graphs.reference` -- sequential ground-truth algorithms.

@@ -1,4 +1,4 @@
-"""Compressed-sparse-row (CSR) array backend and batched traversal kernels.
+"""Compressed-sparse-row (CSR) arrays and batched multi-source traversal kernels.
 
 The simulation's hot loops are all of the shape *"run one traversal from every
 node"*: the depth-``h`` exploration of Compute-Skeleton (Algorithm 6) runs a
@@ -8,54 +8,43 @@ run Dijkstra per source.  Doing these one Python-level traversal at a time is
 what capped experiments at a few hundred nodes.
 
 This module stores the graph once as frozen CSR numpy arrays and provides
-*batched multi-source* kernels that advance **all** sources together, one
-synchronous round per iteration, with numpy doing the per-round work:
+*batched multi-source* kernels over them:
 
-* :func:`bfs_level_matrix` -- level-synchronous BFS from many sources,
+* :func:`bfs_level_matrix` -- hop levels from many sources, via the C
+  implementation of :func:`scipy.sparse.csgraph.dijkstra` (unweighted);
 * :func:`hop_limited_matrix` -- ``hop_limit`` rounds of synchronous
-  Bellman-Ford, i.e. the paper's *literal* ``d_h`` (Section 1.3), and
-* :func:`distance_matrix` -- Bellman-Ford iterated to fixpoint, giving exact
-  weighted distances (identical to Dijkstra for positive integer weights).
+  Bellman-Ford, i.e. the paper's *literal* ``d_h`` (Section 1.3), as numpy
+  scatter-min rounds (BFS levels when every weight is 1); and
+* :func:`distance_matrix` -- exact weighted distances via
+  :func:`scipy.sparse.csgraph.dijkstra`.
 
-All kernels are exact, deterministic, and bit-identical to the pure-Python
-dict-backend implementations: edge weights are positive integers, every
-distance is a left-to-right float sum along a single path, and the same
-minima are taken, so no floating-point divergence between backends is
-possible.  :class:`~repro.graphs.graph.WeightedGraph` freezes a
+All kernels are exact and deterministic: edge weights are positive integers,
+so every distance is an exact float64 sum along a single path and equals the
+single-source pure-Python traversals of
+:class:`~repro.graphs.graph.WeightedGraph` bit for bit (the kernel tests pin
+this).  :class:`~repro.graphs.graph.WeightedGraph` freezes a
 :class:`CSRAdjacency` on first batched traversal and invalidates it on
 ``add_edge`` / ``remove_edge``.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse import csgraph
 
-#: Default per-chunk memory budget in bytes.  Sources are processed ``chunk``
-#: at a time so a batched call over all ``n`` sources never allocates more
-#: than roughly this much scratch at once; ``REPRO_KERNEL_CHUNK_BYTES``
-#: overrides it (larger budgets = fewer, bigger chunks).
-_DEFAULT_CHUNK_BYTES = 128 * 1024 * 1024
+#: Per-chunk memory budget in bytes.  Sources are processed ``chunk`` at a
+#: time so a batched call over all ``n`` sources never allocates more than
+#: roughly this much scratch at once.
+CHUNK_BYTES = 128 * 1024 * 1024
 
 #: A relaxation round materialises a few same-shaped float64 scratch arrays
 #: (candidates, keys, the chunk matrix itself); the budget is divided by this
 #: factor so peak allocation stays near the budget rather than several times
 #: over it.
 _SCRATCH_FACTOR = 4
-
-#: The plane-dispatched kernel surface: every alternate graph plane
-#: (:mod:`repro.graphs.compiled`) must provide each of these under the same
-#: name with exactly these leading parameter names, or carry an explicit
-#: ``name = None`` degradation entry.  Checked statically by RL003 of
-#: :mod:`repro.analysis.lint`; renaming a kernel on either plane without
-#: updating this registry fails the lint gate.
-PLANE_KERNELS = {
-    "bfs_level_matrix": ("csr", "sources", "max_hops"),
-    "distance_matrix": ("csr", "sources"),
-    "hop_limited_matrix": ("csr", "sources", "hop_limit"),
-}
 
 
 class CSRAdjacency:
@@ -74,9 +63,8 @@ class CSRAdjacency:
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
-        # Lazily built scipy.sparse.csr_matrix over these same arrays, cached
-        # by the compiled plane (repro.graphs.compiled); the adjacency is
-        # frozen, so the view can never go stale.
+        # Lazily built scipy.sparse.csr_matrix over these same arrays (see
+        # _scipy_view); the adjacency is frozen, so the view never goes stale.
         self.sparse_view = None
         # With unit weights d_h degenerates to BFS levels, which the weighted
         # kernels exploit as a fast path.
@@ -130,6 +118,20 @@ def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjac
     return CSRAdjacency(csr.n, csr.indptr, csr.indices, weights)
 
 
+def _scipy_view(csr: CSRAdjacency):
+    """The cached ``scipy.sparse.csr_matrix`` view of a frozen adjacency.
+
+    Built once per :class:`CSRAdjacency`; the adjacency is immutable after
+    construction (mutation drops the whole view), so the cache never goes
+    stale.
+    """
+    view = csr.sparse_view
+    if view is None:
+        view = sparse.csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(csr.n, csr.n))
+        csr.sparse_view = view
+    return view
+
+
 def _gather_edges(csr: CSRAdjacency, cols: np.ndarray):
     """Positions into ``csr.indices`` of all edges leaving ``cols``, plus counts.
 
@@ -148,75 +150,34 @@ def _gather_edges(csr: CSRAdjacency, cols: np.ndarray):
     return flat, counts
 
 
-def _sorted_unique_keys(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Sorted unique values of ``keys`` (all in ``[0, bound)``), radix-fast.
-
-    ``np.unique`` hashes/sorts int64 keys an order of magnitude slower than a
-    radix sort; when the key space fits int32 we downcast, ``np.sort`` (radix
-    for 32-bit ints), and drop adjacent duplicates.
-    """
-    if bound <= np.iinfo(np.int32).max:
-        ordered = np.sort(keys.astype(np.int32)).astype(np.int64)
-    else:
-        ordered = np.sort(keys)
-    if ordered.size <= 1:
-        return ordered
-    keep = np.empty(ordered.shape[0], dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
-
-
 def bfs_level_matrix(
     csr: CSRAdjacency, sources: Sequence[int], max_hops: int | None = None
 ) -> np.ndarray:
     """Hop distances from every source at once (``-1`` marks unreached nodes).
 
-    Level-synchronous BFS over all sources simultaneously: each iteration
-    expands every source's frontier in one numpy gather, dedupes the
-    ``(source, node)`` pairs, and stamps the new level.  Returns an
-    ``(S, n)`` int64 matrix.
+    Returns an ``(S, n)`` int64 matrix; nodes more than ``max_hops`` hops away
+    count as unreached.
     """
-    n = csr.n
     src = np.asarray(list(sources), dtype=np.int64)
-    count = src.shape[0]
-    levels = np.full((count, n), -1, dtype=np.int64)
-    source_rows = np.arange(count, dtype=np.int64)
-    levels[source_rows, src] = 0
-    frontier_rows, frontier_cols = source_rows, src.copy()
-    hops = 0
-    limit = n if max_hops is None else max_hops
-    while frontier_cols.size and hops < limit:
-        hops += 1
-        flat, counts = _gather_edges(csr, frontier_cols)
-        if flat.size == 0:
-            break
-        rows = np.repeat(frontier_rows, counts)
-        cols = csr.indices[flat]
-        fresh = levels[rows, cols] < 0
-        rows, cols = rows[fresh], cols[fresh]
-        if rows.size == 0:
-            break
-        keys = _sorted_unique_keys(rows * n + cols, count * n)
-        rows = keys // n
-        cols = keys - rows * n
-        levels[rows, cols] = hops
-        frontier_rows, frontier_cols = rows, cols
+    if src.size == 0:
+        return np.empty((0, csr.n), dtype=np.int64)
+    limit = csr.n if max_hops is None else max_hops
+    hops = csgraph.dijkstra(_scipy_view(csr), indices=src, unweighted=True, limit=limit)
+    levels = np.full(hops.shape, -1, dtype=np.int64)
+    reached = np.isfinite(hops)
+    levels[reached] = hops[reached].astype(np.int64)
     return levels
 
 
-def _relax_rounds(
-    csr: CSRAdjacency, sources: Sequence[int], max_rounds: int | None
-) -> np.ndarray:
-    """Shared core of the weighted kernels: synchronous Bellman-Ford rounds.
+def _relax_rounds(csr: CSRAdjacency, sources: Sequence[int], max_rounds: int) -> np.ndarray:
+    """Synchronous Bellman-Ford rounds from every source at once.
 
     After ``k`` iterations ``dist[s, v]`` is the minimum weight of any walk
     from ``s`` to ``v`` using at most ``k`` edges -- exactly ``d_k`` from
-    Section 1.3.  With ``max_rounds=None`` iteration continues to the fixpoint,
-    which for positive weights is the exact distance ``d``.  Only nodes whose
-    value improved in the previous round are relaxed again (their earlier
-    relaxations already reached every neighbour), which keeps each round's
-    work proportional to the active frontier.
+    Section 1.3.  Only nodes whose value improved in the previous round are
+    relaxed again (their earlier relaxations already reached every
+    neighbour), which keeps each round's work proportional to the active
+    frontier.
     """
     n = csr.n
     src = np.asarray(list(sources), dtype=np.int64)
@@ -226,7 +187,7 @@ def _relax_rounds(
     dist[source_rows, src] = 0.0
     frontier_rows, frontier_cols = source_rows, src.copy()
     rounds = 0
-    while frontier_cols.size and (max_rounds is None or rounds < max_rounds):
+    while frontier_cols.size and rounds < max_rounds:
         rounds += 1
         frontier_values = dist[frontier_rows, frontier_cols]
         flat, counts = _gather_edges(csr, frontier_cols)
@@ -271,25 +232,10 @@ def distance_matrix(csr: CSRAdjacency, sources: Sequence[int]) -> np.ndarray:
     """Exact weighted distances from every source (``inf`` when disconnected)."""
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, None))
-    return _relax_rounds(csr, sources, None)
-
-
-def chunk_byte_budget() -> int:
-    """The per-chunk scratch budget in bytes (env-overridable).
-
-    ``REPRO_KERNEL_CHUNK_BYTES`` overrides the default; non-numeric or
-    non-positive values fall back to the default rather than erroring, so a
-    stray environment variable can never break a run.
-    """
-    raw = os.environ.get("REPRO_KERNEL_CHUNK_BYTES")
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            value = 0
-        if value > 0:
-            return value
-    return _DEFAULT_CHUNK_BYTES
+    src = np.asarray(list(sources), dtype=np.int64)
+    if src.size == 0:
+        return np.empty((0, csr.n), dtype=np.float64)
+    return csgraph.dijkstra(_scipy_view(csr), indices=src)
 
 
 def chunked_sources(
@@ -299,13 +245,13 @@ def chunked_sources(
 
     The chunk size is derived from the budget rather than a fixed cell count:
     ``chunk x n`` float64 cells times the scratch factor must fit in
-    ``byte_budget`` (default :func:`chunk_byte_budget`), so an n = 4096+
+    ``byte_budget`` (default :data:`CHUNK_BYTES`), so an n = 4096+
     distance-matrix call peaks near the budget instead of materialising a
     multi-GB dense intermediate.  Chunking never changes results -- chunk
     matrices are concatenated -- only the peak allocation.
     """
     sources = list(sources)
-    budget = chunk_byte_budget() if byte_budget is None else byte_budget
+    budget = CHUNK_BYTES if byte_budget is None else byte_budget
     cells = max(1, budget // (8 * _SCRATCH_FACTOR))
     chunk = max(1, cells // max(1, n))
     if len(sources) <= chunk:
@@ -314,7 +260,7 @@ def chunked_sources(
 
 
 def rows_to_dicts(matrix: np.ndarray, cast) -> list[dict]:
-    """Convert kernel output rows to the dict-of-reached format of the dict backend."""
+    """Convert kernel output rows to ``{reached node: value}`` dicts."""
     result: list[dict] = []
     for row in matrix:
         if row.dtype == np.int64:

@@ -2,8 +2,8 @@
 
 The paper's local communication graph ``G = (V, E)`` is an undirected graph
 with integer edge weights ``w : E -> [W]`` where ``W`` is at most polynomial in
-``n`` (Section 1.3).  :class:`WeightedGraph` is a small, dependency-free
-adjacency structure with exactly the operations the HYBRID algorithms need:
+``n`` (Section 1.3).  :class:`WeightedGraph` is a small adjacency structure
+with exactly the operations the HYBRID algorithms need:
 
 * neighbourhood queries (the LOCAL mode),
 * hop-limited breadth-first search (``hop(u, v)`` and ``h``-hop balls),
@@ -14,26 +14,17 @@ Nodes are always the integers ``0 .. n-1``; the paper identifies nodes with IDs
 ``[n]`` and several protocols (hashing to intermediate nodes, implicit
 aggregation trees) rely on the ID space being exactly ``[0, n)``.
 
-Three storage/traversal backends are available (see DESIGN.md §4 and §9):
-
-* ``"dict"`` -- the original dependency-free dict-of-dicts adjacency with
-  pure-Python traversals;
-* ``"csr"`` -- the same mutable adjacency plus a frozen numpy CSR view
-  (:mod:`repro.graphs.csr`) built lazily on the first *batched* traversal and
-  invalidated by ``add_edge`` / ``remove_edge``.  The batched multi-source
-  kernels (``bfs_hops_many``, ``hop_limited_distances_many``,
-  ``dijkstra_many``, the matrix variants, ``hop_eccentricities``) run as
-  vectorised synchronous rounds over all sources at once; and
-* ``"csr-njit"`` -- the same CSR view with the batched kernels executed on
-  the compiled plane (:mod:`repro.graphs.compiled`): numba ``@njit`` ports
-  when numba is importable, ``scipy.sparse.csgraph`` formulations when scipy
-  is, per-kernel fallback to the numpy kernels otherwise.
-
-The default ``"auto"`` prefers the compiled plane when an accelerator is
-importable, then CSR whenever numpy is.  All backends return bit-identical
-results for every method (weights are positive integers, so all float
-distances are exact sums), which tests/test_backends.py and
-tests/test_compiled_plane.py assert property-style.
+Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
+the source of truth and feeds the mutation journal, and the single-source
+traversals (``bfs_hops``, ``dijkstra``, ``hop_limited_distances``, ...) walk
+it in pure Python.  The batched multi-source kernels (``bfs_hops_many``,
+``hop_limited_distances_many``, ``dijkstra_many``, the matrix variants,
+``hop_eccentricities``) run on a frozen CSR view (:mod:`repro.graphs.csr`)
+built lazily on first use and invalidated by ``add_edge`` /
+``remove_edge``.  Both return bit-identical results (weights are positive
+integers, so all float distances are exact sums); the single-source
+traversals are the references the kernel tests check the batched kernels
+against.
 """
 
 from __future__ import annotations
@@ -43,17 +34,11 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-try:  # numpy is a hard dependency of the repo, but the dict backend works without it.
-    import numpy as _np
+import numpy as np
 
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
+from repro.graphs import csr as csr_kernels
 
 INFINITY = float("inf")
-
-_BACKENDS = ("auto", "dict", "csr", "csr-njit")
 
 #: How many mutations the delta log retains.  ``deltas_since`` answers None
 #: once a gap falls off the log, so consumers (delta repair, DESIGN.md §12)
@@ -105,49 +90,22 @@ class WeightedGraph:
     Parameters
     ----------
     n:
-        Number of nodes; nodes are ``0 .. n-1``.
-    backend:
-        ``"dict"``, ``"csr"`` or ``"auto"`` (default); see the module
-        docstring.  ``"csr"`` requires numpy.  Backend selection, the frozen
-        CSR view and the batched kernels are specified in DESIGN.md §4; all
-        backends are bit-identical in results (only wall-clock differs).
+        Number of nodes; nodes are ``0 .. n-1``.  The frozen CSR view and the
+        batched kernels are specified in DESIGN.md §4.
     """
 
-    def __init__(self, n: int, backend: str = "auto") -> None:
+    def __init__(self, n: int) -> None:
         if n <= 0:
             raise ValueError("a graph needs at least one node")
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
-        if backend in ("csr", "csr-njit") and not _HAS_NUMPY:
-            raise ValueError(f"the {backend!r} backend requires numpy")
         self._n = n
         self._adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
         self._edge_count = 0
-        self._backend_choice = backend
         self._csr = None
         self._hop_diameter: float | None = None
         self._version = 0
         self._deltas: deque[GraphDelta] = deque(maxlen=DELTA_LOG_LIMIT)
 
     # ------------------------------------------------------------------ basic
-    @property
-    def backend(self) -> str:
-        """The resolved traversal backend (``"dict"``, ``"csr"`` or ``"csr-njit"``).
-
-        ``"auto"`` prefers the compiled plane whenever one of its accelerators
-        (numba or scipy) is importable, then CSR whenever numpy is.  An
-        explicit ``"csr-njit"`` resolves to itself even with no accelerator
-        present: the compiled plane then degrades per kernel to the numpy
-        implementations, so the choice is always safe.
-        """
-        if self._backend_choice == "auto":
-            if not _HAS_NUMPY:
-                return "dict"
-            from repro.graphs import compiled
-
-            return "csr-njit" if compiled.available() else "csr"
-        return self._backend_choice
-
     @property
     def version(self) -> int:
         """Mutation counter: incremented by every effective mutation.
@@ -176,12 +134,10 @@ class WeightedGraph:
             return None
         return [delta for delta in self._deltas if delta.version > version]
 
-    def csr(self):
+    def csr(self) -> csr_kernels.CSRAdjacency:
         """The frozen CSR view (built on first use, dropped on mutation)."""
-        from repro.graphs import csr as csr_backend
-
         if self._csr is None:
-            self._csr = csr_backend.build_csr(self._adjacency)
+            self._csr = csr_kernels.build_csr(self._adjacency)
         return self._csr
 
     @property
@@ -200,6 +156,8 @@ class WeightedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
+        self._check_node(u)
+        self._check_node(v)
         return v in self._adjacency[u]
 
     def add_edge(self, u: int, v: int, weight: int = 1) -> None:
@@ -253,14 +211,14 @@ class WeightedGraph:
         self._adjacency[u][v] = weight
         self._adjacency[v][u] = weight
         if self._csr is not None:
-            from repro.graphs import csr as csr_backend
-
-            self._csr = csr_backend.refresh_weight(self._csr, u, v, weight)
+            self._csr = csr_kernels.refresh_weight(self._csr, u, v, weight)
         self._version += 1
         self._deltas.append(GraphDelta("update", u, v, weight, current, self._version))
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the undirected edge ``{u, v}`` (must exist)."""
+        self._check_node(u)
+        self._check_node(v)
         if v not in self._adjacency[u]:
             raise KeyError(f"edge {{{u}, {v}}} does not exist")
         old_weight = self._adjacency[u][v]
@@ -274,6 +232,8 @@ class WeightedGraph:
 
     def weight(self, u: int, v: int) -> int:
         """Weight of the edge ``{u, v}`` (must exist)."""
+        self._check_node(u)
+        self._check_node(v)
         return self._adjacency[u][v]
 
     def neighbors(self, u: int) -> Iterator[int]:
@@ -319,6 +279,11 @@ class WeightedGraph:
         if not 0 <= u < self._n:
             raise ValueError(f"node {u} outside [0, {self._n})")
 
+    @staticmethod
+    def _check_max_hops(max_hops: int | None) -> None:
+        if max_hops is not None and max_hops < 0:
+            raise ValueError("max_hops must be non-negative")
+
     # ----------------------------------------------------------- traversal
     def bfs_hops(self, source: int, max_hops: int | None = None) -> dict[int, int]:
         """Hop distances from ``source`` to every node within ``max_hops`` hops.
@@ -327,6 +292,7 @@ class WeightedGraph:
         radius ``max_hops`` (or the whole component when ``max_hops`` is None).
         """
         self._check_node(source)
+        self._check_max_hops(max_hops)
         distances = {source: 0}
         frontier = [source]
         hops = 0
@@ -347,25 +313,17 @@ class WeightedGraph:
 
     # ------------------------------------------------- batched traversal kernels
     #
-    # The *_many methods advance every source together, one synchronous round
-    # per iteration; under the CSR backend each round is a handful of numpy
-    # gathers/reductions (see repro.graphs.csr), under the csr-njit backend
-    # the matrix kernels run on the compiled plane (repro.graphs.compiled),
-    # and under the dict backend they fall back to one pure-Python traversal
-    # per source.  Results are bit-identical across all three.
+    # The *_many methods advance every source together on the frozen CSR view
+    # (repro.graphs.csr); their results equal the single-source traversals
+    # above, one per source.
 
-    def _use_csr(self) -> bool:
-        return self.backend != "dict"
-
-    def _kernel_plane(self):
-        """The module implementing the three matrix kernels for this backend."""
-        if self.backend == "csr-njit":
-            from repro.graphs import compiled
-
-            return compiled
-        from repro.graphs import csr as csr_backend
-
-        return csr_backend
+    def _chunked(self, kernel, sources: list[int], *args) -> np.ndarray:
+        """Run a matrix kernel over ``sources`` in byte-budgeted chunks."""
+        view = self.csr()
+        chunks = [
+            kernel(view, chunk, *args) for chunk in csr_kernels.chunked_sources(self._n, sources)
+        ]
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
     def bfs_hops_many(
         self, sources: Sequence[int], max_hops: int | None = None
@@ -374,17 +332,9 @@ class WeightedGraph:
         sources = list(sources)
         for source in sources:
             self._check_node(source)
-        if not self._use_csr():
-            return [self.bfs_hops(source, max_hops) for source in sources]
-        from repro.graphs import csr as csr_backend
-
-        kernels = self._kernel_plane()
-        view = self.csr()
-        result: list[dict[int, int]] = []
-        for chunk in csr_backend.chunked_sources(self._n, sources):
-            levels = kernels.bfs_level_matrix(view, chunk, max_hops)
-            result.extend(csr_backend.rows_to_dicts(levels, int))
-        return result
+        self._check_max_hops(max_hops)
+        levels = self._chunked(csr_kernels.bfs_level_matrix, sources, max_hops)
+        return csr_kernels.rows_to_dicts(levels, int)
 
     def balls_many(self, sources: Sequence[int], radius: int) -> list[list[int]]:
         """The ``radius``-hop balls of many sources at once."""
@@ -394,79 +344,35 @@ class WeightedGraph:
         self, sources: Sequence[int], hop_limit: int
     ) -> list[dict[int, float]]:
         """The literal ``d_{hop_limit}`` maps of many sources (Section 1.3)."""
-        sources = list(sources)
-        if not self._use_csr():
-            return [self.hop_limited_distances(source, hop_limit) for source in sources]
         matrix = self.hop_limited_distance_matrix(sources, hop_limit)
-        from repro.graphs import csr as csr_backend
-
-        return csr_backend.rows_to_dicts(matrix, float)
+        return csr_kernels.rows_to_dicts(matrix, float)
 
     def hop_limited_distance_matrix(self, sources: Sequence[int], hop_limit: int):
         """``d_{hop_limit}`` as a dense ``(len(sources), n)`` float matrix.
 
-        Requires numpy (the dict backend densifies its per-source dicts).
         ``inf`` marks nodes outside the ``hop_limit``-ball.
         """
-        if not _HAS_NUMPY:
-            raise RuntimeError("hop_limited_distance_matrix requires numpy")
         sources = list(sources)
         for source in sources:
             self._check_node(source)
         if hop_limit < 0:
             raise ValueError("hop_limit must be non-negative")
-        if self._use_csr():
-            from repro.graphs import csr as csr_backend
-
-            kernels = self._kernel_plane()
-            view = self.csr()
-            chunks = [
-                kernels.hop_limited_matrix(view, chunk, hop_limit)
-                for chunk in csr_backend.chunked_sources(self._n, sources)
-            ]
-            return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks, axis=0)
-        matrix = _np.full((len(sources), self._n), _np.inf)
-        for row, source in enumerate(sources):
-            for node, value in self.hop_limited_distances(source, hop_limit).items():
-                matrix[row, node] = value
-        return matrix
+        return self._chunked(csr_kernels.hop_limited_matrix, sources, hop_limit)
 
     def dijkstra_many(self, sources: Sequence[int]) -> list[dict[int, float]]:
         """Exact distances from many sources at once (one dict per source)."""
-        sources = list(sources)
-        if not self._use_csr():
-            return [self.dijkstra(source) for source in sources]
-        matrix = self.distance_matrix(sources)
-        from repro.graphs import csr as csr_backend
-
-        return csr_backend.rows_to_dicts(matrix, float)
+        return csr_kernels.rows_to_dicts(self.distance_matrix(sources), float)
 
     def distance_matrix(self, sources: Sequence[int] | None = None):
         """Exact distances as a dense ``(len(sources), n)`` float matrix.
 
-        ``sources`` defaults to all nodes (the full APSP matrix).  Requires
-        numpy; ``inf`` marks disconnected pairs.
+        ``sources`` defaults to all nodes (the full APSP matrix); ``inf``
+        marks disconnected pairs.
         """
-        if not _HAS_NUMPY:
-            raise RuntimeError("distance_matrix requires numpy")
         sources = list(self.nodes()) if sources is None else list(sources)
         for source in sources:
             self._check_node(source)
-        if self._use_csr():
-            from repro.graphs import csr as csr_backend
-
-            kernels = self._kernel_plane()
-            view = self.csr()
-            chunks = [
-                kernels.distance_matrix(view, chunk)
-                for chunk in csr_backend.chunked_sources(self._n, sources)
-            ]
-            return chunks[0] if len(chunks) == 1 else _np.concatenate(chunks, axis=0)
-        matrix = _np.full((len(sources), self._n), _np.inf)
-        for row, source in enumerate(sources):
-            for node, value in self.dijkstra(source).items():
-                matrix[row, node] = value
-        return matrix
+        return self._chunked(csr_kernels.distance_matrix, sources)
 
     def hop_eccentricities(
         self, sources: Sequence[int] | None = None, max_hops: int | None = None
@@ -479,21 +385,11 @@ class WeightedGraph:
         quantity ``h_v`` of Algorithm 9's local phase -- always finite.
         """
         sources = list(self.nodes()) if sources is None else list(sources)
-        if not self._use_csr():
-            result = []
-            for source in sources:
-                if max_hops is None:
-                    result.append(self.hop_eccentricity(source))
-                else:
-                    result.append(float(max(self.bfs_hops(source, max_hops).values())))
-            return result
-        from repro.graphs import csr as csr_backend
-
-        kernels = self._kernel_plane()
+        self._check_max_hops(max_hops)
         view = self.csr()
         result: list[float] = []
-        for chunk in csr_backend.chunked_sources(self._n, sources):
-            levels = kernels.bfs_level_matrix(view, chunk, max_hops)
+        for chunk in csr_kernels.chunked_sources(self._n, sources):
+            levels = csr_kernels.bfs_level_matrix(view, chunk, max_hops)
             if max_hops is None:
                 reached_all = (levels >= 0).all(axis=1)
                 maxima = levels.max(axis=1)
@@ -525,25 +421,9 @@ class WeightedGraph:
         Cached like the CSR view (every simulated network on this graph asks
         for it) and dropped on mutation.
         """
-        if self._hop_diameter is not None:
-            return self._hop_diameter
-        if self._use_csr():
-            best = 0.0
-            for ecc in self.hop_eccentricities():
-                if ecc == INFINITY:
-                    best = INFINITY
-                    break
-                best = max(best, ecc)
-        else:
-            best = 0.0
-            for u in range(self._n):
-                ecc = self.hop_eccentricity(u)
-                if ecc == INFINITY:
-                    best = INFINITY
-                    break
-                best = max(best, ecc)
-        self._hop_diameter = best
-        return best
+        if self._hop_diameter is None:
+            self._hop_diameter = max(self.hop_eccentricities())
+        return self._hop_diameter
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the paper assumes ``G`` connected)."""
@@ -720,7 +600,7 @@ class WeightedGraph:
         from original node ID to new ID.
         """
         mapping = {node: index for index, node in enumerate(nodes)}
-        sub = WeightedGraph(len(nodes), backend=self._backend_choice)
+        sub = WeightedGraph(len(nodes))
         for u in nodes:
             for v, w in self._adjacency[u].items():
                 if v in mapping and u < v:
@@ -728,8 +608,8 @@ class WeightedGraph:
         return sub, mapping
 
     def copy(self) -> "WeightedGraph":
-        """Deep copy of the graph (keeps the backend choice)."""
-        clone = WeightedGraph(self._n, backend=self._backend_choice)
+        """Deep copy of the graph."""
+        clone = WeightedGraph(self._n)
         for u, v, w in self.edges():
             clone.add_edge(u, v, w)
         return clone
@@ -754,11 +634,9 @@ class WeightedGraph:
         return result
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Iterable[tuple[int, int, int]], backend: str = "auto"
-    ) -> "WeightedGraph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":
         """Build from an iterable of ``(u, v, weight)`` triples."""
-        result = cls(n, backend=backend)
+        result = cls(n)
         for u, v, w in edges:
             result.add_edge(u, v, w)
         return result

@@ -5,7 +5,7 @@ Exports the simulation engine (:class:`HybridNetwork`), its configuration
 engine's exception types.
 """
 
-from repro.hybrid.batch import MessageBatch
+from repro.hybrid.batch import Inboxes, MessageBatch, Outboxes
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.errors import (
     CapacityExceededError,
@@ -16,7 +16,7 @@ from repro.hybrid.errors import (
 )
 from repro.hybrid.faults import FaultModel
 from repro.hybrid.metrics import PhaseBreakdown, RoundMetrics
-from repro.hybrid.network import HybridNetwork, Inboxes, Outboxes
+from repro.hybrid.network import HybridNetwork
 
 __all__ = [
     "ModelConfig",

@@ -6,9 +6,8 @@ The engine's scalar interface moves global messages as
 Python-level loop per message on both the protocol side (building the dicts
 one tuple at a time) and the engine side (draining them one tuple at a time).
 
-:class:`MessageBatch` is the array-backed alternative, mirroring the graph
-core's dict/CSR dual-backend pattern (DESIGN.md §4): one batch of messages is
-three parallel columns
+:class:`MessageBatch` is the array-backed form the engine runs on
+(DESIGN.md §4): one batch of messages is three parallel columns
 
 * ``senders`` -- integer array, ``senders[i]`` sent message ``i``,
 * ``targets`` -- integer array, ``targets[i]`` receives message ``i``, and
@@ -24,44 +23,20 @@ outbox.
 The same class serves as the batched inbox: :meth:`groupby_target` yields the
 per-receiver message groups in delivery order, and :meth:`to_inboxes` /
 :meth:`to_outboxes` convert to the scalar dict forms for interoperability.
-Without numpy the columns degrade to Python lists and the engine falls back
-to the scalar plane; every consumer keeps working.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 
-try:  # Arrays when available; plain lists otherwise (see module docstring).
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
+import numpy as _np
 
 Outboxes = dict[int, list[tuple[int, object]]]
 Inboxes = dict[int, list[tuple[int, object]]]
 
-#: The compiled message plane's kernel surface (:mod:`repro.hybrid.compiled`):
-#: each name must exist there as a function with exactly these leading
-#: parameter names, or as an explicit ``name = None`` degradation entry (the
-#: no-numba case).  The scalar oracles live beside the engine --
-#: ``repro.hybrid.network._admit_scan`` and
-#: ``repro.hybrid.faults.fault_hash_array`` -- and the vectorized plane in
-#: this module is pinned bit-identical to both.  Checked statically by RL003
-#: of :mod:`repro.analysis.lint`.
-PLANE_KERNELS = {
-    "admit_scan": ("senders", "targets", "scan_positions", "send_cap", "receive_cap", "n"),
-    "fault_hash_columns": ("prefix", "senders", "targets", "occurrences"),
-}
-
-
-def _as_index_column(values) -> "Sequence[int]":
-    """Coerce a sender/target column to an int64 array (or list without numpy)."""
-    if _HAS_NUMPY:
-        return _np.asarray(values, dtype=_np.int64)
-    return [int(value) for value in values]
+def _as_index_column(values) -> _np.ndarray:
+    """Coerce a sender/target column to an int64 array."""
+    return _np.asarray(values, dtype=_np.int64)
 
 
 class MessageBatch:
@@ -122,12 +97,8 @@ class MessageBatch:
         payloads: list[object] = []
         for batch in batches:
             payloads.extend(batch.payloads)
-        if _HAS_NUMPY:
-            senders = _np.concatenate([batch.senders for batch in batches])
-            targets = _np.concatenate([batch.targets for batch in batches])
-        else:
-            senders = [s for batch in batches for s in batch.senders]
-            targets = [t for batch in batches for t in batch.targets]
+        senders = _np.concatenate([batch.senders for batch in batches])
+        targets = _np.concatenate([batch.targets for batch in batches])
         return cls(senders, targets, payloads)
 
     # ------------------------------------------------------------- conversions
@@ -153,34 +124,23 @@ class MessageBatch:
 
         Groups appear in ascending target order; within a group, messages keep
         their batch (delivery) order, so per-target folds see exactly the
-        sequence a dict-form inbox would hold.  With numpy the senders come
-        back as an integer array (materialise with ``list(...)`` if needed).
+        sequence a dict-form inbox would hold.  The senders come back as an
+        integer array (materialise with ``list(...)`` if needed).
         """
         if not len(self):
             return
-        if _HAS_NUMPY:
-            order = _np.argsort(self.targets, kind="stable")
-            sorted_targets = self.targets[order]
-            boundaries = _np.flatnonzero(sorted_targets[1:] != sorted_targets[:-1]) + 1
-            starts = [0, *boundaries.tolist(), len(order)]
-            payloads = self.payloads
-            for begin, end in zip(starts[:-1], starts[1:], strict=True):
-                indices = order[begin:end]
-                yield (
-                    int(sorted_targets[begin]),
-                    self.senders[indices],
-                    [payloads[i] for i in indices.tolist()],
-                )
-        else:
-            grouped: dict[int, tuple[list[int], list[object]]] = {}
-            columns = zip(self.senders, self.targets, self.payloads, strict=True)
-            for sender, target, payload in columns:
-                bucket = grouped.setdefault(int(target), ([], []))
-                bucket[0].append(int(sender))
-                bucket[1].append(payload)
-            for target in sorted(grouped):
-                senders, payloads = grouped[target]
-                yield target, senders, payloads
+        order = _np.argsort(self.targets, kind="stable")
+        sorted_targets = self.targets[order]
+        boundaries = _np.flatnonzero(sorted_targets[1:] != sorted_targets[:-1]) + 1
+        starts = [0, *boundaries.tolist(), len(order)]
+        payloads = self.payloads
+        for begin, end in zip(starts[:-1], starts[1:], strict=True):
+            indices = order[begin:end]
+            yield (
+                int(sorted_targets[begin]),
+                self.senders[indices],
+                [payloads[i] for i in indices.tolist()],
+            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageBatch(messages={len(self)})"

@@ -1,115 +1,6 @@
-"""Compiled message-plane kernels: njit admission scan and fault hashing.
+"""Placeholder module of the ``hybrid`` layer; it holds no code.
 
-The vectorized NCC plane (DESIGN.md §4) replaced the scalar per-message scan
-with whole-array numpy operations, but its two remaining hot spots are still
-interpreter-shaped:
-
-* the admission recurrence of :func:`repro.hybrid.network._admit_scan` is
-  solved by Jacobi iteration -- several full-array prefix-sum sweeps where a
-  compiled loop needs exactly one pass over the scan order; and
-* :func:`repro.hybrid.faults.fault_hash_array` evaluates splitmix64 as a
-  chain of whole-array uint64 ops, allocating several temporaries per column.
-
-When numba is importable this module compiles both to single-pass
-``@njit(cache=True)`` loops; without numba every entry point is ``None`` and
-the callers keep their numpy implementations -- the same per-kernel
-degradation contract as :mod:`repro.graphs.compiled`.  Both kernels are exact
-ports of the scalar reference semantics (the admission scan *is* the scalar
-scheduler's loop; the hash is the same wrapping uint64 arithmetic), so the
-compiled plane stays bit-identical to the scalar oracle, which
-tests/test_compiled_plane.py pins.
-
-``ModelConfig.global_plane = "compiled"`` selects this plane; ``"auto"``
-prefers it when numba is importable.
+The message plane has one implementation, in :mod:`repro.hybrid.network`.
+The layered benchmark (``benchmarks/e2e/tracer.py``) names this module in
+its ``hybrid`` layer, so it stays importable until that list changes.
 """
-
-from __future__ import annotations
-
-import numpy as np
-
-from repro.hybrid.faults import _MASK64, _MULT1, _MULT2, _PHI
-
-try:  # Optional accelerator; None entry points mean "use the numpy plane".
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is absent in the base container
-    _njit = None
-    HAS_NUMBA = False
-
-
-if HAS_NUMBA:
-
-    @_njit(cache=True)
-    def _admit_scan_njit(senders, targets, scan_positions, send_cap, receive_cap, n):
-        """One sequential pass of the scalar admission scan, compiled.
-
-        Identical semantics to the reference scheduler: walking the messages
-        in scan order, admit iff the sender has admitted fewer than
-        ``send_cap`` and the target fewer than ``receive_cap`` so far;
-        skipped messages consume no budget.  (The numpy plane reaches the
-        same fixpoint by Jacobi iteration on prefix sums.)
-        """  # pragma: no cover - exercised only when numba is installed
-        length = senders.shape[0]
-        order = np.argsort(scan_positions)
-        sent = np.zeros(n, dtype=np.int64)
-        received = np.zeros(n, dtype=np.int64)
-        admitted = np.zeros(length, dtype=np.bool_)
-        for k in range(length):
-            i = order[k]
-            s = senders[i]
-            t = targets[i]
-            if sent[s] < send_cap and received[t] < receive_cap:
-                admitted[i] = True
-                sent[s] += 1
-                received[t] += 1
-        return admitted
-
-    @_njit(cache=True)
-    def _fault_hash_njit(prefix, senders, targets, occurrences):
-        """splitmix64 fold of three lane columns from a shared prefix.
-
-        The same arithmetic as the scalar loop in
-        :func:`repro.hybrid.faults.fault_hash`, elementwise on uint64.
-        """  # pragma: no cover - exercised only when numba is installed
-        length = senders.shape[0]
-        out = np.empty(length, dtype=np.uint64)
-        phi = np.uint64(_PHI)
-        mult1 = np.uint64(_MULT1)
-        mult2 = np.uint64(_MULT2)
-        start = np.uint64(prefix)
-        for i in range(length):
-            state = start
-            for lane in (np.uint64(senders[i]), np.uint64(targets[i]), np.uint64(occurrences[i])):
-                state = state ^ (lane * phi)
-                state = state ^ (state >> np.uint64(30))
-                state = state * mult1
-                state = state ^ (state >> np.uint64(27))
-                state = state * mult2
-                state = state ^ (state >> np.uint64(31))
-            out[i] = state
-        return out
-
-    def admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: int, n: int):
-        """Compiled admission decisions (see :func:`_admit_scan_njit`)."""
-        return _admit_scan_njit(
-            np.ascontiguousarray(senders, dtype=np.int64),
-            np.ascontiguousarray(targets, dtype=np.int64),
-            np.ascontiguousarray(scan_positions, dtype=np.int64),
-            send_cap,
-            receive_cap,
-            n,
-        )
-
-    def fault_hash_columns(prefix: int, senders, targets, occurrences):
-        """Compiled per-message splitmix64 hashes from a per-round prefix."""
-        return _fault_hash_njit(
-            prefix & _MASK64,
-            np.ascontiguousarray(senders, dtype=np.int64),
-            np.ascontiguousarray(targets, dtype=np.int64),
-            np.ascontiguousarray(occurrences, dtype=np.int64),
-        )
-
-else:
-    admit_scan = None
-    fault_hash_columns = None

@@ -58,18 +58,6 @@ class ModelConfig:
         learn the whole graph.  When True (default), every local-phase charge
         is capped at the hop diameter of ``G``, which implements that remark
         per phase and keeps the accounting honest on small-diameter graphs.
-    global_plane:
-        How :class:`~repro.hybrid.batch.MessageBatch` traffic is executed:
-        ``"auto"`` (default) uses the compiled njit kernels when numba is
-        importable, else the vectorized whole-array scheduler when numpy is;
-        ``"compiled"`` opts into the njit admission scan and fault hashing of
-        :mod:`repro.hybrid.compiled` (requires numpy; degrades per kernel to
-        the vectorized implementations when numba is absent);
-        ``"vectorized"`` pins the numpy scheduler; ``"scalar"`` forces the
-        per-message reference path.  All planes make identical admission
-        decisions and record identical metrics (DESIGN.md §9); benchmarks pin
-        each to measure the speedup.  Dict-form outboxes always take the
-        scalar path.
     faults:
         Optional :class:`~repro.hybrid.faults.FaultModel` describing an
         unreliable network (seeded message drops, bursts, node crash /
@@ -90,7 +78,6 @@ class ModelConfig:
     helper_log_factor: float = 1.0
     hash_independence_factor: int = 3
     cap_local_at_diameter: bool = True
-    global_plane: str = "auto"
     faults: FaultModel | None = None
     rng_seed: int = 0
     extra: dict = field(default_factory=dict)

@@ -19,11 +19,11 @@ describes an adversarial-but-seeded environment on top of the same engine:
 Faults are *deterministic given the model's seed*: each message's fate is a
 pure function of ``(seed, global round index, sender, target, occurrence)``
 where the occurrence index counts the round's earlier messages between the
-same (sender, target) pair.  That function is evaluated with the same
-splitmix64 construction by the scalar per-message plane (Python integers)
-and the vectorized plane (``uint64`` arrays), so the two planes drop exactly
-the same messages and stay bit-identical under faults -- the same contract
-the fault-free planes already pin (tests/test_faults.py).
+same (sender, target) pair.  The engine evaluates that splitmix64 function
+column-wise on ``uint64`` arrays (:meth:`FaultState.keep_mask`); the
+per-message Python-integer evaluation (:meth:`FaultState.drops`) is the
+reference the tests check it against, message for message
+(tests/test_faults.py).
 
 Dropped messages still consume the sender's bandwidth (they were sent; the
 send cap and the per-round message/bit totals count them) but are never
@@ -39,13 +39,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-try:  # The vectorized fault plane needs numpy; the scalar plane never does.
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
+import numpy as _np
 
 _MASK64 = (1 << 64) - 1
 #: splitmix64 constants (Steele et al.); the golden-ratio increment separates
@@ -115,32 +109,6 @@ def fault_hash_array(prefix: int, *columns):
     for column in columns:
         state = _mix64_array(state ^ (column.astype(_np.uint64) * _np.uint64(_PHI)))
     return state
-
-
-#: Sentinel distinguishing "not yet resolved" from "resolved to None".
-_COMPILED_UNRESOLVED = object()
-_compiled_hash_columns = _COMPILED_UNRESOLVED
-
-
-def _compiled_hasher():
-    """The njit column hasher from :mod:`repro.hybrid.compiled`, if importable.
-
-    Resolved lazily (that module imports this one's constants) and memoized;
-    ``None`` means no compiled kernel, i.e. keep :func:`fault_hash_array`.
-    """
-    global _compiled_hash_columns
-    # repro-lint: waive[RL006] -- idempotent import memo; every process resolves the same callable
-    if _compiled_hash_columns is _COMPILED_UNRESOLVED:
-        try:
-            from repro.hybrid.compiled import fault_hash_columns
-
-            # repro-lint: waive[RL006] -- idempotent import memo; same resolution in every process
-            _compiled_hash_columns = fault_hash_columns
-        except ImportError:  # pragma: no cover - defensive; the module always imports
-            # repro-lint: waive[RL006] -- idempotent import memo; same resolution in every process
-            _compiled_hash_columns = None
-    # repro-lint: waive[RL006] -- idempotent import memo; every process reads the same resolution
-    return _compiled_hash_columns
 
 
 def _drop_threshold(rate: float) -> int:
@@ -274,7 +242,7 @@ class FaultModel:
 
 class FaultState:
     """Per-network runtime of one :class:`FaultModel`: the global-round clock
-    plus the (scalar and vectorized) per-message drop decisions.
+    plus the per-message drop decisions.
 
     The clock counts *every* executed global round of the network, so a
     message's fate is stable across metric scopes and resets are explicit
@@ -293,8 +261,7 @@ class FaultState:
         self._burst_threshold = _drop_threshold(model.burst_drop_rate)
         self._burst_start_threshold = _drop_threshold(model.burst_rate)
         # Memoized per-round context (see round_context): one entry suffices
-        # because both planes consume a round's decisions before the clock
-        # advances.
+        # because a round's decisions are all made before the clock advances.
         self._context_round = -1
         self._context: tuple[int, frozenset[int], int] = (0, frozenset(), 0)
 
@@ -337,10 +304,10 @@ class FaultState:
 
         All three are pure functions of the round index, so they are computed
         once per global round and memoized rather than re-derived per message
-        (the burst check alone re-hashes ``burst_length`` lanes): the scalar
-        plane folds per-message lanes onto the returned prefix via
-        :func:`fault_hash_from_prefix`, the vectorized/compiled planes via
-        :func:`fault_hash_array` or its njit port.
+        (the burst check alone re-hashes ``burst_length`` lanes): the engine
+        folds per-message lanes onto the returned prefix via
+        :func:`fault_hash_array`, the reference :meth:`drops` via
+        :func:`fault_hash_from_prefix`.
         """
         if round_index != self._context_round:
             self._context = (
@@ -361,7 +328,7 @@ class FaultState:
         threshold: int,
         faulty: frozenset[int],
     ) -> bool:
-        """The scalar plane's drop decision for one message."""
+        """The drop decision for one message (the reference for :meth:`keep_mask`)."""
         if faulty and (sender in faulty or target in faulty):
             return True
         if threshold <= 0:
@@ -373,12 +340,12 @@ class FaultState:
         return coin < threshold
 
     def keep_mask(self, senders, targets, round_index: int, n: int):
-        """The vectorized plane's keep mask for one round (None = keep all).
+        """The engine's keep mask for one round (None = keep all).
 
         ``senders`` / ``targets`` are the round's messages in delivery scan
         order; the occurrence index (rank among the round's earlier messages
         of the same (sender, target) pair) is recovered with a stable sort,
-        so the mask equals the scalar plane's per-message decisions exactly.
+        so the mask equals the per-message decisions of :meth:`drops` exactly.
         """
         count = int(senders.size)
         if count == 0:
@@ -398,11 +365,7 @@ class FaultState:
             starts = _np.maximum.accumulate(_np.where(change, positions, 0))
             occurrences = _np.empty(count, dtype=_np.int64)
             occurrences[order] = positions - starts
-            hasher = _compiled_hasher()
-            if hasher is not None:
-                hashes = hasher(prefix, senders, targets, occurrences)
-            else:
-                hashes = fault_hash_array(prefix, senders, targets, occurrences)
+            hashes = fault_hash_array(prefix, senders, targets, occurrences)
             drop = hashes < _np.uint64(threshold)
         if faulty:
             faulty_column = _np.fromiter(faulty, dtype=_np.int64, count=len(faulty))

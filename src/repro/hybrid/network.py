@@ -15,15 +15,10 @@ protocol implementations exactly the two communication modes of the model:
   ``ModelConfig.send_cap(n)`` messages of ``O(log n)`` bits to arbitrary node
   IDs; the engine enforces the send budget, counts every round and message,
   and records the per-round receive maxima that Lemma D.2 bounds.  Messages
-  travel in one of two interchangeable forms: the scalar dict-of-tuples
-  outboxes/inboxes, simulated message by message, or an array-backed
-  :class:`~repro.hybrid.batch.MessageBatch`, scheduled and accounted with
-  whole-array numpy operations (``ModelConfig.global_plane`` selects the
-  plane; all planes produce identical :class:`RoundMetrics` by construction,
-  see tests/test_message_plane.py).  The ``"compiled"`` plane is the
-  vectorized plane with its admission scan and fault hashing swapped for the
-  njit kernels of :mod:`repro.hybrid.compiled` when numba is importable
-  (DESIGN.md §9).
+  travel as an array-backed :class:`~repro.hybrid.batch.MessageBatch`,
+  scheduled and accounted with whole-array numpy operations that make
+  exactly the decisions of a per-message scan (the message-plane tests check
+  the engine against such a scalar scheduler; DESIGN.md §4).
 
 All counters live in :class:`~repro.hybrid.metrics.RoundMetrics`; the sum of
 local and global rounds is the quantity the paper's theorems are about.
@@ -31,31 +26,17 @@ local and global rounds is the quantity the paper's theorems are about.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable
+
+import numpy as _np
 
 from repro.graphs.graph import WeightedGraph
-from repro.hybrid import compiled as _compiled
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.errors import CapacityExceededError, FaultToleranceExceededError
 from repro.hybrid.faults import FaultState
 from repro.hybrid.metrics import RoundMetrics
 from repro.util.rand import RandomSource
-
-try:  # The vectorized message plane needs numpy; the scalar plane never does.
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
-
-# A global outbox maps a sender to the list of (target, payload) messages it
-# wants to send; an inbox maps a receiver to the list of (sender, payload)
-# messages it got.  MessageBatch is the array-backed equivalent of either.
-Outboxes = dict[int, list[tuple[int, object]]]
-Inboxes = dict[int, list[tuple[int, object]]]
-GlobalMessages = Mapping[int, Sequence[tuple[int, object]]] | MessageBatch
 
 
 def _group_starts(keys):
@@ -68,13 +49,13 @@ def _group_starts(keys):
 
 
 def _admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: int):
-    """Which messages the scalar admission scan would admit this round.
+    """Which messages a per-message admission scan admits this round.
 
     The arrays are in canonical order -- sorted by (sender, queue position),
     each sender's messages contiguous -- and ``scan_positions`` gives each
     message's rank in the round's rotated scan order (the rotation moves
     whole sender runs, so within a sender canonical order *is* scan order).
-    The scalar scheduler admits a message iff, among messages scanned before
+    A per-message scan admits a message iff, among messages scanned before
     it, fewer than ``send_cap`` of the same sender and fewer than
     ``receive_cap`` to the same target were admitted (skipped messages
     consume no budget).  That recurrence is solved by Jacobi iteration on
@@ -82,7 +63,8 @@ def _admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: in
     previous iterate's admission vector fixes the decisions of the first
     ``k`` scan positions after ``k`` sweeps (each decision depends only on
     earlier positions), so the loop converges to the unique fixpoint -- the
-    exact scalar outcome -- and in practice stops after two or three sweeps.
+    exact sequential outcome -- and in practice stops after two or three
+    sweeps.
     """
     length = senders.size
     positions = _np.arange(length)
@@ -123,36 +105,12 @@ class HybridNetwork:
         self.send_cap = self.config.send_cap(self.n)
         self.receive_cap = self.config.receive_cap(self.n)
         self._states: list[dict[str, object]] = [dict() for _ in range(self.n)]
-        # (name, node_set, membership mask or None) per registered cut.
-        self._cut_watchers: list[tuple[str, set[int], object]] = []
-        plane = self.config.global_plane
-        if plane not in ("auto", "scalar", "vectorized", "compiled"):
-            raise ValueError(f"unknown global_plane {plane!r}")
-        if plane in ("vectorized", "compiled") and not _HAS_NUMPY:
-            raise ValueError(f"global_plane={plane!r} requires numpy")
-        self.vectorized_plane = plane in ("vectorized", "compiled") or (
-            plane == "auto" and _HAS_NUMPY
-        )
-        # The compiled plane is the vectorized plane with its admission scan
-        # and fault hashing swapped for the njit kernels of
-        # repro.hybrid.compiled.  "compiled" opts in even without numba
-        # (degrading per kernel to the numpy implementations -- same results,
-        # see DESIGN.md §9); "auto" takes it only when numba is importable.
-        self.compiled_plane = self.vectorized_plane and (
-            plane == "compiled" or (plane == "auto" and _compiled.HAS_NUMBA)
-        )
+        # (name, membership mask) per registered cut.
+        self._cut_watchers: list[tuple[str, _np.ndarray]] = []
         # Cumulative global messages received per node over the whole run;
         # the busiest node's total is the bandwidth bottleneck the paper's
         # trade-offs are about.
-        if _HAS_NUMPY:
-            self.received_totals = _np.zeros(self.n, dtype=_np.int64)
-        else:
-            self.received_totals = [0] * self.n
-        # Per-round receive counters for the scalar plane, kept allocated
-        # across rounds: only the entries touched in a round are read and
-        # re-zeroed, so accounting cost scales with the round's traffic
-        # rather than with n.
-        self._receive_counts: list[int] = [0] * self.n
+        self.received_totals = _np.zeros(self.n, dtype=_np.int64)
         # Fault injection (DESIGN.md §8).  A disabled/absent FaultModel keeps
         # every engine path on the ideal branch -- `_fault_state is None` is
         # the single check the hot loops make.
@@ -216,7 +174,7 @@ class HybridNetwork:
         if self.faults is None or not self.faults.edge_outages:
             return self.graph
         if self._outage_graph is None or self._outage_version != self.graph.version:
-            survivor = WeightedGraph(self.n, backend=self.graph.backend)
+            survivor = WeightedGraph(self.n)
             outages = set(self.faults.edge_outages)
             for u, v, weight in self.graph.edges():
                 if (min(u, v), max(u, v)) not in outages:
@@ -262,185 +220,58 @@ class HybridNetwork:
         simulation argument only charges for information crossing the cut via
         the global network.
         """
-        members = set(node_set)
-        mask = None
-        if _HAS_NUMPY:
-            mask = _np.zeros(self.n, dtype=bool)
-            for node in sorted(members):
-                mask[node] = True
-        self._cut_watchers.append((name, members, mask))
+        mask = _np.zeros(self.n, dtype=bool)
+        for node in sorted(set(node_set)):
+            mask[node] = True
+        self._cut_watchers.append((name, mask))
 
-    def global_round(self, outboxes: GlobalMessages, phase: str = "global"):
+    def global_round(self, batch: MessageBatch, phase: str = "global") -> MessageBatch:
         """Execute exactly one round of the global (NCC) mode.
 
         Parameters
         ----------
-        outboxes:
-            Either dict-form outboxes -- for each sending node, the list of
-            ``(target, payload)`` messages it sends this round -- or a
-            :class:`MessageBatch` holding the same messages as parallel
-            sender/target/payload columns.  With ``strict_send`` (default) a
-            node exceeding the send budget raises
-            :class:`~repro.hybrid.errors.CapacityExceededError` -- a correct
-            protocol never does.
+        batch:
+            The round's messages as parallel sender/target/payload columns.
+            With ``strict_send`` (default) a node exceeding the send budget
+            raises :class:`~repro.hybrid.errors.CapacityExceededError` -- a
+            correct protocol never does.
         phase:
             Name under which the round is accounted.
 
         Returns
         -------
-        dict or MessageBatch
-            Dict-form outboxes yield ``receiver -> [(sender, payload), ...]``
-            inboxes; a :class:`MessageBatch` yields the delivered messages as
-            a :class:`MessageBatch` (accounting done with whole-array
-            operations when the vectorized plane is active).  Both planes
-            record identical metrics for the same messages.  With an active
+        MessageBatch
+            The delivered messages.  With an active
             :class:`~repro.hybrid.faults.FaultModel`, messages it drops are
-            excluded from the returned inboxes (both planes drop the same
-            messages) and tallied in ``metrics.global_dropped``.
+            excluded and tallied in ``metrics.global_dropped``.
         """
         # No traffic means no use of the global mode: an empty round charges
-        # zero global rounds on either plane and in either input form
-        # (regression tests in tests/test_message_plane.py, next to the n=1
-        # cases), and leaves the fault clock untouched.
-        if isinstance(outboxes, MessageBatch):
-            if len(outboxes) == 0:
-                return MessageBatch.empty()
-            if self.vectorized_plane:
-                keep = self._account_batched_round(outboxes.senders, outboxes.targets, phase)
-                if keep is None:
-                    return outboxes
-                payloads = outboxes.payloads
-                return MessageBatch(
-                    outboxes.senders[keep],
-                    outboxes.targets[keep],
-                    [payloads[i] for i in _np.flatnonzero(keep).tolist()],
-                )
-            return MessageBatch.from_inboxes(
-                self._global_round_scalar(outboxes.to_outboxes(), phase)
-            )
-        if not any(outboxes.values()):
-            return {}
-        return self._global_round_scalar(outboxes, phase)
-
-    def _global_round_scalar(
-        self, outboxes: Mapping[int, Sequence[tuple[int, object]]], phase: str
-    ) -> Inboxes:
-        """One global round, simulated message by message (the scalar plane)."""
-        inboxes: Inboxes = {}
-        total_messages = 0
-        max_sent = 0
-        dropped = 0
-        watchers = self._cut_watchers
-        cut_crossings = {name: 0 for name, _, _ in watchers}
-        fault_state = self._fault_state
-        if fault_state is not None:
-            fault_round = fault_state.next_round()
-            # Threshold, faulty set and hash prefix are memoized per round
-            # (FaultState.round_context); drops() folds per-message lanes
-            # onto the same prefix.
-            drop_threshold, faulty_nodes, _ = fault_state.round_context(fault_round)
-            occurrences: dict[tuple[int, int], int] = {}
-        # Accounting is batched: receive counts accumulate in a reusable
-        # per-node counter array and are folded into the totals/maximum once
-        # per touched receiver, instead of dict lookups per message.  The
-        # per-message loop only builds inboxes (and, when cut watchers are
-        # installed, classifies crossings); semantics -- message order, round,
-        # message and cut-bit counts, strict_send/strict_receive errors -- are
-        # identical to the per-message accounting it replaces.
-        receive_counts = self._receive_counts
-        touched: list[int] = []
-        n = self.n
-
-        try:
-            for sender, messages in outboxes.items():
-                if not 0 <= sender < n:
-                    raise ValueError(f"sender {sender} outside the network")
-                count = len(messages)
-                if count == 0:
-                    continue
-                if count > self.send_cap and self.config.strict_send:
-                    raise CapacityExceededError(
-                        f"node {sender} tried to send {count} global messages in one "
-                        f"round (cap {self.send_cap})"
-                    )
-                if count > max_sent:
-                    max_sent = count
-                total_messages += count
-                for target, payload in messages:
-                    if not 0 <= target < n:
-                        raise ValueError(f"target {target} outside the network")
-                    if fault_state is not None:
-                        # The occurrence index makes the fate of the k-th
-                        # message between a (sender, target) pair this round a
-                        # stable per-message coin, independent of iteration
-                        # order -- the vectorized plane recovers the same
-                        # index with a stable sort (FaultState.keep_mask).
-                        pair = (sender, target)
-                        occurrence = occurrences.get(pair, 0)
-                        occurrences[pair] = occurrence + 1
-                        if fault_state.drops(
-                            fault_round, sender, target, occurrence, drop_threshold, faulty_nodes
-                        ):
-                            dropped += 1
-                            continue
-                    bucket = inboxes.get(target)
-                    if bucket is None:
-                        bucket = inboxes[target] = []
-                    bucket.append((sender, payload))
-                    if receive_counts[target] == 0:
-                        touched.append(target)
-                    receive_counts[target] += 1
-                    if watchers:
-                        for name, node_set, _ in watchers:
-                            if (sender in node_set) != (target in node_set):
-                                cut_crossings[name] += 1
-        except Exception:
-            for target in touched:
-                receive_counts[target] = 0
-            raise
-
-        max_received = 0
-        received_totals = self.received_totals
-        for target in touched:
-            count = receive_counts[target]
-            received_totals[target] += count
-            if count > max_received:
-                max_received = count
-            receive_counts[target] = 0
-        if max_received > self.receive_cap and self.config.strict_receive:
-            raise CapacityExceededError(
-                f"a node received {max_received} global messages in one round "
-                f"(cap {self.receive_cap})"
-            )
-        self.metrics.charge_global(1, phase)
-        self.metrics.record_global_traffic(
-            messages=total_messages,
-            bits=total_messages * self.config.message_bits,
-            max_sent=max_sent,
-            max_received=max_received,
-            receive_cap=self.receive_cap,
+        # zero global rounds (regression tests in tests/test_message_plane.py,
+        # next to the n=1 cases) and leaves the fault clock untouched.
+        if len(batch) == 0:
+            return MessageBatch.empty()
+        keep = self._account_round(batch.senders, batch.targets, phase)
+        if keep is None:
+            return batch
+        payloads = batch.payloads
+        return MessageBatch(
+            batch.senders[keep],
+            batch.targets[keep],
+            [payloads[i] for i in _np.flatnonzero(keep).tolist()],
         )
-        if dropped:
-            self.metrics.record_fault_losses(dropped=dropped)
-        for name, crossings in cut_crossings.items():
-            if crossings:
-                self.metrics.record_cut_bits(name, crossings * self.config.message_bits)
-        return inboxes
 
-    def _account_batched_round(self, senders, targets, phase: str):
+    def _account_round(self, senders, targets, phase: str):
         """Validate and account one global round given as sender/target arrays.
 
-        Whole-array replacement for the scalar round bookkeeping: per-sender
-        counts for the send-cap check, ``np.bincount`` receive accounting, and
-        mask comparisons for cut crossings.  Produces exactly the values the
-        scalar plane records for the same messages.
+        Per-sender counts for the send-cap check, ``np.bincount`` receive
+        accounting, and mask comparisons for cut crossings.
 
         Returns the boolean keep mask of the messages the fault model let
         through, or ``None`` when every message was delivered (in particular
         always ``None`` on the ideal fault-free path).  Sends -- message and
         bit totals, the send-cap check -- count all attempted messages;
         receives (inboxes, maxima, cumulative totals, cut crossings) only the
-        delivered ones, matching the scalar plane.
+        delivered ones.
         """
         n = self.n
         count = int(senders.size)
@@ -448,8 +279,7 @@ class HybridNetwork:
         max_received = 0
         keep = None
         dropped = 0
-        # The fault clock ticks once per round, before any validation, exactly
-        # like the scalar plane's tick at function entry.
+        # The fault clock ticks once per round, before any validation.
         fault_round = self._fault_state.next_round() if self._fault_state is not None else None
         if count:
             if int(senders.min()) < 0 or int(senders.max()) >= n:
@@ -495,7 +325,7 @@ class HybridNetwork:
         if dropped:
             self.metrics.record_fault_losses(dropped=dropped)
         if count and delivered_targets.size:
-            for name, _, mask in self._cut_watchers:
+            for name, mask in self._cut_watchers:
                 crossings = int(
                     _np.count_nonzero(mask[delivered_senders] != mask[delivered_targets])
                 )
@@ -505,10 +335,10 @@ class HybridNetwork:
 
     def run_global_exchange(
         self,
-        outboxes: GlobalMessages,
+        batch: MessageBatch,
         phase: str = "global",
         receiver_limited: bool = True,
-    ):
+    ) -> tuple[MessageBatch, int]:
         """Deliver an arbitrary-size batch of global messages over several rounds.
 
         Each node sends its queued messages at most ``send_cap`` per round and,
@@ -526,98 +356,20 @@ class HybridNetwork:
         behind a saturated receiver; see the regression test in
         tests/test_hybrid_engine.py.)  Every round makes progress: the receive
         budget is rebuilt per round, so the first message scanned is always
-        admissible -- the schedulers assert this invariant rather than
+        admissible -- the scheduler asserts this invariant rather than
         charging idle rounds.
-
-        Dict-form outboxes are drained by the scalar per-message scheduler
-        and yield dict-form inboxes; a :class:`MessageBatch` is scheduled by
-        the vectorized plane (whole-array budget accounting, identical
-        admission decisions and metrics) and yields a :class:`MessageBatch`.
-        Returns the accumulated inboxes and the number of global rounds used.
-        """
-        if isinstance(outboxes, MessageBatch):
-            if self.vectorized_plane:
-                return self._run_exchange_batched(outboxes, phase, receiver_limited)
-            inboxes, rounds = self._run_exchange_scalar(
-                outboxes.to_outboxes(), phase, receiver_limited
-            )
-            return MessageBatch.from_inboxes(inboxes), rounds
-        return self._run_exchange_scalar(outboxes, phase, receiver_limited)
-
-    def _run_exchange_scalar(
-        self,
-        outboxes: Mapping[int, Sequence[tuple[int, object]]],
-        phase: str,
-        receiver_limited: bool,
-    ) -> tuple[Inboxes, int]:
-        """The per-message reference scheduler (see run_global_exchange)."""
-        queues: dict[int, list[tuple[int, object]]] = {
-            sender: list(messages) for sender, messages in outboxes.items() if messages
-        }
-        inboxes: Inboxes = {}
-        rounds = 0
-        while queues:
-            round_out: Outboxes = {}
-            receive_budget: dict[int, int] = {}
-            empty_senders = []
-            order = sorted(queues)
-            offset = rounds % len(order)
-            for sender in order[offset:] + order[:offset]:
-                queue = queues[sender]
-                if not receiver_limited:
-                    batch = queue[: self.send_cap]
-                    del queue[: self.send_cap]
-                else:
-                    batch = []
-                    kept: list[tuple[int, object]] = []
-                    send_budget = self.send_cap
-                    for position, message in enumerate(queue):
-                        if send_budget == 0:
-                            # The sender's budget is spent; everything after
-                            # this point waits wholesale (same order, same
-                            # outcome as inspecting each message).
-                            kept.extend(queue[position:])
-                            break
-                        target = message[0]
-                        target_budget = receive_budget.get(target, self.receive_cap)
-                        if target_budget > 0:
-                            batch.append(message)
-                            send_budget -= 1
-                            receive_budget[target] = target_budget - 1
-                        else:
-                            kept.append(message)
-                    queue[:] = kept
-                if batch:
-                    round_out[sender] = batch
-                if not queue:
-                    empty_senders.append(sender)
-            for sender in empty_senders:
-                del queues[sender]
-            # The receive budget is rebuilt each round, so the first message
-            # of the first scheduled sender is always admitted; an empty
-            # round would mean the scheduler lost messages.
-            assert round_out, "global exchange scheduler made no progress"
-            delivered = self._global_round_scalar(round_out, phase)
-            rounds += 1
-            for receiver, messages in delivered.items():
-                inboxes.setdefault(receiver, []).extend(messages)
-        return inboxes, rounds
-
-    def _run_exchange_batched(
-        self, batch: MessageBatch, phase: str, receiver_limited: bool
-    ) -> tuple[MessageBatch, int]:
-        """The whole-array scheduler: same admissions as the scalar plane.
 
         The pending messages are kept sorted by (sender, queue position) --
         sorted once up front and filtered in place afterwards, which
         preserves the order -- so each round's rotated scan order (senders
-        rank ``offset`` and up, then the wrap-around) is a single
-        array rotation at the offset sender's first message, and the active
-        sender list falls out of the run boundaries.  The admissible batch is
+        rank ``offset`` and up, then the wrap-around) is a single array
+        rotation at the offset sender's first message, and the active sender
+        list falls out of the run boundaries.  The admissible batch is
         computed from send/receive budget arrays (:func:`_admit_scan`),
         accounted via ``np.bincount`` and removed; everything else waits.
         Payloads are only sliced once, at the end, by the accumulated
-        delivery order.
+        delivery order.  Returns the delivered messages and the number of
+        global rounds used.
         """
         if len(batch) == 0:
             return MessageBatch.empty(), 0
@@ -646,24 +398,18 @@ class HybridNetwork:
             scan_positions = positions - split
             scan_positions[scan_positions < 0] += length
             if receiver_limited:
-                if self.compiled_plane and _compiled.admit_scan is not None:
-                    admitted = _compiled.admit_scan(
-                        senders, targets, scan_positions, send_cap, self.receive_cap, self.n
-                    )
-                else:
-                    admitted = _admit_scan(
-                        senders, targets, scan_positions, send_cap, self.receive_cap
-                    )
+                admitted = _admit_scan(
+                    senders, targets, scan_positions, send_cap, self.receive_cap
+                )
             else:
                 admitted = (positions - _group_starts(senders)) < send_cap
-            # Progress invariant (mirrors the scalar scheduler's assertion).
+            # Progress invariant: the first scanned message is always admitted.
             if not admitted.any():
                 raise AssertionError("global exchange scheduler made no progress")
             admitted_at = _np.flatnonzero(admitted)
-            # Deliveries are recorded in scan order (what the scalar plane's
-            # per-round inbox building produces).
+            # Deliveries are recorded in scan order.
             in_round = admitted_at[_np.argsort(scan_positions[admitted_at])]
-            keep = self._account_batched_round(senders[in_round], targets[in_round], phase)
+            keep = self._account_round(senders[in_round], targets[in_round], phase)
             if keep is not None:
                 # Fault-dropped messages consumed their sender's budget this
                 # round but never arrived; they are simply not delivered (the

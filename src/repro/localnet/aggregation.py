@@ -23,25 +23,12 @@ import math
 from collections.abc import Callable
 from typing import TypeVar
 
+import numpy as _np
+
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 
-try:  # Outbox columns are numpy arrays when available, Python lists otherwise.
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
-
 T = TypeVar("T")
-
-
-def _node_range(low: int, high: int):
-    """The sender column ``[low, high)`` as an array (or list without numpy)."""
-    if _HAS_NUMPY:
-        return _np.arange(low, high, dtype=_np.int64)
-    return list(range(low, high))
 
 
 def aggregate(
@@ -139,11 +126,8 @@ def aggregate_sum(
     for level in range(depth, 0, -1):
         low = (1 << level) - 1
         high = min(n, (1 << (level + 1)) - 1)
-        senders = _node_range(low, high)
-        if _HAS_NUMPY:
-            targets = (senders - 1) // 2
-        else:
-            targets = [(node - 1) // 2 for node in senders]
+        senders = _np.arange(low, high, dtype=_np.int64)
+        targets = (senders - 1) // 2
         payloads = [totals[node] for node in range(low, high)]
         delivered, _ = network.run_reliable_exchange(
             MessageBatch(senders, targets, payloads), phase

@@ -49,20 +49,14 @@ import zlib
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.aggregation import aggregate_sum
 from repro.localnet.clustering import cluster_around_rulers
 from repro.localnet.ruling_set import compute_ruling_set
 from repro.util.hashing import hash_family_for_network
-
-try:
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
 
 Token = Hashable
 
@@ -85,9 +79,7 @@ def _canonical_token_keys(tokens: Sequence[Token]):
     :func:`_canonical_token_key`.  Either way the key depends only on the
     token's value, never on discovery order.
     """
-    if _HAS_NUMPY and all(
-        type(token) is int and token.bit_length() < 63 for token in tokens
-    ):
+    if all(type(token) is int and token.bit_length() < 63 for token in tokens):
         return _np.asarray(tokens, dtype=_np.int64) & ((1 << 62) - 1)
     crc32 = zlib.crc32
     return [crc32(text.encode("utf-8", "backslashreplace")) for text in map(repr, tokens)]
@@ -176,28 +168,18 @@ def disseminate_tokens(
 
     # Step 4: members fetch disjoint relay shares.  A request is one message
     # (relay, requester); a response ships one token per message.
-    if _HAS_NUMPY:
-        occupied_relays = _np.array(sorted(relay_tokens), dtype=_np.int64)
-    else:
-        occupied_relays = sorted(relay_tokens)
+    occupied_relays = _np.array(sorted(relay_tokens), dtype=_np.int64)
     request_senders: list[int] = []
     request_targets: list[int] = []
     request_payloads: list[int] = []
     for members in clustering.members.values():
         size = len(members)
-        if _HAS_NUMPY:
-            shares = occupied_relays % size
-            for index, member in enumerate(members):
-                share = occupied_relays[shares == index]
-                request_senders.extend([member] * share.size)
-                request_targets.extend(share.tolist())
-                request_payloads.extend([member] * share.size)
-        else:
-            for index, member in enumerate(members):
-                share = [relay for relay in occupied_relays if relay % size == index]
-                request_senders.extend([member] * len(share))
-                request_targets.extend(share)
-                request_payloads.extend([member] * len(share))
+        shares = occupied_relays % size
+        for index, member in enumerate(members):
+            share = occupied_relays[shares == index]
+            request_senders.extend([member] * share.size)
+            request_targets.extend(share.tolist())
+            request_payloads.extend([member] * share.size)
     request_inboxes, _ = network.run_reliable_exchange(
         MessageBatch(request_senders, request_targets, request_payloads),
         phase + ":requests",

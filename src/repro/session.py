@@ -259,26 +259,21 @@ class HybridSession:
         return self.preprocessing.total_rounds
 
     def acceleration(self) -> dict[str, object]:
-        """Which execution planes this session resolved to (diagnostics).
+        """Which implementation serves each hot path (diagnostics).
 
-        Combines the graph backend (``dict`` / ``csr`` / ``csr-njit``), the
-        per-kernel implementation report of :mod:`repro.graphs.compiled`, and
-        the message plane of the network (``scalar`` / ``vectorized`` /
-        ``compiled``), so experiment logs can record exactly what ran --
-        results are plane-independent (DESIGN.md §9), wall-clock is not.
+        Every session runs the same code: the batched graph kernels of
+        :mod:`repro.graphs.csr` and the array message plane of
+        :mod:`repro.hybrid.network` (DESIGN.md §4).  Experiment logs record
+        the report so a run says which kernels produced it.
         """
-        from repro.graphs import compiled as graph_compiled
-
-        if self.network.compiled_plane:
-            message_plane = "compiled"
-        elif self.network.vectorized_plane:
-            message_plane = "vectorized"
-        else:
-            message_plane = "scalar"
         return {
-            "graph_backend": self.graph.backend,
-            "message_plane": message_plane,
-            "kernels": graph_compiled.kernel_report(),
+            "graph_backend": "csr",
+            "message_plane": "vectorized",
+            "kernels": {
+                "distance_matrix": "scipy",
+                "bfs_level_matrix": "scipy",
+                "hop_limited_matrix": "numpy",
+            },
         }
 
     # ------------------------------------------------------------ invalidation

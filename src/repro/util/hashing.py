@@ -14,17 +14,11 @@ range.  Selecting a function requires ``k`` field elements, i.e. ``O(k log n)``
 
 from __future__ import annotations
 
-
 from collections.abc import Sequence
+
+import numpy as _np
+
 from repro.util.rand import RandomSource
-
-try:  # The batched evaluator needs numpy; the scalar path never does.
-    import numpy as _np
-
-    _HAS_NUMPY = True
-except ImportError:  # pragma: no cover - exercised only in stripped environments
-    _np = None
-    _HAS_NUMPY = False
 
 # A Mersenne prime comfortably larger than any node-id / token-label encoding
 # we use; arithmetic mod a Mersenne prime is exact in Python integers.
@@ -116,15 +110,10 @@ class KWiseHashFunction:
         receivers and indices of a batch of token labels); element ``i`` of
         the result equals ``self((lanes[0][i], lanes[1][i], ...))`` exactly.
         The whole batch is one vectorised Horner evaluation over the Mersenne
-        field (31-bit limb arithmetic, see :func:`_vec_mulmod`); without numpy
-        it falls back to the scalar path.
+        field (31-bit limb arithmetic, see :func:`_vec_mulmod`).
         """
         if not lanes:
             return []
-        if not _HAS_NUMPY:
-            return [
-                self(key) for key in zip(*(list(lane) for lane in lanes), strict=True)
-            ]
         lanes = [_np.asarray(lane, dtype=_np.uint64) for lane in lanes]
         # Vectorised _encode_key: fixed multiplier fold over the lanes.
         multiplier = _np.uint64(1048583)

@@ -1,20 +1,30 @@
-"""Backend equivalence: the dict and CSR traversal backends are interchangeable.
+"""The batched CSR kernels against the single-source references.
 
-The CSR backend (DESIGN.md §4) must be a pure performance substitution: every
-`WeightedGraph` method returns bit-identical results under both backends, and
-every HYBRID simulation produces identical `RoundMetrics` — rounds, messages,
-bits, maxima — on identical seeds.  These tests pin that contract
-property-style over random weighted and unweighted graphs.
+Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
+``balls_many``, ``hop_limited_distances_many`` / ``hop_limited_distance_matrix``,
+``dijkstra_many`` / ``distance_matrix``, ``hop_eccentricities`` and
+``hop_diameter`` -- must equal, bit for bit, the pure-Python single-source
+traversal it batches (``bfs_hops``, ``hop_limited_distances``, ``dijkstra``,
+``hop_eccentricity``; DESIGN.md §4).  The properties run over random graph
+families: connected and disconnected, n = 1, unit and heavy weights, empty
+and duplicate source lists, and source lists split into many chunks.
+End to end, the engine must record the same RoundMetrics as the per-message
+scalar oracle of ``tests/scalar_plane.py``.
 """
 
+import importlib
+
+import numpy
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_plane import ScalarPlaneNetwork
 
 from repro.core.apsp import apsp_exact
 from repro.core.sssp import sssp_exact
+from repro.graphs import csr as csr_kernels
 from repro.graphs import generators
-from repro.graphs.graph import WeightedGraph
+from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.hashing import hash_family_for_network
 from repro.util.rand import RandomSource
@@ -25,45 +35,36 @@ common_settings = settings(
 
 
 @st.composite
-def backend_pair(draw):
-    """The same random graph under both backends."""
-    n = draw(st.integers(min_value=2, max_value=30))
+def graph_case(draw):
+    """A random graph (any family above), a hop limit and a source list."""
+    n = draw(st.integers(min_value=1, max_value=30))
     seed = draw(st.integers(min_value=0, max_value=10_000))
-    max_weight = draw(st.sampled_from([1, 1, 7, 16]))
-    degree = draw(st.sampled_from([1.5, 3.0, 5.0]))
+    max_weight = draw(st.sampled_from([1, 1, 7, 1000]))
     rng = RandomSource(seed)
-    graph = generators.random_connected_graph(n, degree, rng, max_weight=max_weight)
-    as_dict = WeightedGraph.from_edges(n, graph.edges(), backend="dict")
-    as_csr = WeightedGraph.from_edges(n, graph.edges(), backend="csr")
+    if n > 1 and draw(st.booleans()):
+        degree = draw(st.sampled_from([1.5, 3.0, 5.0]))
+        graph = generators.random_connected_graph(n, degree, rng, max_weight=max_weight)
+    else:
+        # Sparse random edges: usually disconnected, sometimes edgeless.
+        graph = WeightedGraph(n)
+        for _ in range(draw(st.integers(min_value=0, max_value=2 * n))):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                graph.add_edge(u, v, 1 + rng.randrange(max_weight))
     hop_limit = draw(st.integers(min_value=0, max_value=n))
-    return as_dict, as_csr, hop_limit
+    sources = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n + 3))
+    return graph, hop_limit, sources
 
 
 class TestBackendSelection:
-    def test_auto_prefers_compiled_then_csr(self):
-        from repro.graphs import compiled
-
-        expected = "csr-njit" if compiled.available() else "csr"
-        assert WeightedGraph(3).backend == expected
-
-    def test_explicit_backends(self):
-        assert WeightedGraph(3, backend="dict").backend == "dict"
-        assert WeightedGraph(3, backend="csr").backend == "csr"
-        assert WeightedGraph(3, backend="csr-njit").backend == "csr-njit"
-
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedGraph(3, backend="sparse")
-
-    def test_copy_and_subgraph_keep_backend(self):
-        graph = WeightedGraph(4, backend="dict")
-        graph.add_edge(0, 1, 2)
-        assert graph.copy().backend == "dict"
-        sub, _ = graph.subgraph([0, 1])
-        assert sub.backend == "dict"
+        # There is one traversal path; a backend argument is an error, never
+        # silently ignored.
+        with pytest.raises(TypeError):
+            WeightedGraph(3, backend="csr")
 
     def test_mutation_invalidates_csr_cache(self):
-        graph = WeightedGraph(4, backend="csr")
+        graph = WeightedGraph(4)
         graph.add_edge(0, 1, 2)
         graph.add_edge(1, 2, 1)
         before = graph.csr()
@@ -79,78 +80,138 @@ class TestBackendSelection:
 
 class TestTraversalEquivalence:
     @common_settings
-    @given(backend_pair())
-    def test_bfs_hops_agree(self, pair):
-        as_dict, as_csr, hop_limit = pair
-        sources = list(range(as_dict.node_count))
-        assert as_dict.bfs_hops_many(sources) == as_csr.bfs_hops_many(sources)
-        assert as_dict.bfs_hops_many(sources, hop_limit) == as_csr.bfs_hops_many(
-            sources, hop_limit
+    @given(graph_case())
+    def test_bfs_hops_agree(self, case):
+        graph, hop_limit, sources = case
+        assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
+        assert graph.bfs_hops_many(sources, hop_limit) == [
+            graph.bfs_hops(s, hop_limit) for s in sources
+        ]
+        assert [set(ball) for ball in graph.balls_many(sources, hop_limit)] == [
+            set(graph.ball(s, hop_limit)) for s in sources
+        ]
+
+    @common_settings
+    @given(graph_case())
+    def test_dijkstra_agree(self, case):
+        graph, _, sources = case
+        assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
+
+    @common_settings
+    @given(graph_case())
+    def test_hop_limited_distances_agree(self, case):
+        graph, hop_limit, sources = case
+        assert graph.hop_limited_distances_many(sources, hop_limit) == [
+            graph.hop_limited_distances(s, hop_limit) for s in sources
+        ]
+
+    @common_settings
+    @given(graph_case())
+    def test_shortest_distances_within_hops_agree(self, case):
+        # Exact wherever d_h already equals d (some shortest path fits the
+        # hop budget), and never below the exact distance anywhere.
+        graph, hop_limit, sources = case
+        exact = graph.distance_matrix(sources)
+        limited = graph.hop_limited_distance_matrix(sources, hop_limit)
+        for row, source in enumerate(sources):
+            fast = graph.shortest_distances_within_hops(source, hop_limit)
+            for node, value in fast.items():
+                assert value >= exact[row, node]
+            for node in numpy.flatnonzero(numpy.isfinite(limited[row])).tolist():
+                if limited[row, node] == exact[row, node]:
+                    assert fast[node] == exact[row, node]
+
+    @common_settings
+    @given(graph_case())
+    def test_eccentricities_and_diameter_agree(self, case):
+        graph, hop_limit, _ = case
+        nodes = list(graph.nodes())
+        assert graph.hop_eccentricities() == [graph.hop_eccentricity(u) for u in nodes]
+        assert graph.hop_eccentricities(max_hops=hop_limit) == [
+            float(max(graph.bfs_hops(u, hop_limit).values())) for u in nodes
+        ]
+        assert graph.hop_diameter() == max(graph.hop_eccentricity(u) for u in nodes)
+
+    @common_settings
+    @given(graph_case())
+    def test_distance_matrix_agree(self, case):
+        graph, hop_limit, sources = case
+        n = graph.node_count
+        expected = numpy.full((len(sources), n), numpy.inf)
+        expected_limited = numpy.full((len(sources), n), numpy.inf)
+        for row, source in enumerate(sources):
+            for node, value in graph.dijkstra(source).items():
+                expected[row, node] = value
+            for node, value in graph.hop_limited_distances(source, hop_limit).items():
+                expected_limited[row, node] = value
+        assert numpy.array_equal(graph.distance_matrix(sources), expected)
+        assert numpy.array_equal(
+            graph.hop_limited_distance_matrix(sources, hop_limit), expected_limited
         )
-
-    @common_settings
-    @given(backend_pair())
-    def test_dijkstra_agree(self, pair):
-        as_dict, as_csr, _ = pair
-        sources = list(range(as_dict.node_count))
-        assert as_dict.dijkstra_many(sources) == as_csr.dijkstra_many(sources)
-
-    @common_settings
-    @given(backend_pair())
-    def test_hop_limited_distances_agree(self, pair):
-        as_dict, as_csr, hop_limit = pair
-        sources = list(range(as_dict.node_count))
-        assert as_dict.hop_limited_distances_many(
-            sources, hop_limit
-        ) == as_csr.hop_limited_distances_many(sources, hop_limit)
-
-    @common_settings
-    @given(backend_pair())
-    def test_shortest_distances_within_hops_agree(self, pair):
-        as_dict, as_csr, hop_limit = pair
-        for source in range(0, as_dict.node_count, 3):
-            assert as_dict.shortest_distances_within_hops(
-                source, hop_limit
-            ) == as_csr.shortest_distances_within_hops(source, hop_limit)
-
-    @common_settings
-    @given(backend_pair())
-    def test_eccentricities_and_diameter_agree(self, pair):
-        as_dict, as_csr, hop_limit = pair
-        assert as_dict.hop_eccentricities() == as_csr.hop_eccentricities()
-        assert as_dict.hop_eccentricities(max_hops=max(1, hop_limit)) == as_csr.hop_eccentricities(
-            max_hops=max(1, hop_limit)
-        )
-        assert as_dict.hop_diameter() == as_csr.hop_diameter()
-
-    @common_settings
-    @given(backend_pair())
-    def test_distance_matrix_agree(self, pair):
-        as_dict, as_csr, _ = pair
-        assert (as_dict.distance_matrix() == as_csr.distance_matrix()).all()
 
     def test_disconnected_graphs_agree(self):
-        as_dict = WeightedGraph(6, backend="dict")
-        as_csr = WeightedGraph(6, backend="csr")
-        for graph in (as_dict, as_csr):
-            graph.add_edge(0, 1, 3)
-            graph.add_edge(2, 3, 1)
+        graph = WeightedGraph(6)
+        graph.add_edge(0, 1, 3)
+        graph.add_edge(2, 3, 1)
         sources = list(range(6))
-        assert as_dict.bfs_hops_many(sources) == as_csr.bfs_hops_many(sources)
-        assert as_dict.dijkstra_many(sources) == as_csr.dijkstra_many(sources)
-        assert as_dict.hop_diameter() == as_csr.hop_diameter() == float("inf")
+        assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
+        assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
+        assert graph.hop_diameter() == INFINITY
+
+    def test_single_node_and_empty_sources(self):
+        graph = WeightedGraph(1)
+        assert graph.bfs_hops_many([0]) == [{0: 0}]
+        assert graph.dijkstra_many([0]) == [{0: 0.0}]
+        assert graph.hop_eccentricities() == [0.0]
+        assert graph.hop_diameter() == 0.0
+        cycle = generators.cycle_graph(5)
+        assert cycle.bfs_hops_many([]) == []
+        assert cycle.distance_matrix([]).shape == (0, 5)
+        assert cycle.hop_limited_distance_matrix([], 2).shape == (0, 5)
+
+
+class TestChunking:
+    @common_settings
+    @given(graph_case())
+    def test_forced_chunking_matches_references(self, case):
+        # One source per chunk: the chunk matrices are concatenated, so the
+        # results must not move.
+        graph, hop_limit, sources = case
+        original = csr_kernels.CHUNK_BYTES
+        csr_kernels.CHUNK_BYTES = 1
+        try:
+            assert graph.bfs_hops_many(sources, hop_limit) == [
+                graph.bfs_hops(s, hop_limit) for s in sources
+            ]
+            assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
+            assert graph.hop_limited_distances_many(sources, hop_limit) == [
+                graph.hop_limited_distances(s, hop_limit) for s in sources
+            ]
+            assert graph.hop_eccentricities() == [
+                graph.hop_eccentricity(u) for u in graph.nodes()
+            ]
+        finally:
+            csr_kernels.CHUNK_BYTES = original
+
+
+class TestLayerModules:
+    def test_every_traced_layer_module_imports(self):
+        from benchmarks.e2e.tracer import LAYERS
+
+        for modules in LAYERS.values():
+            for name in modules:
+                importlib.import_module(name)
 
 
 class TestSimulationEquivalence:
-    """Fixed-seed end-to-end runs must be metric-identical across backends."""
+    """Fixed-seed end-to-end runs: the engine equals the scalar oracle."""
 
     @staticmethod
-    def _metrics(backend, algorithm, n=64, seed=9):
+    def _run(network_class, algorithm, n=64, seed=9):
         graph = generators.connected_workload(
             n, RandomSource(seed), weighted=True, max_weight=6
         )
-        pinned = WeightedGraph.from_edges(n, graph.edges(), backend=backend)
-        network = HybridNetwork(pinned, ModelConfig(rng_seed=seed))
+        network = network_class(graph, ModelConfig(rng_seed=seed))
         result = algorithm(network)
         return network.metrics, result
 
@@ -158,27 +219,27 @@ class TestSimulationEquivalence:
         "algorithm", [lambda net: sssp_exact(net, source=0), apsp_exact], ids=["sssp", "apsp"]
     )
     def test_round_metrics_identical(self, algorithm):
-        dict_metrics, dict_result = self._metrics("dict", algorithm)
-        csr_metrics, csr_result = self._metrics("csr", algorithm)
-        assert dict_metrics.as_dict() == csr_metrics.as_dict()
-        assert dict_result.rounds == csr_result.rounds
+        oracle_metrics, oracle_result = self._run(ScalarPlaneNetwork, algorithm)
+        engine_metrics, engine_result = self._run(HybridNetwork, algorithm)
+        assert oracle_metrics.as_dict() == engine_metrics.as_dict()
+        assert oracle_result.rounds == engine_result.rounds
         assert {
             name: (phase.local_rounds, phase.global_rounds)
-            for name, phase in dict_metrics.phases.items()
+            for name, phase in oracle_metrics.phases.items()
         } == {
             name: (phase.local_rounds, phase.global_rounds)
-            for name, phase in csr_metrics.phases.items()
+            for name, phase in engine_metrics.phases.items()
         }
 
     def test_sssp_distances_identical(self):
-        _, dict_result = self._metrics("dict", lambda net: sssp_exact(net, source=0))
-        _, csr_result = self._metrics("csr", lambda net: sssp_exact(net, source=0))
-        assert dict_result.distances == csr_result.distances
+        _, oracle = self._run(ScalarPlaneNetwork, lambda net: sssp_exact(net, source=0))
+        _, engine = self._run(HybridNetwork, lambda net: sssp_exact(net, source=0))
+        assert oracle.distances == engine.distances
 
     def test_apsp_matrices_identical(self):
-        _, dict_result = self._metrics("dict", apsp_exact)
-        _, csr_result = self._metrics("csr", apsp_exact)
-        assert (dict_result.matrix == csr_result.matrix).all()
+        _, oracle = self._run(ScalarPlaneNetwork, apsp_exact)
+        _, engine = self._run(HybridNetwork, apsp_exact)
+        assert (oracle.matrix == engine.matrix).all()
 
 
 class TestBatchedHashing:

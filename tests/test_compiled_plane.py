@@ -1,28 +1,21 @@
-"""The compiled execution plane: bit-identity to the pinned pure-plane oracles.
+"""Message-plane and fault-fate identity against the scalar oracle.
 
-DESIGN.md §9: the numpy CSR kernels and the scalar message plane stay pinned
-as differential-testing oracles, and the compiled plane (njit / scipy.sparse,
-``backend="csr-njit"`` / ``global_plane="compiled"``) must be a pure
-performance substitution -- bit-identical distances, levels, RoundMetrics and
-fault fates on every seed.  These tests drive all planes with the same
-hypothesis-generated inputs and pin that contract, plus the graceful
-degradation to pure numpy when no accelerator is importable, the per-round
-fault-context memoization, memory-aware source chunking, and the ``bench``
-CLI entry point.
+The engine's array message plane (DESIGN.md §4) must make the same admission
+decisions, drop the same messages under faults, and record the same
+RoundMetrics as the per-message scheduler of ``tests/scalar_plane.py`` on
+every seed.  Also pinned here: the per-round fault-context memo, byte-budget
+source chunking, and the session's fixed implementation report.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_plane import PLANES, ScalarPlaneNetwork
 
-numpy = pytest.importorskip("numpy")
-
-from repro.cli import main as cli_main
 from repro.core.sssp import sssp_exact
-from repro.graphs import compiled as graph_compiled
-from repro.graphs import csr as numpy_plane
+from repro.graphs import csr as csr_kernels
 from repro.graphs import generators
-from repro.graphs.csr import chunk_byte_budget, chunked_sources
+from repro.graphs.csr import chunked_sources
 from repro.graphs.graph import WeightedGraph
 from repro.hybrid import HybridNetwork, MessageBatch, ModelConfig
 from repro.hybrid.faults import FaultModel, FaultState, fault_hash, fault_hash_from_prefix
@@ -34,174 +27,18 @@ common_settings = settings(
 )
 
 
-@st.composite
-def random_csr(draw):
-    """A random connected graph's frozen CSR plus a hop limit."""
-    n = draw(st.integers(min_value=2, max_value=40))
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    max_weight = draw(st.sampled_from([1, 1, 5, 12]))
-    degree = draw(st.sampled_from([1.5, 3.0, 5.0]))
-    graph = generators.random_connected_graph(
-        n, degree, RandomSource(seed), max_weight=max_weight
-    )
-    hop_limit = draw(st.integers(min_value=0, max_value=n))
-    return graph.csr(), hop_limit
-
-
 class TestPlaneSelection:
-    def test_kernel_report_shape(self):
-        report = graph_compiled.kernel_report()
-        assert set(report) == {
-            "available",
-            "numba",
-            "scipy",
-            "distance_matrix",
-            "bfs_level_matrix",
-            "hop_limited_matrix",
-        }
-        assert report["available"] == (report["numba"] or report["scipy"])
-
-    def test_compiled_message_plane_accepted(self):
-        graph = generators.cycle_graph(8)
-        network = HybridNetwork(graph, ModelConfig(global_plane="compiled"))
-        assert network.vectorized_plane
-        # Without numba the compiled plane degrades to the vectorized kernels
-        # but stays selected; with numba the flag arms the njit admission scan.
-        assert network.compiled_plane
-
-    def test_auto_arms_compiled_only_with_numba(self):
-        from repro.hybrid import compiled as hybrid_compiled
-
-        graph = generators.cycle_graph(8)
-        network = HybridNetwork(graph, ModelConfig(global_plane="auto"))
-        assert network.compiled_plane == hybrid_compiled.HAS_NUMBA
-
     def test_session_reports_acceleration(self):
-        graph = generators.cycle_graph(8)
-        session = HybridSession(graph, ModelConfig(global_plane="compiled"))
-        report = session.acceleration()
-        assert report["message_plane"] == "compiled"
-        assert report["graph_backend"] in ("dict", "csr", "csr-njit")
-        assert report["kernels"] == graph_compiled.kernel_report()
-
-
-class TestGraphKernelIdentity:
-    """Compiled graph kernels are bit-identical to the numpy oracle."""
-
-    @common_settings
-    @given(random_csr())
-    def test_distance_matrix_identical(self, case):
-        csr, _ = case
-        sources = list(range(csr.n))
-        oracle = numpy_plane.distance_matrix(csr, sources)
-        candidate = graph_compiled.distance_matrix(csr, sources)
-        assert numpy.array_equal(oracle, candidate)
-
-    @common_settings
-    @given(random_csr())
-    def test_bfs_levels_identical(self, case):
-        csr, hop_limit = case
-        sources = list(range(csr.n))
-        for max_hops in (None, 0, 1, hop_limit):
-            oracle = numpy_plane.bfs_level_matrix(csr, sources, max_hops)
-            candidate = graph_compiled.bfs_level_matrix(csr, sources, max_hops)
-            assert numpy.array_equal(oracle, candidate)
-
-    @common_settings
-    @given(random_csr())
-    def test_hop_limited_identical(self, case):
-        csr, hop_limit = case
-        sources = list(range(csr.n))
-        oracle = numpy_plane.hop_limited_matrix(csr, sources, hop_limit)
-        candidate = graph_compiled.hop_limited_matrix(csr, sources, hop_limit)
-        assert numpy.array_equal(oracle, candidate)
-
-    def test_empty_sources(self):
-        csr = generators.cycle_graph(5).csr()
-        assert graph_compiled.distance_matrix(csr, []).shape == (0, 5)
-        assert graph_compiled.bfs_level_matrix(csr, []).shape == (0, 5)
-        assert graph_compiled.hop_limited_matrix(csr, [], 2).shape == (0, 5)
-
-    def test_disconnected_graph(self):
-        graph = WeightedGraph(6, backend="csr-njit")
-        graph.add_edge(0, 1, 3)
-        graph.add_edge(2, 3, 1)
-        reference = WeightedGraph.from_edges(6, graph.edges(), backend="csr")
-        assert (graph.distance_matrix() == reference.distance_matrix()).all()
-        assert graph.hop_diameter() == float("inf")
-
-    @common_settings
-    @given(random_csr())
-    def test_csr_njit_backend_matches_dict(self, case):
-        csr, hop_limit = case
-        # Rebuild both graphs from the same CSR arrays' edge list.
-        edges = []
-        for u in range(csr.n):
-            for e in range(int(csr.indptr[u]), int(csr.indptr[u + 1])):
-                v = int(csr.indices[e])
-                if u < v:
-                    edges.append((u, v, int(csr.weights[e])))
-        as_dict = WeightedGraph.from_edges(csr.n, edges, backend="dict")
-        as_njit = WeightedGraph.from_edges(csr.n, edges, backend="csr-njit")
-        sources = list(range(csr.n))
-        assert as_dict.bfs_hops_many(sources) == as_njit.bfs_hops_many(sources)
-        assert as_dict.hop_limited_distances_many(
-            sources, hop_limit
-        ) == as_njit.hop_limited_distances_many(sources, hop_limit)
-        assert (as_dict.distance_matrix() == as_njit.distance_matrix()).all()
-        assert as_dict.hop_eccentricities() == as_njit.hop_eccentricities()
-
-
-class TestGracefulDegradation:
-    """With no accelerator importable every kernel is the numpy oracle."""
-
-    @pytest.fixture
-    def bare_plane(self, monkeypatch):
-        monkeypatch.setattr(graph_compiled, "HAS_NUMBA", False)
-        monkeypatch.setattr(graph_compiled, "HAS_SCIPY", False)
-        return graph_compiled
-
-    def test_not_available(self, bare_plane):
-        assert not bare_plane.available()
-        report = bare_plane.kernel_report()
-        assert report["distance_matrix"] == "numpy"
-        assert report["bfs_level_matrix"] == "numpy"
-        assert report["hop_limited_matrix"] == "numpy"
-
-    def test_auto_backend_falls_back_to_csr(self, bare_plane):
-        assert WeightedGraph(4).backend == "csr"
-
-    def test_kernels_fall_through_to_numpy(self, bare_plane):
-        graph = generators.random_connected_graph(24, 3.0, RandomSource(7), max_weight=9)
-        csr = graph.csr()
-        sources = list(range(24))
-        assert numpy.array_equal(
-            bare_plane.distance_matrix(csr, sources),
-            numpy_plane.distance_matrix(csr, sources),
-        )
-        assert numpy.array_equal(
-            bare_plane.bfs_level_matrix(csr, sources, 3),
-            numpy_plane.bfs_level_matrix(csr, sources, 3),
-        )
-        assert numpy.array_equal(
-            bare_plane.hop_limited_matrix(csr, sources, 4),
-            numpy_plane.hop_limited_matrix(csr, sources, 4),
-        )
-
-    def test_explicit_csr_njit_still_works(self, bare_plane):
-        # An explicit opt-in with no accelerator degrades silently: same
-        # results through the numpy kernels, never an import error.
-        graph = WeightedGraph(5, backend="csr-njit")
-        graph.add_edge(0, 1, 2)
-        graph.add_edge(1, 2, 1)
-        assert graph.bfs_hops_many([0])[0] == {0: 0, 1: 1, 2: 2}
-
-    def test_hybrid_compiled_module_importable_without_numba(self):
-        from repro.hybrid import compiled as hybrid_compiled
-
-        if not hybrid_compiled.HAS_NUMBA:
-            assert hybrid_compiled.admit_scan is None
-            assert hybrid_compiled.fault_hash_columns is None
+        session = HybridSession(generators.cycle_graph(8), ModelConfig())
+        assert session.acceleration() == {
+            "graph_backend": "csr",
+            "message_plane": "vectorized",
+            "kernels": {
+                "distance_matrix": "scipy",
+                "bfs_level_matrix": "scipy",
+                "hop_limited_matrix": "numpy",
+            },
+        }
 
 
 @st.composite
@@ -232,14 +69,12 @@ def fault_exchange(draw):
 
 
 class TestMessagePlaneIdentity:
-    """scalar / vectorized / compiled planes: identical deliveries and metrics."""
+    """Engine vs scalar oracle: identical deliveries and metrics."""
 
     @staticmethod
-    def _run(plane, n, pairs, model, seed):
+    def _run(network_class, n, pairs, model, seed):
         graph = generators.cycle_graph(n)
-        network = HybridNetwork(
-            graph, ModelConfig(rng_seed=seed, global_plane=plane, faults=model)
-        )
+        network = network_class(graph, ModelConfig(rng_seed=seed, faults=model))
         batch = MessageBatch(
             [sender for sender, _ in pairs],
             [target for _, target in pairs],
@@ -257,16 +92,15 @@ class TestMessagePlaneIdentity:
     @given(fault_exchange())
     def test_exchange_identical_across_planes(self, case):
         n, pairs, model, seed = case
-        reference = self._run("scalar", n, pairs, model, seed)
-        assert self._run("vectorized", n, pairs, model, seed) == reference
-        assert self._run("compiled", n, pairs, model, seed) == reference
+        reference = self._run(ScalarPlaneNetwork, n, pairs, model, seed)
+        assert self._run(HybridNetwork, n, pairs, model, seed) == reference
 
-    @pytest.mark.parametrize("plane", ["scalar", "vectorized", "compiled"])
+    @pytest.mark.parametrize("plane", ["scalar", "vectorized"])
     def test_sssp_identical_across_planes(self, plane):
         graph = generators.connected_workload(48, RandomSource(5), weighted=True, max_weight=6)
         reference_net = HybridNetwork(graph.copy(), ModelConfig(rng_seed=5))
         reference = sssp_exact(reference_net, source=0)
-        network = HybridNetwork(graph.copy(), ModelConfig(rng_seed=5, global_plane=plane))
+        network = PLANES[plane](graph.copy(), ModelConfig(rng_seed=5))
         result = sssp_exact(network, source=0)
         assert result.distances == reference.distances
         assert result.rounds == reference.rounds
@@ -319,7 +153,7 @@ class TestFaultRoundContext:
 
 class TestChunkedSources:
     def test_default_budget_preserved(self):
-        # 128 MiB / (8 bytes x scratch factor 4) = the historical 1<<22 cells.
+        # 128 MiB / (8 bytes x scratch factor 4) = 1<<22 cells.
         assert chunked_sources(1, list(range(10))) == [list(range(10))]
         chunks = chunked_sources(1 << 21, list(range(8)))
         assert chunks == [[0, 1], [2, 3], [4, 5], [6, 7]]
@@ -332,45 +166,11 @@ class TestChunkedSources:
     def test_tiny_budget_still_progresses(self):
         assert chunked_sources(100, [1, 2], byte_budget=1) == [[1], [2]]
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_CHUNK_BYTES", str(8 * 4 * 6))
-        assert chunk_byte_budget() == 8 * 4 * 6
-        assert chunked_sources(3, list(range(4))) == [[0, 1], [2, 3]]
-
-    @pytest.mark.parametrize("raw", ["", "not-a-number", "-5", "0"])
-    def test_invalid_env_falls_back(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_KERNEL_CHUNK_BYTES", raw)
-        assert chunk_byte_budget() == 128 * 1024 * 1024
-
     def test_chunk_size_never_changes_results(self, monkeypatch):
         graph = generators.random_connected_graph(40, 3.0, RandomSource(13), max_weight=7)
         baseline = graph.distance_matrix()
         eccentricities = graph.hop_eccentricities()
-        monkeypatch.setenv("REPRO_KERNEL_CHUNK_BYTES", str(8 * 4 * 40 * 3))  # 3 sources/chunk
-        rechunked = WeightedGraph.from_edges(40, graph.edges(), backend=graph.backend)
+        monkeypatch.setattr(csr_kernels, "CHUNK_BYTES", 8 * 4 * 40 * 3)  # 3 sources/chunk
+        rechunked = WeightedGraph.from_edges(40, graph.edges())
         assert (rechunked.distance_matrix() == baseline).all()
         assert rechunked.hop_eccentricities() == eccentricities
-
-
-class TestBenchCLI:
-    def test_bench_runs_and_verifies(self, capsys):
-        assert cli_main(["bench", "--n", "48", "--sources", "8", "--seed", "2"]) == 0
-        output = capsys.readouterr().out
-        assert "speedup" in output
-        assert "distance_matrix" in output
-        assert "NO" not in output  # every kernel verified identical
-
-    def test_bench_profile_breakdown(self, capsys):
-        assert (
-            cli_main(
-                ["bench", "--n", "32", "--sources", "4", "--profile", "--top", "5"]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "profile: distance_matrix [compiled]" in output
-        assert "cumulative" in output
-
-    def test_bench_rejects_bad_arguments(self, capsys):
-        assert cli_main(["bench", "--n", "1"]) == 2
-        assert cli_main(["bench", "--sources", "0"]) == 2

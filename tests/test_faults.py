@@ -7,10 +7,10 @@ Three contracts are pinned here:
   one) every entry point charges exactly the phases, forks exactly the RNG
   labels and records exactly the RoundMetrics of the ideal engine -- the
   loss-tolerance machinery must be invisible when faults are off.
-* **Plane identity under faults.**  The scalar and vectorized message planes
-  drop the *same* messages (the per-message fate is a seeded hash of round /
-  sender / target / occurrence, not of iteration order), so metrics and
-  deliveries stay bit-identical between planes even on lossy networks.
+* **Oracle identity under faults.**  The engine and the per-message scalar
+  oracle drop the *same* messages (the per-message fate is a seeded hash of
+  round / sender / target / occurrence, not of iteration order), so metrics
+  and deliveries stay bit-identical even on lossy networks.
 * **Differential correctness.**  Across hundreds of random graph × fault
   schedule combinations, the retransmitting APSP / SSSP / diameter pipelines
   either raise :class:`FaultToleranceExceededError` (the schedule beat the
@@ -24,6 +24,7 @@ numpy = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_plane import PLANES
 
 from repro import (
     FaultModel,
@@ -170,9 +171,7 @@ class TestFaultModel:
 class TestEngineEnforcement:
     def make(self, plane="vectorized", **faults):
         graph = generators.cycle_graph(20)
-        return HybridNetwork(
-            graph, ModelConfig(rng_seed=1, global_plane=plane, faults=FaultModel(**faults))
-        )
+        return PLANES[plane](graph, ModelConfig(rng_seed=1, faults=FaultModel(**faults)))
 
     @pytest.mark.parametrize("plane", ["scalar", "vectorized"])
     def test_drops_are_counted_but_not_delivered(self, plane):
@@ -212,7 +211,7 @@ class TestEngineEnforcement:
     @fuzz_settings
     @given(message_lists, st.integers(min_value=0, max_value=2**31))
     def test_planes_identical_under_faults(self, pairs, fault_seed):
-        """The scalar and vectorized planes drop the same messages: identical
+        """The scalar oracle and the engine drop the same messages: identical
         metrics (dropped/retried included), identical deliveries."""
         snapshots = {}
         deliveries = {}
@@ -220,9 +219,8 @@ class TestEngineEnforcement:
             drop_rate=0.35, seed=fault_seed, omission_schedule={1: [0, 7]}, crash_schedule={19: 2}
         )
         for plane in ("scalar", "vectorized"):
-            network = HybridNetwork(
-                generators.cycle_graph(20),
-                ModelConfig(rng_seed=1, global_plane=plane, faults=model),
+            network = PLANES[plane](
+                generators.cycle_graph(20), ModelConfig(rng_seed=1, faults=model)
             )
             inbox, _rounds = network.run_global_exchange(build_batch(pairs), "faulty")
             snapshots[plane] = metrics_snapshot(network)

@@ -59,6 +59,25 @@ class TestBasicStructure:
         with pytest.raises(KeyError):
             graph.remove_edge(0, 1)
 
+    def test_out_of_range_ids_never_wrap(self):
+        # Regression: remove_edge(-1, 1) used to delete adjacency[n-1][1]
+        # through negative indexing, leaving a half-edge behind.
+        graph = WeightedGraph(4)
+        graph.add_edge(3, 1, 2)
+        graph.csr()
+        version = graph.version
+        with pytest.raises(ValueError):
+            graph.remove_edge(-1, 1)
+        assert graph.has_edge(1, 3) and graph.has_edge(3, 1)
+        assert graph.edge_count == 1
+        assert graph.version == version
+        assert graph._csr is not None
+        for u, v in ((-1, 1), (1, -1), (4, 1), (1, 4)):
+            with pytest.raises(ValueError):
+                graph.has_edge(u, v)
+            with pytest.raises(ValueError):
+                graph.weight(u, v)
+
     def test_neighbors_and_degree(self):
         graph = build_triangle()
         assert sorted(graph.neighbors(0)) == [1, 2]
@@ -99,6 +118,18 @@ class TestTraversal:
         path = generators.path_graph(6)
         hops = path.bfs_hops(0, max_hops=2)
         assert set(hops) == {0, 1, 2}
+
+    def test_negative_max_hops_rejected(self):
+        path = generators.path_graph(4)
+        for call in (
+            lambda: path.bfs_hops(0, -1),
+            lambda: path.ball(0, -1),
+            lambda: path.bfs_hops_many([0], -1),
+            lambda: path.balls_many([0], -1),
+            lambda: path.hop_eccentricities(max_hops=-1),
+        ):
+            with pytest.raises(ValueError, match="max_hops must be non-negative"):
+                call()
 
     def test_ball(self):
         path = generators.path_graph(7)
@@ -272,7 +303,7 @@ class TestMutationSemantics:
         assert graph.hop_diameter() == 1
 
     def test_update_weight_refreshes_csr_in_place(self):
-        graph = WeightedGraph(4, backend="csr")
+        graph = WeightedGraph(4)
         graph.add_edge(0, 1, 2)
         graph.add_edge(1, 2, 3)
         graph.add_edge(2, 3, 4)
@@ -283,7 +314,7 @@ class TestMutationSemantics:
         # The refresh shares the topology arrays and only rewrites weights.
         assert after.indptr is before.indptr
         assert after.indices is before.indices
-        rebuilt = WeightedGraph.from_edges(4, graph.edges(), backend="csr").csr()
+        rebuilt = WeightedGraph.from_edges(4, graph.edges()).csr()
         assert (after.weights == rebuilt.weights).all()
         assert (after.indptr == rebuilt.indptr).all()
 

@@ -6,6 +6,7 @@ from repro.graphs import generators
 from repro.hybrid import (
     CapacityExceededError,
     HybridNetwork,
+    MessageBatch,
     ModelConfig,
     RoundMetrics,
 )
@@ -102,7 +103,8 @@ class TestHybridNetwork:
         assert net.metrics.local_rounds == 500
 
     def test_global_round_delivers(self, network):
-        inboxes = network.global_round({0: [(5, "hello")], 1: [(5, "world")]})
+        batch = MessageBatch.from_outboxes({0: [(5, "hello")], 1: [(5, "world")]})
+        inboxes = network.global_round(batch).to_inboxes()
         assert sorted(payload for _, payload in inboxes[5]) == ["hello", "world"]
         assert network.metrics.global_rounds == 1
         assert network.metrics.global_messages == 2
@@ -110,12 +112,13 @@ class TestHybridNetwork:
     def test_global_round_send_cap_enforced(self, network):
         too_many = [(i % network.n, i) for i in range(network.send_cap + 1)]
         with pytest.raises(CapacityExceededError):
-            network.global_round({0: too_many})
+            network.global_round(MessageBatch.from_outboxes({0: too_many}))
 
     def test_global_round_send_cap_not_enforced_when_lenient(self):
         graph = generators.path_graph(8)
         net = HybridNetwork(graph, ModelConfig(strict_send=False))
-        inboxes = net.global_round({0: [(1, i) for i in range(50)]})
+        batch = MessageBatch.from_outboxes({0: [(1, i) for i in range(50)]})
+        inboxes = net.global_round(batch).to_inboxes()
         assert len(inboxes[1]) == 50
 
     def test_strict_receive_raises(self):
@@ -123,15 +126,16 @@ class TestHybridNetwork:
         net = HybridNetwork(graph, ModelConfig(strict_receive=True, global_receive_factor=0.1))
         outboxes = {sender: [(0, "x")] for sender in range(1, 16)}
         with pytest.raises(CapacityExceededError):
-            net.global_round(outboxes)
+            net.global_round(MessageBatch.from_outboxes(outboxes))
 
     def test_invalid_target_rejected(self, network):
         with pytest.raises(ValueError):
-            network.global_round({0: [(network.n + 5, "x")]})
+            network.global_round(MessageBatch.from_outboxes({0: [(network.n + 5, "x")]}))
 
     def test_run_global_exchange_respects_send_cap(self, network):
         messages = [(1, i) for i in range(35)]
-        inboxes, rounds = network.run_global_exchange({0: messages})
+        inbox, rounds = network.run_global_exchange(MessageBatch.from_outboxes({0: messages}))
+        inboxes = inbox.to_inboxes()
         assert len(inboxes[1]) == 35
         assert rounds >= (35 + network.receive_cap - 1) // network.receive_cap
         assert network.metrics.max_sent_per_round <= network.send_cap
@@ -139,13 +143,13 @@ class TestHybridNetwork:
     def test_run_global_exchange_receiver_limited(self, network):
         # Many senders target node 0; per-round receive load must stay capped.
         outboxes = {sender: [(0, sender)] * 3 for sender in range(1, 20)}
-        inboxes, rounds = network.run_global_exchange(outboxes)
-        assert len(inboxes[0]) == 19 * 3
+        inbox, rounds = network.run_global_exchange(MessageBatch.from_outboxes(outboxes))
+        assert len(inbox.to_inboxes()[0]) == 19 * 3
         assert network.metrics.max_received_per_round <= network.receive_cap
 
     def test_run_global_exchange_unlimited_receivers_optional(self, network):
         outboxes = {sender: [(0, sender)] for sender in range(1, 20)}
-        network.run_global_exchange(outboxes, receiver_limited=False)
+        network.run_global_exchange(MessageBatch.from_outboxes(outboxes), receiver_limited=False)
         assert (
             network.metrics.max_received_per_round > network.receive_cap
             or network.receive_cap >= 19
@@ -153,7 +157,7 @@ class TestHybridNetwork:
 
     def test_cut_watcher_counts_crossing_bits(self, network):
         network.add_cut_watcher("half", set(range(network.n // 2)))
-        network.global_round({0: [(network.n - 1, "x")], 1: [(2, "y")]})
+        network.global_round(MessageBatch.from_outboxes({0: [(network.n - 1, "x")], 1: [(2, "y")]}))
         assert network.metrics.cut_bits["half"] == network.config.message_bits
 
     def test_cut_watcher_membership_order_invariant(self, network):
@@ -163,13 +167,13 @@ class TestHybridNetwork:
         half = network.n // 2
         network.add_cut_watcher("fwd", set(range(half)))
         network.add_cut_watcher("rev", set(reversed(range(half))))
-        network.global_round({0: [(network.n - 1, "x")], 1: [(2, "y")]})
+        network.global_round(MessageBatch.from_outboxes({0: [(network.n - 1, "x")], 1: [(2, "y")]}))
         assert network.metrics.cut_bits["fwd"] == network.metrics.cut_bits["rev"]
         assert network.metrics.cut_bits["fwd"] == network.config.message_bits
 
     def test_received_totals_accumulate(self, network):
-        network.global_round({0: [(3, "a")]})
-        network.global_round({1: [(3, "b")]})
+        network.global_round(MessageBatch.from_outboxes({0: [(3, "a")]}))
+        network.global_round(MessageBatch.from_outboxes({1: [(3, "b")]}))
         assert network.received_totals[3] == 2
         assert network.max_total_received() == 2
 
@@ -204,8 +208,8 @@ class TestSenderFairness:
         # ~180 earlier messages; rotation must serve it within a few rounds.
         outboxes = {s: [(7, ("bulk", s, i)) for i in range(30)] for s in range(6)}
         outboxes[6] = [(7, ("urgent", 6, 0))]
-        inboxes, rounds = network.run_global_exchange(outboxes)
-        delivered = inboxes[7]
+        inbox, rounds = network.run_global_exchange(MessageBatch.from_outboxes(outboxes))
+        delivered = inbox.to_inboxes()[7]
         assert len(delivered) == 181
         urgent_position = next(
             index for index, (sender, _) in enumerate(delivered) if sender == 6
@@ -219,8 +223,8 @@ class TestSenderFairness:
         graph = generators.path_graph(6)
         network = HybridNetwork(graph, ModelConfig(rng_seed=0))
         outboxes = {s: [(5, (s, i)) for i in range(7)] for s in range(4)}
-        inboxes, _ = network.run_global_exchange(outboxes)
-        assert sorted(payload for _, payload in inboxes[5]) == sorted(
+        inbox, _ = network.run_global_exchange(MessageBatch.from_outboxes(outboxes))
+        assert sorted(payload for _, payload in inbox.to_inboxes()[5]) == sorted(
             (s, i) for s in range(4) for i in range(7)
         )
         assert network.metrics.global_messages == 28

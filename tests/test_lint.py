@@ -6,7 +6,7 @@ fixture proves it does not over-fire.  The waiver layer (parsing, stale
 detection, malformed comments), the JSON artifact schema, ``--select``
 semantics, the CLI exit codes (plus ``--format github`` and
 ``--waiver-report``), RL000 parse-failure hardening, the whole-program
-rules RL006-RL008, the scoped docstring rule RL009, and the clean-tree
+rules RL006 and RL008, the scoped docstring rule RL009, and the clean-tree
 self-check (with its wall-clock
 budget) are covered alongside.  The resolution layer itself is covered in
 ``tests/test_lint_resolver.py``.
@@ -68,28 +68,6 @@ class TestRL002Ordering:
     def test_quiet_on_sorted_and_order_free_consumers(self):
         report = lint_fixture("rl002_good.py", select=["RL002"])
         assert report.active == []
-
-
-class TestRL003PlaneParity:
-    def test_matching_planes_are_clean(self):
-        report = lint_fixture("parity_good", select=["RL003"])
-        assert report.active == []
-
-    def test_rename_and_param_drift_fire(self):
-        report = lint_fixture("parity_bad", select=["RL003"])
-        messages = "\n".join(d.message for d in report.active)
-        assert set(codes(report)) == {"RL003"}
-        # Renamed compiled kernel (distance_matrix -> distance_matrix_v2).
-        assert "distance_matrix" in messages
-        # Parameter-name drift (sources -> source_rows).
-        assert "hop_limited_matrix" in messages
-        # Oracle def whose params drifted from its own registry entry.
-        assert "stale_entry" in messages
-
-    def test_missing_registry_fires(self):
-        report = lint_fixture("parity_missing_registry", select=["RL003"])
-        assert codes(report) == ["RL003"]
-        assert "PLANE_KERNELS" in report.active[0].message
 
 
 class TestRL004MetricsAccounting:
@@ -179,36 +157,6 @@ class TestRL006ForkSafety:
         # The same mutable state, but no experiments/engine.py in scope.
         report = lint_fixture("rl006_bad/cache.py", select=["RL006"])
         assert report.active == []
-
-
-class TestRL007NjitSubset:
-    def test_fires_on_each_subset_violation(self):
-        report = lint_fixture("rl007_bad.py", select=["RL007"])
-        messages = "\n".join(d.message for d in report.active)
-        assert set(codes(report)) == {"RL007"}
-        assert len(report.active) == 6
-        assert "**kwargs" in messages
-        assert "JoinedStr" in messages
-        assert "np.nansum" in messages
-        assert "_CACHE" in messages
-        assert "ListComp" in messages
-        assert "non-njit project function '_python_helper'" in messages
-
-    def test_quiet_on_conforming_kernels(self):
-        # Includes a closure over a cross-module immutable constant and an
-        # njit-to-njit call -- both must resolve as safe.
-        report = lint_fixture("rl007_good.py", "rl007_good_constants.py", select=["RL007"])
-        assert report.active == []
-
-    def test_validation_is_static_no_numba_needed(self):
-        # The checker must never import numba (the pure-numpy CI leg runs
-        # exactly this selection with numba uninstalled).
-        import sys
-
-        preloaded = "numba" in sys.modules
-        report = lint_fixture("rl007_bad.py", select=["RL007"])
-        assert len(report.active) == 6
-        assert ("numba" in sys.modules) == preloaded
 
 
 class TestRL008CacheInvalidation:

@@ -1,12 +1,11 @@
-"""The batched NCC message plane: MessageBatch + scalar/vectorized identity.
+"""The batched NCC message plane: MessageBatch + identity with the scalar oracle.
 
-The engine executes global traffic on one of two planes -- the per-message
-scalar reference path and the whole-array vectorized scheduler
-(``ModelConfig.global_plane``).  The property tests here drive both planes
-with the same messages (hypothesis-generated exchanges and the protocol
-workloads behind experiments E1/E8/E12) and assert *identical* RoundMetrics:
-rounds, messages, bits, per-round maxima, per-phase breakdowns and cut
-crossings.
+The engine executes global traffic with a whole-array scheduler; the
+per-message scheduler of ``tests/scalar_plane.py`` is its oracle.  The
+property tests here drive both with the same messages (hypothesis-generated
+exchanges and the protocol workloads behind experiments E1/E8/E12) and assert
+*identical* RoundMetrics: rounds, messages, bits, per-round maxima, per-phase
+breakdowns and cut crossings.
 """
 
 import math
@@ -17,12 +16,14 @@ from hypothesis import strategies as st
 
 numpy = pytest.importorskip("numpy")
 
+from scalar_plane import PLANES, ScalarPlaneNetwork
+
 from repro.core.clique_simulation import HybridCliqueTransport
-from repro.hybrid.network import _admit_scan
 from repro.core.skeleton import compute_skeleton
 from repro.core.token_routing import make_tokens, route_tokens
 from repro.graphs import generators
 from repro.hybrid import CapacityExceededError, HybridNetwork, MessageBatch, ModelConfig
+from repro.hybrid.network import _admit_scan
 from repro.localnet import aggregate_max, aggregate_sum, broadcast_value, disseminate_tokens
 from repro.util.rand import RandomSource
 
@@ -92,12 +93,13 @@ class TestMessageBatch:
 class TestBatchedGlobalRound:
     def make(self, plane="vectorized", **config):
         graph = generators.cycle_graph(20)
-        return HybridNetwork(graph, ModelConfig(rng_seed=1, global_plane=plane, **config))
+        return PLANES[plane](graph, ModelConfig(rng_seed=1, **config))
 
     def test_unknown_plane_rejected(self):
-        graph = generators.cycle_graph(4)
-        with pytest.raises(ValueError):
-            HybridNetwork(graph, ModelConfig(global_plane="bogus"))
+        # There is one message plane; a plane option is an error, never
+        # silently ignored.
+        with pytest.raises(TypeError):
+            ModelConfig(global_plane="scalar")
 
     def test_delivers_batch(self):
         network = self.make()
@@ -110,7 +112,7 @@ class TestBatchedGlobalRound:
 
     def test_scalar_plane_accepts_batches(self):
         network = self.make(plane="scalar")
-        assert not network.vectorized_plane
+        assert isinstance(network, ScalarPlaneNetwork)
         delivered = network.global_round(MessageBatch([0], [3], ["x"]))
         assert isinstance(delivered, MessageBatch)
         assert delivered.to_inboxes() == {3: [(0, "x")]}
@@ -146,11 +148,6 @@ class TestBatchedGlobalRound:
         assert network.metrics.global_rounds == 0
         assert network.metrics.global_messages == 0
         assert network.metrics.phases == {}
-        # The dict form of the same no-traffic round is round-free too (even
-        # with senders present but holding empty queues).
-        assert network.global_round({}) == {}
-        assert network.global_round({3: []}) == {}
-        assert network.metrics.global_rounds == 0
         # The exchange path was already round-free for empty batches.
         _, rounds = network.run_global_exchange(MessageBatch.empty())
         assert rounds == 0 and network.metrics.global_rounds == 0
@@ -258,9 +255,7 @@ class TestSaturatedReceiverProgress:
     @pytest.mark.parametrize("plane", ["scalar", "vectorized"])
     def test_exact_drain_rate(self, plane):
         n = 20
-        network = HybridNetwork(
-            generators.cycle_graph(n), ModelConfig(rng_seed=0, global_plane=plane)
-        )
+        network = PLANES[plane](generators.cycle_graph(n), ModelConfig(rng_seed=0))
         per_sender = 3
         pairs = [(sender, 0) for sender in range(1, n) for _ in range(per_sender)]
         total = len(pairs)
@@ -268,16 +263,13 @@ class TestSaturatedReceiverProgress:
         # round, so the drain takes exactly ceil(total / receive_cap) rounds.
         assert (n - 2) * per_sender >= network.receive_cap
         inboxes, rounds = network.run_global_exchange(build_batch(pairs))
-        delivered = len(inboxes) if isinstance(inboxes, MessageBatch) else sum(
-            len(messages) for messages in inboxes.values()
-        )
-        assert delivered == total
+        assert len(inboxes) == total
         assert rounds == math.ceil(total / network.receive_cap)
         assert network.metrics.global_rounds == rounds
 
 
 class TestPlaneIdentity:
-    """Scalar and vectorized planes record bit-identical RoundMetrics."""
+    """The scalar oracle and the engine record bit-identical RoundMetrics."""
 
     @common_settings
     @given(message_lists, st.booleans())
@@ -286,7 +278,7 @@ class TestPlaneIdentity:
         snapshots = {}
         deliveries = {}
         for plane in ("scalar", "vectorized"):
-            network = HybridNetwork(graph, ModelConfig(rng_seed=1, global_plane=plane))
+            network = PLANES[plane](graph, ModelConfig(rng_seed=1))
             network.add_cut_watcher("half", range(10))
             inbox, rounds = network.run_global_exchange(
                 build_batch(pairs), receiver_limited=receiver_limited
@@ -302,21 +294,22 @@ class TestPlaneIdentity:
     @common_settings
     @given(message_lists)
     def test_dict_form_and_batched_form_identical_metrics(self, pairs):
-        """The dict-of-tuples form (scalar path) and the MessageBatch form
-        (vectorized path) of the same messages produce the same metrics."""
+        """Dict-of-tuples outboxes converted by ``MessageBatch.from_outboxes``
+        and the column-built batch of the same messages produce the same
+        metrics and inboxes."""
         graph = generators.cycle_graph(20)
         outboxes = {}
         for index, (sender, target) in enumerate(pairs):
             outboxes.setdefault(sender, []).append((target, ("payload", index)))
         dict_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
-        dict_inboxes, dict_rounds = dict_network.run_global_exchange(outboxes)
-        batch_network = HybridNetwork(graph, ModelConfig(rng_seed=1, global_plane="vectorized"))
+        dict_inbox, dict_rounds = dict_network.run_global_exchange(
+            MessageBatch.from_outboxes(outboxes)
+        )
+        batch_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
         batch_inbox, batch_rounds = batch_network.run_global_exchange(build_batch(pairs))
         assert dict_rounds == batch_rounds
         assert metrics_snapshot(dict_network) == metrics_snapshot(batch_network)
-        assert {
-            target: messages for target, messages in batch_inbox.to_inboxes().items()
-        } == dict_inboxes
+        assert batch_inbox.to_inboxes() == dict_inbox.to_inboxes()
 
     @common_settings
     @given(message_lists)
@@ -327,9 +320,7 @@ class TestPlaneIdentity:
             counts[sender] = counts.get(sender, 0) + 1
         snapshots = {}
         for plane in ("scalar", "vectorized"):
-            network = HybridNetwork(
-                graph, ModelConfig(rng_seed=1, global_plane=plane, strict_send=False)
-            )
+            network = PLANES[plane](graph, ModelConfig(rng_seed=1, strict_send=False))
             network.add_cut_watcher("half", range(10))
             network.global_round(build_batch(pairs))
             snapshots[plane] = metrics_snapshot(network)
@@ -337,11 +328,11 @@ class TestPlaneIdentity:
 
 
 def run_on_both_planes(build_graph, protocol):
-    """Run a protocol under each plane and return the two metric snapshots."""
+    """Run a protocol on the oracle and the engine; return both metric snapshots."""
     snapshots = {}
     outputs = {}
     for plane in ("scalar", "vectorized"):
-        network = HybridNetwork(build_graph(), ModelConfig(rng_seed=5, global_plane=plane))
+        network = PLANES[plane](build_graph(), ModelConfig(rng_seed=5))
         outputs[plane] = protocol(network)
         snapshots[plane] = metrics_snapshot(network)
     return snapshots, outputs
@@ -349,7 +340,7 @@ def run_on_both_planes(build_graph, protocol):
 
 class TestProtocolPlaneIdentity:
     """End-to-end workloads (E1 routing, E8 clique, E12 dissemination /
-    aggregation) leave identical metrics on both planes."""
+    aggregation) leave identical metrics on the oracle and the engine."""
 
     def test_aggregation_workload(self):
         values = {node: float((node * 13) % 11) for node in range(0, 33, 2)}

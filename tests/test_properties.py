@@ -10,7 +10,7 @@ from repro.core.helper_sets import helper_parameter
 from repro.core.skeleton import framework_exponent, framework_sampling_probability
 from repro.core.token_routing import make_tokens
 from repro.graphs import generators
-from repro.hybrid import HybridNetwork, ModelConfig
+from repro.hybrid import HybridNetwork, MessageBatch, ModelConfig
 from repro.util.hashing import KWiseHashFamily
 from repro.util.rand import RandomSource, split_evenly
 
@@ -174,8 +174,8 @@ def test_global_exchange_delivers_everything_within_caps(pairs):
     outboxes = {}
     for index, (sender, target) in enumerate(pairs):
         outboxes.setdefault(sender, []).append((target, index))
-    inboxes, rounds = network.run_global_exchange(outboxes)
-    delivered = sorted(payload for messages in inboxes.values() for _, payload in messages)
+    inbox, rounds = network.run_global_exchange(MessageBatch.from_outboxes(outboxes))
+    delivered = sorted(inbox.payloads)
     assert delivered == sorted(range(len(pairs)))
     assert network.metrics.max_sent_per_round <= network.send_cap
     assert network.metrics.max_received_per_round <= network.receive_cap
