@@ -12,9 +12,11 @@ This module stores the graph once as frozen CSR numpy arrays and provides
 
 * :func:`bfs_level_matrix` -- hop levels from many sources, via the C
   implementation of :func:`scipy.sparse.csgraph.dijkstra` (unweighted);
-* :func:`hop_limited_matrix` -- ``hop_limit`` rounds of synchronous
-  Bellman-Ford, i.e. the paper's *literal* ``d_h`` (Section 1.3), as numpy
-  scatter-min rounds (BFS levels when every weight is 1); and
+* :func:`hop_limited_matrix` -- the paper's *literal* ``d_h`` (Section 1.3):
+  one bounded :func:`scipy.sparse.csgraph.dijkstra` call per chunk plus a
+  per-row hop certificate, with numpy synchronous Bellman-Ford rounds
+  (:func:`_relax_rounds`) only on the rows the certificate cannot settle
+  (BFS levels when every weight is 1); and
 * :func:`distance_matrix` -- exact weighted distances via
   :func:`scipy.sparse.csgraph.dijkstra`.
 
@@ -22,9 +24,11 @@ All kernels are exact and deterministic: edge weights are positive integers,
 so every distance is an exact float64 sum along a single path and equals the
 single-source pure-Python traversals of
 :class:`~repro.graphs.graph.WeightedGraph` bit for bit (the kernel tests pin
-this).  :class:`~repro.graphs.graph.WeightedGraph` freezes a
-:class:`CSRAdjacency` on first batched traversal and invalidates it on
-``add_edge`` / ``remove_edge``.
+this).  The same exactness is why a certified Dijkstra row and a relaxation
+row are interchangeable: both hold the same sums.
+:class:`~repro.graphs.graph.WeightedGraph` freezes a :class:`CSRAdjacency` on
+first batched traversal and invalidates it on ``add_edge`` /
+``remove_edge``.
 """
 
 from __future__ import annotations
@@ -56,7 +60,16 @@ class CSRAdjacency:
     in-adjacency, which is what the relaxation kernels rely on.
     """
 
-    __slots__ = ("n", "indptr", "indices", "weights", "unit_weights", "sparse_view")
+    __slots__ = (
+        "n",
+        "indptr",
+        "indices",
+        "weights",
+        "unit_weights",
+        "min_weight",
+        "sparse_view",
+        "component_sizes",
+    )
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray):
         self.n = n
@@ -66,9 +79,15 @@ class CSRAdjacency:
         # Lazily built scipy.sparse.csr_matrix over these same arrays (see
         # _scipy_view); the adjacency is frozen, so the view never goes stale.
         self.sparse_view = None
+        # Lazily computed size of each node's connected component (see
+        # _component_sizes); frozen with the topology like the scipy view.
+        self.component_sizes = None
         # With unit weights d_h degenerates to BFS levels, which the weighted
         # kernels exploit as a fast path.
         self.unit_weights = bool((weights == 1.0).all()) if weights.size else True
+        # The hop certificate of hop_limited_matrix: a path of weight d has at
+        # most d / min_weight edges (1.0 for an edgeless graph).
+        self.min_weight = float(weights.min()) if weights.size else 1.0
 
     @property
     def directed_edge_count(self) -> int:
@@ -106,7 +125,8 @@ def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjac
     Python-loop re-freeze of :func:`build_csr`.  The result is bit-identical
     to re-freezing the mutated adjacency: per-row neighbour order is
     unchanged, so the new weight lands in exactly the slot a rebuild would
-    put it in (``unit_weights`` is re-derived from the patched array).
+    put it in (``unit_weights`` and ``min_weight`` are re-derived from the
+    patched array).
     """
     weights = csr.weights.copy()
     for a, b in ((u, v), (v, u)):
@@ -130,6 +150,16 @@ def _scipy_view(csr: CSRAdjacency):
         view = sparse.csr_matrix((csr.weights, csr.indices, csr.indptr), shape=(csr.n, csr.n))
         csr.sparse_view = view
     return view
+
+
+def _component_sizes(csr: CSRAdjacency) -> np.ndarray:
+    """``sizes[v]``: the number of nodes in ``v``'s connected component (cached)."""
+    sizes = csr.component_sizes
+    if sizes is None:
+        _, labels = csgraph.connected_components(_scipy_view(csr), directed=False)
+        sizes = np.bincount(labels)[labels]
+        csr.component_sizes = sizes
+    return sizes
 
 
 def _gather_edges(csr: CSRAdjacency, cols: np.ndarray):
@@ -178,6 +208,9 @@ def _relax_rounds(csr: CSRAdjacency, sources: Sequence[int], max_rounds: int) ->
     relaxed again (their earlier relaxations already reached every
     neighbour), which keeps each round's work proportional to the active
     frontier.
+
+    This is the literal definition of ``d_h``; :func:`hop_limited_matrix`
+    runs it only on the rows its hop certificate cannot settle.
     """
     n = csr.n
     src = np.asarray(list(sources), dtype=np.int64)
@@ -222,10 +255,32 @@ def _levels_as_distances(levels: np.ndarray) -> np.ndarray:
 
 
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
-    """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball)."""
+    """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball).
+
+    Unit weights reduce ``d_h`` to BFS levels.  Otherwise one Dijkstra call
+    computes, per source, the exact distances ``d`` up to the bound
+    ``hop_limit * min_weight``.  A shortest path is simple and each of its
+    ``k`` edges weighs at least ``min_weight``, so ``d <= bound`` implies
+    ``k <= hop_limit`` and hence ``d_h = d``.  A row whose bounded search
+    reached the source's whole component therefore has no finite ``d`` above
+    the bound and *is* its ``d_h`` row (certified); unreached nodes of other
+    components are ``inf`` in both.  The remaining rows are recomputed by
+    :func:`_relax_rounds`.  Weights are integers, so both paths produce the
+    same exact float64 sums and the result is bit-identical to running the
+    rounds on every row.
+    """
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, hop_limit))
-    return _relax_rounds(csr, sources, hop_limit)
+    src = np.asarray(list(sources), dtype=np.int64)
+    if src.size == 0:
+        return np.empty((0, csr.n), dtype=np.float64)
+    bound = hop_limit * csr.min_weight
+    dist = csgraph.dijkstra(_scipy_view(csr), indices=src, limit=bound)
+    reached = np.count_nonzero(np.isfinite(dist), axis=1)
+    uncertified = np.flatnonzero(reached != _component_sizes(csr)[src])
+    if uncertified.size:
+        dist[uncertified] = _relax_rounds(csr, src[uncertified], hop_limit)
+    return dist
 
 
 def distance_matrix(csr: CSRAdjacency, sources: Sequence[int]) -> np.ndarray:

@@ -176,8 +176,7 @@ class WeightedGraph:
         self._check_node(v)
         if u == v:
             raise ValueError("self loops are not allowed")
-        if weight <= 0:
-            raise ValueError("edge weights must be positive")
+        self._check_weight(weight)
         if v in self._adjacency[u]:
             self.update_weight(u, v, weight)
             return
@@ -204,8 +203,7 @@ class WeightedGraph:
         current = self._adjacency[u].get(v)
         if current is None:
             raise KeyError(f"edge {{{u}, {v}}} does not exist")
-        if weight <= 0:
-            raise ValueError("edge weights must be positive")
+        self._check_weight(weight)
         if weight == current:
             return
         self._adjacency[u][v] = weight
@@ -278,6 +276,15 @@ class WeightedGraph:
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self._n:
             raise ValueError(f"node {u} outside [0, {self._n})")
+
+    @staticmethod
+    def _check_weight(weight: int) -> None:
+        # Integer weights keep every distance an exact float64 sum, which the
+        # batched kernels' bit-identity relies on (DESIGN.md §4).
+        if isinstance(weight, bool) or not isinstance(weight, (int, np.integer)):
+            raise ValueError(f"edge weights must be integers, got {weight!r}")
+        if weight <= 0:
+            raise ValueError("edge weights must be positive")
 
     @staticmethod
     def _check_max_hops(max_hops: int | None) -> None:

@@ -8,9 +8,10 @@ The helpers here compute those outcomes directly from the graph and charge the
 
 All helpers are *batched*: one call computes the outcome for every node at
 once through the multi-source kernels of
-:class:`~repro.graphs.graph.WeightedGraph`, which under the CSR backend
-advance all sources together one synchronous round at a time (exactly the
-structure of the flooding loops being simulated).
+:class:`~repro.graphs.graph.WeightedGraph` over its frozen CSR view
+(:mod:`repro.graphs.csr`).  The kernels compute the flooding loops'
+outcome, not their message traffic; the charged rounds are what the
+theorems count.
 """
 
 from __future__ import annotations
@@ -46,9 +47,12 @@ def explore_limited_distances(
     distances, which is what Compute-Skeleton (Algorithm 6) and the local
     exploration steps of Algorithms 5 and 9 do.
 
-    The returned values are the paper's *literal* ``d_h``: ``depth``
-    synchronous Bellman-Ford rounds per source, batched over all sources.
-    Earlier revisions defaulted to a pruned-Dijkstra approximation
+    The returned values are the paper's *literal* ``d_h``, batched over all
+    sources: a source whose exact distances all stay within ``depth`` times
+    the minimum edge weight has ``d_h = d`` and is answered by Dijkstra, and
+    every other source runs ``depth`` synchronous Bellman-Ford rounds
+    (:func:`repro.graphs.csr.hop_limited_matrix`; the values are identical
+    either way).  Earlier revisions defaulted to a pruned-Dijkstra approximation
     (``exact=False``) because the literal computation was too slow one Python
     traversal at a time; the batched kernels made the faithful quantity the
     fast path, so the approximation was removed.  ``exact`` remains accepted

@@ -272,7 +272,7 @@ class HybridSession:
             "kernels": {
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
-                "hop_limited_matrix": "numpy",
+                "hop_limited_matrix": "scipy",
             },
         }
 

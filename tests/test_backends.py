@@ -8,6 +8,9 @@ traversal it batches (``bfs_hops``, ``hop_limited_distances``, ``dijkstra``,
 ``hop_eccentricity``; DESIGN.md §4).  The properties run over random graph
 families: connected and disconnected, n = 1, unit and heavy weights, empty
 and duplicate source lists, and source lists split into many chunks.
+The weighted ``d_h`` kernel answers most rows from one bounded Dijkstra call
+and a hop certificate and falls back to Bellman-Ford rounds on the rest;
+both paths are pinned against the rounds and the single-source reference.
 End to end, the engine must record the same RoundMetrics as the per-message
 scalar oracle of ``tests/scalar_plane.py``.
 """
@@ -16,7 +19,7 @@ import importlib
 
 import numpy
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scalar_plane import ScalarPlaneNetwork
 
@@ -25,6 +28,7 @@ from repro.core.sssp import sssp_exact
 from repro.graphs import csr as csr_kernels
 from repro.graphs import generators
 from repro.graphs.graph import INFINITY, WeightedGraph
+from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.hashing import hash_family_for_network
 from repro.util.rand import RandomSource
@@ -168,6 +172,135 @@ class TestTraversalEquivalence:
         assert cycle.bfs_hops_many([]) == []
         assert cycle.distance_matrix([]).shape == (0, 5)
         assert cycle.hop_limited_distance_matrix([], 2).shape == (0, 5)
+
+
+@st.composite
+def hop_certificate_case(draw):
+    """A graph, a hop regime for the certificate, sources and a chunk budget.
+
+    ``small`` hop limits on weighted paths and heavy weights force the
+    Bellman-Ford fallback, ``large`` ones (at least ``n * max_weight``)
+    certify every row, and ``mixed`` ones land anywhere in between.
+    """
+    n = draw(st.integers(min_value=1, max_value=24))
+    rng = RandomSource(draw(st.integers(min_value=0, max_value=10_000)))
+    family = draw(st.sampled_from(["path", "heavy", "connected", "sparse", "edgeless"]))
+    max_weight = {"path": 9, "heavy": 1000, "connected": 7, "sparse": 7, "edgeless": 1}[family]
+    graph = WeightedGraph(n)
+    if family == "path":
+        # Light and heavy edges mixed, so a run of h + 1 light edges (d just
+        # above the certificate's bound) sits beside heavier ones.
+        weights = st.sampled_from([1, 2, max_weight])
+        for node, weight in enumerate(draw(st.lists(weights, min_size=n - 1, max_size=n - 1))):
+            graph.add_edge(node, node + 1, weight)
+    elif family in ("heavy", "connected") and n > 1:
+        graph = generators.random_connected_graph(n, 3.0, rng, max_weight=max_weight)
+    elif family == "sparse":
+        # Usually disconnected, sometimes edgeless.
+        for _ in range(draw(st.integers(min_value=0, max_value=n))):
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                graph.add_edge(u, v, 1 + rng.randrange(max_weight))
+    regime = draw(st.sampled_from(["small", "large", "mixed"]))
+    if regime == "small":
+        hop_limit = draw(st.integers(min_value=0, max_value=3))
+    elif regime == "large":
+        hop_limit = n * max_weight
+    else:
+        hop_limit = draw(st.integers(min_value=0, max_value=n))
+    sources = draw(
+        st.one_of(
+            st.just(list(range(n))),
+            st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n + 3),
+        )
+    )
+    byte_budget = draw(st.sampled_from([None, 1, 8 * 4 * 3 * n]))
+    return graph, hop_limit, sources, byte_budget
+
+
+def weighted_path(weights, n=None, extra=()):
+    """Path ``0 - 1 - ...`` with the given edge weights, plus ``extra`` edges."""
+    graph = WeightedGraph(n or len(weights) + 1)
+    for node, weight in enumerate(weights):
+        graph.add_edge(node, node + 1, weight)
+    for u, v, weight in extra:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
+def hop_limited_reference(graph, sources, hop_limit):
+    """The single-source ``hop_limited_distances`` maps as a dense matrix."""
+    expected = numpy.full((len(sources), graph.node_count), numpy.inf)
+    for row, source in enumerate(sources):
+        for node, value in graph.hop_limited_distances(source, hop_limit).items():
+            expected[row, node] = value
+    return expected
+
+
+class TestHopCertificate:
+    """``hop_limited_matrix``: certified Dijkstra rows plus the rounds fallback."""
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(hop_certificate_case())
+    # Tight bounds: from node 1, node 3 is at d = 2 = h * min_weight + 1 over
+    # two light edges, and a unit-weight component next to a heavy one.
+    @example((weighted_path((2, 1, 1)), 1, [0, 1, 2, 3], None))
+    @example((weighted_path((1, 1), n=5, extra=[(3, 4, 2)]), 1, [1, 0, 3], 1))
+    def test_matches_rounds_and_single_source(self, case):
+        graph, hop_limit, sources, byte_budget = case
+        csr = graph.csr()
+        chunks = csr_kernels.chunked_sources(graph.node_count, sources, byte_budget=byte_budget)
+        kernel = numpy.concatenate(
+            [csr_kernels.hop_limited_matrix(csr, chunk, hop_limit) for chunk in chunks], axis=0
+        )
+        assert kernel.shape == (len(sources), graph.node_count)
+        assert numpy.array_equal(kernel, csr_kernels._relax_rounds(csr, sources, hop_limit))
+        assert numpy.array_equal(kernel, hop_limited_reference(graph, sources, hop_limit))
+
+    @staticmethod
+    def _count_fallback_rows(monkeypatch):
+        """Record the sources of every ``_relax_rounds`` call the kernel makes."""
+        calls: list[list[int]] = []
+        rounds = csr_kernels._relax_rounds
+
+        def counting(csr, sources, max_rounds):
+            calls.append([int(source) for source in sources])
+            return rounds(csr, sources, max_rounds)
+
+        monkeypatch.setattr(csr_kernels, "_relax_rounds", counting)
+        return calls
+
+    def test_mixed_chunk_falls_back_only_on_uncertified_rows(self, monkeypatch):
+        # Path 0 -2- 1 -2- 2 plus isolated node 3, h = 1, bound 1 * 2: rows 1
+        # and 3 reach their whole component within the bound, rows 0 and 2
+        # have d = 4 to the far end and need the rounds.
+        graph = WeightedGraph(4)
+        graph.add_edge(0, 1, 2)
+        graph.add_edge(1, 2, 2)
+        calls = self._count_fallback_rows(monkeypatch)
+        kernel = graph.hop_limited_distance_matrix(range(4), 1)
+        assert calls == [[0, 2]]
+        assert numpy.array_equal(kernel, hop_limited_reference(graph, range(4), 1))
+
+    def test_fast_path_engages_on_the_cold_start_instance(self, monkeypatch):
+        # The skeleton exploration's depth is far above the hop diameter, so
+        # no row may reach the rounds -- and the answer must not move.
+        n = 1024
+        graph = generators.connected_workload(n, RandomSource(1), weighted=True, max_weight=8)
+        hop_limit = skeleton_hop_length(n, n**0.5, xi=0.75)
+        exact = graph.distance_matrix()
+        assert exact[numpy.isfinite(exact)].max() <= hop_limit * graph.csr().min_weight
+        calls = self._count_fallback_rows(monkeypatch)
+        kernel = graph.hop_limited_distance_matrix(range(n), hop_limit)
+        assert calls == []
+        monkeypatch.undo()
+        assert numpy.array_equal(kernel, exact)
+        rounds = csr_kernels._relax_rounds(graph.csr(), range(n), hop_limit)
+        assert numpy.array_equal(kernel, rounds)
+        # A hop limit below the hop diameter does reach the fallback.
+        calls = self._count_fallback_rows(monkeypatch)
+        graph.hop_limited_distance_matrix(range(8), 2)
+        assert calls and calls[0]
 
 
 class TestChunking:

@@ -36,7 +36,7 @@ class TestPlaneSelection:
             "kernels": {
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
-                "hop_limited_matrix": "numpy",
+                "hop_limited_matrix": "scipy",
             },
         }
 

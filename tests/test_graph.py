@@ -1,6 +1,7 @@
 """Unit tests for the weighted graph kernel (repro.graphs.graph)."""
 
 
+import numpy
 import pytest
 
 from repro.graphs import generators
@@ -47,6 +48,31 @@ class TestBasicStructure:
         graph = WeightedGraph(3)
         with pytest.raises(ValueError):
             graph.add_edge(0, 3, 1)
+
+    @pytest.mark.parametrize("weight", [1.5, 2.0, numpy.float64(3.0), True, "2", None])
+    def test_non_integer_weight_rejected(self, weight):
+        # Integer weights keep every distance an exact float64 sum; a float
+        # or bool weight must fail loudly and leave the graph untouched.
+        graph = build_triangle()
+        version = graph.version
+        with pytest.raises(ValueError, match="integers"):
+            graph.add_edge(1, 0, weight)
+        with pytest.raises(ValueError, match="integers"):
+            WeightedGraph(2).add_edge(0, 1, weight)
+        with pytest.raises(ValueError, match="integers"):
+            graph.update_weight(1, 2, weight)
+        assert graph.version == version
+        assert graph.weight(0, 1) == 2
+        assert graph.weight(1, 2) == 3
+
+    def test_numpy_integer_weight_accepted(self):
+        graph = WeightedGraph(3)
+        graph.add_edge(0, 1, numpy.int64(4))
+        graph.add_edge(1, 2, numpy.int32(2))
+        graph.update_weight(0, 1, numpy.int16(5))
+        assert graph.dijkstra(0) == {0: 0.0, 1: 5.0, 2: 7.0}
+        with pytest.raises(ValueError, match="positive"):
+            graph.update_weight(0, 1, numpy.int64(0))
 
     def test_remove_edge(self):
         graph = build_triangle()
