@@ -27,9 +27,7 @@ def test_clique_round_simulation_cost(benchmark, sampling_exponent):
 
     def run():
         network = bench_network(graph, seed=int(sampling_exponent * 100))
-        skeleton = compute_skeleton(
-            network, probability, ensure_connected=True, keep_local_knowledge=False
-        )
+        skeleton = compute_skeleton(network, probability, ensure_connected=True)
         transport = HybridCliqueTransport(network, skeleton)
         before = network.metrics.total_rounds
         for _ in range(3):

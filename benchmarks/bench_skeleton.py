@@ -21,7 +21,7 @@ def test_skeleton_properties(benchmark, sampling_probability):
 
     def run():
         network = bench_network(graph, seed=int(sampling_probability * 100))
-        skeleton = compute_skeleton(network, sampling_probability, keep_local_knowledge=False)
+        skeleton = compute_skeleton(network, sampling_probability)
         report = audit_skeleton(
             graph, skeleton.nodes, skeleton.hop_length, RandomSource(5), pair_samples=40
         )

@@ -19,11 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.apsp import (
-    _combine_distances,
-    _distances_to_skeleton,
-    _near_skeleton_matrix,
-)
+from repro.core.apsp import _combine_distances, _distances_to_skeleton
 from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.token_dissemination import disseminate_tokens
@@ -65,34 +61,33 @@ def apsp_broadcast_baseline(
             network,
             probability,
             phase=phase + ":skeleton",
-            keep_local_knowledge=True,
         )
     skeleton = context.skeleton
-    if skeleton.knowledge_matrix is None:
-        raise ValueError("the baseline needs a context prepared with keep_local_knowledge")
     n_s = skeleton.size
 
     # Publish the skeleton edges (as in the new algorithm).
     skeleton_distances = context.published_skeleton_distances(phase + ":publish-skeleton")
 
     # The baseline's bottleneck: broadcast every d_h(v, s) label to everyone.
+    near_matrix = skeleton.near_distances
     label_tokens: dict[int, list[tuple[int, int, float]]] = {}
     for v in range(n):
-        labels = [
-            (v, skeleton_node, distance)
-            for skeleton_node, distance in skeleton.local_distances[v].items()
-        ]
-        if labels:
-            label_tokens[v] = labels
+        reached = np.flatnonzero(np.isfinite(near_matrix[v]))
+        if reached.size:
+            label_tokens[v] = [
+                (v, skeleton.nodes[index], distance)
+                for index, distance in zip(
+                    reached.tolist(), near_matrix[v, reached].tolist(), strict=True
+                )
+            ]
     dissemination = disseminate_tokens(network, label_tokens, phase=phase + ":label-broadcast")
 
     # With global knowledge of the labels and of E_S every node computes all
     # distances locally; the computation is the same combination as in the new
     # algorithm, so we reuse its numpy helpers.
-    near_matrix = _near_skeleton_matrix(network, skeleton)
     dist_to_skeleton, _ = _distances_to_skeleton(near_matrix, skeleton_distances)
     skeleton_to_all = dist_to_skeleton.T.copy()
-    matrix = _combine_distances(network, skeleton, near_matrix, skeleton_to_all)
+    matrix = _combine_distances(skeleton, skeleton_to_all)
 
     rounds = network.metrics.total_rounds - rounds_before
     return BaselineAPSPResult(

@@ -92,11 +92,8 @@ def apsp_exact(
             network,
             probability,
             phase=phase + ":skeleton",
-            keep_local_knowledge=True,
         )
     skeleton = context.skeleton
-    if skeleton.knowledge_matrix is None:
-        raise ValueError("apsp_exact needs a context prepared with keep_local_knowledge")
     n_s = skeleton.size
 
     # Step 2: make E_S public knowledge and solve APSP on the skeleton locally
@@ -104,7 +101,7 @@ def apsp_exact(
     skeleton_distances = context.published_skeleton_distances(phase + ":publish-skeleton")
 
     # Step 3: every node computes d(v, s) and the connector for every skeleton s.
-    near_matrix = _near_skeleton_matrix(network, skeleton)
+    near_matrix = skeleton.near_distances
     dist_to_skeleton, connector = _distances_to_skeleton(near_matrix, skeleton_distances)
 
     # Step 4: token routing of the connector labels (the Theorem 1.1 step).
@@ -142,7 +139,7 @@ def apsp_exact(
     network.charge_local_rounds(skeleton.hop_length, phase + ":label-spread")
 
     # Step 6: final combination at every node.
-    matrix = _combine_distances(network, skeleton, near_matrix, skeleton_to_all)
+    matrix = _combine_distances(skeleton, skeleton_to_all)
 
     rounds = network.metrics.total_rounds - rounds_before
     return APSPResult(
@@ -152,19 +149,6 @@ def apsp_exact(
         hop_length=skeleton.hop_length,
         routing_tokens=len(tokens),
     )
-
-
-def _near_skeleton_matrix(network: HybridNetwork, skeleton: Skeleton) -> np.ndarray:
-    """Matrix ``A[v, i] = d_h(v, skeleton node i)`` (inf when outside the ball)."""
-    n = network.n
-    n_s = skeleton.size
-    if skeleton.knowledge_matrix is not None and n_s:
-        return skeleton.knowledge_matrix[:, np.asarray(skeleton.nodes, dtype=np.int64)].copy()
-    matrix = np.full((n, n_s), np.inf)
-    for v in range(n):
-        for original, distance in skeleton.local_distances[v].items():
-            matrix[v, skeleton.index_of[original]] = distance
-    return matrix
 
 
 def _distances_to_skeleton(
@@ -182,29 +166,17 @@ def _distances_to_skeleton(
     return best, connector
 
 
-def _combine_distances(
-    network: HybridNetwork,
-    skeleton: Skeleton,
-    near_matrix: np.ndarray,
-    skeleton_to_all: np.ndarray,
-) -> np.ndarray:
+def _combine_distances(skeleton: Skeleton, skeleton_to_all: np.ndarray) -> np.ndarray:
     """Final per-node combination (step 6): local distances vs routes via the skeleton."""
-    n = network.n
+    n = skeleton.knowledge_matrix.shape[0]
     matrix = np.full((n, n), np.inf)
     np.fill_diagonal(matrix, 0.0)
-    if skeleton.knowledge_matrix is not None:
-        np.minimum(matrix, skeleton.knowledge_matrix, out=matrix)
-    else:
-        local_knowledge = skeleton.local_knowledge or []
-        for u in range(n):
-            for v, distance in local_knowledge[u].items():
-                if distance < matrix[u, v]:
-                    matrix[u, v] = distance
+    np.minimum(matrix, skeleton.knowledge_matrix, out=matrix)
     n_s = skeleton.size
     candidate = np.empty((n, n))
     for s_index in range(n_s):
         np.add(
-            near_matrix[:, s_index : s_index + 1],
+            skeleton.near_distances[:, s_index : s_index + 1],
             skeleton_to_all[s_index : s_index + 1, :],
             out=candidate,
         )

@@ -28,12 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.clique_simulation import HybridCliqueTransport
-from repro.core.skeleton import (
-    Skeleton,
-    compute_skeleton,
-    local_distance_maps,
-    skeleton_graph_from_limited,
-)
+from repro.core.skeleton import Skeleton, compute_skeleton, skeleton_from_exploration
 from repro.core.token_routing import TokenRouter
 from repro.graphs.graph import GraphDelta, WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
@@ -45,7 +40,7 @@ from repro.localnet.token_dissemination import disseminate_tokens
 #: :meth:`SkeletonContext.repair` refuses and the owner rebuilds cold: past
 #: this point the incremental path re-does most of the cold exploration's
 #: work anyway, so the simpler full rebuild is preferred (DESIGN.md §12).
-DEFAULT_DAMAGE_THRESHOLD = 0.5
+DAMAGE_THRESHOLD = 0.5
 
 
 def _estimated_damage(limited: np.ndarray, deltas: Sequence[GraphDelta]) -> np.ndarray:
@@ -111,8 +106,8 @@ class SkeletonContext:
     network:
         The network the context was prepared on.
     skeleton:
-        The constructed skeleton (with ``knowledge_matrix`` kept whenever the
-        context is meant to serve more than one query kind).
+        The constructed skeleton; its ``knowledge_matrix`` is what
+        :meth:`extended` and :meth:`repair` derive new skeletons from.
     graph_version:
         :attr:`WeightedGraph.version` at construction time; a context whose
         version no longer matches the graph is stale (see :meth:`is_current`).
@@ -240,27 +235,22 @@ class SkeletonContext:
         return self._apsp_router
 
     # ----------------------------------------------------------------- repair
-    def repair(
-        self,
-        deltas: Sequence[GraphDelta],
-        *,
-        damage_threshold: float = DEFAULT_DAMAGE_THRESHOLD,
-    ) -> "SkeletonContext" | None:
+    def repair(self, deltas: Sequence[GraphDelta]) -> "SkeletonContext" | None:
         """Patch this context to the current graph, or None for a cold rebuild.
 
         Given the contiguous :class:`~repro.graphs.graph.GraphDelta` batch
         that carried the graph from this context's ``graph_version`` to the
         current one, re-runs the depth-``h`` exploration *only from the
-        damaged sources* (rows of the kept ``knowledge_matrix`` that could
-        see a mutated endpoint in the old or new topology), patches the
-        matrix in a copy, rebuilds the skeleton graph and local distance
-        maps from it, and -- when the skeleton edge publication had been
-        materialised -- re-disseminates only the changed/retracted skeleton
-        edges through the token-dissemination machinery.  On weight-only
-        delta batches the CLIQUE transport and the APSP router survive:
-        helper sets, the routing hash and the padding plan are functions of
-        the hop topology, the skeleton membership and the RNG labels alone,
-        so they are exactly what a cold rebuild would reconstruct.
+        damaged sources* (rows of the skeleton's ``knowledge_matrix`` that
+        could see a mutated endpoint in the old or new topology), patches the
+        matrix in a copy, rebuilds the skeleton from it, and -- when the
+        skeleton edge publication had been materialised -- re-disseminates
+        only the changed/retracted skeleton edges through the
+        token-dissemination machinery.  On weight-only delta batches the
+        CLIQUE transport and the APSP router survive: helper sets, the
+        routing hash and the padding plan are functions of the hop topology,
+        the skeleton membership and the RNG labels alone, so they are exactly
+        what a cold rebuild would reconstruct.
 
         Determinism contract (DESIGN.md §12): skeleton sampling is a pure
         function of the seed and the phase label, so a cold rebuild after
@@ -273,14 +263,13 @@ class SkeletonContext:
         ``<label>:repair:*`` phases and accumulated in ``repair_rounds``.
 
         Returns None -- leaving ``self`` untouched -- when repair is not
-        worthwhile or not possible: the exploration outcome was not kept, a
-        delta endpoint is a skeleton member, the cold build had doubled the
-        exploration depth for connectivity, the estimated damage
-        (:func:`_estimated_damage`, the fraction of rows whose published
-        distances plausibly move) exceeds ``damage_threshold``, the delta
-        log did not cover the version gap (empty batch), or the patched
-        skeleton comes out disconnected (detected after the repair flood;
-        those rounds are honestly kept).
+        worthwhile or not possible: a delta endpoint is a skeleton member,
+        the cold build had doubled the exploration depth for connectivity,
+        the estimated damage (:func:`_estimated_damage`, the fraction of rows
+        whose published distances plausibly move) exceeds the fixed
+        :data:`DAMAGE_THRESHOLD`, the delta log did not cover the version
+        gap (empty batch), or the patched skeleton comes out disconnected
+        (detected after the repair flood; those rounds are honestly kept).
         """
         network = self.network
         if self.is_current():
@@ -289,8 +278,6 @@ class SkeletonContext:
             return None
         base = self.skeleton
         limited = base.knowledge_matrix
-        if limited is None:
-            return None
         if any(delta.u in base.index_of or delta.v in base.index_of for delta in deltas):
             return None
         expected_hop_length = skeleton_hop_length(
@@ -302,7 +289,7 @@ class SkeletonContext:
             # The cold build doubled h until the skeleton connected; replaying
             # that search incrementally is not worth the complexity.
             return None
-        if int(_estimated_damage(limited, deltas).sum()) > damage_threshold * network.n:
+        if int(_estimated_damage(limited, deltas).sum()) > DAMAGE_THRESHOLD * network.n:
             return None
         # The rows actually recomputed are the sound superset: anything that
         # could reach a mutated endpoint within h hops, old or new topology.
@@ -321,20 +308,16 @@ class SkeletonContext:
         patched = np.array(limited, copy=True)
         if sources:
             patched[sources] = local.hop_limited_distance_matrix(sources, base.hop_length)
-        new_graph = skeleton_graph_from_limited(patched, base.nodes)
-        if len(base.nodes) > 1 and not new_graph.is_connected():
+        skeleton = skeleton_from_exploration(
+            patched,
+            base.nodes,
+            base.hop_length,
+            base.sampling_probability,
+            base.rounds_charged,
+        )
+        if skeleton.size > 1 and not skeleton.graph.is_connected():
             return None
         weight_only = all(not delta.topological for delta in deltas)
-        skeleton = Skeleton(
-            nodes=list(base.nodes),
-            index_of=dict(base.index_of),
-            graph=new_graph,
-            hop_length=base.hop_length,
-            sampling_probability=base.sampling_probability,
-            local_distances=local_distance_maps(patched, base.nodes),
-            rounds_charged=base.rounds_charged,
-            knowledge_matrix=patched,
-        )
         repaired = SkeletonContext(
             network=network,
             skeleton=skeleton,
@@ -349,7 +332,7 @@ class SkeletonContext:
             label=self.label,
         )
         if self._skeleton_distances is not None:
-            changed = _changed_skeleton_edges(base.graph, new_graph)
+            changed = _changed_skeleton_edges(base.graph, skeleton.graph)
             if changed:
                 edge_tokens: dict[int, list[tuple[int, int, int | None]]] = {}
                 for u, v, weight in changed:
@@ -358,7 +341,7 @@ class SkeletonContext:
                         (skeleton.original_id(u), skeleton.original_id(v), weight)
                     )
                 disseminate_tokens(network, edge_tokens, phase=self.label + ":repair:publish")
-            repaired._skeleton_distances = new_graph.distance_matrix()
+            repaired._skeleton_distances = skeleton.graph.distance_matrix()
         if weight_only:
             repaired._transport = self._transport
             repaired._apsp_router = self._apsp_router
@@ -377,16 +360,15 @@ class SkeletonContext:
         """A derived context whose skeleton additionally contains ``members``.
 
         Algorithm 6 adds a query's source to the skeleton deterministically
-        (Lemma 4.5).  When the base context kept the full exploration outcome
-        (``knowledge_matrix``), the enlarged skeleton's edges and per-node
-        distance maps are already known at every node -- the depth-``h``
-        exploration delivered ``d_h(v, u)`` for *all* ``u``, sampled or not --
-        so the derived skeleton costs no additional rounds; only its identity
-        still has to be announced, which the query's own phases cover.
+        (Lemma 4.5).  The base exploration outcome (``knowledge_matrix``)
+        already holds the enlarged skeleton's edges and per-node distances --
+        the depth-``h`` exploration delivered ``d_h(v, u)`` for *all* ``u``,
+        sampled or not -- so the derived skeleton costs no additional rounds;
+        only its identity still has to be announced, which the query's own
+        phases cover.
 
-        Returns None when the extension is not usable: the exploration was
-        not kept, or the enlarged skeleton is disconnected at the base hop
-        length (the caller then prepares a fresh context with the member
+        Returns None when the enlarged skeleton is disconnected at the base
+        hop length (the caller then prepares a fresh context with the member
         forced in, exactly like a cold run).  Derived contexts are cached per
         member set and share the base exploration matrix.
 
@@ -407,31 +389,20 @@ class SkeletonContext:
         extra = frozenset(members) - frozenset(self.skeleton.nodes)
         if not extra:
             return self
-        if self.skeleton.knowledge_matrix is None:
-            return None
         cached = self._extensions.get(extra)
         if cached is not None:
             return cached
 
         base = self.skeleton
-        limited = base.knowledge_matrix
-        nodes = sorted(set(base.nodes) | extra)
-        index_of = {node: index for index, node in enumerate(nodes)}
-        skeleton_graph = skeleton_graph_from_limited(limited, nodes)
-        if len(nodes) > 1 and not skeleton_graph.is_connected():
-            return None
-
-        local_distances = local_distance_maps(limited, nodes)
-        skeleton = Skeleton(
-            nodes=nodes,
-            index_of=index_of,
-            graph=skeleton_graph,
-            hop_length=base.hop_length,
-            sampling_probability=base.sampling_probability,
-            local_distances=local_distances,
-            rounds_charged=0,
-            knowledge_matrix=limited,
+        skeleton = skeleton_from_exploration(
+            base.knowledge_matrix,
+            sorted(set(base.nodes) | extra),
+            base.hop_length,
+            base.sampling_probability,
+            0,
         )
+        if skeleton.size > 1 and not skeleton.graph.is_connected():
+            return None
         derived = SkeletonContext(
             network=self.network,
             skeleton=skeleton,
@@ -448,8 +419,6 @@ def prepare_skeleton_context(
     sampling_probability: float,
     forced_members: Sequence[int] = (),
     phase: str = "skeleton",
-    ensure_connected: bool = True,
-    keep_local_knowledge: bool = True,
     label: str | None = None,
 ) -> SkeletonContext:
     """Run the shared preprocessing prologue: one skeleton, wrapped for reuse.
@@ -458,7 +427,10 @@ def prepare_skeleton_context(
     given phase (so a cold entry point that prepares its context inline
     forks the same RNG labels and charges the same phases as the
     pre-extraction code did) and records the rounds as the context's
-    preparation cost.
+    preparation cost.  The skeleton is always made connected
+    (``ensure_connected=True``) and keeps its exploration matrix, which
+    every query kind, :meth:`SkeletonContext.extended` and
+    :meth:`SkeletonContext.repair` read.
     """
     rounds_before = network.metrics.total_rounds
     skeleton = compute_skeleton(
@@ -466,8 +438,7 @@ def prepare_skeleton_context(
         sampling_probability,
         forced_members=forced_members,
         phase=phase,
-        ensure_connected=ensure_connected,
-        keep_local_knowledge=keep_local_knowledge,
+        ensure_connected=True,
     )
     return SkeletonContext(
         network=network,

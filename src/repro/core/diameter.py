@@ -96,7 +96,6 @@ def approximate_diameter(
             network,
             probability,
             phase=phase + ":skeleton",
-            keep_local_knowledge=False,
         )
     skeleton = context.skeleton
 

@@ -122,7 +122,6 @@ def shortest_paths_via_clique(
             probability,
             forced_members=sources if single_source else (),
             phase=phase + ":skeleton",
-            keep_local_knowledge=True,
         )
     skeleton = context.skeleton
 
@@ -189,13 +188,7 @@ def _combine_estimates(
     local_limited = network.local_graph.hop_limited_distance_matrix(sources, exploration_depth)
 
     # near[v, i] = d_h(v, skeleton node i), shared by every source.
-    if skeleton.knowledge_matrix is not None and n_s:
-        near = skeleton.knowledge_matrix[:, np.asarray(skeleton.nodes, dtype=np.int64)]
-    else:
-        near = np.full((n, n_s), np.inf)
-        for v in range(n):
-            for skeleton_node, d_to_skeleton in skeleton.local_distances[v].items():
-                near[v, skeleton.index_of[skeleton_node]] = d_to_skeleton
+    near = skeleton.near_distances
 
     for row, source in enumerate(sources):
         rep = representatives.representative[source]

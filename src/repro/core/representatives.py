@@ -79,7 +79,7 @@ def compute_representatives(
             distance[source] = best_distance
         else:
             representative[source] = closest
-            distance[source] = skeleton.local_distances[source][closest]
+            distance[source] = float(skeleton.knowledge_matrix[source, closest])
 
     # Make ⟨d_h(s, r_s), s, r_s⟩ public knowledge (token dissemination, Õ(√k)).
     tokens: dict[int, list[tuple[float, int, int]]] = {}

@@ -24,12 +24,15 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.flooding import explore_limited_distance_matrix
-from repro.util.rand import RandomSource, sample_nodes
+from repro.util.rand import sample_nodes
 
 
 @dataclass
 class Skeleton:
     """A constructed skeleton graph plus the per-node local knowledge about it.
+
+    Built only by :func:`skeleton_from_exploration`, which derives every
+    field from one depth-``h`` exploration matrix.
 
     Attributes
     ----------
@@ -43,21 +46,17 @@ class Skeleton:
         The parameter ``h``: maximum hop length of a skeleton edge.
     sampling_probability:
         The probability each node was sampled with.
-    local_distances:
-        For every original node ``v``: ``{skeleton node s (original ID): d_h(v, s)}``
-        restricted to skeleton nodes within ``h`` hops -- exactly what ``v``
-        learns from the local exploration of Algorithm 6.
-    knowledge_matrix:
-        When requested (``keep_local_knowledge=True``), the full outcome of
-        the depth-``h`` exploration in dense form, ``M[v, u] = d_h(v, u)``
-        (``inf`` outside the ball).  The exact APSP algorithm of Section 3
-        needs this for its final combination step.
     rounds_charged:
         Rounds consumed by the construction.
-
-    The dict view of the exploration outcome (one ``{other: d_h(v, other)}``
-    per node) remains available as :attr:`local_knowledge`, densified lazily
-    from ``knowledge_matrix`` on first access.
+    knowledge_matrix:
+        The outcome of the depth-``h`` exploration of Algorithm 6, the only
+        record of ``d_h``: ``M[v, u] = d_h(v, u)`` (``inf`` outside the
+        ball).  Lemma 4.5, Equation (1) and the final combination step of the
+        exact APSP algorithm of Section 3 all read it.
+    near_distances:
+        The read-only ``n × |V_S|`` slice ``knowledge_matrix[:, nodes]``:
+        ``near_distances[v, i] = d_h(v, nodes[i])``, what every node ``v``
+        knows about the skeleton nodes within ``h`` hops.
     """
 
     nodes: list[int]
@@ -65,25 +64,9 @@ class Skeleton:
     graph: WeightedGraph
     hop_length: int
     sampling_probability: float
-    local_distances: list[dict[int, float]]
     rounds_charged: int
-    knowledge_matrix: np.ndarray | None = None
-    _knowledge_dicts: list[dict[int, float]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def local_knowledge(self) -> list[dict[int, float]] | None:
-        """Dict view of the depth-``h`` exploration (None unless kept)."""
-        if self.knowledge_matrix is None:
-            return None
-        if self._knowledge_dicts is None:
-            dicts: list[dict[int, float]] = []
-            for row in self.knowledge_matrix:
-                reached = np.flatnonzero(np.isfinite(row))
-                dicts.append(dict(zip(reached.tolist(), row[reached].tolist(), strict=True)))
-            self._knowledge_dicts = dicts
-        return self._knowledge_dicts
+    knowledge_matrix: np.ndarray
+    near_distances: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -111,104 +94,37 @@ class Skeleton:
         return edges
 
     def closest_skeleton_node(self, node: int) -> int | None:
-        """The skeleton node minimising ``d_h(node, ·)`` (None if none within ``h`` hops)."""
-        known = self.local_distances[node]
-        if not known:
+        """The skeleton node minimising ``d_h(node, ·)`` (None if none within ``h`` hops).
+
+        Ties go to the smallest node ID: ``nodes`` is sorted and ``argmin``
+        returns the first minimum.
+        """
+        row = self.near_distances[node]
+        index = int(np.argmin(row))
+        if not np.isfinite(row[index]):
             return None
-        return min(known, key=lambda s: (known[s], s))
+        return self.nodes[index]
 
 
-def compute_skeleton(
-    network: HybridNetwork,
+def skeleton_from_exploration(
+    limited: np.ndarray,
+    nodes: Sequence[int],
+    hop_length: int,
     sampling_probability: float,
-    forced_members: Sequence[int] = (),
-    phase: str = "skeleton",
-    rng: RandomSource | None = None,
-    ensure_nonempty: bool = True,
-    ensure_connected: bool = False,
-    keep_local_knowledge: bool = False,
+    rounds_charged: int,
 ) -> Skeleton:
-    """Run Algorithm 6 (``Compute-Skeleton``) on the network.
-
-    Parameters
-    ----------
-    sampling_probability:
-        Each node joins ``V_S`` independently with this probability
-        (``1/n^{1-x}`` in the framework of Section 4).
-    forced_members:
-        Nodes added to ``V_S`` deterministically -- Algorithm 6 adds the source
-        when the simulated CLIQUE algorithm is an SSSP algorithm (``γ = 0``).
-    ensure_nonempty:
-        At simulation scale the random sample can come out empty; when True,
-        node 0 is drafted so downstream phases always have a skeleton to work
-        with (the asymptotic statements are unaffected).
-    ensure_connected:
-        Lemma C.2 guarantees a connected skeleton w.h.p. for the asymptotic
-        choice of ``h``; at simulation scale the constant-factor choice of
-        ``ξ`` can occasionally produce a disconnected skeleton.  When True the
-        exploration depth is doubled (and re-charged) until the skeleton is
-        connected, which keeps small instances correct without affecting the
-        measured asymptotic shape.
-    keep_local_knowledge:
-        Retain every node's full ``h``-limited distance map (needed by the
-        exact APSP algorithm of Section 3 and by Equation (1)).
-    """
-    if not 0 < sampling_probability <= 1:
-        raise ValueError("sampling_probability must be in (0, 1]")
-    rng = rng or network.fork_rng(phase + ":sampling")
-    rounds_before = network.metrics.total_rounds
-
-    sampled = set(sample_nodes(network.graph.nodes(), sampling_probability, rng))
-    sampled.update(forced_members)
-    if not sampled and ensure_nonempty:
-        sampled.add(0)
-    nodes = sorted(sampled)
-    index_of = {node: index for index, node in enumerate(nodes)}
-
-    denominator = 1.0 / sampling_probability
-    hop_length = skeleton_hop_length(network.n, denominator, xi=network.config.skeleton_xi)
-
-    node_array = np.asarray(nodes, dtype=np.int64)
-    while True:
-        # Local exploration to depth h: every node learns its h-limited
-        # distances; skeleton nodes in particular learn their incident
-        # skeleton edges.  The exploration is one batched kernel call over all
-        # n sources; a connectivity retry re-runs (and conservatively
-        # re-charges) it at the doubled depth.
-        limited = explore_limited_distance_matrix(network, hop_length, phase=phase + ":exploration")
-        skeleton_graph = skeleton_graph_from_limited(limited, nodes)
-        connected = len(nodes) <= 1 or skeleton_graph.is_connected()
-        if connected or not ensure_connected or hop_length >= network.n:
-            break
-        hop_length = min(network.n, 2 * hop_length)
-
-    # Per node, the d_h map restricted to nearby skeleton nodes (what the
-    # exploration of Algorithm 6 leaves behind at every node).
-    local_distances = local_distance_maps(limited, nodes)
-
-    rounds_charged = network.metrics.total_rounds - rounds_before
-    return Skeleton(
-        nodes=nodes,
-        index_of=index_of,
-        graph=skeleton_graph,
-        hop_length=hop_length,
-        sampling_probability=sampling_probability,
-        local_distances=local_distances,
-        rounds_charged=rounds_charged,
-        knowledge_matrix=limited if keep_local_knowledge else None,
-    )
-
-
-def skeleton_graph_from_limited(limited: np.ndarray, nodes: Sequence[int]) -> WeightedGraph:
-    """The skeleton graph induced by an exploration outcome on ``nodes``.
+    """The skeleton on the sorted ``nodes`` induced by an exploration outcome.
 
     ``limited`` is a depth-``h`` exploration matrix (``limited[v, u] = d_h``,
     ``inf`` outside the ball); sampled nodes within each other's ball are
-    connected by an edge weighted ``max(1, round(d_h))``.  Shared by
-    :func:`compute_skeleton` and :meth:`SkeletonContext.extended
-    <repro.core.context.SkeletonContext.extended>` so the two paths can never
-    diverge.
+    connected by an edge weighted ``max(1, round(d_h))``.  The one
+    constructor of :class:`Skeleton`, shared by :func:`compute_skeleton`,
+    :meth:`SkeletonContext.extended
+    <repro.core.context.SkeletonContext.extended>` and
+    :meth:`SkeletonContext.repair <repro.core.context.SkeletonContext.repair>`
+    so the three paths can never diverge.
     """
+    nodes = list(nodes)
     node_array = np.asarray(nodes, dtype=np.int64)
     skeleton_graph = WeightedGraph(max(1, len(nodes)))
     if len(nodes) > 1:
@@ -218,21 +134,82 @@ def skeleton_graph_from_limited(limited: np.ndarray, nodes: Sequence[int]) -> We
         for u, v, distance in zip(edge_u.tolist(), edge_v.tolist(), edge_w.tolist(), strict=True):
             if u < v:
                 skeleton_graph.add_edge(u, v, max(1, int(round(distance))))
-    return skeleton_graph
+    near_distances = limited[:, node_array]
+    near_distances.flags.writeable = False
+    return Skeleton(
+        nodes=nodes,
+        index_of={node: index for index, node in enumerate(nodes)},
+        graph=skeleton_graph,
+        hop_length=hop_length,
+        sampling_probability=sampling_probability,
+        rounds_charged=rounds_charged,
+        knowledge_matrix=limited,
+        near_distances=near_distances,
+    )
 
 
-def local_distance_maps(limited: np.ndarray, nodes: Sequence[int]) -> list[dict[int, float]]:
-    """Per node, the ``d_h`` map restricted to the skeleton nodes ``nodes``."""
-    node_array = np.asarray(nodes, dtype=np.int64)
-    near = limited[:, node_array] if len(nodes) else limited[:, :0]
-    local_distances: list[dict[int, float]] = []
-    for row in near:
-        reached = np.flatnonzero(np.isfinite(row))
-        values = row[reached]
-        local_distances.append(
-            {nodes[i]: float(value) for i, value in zip(reached.tolist(), values.tolist(), strict=True)}
+def compute_skeleton(
+    network: HybridNetwork,
+    sampling_probability: float,
+    forced_members: Sequence[int] = (),
+    phase: str = "skeleton",
+    ensure_connected: bool = False,
+) -> Skeleton:
+    """Run Algorithm 6 (``Compute-Skeleton``) on the network.
+
+    The returned skeleton keeps the whole exploration outcome as its
+    ``knowledge_matrix``.  At simulation scale the random sample can come
+    out empty; node 0 is then drafted so downstream phases always have a
+    skeleton to work with (the asymptotic statements are unaffected).
+
+    Parameters
+    ----------
+    sampling_probability:
+        Each node joins ``V_S`` independently with this probability
+        (``1/n^{1-x}`` in the framework of Section 4).
+    forced_members:
+        Nodes added to ``V_S`` deterministically -- Algorithm 6 adds the source
+        when the simulated CLIQUE algorithm is an SSSP algorithm (``γ = 0``).
+    ensure_connected:
+        Lemma C.2 guarantees a connected skeleton w.h.p. for the asymptotic
+        choice of ``h``; at simulation scale the constant-factor choice of
+        ``ξ`` can occasionally produce a disconnected skeleton.  When True the
+        exploration depth is doubled (and re-charged) until the skeleton is
+        connected, which keeps small instances correct without affecting the
+        measured asymptotic shape.
+    """
+    if not 0 < sampling_probability <= 1:
+        raise ValueError("sampling_probability must be in (0, 1]")
+    rng = network.fork_rng(phase + ":sampling")
+    rounds_before = network.metrics.total_rounds
+
+    sampled = set(sample_nodes(network.graph.nodes(), sampling_probability, rng))
+    sampled.update(forced_members)
+    if not sampled:
+        sampled.add(0)
+    nodes = sorted(sampled)
+
+    denominator = 1.0 / sampling_probability
+    hop_length = skeleton_hop_length(network.n, denominator, xi=network.config.skeleton_xi)
+
+    while True:
+        # Local exploration to depth h: every node learns its h-limited
+        # distances; skeleton nodes in particular learn their incident
+        # skeleton edges.  The exploration is one batched kernel call over all
+        # n sources; a connectivity retry re-runs (and conservatively
+        # re-charges) it at the doubled depth.
+        limited = explore_limited_distance_matrix(network, hop_length, phase=phase + ":exploration")
+        skeleton = skeleton_from_exploration(
+            limited,
+            nodes,
+            hop_length,
+            sampling_probability,
+            network.metrics.total_rounds - rounds_before,
         )
-    return local_distances
+        connected = len(nodes) <= 1 or skeleton.graph.is_connected()
+        if connected or not ensure_connected or hop_length >= network.n:
+            return skeleton
+        hop_length = min(network.n, 2 * hop_length)
 
 
 def framework_exponent(delta: float) -> float:

@@ -19,7 +19,8 @@ cached state is keyed by the graph's mutation counter
 graph mutates under the session, the next query resolves the version
 mismatch through *delta repair* (DESIGN.md §12): every cached context is
 patched in place via :meth:`SkeletonContext.repair` using the graph's delta
-log, falling back to a cold rebuild per key when the damage rule says so;
+log, falling back to a cold rebuild per key when the damage rule (a fixed
+fraction of damaged exploration rows, not a session setting) says so;
 each decision is recorded in :attr:`HybridSession.repairs` and the repair
 rounds land in the preprocessing ledger, so the amortized-vs-cold invariant
 ("amortized + preprocessing = network total") keeps holding.  Repaired
@@ -66,11 +67,7 @@ from dataclasses import dataclass
 from repro.clique import BroadcastBellmanFordSSSP, GatherDiameter, GatherShortestPaths
 from repro.clique.interfaces import CliqueDiameterAlgorithm, CliqueShortestPathAlgorithm
 from repro.core.apsp import APSPResult, apsp_exact
-from repro.core.context import (
-    DEFAULT_DAMAGE_THRESHOLD,
-    SkeletonContext,
-    prepare_skeleton_context,
-)
+from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.diameter import DiameterResult, approximate_diameter
 from repro.core.kssp import ShortestPathsResult, shortest_paths_via_clique
 from repro.core.sssp import SSSPResult, sssp_exact
@@ -181,11 +178,9 @@ class HybridSession:
         When True (default), a graph-version mismatch is resolved by delta
         repair of every cached context (DESIGN.md §12); when False the
         session falls back to the drop-everything :meth:`invalidate`, which
-        is the cold-rebuild baseline E17 measures against.
-    repair_threshold:
-        Damage threshold passed to :meth:`SkeletonContext.repair`: the
-        fraction of exploration rows a delta batch may touch before the
-        session prefers a cold rebuild for that key.
+        is the cold-rebuild baseline E17 measures against.  Whether a key
+        is repaired or rebuilt is decided by the fixed damage threshold
+        :data:`~repro.core.context.DAMAGE_THRESHOLD`.
     fault_model:
         Optional :class:`~repro.hybrid.faults.FaultModel` the session's
         network runs under; it overrides ``config.faults``.  With faults
@@ -206,7 +201,6 @@ class HybridSession:
         keep_results: bool = False,
         fault_model: FaultModel | None = None,
         enable_repair: bool = True,
-        repair_threshold: float = DEFAULT_DAMAGE_THRESHOLD,
     ) -> None:
         if fault_model is not None:
             config = dataclasses.replace(config or ModelConfig(), faults=fault_model)
@@ -218,9 +212,6 @@ class HybridSession:
         self.skeleton_probability = skeleton_probability
         self.keep_results = keep_results
         self.enable_repair = enable_repair
-        if not 0 <= repair_threshold <= 1:
-            raise ValueError("repair_threshold must be in [0, 1]")
-        self.repair_threshold = repair_threshold
         #: Rounds (and traffic) charged preparing shared state, across all keys.
         self.preprocessing = RoundMetrics()
         #: One record per answered query, in order.
@@ -313,9 +304,7 @@ class HybridSession:
                 for key in sorted(self._contexts, key=self._key_tag):
                     context = self._contexts[key]
                     rounds_before = self.network.metrics.total_rounds
-                    repaired = context.repair(
-                        deltas, damage_threshold=self.repair_threshold
-                    )
+                    repaired = context.repair(deltas)
                     rounds = self.network.metrics.total_rounds - rounds_before
                     if repaired is None:
                         action = "rebuilt"
@@ -415,7 +404,6 @@ class HybridSession:
                             key[0],
                             forced_members=sorted(key[1]),
                             phase=f"session:{tag}:skeleton",
-                            keep_local_knowledge=True,
                             label=f"session:{tag}",
                         )
                     self._contexts[key] = context
@@ -724,9 +712,13 @@ class HybridSession:
             ``rounds`` cover this routing instance only (the amortized cost);
             the query record's ``cold_rounds`` adds the router setup.
 
-        Raises:
-            RuntimeError: if the network topology changed under the session
-                (stale version, see :meth:`invalidate`).
+        A graph mutation since the last query is resolved first (delta
+        repair or :meth:`invalidate`, see :meth:`_check_version`); a
+        topological delta drops every cached router, so this call rebuilds
+        its router on the mutated graph and charges the setup as
+        preparation (``preparation_rounds > 0`` on its record).  A
+        weight-only delta keeps the routers: helper sets depend on the hop
+        topology alone.
 
         Accounting follows DESIGN.md §6; the serving layer never coalesces
         token-routing requests (DESIGN.md §11).

@@ -18,7 +18,7 @@ def network():
 
 @pytest.fixture
 def skeleton(network):
-    return compute_skeleton(network, 0.25, ensure_connected=True, keep_local_knowledge=True)
+    return compute_skeleton(network, 0.25, ensure_connected=True)
 
 
 class TestHybridCliqueTransport:

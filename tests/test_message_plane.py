@@ -387,9 +387,7 @@ class TestProtocolPlaneIdentity:
 
     def test_clique_simulation_workload(self):
         def protocol(network):
-            skeleton = compute_skeleton(
-                network, 0.2, ensure_connected=True, keep_local_knowledge=False
-            )
+            skeleton = compute_skeleton(network, 0.2, ensure_connected=True)
             transport = HybridCliqueTransport(network, skeleton)
             transport.exchange({0: [(1, "x")]})
             return skeleton.size

@@ -84,7 +84,6 @@ class TestColdPathBitIdentity:
             prepared,
             min(1.0, 1.0 / math.sqrt(graph.node_count)),
             phase="apsp:skeleton",
-            keep_local_knowledge=True,
         )
         skeleton_rounds = context.preparation_rounds
         result_prepared = apsp_exact(prepared, context=context)
@@ -107,7 +106,6 @@ class TestColdPathBitIdentity:
             prepared,
             framework_sampling_probability(graph.node_count, algorithm.spec.delta),
             phase="kssp:skeleton",
-            keep_local_knowledge=True,
         )
         skeleton_rounds = context.preparation_rounds
         result_prepared = shortest_paths_via_clique(
@@ -129,7 +127,6 @@ class TestColdPathBitIdentity:
             prepared,
             framework_sampling_probability(graph.node_count, algorithm.spec.delta),
             phase="diameter:skeleton",
-            keep_local_knowledge=False,
         )
         skeleton_rounds = context.preparation_rounds
         result_prepared = approximate_diameter(prepared, GatherDiameter(), context=context)
@@ -145,7 +142,6 @@ class TestColdPathBitIdentity:
             prepared,
             min(1.0, graph.node_count ** (-2.0 / 3.0)),
             phase="apsp-baseline:skeleton",
-            keep_local_knowledge=True,
         )
         result_prepared = apsp_broadcast_baseline(prepared, context=context)
         assert (result_plain.matrix == result_prepared.matrix).all()
@@ -534,6 +530,17 @@ class TestDeltaRepair:
         session.context()
         assert not session._routers  # topology: plans are rebuilt lazily
 
+    def test_route_tokens_after_topology_change_rebuilds_router(self):
+        session = HybridSession(make_graph(37), ModelConfig(rng_seed=37))
+        tokens = make_tokens({0: [(1, ("p", 0))], 2: [(3, ("p", 2))], 5: [(9, ("p", 5))]})
+        session.route_tokens(tokens)
+        u, v, _ = repairable_edge(session)
+        session.remove_edge(u, v)
+        result = session.route_tokens(tokens)
+        delivered = [token.label for received in result.delivered.values() for token in received]
+        assert sorted(delivered) == sorted(token.label for token in tokens)
+        assert session.last_query.preparation_rounds > 0
+
     def test_enable_repair_false_always_rebuilds(self, monkeypatch):
         counter = CountingSkeletons(monkeypatch)
         session = HybridSession(
@@ -545,10 +552,6 @@ class TestDeltaRepair:
         session.apsp()
         assert counter.calls == 2
         assert session.repairs == []
-
-    def test_repair_threshold_validated(self):
-        with pytest.raises(ValueError):
-            HybridSession(make_graph(37), ModelConfig(rng_seed=37), repair_threshold=1.5)
 
     def test_extended_raises_on_stale_context(self):
         from repro.hybrid import StaleContextError

@@ -1,6 +1,7 @@
 """Tests for skeleton construction (Algorithm 6, Lemmas C.1/C.2) and
 representatives (Algorithm 7)."""
 
+import numpy as np
 import pytest
 
 from repro.core.representatives import compute_representatives
@@ -8,6 +9,7 @@ from repro.core.skeleton import (
     compute_skeleton,
     framework_exponent,
     framework_sampling_probability,
+    skeleton_from_exploration,
 )
 from repro.graphs import generators
 from repro.graphs.skeleton_analysis import (
@@ -71,22 +73,16 @@ class TestComputeSkeleton:
             assert hops <= skeleton.hop_length
             assert w >= network.graph.dijkstra(original_u)[original_v] - 1e-9
 
-    def test_local_distances_only_contain_skeleton_nodes(self, network):
+    def test_near_distances_only_contain_skeleton_nodes(self, network):
         skeleton = compute_skeleton(network, 0.2)
-        for node in range(network.n):
-            assert set(skeleton.local_distances[node]) <= set(skeleton.nodes)
+        assert skeleton.near_distances.shape == (network.n, skeleton.size)
+        assert (skeleton.near_distances == skeleton.knowledge_matrix[:, skeleton.nodes]).all()
+        assert not skeleton.near_distances.flags.writeable
 
     def test_ensure_connected(self, network):
         skeleton = compute_skeleton(network, 0.3, ensure_connected=True)
         if skeleton.size > 1:
             assert skeleton.graph.is_connected()
-
-    def test_local_knowledge_optional(self, network):
-        without = compute_skeleton(network, 0.2)
-        assert without.local_knowledge is None
-        with_knowledge = compute_skeleton(network, 0.2, keep_local_knowledge=True)
-        assert with_knowledge.local_knowledge is not None
-        assert len(with_knowledge.local_knowledge) == network.n
 
     def test_rounds_charged(self, network):
         before = network.metrics.total_rounds
@@ -100,6 +96,22 @@ class TestComputeSkeleton:
             closest = skeleton.closest_skeleton_node(node)
             if closest is not None:
                 assert closest in skeleton.index_of
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ([0.0, 3.0, 0.5, 1.0, 2.0], 3),  # the closer non-member 2 is ignored
+            ([0.0, 2.0, np.inf, np.inf, 2.0], 1),  # tie: the smallest node ID wins
+            ([0.0, np.inf, 1.0, 2.0, 2.0], 3),  # tie between 3 and 4
+            ([0.0, np.inf, 1.0, np.inf, np.inf], None),  # no member within h hops
+        ],
+    )
+    def test_closest_skeleton_node_on_hand_built_matrix(self, row, expected):
+        limited = np.full((5, 5), np.inf)
+        np.fill_diagonal(limited, 0.0)
+        limited[0] = row
+        skeleton = skeleton_from_exploration(limited, [1, 3, 4], 2, 0.5, 0)
+        assert skeleton.closest_skeleton_node(0) == expected
 
     def test_incident_edges_symmetric(self, network):
         skeleton = compute_skeleton(network, 0.3)
@@ -143,7 +155,7 @@ class TestSkeletonAnalysis:
 
 class TestRepresentatives:
     def test_skeleton_sources_are_their_own_representatives(self, network):
-        skeleton = compute_skeleton(network, 0.3, keep_local_knowledge=True)
+        skeleton = compute_skeleton(network, 0.3)
         source = skeleton.nodes[0]
         reps = compute_representatives(network, skeleton, [source])
         assert reps.representative[source] == source
