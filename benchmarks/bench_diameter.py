@@ -3,13 +3,28 @@
 Measures rounds and the achieved approximation ratio ``D̃ / D`` for the exact
 and the 2-approximate CLIQUE plug-ins, next to the transformed guarantee
 ``α + 2/η + β/T_B``.
+
+Also records the hop-diameter kernel behind every ``min(D, ·)`` local charge
+(``csr.hop_diameter``): its wall time and how many BFS sources it searched,
+on the cold-start random graph (the usual case, a few dozen sources) and on
+a cycle (vertex-transitive, the worst case: every source).
 """
 
 import pytest
 
-from benchmarks.conftest import attach, bench_network, locality_workload, run_once
+from benchmarks.conftest import (
+    attach,
+    bench_network,
+    locality_workload,
+    random_workload,
+    run_once,
+    run_repeated,
+    smoke_scaled,
+)
 from repro.clique import EccentricityDiameter, GatherDiameter
 from repro.core.diameter import approximate_diameter
+from repro.graphs import csr as csr_kernels
+from repro.graphs import generators
 
 
 @pytest.mark.parametrize(
@@ -39,5 +54,36 @@ def test_diameter_approximation(benchmark, plugin_name, plugin_factory, n):
             "measured_rounds": result.rounds,
             "used_local_estimate": result.used_local_estimate,
             "skeleton_size": result.skeleton_size,
+        },
+    )
+
+
+@pytest.mark.parametrize("family", ["random", "cycle"])
+def test_hop_diameter_kernel(benchmark, monkeypatch, family):
+    n = smoke_scaled(1024, 64)
+    graph = random_workload(n) if family == "random" else generators.cycle_graph(n)
+    csr = graph.csr()
+    diameter = run_repeated(benchmark, lambda: csr_kernels.hop_diameter(csr))
+
+    # One more, untimed call counts the sources handed to scipy's searches.
+    searched = []
+    dijkstra = csr_kernels.csgraph.dijkstra
+
+    def counting(*args, indices=None, **kwargs):
+        searched.append(len(indices))
+        return dijkstra(*args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(csr_kernels.csgraph, "dijkstra", counting)
+    assert csr_kernels.hop_diameter(csr) == diameter
+    attach(
+        benchmark,
+        {
+            "experiment": "kernel",
+            "kernel": "hop_diameter",
+            "family": family,
+            "n": n,
+            "hop_diameter": diameter,
+            "sources_searched": sum(searched),
+            "scipy_calls": len(searched),
         },
     )

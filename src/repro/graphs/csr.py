@@ -18,7 +18,15 @@ This module stores the graph once as frozen CSR numpy arrays and provides
   (:func:`_relax_rounds`) only on the rows the certificate cannot settle
   (BFS levels when every weight is 1); and
 * :func:`distance_matrix` -- exact weighted distances via
-  :func:`scipy.sparse.csgraph.dijkstra`.
+  :func:`scipy.sparse.csgraph.dijkstra`; and
+* :func:`hop_diameter` -- the exact hop diameter ``D(G)`` by eccentricity
+  bounding (Takes & Kosters, "BoundingDiameters", 2011): batches of scipy
+  BFS searches, each of which tightens a lower and an upper bound on every
+  node's eccentricity, until no unsearched node's upper bound exceeds the
+  largest lower bound.  That stopping rule makes the answer exact, not a
+  heuristic.  Most graphs need a few dozen searches; on vertex-transitive
+  graphs (cycles, complete graphs) no bound ever settles a node, every node
+  is searched once, and the cost matches one all-sources pass.
 
 All kernels are exact and deterministic: edge weights are positive integers,
 so every distance is an exact float64 sum along a single path and equals the
@@ -293,6 +301,71 @@ def distance_matrix(csr: CSRAdjacency, sources: Sequence[int]) -> np.ndarray:
     return csgraph.dijkstra(_scipy_view(csr), indices=src)
 
 
+def _chunk_rows(n: int, byte_budget: int | None = None) -> int:
+    """How many ``n``-wide float64 rows fit one chunk's scratch budget."""
+    budget = CHUNK_BYTES if byte_budget is None else byte_budget
+    cells = max(1, budget // (8 * _SCRATCH_FACTOR))
+    return max(1, cells // max(1, n))
+
+
+def hop_diameter(csr: CSRAdjacency) -> float:
+    """``D(G)``, the largest hop distance over all pairs (``inf`` if disconnected).
+
+    Eccentricity bounding (Takes & Kosters 2011).  Every node ``v`` keeps
+    bounds ``lower[v] <= ecc(v) <= upper[v]``.  A BFS from ``x`` with
+    eccentricity ``e`` gives, by the triangle inequality,
+    ``ecc(v) >= max(d(x, v), e - d(x, v))`` and ``ecc(v) <= e + d(x, v)``
+    for every ``v`` (and pins ``x`` itself at ``e``).  ``best = max(lower)``
+    never exceeds ``D``.  Only an unsearched node with ``upper > best`` can
+    still raise it; once none is left, ``D = max(ecc) <= max(upper) <= best``,
+    so ``best`` is exactly ``D``.
+
+    Each step searches one batch of such candidates in a single scipy call:
+    half with the smallest ``lower`` (central nodes, whose small distances
+    tighten ``upper`` everywhere) and half with the largest ``upper``
+    (peripheral nodes, likely to raise ``best``).  Batches double in size
+    (1, 2, 4, ...) up to the :data:`CHUNK_BYTES` row budget, so a graph
+    where every node must be searched (any vertex-transitive graph: no bound
+    ever drops below ``e + 1`` off the searched nodes) still costs about one
+    all-sources pass instead of ``n`` separate calls.
+    """
+    n = csr.n
+    if _component_sizes(csr)[0] != n:
+        return np.inf
+    view = _scipy_view(csr)
+    max_batch = _chunk_rows(n)
+    lower = np.zeros(n)
+    upper = np.full(n, float(n))
+    searched = np.zeros(n, dtype=bool)
+    best = 0.0
+    batch_size = 1
+    while True:
+        candidates = np.flatnonzero(~searched & (upper > best))
+        if candidates.size == 0:
+            return float(best)
+        size = min(batch_size, max_batch)
+        if candidates.size <= size:
+            batch = candidates
+        else:
+            by_lower = candidates[np.argsort(lower[candidates], kind="stable")]
+            by_upper = candidates[np.argsort(-upper[candidates], kind="stable")]
+            central = by_lower[: (size + 1) // 2]
+            peripheral = by_upper[~np.isin(by_upper, central)][: size - central.size]
+            batch = np.concatenate((central, peripheral))
+        hops = csgraph.dijkstra(view, indices=batch, unweighted=True)
+        searched[batch] = True
+        # Bound updates in place on the batch matrix: max(d), max(e - d),
+        # then min(e + d) over the batch, per node.
+        ecc = hops.max(axis=1)[:, None]
+        np.maximum(lower, hops.max(axis=0), out=lower)
+        hops -= ecc
+        np.maximum(lower, -hops.min(axis=0), out=lower)
+        hops += 2 * ecc
+        np.minimum(upper, hops.min(axis=0), out=upper)
+        best = lower.max()
+        batch_size *= 2
+
+
 def chunked_sources(
     n: int, sources: Sequence[int], byte_budget: int | None = None
 ) -> list[Sequence[int]]:
@@ -306,9 +379,7 @@ def chunked_sources(
     matrices are concatenated -- only the peak allocation.
     """
     sources = list(sources)
-    budget = CHUNK_BYTES if byte_budget is None else byte_budget
-    cells = max(1, budget // (8 * _SCRATCH_FACTOR))
-    chunk = max(1, cells // max(1, n))
+    chunk = _chunk_rows(n, byte_budget)
     if len(sources) <= chunk:
         return [sources]
     return [sources[i : i + chunk] for i in range(0, len(sources), chunk)]

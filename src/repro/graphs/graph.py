@@ -19,9 +19,9 @@ the source of truth and feeds the mutation journal, and the single-source
 traversals (``bfs_hops``, ``dijkstra``, ``hop_limited_distances``, ...) walk
 it in pure Python.  The batched multi-source kernels (``bfs_hops_many``,
 ``hop_limited_distances_many``, ``dijkstra_many``, the matrix variants,
-``hop_eccentricities``) run on a frozen CSR view (:mod:`repro.graphs.csr`)
-built lazily on first use and invalidated by ``add_edge`` /
-``remove_edge``.  Both return bit-identical results (weights are positive
+``hop_eccentricities``, ``hop_diameter``) run on a frozen CSR view
+(:mod:`repro.graphs.csr`) built lazily on first use and invalidated by
+``add_edge`` / ``remove_edge``.  Both return bit-identical results (weights are positive
 integers, so all float distances are exact sums); the single-source
 traversals are the references the kernel tests check the batched kernels
 against.
@@ -389,9 +389,13 @@ class WeightedGraph:
         Without ``max_hops`` this is :meth:`hop_eccentricity` per source
         (``inf`` when the graph is disconnected).  With ``max_hops`` it is the
         largest hop distance *observed inside the ball*, i.e. the per-node
-        quantity ``h_v`` of Algorithm 9's local phase -- always finite.
+        quantity ``h_v`` of Algorithm 9's local phase -- always finite.  Every
+        source gets its own BFS (:meth:`hop_diameter` bounds eccentricities
+        instead of computing all ``n``).
         """
         sources = list(self.nodes()) if sources is None else list(sources)
+        for source in sources:
+            self._check_node(source)
         self._check_max_hops(max_hops)
         view = self.csr()
         result: list[float] = []
@@ -425,11 +429,16 @@ class WeightedGraph:
     def hop_diameter(self) -> float:
         """``D(G)``: the maximum hop distance over all pairs (Section 1.3).
 
+        Computed by :func:`repro.graphs.csr.hop_diameter`: exact eccentricity
+        bounding that BFS-searches only the nodes whose eccentricity could
+        still exceed the best lower bound -- a few dozen on typical graphs,
+        every node (one all-sources pass) on vertex-transitive ones.
         Cached like the CSR view (every simulated network on this graph asks
-        for it) and dropped on mutation.
+        for it), dropped by ``add_edge`` / ``remove_edge`` and kept by
+        ``update_weight`` (hops ignore weights).
         """
         if self._hop_diameter is None:
-            self._hop_diameter = max(self.hop_eccentricities())
+            self._hop_diameter = csr_kernels.hop_diameter(self.csr())
         return self._hop_diameter
 
     def is_connected(self) -> bool:

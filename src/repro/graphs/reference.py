@@ -9,8 +9,9 @@ EXPERIMENTS.md, so they are written for clarity rather than speed.
 
 from __future__ import annotations
 
-
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
+
 from repro.graphs.graph import INFINITY, WeightedGraph
 
 
@@ -36,20 +37,58 @@ def all_pairs_distances(graph: WeightedGraph) -> dict[int, dict[int, float]]:
     return multi_source_distances(graph, list(graph.nodes()))
 
 
+def _edge_list_adjacency(graph: WeightedGraph) -> list[list[int]]:
+    """Neighbour lists rebuilt from ``graph.edges()`` alone.
+
+    The hop oracles below walk these lists rather than any of
+    ``WeightedGraph``'s traversal methods, so they share no code with the
+    kernels they check.
+    """
+    adjacency: list[list[int]] = [[] for _ in range(graph.node_count)]
+    for u, v, _ in graph.edges():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return adjacency
+
+
+def _hop_eccentricity(adjacency: list[list[int]], source: int) -> float:
+    """Textbook BFS: the largest hop distance from ``source``.
+
+    ``inf`` when some node is unreached.
+    """
+    hops = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in adjacency[u]:
+            if v not in hops:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    if len(hops) != len(adjacency):
+        return INFINITY
+    return float(max(hops.values()))
+
+
 def eccentricity(graph: WeightedGraph, node: int, weighted: bool = False) -> float:
     """Eccentricity ``e(v) = max_u d(v, u)`` (weighted or in hops)."""
-    if weighted:
-        distances = graph.dijkstra(node)
-    else:
-        distances = {v: float(d) for v, d in graph.bfs_hops(node).items()}
+    if not 0 <= node < graph.node_count:
+        raise ValueError(f"node {node} outside [0, {graph.node_count})")
+    if not weighted:
+        return _hop_eccentricity(_edge_list_adjacency(graph), node)
+    distances = graph.dijkstra(node)
     if len(distances) != graph.node_count:
         return INFINITY
     return max(distances.values())
 
 
 def hop_diameter(graph: WeightedGraph) -> float:
-    """The paper's diameter ``D(G) = max_{u,v} hop(u, v)`` (Section 1.3)."""
-    return graph.hop_diameter()
+    """The paper's diameter ``D(G) = max_{u,v} hop(u, v)`` (Section 1.3).
+
+    One BFS per node over the edge list (``inf`` if the graph is
+    disconnected).
+    """
+    adjacency = _edge_list_adjacency(graph)
+    return max(_hop_eccentricity(adjacency, source) for source in range(len(adjacency)))
 
 
 def weighted_diameter(graph: WeightedGraph) -> float:

@@ -264,6 +264,7 @@ class HybridSession:
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
                 "hop_limited_matrix": "scipy",
+                "hop_diameter": "scipy",
             },
         }
 

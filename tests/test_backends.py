@@ -5,9 +5,11 @@ Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
 ``dijkstra_many`` / ``distance_matrix``, ``hop_eccentricities`` and
 ``hop_diameter`` -- must equal, bit for bit, the pure-Python single-source
 traversal it batches (``bfs_hops``, ``hop_limited_distances``, ``dijkstra``,
-``hop_eccentricity``; DESIGN.md §4).  The properties run over random graph
-families: connected and disconnected, n = 1, unit and heavy weights, empty
-and duplicate source lists, and source lists split into many chunks.
+``hop_eccentricity``; DESIGN.md §4), and ``csr.hop_diameter`` must equal
+the edge-list BFS oracle of ``graphs/reference.py``.  The properties run over
+random graph families: connected and disconnected, n = 1, unit and heavy
+weights, empty and duplicate source lists, and source lists split into many
+chunks.
 The weighted ``d_h`` kernel answers most rows from one bounded Dijkstra call
 and a hop certificate and falls back to Bellman-Ford rounds on the rest;
 both paths are pinned against the rounds and the single-source reference.
@@ -26,7 +28,7 @@ from scalar_plane import ScalarPlaneNetwork
 from repro.core.apsp import apsp_exact
 from repro.core.sssp import sssp_exact
 from repro.graphs import csr as csr_kernels
-from repro.graphs import generators
+from repro.graphs import generators, reference
 from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid import HybridNetwork, ModelConfig
@@ -303,6 +305,79 @@ class TestHopCertificate:
         assert calls and calls[0]
 
 
+def disconnected_pair_of_paths(n):
+    """Two paths with no edge between them."""
+    graph = WeightedGraph(n)
+    for node in range(n - 1):
+        if node != n // 2 - 1:
+            graph.add_edge(node, node + 1, 1 + node % 3)
+    return graph
+
+
+ADVERSARIAL_FAMILIES = {
+    "n=1": lambda: WeightedGraph(1),
+    "n=2 edge": lambda: generators.path_graph(2, weight=5),
+    "n=2 edgeless": lambda: WeightedGraph(2),
+    "path": lambda: generators.path_graph(37, weight=3),
+    "cycle even": lambda: generators.cycle_graph(40),
+    "cycle odd": lambda: generators.cycle_graph(41),
+    "star": lambda: generators.star_graph(30),
+    "complete": lambda: generators.complete_graph(25),
+    "two cliques and a long path": lambda: generators.barbell_graph(8, 30),
+    "two cliques and a one-edge path": lambda: generators.barbell_graph(12, 1),
+    "disconnected": lambda: disconnected_pair_of_paths(20),
+    "isolated node": lambda: WeightedGraph.from_edges(3, [(0, 1, 1)]),
+}
+
+
+class TestHopDiameterKernel:
+    """``csr.hop_diameter``: eccentricity bounding against the edge-list oracle."""
+
+    @common_settings
+    @given(graph_case())
+    def test_matches_independent_oracle(self, case):
+        graph, _, _ = case
+        assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)
+
+    @pytest.mark.parametrize("family", sorted(ADVERSARIAL_FAMILIES))
+    def test_adversarial_families(self, family):
+        graph = ADVERSARIAL_FAMILIES[family]()
+        expected = reference.hop_diameter(graph)
+        assert csr_kernels.hop_diameter(graph.csr()) == expected
+        assert graph.hop_diameter() == expected
+
+    @staticmethod
+    def _count_searched_sources(monkeypatch):
+        """Record the sources of every scipy search the kernel makes."""
+        searched: list[int] = []
+        dijkstra = csr_kernels.csgraph.dijkstra
+
+        def counting(*args, indices=None, **kwargs):
+            searched.extend(int(source) for source in numpy.atleast_1d(indices))
+            return dijkstra(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(csr_kernels.csgraph, "dijkstra", counting)
+        return searched
+
+    def test_cold_start_instance_searches_few_sources(self, monkeypatch):
+        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+        csr = graph.csr()
+        searched = self._count_searched_sources(monkeypatch)
+        diameter = csr_kernels.hop_diameter(csr)
+        monkeypatch.undo()
+        assert len(searched) <= 128
+        assert len(set(searched)) == len(searched)
+        assert diameter == max(graph.hop_eccentricities())
+
+    def test_vertex_transitive_graph_searches_each_source_once(self, monkeypatch):
+        # No bound settles any node of a cycle: every node is searched, once.
+        n = 1024
+        csr = generators.cycle_graph(n).csr()
+        searched = self._count_searched_sources(monkeypatch)
+        assert csr_kernels.hop_diameter(csr) == n // 2
+        assert sorted(searched) == list(range(n))
+
+
 class TestChunking:
     @common_settings
     @given(graph_case())
@@ -323,6 +398,8 @@ class TestChunking:
             assert graph.hop_eccentricities() == [
                 graph.hop_eccentricity(u) for u in graph.nodes()
             ]
+            # One source per batch: the doubling batches stay within the budget.
+            assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)
         finally:
             csr_kernels.CHUNK_BYTES = original
 

@@ -37,6 +37,7 @@ class TestPlaneSelection:
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
                 "hop_limited_matrix": "scipy",
+                "hop_diameter": "scipy",
             },
         }
 

@@ -282,6 +282,21 @@ class TestEngineEnforcement:
         assert all(abs(result.distance(v) - d) <= 1e-9 for v, d in truth.items())
         assert any(abs(result.distance(node) - full_truth[node]) > 1e-9 for node in full_truth)
 
+    def test_disconnecting_outages_clamp_local_charges_to_n(self):
+        # Cutting two edges of a cycle splits the survivor graph, so its hop
+        # diameter is infinite; the min(D, .) cap must clamp to n, not inf.
+        network = HybridNetwork(
+            generators.cycle_graph(8),
+            ModelConfig(rng_seed=1, faults=FaultModel(edge_outages=[(0, 1), (4, 5)])),
+        )
+        assert network.local_graph.hop_diameter() == float("inf")
+        assert network.hop_diameter() == 8
+        before = network.metrics.local_rounds
+        network.charge_local_rounds(100, "flood")
+        assert network.metrics.local_rounds - before == 8
+        network.charge_local_rounds(3, "flood")
+        assert network.metrics.local_rounds - before == 8 + 3
+
     def test_outage_graph_tracks_graph_mutations(self):
         graph = generators.cycle_graph(8)
         network = HybridNetwork(

@@ -157,6 +157,14 @@ class TestTraversal:
             with pytest.raises(ValueError, match="max_hops must be non-negative"):
                 call()
 
+    def test_hop_eccentricities_rejects_out_of_range_sources(self):
+        # -1 must not wrap around to node n - 1, and n must raise the graph's
+        # own error rather than scipy's.
+        path = generators.path_graph(4)
+        for sources in ([-1], [4], [0, 4]):
+            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                path.hop_eccentricities(sources)
+
     def test_ball(self):
         path = generators.path_graph(7)
         assert sorted(path.ball(3, 1)) == [2, 3, 4]
