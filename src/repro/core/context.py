@@ -34,6 +34,7 @@ from repro.graphs.graph import GraphDelta, WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.errors import StaleContextError
 from repro.hybrid.network import HybridNetwork
+from repro.localnet.flooding import LimitedExploration
 from repro.localnet.token_dissemination import disseminate_tokens
 
 #: Fraction of exploration rows a delta batch may damage before
@@ -43,12 +44,16 @@ from repro.localnet.token_dissemination import disseminate_tokens
 DAMAGE_THRESHOLD = 0.5
 
 
-def _estimated_damage(limited: np.ndarray, deltas: Sequence[GraphDelta]) -> np.ndarray:
+def _estimated_damage(
+    endpoint_rows: dict[int, np.ndarray], deltas: Sequence[GraphDelta], n: int
+) -> np.ndarray:
     """Per-row estimate of which exploration rows a delta batch perturbs.
 
+    ``endpoint_rows[x]`` is the old exploration's ``d_h`` row of a delta
+    endpoint ``x``, which by symmetry is also the column ``d_h(·, x)``.
     The *decision* metric behind the damage threshold: a row ``s`` is counted
     as damaged when some mutated edge is plausibly on one of its ``d_h``
-    shortest paths -- the edge is *tight* from ``s`` in the old matrix
+    shortest paths -- the edge is *tight* from ``s`` in the old exploration
     (``d_h(s,u) + w == d_h(s,v)`` either way round; removals and weight
     increases only matter on such rows) or the new weight creates an
     improving detour (``d_h(s,u) + w_new <= d_h(s,v)``; additions and weight
@@ -60,10 +65,10 @@ def _estimated_damage(limited: np.ndarray, deltas: Sequence[GraphDelta]) -> np.n
     superset-based threshold refuse every repair; the tight estimate instead
     tracks how much of the published state actually moves (DESIGN.md §12).
     """
-    damaged = np.zeros(limited.shape[0], dtype=bool)
+    damaged = np.zeros(n, dtype=bool)
     for delta in deltas:
-        to_u = limited[:, delta.u]
-        to_v = limited[:, delta.v]
+        to_u = endpoint_rows[delta.u]
+        to_v = endpoint_rows[delta.v]
         finite_u = np.isfinite(to_u)
         finite_v = np.isfinite(to_v)
         if delta.old_weight is not None:  # the edge existed: tightness test
@@ -106,7 +111,8 @@ class SkeletonContext:
     network:
         The network the context was prepared on.
     skeleton:
-        The constructed skeleton; its ``knowledge_matrix`` is what
+        The constructed skeleton; its exploration (member rows eagerly, the
+        full ``d_h`` matrix only once an APSP query reads it) is what
         :meth:`extended` and :meth:`repair` derive new skeletons from.
     graph_version:
         :attr:`WeightedGraph.version` at construction time; a context whose
@@ -241,26 +247,32 @@ class SkeletonContext:
         Given the contiguous :class:`~repro.graphs.graph.GraphDelta` batch
         that carried the graph from this context's ``graph_version`` to the
         current one, re-runs the depth-``h`` exploration *only from the
-        damaged sources* (rows of the skeleton's ``knowledge_matrix`` that
-        could see a mutated endpoint in the old or new topology), patches the
-        matrix in a copy, rebuilds the skeleton from it, and -- when the
-        skeleton edge publication had been materialised -- re-disseminates
-        only the changed/retracted skeleton edges through the
-        token-dissemination machinery.  On weight-only delta batches the
-        CLIQUE transport and the APSP router survive: helper sets, the
-        routing hash and the padding plan are functions of the hop topology,
-        the skeleton membership and the RNG labels alone, so they are exactly
-        what a cold rebuild would reconstruct.
+        damaged sources* (sources that could see a mutated endpoint in the
+        old or new topology), rebuilds the skeleton from the patched rows,
+        and -- when the skeleton edge publication had been materialised --
+        re-disseminates only the changed/retracted skeleton edges through
+        the token-dissemination machinery.  Which rows are patched depends
+        on what the old exploration holds: when an APSP query had built its
+        full matrix, every damaged row of it is patched in a copy and handed
+        to the repaired skeleton, so the next APSP query pays nothing extra;
+        otherwise only the damaged members' rows are recomputed.  The
+        decision reads the old exploration's rows of the delta endpoints
+        either way.  On weight-only delta batches the CLIQUE transport and
+        the APSP router survive: helper sets, the routing hash and the
+        padding plan are functions of the hop topology, the skeleton
+        membership and the RNG labels alone, so they are exactly what a cold
+        rebuild would reconstruct.
 
         Determinism contract (DESIGN.md §12): skeleton sampling is a pure
         function of the seed and the phase label, so a cold rebuild after
         the mutation draws the *same* skeleton node set; every patched row
         equals the row a full re-exploration would produce (the batched
-        kernels compute rows independently per source).  A repaired context
-        is therefore bit-identical to a cold rebuild in its distance
-        matrices, routing plans and RNG fork labels -- only the rounds paid
-        to get there differ, and those are charged under
-        ``<label>:repair:*`` phases and accumulated in ``repair_rounds``.
+        kernels compute rows independently per source, and an undamaged row
+        cannot see the mutation).  A repaired context is therefore
+        bit-identical to a cold rebuild in its distance matrices, routing
+        plans and RNG fork labels -- only the rounds paid to get there
+        differ, and those are charged under ``<label>:repair:*`` phases and
+        accumulated in ``repair_rounds``.
 
         Returns None -- leaving ``self`` untouched -- when repair is not
         worthwhile or not possible: a delta endpoint is a skeleton member,
@@ -277,7 +289,6 @@ class SkeletonContext:
         if not deltas:
             return None
         base = self.skeleton
-        limited = base.knowledge_matrix
         if any(delta.u in base.index_of or delta.v in base.index_of for delta in deltas):
             return None
         expected_hop_length = skeleton_hop_length(
@@ -289,31 +300,43 @@ class SkeletonContext:
             # The cold build doubled h until the skeleton connected; replaying
             # that search incrementally is not worth the complexity.
             return None
-        if int(_estimated_damage(limited, deltas).sum()) > DAMAGE_THRESHOLD * network.n:
+        # The old exploration's rows of the delta endpoints: by symmetry they
+        # are the columns d_h(., u) both the decision and the superset read.
+        old = base.exploration
+        endpoints = sorted({node for delta in deltas for node in (delta.u, delta.v)})
+        endpoint_rows = old.rows(endpoints)
+        to_endpoint = dict(zip(endpoints, endpoint_rows, strict=True))
+        if int(_estimated_damage(to_endpoint, deltas, network.n).sum()) > (
+            DAMAGE_THRESHOLD * network.n
+        ):
             return None
         # The rows actually recomputed are the sound superset: anything that
         # could reach a mutated endpoint within h hops, old or new topology.
-        endpoints = sorted({node for delta in deltas for node in (delta.u, delta.v)})
-        damaged = np.isfinite(limited[:, endpoints]).any(axis=1)
+        damaged = np.isfinite(endpoint_rows).any(axis=0)
         local = network.local_graph
         for ball in local.balls_many(endpoints, base.hop_length):
             damaged[ball] = True
-        sources = [int(source) for source in np.flatnonzero(damaged)]
 
         # The repair flood: the delta records propagate h hops so every
         # damaged source can re-derive its d_h row -- min(h, D) local rounds,
         # like the cold exploration, but none of the cold global phases.
         rounds_before = network.metrics.total_rounds
         network.charge_local_rounds(base.hop_length, phase=self.label + ":repair:exploration")
-        patched = np.array(limited, copy=True)
-        if sources:
-            patched[sources] = local.hop_limited_distance_matrix(sources, base.hop_length)
+        exploration = LimitedExploration(local.csr(), base.hop_length)
+        if old.materialised:
+            # Patch the full matrix, so the next APSP query pays nothing.
+            patched = np.array(old.matrix(), copy=True)
+            sources = np.flatnonzero(damaged)
+            patched[sources] = exploration.rows(sources)
+            exploration = LimitedExploration(exploration.snapshot, base.hop_length, patched)
+            rows = exploration.rows(base.nodes)
+        else:
+            # Only the members' rows exist; recompute the damaged ones.
+            rows = np.array(base.near_distances.T)
+            stale = np.flatnonzero(damaged[base.nodes])
+            rows[stale] = exploration.rows([base.nodes[index] for index in stale])
         skeleton = skeleton_from_exploration(
-            patched,
-            base.nodes,
-            base.hop_length,
-            base.sampling_probability,
-            base.rounds_charged,
+            exploration, base.nodes, rows, base.sampling_probability, base.rounds_charged
         )
         if skeleton.size > 1 and not skeleton.graph.is_connected():
             return None
@@ -360,17 +383,19 @@ class SkeletonContext:
         """A derived context whose skeleton additionally contains ``members``.
 
         Algorithm 6 adds a query's source to the skeleton deterministically
-        (Lemma 4.5).  The base exploration outcome (``knowledge_matrix``)
-        already holds the enlarged skeleton's edges and per-node distances --
-        the depth-``h`` exploration delivered ``d_h(v, u)`` for *all* ``u``,
-        sampled or not -- so the derived skeleton costs no additional rounds;
-        only its identity still has to be announced, which the query's own
-        phases cover.
+        (Lemma 4.5).  The base exploration already delivered ``d_h(v, u)``
+        for *all* ``u``, sampled or not, so the derived skeleton costs no
+        additional rounds: the simulator computes the new members' ``d_h``
+        rows from the base exploration's snapshot (or slices them from its
+        full matrix when that is built) and merges them with the base
+        members' rows.  Only the skeleton's identity still has to be
+        announced, which the query's own phases cover.
 
         Returns None when the enlarged skeleton is disconnected at the base
         hop length (the caller then prepares a fresh context with the member
         forced in, exactly like a cold run).  Derived contexts are cached per
-        member set and share the base exploration matrix.
+        member set and share the base exploration, including its cached full
+        matrix.
 
         Raises :class:`~repro.hybrid.errors.StaleContextError` when the base
         is stale: a derived context copies ``graph_version`` from its base,
@@ -393,11 +418,17 @@ class SkeletonContext:
         if cached is not None:
             return cached
 
+        # Only the new members' rows are computed (sliced from the full
+        # matrix when some APSP query already built it); the derived skeleton
+        # shares the base exploration and hence its cached full matrix.
         base = self.skeleton
+        members = base.nodes + sorted(extra)
+        order = np.argsort(members, kind="stable")
+        rows = np.concatenate((base.near_distances.T, base.exploration.rows(sorted(extra))))
         skeleton = skeleton_from_exploration(
-            base.knowledge_matrix,
-            sorted(set(base.nodes) | extra),
-            base.hop_length,
+            base.exploration,
+            [members[index] for index in order],
+            rows[order],
             base.sampling_probability,
             0,
         )
@@ -428,8 +459,8 @@ def prepare_skeleton_context(
     forks the same RNG labels and charges the same phases as the
     pre-extraction code did) and records the rounds as the context's
     preparation cost.  The skeleton is always made connected
-    (``ensure_connected=True``) and keeps its exploration matrix, which
-    every query kind, :meth:`SkeletonContext.extended` and
+    (``ensure_connected=True``) and keeps its exploration, which every
+    query kind, :meth:`SkeletonContext.extended` and
     :meth:`SkeletonContext.repair` read.
     """
     rounds_before = network.metrics.total_rounds

@@ -79,7 +79,7 @@ def compute_representatives(
             distance[source] = best_distance
         else:
             representative[source] = closest
-            distance[source] = float(skeleton.knowledge_matrix[source, closest])
+            distance[source] = float(skeleton.near_distances[source, skeleton.index_of[closest]])
 
     # Make ⟨d_h(s, r_s), s, r_s⟩ public knowledge (token dissemination, Õ(√k)).
     tokens: dict[int, list[tuple[float, int, int]]] = {}

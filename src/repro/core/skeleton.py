@@ -10,7 +10,10 @@ path of ``G``, a sampled node appears at least every ``h`` hops (Lemma C.1).
 The construction costs ``Õ(x)`` local rounds: sampled nodes learn their
 skeleton neighbourhood by flooding graph information to depth ``h``, and every
 node simultaneously learns its ``h``-limited distances to the nearby skeleton
-nodes (which is all later phases need from it).
+nodes (which is all later phases need from it).  The simulator charges the
+whole exploration but computes only the skeleton members' ``d_h`` rows; the
+full ``n × n`` matrix is built on demand, for the one step that reads it
+(see :class:`~repro.localnet.flooding.LimitedExploration`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.network import HybridNetwork
-from repro.localnet.flooding import explore_limited_distance_matrix
+from repro.localnet.flooding import LimitedExploration, explore_limited
 from repro.util.rand import sample_nodes
 
 
@@ -32,7 +35,7 @@ class Skeleton:
     """A constructed skeleton graph plus the per-node local knowledge about it.
 
     Built only by :func:`skeleton_from_exploration`, which derives every
-    field from one depth-``h`` exploration matrix.
+    field from one depth-``h`` exploration and its members' ``d_h`` rows.
 
     Attributes
     ----------
@@ -42,31 +45,47 @@ class Skeleton:
         Mapping original node ID -> index in the relabelled skeleton graph.
     graph:
         The skeleton ``S`` itself on nodes ``0..|V_S|-1`` with ``d_h`` weights.
-    hop_length:
-        The parameter ``h``: maximum hop length of a skeleton edge.
     sampling_probability:
         The probability each node was sampled with.
     rounds_charged:
         Rounds consumed by the construction.
-    knowledge_matrix:
-        The outcome of the depth-``h`` exploration of Algorithm 6, the only
-        record of ``d_h``: ``M[v, u] = d_h(v, u)`` (``inf`` outside the
-        ball).  Lemma 4.5, Equation (1) and the final combination step of the
-        exact APSP algorithm of Section 3 all read it.
+    exploration:
+        The depth-``h`` exploration the skeleton was built from.  It holds
+        the frozen snapshot of the graph version it explored, and skeletons
+        derived from it (:meth:`SkeletonContext.extended
+        <repro.core.context.SkeletonContext.extended>`) share it.
     near_distances:
-        The read-only ``n × |V_S|`` slice ``knowledge_matrix[:, nodes]``:
-        ``near_distances[v, i] = d_h(v, nodes[i])``, what every node ``v``
-        knows about the skeleton nodes within ``h`` hops.
+        The read-only, C-contiguous ``n × |V_S|`` matrix
+        ``near_distances[v, i] = d_h(v, nodes[i])``: what every node ``v``
+        knows about the skeleton nodes within ``h`` hops (Lemma 4.5,
+        Equation (1)).  It is the transpose of the members' ``d_h`` rows,
+        which ``d_h``'s symmetry makes exact.
     """
 
     nodes: list[int]
     index_of: dict[int, int]
     graph: WeightedGraph
-    hop_length: int
     sampling_probability: float
     rounds_charged: int
-    knowledge_matrix: np.ndarray
+    exploration: LimitedExploration = field(repr=False)
     near_distances: np.ndarray = field(repr=False)
+
+    @property
+    def hop_length(self) -> int:
+        """The parameter ``h``: maximum hop length of a skeleton edge."""
+        return self.exploration.hop_length
+
+    @property
+    def knowledge_matrix(self) -> np.ndarray:
+        """The full exploration outcome ``M[v, u] = d_h(v, u)`` (``inf`` outside the ball).
+
+        Only the final combination step of the exact APSP algorithm of
+        Section 3 (and the broadcast baseline reusing it) reads every pair.
+        The matrix is computed from the exploration's snapshot on the first
+        read, cached read-only and shared with every skeleton derived from
+        the same exploration.
+        """
+        return self.exploration.matrix()
 
     @property
     def size(self) -> int:
@@ -107,19 +126,19 @@ class Skeleton:
 
 
 def skeleton_from_exploration(
-    limited: np.ndarray,
+    exploration: LimitedExploration,
     nodes: Sequence[int],
-    hop_length: int,
+    rows: np.ndarray,
     sampling_probability: float,
     rounds_charged: int,
 ) -> Skeleton:
     """The skeleton on the sorted ``nodes`` induced by an exploration outcome.
 
-    ``limited`` is a depth-``h`` exploration matrix (``limited[v, u] = d_h``,
-    ``inf`` outside the ball); sampled nodes within each other's ball are
-    connected by an edge weighted ``max(1, round(d_h))``.  The one
-    constructor of :class:`Skeleton`, shared by :func:`compute_skeleton`,
-    :meth:`SkeletonContext.extended
+    ``rows`` holds the members' ``d_h`` rows of ``exploration``
+    (``rows[i, v] = d_h(nodes[i], v)``, ``inf`` outside the ball); sampled
+    nodes within each other's ball are connected by an edge weighted
+    ``max(1, round(d_h))``.  The one constructor of :class:`Skeleton`, shared
+    by :func:`compute_skeleton`, :meth:`SkeletonContext.extended
     <repro.core.context.SkeletonContext.extended>` and
     :meth:`SkeletonContext.repair <repro.core.context.SkeletonContext.repair>`
     so the three paths can never diverge.
@@ -128,22 +147,21 @@ def skeleton_from_exploration(
     node_array = np.asarray(nodes, dtype=np.int64)
     skeleton_graph = WeightedGraph(max(1, len(nodes)))
     if len(nodes) > 1:
-        pairwise = limited[np.ix_(node_array, node_array)]
+        pairwise = rows[:, node_array]
         edge_u, edge_v = np.nonzero(np.isfinite(pairwise))
         edge_w = pairwise[edge_u, edge_v]
         for u, v, distance in zip(edge_u.tolist(), edge_v.tolist(), edge_w.tolist(), strict=True):
             if u < v:
                 skeleton_graph.add_edge(u, v, max(1, int(round(distance))))
-    near_distances = limited[:, node_array]
+    near_distances = np.ascontiguousarray(rows.T)
     near_distances.flags.writeable = False
     return Skeleton(
         nodes=nodes,
         index_of={node: index for index, node in enumerate(nodes)},
         graph=skeleton_graph,
-        hop_length=hop_length,
         sampling_probability=sampling_probability,
         rounds_charged=rounds_charged,
-        knowledge_matrix=limited,
+        exploration=exploration,
         near_distances=near_distances,
     )
 
@@ -157,8 +175,10 @@ def compute_skeleton(
 ) -> Skeleton:
     """Run Algorithm 6 (``Compute-Skeleton``) on the network.
 
-    The returned skeleton keeps the whole exploration outcome as its
-    ``knowledge_matrix``.  At simulation scale the random sample can come
+    The exploration charges its ``min(h, D)`` local rounds but computes only
+    the members' ``d_h`` rows; the returned skeleton builds the full
+    ``knowledge_matrix`` from the exploration's snapshot if something reads
+    it.  At simulation scale the random sample can come
     out empty; node 0 is then drafted so downstream phases always have a
     skeleton to work with (the asymptotic statements are unaffected).
 
@@ -195,14 +215,14 @@ def compute_skeleton(
     while True:
         # Local exploration to depth h: every node learns its h-limited
         # distances; skeleton nodes in particular learn their incident
-        # skeleton edges.  The exploration is one batched kernel call over all
-        # n sources; a connectivity retry re-runs (and conservatively
-        # re-charges) it at the doubled depth.
-        limited = explore_limited_distance_matrix(network, hop_length, phase=phase + ":exploration")
+        # skeleton edges.  Only the members' rows are computed here; a
+        # connectivity retry re-runs (and conservatively re-charges) the
+        # exploration at the doubled depth.
+        exploration = explore_limited(network, hop_length, phase=phase + ":exploration")
         skeleton = skeleton_from_exploration(
-            limited,
+            exploration,
             nodes,
-            hop_length,
+            exploration.rows(nodes),
             sampling_probability,
             network.metrics.total_rounds - rounds_before,
         )

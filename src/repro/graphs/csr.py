@@ -385,6 +385,28 @@ def chunked_sources(
     return [sources[i : i + chunk] for i in range(0, len(sources), chunk)]
 
 
+def run_chunked(kernel, csr: CSRAdjacency, sources: Sequence[int], *args) -> np.ndarray:
+    """Run a matrix kernel over ``sources`` in byte-budgeted chunks.
+
+    Chunk matrices are concatenated, so the result equals one unchunked call
+    (:func:`chunked_sources`).
+    """
+    chunks = [kernel(csr, chunk, *args) for chunk in chunked_sources(csr.n, sources)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+
+
+def hop_limited_rows(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
+    """The ``d_{hop_limit}`` rows of ``sources``: :func:`hop_limited_matrix`, chunked.
+
+    The one entry every ``d_h`` consumer goes through, whether it holds the
+    live graph (:meth:`WeightedGraph.hop_limited_distance_matrix
+    <repro.graphs.graph.WeightedGraph.hop_limited_distance_matrix>`) or a
+    frozen snapshot of an earlier version
+    (:class:`~repro.localnet.flooding.LimitedExploration`).
+    """
+    return run_chunked(hop_limited_matrix, csr, sources, hop_limit)
+
+
 def rows_to_dicts(matrix: np.ndarray, cast) -> list[dict]:
     """Convert kernel output rows to ``{reached node: value}`` dicts."""
     result: list[dict] = []

@@ -324,14 +324,6 @@ class WeightedGraph:
     # (repro.graphs.csr); their results equal the single-source traversals
     # above, one per source.
 
-    def _chunked(self, kernel, sources: list[int], *args) -> np.ndarray:
-        """Run a matrix kernel over ``sources`` in byte-budgeted chunks."""
-        view = self.csr()
-        chunks = [
-            kernel(view, chunk, *args) for chunk in csr_kernels.chunked_sources(self._n, sources)
-        ]
-        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
-
     def bfs_hops_many(
         self, sources: Sequence[int], max_hops: int | None = None
     ) -> list[dict[int, int]]:
@@ -340,7 +332,9 @@ class WeightedGraph:
         for source in sources:
             self._check_node(source)
         self._check_max_hops(max_hops)
-        levels = self._chunked(csr_kernels.bfs_level_matrix, sources, max_hops)
+        levels = csr_kernels.run_chunked(
+            csr_kernels.bfs_level_matrix, self.csr(), sources, max_hops
+        )
         return csr_kernels.rows_to_dicts(levels, int)
 
     def balls_many(self, sources: Sequence[int], radius: int) -> list[list[int]]:
@@ -364,7 +358,7 @@ class WeightedGraph:
             self._check_node(source)
         if hop_limit < 0:
             raise ValueError("hop_limit must be non-negative")
-        return self._chunked(csr_kernels.hop_limited_matrix, sources, hop_limit)
+        return csr_kernels.hop_limited_rows(self.csr(), sources, hop_limit)
 
     def dijkstra_many(self, sources: Sequence[int]) -> list[dict[int, float]]:
         """Exact distances from many sources at once (one dict per source)."""
@@ -379,7 +373,7 @@ class WeightedGraph:
         sources = list(self.nodes()) if sources is None else list(sources)
         for source in sources:
             self._check_node(source)
-        return self._chunked(csr_kernels.distance_matrix, sources)
+        return csr_kernels.run_chunked(csr_kernels.distance_matrix, self.csr(), sources)
 
     def hop_eccentricities(
         self, sources: Sequence[int] | None = None, max_hops: int | None = None

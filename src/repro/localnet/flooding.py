@@ -11,15 +11,20 @@ once through the multi-source kernels of
 :class:`~repro.graphs.graph.WeightedGraph` over its frozen CSR view
 (:mod:`repro.graphs.csr`).  The kernels compute the flooding loops'
 outcome, not their message traffic; the charged rounds are what the
-theorems count.
+theorems count.  The skeleton's depth-``h`` exploration is the exception to
+"every node at once": :func:`explore_limited` charges the rounds and returns
+a :class:`LimitedExploration` that computes ``d_h`` rows only when a
+consumer reads them.
 """
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Sequence
 from typing import TypeVar
 
+import numpy as np
+
+from repro.graphs.csr import CSRAdjacency, hop_limited_rows
 from repro.hybrid.network import HybridNetwork
 
 T = TypeVar("T")
@@ -38,7 +43,7 @@ def explore_hop_distances(
 
 
 def explore_limited_distances(
-    network: HybridNetwork, depth: int, phase: str = "local-exploration", exact: bool = True
+    network: HybridNetwork, depth: int, phase: str = "local-exploration"
 ) -> list[dict[int, float]]:
     """Every node learns its ``depth``-hop-limited distances (Section 1.3).
 
@@ -52,34 +57,75 @@ def explore_limited_distances(
     the minimum edge weight has ``d_h = d`` and is answered by Dijkstra, and
     every other source runs ``depth`` synchronous Bellman-Ford rounds
     (:func:`repro.graphs.csr.hop_limited_matrix`; the values are identical
-    either way).  Earlier revisions defaulted to a pruned-Dijkstra approximation
-    (``exact=False``) because the literal computation was too slow one Python
-    traversal at a time; the batched kernels made the faithful quantity the
-    fast path, so the approximation was removed.  ``exact`` remains accepted
-    for backwards compatibility; requesting the removed approximation warns.
+    either way).
     """
-    if not exact:
-        warnings.warn(
-            "explore_limited_distances(exact=False) is deprecated: the pruned "
-            "approximation was removed and the literal d_h is returned instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     network.charge_local_rounds(depth, phase)
     return network.local_graph.hop_limited_distances_many(range(network.n), depth)
 
 
-def explore_limited_distance_matrix(
-    network: HybridNetwork, depth: int, phase: str = "local-exploration"
-):
-    """Matrix form of :func:`explore_limited_distances` (``inf`` outside balls).
+class LimitedExploration:
+    """The outcome of one depth-``h`` exploration, with ``d_h`` rows on demand.
 
-    Charges ``depth`` local rounds and returns the dense ``(n, n)`` numpy
-    array ``M[v, u] = d_depth(v, u)``.  Used by consumers that immediately
-    combine the exploration with other matrices (skeleton construction, APSP).
+    After the exploration every node knows its ``d_h`` to every node, but
+    most consumers read only a few rows: Compute-Skeleton needs the skeleton
+    members' rows (Lemma 4.5, Equation (1)), and only the final combination
+    step of the exact APSP algorithm reads all ``n``.  So the rounds are
+    charged once, by :func:`explore_limited`, and rows are computed when
+    they are read.
+
+    Rows describe the graph version the exploration ran on, never the live
+    graph: they come from ``snapshot``, the frozen
+    :class:`~repro.graphs.csr.CSRAdjacency` of that version.  A snapshot is
+    immutable -- a weight update gives the graph a new view with a copied
+    weight array, and ``add_edge`` / ``remove_edge`` drop the graph's view
+    -- so a row read after a mutation still equals the row the exploration
+    would have produced.  ``d_h`` is symmetric (the graph is undirected and
+    integer weights make every value an exact float64 sum), so row ``u`` is
+    also column ``u``: ``d_h(·, u) = d_h(u, ·)``.
+
+    :meth:`matrix` builds the full ``n × n`` matrix on its first call and
+    caches it read-only; :meth:`rows` slices it from then on.
+    """
+
+    __slots__ = ("snapshot", "hop_length", "_matrix")
+
+    def __init__(self, snapshot: CSRAdjacency, hop_length: int, matrix=None) -> None:
+        self.snapshot = snapshot
+        self.hop_length = hop_length
+        if matrix is not None:
+            matrix.flags.writeable = False
+        self._matrix = matrix
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the full matrix has been built."""
+        return self._matrix is not None
+
+    def rows(self, sources: Sequence[int]) -> np.ndarray:
+        """``rows[i, v] = d_h(sources[i], v)`` as a new ``(len(sources), n)`` array."""
+        if self._matrix is not None:
+            return self._matrix[list(sources)]
+        return hop_limited_rows(self.snapshot, sources, self.hop_length)
+
+    def matrix(self) -> np.ndarray:
+        """The read-only ``n × n`` matrix ``M[v, u] = d_h(v, u)`` (built once)."""
+        if self._matrix is None:
+            self._matrix = hop_limited_rows(self.snapshot, range(self.snapshot.n), self.hop_length)
+            self._matrix.flags.writeable = False
+        return self._matrix
+
+
+def explore_limited(
+    network: HybridNetwork, depth: int, phase: str = "local-exploration"
+) -> LimitedExploration:
+    """The depth-``depth`` exploration of :func:`explore_limited_distances`, rows on demand.
+
+    Charges ``depth`` local rounds now and snapshots the local graph; the
+    returned :class:`LimitedExploration` computes ``d_depth`` rows from that
+    snapshot when a consumer reads them.
     """
     network.charge_local_rounds(depth, phase)
-    return network.local_graph.hop_limited_distance_matrix(range(network.n), depth)
+    return LimitedExploration(network.local_graph.csr(), depth)
 
 
 def flood_values(

@@ -46,13 +46,13 @@ class TestFlooding:
         explore_hop_distances(network, 3)
         assert network.metrics.local_rounds - before == min(3, network.hop_diameter())
 
-    def test_explore_limited_distances_exact_mode(self, network):
-        fast = explore_limited_distances(network, 3)
-        exact = explore_limited_distances(network, 3, exact=True)
-        for node in range(0, network.n, 9):
-            for other, value in fast[node].items():
-                assert value >= exact[node].get(other, float("inf")) - 1e9  # sanity: finite
-                assert value >= network.graph.dijkstra(node)[other] - 1e-9
+    def test_explore_limited_distances_equal_single_source_d_h(self, network):
+        # Depth 3 is below the hop diameter, so some rows are not certified by
+        # the bounded Dijkstra call and take the relaxation rounds.
+        explored = explore_limited_distances(network, 3)
+        assert len(explored) == network.n
+        for node in range(network.n):
+            assert explored[node] == network.graph.hop_limited_distances(node, 3)
 
     def test_flood_values_reaches_ball(self, ring_network):
         result = flood_values(ring_network, 2, {0: "token"})

@@ -12,6 +12,7 @@ from repro.core.skeleton import (
     skeleton_from_exploration,
 )
 from repro.graphs import generators
+from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import (
     audit_skeleton,
     build_skeleton_offline,
@@ -19,6 +20,7 @@ from repro.graphs.skeleton_analysis import (
     skeleton_hop_length,
 )
 from repro.hybrid import HybridNetwork, ModelConfig
+from repro.localnet.flooding import LimitedExploration
 from repro.util.rand import RandomSource
 
 
@@ -110,7 +112,10 @@ class TestComputeSkeleton:
         limited = np.full((5, 5), np.inf)
         np.fill_diagonal(limited, 0.0)
         limited[0] = row
-        skeleton = skeleton_from_exploration(limited, [1, 3, 4], 2, 0.5, 0)
+        limited[:, 0] = row  # d_h is symmetric
+        exploration = LimitedExploration(WeightedGraph(5).csr(), 2, limited)
+        nodes = [1, 3, 4]
+        skeleton = skeleton_from_exploration(exploration, nodes, exploration.rows(nodes), 0.5, 0)
         assert skeleton.closest_skeleton_node(0) == expected
 
     def test_incident_edges_symmetric(self, network):
@@ -176,6 +181,16 @@ class TestRepresentatives:
             rep = reps.representative[source]
             exact = network.graph.dijkstra(source)[rep]
             assert reps.distance_to_representative[source] >= exact - 1e-9
+
+    def test_representative_distance_is_d_h_from_member_rows(self, network):
+        skeleton = compute_skeleton(network, 0.2)
+        sources = [node for node in range(network.n) if not skeleton.contains(node)]
+        reps = compute_representatives(network, skeleton, sources)
+        for source in sources:
+            rep = reps.representative[source]
+            d_h = network.graph.hop_limited_distances(source, skeleton.hop_length)
+            assert reps.distance_to_representative[source] == d_h[rep]
+        assert not skeleton.exploration.materialised
 
     def test_rounds_accounted(self, network):
         skeleton = compute_skeleton(network, 0.2)
