@@ -79,10 +79,6 @@ class FunctionInfo:
     class_name: str | None = None
     nested: bool = False  # Defined inside another function (a closure).
 
-    @property
-    def decorator_names(self) -> tuple[str, ...]:
-        return tuple(dotted_name(d) or "" for d in self.node.decorator_list)
-
 
 @dataclass
 class ClassInfo:

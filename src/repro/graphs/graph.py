@@ -16,15 +16,15 @@ aggregation trees) rely on the ID space being exactly ``[0, n)``.
 
 Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
 the source of truth and feeds the mutation journal, and the single-source
-traversals (``bfs_hops``, ``dijkstra``, ``hop_limited_distances``, ...) walk
-it in pure Python.  The batched multi-source kernels (``bfs_hops_many``,
-``hop_limited_distances_many``, ``dijkstra_many``, the matrix variants,
-``hop_eccentricities``, ``hop_diameter``) run on a frozen CSR view
-(:mod:`repro.graphs.csr`) built lazily on first use and invalidated by
-``add_edge`` / ``remove_edge``.  Both return bit-identical results (weights are positive
-integers, so all float distances are exact sums); the single-source
-traversals are the references the kernel tests check the batched kernels
-against.
+traversals (``bfs_hops``, ``dijkstra``, ...) walk it in pure Python.  The
+batched multi-source kernels (``bfs_hops_many``, ``hop_limited_distances_many``,
+``dijkstra_many``, the matrix variants, ``hop_eccentricities``,
+``hop_diameter``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
+lazily on first use and invalidated by ``add_edge`` / ``remove_edge``.  Both
+return bit-identical results (weights are positive integers, so all float
+distances are exact sums).  The ``d_h`` kernels have no single-source twin
+here: tests check them against the edge-list Bellman-Ford oracle
+:func:`repro.graphs.reference.hop_limited_distances`.
 """
 
 from __future__ import annotations
@@ -238,10 +238,6 @@ class WeightedGraph:
         """Iterate over the neighbours of ``u``."""
         return iter(self._adjacency[u])
 
-    def neighbor_items(self, u: int) -> Iterator[tuple[int, int]]:
-        """Iterate over ``(neighbour, weight)`` pairs of ``u``."""
-        return iter(self._adjacency[u].items())
-
     def degree(self, u: int) -> int:
         """Number of neighbours of ``u``."""
         return len(self._adjacency[u])
@@ -321,8 +317,8 @@ class WeightedGraph:
     # ------------------------------------------------- batched traversal kernels
     #
     # The *_many methods advance every source together on the frozen CSR view
-    # (repro.graphs.csr); their results equal the single-source traversals
-    # above, one per source.
+    # (repro.graphs.csr); ``bfs_hops_many`` and ``dijkstra_many`` equal the
+    # single-source traversals, one per source.
 
     def bfs_hops_many(
         self, sources: Sequence[int], max_hops: int | None = None
@@ -485,100 +481,6 @@ class WeightedGraph:
                 if nd < dist.get(v, INFINITY):
                     dist[v] = nd
                     heapq.heappush(heap, (nd, v))
-        return settled
-
-    def dijkstra_with_parents(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
-        """Exact distances plus a shortest-path-tree parent pointer per node."""
-        self._check_node(source)
-        dist: dict[int, float] = {source: 0.0}
-        parent: dict[int, int] = {}
-        settled: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled[u] = d
-            for v, w in self._adjacency[u].items():
-                nd = d + w
-                if nd < dist.get(v, INFINITY):
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        return settled, parent
-
-    def hop_limited_distances(self, source: int, hop_limit: int) -> dict[int, float]:
-        """``d_h(source, ·)``: cheapest walk weight using at most ``hop_limit`` edges.
-
-        Implemented as ``hop_limit`` rounds of synchronous Bellman-Ford where
-        only nodes whose value improved in the previous round relax their
-        edges -- the relaxation never leaves the ``hop_limit``-ball, so no
-        post-hoc filtering (and no per-round copy of the whole reached set) is
-        needed.  Nodes not reachable within the hop limit are absent from the
-        result (``d_h = ∞``).
-        """
-        self._check_node(source)
-        if hop_limit < 0:
-            raise ValueError("hop_limit must be non-negative")
-        distances: dict[int, float] = {source: 0.0}
-        frontier: dict[int, float] = {source: 0.0}
-        for _ in range(hop_limit):
-            if not frontier:
-                break
-            improvements: dict[int, float] = {}
-            for u, du in frontier.items():
-                for v, w in self._adjacency[u].items():
-                    nd = du + w
-                    if nd < distances.get(v, INFINITY) and nd < improvements.get(v, INFINITY):
-                        improvements[v] = nd
-            frontier = {}
-            for v, nd in improvements.items():
-                if nd < distances.get(v, INFINITY):
-                    distances[v] = nd
-                    frontier[v] = nd
-        return distances
-
-    def shortest_distances_within_hops(self, source: int, hop_limit: int) -> dict[int, float]:
-        """Exact distances to nodes whose shortest path uses at most ``hop_limit`` edges.
-
-        Runs a lexicographic Dijkstra minimising ``(weight, hops)``.  Relation
-        to ``d_h`` (Section 1.3): every node whose (minimum-hop) shortest path
-        fits in the hop budget is returned with its *exact* distance, which for
-        those nodes equals ``d_h(source, ·)`` -- this covers every case the
-        HYBRID algorithms rely on (consecutive skeleton nodes, connectors,
-        "close" pairs).  A node may also be returned with the weight of some
-        other ``≤ hop_limit``-hop path (an upper bound ``≥ d``), and nodes only
-        reachable within the hop budget via paths this search pruned are
-        omitted; in both situations the value ``d_h`` would itself be a strict
-        over-estimate of the distance and the algorithms only ever use it as
-        one candidate inside a minimum, so the difference never changes their
-        output (see DESIGN.md, fidelity policy).  This is the simulation-side
-        fast path; :meth:`hop_limited_distances` computes the literal ``d_h``.
-        """
-        self._check_node(source)
-        if hop_limit < 0:
-            raise ValueError("hop_limit must be non-negative")
-        dist: dict[int, tuple[float, int]] = {source: (0.0, 0)}
-        settled: dict[int, float] = {}
-        heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
-        while heap:
-            d, hops, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            if hops <= hop_limit:
-                settled[u] = d
-            # Even when u exceeds the hop budget we keep relaxing: a later node
-            # might still be reachable within budget through a different path
-            # already in the heap, but never through u, so skip its edges.
-            if hops >= hop_limit:
-                continue
-            for v, w in self._adjacency[u].items():
-                nd = d + w
-                nh = hops + 1
-                best = dist.get(v)
-                if best is None or (nd, nh) < best:
-                    dist[v] = (nd, nh)
-                    heapq.heappush(heap, (nd, nh, v))
         return settled
 
     def shortest_path_hops(self, source: int, target: int) -> list[int] | None:

@@ -9,6 +9,7 @@ EXPERIMENTS.md, so they are written for clarity rather than speed.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
@@ -37,21 +38,48 @@ def all_pairs_distances(graph: WeightedGraph) -> dict[int, dict[int, float]]:
     return multi_source_distances(graph, list(graph.nodes()))
 
 
-def _edge_list_adjacency(graph: WeightedGraph) -> list[list[int]]:
-    """Neighbour lists rebuilt from ``graph.edges()`` alone.
+def _edge_list_adjacency(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
+    """``(neighbour, weight)`` lists rebuilt from ``graph.edges()`` alone.
 
-    The hop oracles below walk these lists rather than any of
+    The oracles below walk these lists rather than any of
     ``WeightedGraph``'s traversal methods, so they share no code with the
     kernels they check.
     """
-    adjacency: list[list[int]] = [[] for _ in range(graph.node_count)]
-    for u, v, _ in graph.edges():
-        adjacency[u].append(v)
-        adjacency[v].append(u)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.node_count)]
+    for u, v, w in graph.edges():
+        adjacency[u].append((v, w))
+        adjacency[v].append((u, w))
     return adjacency
 
 
-def _hop_eccentricity(adjacency: list[list[int]], source: int) -> float:
+def hop_limited_distances(graph: WeightedGraph, source: int, hop_limit: int) -> dict[int, float]:
+    """``d_h(source, ·)`` (Section 1.3): the cheapest walk using at most ``hop_limit`` edges.
+
+    Textbook synchronous Bellman-Ford over ``graph.edges()``: round ``i``
+    relaxes every edge in both directions from the values of round ``i - 1``,
+    so after round ``i`` each value is the cheapest walk of at most ``i``
+    edges.  A round that changes nothing is a fixpoint and ends the loop.
+    Nodes with ``d_h = ∞`` are absent from the result.
+    """
+    n = graph.node_count
+    if not 0 <= source < n:
+        raise ValueError(f"node {source} outside [0, {n})")
+    if hop_limit < 0:
+        raise ValueError("hop_limit must be non-negative")
+    edges = list(graph.edges())
+    distance = [INFINITY] * n
+    distance[source] = 0.0
+    for _ in range(hop_limit):
+        previous, distance = distance, list(distance)
+        for u, v, w in edges:
+            distance[v] = min(distance[v], previous[u] + w)
+            distance[u] = min(distance[u], previous[v] + w)
+        if distance == previous:
+            break
+    return {node: value for node, value in enumerate(distance) if value != INFINITY}
+
+
+def _hop_eccentricity(adjacency: list[list[tuple[int, int]]], source: int) -> float:
     """Textbook BFS: the largest hop distance from ``source``.
 
     ``inf`` when some node is unreached.
@@ -60,7 +88,7 @@ def _hop_eccentricity(adjacency: list[list[int]], source: int) -> float:
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v in adjacency[u]:
+        for v, _ in adjacency[u]:
             if v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)
@@ -109,18 +137,19 @@ def shortest_path_diameter(graph: WeightedGraph) -> int:
     each source we run a Dijkstra variant that tracks, per node, the minimum
     number of hops over all minimum-weight paths.
     """
+    adjacency = _edge_list_adjacency(graph)
     spd = 0
     for source in graph.nodes():
-        hops = _min_hops_on_shortest_paths(graph, source)
+        hops = _min_hops_on_shortest_paths(adjacency, source)
         if hops:
             spd = max(spd, max(hops.values()))
     return spd
 
 
-def _min_hops_on_shortest_paths(graph: WeightedGraph, source: int) -> dict[int, int]:
+def _min_hops_on_shortest_paths(
+    adjacency: list[list[tuple[int, int]]], source: int
+) -> dict[int, int]:
     """For each node, the fewest hops among all shortest weighted paths from source."""
-    import heapq
-
     dist: dict[int, float] = {source: 0.0}
     hops: dict[int, int] = {source: 0}
     heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
@@ -130,7 +159,7 @@ def _min_hops_on_shortest_paths(graph: WeightedGraph, source: int) -> dict[int, 
         if u in settled:
             continue
         settled[u] = h
-        for v, w in graph.neighbor_items(u):
+        for v, w in adjacency[u]:
             nd = d + w
             nh = h + 1
             known = dist.get(v, INFINITY)

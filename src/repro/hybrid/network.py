@@ -104,7 +104,6 @@ class HybridNetwork:
         self.rng = RandomSource(self.config.rng_seed)
         self.send_cap = self.config.send_cap(self.n)
         self.receive_cap = self.config.receive_cap(self.n)
-        self._states: list[dict[str, object]] = [dict() for _ in range(self.n)]
         # (name, membership mask) per registered cut.
         self._cut_watchers: list[tuple[str, _np.ndarray]] = []
         # Cumulative global messages received per node over the whole run;
@@ -123,24 +122,6 @@ class HybridNetwork:
         )
         self._outage_graph: WeightedGraph | None = None
         self._outage_version: int | None = None
-
-    # ------------------------------------------------------------------ state
-    def state(self, node: int) -> dict[str, object]:
-        """The mutable per-node knowledge dictionary of ``node``.
-
-        Protocols must only read/write the state of the node they are
-        currently acting as; tests rely on this discipline to check locality.
-        """
-        return self._states[node]
-
-    def states(self) -> list[dict[str, object]]:
-        """All node states (index = node ID)."""
-        return self._states
-
-    def clear_states(self) -> None:
-        """Drop all per-node knowledge (keeps the metrics)."""
-        # repro-lint: waive[RL008] -- protocol state, not graph-derived; the outage cache keys on graph.version
-        self._states = [dict() for _ in range(self.n)]
 
     def reset_metrics(self) -> None:
         """Zero all counters (e.g. between benchmark repetitions).
@@ -516,23 +497,6 @@ class HybridNetwork:
     def max_total_received(self) -> int:
         """Largest cumulative global receive count of any node over the run."""
         return int(max(self.received_totals)) if self.n else 0
-
-    def local_ball(self, node: int, radius: int) -> list[int]:
-        """The ``radius``-hop neighbourhood of ``node`` (no rounds charged).
-
-        Computed on :attr:`local_graph`, so local-edge outages shrink the
-        ball exactly as they would shrink real flooding.
-        """
-        return self.local_graph.ball(node, radius)
-
-    def local_hop_limited_distances(self, node: int, hop_limit: int) -> dict[int, float]:
-        """``d_h(node, ·)`` for the node's local exploration (no rounds charged).
-
-        Callers must separately charge the exploration depth via
-        :meth:`charge_local_rounds`; splitting the two keeps phase accounting
-        explicit in the protocol code.  Computed on :attr:`local_graph`.
-        """
-        return self.local_graph.hop_limited_distances(node, hop_limit)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -75,9 +75,6 @@ def aggregate(
         if value is None:
             continue
         result = value if result is None else combine(result, value)
-    # Make the aggregate part of every node's knowledge.
-    for node in range(n):
-        network.state(node)["aggregate:" + phase] = result
     return result
 
 
@@ -136,8 +133,6 @@ def aggregate_sum(
             totals[int(parent)] += value
     total = totals[0]
     broadcast_value(network, total, source=0, phase=phase)
-    for node in range(n):
-        network.state(node)["aggregate:" + phase] = total
     return total
 
 
@@ -162,6 +157,4 @@ def broadcast_value(
                 MessageBatch(senders, targets, [value] * len(senders)), phase
             )
             informed.update(int(target) for target in delivered.targets)
-    for node in range(n):
-        network.state(node)["broadcast:" + phase] = value
     return value

@@ -43,10 +43,6 @@ class Clustering:
     radius: int
     rounds_charged: int
 
-    def cluster_of(self, node: int) -> list[int]:
-        """The member list of the cluster containing ``node``."""
-        return self.members[self.node_to_ruler[node]]
-
     def cluster_sizes(self) -> list[int]:
         """Sizes of all clusters."""
         return [len(members) for members in self.members.values()]

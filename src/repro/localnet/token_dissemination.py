@@ -109,7 +109,6 @@ def disseminate_tokens(
     network: HybridNetwork,
     tokens_per_node: dict[int, Sequence[Token]],
     phase: str = "token-dissemination",
-    store_key: str | None = None,
 ) -> DisseminationResult:
     """Make every token known to every node (Lemma B.1).
 
@@ -122,9 +121,6 @@ def disseminate_tokens(
         once (tokens are identified by equality).
     phase:
         Accounting label for the rounds this protocol consumes.
-    store_key:
-        When given, the resulting token list is additionally stored in every
-        node's state under this key.
     """
     rounds_before = network.metrics.total_rounds
     n = network.n
@@ -215,10 +211,6 @@ def disseminate_tokens(
     # the cluster radius (every member reaches every other member).
     spread_depth = max(1, 2 * clustering.radius)
     network.charge_local_rounds(spread_depth, phase + ":spread")
-
-    if store_key is not None:
-        for node in range(n):
-            network.state(node)[store_key] = all_tokens
 
     rounds = network.metrics.total_rounds - rounds_before
     return DisseminationResult(tokens=list(all_tokens), token_count=k, rounds=rounds)

@@ -278,7 +278,6 @@ class HybridSession:
         with self._lock:
             self._contexts.clear()
             self._routers.clear()
-            self.network.clear_states()
             self._graph_version = self.graph.version
 
     def _check_version(self) -> None:

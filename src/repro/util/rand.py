@@ -81,10 +81,6 @@ class RandomSource:
             return False
         return self._rng.random() < probability
 
-    def python_rng(self) -> random.Random:
-        """Expose the underlying :class:`random.Random` (for numpy-free code)."""
-        return self._rng
-
 
 def sample_nodes(nodes: Iterable[int], probability: float, rng: RandomSource) -> list[int]:
     """Sample each node independently with the given probability.

@@ -1,18 +1,20 @@
 """The batched CSR kernels against the single-source references.
 
 Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
-``balls_many``, ``hop_limited_distances_many`` / ``hop_limited_distance_matrix``,
-``dijkstra_many`` / ``distance_matrix``, ``hop_eccentricities`` and
-``hop_diameter`` -- must equal, bit for bit, the pure-Python single-source
-traversal it batches (``bfs_hops``, ``hop_limited_distances``, ``dijkstra``,
-``hop_eccentricity``; DESIGN.md §4), and ``csr.hop_diameter`` must equal
-the edge-list BFS oracle of ``graphs/reference.py``.  The properties run over
+``balls_many``, ``dijkstra_many`` / ``distance_matrix``,
+``hop_eccentricities`` and ``hop_diameter`` -- must equal, bit for bit, the
+pure-Python single-source traversal it batches (``bfs_hops``, ``dijkstra``,
+``hop_eccentricity``; DESIGN.md §4).  The ``d_h`` kernels
+(``hop_limited_distances_many`` / ``hop_limited_distance_matrix``) must equal
+the edge-list Bellman-Ford oracle ``reference.hop_limited_distances``, and
+``csr.hop_diameter`` the edge-list BFS oracle ``reference.hop_diameter``;
+neither oracle shares code with ``WeightedGraph``.  The properties run over
 random graph families: connected and disconnected, n = 1, unit and heavy
 weights, empty and duplicate source lists, and source lists split into many
 chunks.
 The weighted ``d_h`` kernel answers most rows from one bounded Dijkstra call
 and a hop certificate and falls back to Bellman-Ford rounds on the rest;
-both paths are pinned against the rounds and the single-source reference.
+both paths are pinned against the rounds and the oracle.
 End to end, the engine must record the same RoundMetrics as the per-message
 scalar oracle of ``tests/scalar_plane.py``.
 """
@@ -108,24 +110,8 @@ class TestTraversalEquivalence:
     def test_hop_limited_distances_agree(self, case):
         graph, hop_limit, sources = case
         assert graph.hop_limited_distances_many(sources, hop_limit) == [
-            graph.hop_limited_distances(s, hop_limit) for s in sources
+            reference.hop_limited_distances(graph, s, hop_limit) for s in sources
         ]
-
-    @common_settings
-    @given(graph_case())
-    def test_shortest_distances_within_hops_agree(self, case):
-        # Exact wherever d_h already equals d (some shortest path fits the
-        # hop budget), and never below the exact distance anywhere.
-        graph, hop_limit, sources = case
-        exact = graph.distance_matrix(sources)
-        limited = graph.hop_limited_distance_matrix(sources, hop_limit)
-        for row, source in enumerate(sources):
-            fast = graph.shortest_distances_within_hops(source, hop_limit)
-            for node, value in fast.items():
-                assert value >= exact[row, node]
-            for node in numpy.flatnonzero(numpy.isfinite(limited[row])).tolist():
-                if limited[row, node] == exact[row, node]:
-                    assert fast[node] == exact[row, node]
 
     @common_settings
     @given(graph_case())
@@ -142,17 +128,14 @@ class TestTraversalEquivalence:
     @given(graph_case())
     def test_distance_matrix_agree(self, case):
         graph, hop_limit, sources = case
-        n = graph.node_count
-        expected = numpy.full((len(sources), n), numpy.inf)
-        expected_limited = numpy.full((len(sources), n), numpy.inf)
+        expected = numpy.full((len(sources), graph.node_count), numpy.inf)
         for row, source in enumerate(sources):
             for node, value in graph.dijkstra(source).items():
                 expected[row, node] = value
-            for node, value in graph.hop_limited_distances(source, hop_limit).items():
-                expected_limited[row, node] = value
         assert numpy.array_equal(graph.distance_matrix(sources), expected)
         assert numpy.array_equal(
-            graph.hop_limited_distance_matrix(sources, hop_limit), expected_limited
+            graph.hop_limited_distance_matrix(sources, hop_limit),
+            hop_limited_reference(graph, sources, hop_limit),
         )
 
     def test_disconnected_graphs_agree(self):
@@ -231,10 +214,10 @@ def weighted_path(weights, n=None, extra=()):
 
 
 def hop_limited_reference(graph, sources, hop_limit):
-    """The single-source ``hop_limited_distances`` maps as a dense matrix."""
+    """The oracle's ``reference.hop_limited_distances`` maps as a dense matrix."""
     expected = numpy.full((len(sources), graph.node_count), numpy.inf)
     for row, source in enumerate(sources):
-        for node, value in graph.hop_limited_distances(source, hop_limit).items():
+        for node, value in reference.hop_limited_distances(graph, source, hop_limit).items():
             expected[row, node] = value
     return expected
 
@@ -393,7 +376,7 @@ class TestChunking:
             ]
             assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
             assert graph.hop_limited_distances_many(sources, hop_limit) == [
-                graph.hop_limited_distances(s, hop_limit) for s in sources
+                reference.hop_limited_distances(graph, s, hop_limit) for s in sources
             ]
             assert graph.hop_eccentricities() == [
                 graph.hop_eccentricity(u) for u in graph.nodes()

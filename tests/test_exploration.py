@@ -25,7 +25,7 @@ from repro import HybridNetwork, HybridSession, ModelConfig
 from repro.core.context import prepare_skeleton_context
 from repro.core.skeleton import compute_skeleton
 from repro.graphs import csr as csr_kernels
-from repro.graphs import generators
+from repro.graphs import generators, reference
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.faults import FaultModel
@@ -34,11 +34,11 @@ from repro.util.rand import RandomSource
 
 
 def literal_d_h(graph, hop_limit):
-    """The full ``d_h`` matrix from the single-source pure-Python traversal."""
+    """The full ``d_h`` matrix from the edge-list Bellman-Ford oracle."""
     n = graph.node_count
     expected = np.full((n, n), np.inf)
     for source in range(n):
-        for node, value in graph.hop_limited_distances(source, hop_limit).items():
+        for node, value in reference.hop_limited_distances(graph, source, hop_limit).items():
             expected[source, node] = value
     return expected
 

@@ -240,9 +240,9 @@ class TestEngineEnforcement:
         assert not network.local_graph.has_edge(0, 1)
         # The 1-hop ball of node 0 lost neighbour 1; the cycle's severed ring
         # now has hop diameter 7 instead of 4.
-        assert 1 not in network.local_ball(0, 1)
+        assert 1 not in network.local_graph.ball(0, 1)
         assert network.hop_diameter() == 7
-        assert 1 not in network.local_hop_limited_distances(0, 1)
+        assert 1 not in reference.hop_limited_distances(network.local_graph, 0, 1)
         # The global plane still reaches node 1 by ID.
         delivered = network.global_round(build_batch([(0, 1)]), "global")
         assert len(delivered) == 1

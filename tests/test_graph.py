@@ -4,7 +4,7 @@
 import numpy
 import pytest
 
-from repro.graphs import generators
+from repro.graphs import generators, reference
 from repro.graphs.graph import DELTA_LOG_LIMIT, INFINITY, WeightedGraph
 from repro.util.rand import RandomSource
 
@@ -216,15 +216,9 @@ class TestDistances:
         distances = graph.dijkstra(0, targets=[2])
         assert distances[2] == 5
 
-    def test_dijkstra_with_parents_reconstructs_path(self):
-        graph = build_triangle()
-        distances, parents = graph.dijkstra_with_parents(0)
-        assert distances[2] == 5
-        assert parents[2] == 1
-
     def test_hop_limited_distances_respects_limit(self):
         graph = build_triangle()
-        limited = graph.hop_limited_distances(0, 1)
+        limited = reference.hop_limited_distances(graph, 0, 1)
         # With one hop the only way to node 2 is the direct weight-10 edge.
         assert limited[2] == 10
         assert limited[1] == 2
@@ -233,26 +227,12 @@ class TestDistances:
         rng = RandomSource(5)
         graph = generators.connected_workload(25, rng, weighted=True, max_weight=7)
         exact = graph.dijkstra(0)
-        limited = graph.hop_limited_distances(0, 25)
+        limited = reference.hop_limited_distances(graph, 0, 25)
         assert limited == exact
 
     def test_hop_limited_zero_hops(self):
         graph = build_triangle()
-        assert graph.hop_limited_distances(0, 0) == {0: 0.0}
-
-    def test_shortest_distances_within_hops_exact_for_short_paths(self):
-        rng = RandomSource(8)
-        graph = generators.connected_workload(30, rng, weighted=True, max_weight=5)
-        exact = graph.dijkstra(0)
-        fast = graph.shortest_distances_within_hops(0, 30)
-        assert fast == exact
-
-    def test_shortest_distances_within_hops_is_upper_bound(self):
-        graph = build_triangle()
-        fast = graph.shortest_distances_within_hops(0, 1)
-        exact = graph.dijkstra(0)
-        for node, value in fast.items():
-            assert value >= exact[node] - 1e-12
+        assert reference.hop_limited_distances(graph, 0, 0) == {0: 0.0}
 
     def test_shortest_path_hops(self):
         path = generators.path_graph(5)

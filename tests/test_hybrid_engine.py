@@ -177,12 +177,6 @@ class TestHybridNetwork:
         assert network.received_totals[3] == 2
         assert network.max_total_received() == 2
 
-    def test_state_is_per_node(self, network):
-        network.state(4)["key"] = "value"
-        assert "key" not in network.state(5)
-        network.clear_states()
-        assert network.state(4) == {}
-
     def test_reset_metrics(self, network):
         network.charge_local_rounds(3)
         network.reset_metrics()

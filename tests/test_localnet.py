@@ -1,9 +1,11 @@
 """Unit tests for the LOCAL/NCC primitives (flooding, ruling sets, clustering,
 aggregation, token dissemination)."""
 
+import math
+
 import pytest
 
-from repro.graphs import generators
+from repro.graphs import generators, reference
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.localnet import (
     aggregate_max,
@@ -52,7 +54,7 @@ class TestFlooding:
         explored = explore_limited_distances(network, 3)
         assert len(explored) == network.n
         for node in range(network.n):
-            assert explored[node] == network.graph.hop_limited_distances(node, 3)
+            assert explored[node] == reference.hop_limited_distances(network.graph, node, 3)
 
     def test_flood_values_reaches_ball(self, ring_network):
         result = flood_values(ring_network, 2, {0: "token"})
@@ -161,8 +163,9 @@ class TestAggregation:
         assert used <= 2 * network.config.log_rounds(network.n) + 2
 
     def test_broadcast_value(self, network):
-        broadcast_value(network, "payload", source=4, phase="test-broadcast")
-        assert network.state(10)["broadcast:test-broadcast"] == "payload"
+        # The returned value is what every node knows after ⌈log2 n⌉ rounds.
+        assert broadcast_value(network, "payload", source=4, phase="test-broadcast") == "payload"
+        assert network.metrics.global_rounds == math.ceil(math.log2(network.n))
 
     def test_aggregation_respects_send_cap(self, network):
         aggregate_sum(network, {node: 1.0 for node in range(network.n)})
@@ -191,8 +194,6 @@ class TestAggregation:
         assert aggregate_sum(network, {0: 2.5}) == pytest.approx(2.5)
         assert network.metrics.total_rounds == 0
         assert network.metrics.global_messages == 0
-        assert network.state(0)["broadcast:broadcast"] == "payload"
-        assert network.state(0)["aggregate:aggregation-sum"] == pytest.approx(2.5)
 
 
 class TestTokenDissemination:
@@ -211,10 +212,6 @@ class TestTokenDissemination:
     def test_duplicate_tokens_counted_once(self, network):
         result = disseminate_tokens(network, {0: ["dup"], 1: ["dup"], 2: ["other"]})
         assert result.token_count == 2
-
-    def test_store_key_populates_states(self, network):
-        disseminate_tokens(network, {0: ["x"]}, store_key="all-tokens")
-        assert network.state(network.n - 1)["all-tokens"] == ["x"]
 
     def test_rounds_grow_sublinearly_in_token_count(self, ring_network):
         # Õ(√k): quadrupling k should far less than quadruple the rounds.

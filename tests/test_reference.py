@@ -62,6 +62,27 @@ class TestDistances:
         assert reference.shortest_path_diameter(graph) == 4
 
 
+class TestHopLimitedOracle:
+    def test_rejects_out_of_range_source(self, graph):
+        for bad in (-1, graph.node_count):
+            with pytest.raises(ValueError):
+                reference.hop_limited_distances(graph, bad, 3)
+
+    def test_rejects_negative_hop_limit(self, graph):
+        with pytest.raises(ValueError):
+            reference.hop_limited_distances(graph, 0, -1)
+
+    def test_single_node(self):
+        single = WeightedGraph(1)
+        assert reference.hop_limited_distances(single, 0, 0) == {0: 0.0}
+        assert reference.hop_limited_distances(single, 0, 5) == {0: 0.0}
+
+    def test_enough_hops_match_networkx(self, graph):
+        # A second opinion that shares no code with the package.
+        theirs = nx.single_source_dijkstra_path_length(graph.to_networkx(), 0)
+        assert reference.hop_limited_distances(graph, 0, graph.node_count) == theirs
+
+
 class TestComparisonHelpers:
     def test_distances_as_matrix(self, graph):
         all_pairs = reference.all_pairs_distances(graph)

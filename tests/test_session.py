@@ -9,6 +9,9 @@ Covers the three guarantees the session API makes:
 * any graph mutation invalidates the whole preprocessing cache.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -397,6 +400,34 @@ class TestSessionInvalidation:
             context.graph_version == graph.version for context in session._contexts.values()
         )
         assert session._graph_version == graph.version
+
+
+class TestWarmSessionMemory:
+    def test_aggregation_retains_nothing_across_queries(self):
+        # Aggregation and broadcast hand their result back to the caller;
+        # nothing they allocate may outlive the query that ran them, however
+        # many distinct sources a warm session serves.
+        graph = generators.connected_workload(64, RandomSource(1), weighted=True, max_weight=8)
+        session = HybridSession(graph, ModelConfig(rng_seed=1))
+        session.sssp(0)
+        only_aggregation = [tracemalloc.Filter(True, "*repro/localnet/aggregation.py")]
+
+        def retained():
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot().filter_traces(only_aggregation)
+            return sum(stat.size for stat in snapshot.statistics("filename"))
+
+        tracemalloc.start()
+        try:
+            for source in range(1, 11):
+                session.sssp(source)
+            after_ten = retained()
+            for source in range(11, 31):
+                session.sssp(source)
+            after_thirty = retained()
+        finally:
+            tracemalloc.stop()
+        assert after_thirty <= after_ten
 
 
 class TestScopedMetrics:

@@ -11,7 +11,7 @@ from repro.core.skeleton import (
     framework_sampling_probability,
     skeleton_from_exploration,
 )
-from repro.graphs import generators
+from repro.graphs import generators, reference
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import (
     audit_skeleton,
@@ -188,7 +188,7 @@ class TestRepresentatives:
         reps = compute_representatives(network, skeleton, sources)
         for source in sources:
             rep = reps.representative[source]
-            d_h = network.graph.hop_limited_distances(source, skeleton.hop_length)
+            d_h = reference.hop_limited_distances(network.graph, source, skeleton.hop_length)
             assert reps.distance_to_representative[source] == d_h[rep]
         assert not skeleton.exploration.materialised
 
