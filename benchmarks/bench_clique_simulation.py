@@ -2,7 +2,9 @@
 
 Measures the HYBRID rounds needed to simulate one CLIQUE round among skeleton
 nodes for different skeleton sizes, next to the ``|S|²/n + √|S|`` bound, and
-ablates the skeleton-size exponent ``x`` around the framework optimum.
+ablates the skeleton-size exponent ``x`` around the framework optimum.  The
+padding-only rounds (``exchange({})``) are timed next to payload rounds in
+which every ordered pair carries a message, as ``GatherShortestPaths`` sends.
 """
 
 import pytest
@@ -43,6 +45,44 @@ def test_clique_round_simulation_cost(benchmark, sampling_exponent):
             "n": n,
             "sampling_exponent_x": sampling_exponent,
             "skeleton_size": skeleton.size,
+            "hybrid_rounds_per_clique_round": round(per_round, 2),
+            "corollary_4_1_shape": round(predicted_simulation_rounds(n, skeleton.size), 2),
+        },
+    )
+
+
+def test_clique_payload_round_cost(benchmark):
+    """HYBRID rounds and wall time of CLIQUE rounds where every pair sends."""
+    n = smoke_scaled(180, 24)
+    graph = locality_workload(n, seed=11)
+    probability = n ** (0.7 - 1.0)
+    rounds = 3
+
+    def run():
+        network = bench_network(graph, seed=70)
+        skeleton = compute_skeleton(network, probability, ensure_connected=True)
+        transport = HybridCliqueTransport(network, skeleton)
+        size = transport.size
+        before = network.metrics.total_rounds
+        for clique_round in range(rounds):
+            transport.exchange(
+                {
+                    sender: [(target, (clique_round, sender)) for target in range(size)]
+                    for sender in range(size)
+                }
+            )
+        per_round = (network.metrics.total_rounds - before) / rounds
+        return skeleton, per_round
+
+    skeleton, per_round = run_once(benchmark, run)
+    attach(
+        benchmark,
+        {
+            "experiment": "E8",
+            "n": n,
+            "sampling_exponent_x": 0.7,
+            "skeleton_size": skeleton.size,
+            "clique_rounds": rounds,
             "hybrid_rounds_per_clique_round": round(per_round, 2),
             "corollary_4_1_shape": round(predicted_simulation_rounds(n, skeleton.size), 2),
         },

@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.skeleton import Skeleton
-from repro.core.token_routing import RoutingToken
 from repro.hybrid.network import HybridNetwork
 
 
@@ -105,36 +104,26 @@ def apsp_exact(
     dist_to_skeleton, connector = _distances_to_skeleton(near_matrix, skeleton_distances)
 
     # Step 4: token routing of the connector labels (the Theorem 1.1 step).
-    tokens: list[RoutingToken] = []
-    for v in range(n):
-        for s_index in range(n_s):
-            receiver = skeleton.original_id(s_index)
-            conn_index = connector[v, s_index]
-            if conn_index < 0:
-                continue
-            tokens.append(
-                RoutingToken(
-                    sender=v,
-                    receiver=receiver,
-                    index=s_index,
-                    payload=(float(near_matrix[v, conn_index]), int(conn_index)),
-                )
-            )
+    # Node v's token for skeleton node s is label (v, s, index s) with payload
+    # (d_h(v, s'), s') for the connector s'; the labels go to the router as
+    # columns and the payloads stay here as columns read by position.
+    sender, s_idx = np.nonzero(connector >= 0)
+    conn = connector[sender, s_idx]
+    d_to_connector = near_matrix[sender, conn]
+    skeleton_ids = np.asarray(skeleton.nodes, dtype=np.int64)
     router = context.apsp_router(phase + ":routing")
-    routing = router.route(tokens)
+    delivered = router.route(sender, skeleton_ids[s_idx], s_idx).delivery_order
 
     # Step 5: each skeleton node s computes d(s, v) = d_S(s, s') + d_h(s', v)
     # from the received tokens ...
     skeleton_to_all = np.full((n_s, n), np.inf)
-    for s_index in range(n_s):
-        skeleton_to_all[s_index, skeleton.original_id(s_index)] = 0.0
-    for receiver, delivered in routing.delivered.items():
-        s_index = skeleton.index_of[receiver]
-        for token in delivered:
-            d_to_connector, conn_index = token.payload
-            candidate = skeleton_distances[s_index, conn_index] + d_to_connector
-            if candidate < skeleton_to_all[s_index, token.sender]:
-                skeleton_to_all[s_index, token.sender] = candidate
+    skeleton_to_all[np.arange(n_s), skeleton_ids] = 0.0
+    s_idx, sender, conn = s_idx[delivered], sender[delivered], conn[delivered]
+    np.minimum.at(
+        skeleton_to_all,
+        (s_idx, sender),
+        skeleton_distances[s_idx, conn] + d_to_connector[delivered],
+    )
     # ... and spreads the labels through its h-hop neighbourhood.
     network.charge_local_rounds(skeleton.hop_length, phase + ":label-spread")
 
@@ -147,7 +136,7 @@ def apsp_exact(
         rounds=rounds,
         skeleton_size=n_s,
         hop_length=skeleton.hop_length,
-        routing_tokens=len(tokens),
+        routing_tokens=int(delivered.size),
     )
 
 

@@ -11,14 +11,23 @@ with senders = receivers = ``S`` and ``k_S = k_R = |S|``.
 :class:`~repro.clique.interfaces.CliqueTransport` protocol on top of a
 :class:`~repro.core.token_routing.TokenRouter`, so any CLIQUE algorithm from
 :mod:`repro.clique` can be executed unchanged inside a HYBRID network.
+
+Every round routes the same label set -- ``(s, r, 0)`` for each ordered pair
+of skeleton nodes, built once as label columns -- and keeps the round's
+payloads in a column indexed by pair (``sender * |S| + target``), so the
+router reuses one routing plan for every round whose pairs carry at most one
+message each; an empty slot is padding and never reaches an inbox.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as _np
+
 from repro.core.skeleton import Skeleton
-from repro.core.token_routing import RoutingToken, TokenRouter
+from repro.core.token_routing import TokenRouter
+from repro.hybrid.errors import CapacityExceededError
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.token_dissemination import disseminate_tokens
 
@@ -57,26 +66,19 @@ class HybridCliqueTransport:
             phase=phase + ":routing",
         )
         # Every CLIQUE round routes one token per ordered node pair; pairs
-        # without an algorithm message carry a padding token.  The tokens are
-        # immutable, so the all-padding token list (one per pair, index 0) is
-        # built once and reused -- a round only constructs tokens for the
-        # pairs that actually carry payloads.
-        original_ids = [skeleton.original_id(index) for index in range(self.size)]
-        self._original_ids = original_ids
-        self._padding_tokens = [
-            RoutingToken(
-                sender=original_ids[sender_index],
-                receiver=original_ids[target_index],
-                index=0,
-                payload=(sender_index, None),
-            )
-            for sender_index in range(self.size)
-            for target_index in range(self.size)
-        ]
-        # The routing plan (hashes, helper assignment) depends only on the
-        # token labels, which a padding-only round repeats exactly; compute it
-        # once, like the paper's one-time hash agreement.
-        self._padding_plan = self.router.plan(self._padding_tokens)
+        # without an algorithm message carry a padding token.  Pair
+        # (sender, target) of skeleton indices is label (s, r, 0) of original
+        # IDs at position ``sender * size + target``; the label columns never
+        # change, so the router plans them once.
+        original_ids = _np.asarray(
+            [skeleton.original_id(index) for index in range(self.size)], dtype=_np.int64
+        )
+        pairs = self.size * self.size
+        self._padding_labels = (
+            _np.repeat(original_ids, self.size),
+            _np.tile(original_ids, self.size),
+            _np.zeros(pairs, dtype=_np.int64),
+        )
 
     @property
     def rounds_used(self) -> int:
@@ -93,51 +95,98 @@ class HybridCliqueTransport:
         token per round (pairs without an algorithm message carry a padding
         token), matching the proof of Corollary 4.1 where each node is sender
         and receiver of exactly ``|S|`` messages and therefore knows the label
-        set it expects.
+        set it expects.  A pair's second and later messages are extra tokens
+        with indices 1, 2, ...; only such a round routes a new label set.
+        A node sending or receiving more than ``|S|`` messages raises
+        :class:`~repro.hybrid.errors.CapacityExceededError`, like
+        ``CliqueNetwork(strict=True)``: the helper sets are sized for
+        ``k_S = k_R = |S|``.
         """
-        payloads: dict[tuple[int, int], list[object]] = {}
+        size = self.size
+        pairs = size * size
+        payloads: list[object] = [None] * pairs
+        occupied = bytearray(pairs)
+        received = [0] * size
+        repeated = False
         for sender_index, messages in outboxes.items():
-            if not 0 <= sender_index < self.size:
+            if not 0 <= sender_index < size:
                 raise ValueError(f"sender index {sender_index} outside the skeleton")
+            if len(messages) > size:
+                raise CapacityExceededError(
+                    f"skeleton node {sender_index} sent {len(messages)} messages in one "
+                    f"CLIQUE round (cap {size})"
+                )
+            base = sender_index * size
             for target_index, payload in messages:
-                if not 0 <= target_index < self.size:
+                if not 0 <= target_index < size:
                     raise ValueError(f"target index {target_index} outside the skeleton")
-                payloads.setdefault((sender_index, target_index), []).append(payload)
+                received[target_index] += 1
+                slot = base + target_index
+                if occupied[slot]:
+                    repeated = True
+                else:
+                    occupied[slot] = 1
+                    payloads[slot] = payload
+        busiest = max(received)
+        if busiest > size:
+            raise CapacityExceededError(
+                f"skeleton node {received.index(busiest)} received {busiest} messages "
+                f"in one CLIQUE round (cap {size})"
+            )
 
-        original_ids = self._original_ids
-        tokens: list[RoutingToken] = self._padding_tokens
-        plan = self._padding_plan
-        if payloads:
-            tokens = list(tokens)
-            plan = None
-            size = self.size
-            for (sender_index, target_index), contents in payloads.items():
-                sender = original_ids[sender_index]
-                receiver = original_ids[target_index]
-                pair_tokens = [
-                    RoutingToken(
-                        sender=sender,
-                        receiver=receiver,
-                        index=position,
-                        payload=(sender_index, payload),
-                    )
-                    for position, payload in enumerate(contents)
-                ]
-                tokens[sender_index * size + target_index] = pair_tokens[0]
-                tokens.extend(pair_tokens[1:])
+        senders, receivers, indices = self._padding_labels
+        slots = _np.arange(pairs)
+        present = _np.frombuffer(occupied, dtype=bool)
+        if repeated:
+            extra_slots, extra_indices, extra_payloads = _extra_tokens(outboxes, size)
+            senders = _np.concatenate((senders, senders[extra_slots]))
+            receivers = _np.concatenate((receivers, receivers[extra_slots]))
+            indices = _np.concatenate((indices, extra_indices))
+            slots = _np.concatenate((slots, extra_slots))
+            present = _np.concatenate((present, _np.ones(extra_slots.size, dtype=bool)))
+            payloads.extend(extra_payloads)
 
-        result = self.router.route(tokens, plan=plan)
+        plan = self.router.route(senders, receivers, indices)
         self._rounds += 1
 
-        inboxes: dict[int, list[tuple[int, object]]] = {}
-        for receiver, delivered in result.delivered.items():
-            receiver_index = self.skeleton.index_of[receiver]
-            for token in delivered:
-                sender_index, payload = token.payload
-                if payload is None:
-                    continue
-                inboxes.setdefault(receiver_index, []).append((sender_index, payload))
-        return inboxes
+        # The plan's delivery order groups the positions per receiver in the
+        # order each receiver collects them; padding positions are skipped.
+        delivered, bounds = plan.deliveries(present)
+        delivered_slots = slots[delivered]
+        sender_indices = (delivered_slots // size).tolist()
+        receiver_indices = (delivered_slots % size).tolist()
+        contents = [payloads[position] for position in delivered.tolist()]
+        return {
+            receiver_indices[begin]: list(
+                zip(sender_indices[begin:end], contents[begin:end], strict=True)
+            )
+            for begin, end in zip(bounds[:-1], bounds[1:], strict=True)
+        }
+
+
+def _extra_tokens(outboxes: dict[int, list[tuple[int, object]]], size: int):
+    """The tokens beyond each pair's first message: slots, indices, payloads.
+
+    Pairs appear in the order of their first message and each pair's extras
+    in queue order, with indices 1, 2, ... (the labelling of Section 2.2).
+    """
+    per_pair: dict[int, list[object]] = {}
+    for sender_index, messages in outboxes.items():
+        for target_index, payload in messages:
+            per_pair.setdefault(sender_index * size + target_index, []).append(payload)
+    extra_slots: list[int] = []
+    extra_indices: list[int] = []
+    extra_payloads: list[object] = []
+    for slot, contents in per_pair.items():
+        for index in range(1, len(contents)):
+            extra_slots.append(slot)
+            extra_indices.append(index)
+            extra_payloads.append(contents[index])
+    return (
+        _np.asarray(extra_slots, dtype=_np.int64),
+        _np.asarray(extra_indices, dtype=_np.int64),
+        extra_payloads,
+    )
 
 
 def predicted_simulation_rounds(n: int, skeleton_size: int) -> float:

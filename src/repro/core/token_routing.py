@@ -20,6 +20,18 @@ The protocol (Algorithms 2-4):
    Receiver-helpers then *request* their labels from the same intermediates,
    which answer with the stored tokens.
 4. Receivers finally collect their tokens from their helpers locally.
+
+Representation (DESIGN.md §4): the router works on *label columns* -- three
+int64 arrays of senders, receivers and indices -- and never sees a payload.
+:meth:`TokenRouter.route` ships token positions through the three global
+phases and returns the :class:`RoutingPlan`, whose delivery order tells the
+caller which positions each receiver got; the caller keeps its payloads in a
+column of its own and reads them by position.  The plan is a function of the
+labels alone, so a router reuses it when it routes the same label set again.
+:class:`RoutingToken` is only the public edge's form: :func:`route_tokens`
+and :meth:`HybridSession.route_tokens <repro.session.HybridSession.route_tokens>`
+validate and convert token lists with :func:`token_labels` and hand the
+tokens back per receiver (:func:`deliver_tokens`).
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from repro.localnet.aggregation import broadcast_value
 from repro.util.hashing import hash_family_for_network
 
 
-def _assign_round_robin(endpoints: Sequence[int], helper_lists: dict[int, list[int]], role: str):
+def _assign_round_robin(endpoints: _np.ndarray, helper_lists: dict[int, list[int]], role: str):
     """Per token, the helper its endpoint deals it to (``c % helper_count``).
 
     ``endpoints[i]`` is token ``i``'s sender (or receiver); token number ``c``
@@ -49,22 +61,21 @@ def _assign_round_robin(endpoints: Sequence[int], helper_lists: dict[int, list[i
     if len(endpoints) < 64:
         result: list[int] = [0] * len(endpoints)
         counters: dict[int, int] = {}
-        for position, endpoint in enumerate(endpoints):
+        for position, endpoint in enumerate(endpoints.tolist()):
             helpers = helper_lists.get(endpoint)
             if helpers is None:
                 raise ProtocolError(f"token {role} {endpoint} is not in the {role} set")
             count = counters.get(endpoint, 0)
             counters[endpoint] = count + 1
             result[position] = helpers[count % len(helpers)]
-        return result
-    arr = _np.asarray(endpoints, dtype=_np.int64)
-    order = _np.argsort(arr, kind="stable")
-    sorted_endpoints = arr[order]
+        return _np.asarray(result, dtype=_np.int64)
+    order = _np.argsort(endpoints, kind="stable")
+    sorted_endpoints = endpoints[order]
     starts = _np.flatnonzero(
         _np.concatenate(([True], sorted_endpoints[1:] != sorted_endpoints[:-1]))
     )
     bounds = _np.concatenate((starts, [order.size]))
-    result_arr = _np.empty(arr.size, dtype=_np.int64)
+    result_arr = _np.empty(endpoints.size, dtype=_np.int64)
     for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
         endpoint = int(sorted_endpoints[begin])
         helpers = helper_lists.get(endpoint)
@@ -79,7 +90,13 @@ def _assign_round_robin(endpoints: Sequence[int], helper_lists: dict[int, list[i
 
 @dataclass(frozen=True)
 class RoutingToken:
-    """One token of the routing problem, labelled ``(sender, receiver, index)``."""
+    """One token of the routing problem, labelled ``(sender, receiver, index)``.
+
+    The public form of a token: :func:`route_tokens` and
+    :meth:`HybridSession.route_tokens <repro.session.HybridSession.route_tokens>`
+    take and return these, and convert to label columns
+    (:func:`token_labels`) on entry.
+    """
 
     sender: int
     receiver: int
@@ -90,6 +107,10 @@ class RoutingToken:
     def label(self) -> tuple[int, int, int]:
         """The token's unique label ``(s, r, i)`` used for hashing and requests."""
         return (self.sender, self.receiver, self.index)
+
+
+#: A label set as three parallel int64 columns: senders, receivers, indices.
+LabelColumns = tuple[_np.ndarray, _np.ndarray, _np.ndarray]
 
 
 def make_tokens(assignments: dict[int, Sequence[tuple[int, Hashable]]]) -> list[RoutingToken]:
@@ -109,28 +130,100 @@ def make_tokens(assignments: dict[int, Sequence[tuple[int, Hashable]]]) -> list[
     return tokens
 
 
-@dataclass
+def token_labels(tokens: Sequence[RoutingToken], n: int) -> LabelColumns:
+    """The tokens' label columns, validated for an ``n``-node network.
+
+    Raises :class:`ValueError` naming the offending field for an endpoint
+    outside ``[0, n)``, a negative index, or a repeated ``(sender, receiver,
+    index)`` label -- the hash and the receivers' label requests both assume
+    labels are unique.
+    """
+    count = len(tokens)
+    senders = _np.fromiter((token.sender for token in tokens), _np.int64, count)
+    receivers = _np.fromiter((token.receiver for token in tokens), _np.int64, count)
+    indices = _np.fromiter((token.index for token in tokens), _np.int64, count)
+    for field, column in (("sender", senders), ("receiver", receivers)):
+        outside = (column < 0) | (column >= n)
+        if outside.any():
+            bad = int(column[outside][0])
+            raise ValueError(f"token {field} {bad} outside the network [0, {n})")
+    if (indices < 0).any():
+        raise ValueError(f"token index {int(indices[indices < 0][0])} is negative")
+    order = _np.lexsort((indices, receivers, senders))
+    repeated = (
+        (senders[order][1:] == senders[order][:-1])
+        & (receivers[order][1:] == receivers[order][:-1])
+        & (indices[order][1:] == indices[order][:-1])
+    )
+    if repeated.any():
+        position = int(order[_np.flatnonzero(repeated)[0]])
+        label = (int(senders[position]), int(receivers[position]), int(indices[position]))
+        raise ValueError(f"token label {label} is repeated")
+    return senders, receivers, indices
+
+
+def endpoint_loads(labels: LabelColumns) -> tuple[list[int], list[int], int, int]:
+    """Distinct senders and receivers of a label set and their ``k_S`` / ``k_R``."""
+    senders, sender_loads = _np.unique(labels[0], return_counts=True)
+    receivers, receiver_loads = _np.unique(labels[1], return_counts=True)
+    return (
+        senders.tolist(),
+        receivers.tolist(),
+        int(sender_loads.max()),
+        int(receiver_loads.max()),
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class RoutingPlan:
     """The deterministic part of one routing instance (see TokenRouter.plan).
 
-    Everything here is a pure function of the token labels and the router's
-    shared hash function: the routable/self-delivered split, each token's
-    intermediate node, the round-robin helper on both sides, and the final
-    per-receiver grouping.  Reusable across :meth:`TokenRouter.route` calls
-    with the same token list.
+    Everything here is a pure function of the label columns and the router's
+    shared hash function, and refers to tokens by their *position* in the
+    label columns: the routable (not self-addressed) positions, each routable
+    token's intermediate node and round-robin helper on both sides, and the
+    per-receiver delivery order.  Payloads never enter the plan, so one plan
+    serves every routing instance over the same label set.
     """
 
-    tokens: Sequence[RoutingToken]
-    routable: list[RoutingToken]
-    intermediates: Sequence[int]
-    sender_helper_of: Sequence[int]
-    receiver_helper_of: Sequence[int]
-    delivered_by_receiver: dict[int, list[RoutingToken]]
+    senders: _np.ndarray
+    receivers: _np.ndarray
+    indices: _np.ndarray
+    #: Positions of the tokens that travel (sender != receiver), ascending.
+    routable: _np.ndarray
+    #: Per routable token: ``h(s, r, i)``, its sender-helper, its receiver-helper.
+    intermediates: _np.ndarray
+    sender_helper_of: _np.ndarray
+    receiver_helper_of: _np.ndarray
+    #: All positions grouped per receiver: receivers holding a
+    #: self-addressed token come first (in order of that token), then the
+    #: rest ascending; within a receiver, self-addressed tokens precede
+    #: routed ones, each in label order.
+    delivery_order: _np.ndarray
 
-    @property
-    def token_count(self) -> int:
-        """Number of tokens the plan was computed for."""
-        return len(self.tokens)
+    def matches(self, senders: _np.ndarray, receivers: _np.ndarray, indices: _np.ndarray) -> bool:
+        """Whether the plan was computed for exactly these label columns."""
+        return (
+            _np.array_equal(self.senders, senders)
+            and _np.array_equal(self.receivers, receivers)
+            and _np.array_equal(self.indices, indices)
+        )
+
+    def deliveries(self, present: _np.ndarray | None = None) -> tuple[_np.ndarray, list[int]]:
+        """The delivered positions in delivery order and each receiver's run.
+
+        ``present`` (a boolean column over the positions) keeps only the
+        positions it marks.  Returns ``(order, bounds)``: one receiver gets
+        ``order[bounds[j]:bounds[j + 1]]`` for each ``j``.
+        """
+        order = self.delivery_order
+        if present is not None:
+            order = order[present[order]]
+        receivers = self.receivers[order]
+        if not order.size:
+            return order, [0]
+        starts = _np.flatnonzero(receivers[1:] != receivers[:-1]) + 1
+        return order, [0, *starts.tolist(), order.size]
 
 
 @dataclass
@@ -165,7 +258,10 @@ class TokenRouter:
     The CLIQUE simulation (Corollary 4.1) runs one routing instance per
     simulated CLIQUE round with the *same* senders and receivers; building the
     helper sets once and reusing them across rounds mirrors the paper, which
-    also computes them a single time before the simulation loop.
+    also computes them a single time before the simulation loop.  Tokens are
+    label columns here (:meth:`route`); the plan of the last label set is
+    kept, so routing the same labels again -- every single-message CLIQUE
+    round, a warm APSP with unchanged connectors -- skips :meth:`plan`.
     """
 
     def __init__(
@@ -203,93 +299,85 @@ class TokenRouter:
         self.hash_function = hash_family_for_network(network.n, seed_rng)
         broadcast_value(network, seed_rng.seed, source=self.senders[0], phase=phase + ":hash-seed")
         self.setup_rounds = network.metrics.total_rounds - rounds_before
+        self._plan: RoutingPlan | None = None
 
     # ------------------------------------------------------------------ route
-    def plan(self, tokens: Sequence[RoutingToken]) -> "RoutingPlan":
-        """Precompute the deterministic routing plan for a token list.
+    def plan(self, senders, receivers, indices) -> RoutingPlan:
+        """Compute the deterministic routing plan for a label set.
 
         The plan -- the self-delivered split, each routable token's hashed
-        intermediate and its round-robin helper on both sides -- depends only
-        on the token *labels* and the router's fixed hash function, so a
-        caller routing the same label set every round (the CLIQUE simulation
-        routes one token per ordered skeleton pair per round) computes it
-        once and passes it to :meth:`route`, exactly like the paper evaluates
-        the shared hash per label once.
+        intermediate and its round-robin helper on both sides, the delivery
+        order -- depends only on the labels and the router's fixed hash
+        function, exactly like the paper evaluates the shared hash per label
+        once.  :meth:`route` calls this only when the label set differs from
+        the one it routed last.
         """
-        direct: dict[int, list[RoutingToken]] = {}
-        routable: list[RoutingToken] = []
-        for token in tokens:
-            if token.sender == token.receiver:
-                direct.setdefault(token.receiver, []).append(token)
-            else:
-                routable.append(token)
-
-        # Each token's label is hashed exactly once -- the whole batch in one
-        # vectorised field evaluation.  The lanes must spell out
-        # RoutingToken.label's (sender, receiver, index) convention so the
-        # batch evaluates the same keys as the scalar hash on token.label.
-        token_senders = [token.sender for token in routable]
-        token_receivers = [token.receiver for token in routable]
-        intermediates = self.hash_function.many(
-            (token_senders, token_receivers, [token.index for token in routable])
+        senders = _np.array(senders, dtype=_np.int64)
+        receivers = _np.array(receivers, dtype=_np.int64)
+        indices = _np.array(indices, dtype=_np.int64)
+        self_addressed = senders == receivers
+        routable = _np.flatnonzero(~self_addressed)
+        routed_senders = senders[routable]
+        routed_receivers = receivers[routable]
+        # Each label is hashed exactly once -- the whole batch in one
+        # vectorised field evaluation over the (sender, receiver, index)
+        # lanes, the keys the scalar hash sees on RoutingToken.label.
+        intermediates = _np.asarray(
+            self.hash_function.many((routed_senders, routed_receivers, indices[routable])),
+            dtype=_np.int64,
         )
         # Helper assignment deals each endpoint's tokens round-robin: token
         # number c of an endpoint goes to helper ``c % helper_count``, the
-        # balanced ⌈k/µ⌉-per-helper split of Fact 2.4.  Both sides are
-        # assigned by grouping the token positions per endpoint (one pass of
-        # array ops per endpoint, not per token).
+        # balanced ⌈k/µ⌉-per-helper split of Fact 2.4.
         sender_helper_of = _assign_round_robin(
-            token_senders, self.sender_helpers.helpers, "sender"
+            routed_senders, self.sender_helpers.helpers, "sender"
         )
         receiver_helper_of = _assign_round_robin(
-            token_receivers, self.receiver_helpers.helpers, "receiver"
+            routed_receivers, self.receiver_helpers.helpers, "receiver"
         )
-        # The final per-receiver token lists are label-determined as well
-        # (everything queued is delivered), so the grouping is part of the
-        # plan; route() hands out fresh copies.
-        delivered_by_receiver: dict[int, list[RoutingToken]] = {
-            receiver: list(items) for receiver, items in direct.items()
-        }
-        for receiver, _, items in MessageBatch(
-            token_senders, token_receivers, routable
-        ).groupby_target():
-            delivered_by_receiver.setdefault(receiver, []).extend(items)
+        # Everything queued is delivered, so the per-receiver grouping is
+        # label-determined as well: rank the receivers (self-addressed first
+        # in label order, then the rest ascending) and sort the positions by
+        # (receiver rank, routed-after-self, position).
+        self_receivers = receivers[self_addressed]
+        _, first = _np.unique(self_receivers, return_index=True)
+        leading = self_receivers[_np.sort(first)]
+        ranked = _np.concatenate((leading, _np.setdiff1d(routed_receivers, leading)))
+        by_value = _np.argsort(ranked)
+        rank = by_value[_np.searchsorted(ranked[by_value], receivers)]
+        delivery_order = _np.lexsort((_np.arange(senders.size), ~self_addressed, rank))
         return RoutingPlan(
-            tokens=tokens,
+            senders=senders,
+            receivers=receivers,
+            indices=indices,
             routable=routable,
             intermediates=intermediates,
             sender_helper_of=sender_helper_of,
             receiver_helper_of=receiver_helper_of,
-            delivered_by_receiver=delivered_by_receiver,
+            delivery_order=delivery_order,
         )
 
-    def route(
-        self, tokens: Sequence[RoutingToken], plan: "RoutingPlan" | None = None
-    ) -> TokenRoutingResult:
-        """Execute Routing-Preparation + Routing-Scheme for the given tokens.
+    def route(self, senders, receivers, indices) -> RoutingPlan:
+        """Execute Routing-Preparation + Routing-Scheme for one label set.
 
-        The returned round count covers this routing instance only; the
-        one-time helper-set construction cost is available as ``setup_rounds``
-        (the :func:`route_tokens` convenience wrapper includes it).  A
-        :meth:`plan` computed for this exact token list may be passed to skip
-        re-deriving the hashes and helper assignments (they are deterministic
-        per label set).
+        The tokens are the label columns ``(senders[i], receivers[i],
+        indices[i])``; their payloads stay with the caller, who reads them by
+        position through the returned plan's delivery order.  The rounds are
+        charged to the network; the one-time helper-set construction cost is
+        ``setup_rounds`` (the :func:`route_tokens` wrapper includes it).
 
         Tokens whose sender equals their receiver are delivered directly (the
         node already has them); everything else flows through helpers and
-        intermediates.  Raises :class:`ProtocolError` if a token fails to reach
-        its receiver (which would indicate an engine bug).
+        intermediates.  Raises :class:`ProtocolError` for an endpoint outside
+        the router's populations, or if a token fails to reach its receiver
+        (which would indicate an engine bug).
         """
         network = self.network
-        rounds_before = network.metrics.total_rounds
         log_factor = network.config.log_rounds(network.n)
 
-        if plan is None:
-            plan = self.plan(tokens)
-        elif plan.tokens is not tokens:
-            # Same-length-different-content misuse would silently deliver the
-            # plan's tokens, so require the exact list the plan was built for.
-            raise ValueError("routing plan was computed for a different token list")
+        plan = self._plan
+        if plan is None or not plan.matches(senders, receivers, indices):
+            plan = self._plan = self.plan(senders, receivers, indices)
         routable = plan.routable
         intermediates = plan.intermediates
         sender_helper_of = plan.sender_helper_of
@@ -310,24 +398,24 @@ class TokenRouter:
 
         # -------------------------------------------------- Routing-Scheme
         # The three phases ship their traffic as MessageBatch columns built
-        # straight from the token/helper/intermediate arrays (one message per
-        # token and phase), so the engine schedules and accounts them with
-        # whole-array operations.  Each phase runs as a *reliable* exchange:
-        # on the ideal model that is plain run_global_exchange (bit-identical
-        # rounds), under an active FaultModel it retransmits unacknowledged
-        # messages within the retry budget and raises
-        # FaultToleranceExceededError when beaten -- so a completed exchange
-        # always delivered every queued message, and the request an
-        # intermediate receives for a label and the token it stores for that
-        # label both follow from the same array row: phase C's outboxes are
-        # derived from it directly instead of re-keying a per-intermediate
-        # store off the phase B inboxes.
+        # straight from the plan's helper/intermediate arrays (one message
+        # per routable token and phase, its payload the token's position), so
+        # the engine schedules and accounts them with whole-array operations.
+        # Each phase runs as a *reliable* exchange: on the ideal model that is
+        # plain run_global_exchange (bit-identical rounds), under an active
+        # FaultModel it retransmits unacknowledged messages within the retry
+        # budget and raises FaultToleranceExceededError when beaten -- so a
+        # completed exchange always delivered every queued message, and the
+        # request an intermediate receives for a label and the token it
+        # stores for that label both follow from the same position: phase
+        # C's outboxes are derived from it directly instead of re-keying a
+        # per-intermediate store off the phase B inboxes.
         # Phase A: sender-helpers push tokens to their intermediate nodes.
         network.run_reliable_exchange(
             MessageBatch(sender_helper_of, intermediates, routable), self.phase + ":push"
         )
         # Phase B: receiver-helpers request their labels from the
-        # intermediates (the payload stands for ``(label, requester)``).
+        # intermediates (the position stands for ``(label, requester)``).
         network.run_reliable_exchange(
             MessageBatch(receiver_helper_of, intermediates, routable),
             self.phase + ":request",
@@ -343,34 +431,37 @@ class TokenRouter:
         collection_rounds = max(1, min(2 * receiver_radius, collection_bound))
         network.charge_local_rounds(collection_rounds, self.phase + ":collect")
         # The exchange must have carried one response per routed token; with
-        # the count verified, the per-receiver token lists come from the plan
-        # (label-determined) instead of a per-message fold of the inbox.
-        if len(response_inboxes) != len(routable):
+        # the count verified, each receiver's tokens are the plan's delivery
+        # group (label-determined) instead of a per-message fold of the inbox.
+        if len(response_inboxes) != routable.size:
             raise ProtocolError(
                 f"token routing delivered {len(response_inboxes)} of "
-                f"{len(routable)} routed tokens"
+                f"{routable.size} routed tokens"
             )
-        delivered: dict[int, list[RoutingToken]] = {
-            receiver: list(items) for receiver, items in plan.delivered_by_receiver.items()
-        }
+        return plan
 
-        expected = len(tokens)
-        received = sum(len(items) for items in delivered.values())
-        if received != expected:
-            raise ProtocolError(
-                f"token routing delivered {received} of {expected} tokens"
-            )
 
-        rounds = network.metrics.total_rounds - rounds_before
-        return TokenRoutingResult(
-            delivered=delivered,
-            rounds=rounds,
-            mu_senders=self.mu_senders,
-            mu_receivers=self.mu_receivers,
-            sender_helpers=self.sender_helpers,
-            receiver_helpers=self.receiver_helpers,
-            token_count=len(tokens),
-        )
+def deliver_tokens(
+    router: TokenRouter, tokens: Sequence[RoutingToken], labels: LabelColumns
+) -> TokenRoutingResult:
+    """Route ``tokens`` (with their :func:`token_labels`) and regroup them per receiver."""
+    rounds_before = router.network.metrics.total_rounds
+    plan = router.route(*labels)
+    order, bounds = plan.deliveries()
+    positions = order.tolist()
+    delivered = {
+        tokens[positions[begin]].receiver: [tokens[position] for position in positions[begin:end]]
+        for begin, end in zip(bounds[:-1], bounds[1:], strict=True)
+    }
+    return TokenRoutingResult(
+        delivered=delivered,
+        rounds=router.network.metrics.total_rounds - rounds_before,
+        mu_senders=router.mu_senders,
+        mu_receivers=router.mu_receivers,
+        sender_helpers=router.sender_helpers,
+        receiver_helpers=router.receiver_helpers,
+        token_count=len(tokens),
+    )
 
 
 def route_tokens(
@@ -381,26 +472,24 @@ def route_tokens(
     """One-shot Theorem 2.2: build helper sets for the tokens' endpoints and route.
 
     ``k_S`` and ``k_R`` are derived from the token list (maximum per sender /
-    per receiver), matching the problem statement in Section 1.3.
+    per receiver), matching the problem statement in Section 1.3.  The labels
+    are validated (:func:`token_labels`) before any round is charged.
     """
     if not tokens:
         return TokenRoutingResult(
             delivered={}, rounds=0, mu_senders=1, mu_receivers=1, token_count=0
         )
-    per_sender: dict[int, int] = {}
-    per_receiver: dict[int, int] = {}
-    for token in tokens:
-        per_sender[token.sender] = per_sender.get(token.sender, 0) + 1
-        per_receiver[token.receiver] = per_receiver.get(token.receiver, 0) + 1
+    labels = token_labels(tokens, network.n)
+    senders, receivers, max_per_sender, max_per_receiver = endpoint_loads(labels)
     router = TokenRouter(
         network,
-        senders=list(per_sender),
-        receivers=list(per_receiver),
-        max_tokens_per_sender=max(per_sender.values()),
-        max_tokens_per_receiver=max(per_receiver.values()),
+        senders=senders,
+        receivers=receivers,
+        max_tokens_per_sender=max_per_sender,
+        max_tokens_per_receiver=max_per_receiver,
         phase=phase,
     )
-    result = router.route(tokens)
+    result = deliver_tokens(router, tokens, labels)
     result.rounds += router.setup_rounds
     return result
 

@@ -11,11 +11,13 @@ one tuple at a time) and the engine side (draining them one tuple at a time).
 
 * ``senders`` -- integer array, ``senders[i]`` sent message ``i``,
 * ``targets`` -- integer array, ``targets[i]`` receives message ``i``, and
-* ``payloads`` -- a plain Python list of the message payloads,
+* ``payloads`` -- the message payloads, either a Python list or a numpy
+  array (token routing ships int64 token positions, see DESIGN.md §4),
 
 so the engine can do all round accounting (per-sender counts, per-receiver
 ``np.bincount``, cut crossings, budget scheduling) with whole-array
-operations and only ever touches payloads to slice them.  Message ``i`` of a
+operations and only ever touches payloads to slice them (:meth:`take`: a
+fancy index on an array column, a list comprehension on a list).  Message ``i`` of a
 batch is *earlier* than message ``j > i``: within one sender the array order
 is the sender's queue order, exactly like the list order of a dict-form
 outbox.
@@ -39,6 +41,13 @@ def _as_index_column(values) -> _np.ndarray:
     return _np.asarray(values, dtype=_np.int64)
 
 
+def _take_payloads(payloads, indices: _np.ndarray):
+    """The payloads at integer ``indices``, in that order, of the column's own kind."""
+    if isinstance(payloads, _np.ndarray):
+        return payloads[indices]
+    return [payloads[i] for i in indices.tolist()]
+
+
 class MessageBatch:
     """One batch of global messages as parallel sender/target/payload columns."""
 
@@ -47,7 +56,9 @@ class MessageBatch:
     def __init__(self, senders, targets, payloads: Sequence[object]) -> None:
         self.senders = _as_index_column(senders)
         self.targets = _as_index_column(targets)
-        self.payloads = list(payloads) if not isinstance(payloads, list) else payloads
+        self.payloads = (
+            payloads if isinstance(payloads, (list, _np.ndarray)) else list(payloads)
+        )
         if not (len(self.senders) == len(self.targets) == len(self.payloads)):
             raise ValueError(
                 f"column lengths differ: {len(self.senders)} senders, "
@@ -94,12 +105,23 @@ class MessageBatch:
             return cls.empty()
         if len(batches) == 1:
             return batches[0]
-        payloads: list[object] = []
-        for batch in batches:
-            payloads.extend(batch.payloads)
         senders = _np.concatenate([batch.senders for batch in batches])
         targets = _np.concatenate([batch.targets for batch in batches])
-        return cls(senders, targets, payloads)
+        columns = [batch.payloads for batch in batches]
+        if all(isinstance(column, _np.ndarray) for column in columns):
+            return cls(senders, targets, _np.concatenate(columns))
+        return cls(senders, targets, [payload for column in columns for payload in column])
+
+    def take(self, indices) -> "MessageBatch":
+        """The messages at ``indices`` (an integer array or boolean mask), in that order."""
+        indices = _np.asarray(indices)
+        if indices.dtype == bool:
+            indices = _np.flatnonzero(indices)
+        return MessageBatch(
+            self.senders[indices],
+            self.targets[indices],
+            _take_payloads(self.payloads, indices),
+        )
 
     # ------------------------------------------------------------- conversions
     def __len__(self) -> int:
@@ -133,13 +155,12 @@ class MessageBatch:
         sorted_targets = self.targets[order]
         boundaries = _np.flatnonzero(sorted_targets[1:] != sorted_targets[:-1]) + 1
         starts = [0, *boundaries.tolist(), len(order)]
-        payloads = self.payloads
         for begin, end in zip(starts[:-1], starts[1:], strict=True):
             indices = order[begin:end]
             yield (
                 int(sorted_targets[begin]),
                 self.senders[indices],
-                [payloads[i] for i in indices.tolist()],
+                _take_payloads(self.payloads, indices),
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -232,14 +232,7 @@ class HybridNetwork:
         if len(batch) == 0:
             return MessageBatch.empty()
         keep = self._account_round(batch.senders, batch.targets, phase)
-        if keep is None:
-            return batch
-        payloads = batch.payloads
-        return MessageBatch(
-            batch.senders[keep],
-            batch.targets[keep],
-            [payloads[i] for i in _np.flatnonzero(keep).tolist()],
-        )
+        return batch if keep is None else batch.take(keep)
 
     def _account_round(self, senders, targets, phase: str):
         """Validate and account one global round given as sender/target arrays.
@@ -349,8 +342,8 @@ class HybridNetwork:
         computed from send/receive budget arrays (:func:`_admit_scan`),
         accounted via ``np.bincount`` and removed; everything else waits.
         Payloads are only sliced once, at the end, by the accumulated
-        delivery order.  Returns the delivered messages and the number of
-        global rounds used.
+        delivery order (:meth:`MessageBatch.take`).  Returns the delivered
+        messages and the number of global rounds used.
         """
         if len(batch) == 0:
             return MessageBatch.empty(), 0
@@ -358,9 +351,7 @@ class HybridNetwork:
         senders = batch.senders[order]
         targets = batch.targets[order]
         indices = order
-        delivered_senders: list[object] = []
-        delivered_targets: list[object] = []
-        delivered_indices: list[object] = []
+        delivered_indices: list[_np.ndarray] = []
         send_cap = self.send_cap
         rounds = 0
         while senders.size:
@@ -396,22 +387,13 @@ class HybridNetwork:
                 # round but never arrived; they are simply not delivered (the
                 # engine does not retry -- see run_reliable_exchange).
                 in_round = in_round[keep]
-            delivered_senders.append(senders[in_round])
-            delivered_targets.append(targets[in_round])
             delivered_indices.append(indices[in_round])
             waiting = ~admitted
             senders = senders[waiting]
             targets = targets[waiting]
             indices = indices[waiting]
             rounds += 1
-        payloads = batch.payloads
-        delivery_order = _np.concatenate(delivered_indices)
-        inbox = MessageBatch(
-            _np.concatenate(delivered_senders),
-            _np.concatenate(delivered_targets),
-            [payloads[i] for i in delivery_order.tolist()],
-        )
-        return inbox, rounds
+        return batch.take(_np.concatenate(delivered_indices)), rounds
 
     def run_reliable_exchange(
         self,
@@ -448,50 +430,41 @@ class HybridNetwork:
         total = len(batch)
         if total == 0:
             return MessageBatch.empty(), 0
-        senders = batch.senders
-        targets = batch.targets
-        payloads = batch.payloads
-        pending = list(range(total))
+        pending = _np.arange(total)
         rounds = 0
         max_attempts = self.faults.max_attempts
         for attempt in range(max_attempts):
             if attempt:
-                self.metrics.record_fault_losses(retried=len(pending))
+                self.metrics.record_fault_losses(retried=int(pending.size))
             attempt_phase = phase if attempt == 0 else phase + ":retry"
-            # Payloads ride with their original batch index so receivers can
-            # acknowledge (and deduplicate) by message identity.
-            sub_batch = MessageBatch(
-                [int(senders[i]) for i in pending],
-                [int(targets[i]) for i in pending],
-                [(i, payloads[i]) for i in pending],
-            )
+            # Each message travels as its original batch index, so receivers
+            # acknowledge (and deduplicate) by message identity; the payloads
+            # themselves never need to move.
             inbox, attempt_rounds = self.run_global_exchange(
-                sub_batch, attempt_phase, receiver_limited
+                MessageBatch(batch.senders[pending], batch.targets[pending], pending),
+                attempt_phase,
+                receiver_limited,
             )
             rounds += attempt_rounds
-            arrived = [identity for identity, _ in inbox.payloads]
-            acked: set = set()
-            if arrived:
+            if len(inbox):
                 # One ACK per arrival, back over the same faulty plane.
                 ack_inbox, ack_rounds = self.run_global_exchange(
-                    MessageBatch(inbox.targets, inbox.senders, arrived),
+                    MessageBatch(inbox.targets, inbox.senders, inbox.payloads),
                     phase + ":ack",
                     receiver_limited,
                 )
                 rounds += ack_rounds
-                acked = set(ack_inbox.payloads)
-            if acked:
-                pending = [i for i in pending if i not in acked]
-            if not pending:
+                pending = pending[~_np.isin(pending, ack_inbox.payloads)]
+            if not pending.size:
                 break
-        if pending:
+        if pending.size:
             raise FaultToleranceExceededError(
-                f"{len(pending)} of {total} messages undelivered after "
+                f"{pending.size} of {total} messages undelivered after "
                 f"{max_attempts} attempts in phase {phase!r}"
             )
         # Everything arrived (possibly more than once; duplicates are
         # dropped), so the delivered set is the original batch itself.
-        return MessageBatch(senders, targets, list(payloads)), rounds
+        return batch, rounds
 
     # ------------------------------------------------------------- shortcuts
     def max_total_received(self) -> int:

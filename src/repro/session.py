@@ -71,7 +71,14 @@ from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.diameter import DiameterResult, approximate_diameter
 from repro.core.kssp import ShortestPathsResult, shortest_paths_via_clique
 from repro.core.sssp import SSSPResult, sssp_exact
-from repro.core.token_routing import RoutingToken, TokenRouter, TokenRoutingResult
+from repro.core.token_routing import (
+    RoutingToken,
+    TokenRouter,
+    TokenRoutingResult,
+    deliver_tokens,
+    endpoint_loads,
+    token_labels,
+)
 from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.faults import FaultModel
@@ -706,6 +713,9 @@ class HybridSession:
         Args:
             tokens: The :class:`~repro.core.token_routing.RoutingToken` batch
                 to deliver.  An empty batch is answered locally in 0 rounds.
+                The labels are validated before any round is charged: an
+                endpoint outside the network, a negative index or a repeated
+                label raises :class:`ValueError`.
 
         Returns:
             :class:`~repro.core.token_routing.TokenRoutingResult` whose
@@ -724,6 +734,7 @@ class HybridSession:
         token-routing requests (DESIGN.md §11).
         """
         with self._lock:
+            labels = token_labels(tokens, self.network.n)
             self._check_version()
             if not tokens:
                 result = TokenRoutingResult(
@@ -733,16 +744,12 @@ class HybridSession:
                     pass
                 self._record("route-tokens", scope, 0, 0, result)
                 return result
-            per_sender: dict[int, int] = {}
-            per_receiver: dict[int, int] = {}
-            for token in tokens:
-                per_sender[token.sender] = per_sender.get(token.sender, 0) + 1
-                per_receiver[token.receiver] = per_receiver.get(token.receiver, 0) + 1
+            senders, receivers, max_per_sender, max_per_receiver = endpoint_loads(labels)
             key: RouterKey = (
-                frozenset(per_sender),
-                frozenset(per_receiver),
-                max(per_sender.values()),
-                max(per_receiver.values()),
+                frozenset(senders),
+                frozenset(receivers),
+                max_per_sender,
+                max_per_receiver,
             )
             cached = self._routers.get(key)
             if cached is None:
@@ -755,8 +762,8 @@ class HybridSession:
                 with self._preparing() as prep:
                     router = TokenRouter(
                         self.network,
-                        senders=list(per_sender),
-                        receivers=list(per_receiver),
+                        senders=senders,
+                        receivers=receivers,
                         max_tokens_per_sender=key[2],
                         max_tokens_per_receiver=key[3],
                         phase=f"session:routing:{digest:08x}",
@@ -768,6 +775,6 @@ class HybridSession:
                 preparation_rounds = 0
             router, setup_rounds = cached
             with self.network.metrics.scoped() as scope:
-                result = router.route(tokens)
+                result = deliver_tokens(router, tokens, labels)
             self._record("route-tokens", scope, preparation_rounds, setup_rounds, result)
             return result

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import HybridSession
 from repro.core.apsp import apsp_exact
+from repro.core.token_routing import TokenRouter
 from repro.graphs import generators, reference
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.rand import RandomSource
@@ -70,6 +72,25 @@ class TestAPSPAccounting:
         assert result.skeleton_size >= 1
         assert result.hop_length >= 1
         assert result.routing_tokens >= graph.node_count  # ~ n * |V_S|
+
+    def test_warm_apsp_reuses_routing_plan(self, monkeypatch):
+        graph = generators.connected_workload(48, RandomSource(12), weighted=True, max_weight=4)
+        session = HybridSession(graph, ModelConfig(rng_seed=12))
+        planned = []
+        original = TokenRouter.plan
+
+        def counted(router, *labels):
+            planned.append(len(labels[0]))
+            return original(router, *labels)
+
+        monkeypatch.setattr(TokenRouter, "plan", counted)
+        cold = session.apsp()
+        assert planned == [cold.routing_tokens]
+        # Same connectors, same labels: the router routes them without a plan.
+        warm = session.apsp()
+        assert planned == [cold.routing_tokens]
+        assert (warm.matrix == cold.matrix).all()
+        assert exact_everywhere(graph, warm) == 0
 
     def test_send_cap_respected_throughout(self):
         graph = generators.connected_workload(36, RandomSource(10), weighted=True, max_weight=4)

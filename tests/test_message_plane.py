@@ -10,6 +10,7 @@ breakdowns and cut crossings.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,23 @@ class TestMessageBatch:
         merged = MessageBatch.concat([first, MessageBatch.empty(), second])
         assert merged.senders.tolist() == [0, 2, 3]
         assert merged.payloads == ["a", "b", "c"]
+
+    def test_array_payload_column_kept(self):
+        positions = np.arange(4, dtype=np.int64)
+        batch = MessageBatch([0, 1, 2, 3], [5, 4, 5, 5], positions)
+        assert batch.payloads is positions
+        taken = batch.take(np.array([True, False, True, True]))
+        assert isinstance(taken.payloads, np.ndarray)
+        assert taken.payloads.tolist() == [0, 2, 3]
+        assert taken.senders.tolist() == [0, 2, 3]
+        merged = MessageBatch.concat([batch, taken])
+        assert merged.payloads.tolist() == [0, 1, 2, 3, 0, 2, 3]
+
+    def test_take_orders_list_payloads(self):
+        batch = MessageBatch([0, 1, 2], [3, 4, 5], ["a", "b", "c"])
+        taken = batch.take(np.array([2, 0]))
+        assert taken.payloads == ["c", "a"]
+        assert taken.targets.tolist() == [5, 3]
 
     def test_mismatched_columns_rejected(self):
         with pytest.raises(ValueError):

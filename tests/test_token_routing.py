@@ -5,10 +5,13 @@ import pytest
 from repro.core.token_routing import (
     RoutingToken,
     TokenRouter,
+    deliver_tokens,
     make_tokens,
     predicted_routing_rounds,
     route_tokens,
+    token_labels,
 )
+from repro import HybridSession
 from repro.graphs import generators
 from repro.hybrid import HybridNetwork, ModelConfig
 from repro.hybrid.errors import ProtocolError
@@ -104,19 +107,19 @@ class TestTokenRouter:
             tokens = make_tokens(
                 {s: [(rng.choice(receivers), (batch, s, i)) for i in range(2)] for s in senders}
             )
-            result = router.route(tokens)
+            result = deliver_tokens(router, tokens, token_labels(tokens, network.n))
             delivered = sorted(t.label for items in result.delivered.values() for t in items)
             assert delivered == sorted(t.label for t in tokens)
 
     def test_router_rejects_unknown_sender(self, network):
         router = TokenRouter(network, [0, 1], [2, 3], 1, 1)
         with pytest.raises(ProtocolError):
-            router.route([RoutingToken(9, 2, 0, "x")])
+            router.route([9], [2], [0])
 
     def test_router_rejects_unknown_receiver(self, network):
         router = TokenRouter(network, [0, 1], [2, 3], 1, 1)
         with pytest.raises(ProtocolError):
-            router.route([RoutingToken(0, 9, 0, "x")])
+            router.route([0], [9], [0])
 
     def test_router_requires_nonempty_populations(self, network):
         with pytest.raises(ValueError):
@@ -125,6 +128,64 @@ class TestTokenRouter:
     def test_setup_rounds_recorded(self, network):
         router = TokenRouter(network, [0, 5, 10], [1, 6, 11], 2, 2)
         assert router.setup_rounds > 0
+
+
+class TestLabelValidation:
+    """Malformed labels fail loudly at the public edge, before any round."""
+
+    CASES = [
+        ([RoutingToken(1, 2, 0, "a"), RoutingToken(1, 2, 0, "b")], "label"),
+        ([RoutingToken(1, 2, -3, "a")], "index"),
+        ([RoutingToken(1, 50, 0, "a")], "receiver"),
+        ([RoutingToken(-1, 2, 0, "a")], "sender"),
+    ]
+
+    @pytest.mark.parametrize("tokens, field", CASES)
+    def test_route_tokens_rejects(self, network, tokens, field):
+        with pytest.raises(ValueError, match=field):
+            route_tokens(network, tokens)
+        assert network.metrics.total_rounds == 0
+
+    @pytest.mark.parametrize("tokens, field", CASES)
+    def test_session_route_tokens_rejects(self, network, tokens, field):
+        session = HybridSession(network.graph, ModelConfig(rng_seed=6))
+        with pytest.raises(ValueError, match=field):
+            session.route_tokens(tokens)
+        assert session.network.metrics.total_rounds == 0
+        assert not session.queries
+
+    def test_distinct_indices_of_a_pair_are_accepted(self, network):
+        tokens = [RoutingToken(1, 2, 0, "a"), RoutingToken(1, 2, 1, "b")]
+        result = route_tokens(network, tokens)
+        assert [token.payload for token in result.delivered[2]] == ["a", "b"]
+
+
+class TestRoutingPlanMemo:
+    def test_same_labels_plan_once(self, network, monkeypatch):
+        router = TokenRouter(network, [0, 5, 10], [1, 6, 11], 2, 2)
+        calls = []
+        original = router.plan
+        monkeypatch.setattr(router, "plan", lambda *labels: calls.append(1) or original(*labels))
+        labels = ([0, 5, 10, 10], [1, 6, 11, 11], [0, 0, 0, 1])
+        first = router.route(*labels)
+        second = router.route(*[list(column) for column in labels])
+        assert len(calls) == 1 and second is first
+        router.route([0], [1], [0])
+        assert len(calls) == 2
+
+    def test_delivery_order_groups_by_receiver(self, network):
+        router = TokenRouter(network, [0, 3, 5], [3, 5, 7], 3, 3)
+        plan = router.route([5, 3, 0, 5, 3], [3, 3, 5, 5, 7], [0, 0, 0, 0, 0])
+        order, bounds = plan.deliveries()
+        groups = {
+            int(plan.receivers[order[begin]]): order[begin:end].tolist()
+            for begin, end in zip(bounds[:-1], bounds[1:], strict=True)
+        }
+        # Self-addressed receivers first (label order), self-addressed token
+        # before routed ones, routed ones in label order.
+        assert list(groups) == [3, 5, 7]
+        assert groups == {3: [1, 0], 5: [3, 2], 7: [4]}
+        assert plan.routable.tolist() == [0, 2, 4]
 
 
 class TestPredictedRounds:
