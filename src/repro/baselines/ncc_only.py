@@ -14,6 +14,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.graphs import reference
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
@@ -40,10 +42,12 @@ def ncc_only_shortest_paths(
     rounds_before = network.metrics.total_rounds
     graph = network.graph
 
-    gather_outboxes: dict[int, list[tuple[int, object]]] = {}
-    for u, v, w in graph.edges():
-        gather_outboxes.setdefault(u, []).append((0, ("edge", u, v, w)))
-    network.run_global_exchange(MessageBatch.from_outboxes(gather_outboxes), phase + ":gather")
+    # One message per edge, from its smaller endpoint, carrying the edge's position.
+    senders = _np.array([u for u, _, _ in graph.edges()], dtype=_np.int64)
+    network.run_global_exchange(
+        MessageBatch(senders, _np.zeros_like(senders), _np.arange(senders.size)),
+        phase + ":gather",
+    )
 
     per_source = reference.multi_source_distances(graph, list(sources))
     estimates: list[dict[int, float]] = [dict() for _ in range(network.n)]
@@ -51,13 +55,20 @@ def ncc_only_shortest_paths(
         for node, value in distances.items():
             estimates[node][source] = value
 
-    scatter_outboxes: dict[int, list[tuple[int, object]]] = {0: []}
-    for node in range(network.n):
-        for source in sources:
-            value = estimates[node].get(source)
-            if value is not None and node != 0:
-                scatter_outboxes[0].append((node, ("distance", source, value)))
-    network.run_global_exchange(MessageBatch.from_outboxes(scatter_outboxes), phase + ":scatter")
+    # Node 0 sends every other node one message per source that reaches it,
+    # carrying the source's ID.
+    scatter = _np.array(
+        [
+            (node, source)
+            for node in range(1, network.n)
+            for source in sources
+            if source in estimates[node]
+        ],
+        dtype=_np.int64,
+    ).reshape(-1, 2)
+    network.run_global_exchange(
+        MessageBatch(_np.zeros(len(scatter)), scatter[:, 0], scatter[:, 1]), phase + ":scatter"
+    )
 
     rounds = network.metrics.total_rounds - rounds_before
     return NCCOnlyResult(rounds=rounds, distances=estimates)

@@ -23,7 +23,6 @@ from repro.experiments.runner import (
     Sweep,
     available_experiments,
     get_sweep,
-    register,
     register_sweep,
     run_all,
     run_experiment,
@@ -36,7 +35,6 @@ __all__ = [
     "Sweep",
     "available_experiments",
     "get_sweep",
-    "register",
     "register_sweep",
     "run_all",
     "run_experiment",

@@ -127,15 +127,6 @@ class Sweep:
 _REGISTRY: dict[str, Sweep] = {}
 
 
-def _add_sweep(sweep: Sweep) -> None:
-    key = sweep.experiment_id
-    # repro-lint: waive[RL006] -- import-time registration; workers only ever run it while importing
-    if key in _REGISTRY:
-        raise ValueError(f"experiment {key} registered twice")
-    # repro-lint: waive[RL006] -- import-time registration; workers only ever run it while importing
-    _REGISTRY[key] = sweep
-
-
 def register_sweep(
     experiment_id: str,
     *,
@@ -150,44 +141,11 @@ def register_sweep(
     """
 
     def decorator(run_shard: ShardRunner) -> ShardRunner:
-        _add_sweep(Sweep(experiment_id.upper(), plan, run_shard, finalize, reseedable))
+        key = experiment_id.upper()
+        if key in _REGISTRY:
+            raise ValueError(f"experiment {key} registered twice")
+        _REGISTRY[key] = Sweep(key, plan, run_shard, finalize, reseedable)
         return run_shard
-
-    return decorator
-
-
-def register(experiment_id: str):
-    """Decorator that registers a plain ``scale -> ExperimentTable`` function.
-
-    Back-compat shim: the function becomes a single-shard sweep whose payload
-    carries the whole rendered table, so it still runs under the parallel
-    engine (at shard granularity one) and through the artifact store.
-    """
-
-    def decorator(function):
-        def plan(scale: str) -> list[ShardPlan]:
-            return [ShardPlan(family="all", seed=0)]
-
-        def run_shard(scale: str, seed: int, params: dict[str, object]) -> object:
-            table = function(scale)
-            return {
-                "table": {
-                    "experiment_id": table.experiment_id,
-                    "title": table.title,
-                    "headers": list(table.headers),
-                    "rows": [list(row) for row in table.rows],
-                    "notes": list(table.notes),
-                }
-            }
-
-        def finalize(scale: str, payloads: list[object]) -> ExperimentTable:
-            data = payloads[0]["table"]
-            return ExperimentTable(
-                data["experiment_id"], data["title"], data["headers"], data["rows"], data["notes"]
-            )
-
-        _add_sweep(Sweep(experiment_id.upper(), plan, run_shard, finalize))
-        return function
 
     return decorator
 

@@ -12,7 +12,8 @@ one tuple at a time) and the engine side (draining them one tuple at a time).
 * ``senders`` -- integer array, ``senders[i]`` sent message ``i``,
 * ``targets`` -- integer array, ``targets[i]`` receives message ``i``, and
 * ``payloads`` -- the message payloads, either a Python list or a numpy
-  array (token routing ships int64 token positions, see DESIGN.md §4),
+  array (token routing and token dissemination ship int64 token positions,
+  see DESIGN.md §4),
 
 so the engine can do all round accounting (per-sender counts, per-receiver
 ``np.bincount``, cut crossings, budget scheduling) with whole-array
@@ -22,14 +23,14 @@ batch is *earlier* than message ``j > i``: within one sender the array order
 is the sender's queue order, exactly like the list order of a dict-form
 outbox.
 
-The same class serves as the batched inbox: :meth:`groupby_target` yields the
-per-receiver message groups in delivery order, and :meth:`to_inboxes` /
-:meth:`to_outboxes` convert to the scalar dict forms for interoperability.
+The same class serves as the batched inbox (messages in delivery order), and
+:meth:`to_inboxes` / :meth:`to_outboxes` convert to the scalar dict forms for
+interoperability.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 import numpy as _np
 
@@ -39,13 +40,6 @@ Inboxes = dict[int, list[tuple[int, object]]]
 def _as_index_column(values) -> _np.ndarray:
     """Coerce a sender/target column to an int64 array."""
     return _np.asarray(values, dtype=_np.int64)
-
-
-def _take_payloads(payloads, indices: _np.ndarray):
-    """The payloads at integer ``indices``, in that order, of the column's own kind."""
-    if isinstance(payloads, _np.ndarray):
-        return payloads[indices]
-    return [payloads[i] for i in indices.tolist()]
 
 
 class MessageBatch:
@@ -117,11 +111,12 @@ class MessageBatch:
         indices = _np.asarray(indices)
         if indices.dtype == bool:
             indices = _np.flatnonzero(indices)
-        return MessageBatch(
-            self.senders[indices],
-            self.targets[indices],
-            _take_payloads(self.payloads, indices),
-        )
+        payloads = self.payloads
+        if isinstance(payloads, _np.ndarray):
+            payloads = payloads[indices]
+        else:
+            payloads = [payloads[i] for i in indices.tolist()]
+        return MessageBatch(self.senders[indices], self.targets[indices], payloads)
 
     # ------------------------------------------------------------- conversions
     def __len__(self) -> int:
@@ -140,28 +135,6 @@ class MessageBatch:
         for sender, target, payload in zip(self.senders, self.targets, self.payloads, strict=True):
             inboxes.setdefault(int(target), []).append((int(sender), payload))
         return inboxes
-
-    def groupby_target(self) -> Iterator[tuple[int, Sequence[int], list[object]]]:
-        """Yield ``(target, senders, payloads)`` per distinct target.
-
-        Groups appear in ascending target order; within a group, messages keep
-        their batch (delivery) order, so per-target folds see exactly the
-        sequence a dict-form inbox would hold.  The senders come back as an
-        integer array (materialise with ``list(...)`` if needed).
-        """
-        if not len(self):
-            return
-        order = _np.argsort(self.targets, kind="stable")
-        sorted_targets = self.targets[order]
-        boundaries = _np.flatnonzero(sorted_targets[1:] != sorted_targets[:-1]) + 1
-        starts = [0, *boundaries.tolist(), len(order)]
-        for begin, end in zip(starts[:-1], starts[1:], strict=True):
-            indices = order[begin:end]
-            yield (
-                int(sorted_targets[begin]),
-                self.senders[indices],
-                _take_payloads(self.payloads, indices),
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageBatch(messages={len(self)})"

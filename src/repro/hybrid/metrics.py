@@ -116,7 +116,6 @@ class RoundMetrics:
         ``preprocessing`` ledger) never do, so merged charges are counted
         exactly once.
         """
-        # repro-lint: waive[RL006] -- reads the per-process scope stack; never crosses processes
         for scope in _AMBIENT_OBSERVERS:
             self._scopes.append(scope)
 

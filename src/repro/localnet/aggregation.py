@@ -144,17 +144,16 @@ def broadcast_value(
     Binomial-tree doubling over node IDs: the set of informed nodes doubles
     every round, so ``⌈log2 n⌉`` rounds suffice and each informed node sends a
     single message per round.  A single node is already informed and charges
-    no rounds.
+    no rounds.  Every message carries the same value, which no receiver reads
+    back, so the payload column holds the sender IDs rather than copies of it.
     """
     n = network.n
     if n > 1:
-        informed = {source}
+        informed = _np.zeros(n, dtype=bool)
+        informed[source] = True
         for i in range(max(1, math.ceil(math.log2(n)))):
-            step = 1 << i
-            senders = sorted(informed)
-            targets = [(node + step) % n for node in senders]
-            delivered = network.global_round(
-                MessageBatch(senders, targets, [value] * len(senders)), phase
-            )
-            informed.update(int(target) for target in delivered.targets)
+            senders = _np.flatnonzero(informed)
+            targets = (senders + (1 << i)) % n
+            delivered = network.global_round(MessageBatch(senders, targets, senders), phase)
+            informed[delivered.targets] = True
     return value

@@ -29,9 +29,15 @@ Total: ``Õ(√k + k/n + ℓ)`` rounds, matching Lemma B.1.
 Relay placement hashes a *canonical* per-token key (a stable digest of the
 token itself), not the token's discovery-order index, so the relay
 assignment -- and therefore the measured round count -- is independent of the
-order in which ``tokens_per_node`` was populated.  All three global phases
-build their traffic as :class:`~repro.hybrid.batch.MessageBatch` columns and
-the whole relay batch is hashed with one ``KWiseHashFunction.many`` call.
+order in which ``tokens_per_node`` was populated.  The whole relay batch is
+hashed with one ``KWiseHashFunction.many`` call.
+
+Only the round count depends on the traffic: the returned token set is the
+deduplicated input, so no node's copy of a token is ever read back.  All three
+global phases therefore ship int64 :class:`~repro.hybrid.batch.MessageBatch`
+columns built with whole-array numpy operations, never a token object: a relay
+or response message carries its token's *position* in the deduplicated token
+list, a request carries its requester's ID.
 
 All three global phases go through
 :meth:`~repro.hybrid.network.HybridNetwork.run_reliable_exchange`: on the
@@ -148,64 +154,53 @@ def disseminate_tokens(
         return DisseminationResult(tokens=[], token_count=0, rounds=rounds)
 
     # Step 2: relay every token to a pseudo-random node.  The whole batch is
-    # hashed in one vectorised field evaluation over canonical token keys.
+    # hashed in one vectorised field evaluation over canonical token keys; a
+    # message carries its token's position in ``all_tokens``.
     hash_function = hash_family_for_network(n, network.fork_rng(phase + ":hash"))
     relays = hash_function.many((_canonical_token_keys(all_tokens), [1] * k))
-    relay_batch = MessageBatch(holders, relays, list(all_tokens))
-    relay_inboxes, _ = network.run_reliable_exchange(relay_batch, phase + ":relay")
-    relay_tokens: dict[int, list[Token]] = {
-        relay: tokens for relay, _, tokens in relay_inboxes.groupby_target()
-    }
+    relay_inboxes, _ = network.run_reliable_exchange(
+        MessageBatch(holders, relays, _np.arange(k, dtype=_np.int64)), phase + ":relay"
+    )
+    # Relay r holds ``held[held_start[r] : held_start[r] + held_count[r]]`` (arrival order).
+    arrival = _np.argsort(relay_inboxes.targets, kind="stable")
+    held = _np.asarray(relay_inboxes.payloads, dtype=_np.int64)[arrival]
+    held_count = _np.bincount(relay_inboxes.targets, minlength=n)
+    held_start = _np.cumsum(held_count) - held_count
 
     # Step 3: clusters of >= µ members with hop radius Õ(µ).
     mu = max(1, min(int(math.isqrt(k)), n))
     ruling = compute_ruling_set(network, mu, phase=phase + ":ruling-set")
     clustering = cluster_around_rulers(network, ruling.rulers, mu, phase=phase + ":clustering")
 
-    # Step 4: members fetch disjoint relay shares.  A request is one message
-    # (relay, requester); a response ships one token per message.
-    occupied_relays = _np.array(sorted(relay_tokens), dtype=_np.int64)
-    request_senders: list[int] = []
-    request_targets: list[int] = []
-    request_payloads: list[int] = []
-    for members in clustering.members.values():
-        size = len(members)
-        shares = occupied_relays % size
-        for index, member in enumerate(members):
-            share = occupied_relays[shares == index]
-            request_senders.extend([member] * share.size)
-            request_targets.extend(share.tolist())
-            request_payloads.extend([member] * share.size)
+    # Step 4: members fetch disjoint relay shares.  Member number ``r mod
+    # |C|`` of every cluster ``C`` sends one request to each occupied relay
+    # ``r``, ordered by cluster (ruler order), then member rank, then relay.
+    occupied = _np.flatnonzero(held_count)
+    sizes = _np.array([len(members) for members in clustering.members.values()], dtype=_np.int64)
+    member_column = _np.concatenate(list(clustering.members.values()))
+    cluster = _np.repeat(_np.arange(sizes.size), occupied.size)
+    relay = _np.tile(occupied, sizes.size)
+    rank = relay % sizes[cluster]
+    order = _np.lexsort((relay, rank, cluster))
+    requesters = member_column[(_np.cumsum(sizes) - sizes)[cluster] + rank][order]
     request_inboxes, _ = network.run_reliable_exchange(
-        MessageBatch(request_senders, request_targets, request_payloads),
-        phase + ":requests",
+        MessageBatch(requesters, relay[order], requesters), phase + ":requests"
     )
 
-    # Each relay answers every requester with its full token list, one token
-    # per message, in request-arrival order.
-    response_senders: list[int] = []
-    response_targets: list[int] = []
-    response_payloads: list[Token] = []
-    for relay, _, requesters in request_inboxes.groupby_target():
-        tokens_here = relay_tokens.get(relay, [])
-        if not tokens_here:
-            continue
-        response_senders.extend([relay] * (len(requesters) * len(tokens_here)))
-        for requester in requesters:
-            response_targets.extend([requester] * len(tokens_here))
-            response_payloads.extend(tokens_here)
-    response_inboxes, _ = network.run_reliable_exchange(
-        MessageBatch(response_senders, response_targets, response_payloads),
+    # Each relay answers its requesters (in arrival order) with every token it
+    # holds, one token position per message; relays answer in ID order.
+    arrival = _np.argsort(request_inboxes.targets, kind="stable")
+    responders = request_inboxes.targets[arrival]
+    counts = held_count[responders]
+    offsets = _np.arange(counts.sum()) - _np.repeat(_np.cumsum(counts) - counts, counts)
+    network.run_reliable_exchange(
+        MessageBatch(
+            _np.repeat(responders, counts),
+            _np.repeat(request_inboxes.senders[arrival], counts),
+            held[_np.repeat(held_start[responders], counts) + offsets],
+        ),
         phase + ":responses",
     )
-
-    fetched: dict[int, list[Token]] = {
-        member: tokens for member, _, tokens in response_inboxes.groupby_target()
-    }
-    # Original holders keep their own tokens as well.
-    for node, tokens in tokens_per_node.items():
-        if tokens:
-            fetched.setdefault(node, []).extend(tokens)
 
     # Step 5: flood the fetched tokens within each cluster.  The flood depth is
     # the cluster radius (every member reaches every other member).
@@ -213,4 +208,4 @@ def disseminate_tokens(
     network.charge_local_rounds(spread_depth, phase + ":spread")
 
     rounds = network.metrics.total_rounds - rounds_before
-    return DisseminationResult(tokens=list(all_tokens), token_count=k, rounds=rounds)
+    return DisseminationResult(tokens=all_tokens, token_count=k, rounds=rounds)

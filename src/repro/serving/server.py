@@ -426,11 +426,7 @@ class QueryServer:
             result = self.session.shortest_paths(sources)
             per_source = {
                 source: protocol.encode_distances(
-                    {
-                        node: estimates.get(source, INFINITY)
-                        for node, estimates in result.estimates.items()
-                    },
-                    n,
+                    {node: result.estimate(node, source) for node in range(n)}, n
                 )
                 for source in sources
             }

@@ -640,6 +640,8 @@ class HybridSession:
 
         Accounting follows DESIGN.md §6; batching semantics DESIGN.md §11.
         """
+        if not sources:
+            raise ValueError("at least one source is required")
         for source in sources:
             if not 0 <= source < self.network.n:
                 raise ValueError(f"source {source} outside the network")

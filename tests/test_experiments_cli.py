@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import SCALES, available_experiments, run_experiment
-from repro.experiments.runner import ExperimentTable, register
+from repro.experiments.runner import ExperimentTable, register_sweep
 
 
 class TestRegistry:
@@ -47,7 +47,9 @@ class TestRegistry:
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(ValueError):
-            register("E1")(lambda scale: None)
+            register_sweep("E1", plan=lambda scale: [], finalize=lambda scale, payloads: None)(
+                lambda scale, seed, params: None
+            )
 
     def test_case_insensitive_lookup(self):
         table = run_experiment("e12", scale="small")

@@ -224,10 +224,7 @@ class TestEngineEnforcement:
             )
             inbox, _rounds = network.run_global_exchange(build_batch(pairs), "faulty")
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = {
-                target: (list(senders), payloads)
-                for target, senders, payloads in inbox.groupby_target()
-            }
+            deliveries[plane] = inbox.to_inboxes()
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
 

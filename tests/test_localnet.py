@@ -2,11 +2,14 @@
 aggregation, token dissemination)."""
 
 import math
+import zlib
 
+import numpy as np
 import pytest
 
+from repro.baselines import ncc_only_shortest_paths
 from repro.graphs import generators, reference
-from repro.hybrid import HybridNetwork, ModelConfig
+from repro.hybrid import FaultModel, HybridNetwork, ModelConfig
 from repro.localnet import (
     aggregate_max,
     aggregate_min,
@@ -246,3 +249,108 @@ class TestTokenDissemination:
         assert forward_result.rounds == backward_result.rounds
         assert forward.metrics.as_dict() == backward.metrics.as_dict()
         assert set(forward_result.tokens) == set(backward_result.tokens)
+
+
+def metrics_pin(metrics):
+    """Every ``RoundMetrics.as_dict`` counter plus a digest of the phase breakdown."""
+    phases = sorted((name, b.local_rounds, b.global_rounds) for name, b in metrics.phases.items())
+    return (*metrics.as_dict().values(), len(phases), zlib.crc32(repr(phases).encode()))
+
+
+#: Token placements on ``cycle_graph(100)``: one token (33 clusters, one
+#: occupied relay), about √n tokens (14 clusters for 10 occupied relays) and
+#: four tokens per node (2 clusters; relays hold several tokens each).
+PLACEMENTS = {
+    "one": {5: [("t", 5, 0)]},
+    "sqrt-n": {node: [("t", node, 0)] for node in range(0, 100, 10)},
+    "four-per-node": {node: [("t", node, i) for i in range(4)] for node in range(100)},
+}
+
+FAULTS = {"ideal": None, "faulty": FaultModel(drop_rate=0.05, seed=3)}
+
+
+class TestColumnTrafficPins:
+    """Rounds and the full ``RoundMetrics`` of the protocols that ship int64
+    payload columns, recorded when they still shipped token objects and
+    per-message tuples.  The columns must not move a round, message or phase.
+    """
+
+    @pytest.mark.parametrize(
+        "placement, faults, expected",
+        [
+            ("one", "ideal", (45, 24, 21, 293, 18752, 7, 27, 0, 0, 0, 7, 2425551318)),
+            ("sqrt-n", "ideal", (79, 62, 17, 516, 33024, 7, 14, 0, 0, 0, 7, 1749597940)),
+            (
+                "four-per-node",
+                "ideal",
+                (168, 150, 18, 1624, 103936, 7, 13, 0, 0, 0, 7, 3212422003),
+            ),
+            ("one", "faulty", (69, 24, 45, 449, 28736, 7, 27, 0, 18, 10, 13, 2310739542)),
+            ("sqrt-n", "faulty", (107, 62, 45, 940, 60160, 7, 14, 0, 46, 38, 15, 70754737)),
+            (
+                "four-per-node",
+                "faulty",
+                (205, 150, 55, 3329, 213056, 7, 13, 0, 163, 155, 15, 2001055662),
+            ),
+        ],
+    )
+    def test_dissemination(self, placement, faults, expected):
+        network = HybridNetwork(
+            generators.cycle_graph(100), ModelConfig(rng_seed=4, faults=FAULTS[faults])
+        )
+        result = disseminate_tokens(network, PLACEMENTS[placement])
+        assert result.rounds == expected[0]
+        assert metrics_pin(network.metrics) == expected
+
+    @pytest.mark.parametrize(
+        "faults, expected_ncc, expected_broadcast",
+        [
+            (
+                "ideal",
+                (38, 0, 38, 317, 20288, 6, 24, 0, 0, 0, 2, 2416178287),
+                (6, 0, 6, 63, 4032, 1, 1, 0, 0, 0, 1, 245597208),
+            ),
+            (
+                "faulty",
+                (38, 0, 38, 317, 20288, 6, 24, 0, 15, 0, 2, 2416178287),
+                (6, 0, 6, 56, 3584, 1, 1, 0, 2, 0, 1, 245597208),
+            ),
+        ],
+    )
+    def test_ncc_only_and_broadcast(self, faults, expected_ncc, expected_broadcast):
+        graph = generators.connected_workload(64, RandomSource(11), weighted=True, max_weight=5)
+        config = ModelConfig(rng_seed=4, faults=FAULTS[faults])
+        network = HybridNetwork(graph, config)
+        result = ncc_only_shortest_paths(network, [0, 17, 40])
+        assert result.rounds == expected_ncc[0]
+        assert metrics_pin(network.metrics) == expected_ncc
+        truth = reference.multi_source_distances(graph, [0, 17, 40])
+        assert all(
+            result.distances[node][source] == distance
+            for source, distances in truth.items()
+            for node, distance in distances.items()
+        )
+        network = HybridNetwork(graph, config)
+        assert broadcast_value(network, 7.5, source=9) == 7.5
+        assert metrics_pin(network.metrics) == expected_broadcast
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_dissemination_ships_only_int64_columns(self, faults, monkeypatch):
+        shipped = {}
+        exchange = HybridNetwork.run_reliable_exchange
+
+        def spy(network, batch, phase="global", receiver_limited=True):
+            shipped[phase] = batch.payloads
+            return exchange(network, batch, phase, receiver_limited)
+
+        monkeypatch.setattr(HybridNetwork, "run_reliable_exchange", spy)
+        network = HybridNetwork(
+            generators.cycle_graph(100), ModelConfig(rng_seed=4, faults=FAULTS[faults])
+        )
+        disseminate_tokens(network, PLACEMENTS["four-per-node"], phase="tokens")
+        for name in ("tokens:relay", "tokens:requests", "tokens:responses"):
+            assert isinstance(shipped[name], np.ndarray), name
+            assert shipped[name].dtype == np.int64, name
+        # Relays and responses carry positions in the 400-token list.
+        assert shipped["tokens:relay"].tolist() == list(range(400))
+        assert set(shipped["tokens:responses"].tolist()) == set(range(400))

@@ -71,14 +71,6 @@ class TestMessageBatch:
         batch = MessageBatch.from_inboxes(inboxes)
         assert batch.to_inboxes() == inboxes
 
-    def test_groupby_target_preserves_order(self):
-        batch = MessageBatch([0, 1, 2, 3], [5, 4, 5, 5], ["a", "b", "c", "d"])
-        groups = {
-            target: (list(senders), payloads)
-            for target, senders, payloads in batch.groupby_target()
-        }
-        assert groups == {4: ([1], ["b"]), 5: ([0, 2, 3], ["a", "c", "d"])}
-
     def test_concat(self):
         first = MessageBatch([0], [1], ["a"])
         second = MessageBatch([2, 3], [1, 0], ["b", "c"])
@@ -302,10 +294,7 @@ class TestPlaneIdentity:
                 build_batch(pairs), receiver_limited=receiver_limited
             )
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = {
-                target: (list(senders), payloads)
-                for target, senders, payloads in inbox.groupby_target()
-            }
+            deliveries[plane] = inbox.to_inboxes()
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
 
@@ -372,15 +361,25 @@ class TestProtocolPlaneIdentity:
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert outputs["scalar"] == outputs["vectorized"]
 
-    def test_dissemination_workload(self):
-        tokens = {node: [("t", node, i) for i in range(3)] for node in range(0, 40, 4)}
-
+    @staticmethod
+    def assert_dissemination_identical(tokens):
         def protocol(network):
             return disseminate_tokens(network, tokens).rounds
 
         snapshots, outputs = run_on_both_planes(lambda: generators.cycle_graph(40), protocol)
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert outputs["scalar"] == outputs["vectorized"]
+
+    def test_dissemination_workload(self):
+        self.assert_dissemination_identical(
+            {node: [("t", node, i) for i in range(3)] for node in range(0, 40, 4)}
+        )
+
+    def test_dissemination_workload_four_tokens_per_node(self):
+        """Relays hold several tokens, so responses repeat per held token."""
+        self.assert_dissemination_identical(
+            {node: [("t", node, i) for i in range(4)] for node in range(40)}
+        )
 
     def test_token_routing_workload(self):
         rng = RandomSource(9)

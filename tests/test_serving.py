@@ -32,7 +32,7 @@ from repro.serving import (
     query_tcp,
     serve_tcp,
 )
-from repro.serving import benchmark
+from repro.serving import benchmark, protocol
 from repro.util.rand import RandomSource
 
 
@@ -155,6 +155,37 @@ class TestSsspBatchIdentity:
             session.sssp_batch([])
         with pytest.raises(ValueError):
             session.sssp_batch([999])
+
+
+class TestEveryOperation:
+    """One request of every protocol operation is served successfully."""
+
+    def test_every_op_answers_ok(self):
+        graph = generators.connected_workload(40, RandomSource(6))
+        requests = {
+            "apsp": {"op": "apsp"},
+            "diameter": {"op": "diameter"},
+            "route-tokens": {"op": "route-tokens", "tokens": [[0, 5, "a"], [3, 9, "b"]]},
+            "shortest-paths": {"op": "shortest-paths", "sources": [4]},
+            "sssp": {"op": "sssp", "source": 2},
+        }
+        assert set(requests) == set(protocol.OPERATIONS)
+        requests = [{"id": op, **request} for op, request in requests.items()]
+        responses, _ = serve(requests, make_session(graph), ServerConfig())
+        for response in responses:
+            assert response["ok"], response
+
+    @pytest.mark.parametrize("sources", [[11], [3, 11, 30]])
+    def test_shortest_paths_distances_match_session(self, sources):
+        graph = make_graph(n=40)
+        request = {"id": "sp", "op": "shortest-paths", "sources": sources}
+        (response,), _ = serve([request], make_session(graph), ServerConfig())
+        assert response["ok"], response
+        expected = make_session(graph).shortest_paths(sources)
+        assert response["result"]["distances"] == {
+            str(source): [expected.estimate(node, source) for node in range(40)]
+            for source in sources
+        }
 
 
 class TestServerCoalescing:

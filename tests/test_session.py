@@ -316,6 +316,15 @@ class TestSessionValidation:
         query_rounds = sum(record.amortized_rounds for record in session.queries)
         assert query_rounds + session.preprocessing_rounds == session.metrics.total_rounds
 
+    def test_empty_shortest_paths_rejected_before_any_charge(self):
+        session = HybridSession(make_graph(3, n=60), ModelConfig(rng_seed=3))
+        for bad in ([], [0, 60]):
+            with pytest.raises(ValueError):
+                session.shortest_paths(bad)
+        assert session.preprocessing_rounds == 0
+        assert session.metrics.total_rounds == 0
+        assert session.queries == []
+
     def test_repeat_flag_validated_by_query_command(self, capsys):
         from repro.cli import main
 
