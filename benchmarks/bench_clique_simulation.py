@@ -3,10 +3,12 @@
 Measures the HYBRID rounds needed to simulate one CLIQUE round among skeleton
 nodes for different skeleton sizes, next to the ``|S|²/n + √|S|`` bound, and
 ablates the skeleton-size exponent ``x`` around the framework optimum.  The
-padding-only rounds (``exchange({})``) are timed next to payload rounds in
-which every ordered pair carries a message, as ``GatherShortestPaths`` sends.
+padding-only rounds (``exchange(MessageBatch.empty())``) are timed next to
+payload rounds in which every ordered pair carries a message, as
+``GatherShortestPaths`` sends.
 """
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import (
@@ -18,6 +20,7 @@ from benchmarks.conftest import (
 )
 from repro.core.clique_simulation import HybridCliqueTransport, predicted_simulation_rounds
 from repro.core.skeleton import compute_skeleton
+from repro.hybrid.batch import MessageBatch
 
 
 @pytest.mark.parametrize("sampling_exponent", [0.3, 0.5, 0.7])
@@ -33,7 +36,7 @@ def test_clique_round_simulation_cost(benchmark, sampling_exponent):
         transport = HybridCliqueTransport(network, skeleton)
         before = network.metrics.total_rounds
         for _ in range(3):
-            transport.exchange({})
+            transport.exchange(MessageBatch.empty())
         per_round = (network.metrics.total_rounds - before) / 3.0
         return skeleton, per_round
 
@@ -63,14 +66,11 @@ def test_clique_payload_round_cost(benchmark):
         skeleton = compute_skeleton(network, probability, ensure_connected=True)
         transport = HybridCliqueTransport(network, skeleton)
         size = transport.size
+        nodes = np.arange(size)
+        senders, targets = np.repeat(nodes, size), np.tile(nodes, size)
         before = network.metrics.total_rounds
         for clique_round in range(rounds):
-            transport.exchange(
-                {
-                    sender: [(target, (clique_round, sender)) for target in range(size)]
-                    for sender in range(size)
-                }
-            )
+            transport.exchange(MessageBatch(senders, targets, clique_round * size + senders))
         per_round = (network.metrics.total_rounds - before) / rounds
         return skeleton, per_round
 

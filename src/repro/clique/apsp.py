@@ -20,14 +20,26 @@ interface and honest round accounting in the simulated CLIQUE:
 
 from __future__ import annotations
 
-
 from collections.abc import Sequence
+
+import numpy as _np
+
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueShortestPathAlgorithm,
     CliqueTransport,
 )
 from repro.graphs.graph import INFINITY, WeightedGraph
+from repro.hybrid.batch import MessageBatch
+
+
+def _broadcast(senders: _np.ndarray, payloads: _np.ndarray, size: int) -> MessageBatch:
+    """Each sender sends its payload to every node ``0..size-1``, in target order."""
+    return MessageBatch(
+        _np.repeat(senders, size),
+        _np.tile(_np.arange(size, dtype=_np.int64), senders.size),
+        _np.repeat(payloads, size),
+    )
 
 
 def _gather_graph(
@@ -35,34 +47,49 @@ def _gather_graph(
 ) -> WeightedGraph:
     """Make the whole graph known to every node; return it (identical everywhere).
 
-    Round ``r``: every node broadcasts its ``r``-th incident edge to all nodes.
-    The number of CLIQUE rounds is the maximum degree (at least 1 so that even
-    an edgeless instance costs a round).
+    Round ``r``: every node broadcasts its ``r``-th incident edge (by
+    neighbour) to all nodes, as the edge's int64 position in the
+    concatenated per-node edge lists.  The number of CLIQUE rounds is the
+    maximum degree (at least 1 so that even an edgeless instance costs a
+    round).
     """
     size = transport.size
-    edge_lists: list[list[tuple[int, int, int]]] = [
-        sorted((node, neighbour, weight) for neighbour, weight in edges.items())
-        for node, edges in enumerate(incident_edges)
-    ]
-    rounds = max(1, max((len(edges) for edges in edge_lists), default=1))
-    known: list[tuple[int, int, int]] = []
-    for r in range(rounds):
-        outboxes: dict[int, list[tuple[int, object]]] = {}
-        for node, edges in enumerate(edge_lists):
-            if r < len(edges):
-                outboxes[node] = [(target, edges[r]) for target in range(size)]
-        inboxes = transport.exchange(outboxes)
-        # Every node receives the same set of edges; record them once.
-        for _, messages in sorted(inboxes.items())[:1]:
-            for _, edge in messages:
-                known.append(edge)
+    heads: list[int] = []
+    tails: list[int] = []
+    weights: list[int] = []
+    for node, edges in enumerate(incident_edges):
+        for neighbour, weight in sorted(edges.items()):
+            heads.append(node)
+            tails.append(neighbour)
+            weights.append(weight)
+    degrees = _np.asarray([len(edges) for edges in incident_edges], dtype=_np.int64)
+    offsets = _np.cumsum(degrees) - degrees
+    known: list[_np.ndarray] = []
+    for r in range(max(1, int(degrees.max(initial=1)))):
+        senders = _np.flatnonzero(degrees > r)
+        delivered = transport.exchange(_broadcast(senders, offsets[senders] + r, size))
+        # Every node receives the same edges; record the lowest receiver's.
+        if len(delivered):
+            known.append(delivered.payloads[delivered.targets == delivered.targets.min()])
     graph = WeightedGraph(size)
-    for u, v, w in known:
-        if u != v and (not graph.has_edge(u, v) or graph.weight(u, v) > w):
-            if graph.has_edge(u, v):
-                graph.remove_edge(u, v)
-            graph.add_edge(u, v, w)
+    positions = _np.concatenate(known).tolist() if known else []
+    # Heaviest first: a later add of the same edge replaces the weight, so
+    # each edge keeps its lightest reported weight.
+    positions.sort(key=lambda position: -weights[position])
+    for position in positions:
+        if heads[position] != tails[position]:
+            graph.add_edge(heads[position], tails[position], weights[position])
     return graph
+
+
+def _weight_matrix(incident_edges: Sequence[dict[int, int]]) -> _np.ndarray:
+    """``W[v, u]`` = the weight ``v`` knows for edge ``{v, u}``, ``inf`` if none."""
+    size = len(incident_edges)
+    weights = _np.full((size, size), INFINITY)
+    for node, edges in enumerate(incident_edges):
+        if edges:
+            weights[node, list(edges)] = list(edges.values())
+    return weights
 
 
 class GatherShortestPaths(CliqueShortestPathAlgorithm):
@@ -81,10 +108,10 @@ class GatherShortestPaths(CliqueShortestPathAlgorithm):
     ) -> list[dict[int, float]]:
         graph = _gather_graph(transport, incident_edges)
         estimates: list[dict[int, float]] = [dict() for _ in range(transport.size)]
-        for source in sources:
-            distances = graph.dijkstra(source)
-            for node in range(transport.size):
-                estimates[node][source] = distances.get(node, INFINITY)
+        rows = graph.distance_matrix(sources).tolist()
+        for source, row in zip(sources, rows, strict=True):
+            for node, distance in enumerate(row):
+                estimates[node][source] = distance
         return estimates
 
 
@@ -109,39 +136,37 @@ class BroadcastKSourceBellmanFord(CliqueShortestPathAlgorithm):
         sources: Sequence[int],
     ) -> list[dict[int, float]]:
         size = transport.size
+        weights = _weight_matrix(incident_edges)
         estimates: list[dict[int, float]] = [dict() for _ in range(size)]
         for source in sources:
-            distances = _bellman_ford_phase(transport, incident_edges, source)
+            distances = _bellman_ford_phase(transport, weights, source).tolist()
             for node in range(size):
                 estimates[node][source] = distances[node]
         return estimates
 
 
 def _bellman_ford_phase(
-    transport: CliqueTransport,
-    incident_edges: Sequence[dict[int, int]],
-    source: int,
-) -> list[float]:
-    """One broadcast-based Bellman-Ford run from ``source``; returns all distances."""
+    transport: CliqueTransport, weights: _np.ndarray, source: int
+) -> _np.ndarray:
+    """One broadcast-based Bellman-Ford run from ``source``; returns all distances.
+
+    Every round, each node with a finite estimate broadcasts it (the origin
+    is the sender) and every node relaxes the delivered estimates against
+    ``weights`` (:func:`_weight_matrix`); the run stops after the first round
+    that changes nothing, or after ``size`` rounds.
+    """
     size = transport.size
-    distances: list[float] = [INFINITY] * size
+    distances = _np.full(size, INFINITY)
     distances[source] = 0.0
     for _ in range(size):
-        outboxes: dict[int, list[tuple[int, object]]] = {}
-        for node in range(size):
-            if distances[node] < INFINITY:
-                outboxes[node] = [(target, (node, distances[node])) for target in range(size)]
-        inboxes = transport.exchange(outboxes)
-        changed = False
-        for node in range(size):
-            for _, (origin, estimate) in inboxes.get(node, []):
-                weight = incident_edges[node].get(origin)
-                if weight is None:
-                    continue
-                candidate = estimate + weight
-                if candidate < distances[node]:
-                    distances[node] = candidate
-                    changed = True
-        if not changed:
+        reached = _np.flatnonzero(distances < INFINITY)
+        delivered = transport.exchange(_broadcast(reached, distances[reached], size))
+        relaxed = distances.copy()
+        targets = delivered.targets
+        _np.minimum.at(
+            relaxed, targets, delivered.payloads + weights[targets, delivered.senders]
+        )
+        if not (relaxed < distances).any():
             break
+        distances = relaxed
     return distances

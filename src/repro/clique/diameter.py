@@ -14,15 +14,14 @@ DESIGN.md):
 
 from __future__ import annotations
 
-
 from collections.abc import Sequence
-from repro.clique.apsp import _bellman_ford_phase, _gather_graph
+
+from repro.clique.apsp import _bellman_ford_phase, _gather_graph, _weight_matrix
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueDiameterAlgorithm,
     CliqueTransport,
 )
-from repro.graphs.graph import INFINITY
 
 
 class GatherDiameter(CliqueDiameterAlgorithm):
@@ -36,14 +35,9 @@ class GatherDiameter(CliqueDiameterAlgorithm):
     def run(
         self, transport: CliqueTransport, incident_edges: Sequence[dict[int, int]]
     ) -> float:
-        graph = _gather_graph(transport, incident_edges)
-        worst = 0.0
-        for node in range(transport.size):
-            distances = graph.dijkstra(node)
-            if len(distances) != transport.size:
-                return INFINITY
-            worst = max(worst, max(distances.values()))
-        return worst
+        # ``inf`` marks a disconnected pair, so it is also the maximum then.
+        distances = _gather_graph(transport, incident_edges).distance_matrix()
+        return float(distances.max())
 
 
 class EccentricityDiameter(CliqueDiameterAlgorithm):
@@ -57,9 +51,5 @@ class EccentricityDiameter(CliqueDiameterAlgorithm):
     def run(
         self, transport: CliqueTransport, incident_edges: Sequence[dict[int, int]]
     ) -> float:
-        distances = _bellman_ford_phase(transport, incident_edges, source=0)
-        finite = [d for d in distances if d < INFINITY]
-        if len(finite) != transport.size:
-            return INFINITY
-        eccentricity = max(finite)
-        return 2.0 * eccentricity
+        distances = _bellman_ford_phase(transport, _weight_matrix(incident_edges), source=0)
+        return 2.0 * float(distances.max())

@@ -14,6 +14,11 @@ The classes here define that contract.  Concrete algorithms live in
 standalone :class:`repro.clique.model.CliqueNetwork` (for unit testing the
 algorithms in their native model) or the HYBRID-backed transport of
 Corollary 4.1 (:mod:`repro.core.clique_simulation`).
+
+A CLIQUE round travels as one :class:`~repro.hybrid.batch.MessageBatch`
+whose senders and targets are CLIQUE indices and whose payload column the
+algorithm chooses (the algorithms here ship float64 distances and int64
+edge positions), the same message format the HYBRID engine runs on.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+
+from repro.hybrid.batch import MessageBatch
 
 
 @runtime_checkable
@@ -36,10 +43,15 @@ class CliqueTransport(Protocol):
 
     size: int
 
-    def exchange(
-        self, outboxes: dict[int, list[tuple[int, object]]]
-    ) -> dict[int, list[tuple[int, object]]]:
-        """Run one CLIQUE round; returns ``receiver -> [(sender, payload), ...]``."""
+    def exchange(self, batch: MessageBatch) -> MessageBatch:
+        """Run one CLIQUE round; return the delivered messages grouped per receiver.
+
+        Message ``i`` of ``batch`` goes from ``senders[i]`` to
+        ``targets[i]``; each sender's queue order is batch order.  A node
+        sending or receiving more than ``size`` messages raises
+        :class:`~repro.hybrid.errors.CapacityExceededError`, an index
+        outside ``0..size-1`` :class:`ValueError`.
+        """
         ...
 
     @property

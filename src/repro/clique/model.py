@@ -5,26 +5,51 @@ node may send one ``O(log n)``-bit message to every other node; with Lenzen's
 routing scheme this is equivalent to every node sending and receiving up to
 ``n`` messages with arbitrary targets per round.
 
-:class:`CliqueNetwork` simulates this directly.  It exists so the plug-in
-algorithms of :mod:`repro.clique` can be unit-tested in their native model
-(with their declared round complexity checked) before they are simulated
-inside a HYBRID network via Corollary 4.1.
+:class:`CliqueNetwork` simulates this directly on
+:class:`~repro.hybrid.batch.MessageBatch` rounds, the format every CLIQUE
+transport speaks.  It exists so the plug-in algorithms of
+:mod:`repro.clique` can be unit-tested in their native model (with their
+declared round complexity checked) before they are simulated inside a
+HYBRID network via Corollary 4.1.  :func:`check_round` is the round contract
+both transports enforce.
 """
 
 from __future__ import annotations
 
+import numpy as _np
 
+from repro.hybrid.batch import MessageBatch
 from repro.hybrid.errors import CapacityExceededError
+
+
+def check_round(batch: MessageBatch, size: int) -> None:
+    """Raise unless ``batch`` is a legal CLIQUE round on ``size`` nodes.
+
+    An index outside ``0..size-1`` raises :class:`ValueError`; a node sending
+    or receiving more than ``size`` messages (Lenzen routing) raises
+    :class:`~repro.hybrid.errors.CapacityExceededError`.
+    """
+    for role, column in (("sender", batch.senders), ("target", batch.targets)):
+        outside = column[(column < 0) | (column >= size)]
+        if outside.size:
+            raise ValueError(f"{role} index {int(outside[0])} outside the {size} CLIQUE nodes")
+    for verb, column in (("sent", batch.senders), ("received", batch.targets)):
+        counts = _np.bincount(column, minlength=size)
+        busiest = int(counts.argmax())
+        if counts[busiest] > size:
+            raise CapacityExceededError(
+                f"CLIQUE node {busiest} {verb} {int(counts[busiest])} messages in one "
+                f"CLIQUE round (cap {size})"
+            )
 
 
 class CliqueNetwork:
     """A congested clique on ``size`` nodes with per-round accounting."""
 
-    def __init__(self, size: int, strict: bool = True) -> None:
+    def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError("a clique needs at least one node")
         self.size = size
-        self.strict = strict
         self._rounds = 0
         self._messages = 0
 
@@ -38,37 +63,13 @@ class CliqueNetwork:
         """Total messages moved so far."""
         return self._messages
 
-    def exchange(
-        self, outboxes: dict[int, list[tuple[int, object]]]
-    ) -> dict[int, list[tuple[int, object]]]:
-        """Execute one CLIQUE round.
+    def exchange(self, batch: MessageBatch) -> MessageBatch:
+        """Execute one CLIQUE round (see :func:`check_round` for its limits).
 
-        Each node may send at most ``size`` messages (Lenzen routing) and, in
-        strict mode, receive at most ``size`` messages.  Violations raise
-        :class:`~repro.hybrid.errors.CapacityExceededError`.
+        Every message is delivered; the result groups them per receiver in
+        ascending receiver order, each receiver's in batch order.
         """
-        inboxes: dict[int, list[tuple[int, object]]] = {}
-        received: dict[int, int] = {}
-        for sender, messages in outboxes.items():
-            if not 0 <= sender < self.size:
-                raise ValueError(f"sender {sender} outside the clique")
-            if self.strict and len(messages) > self.size:
-                raise CapacityExceededError(
-                    f"clique node {sender} sent {len(messages)} messages in one "
-                    f"round (cap {self.size})"
-                )
-            for target, payload in messages:
-                if not 0 <= target < self.size:
-                    raise ValueError(f"target {target} outside the clique")
-                inboxes.setdefault(target, []).append((sender, payload))
-                received[target] = received.get(target, 0) + 1
-                self._messages += 1
-        if self.strict:
-            for target, count in received.items():
-                if count > self.size:
-                    raise CapacityExceededError(
-                        f"clique node {target} received {count} messages in one "
-                        f"round (cap {self.size})"
-                    )
+        check_round(batch, self.size)
+        self._messages += len(batch)
         self._rounds += 1
-        return inboxes
+        return batch.take(_np.argsort(batch.targets, kind="stable"))

@@ -11,9 +11,9 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-
 from collections.abc import Sequence
-from repro.clique.apsp import _bellman_ford_phase
+
+from repro.clique.apsp import _bellman_ford_phase, _weight_matrix
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueShortestPathAlgorithm,
@@ -42,5 +42,5 @@ class BroadcastBellmanFordSSSP(CliqueShortestPathAlgorithm):
         if len(sources) != 1:
             raise ValueError("an SSSP algorithm expects exactly one source")
         source = sources[0]
-        distances = _bellman_ford_phase(transport, incident_edges, source)
-        return [{source: distances[node]} for node in range(transport.size)]
+        distances = _bellman_ford_phase(transport, _weight_matrix(incident_edges), source)
+        return [{source: distance} for distance in distances.tolist()]

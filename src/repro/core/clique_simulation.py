@@ -12,11 +12,15 @@ with senders = receivers = ``S`` and ``k_S = k_R = |S|``.
 :class:`~repro.core.token_routing.TokenRouter`, so any CLIQUE algorithm from
 :mod:`repro.clique` can be executed unchanged inside a HYBRID network.
 
-Every round routes the same label set -- ``(s, r, 0)`` for each ordered pair
-of skeleton nodes, built once as label columns -- and keeps the round's
-payloads in a column indexed by pair (``sender * |S| + target``), so the
+A CLIQUE round arrives as a :class:`~repro.hybrid.batch.MessageBatch` of
+skeleton indices and leaves as the batch of delivered messages, so one
+message format runs from the CLIQUE algorithms down to
+:meth:`~repro.hybrid.network.HybridNetwork.global_round`.  Every round routes
+the same label set -- ``(s, r, 0)`` for each ordered pair of skeleton nodes,
+built once as label columns -- and maps each pair's position
+(``sender * |S| + target``) to the batch message that fills it, so the
 router reuses one routing plan for every round whose pairs carry at most one
-message each; an empty slot is padding and never reaches an inbox.
+message each; an empty slot is padding and never reaches the result.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ import math
 
 import numpy as _np
 
+from repro.clique.model import check_round
 from repro.core.skeleton import Skeleton
 from repro.core.token_routing import TokenRouter
-from repro.hybrid.errors import CapacityExceededError
+from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.token_dissemination import disseminate_tokens
 
@@ -85,108 +90,59 @@ class HybridCliqueTransport:
         """Number of CLIQUE rounds simulated so far."""
         return self._rounds
 
-    def exchange(
-        self, outboxes: dict[int, list[tuple[int, object]]]
-    ) -> dict[int, list[tuple[int, object]]]:
+    def exchange(self, batch: MessageBatch) -> MessageBatch:
         """Simulate one CLIQUE round among the skeleton nodes.
 
-        ``outboxes`` use *skeleton indices* (``0..|S|-1``), as do the returned
-        inboxes.  Every ordered pair of skeleton nodes exchanges exactly one
-        token per round (pairs without an algorithm message carry a padding
-        token), matching the proof of Corollary 4.1 where each node is sender
-        and receiver of exactly ``|S|`` messages and therefore knows the label
-        set it expects.  A pair's second and later messages are extra tokens
-        with indices 1, 2, ...; only such a round routes a new label set.
-        A node sending or receiving more than ``|S|`` messages raises
-        :class:`~repro.hybrid.errors.CapacityExceededError`, like
-        ``CliqueNetwork(strict=True)``: the helper sets are sized for
-        ``k_S = k_R = |S|``.
+        ``batch`` uses *skeleton indices* (``0..|S|-1``), as does the returned
+        batch of delivered messages, grouped per receiver.  Every ordered pair
+        of skeleton nodes exchanges exactly one token per round (pairs without
+        an algorithm message carry a padding token), matching the proof of
+        Corollary 4.1 where each node is sender and receiver of exactly
+        ``|S|`` messages and therefore knows the label set it expects.  A
+        pair's second and later messages are extra tokens with indices 1, 2,
+        ... -- pairs in the order of their first message, each pair's extras
+        in queue order (the labelling of Section 2.2); only such a round
+        routes a new label set.  The round must pass
+        :func:`~repro.clique.model.check_round`: the helper sets are sized
+        for ``k_S = k_R = |S|``.
         """
         size = self.size
+        check_round(batch, size)
         pairs = size * size
-        payloads: list[object] = [None] * pairs
-        occupied = bytearray(pairs)
-        received = [0] * size
-        repeated = False
-        for sender_index, messages in outboxes.items():
-            if not 0 <= sender_index < size:
-                raise ValueError(f"sender index {sender_index} outside the skeleton")
-            if len(messages) > size:
-                raise CapacityExceededError(
-                    f"skeleton node {sender_index} sent {len(messages)} messages in one "
-                    f"CLIQUE round (cap {size})"
-                )
-            base = sender_index * size
-            for target_index, payload in messages:
-                if not 0 <= target_index < size:
-                    raise ValueError(f"target index {target_index} outside the skeleton")
-                received[target_index] += 1
-                slot = base + target_index
-                if occupied[slot]:
-                    repeated = True
-                else:
-                    occupied[slot] = 1
-                    payloads[slot] = payload
-        busiest = max(received)
-        if busiest > size:
-            raise CapacityExceededError(
-                f"skeleton node {received.index(busiest)} received {busiest} messages "
-                f"in one CLIQUE round (cap {size})"
-            )
+        slots = batch.senders * size + batch.targets
+        # The first message of each pair fills the pair's padding label.
+        first_slots, first_messages, pair_of = _np.unique(
+            slots, return_index=True, return_inverse=True
+        )
+        present = _np.zeros(pairs, dtype=bool)
+        present[first_slots] = True
+        message_of = _np.zeros(pairs, dtype=_np.int64)
+        message_of[first_slots] = first_messages
 
         senders, receivers, indices = self._padding_labels
-        slots = _np.arange(pairs)
-        present = _np.frombuffer(occupied, dtype=bool)
-        if repeated:
-            extra_slots, extra_indices, extra_payloads = _extra_tokens(outboxes, size)
+        if first_slots.size < slots.size:
+            # A message's index is its rank within its pair (queue order); the
+            # extra tokens are listed by their pair's first message, then rank.
+            by_pair = _np.argsort(pair_of, kind="stable")
+            counts = _np.bincount(pair_of)
+            pair_starts = _np.cumsum(counts) - counts
+            ranks = _np.empty_like(slots)
+            ranks[by_pair] = _np.arange(slots.size) - pair_starts[pair_of[by_pair]]
+            extra = _np.flatnonzero(ranks)
+            extra = extra[_np.argsort(first_messages[pair_of[extra]], kind="stable")]
+            extra_slots = slots[extra]
             senders = _np.concatenate((senders, senders[extra_slots]))
             receivers = _np.concatenate((receivers, receivers[extra_slots]))
-            indices = _np.concatenate((indices, extra_indices))
-            slots = _np.concatenate((slots, extra_slots))
-            present = _np.concatenate((present, _np.ones(extra_slots.size, dtype=bool)))
-            payloads.extend(extra_payloads)
+            indices = _np.concatenate((indices, ranks[extra]))
+            present = _np.concatenate((present, _np.ones(extra.size, dtype=bool)))
+            message_of = _np.concatenate((message_of, extra))
 
         plan = self.router.route(senders, receivers, indices)
         self._rounds += 1
-
         # The plan's delivery order groups the positions per receiver in the
         # order each receiver collects them; padding positions are skipped.
-        delivered, bounds = plan.deliveries(present)
-        delivered_slots = slots[delivered]
-        sender_indices = (delivered_slots // size).tolist()
-        receiver_indices = (delivered_slots % size).tolist()
-        contents = [payloads[position] for position in delivered.tolist()]
-        return {
-            receiver_indices[begin]: list(
-                zip(sender_indices[begin:end], contents[begin:end], strict=True)
-            )
-            for begin, end in zip(bounds[:-1], bounds[1:], strict=True)
-        }
-
-
-def _extra_tokens(outboxes: dict[int, list[tuple[int, object]]], size: int):
-    """The tokens beyond each pair's first message: slots, indices, payloads.
-
-    Pairs appear in the order of their first message and each pair's extras
-    in queue order, with indices 1, 2, ... (the labelling of Section 2.2).
-    """
-    per_pair: dict[int, list[object]] = {}
-    for sender_index, messages in outboxes.items():
-        for target_index, payload in messages:
-            per_pair.setdefault(sender_index * size + target_index, []).append(payload)
-    extra_slots: list[int] = []
-    extra_indices: list[int] = []
-    extra_payloads: list[object] = []
-    for slot, contents in per_pair.items():
-        for index in range(1, len(contents)):
-            extra_slots.append(slot)
-            extra_indices.append(index)
-            extra_payloads.append(contents[index])
-    return (
-        _np.asarray(extra_slots, dtype=_np.int64),
-        _np.asarray(extra_indices, dtype=_np.int64),
-        extra_payloads,
-    )
+        delivered, _ = plan.deliveries(present)
+        return batch.take(message_of[delivered])
 
 
 def predicted_simulation_rounds(n: int, skeleton_size: int) -> float:

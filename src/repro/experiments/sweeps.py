@@ -52,6 +52,7 @@ from repro.experiments.runner import (
 from repro.graphs import generators, reference
 from repro.graphs.skeleton_analysis import audit_skeleton
 from repro.hybrid import FaultModel, FaultToleranceExceededError, HybridNetwork, ModelConfig
+from repro.hybrid.batch import MessageBatch
 from repro.localnet import aggregate_max, disseminate_tokens
 from repro.lower_bounds import (
     assignment_entropy_bits,
@@ -578,7 +579,7 @@ def clique_simulation_shard(scale: str, seed: int, params: dict[str, object]) ->
     before = network.metrics.total_rounds
     repeats = 3
     for _ in range(repeats):
-        transport.exchange({})
+        transport.exchange(MessageBatch.empty())
     per_round = (network.metrics.total_rounds - before) / repeats
     return [
         [

@@ -10,35 +10,21 @@
 from repro.localnet.aggregation import (
     aggregate,
     aggregate_max,
-    aggregate_min,
     aggregate_sum,
     broadcast_value,
 )
 from repro.localnet.clustering import Clustering, cluster_around_rulers
-from repro.localnet.flooding import (
-    converge_cast_max,
-    explore_hop_distances,
-    explore_limited_distances,
-    flood_token_sets,
-    flood_values,
-    multi_source_hop_distances,
-)
+from repro.localnet.flooding import multi_source_hop_distances
 from repro.localnet.ruling_set import RulingSetResult, compute_ruling_set
 from repro.localnet.token_dissemination import DisseminationResult, disseminate_tokens
 
 __all__ = [
     "aggregate",
     "aggregate_max",
-    "aggregate_min",
     "aggregate_sum",
     "broadcast_value",
     "Clustering",
     "cluster_around_rulers",
-    "converge_cast_max",
-    "explore_hop_distances",
-    "explore_limited_distances",
-    "flood_token_sets",
-    "flood_values",
     "multi_source_hop_distances",
     "RulingSetResult",
     "compute_ruling_set",

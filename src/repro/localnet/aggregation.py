@@ -85,13 +85,6 @@ def aggregate_max(
     return aggregate(network, values, max, phase)
 
 
-def aggregate_min(
-    network: HybridNetwork, values: dict[int, float], phase: str = "aggregation-min"
-) -> float | None:
-    """All nodes learn ``min(values)`` in ``O(log n)`` global rounds."""
-    return aggregate(network, values, min, phase)
-
-
 def aggregate_sum(
     network: HybridNetwork, values: dict[int, float], phase: str = "aggregation-sum"
 ) -> float:

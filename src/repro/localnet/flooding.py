@@ -3,64 +3,24 @@
 Every algorithm in the paper contains loops of the form *"for d rounds: v
 forwards all information it knows via its incident local edges"*.  After such a
 loop each node knows everything initially known by nodes within ``d`` hops.
-The helpers here compute those outcomes directly from the graph and charge the
-``d`` rounds, per the fidelity policy in DESIGN.md.
-
-All helpers are *batched*: one call computes the outcome for every node at
-once through the multi-source kernels of
-:class:`~repro.graphs.graph.WeightedGraph` over its frozen CSR view
-(:mod:`repro.graphs.csr`).  The kernels compute the flooding loops'
-outcome, not their message traffic; the charged rounds are what the
-theorems count.  The skeleton's depth-``h`` exploration is the exception to
-"every node at once": :func:`explore_limited` charges the rounds and returns
-a :class:`LimitedExploration` that computes ``d_h`` rows only when a
-consumer reads them.
+The helpers here compute those outcomes directly from the graph, per the
+fidelity policy in DESIGN.md: the kernels compute the flooding loops'
+outcome, not their message traffic, and the charged rounds are what the
+theorems count.  :func:`explore_limited` is the skeleton's depth-``h``
+exploration: it charges the rounds and returns a :class:`LimitedExploration`
+that computes ``d_h`` rows (:mod:`repro.graphs.csr`) only when a consumer
+reads them.  :func:`multi_source_hop_distances` is the closest-ruler BFS of
+the clustering step.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TypeVar
 
 import numpy as np
 
 from repro.graphs.csr import CSRAdjacency, hop_limited_rows
 from repro.hybrid.network import HybridNetwork
-
-T = TypeVar("T")
-
-
-def explore_hop_distances(
-    network: HybridNetwork, depth: int, phase: str = "local-exploration"
-) -> list[dict[int, int]]:
-    """Every node learns the hop distance to every node within ``depth`` hops.
-
-    Charges ``depth`` local rounds and returns, per node, the mapping
-    ``other -> hop(node, other)`` restricted to the ``depth``-hop ball.
-    """
-    network.charge_local_rounds(depth, phase)
-    return network.local_graph.bfs_hops_many(range(network.n), depth)
-
-
-def explore_limited_distances(
-    network: HybridNetwork, depth: int, phase: str = "local-exploration"
-) -> list[dict[int, float]]:
-    """Every node learns its ``depth``-hop-limited distances (Section 1.3).
-
-    Charges ``depth`` local rounds.  This is the outcome of flooding all graph
-    information for ``depth`` rounds and locally computing hop-limited
-    distances, which is what Compute-Skeleton (Algorithm 6) and the local
-    exploration steps of Algorithms 5 and 9 do.
-
-    The returned values are the paper's *literal* ``d_h``, batched over all
-    sources: a source whose exact distances all stay within ``depth`` times
-    the minimum edge weight has ``d_h = d`` and is answered by Dijkstra, and
-    every other source runs ``depth`` synchronous Bellman-Ford rounds
-    (:func:`repro.graphs.csr.hop_limited_matrix`; the values are identical
-    either way).
-    """
-    network.charge_local_rounds(depth, phase)
-    return network.local_graph.hop_limited_distances_many(range(network.n), depth)
 
 
 class LimitedExploration:
@@ -118,60 +78,18 @@ class LimitedExploration:
 def explore_limited(
     network: HybridNetwork, depth: int, phase: str = "local-exploration"
 ) -> LimitedExploration:
-    """The depth-``depth`` exploration of :func:`explore_limited_distances`, rows on demand.
+    """Every node learns its ``depth``-hop-limited distances (Section 1.3), rows on demand.
 
-    Charges ``depth`` local rounds now and snapshots the local graph; the
-    returned :class:`LimitedExploration` computes ``d_depth`` rows from that
-    snapshot when a consumer reads them.
+    This is the outcome of flooding all graph information for ``depth``
+    rounds and locally computing the paper's literal ``d_h``, which is what
+    Compute-Skeleton (Algorithm 6) and the local exploration steps of
+    Algorithms 5 and 9 do.  Charges ``depth`` local rounds now and snapshots
+    the local graph; the returned :class:`LimitedExploration` computes
+    ``d_depth`` rows from that snapshot when a consumer reads them
+    (:func:`repro.graphs.csr.hop_limited_rows`).
     """
     network.charge_local_rounds(depth, phase)
     return LimitedExploration(network.local_graph.csr(), depth)
-
-
-def flood_values(
-    network: HybridNetwork,
-    depth: int,
-    initial: dict[int, T],
-    phase: str = "local-flood",
-) -> list[dict[int, T]]:
-    """Flood per-node values for ``depth`` rounds.
-
-    ``initial`` maps an origin node to the value it floods.  After the charged
-    ``depth`` rounds, each node knows the values of all origins within
-    ``depth`` hops; the result is one ``origin -> value`` dict per node.
-    """
-    network.charge_local_rounds(depth, phase)
-    result: list[dict[int, T]] = [dict() for _ in range(network.n)]
-    origins = list(initial)
-    balls = network.local_graph.balls_many(origins, depth)
-    for origin, ball in zip(origins, balls, strict=True):
-        value = initial[origin]
-        for reached in ball:
-            result[reached][origin] = value
-    return result
-
-
-def flood_token_sets(
-    network: HybridNetwork,
-    depth: int,
-    initial: dict[int, Sequence[T]],
-    phase: str = "local-flood",
-) -> list[list[T]]:
-    """Flood *collections* of tokens for ``depth`` rounds.
-
-    Like :func:`flood_values` but each origin contributes a list of tokens and
-    each node receives the concatenation over all origins in its ball.  Used
-    when helpers flood the tokens they hold back to their sender/receiver.
-    """
-    network.charge_local_rounds(depth, phase)
-    result: list[list[T]] = [list() for _ in range(network.n)]
-    origins = [origin for origin, tokens in initial.items() if tokens]
-    balls = network.local_graph.balls_many(origins, depth)
-    for origin, ball in zip(origins, balls, strict=True):
-        tokens = initial[origin]
-        for reached in ball:
-            result[reached].extend(tokens)
-    return result
 
 
 def multi_source_hop_distances(
@@ -207,26 +125,3 @@ def multi_source_hop_distances(
                     assignment[neighbour] = candidate
         frontier = next_frontier
     return assignment
-
-
-def converge_cast_max(
-    network: HybridNetwork,
-    values: dict[int, float],
-    depth: int,
-    phase: str = "local-max",
-) -> list[float]:
-    """Each node learns the maximum of ``values`` over its ``depth``-hop ball.
-
-    Charges ``depth`` local rounds.  Used by the diameter algorithm where each
-    node computes the largest hop distance it "sees" locally (Algorithm 9).
-    """
-    network.charge_local_rounds(depth, phase)
-    result: list[float] = [float("-inf")] * network.n
-    origins = list(values)
-    balls = network.local_graph.balls_many(origins, depth)
-    for origin, ball in zip(origins, balls, strict=True):
-        value = values[origin]
-        for reached in ball:
-            if value > result[reached]:
-                result[reached] = value
-    return result

@@ -67,22 +67,13 @@ from repro.util.hashing import hash_family_for_network
 Token = Hashable
 
 
-def _canonical_token_key(token: Token) -> int:
-    """A stable integer key identifying ``token`` regardless of discovery order.
-
-    Equal tokens repr identically, so the digest only depends on the token
-    itself; a (harmless) digest collision merely makes two tokens share a
-    relay.
-    """
-    return zlib.crc32(repr(token).encode("utf-8", "backslashreplace"))
-
-
 def _canonical_token_keys(tokens: Sequence[Token]):
     """Canonical keys for a whole batch.
 
     Integer tokens are their own canonical key (clipped into the hash field's
-    key range), skipping the digest entirely; anything else goes through
-    :func:`_canonical_token_key`.  Either way the key depends only on the
+    key range), skipping the digest entirely; anything else is the CRC32 of
+    its ``repr`` (equal tokens repr identically; a harmless collision merely
+    makes two tokens share a relay).  Either way the key depends only on the
     token's value, never on discovery order.
     """
     if all(type(token) is int and token.bit_length() < 63 for token in tokens):

@@ -507,7 +507,7 @@ class HybridSession:
 
         Raises:
             ValueError: if ``source`` is outside the network or the algorithm
-                is not exact.
+                is not exact (checked before any round is charged).
 
         Accounting follows DESIGN.md §6.  Many concurrent SSSP queries can be
         answered bit-identically in one coalesced pass by
@@ -516,6 +516,8 @@ class HybridSession:
         if not 0 <= source < self.network.n:
             raise ValueError(f"source {source} outside the network")
         algorithm = algorithm or BroadcastBellmanFordSSSP()
+        if not algorithm.spec.exact:
+            raise ValueError("Theorem 1.3 requires an exact CLIQUE algorithm")
         with self._lock:
             with self._preparing() as prep:
                 context = self._context_with_members([source])
@@ -565,7 +567,9 @@ class HybridSession:
 
         Raises:
             ValueError: if ``sources`` is empty, any source is outside the
-                network, or the algorithm is not exact.
+                network, the algorithm is not exact, or it handles one source
+                (``γ = 0``) and ``sources`` holds several distinct ones --
+                all checked before any round is charged.
         """
         if not sources:
             raise ValueError("at least one source is required")
@@ -579,6 +583,11 @@ class HybridSession:
             )
         if not algorithm.spec.exact:
             raise ValueError("sssp_batch requires an exact CLIQUE algorithm")
+        if algorithm.spec.gamma == 0 and len(unique) > 1:
+            raise ValueError(
+                f"{algorithm.spec.name} handles one source (γ = 0), "
+                f"got {len(unique)} distinct sources"
+            )
         with self._lock:
             with self._preparing() as prep:
                 context = self._context_with_members(unique)

@@ -3,17 +3,19 @@
 import zlib
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import HybridSession
-from repro.clique import GatherShortestPaths
+from repro.clique import BroadcastKSourceBellmanFord, EccentricityDiameter, GatherShortestPaths
 from repro.clique.model import CliqueNetwork
 from repro.core.clique_simulation import HybridCliqueTransport, predicted_simulation_rounds
 from repro.core.skeleton import compute_skeleton
 from repro.graphs import generators
 from repro.hybrid import CapacityExceededError, HybridNetwork, ModelConfig
+from repro.hybrid.batch import MessageBatch
 from repro.hybrid.faults import FaultModel
 from repro.util.rand import RandomSource
 
@@ -34,37 +36,37 @@ class TestHybridCliqueTransport:
         transport = HybridCliqueTransport(network, skeleton)
         size = transport.size
         outboxes = {0: [(i, f"to-{i}") for i in range(size)]}
-        inboxes = transport.exchange(outboxes)
+        inboxes = run_round(transport, outboxes)
         for i in range(1, size):
             assert (0, f"to-{i}") in inboxes.get(i, [])
 
     def test_rounds_used_counts_clique_rounds(self, network, skeleton):
         transport = HybridCliqueTransport(network, skeleton)
-        transport.exchange({})
-        transport.exchange({})
+        transport.exchange(MessageBatch.empty())
+        transport.exchange(MessageBatch.empty())
         assert transport.rounds_used == 2
 
     def test_hybrid_rounds_grow_with_clique_rounds(self, network, skeleton):
         transport = HybridCliqueTransport(network, skeleton)
         before = network.metrics.total_rounds
-        transport.exchange({})
+        transport.exchange(MessageBatch.empty())
         after_one = network.metrics.total_rounds
-        transport.exchange({})
+        transport.exchange(MessageBatch.empty())
         after_two = network.metrics.total_rounds
         assert after_one > before
         assert after_two > after_one
 
     def test_padding_does_not_leak_into_inboxes(self, network, skeleton):
         transport = HybridCliqueTransport(network, skeleton)
-        inboxes = transport.exchange({})
-        assert all(not messages for messages in inboxes.values())
+        delivered = transport.exchange(MessageBatch.empty())
+        assert len(delivered) == 0
 
     def test_invalid_index_rejected(self, network, skeleton):
         transport = HybridCliqueTransport(network, skeleton)
         with pytest.raises(ValueError):
-            transport.exchange({transport.size + 1: [(0, "x")]})
+            run_round(transport, {transport.size + 1: [(0, "x")]})
         with pytest.raises(ValueError):
-            transport.exchange({0: [(transport.size + 1, "x")]})
+            run_round(transport, {0: [(transport.size + 1, "x")]})
 
     def test_clique_algorithm_runs_correctly_inside_hybrid(self, network, skeleton):
         transport = HybridCliqueTransport(network, skeleton)
@@ -84,6 +86,11 @@ class TestHybridCliqueTransport:
 
         with pytest.raises((ValueError, AttributeError)):
             HybridCliqueTransport(network, FakeSkeleton())
+
+
+def run_round(transport, outboxes):
+    """One CLIQUE round from dict-form outboxes, returned as dict-form inboxes."""
+    return transport.exchange(MessageBatch.from_outboxes(outboxes)).to_inboxes()
 
 
 def make_transport(faults=None, seed=9):
@@ -157,25 +164,25 @@ class TestTransportMatchesClique:
     def test_delivers_what_the_clique_delivers(self, shared_transport, data):
         size = shared_transport.size
         round_outboxes = data.draw(outboxes(size))
-        expected = CliqueNetwork(size, strict=True).exchange(round_outboxes)
-        assert multiset(shared_transport.exchange(round_outboxes)) == multiset(expected)
+        expected = run_round(CliqueNetwork(size), round_outboxes)
+        assert multiset(run_round(shared_transport, round_outboxes)) == multiset(expected)
 
     def test_send_cap_enforced(self):
         transport = make_transport()
         size = transport.size
         with pytest.raises(CapacityExceededError):
-            transport.exchange({0: [(target % size, "x") for target in range(size + 1)]})
+            run_round(transport, {0: [(target % size, "x") for target in range(size + 1)]})
 
     def test_receive_cap_enforced(self):
         transport = make_transport()
         size = transport.size
         outboxes = {sender: [(0, "x"), (0, "y")] for sender in range(size)}
         with pytest.raises(CapacityExceededError):
-            transport.exchange(outboxes)
+            run_round(transport, outboxes)
 
     def test_none_payloads_are_delivered(self):
         transport = make_transport()
-        inboxes = transport.exchange({1: [(0, None)]})
+        inboxes = run_round(transport, {1: [(0, None)]})
         assert inboxes == {0: [(1, None)]}
 
 
@@ -186,24 +193,51 @@ class TestRoutingPlanReuse:
         {sender: [(0, sender)] for sender in range(4)},
         {0: [(1, "a"), (1, "b"), (1, "c")], 2: [(1, "d")]},
         {1: [(0, "e")]},
+        # Interleaved repeated pairs: extras follow their pair's first
+        # message, not their own position ("d" before "c" here).
+        {2: [(1, "p"), (0, "q"), (1, "r")], 0: [(1, "s"), (2, "t"), (1, "u"), (2, "v")]},
+        {3: [(1, "a"), (2, "b"), (2, "c"), (1, "d")], 0: [(1, "e"), (1, "f")]},
     ]
 
     def test_single_message_rounds_do_not_plan(self):
         transport = make_transport()
         calls = count_plans(transport)
-        transport.exchange({})
+        transport.exchange(MessageBatch.empty())
         assert len(calls) == 1  # the padding labels, once
-        transport.exchange({0: [(1, "a")]})
-        transport.exchange({1: [(0, "b"), (2, "c")]})
+        run_round(transport, {0: [(1, "a")]})
+        run_round(transport, {1: [(0, "b"), (2, "c")]})
         assert len(calls) == 1
         # A pair with three messages appends index-1 and index-2 labels:
         # that round plans afresh, the next single-message round plans the
         # padding labels once more, and the rounds after it reuse that plan.
-        transport.exchange({0: [(1, "a"), (1, "b"), (1, "c")]})
+        run_round(transport, {0: [(1, "a"), (1, "b"), (1, "c")]})
         assert len(calls) == 2 and calls[-1] == transport.size**2 + 2
-        transport.exchange({0: [(1, "a")]})
-        transport.exchange({2: [(0, "d")]})
+        run_round(transport, {0: [(1, "a")]})
+        run_round(transport, {2: [(0, "d")]})
         assert len(calls) == 3 and calls[-1] == transport.size**2
+
+    # Per round, a digest of the inboxes in delivery order; then the
+    # transport's whole RoundMetrics pin.  Recorded with the dict-of-tuples
+    # transport (and its per-pair extra-token loop).
+    INBOX_DIGESTS = [
+        223132457, 2959242573, 180614407, 763127392, 1747063200, 2482661468, 3138822231
+    ]
+
+    @pytest.mark.parametrize(
+        "faults, expected",
+        [
+            (None, (257, 5274, 337536, 0, 0, 19, 2670452795)),
+            (FaultModel(drop_rate=0.05, seed=3), (425, 11272, 721408, 588, 582, 32, 1297029468)),
+        ],
+    )
+    def test_rounds_match_recorded(self, faults, expected):
+        transport = make_transport(faults)
+        digests = [
+            digest(list(run_round(transport, round_outboxes).items()))
+            for round_outboxes in self.ROUNDS
+        ]
+        assert digests == self.INBOX_DIGESTS
+        assert pin(transport.network.metrics) == expected
 
     @pytest.mark.parametrize("faults", [None, FaultModel(drop_rate=0.05, seed=3)])
     def test_reused_and_fresh_plans_agree(self, faults):
@@ -212,11 +246,37 @@ class TestRoutingPlanReuse:
         calls = count_plans(fresh)
         for round_outboxes in self.ROUNDS:
             fresh.router._plan = None  # forget the memo: every round plans
-            assert reused.exchange(round_outboxes) == fresh.exchange(round_outboxes)
+            assert run_round(reused, round_outboxes) == run_round(fresh, round_outboxes)
         assert len(calls) == len(self.ROUNDS)
         assert reused.network.metrics == fresh.network.metrics
         if faults is not None:
             assert reused.network.metrics.global_dropped > 0
+
+
+class TestColumnTraffic:
+    def test_clique_rounds_ship_ndarray_payloads(self, monkeypatch):
+        # Every CLIQUE round a query simulates, and every delivery, carries
+        # a numpy payload column: float64 distances (Bellman-Ford) or int64
+        # edge positions (gather) -- never a list of Python objects.
+        columns = []
+        original = HybridCliqueTransport.exchange
+
+        def recording(self, batch):
+            delivered = original(self, batch)
+            columns.extend((batch.payloads, delivered.payloads))
+            return delivered
+
+        monkeypatch.setattr(HybridCliqueTransport, "exchange", recording)
+        graph = generators.connected_workload(64, RandomSource(7), weighted=False)
+        session = HybridSession(graph, ModelConfig(rng_seed=7))
+        session.sssp(5)
+        bellman_ford = len(columns)
+        session.sssp_batch([3, 10, 22])
+        session.diameter()
+        assert 0 < bellman_ford < len(columns)
+        assert all(isinstance(column, np.ndarray) for column in columns)
+        assert {column.dtype for column in columns[:bellman_ford]} == {np.dtype(np.float64)}
+        assert {column.dtype for column in columns[bellman_ford:]} == {np.dtype(np.int64)}
 
 
 def pin(metrics):
@@ -266,3 +326,92 @@ class TestRoundMetricsPin:
         session.sssp_batch([3, 10, 22, 41])
         session.apsp()
         assert {record.kind: pin(record.metrics) for record in session.queries} == expected
+
+
+def digest(value):
+    """A CRC of an answer's ``repr`` (floats print exactly)."""
+    return zlib.crc32(repr(value).encode())
+
+
+def run_clique_queries(weighted, faults):
+    """Every CLIQUE-simulating query kind on one warm session, pinned per query.
+
+    Section 5's diameter targets unweighted graphs, so only the unweighted
+    session asks for it.
+    """
+    graph = generators.connected_workload(64, RandomSource(7), weighted=weighted, max_weight=6)
+    session = HybridSession(graph, ModelConfig(rng_seed=7), fault_model=faults)
+    answers = []
+    result = session.sssp(5)
+    answers.append((result.clique_rounds, digest(sorted(result.distances.items()))))
+    results = session.sssp_batch([3, 10, 22, 41])
+    answers.append(
+        (results[0].clique_rounds, digest([sorted(r.distances.items()) for r in results]))
+    )
+    result = session.shortest_paths([2, 9, 30], BroadcastKSourceBellmanFord())
+    answers.append(
+        (result.clique_rounds, digest([sorted(e.items()) for e in result.estimates]))
+    )
+    if not weighted:
+        for algorithm in (None, EccentricityDiameter()):
+            result = session.diameter(algorithm)
+            answers.append((result.clique_rounds, result.estimate, result.skeleton_estimate))
+    records = [(record.kind, pin(record.metrics)) for record in session.queries]
+    return records, answers, pin(session.network.metrics)
+
+
+class TestCliqueQueryPin:
+    """Rounds, phases and answers of every CLIQUE-simulating query kind.
+
+    Recorded with the dict-of-tuples CLIQUE transport, before CLIQUE rounds
+    travelled as ``MessageBatch`` columns; the column transport must not move
+    a single round, message, phase or answer.
+    """
+
+    EXPECTED = {
+        (True, False): (
+            [
+                ("sssp", (82, 685, 43840, 0, 0, 14, 504291636)),
+                ("sssp-batch", (303, 4494, 287616, 0, 0, 14, 3597393249)),
+                ("shortest-paths", (122, 1047, 67008, 0, 0, 14, 4266632298)),
+            ],
+            [(2, 3896973200), (11, 911915810), (4, 1316902593)],
+            (702, 6883, 440512, 0, 0, 79, 562715167),
+        ),
+        (False, False): (
+            [
+                ("sssp", (82, 685, 43840, 0, 0, 14, 504291636)),
+                ("sssp-batch", (303, 4494, 287616, 0, 0, 14, 3597393249)),
+                ("shortest-paths", (164, 1479, 94656, 0, 0, 14, 1388065972)),
+                ("diameter", (180, 2112, 135168, 0, 0, 8, 3805024652)),
+                ("diameter", (54, 816, 52224, 0, 0, 8, 1576451739)),
+            ],
+            [(2, 3421793736), (11, 2682691958), (6, 4192651814), (8, 6.0, 4.0), (2, 6.0, 8.0)],
+            (978, 10243, 655552, 0, 0, 83, 1578280145),
+        ),
+        (True, True): (
+            [
+                ("sssp", (131, 1403, 89792, 75, 73, 26, 1795376349)),
+                ("sssp-batch", (495, 9639, 616896, 469, 468, 26, 2360713174)),
+                ("shortest-paths", (193, 2171, 138944, 105, 102, 27, 2944492862)),
+            ],
+            [(2, 3896973200), (11, 911915810), (4, 1316902593)],
+            (1070, 14144, 905216, 688, 664, 135, 3392169395),
+        ),
+        (False, True): (
+            [
+                ("sssp", (131, 1403, 89792, 75, 73, 26, 1795376349)),
+                ("sssp-batch", (495, 9639, 616896, 469, 468, 26, 2360713174)),
+                ("shortest-paths", (255, 3113, 199232, 162, 159, 26, 2900434043)),
+                ("diameter", (276, 4089, 261696, 191, 169, 14, 349940835)),
+                ("diameter", (78, 1326, 84864, 77, 52, 14, 2389743098)),
+            ],
+            [(2, 3421793736), (11, 2682691958), (6, 4192651814), (8, 6.0, 4.0), (2, 6.0, 8.0)],
+            (1486, 20501, 1312064, 1013, 942, 138, 446665391),
+        ),
+    }
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("faults", [None, FaultModel(drop_rate=0.05, seed=3)])
+    def test_queries_match_recorded(self, weighted, faults):
+        assert run_clique_queries(weighted, faults) == self.EXPECTED[weighted, faults is not None]

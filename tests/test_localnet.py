@@ -12,19 +12,14 @@ from repro.graphs import generators, reference
 from repro.hybrid import FaultModel, HybridNetwork, ModelConfig
 from repro.localnet import (
     aggregate_max,
-    aggregate_min,
     aggregate_sum,
     broadcast_value,
     cluster_around_rulers,
     compute_ruling_set,
-    converge_cast_max,
     disseminate_tokens,
-    explore_hop_distances,
-    explore_limited_distances,
-    flood_token_sets,
-    flood_values,
     multi_source_hop_distances,
 )
+from repro.localnet.flooding import explore_limited
 from repro.util.rand import RandomSource
 
 
@@ -41,44 +36,22 @@ def ring_network():
 
 
 class TestFlooding:
-    def test_explore_hop_distances_matches_bfs(self, network):
-        result = explore_hop_distances(network, 2)
-        for node in range(0, network.n, 7):
-            assert result[node] == network.graph.bfs_hops(node, 2)
-
-    def test_explore_hop_distances_charges_rounds(self, network):
-        before = network.metrics.local_rounds
-        explore_hop_distances(network, 3)
-        assert network.metrics.local_rounds - before == min(3, network.hop_diameter())
-
     def test_explore_limited_distances_equal_single_source_d_h(self, network):
         # Depth 3 is below the hop diameter, so some rows are not certified by
         # the bounded Dijkstra call and take the relaxation rounds.
-        explored = explore_limited_distances(network, 3)
-        assert len(explored) == network.n
-        for node in range(network.n):
-            assert explored[node] == reference.hop_limited_distances(network.graph, node, 3)
-
-    def test_flood_values_reaches_ball(self, ring_network):
-        result = flood_values(ring_network, 2, {0: "token"})
-        assert "token" in result[1].values()
-        assert "token" in result[2].values()
-        assert 0 not in result[5]
-
-    def test_flood_token_sets_concatenates(self, ring_network):
-        result = flood_token_sets(ring_network, 1, {0: ["a", "b"], 1: ["c"]})
-        assert sorted(result[1]) == ["a", "b", "c"]
+        before = network.metrics.local_rounds
+        rows = explore_limited(network, 3).rows(range(network.n))
+        assert network.metrics.local_rounds - before == 3
+        assert rows.shape == (network.n, network.n)
+        for node, row in enumerate(rows.tolist()):
+            reached = {other: d for other, d in enumerate(row) if d < math.inf}
+            assert reached == reference.hop_limited_distances(network.graph, node, 3)
 
     def test_multi_source_hop_distances_ties_by_id(self, ring_network):
         assignment = multi_source_hop_distances(ring_network, [0, 10])
         hops, source = assignment[5]
         assert hops == 5
         assert source == 0  # equidistant, smaller ID wins
-
-    def test_converge_cast_max(self, ring_network):
-        values = {node: float(node) for node in range(ring_network.n)}
-        result = converge_cast_max(ring_network, values, 1)
-        assert result[0] == max(1.0, float(ring_network.n - 1))
 
 
 class TestRulingSetsAndClusters:
@@ -144,10 +117,6 @@ class TestAggregation:
     def test_aggregate_max(self, network):
         values = {node: float(node % 7) for node in range(network.n)}
         assert aggregate_max(network, values) == 6.0
-
-    def test_aggregate_min(self, network):
-        values = {3: 5.0, 9: 2.0, 20: 8.0}
-        assert aggregate_min(network, values) == 2.0
 
     def test_aggregate_empty(self, network):
         assert aggregate_max(network, {}) is None

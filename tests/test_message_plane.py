@@ -406,7 +406,7 @@ class TestProtocolPlaneIdentity:
         def protocol(network):
             skeleton = compute_skeleton(network, 0.2, ensure_connected=True)
             transport = HybridCliqueTransport(network, skeleton)
-            transport.exchange({0: [(1, "x")]})
+            transport.exchange(MessageBatch.from_outboxes({0: [(1, "x")]}))
             return skeleton.size
 
         snapshots, outputs = run_on_both_planes(

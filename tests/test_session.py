@@ -9,6 +9,7 @@ Covers the three guarantees the session API makes:
 * any graph mutation invalidates the whole preprocessing cache.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -29,7 +30,11 @@ from repro import (
     shortest_paths_via_clique,
 )
 from repro.baselines import apsp_broadcast_baseline
-from repro.clique import GatherDiameter, GatherShortestPaths
+from repro.clique import (
+    BroadcastBellmanFordSSSP,
+    GatherDiameter,
+    GatherShortestPaths,
+)
 from repro.graphs import generators, reference
 from repro.graphs.graph import WeightedGraph
 from repro.hybrid.metrics import RoundMetrics
@@ -38,6 +43,14 @@ from repro.util.rand import RandomSource
 PROPERTY_SETTINGS = settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+class InexactGather(GatherShortestPaths):
+    """``GatherShortestPaths`` declaring a ``(2, 0)`` guarantee."""
+
+    def __init__(self):
+        super().__init__()
+        self.spec = dataclasses.replace(self.spec, alpha=2.0, name="inexact-gather")
 
 
 def make_graph(seed, n=48, weighted=True):
@@ -324,6 +337,28 @@ class TestSessionValidation:
         assert session.preprocessing_rounds == 0
         assert session.metrics.total_rounds == 0
         assert session.queries == []
+
+    @pytest.mark.parametrize(
+        "ask",
+        [
+            lambda session: session.sssp_batch([3, 7], BroadcastBellmanFordSSSP()),
+            lambda session: session.sssp_batch([3, 7, 3], InexactGather()),
+            lambda session: session.sssp(7, InexactGather()),
+        ],
+        ids=["single-source-algorithm", "inexact-batch", "inexact-sssp"],
+    )
+    def test_unfit_algorithm_rejected_before_any_charge(self, ask):
+        graph = generators.connected_workload(60, RandomSource(1), weighted=True, max_weight=5)
+        session = HybridSession(graph, ModelConfig(rng_seed=1))
+        session.sssp(3)
+        rounds, queries = session.metrics.total_rounds, list(session.queries)
+        with pytest.raises(ValueError):
+            ask(session)
+        assert session.metrics.total_rounds == rounds
+        assert session.queries == queries
+        # One distinct source is what a single-source algorithm handles.
+        (result, again) = session.sssp_batch([3, 3], BroadcastBellmanFordSSSP())
+        assert result.distances == again.distances == session.sssp(3).distances
 
     def test_repeat_flag_validated_by_query_command(self, capsys):
         from repro.cli import main
