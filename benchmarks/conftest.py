@@ -6,8 +6,8 @@ is attached to ``benchmark.extra_info`` together with the relevant theoretical
 bound, so ``pytest benchmarks/ --benchmark-only`` regenerates the comparison
 tables of EXPERIMENTS.md.
 
-At session end the harness additionally writes ``benchmarks/BENCH_core.json``:
-one machine-readable record per benchmark (name, wall time, and whatever the
+At session end the harness additionally writes ``BENCH_core.json`` at the
+repository root: one machine-readable record per benchmark (name, wall time, and whatever the
 benchmark attached -- ``n``, measured rounds, ...), so future PRs can diff
 the perf trajectory without parsing pytest output.
 """
@@ -28,11 +28,9 @@ from repro.util.rand import RandomSource
 # the same code.
 BENCH_CONFIG = dict(skeleton_xi=0.75)
 
-#: Output of the machine-readable benchmark record.  The trajectory tooling
-#: looks for ``BENCH_*.json`` at the repository root, so the merged record is
-#: written both here and there (kept in sync).
-BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parent / "BENCH_core.json"
-ROOT_BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core.json"
+#: Output of the machine-readable benchmark record, at the repository root
+#: (where ``repro.cli regress``, CI and the trajectory tooling read it).
+BENCH_JSON_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_core.json"
 
 #: ``REPRO_BENCH_SCALE=smoke`` shrinks every workload to a tiny n so CI can
 #: run the NCC-bound benches per PR as an engine regression smoke test; smoke
@@ -94,22 +92,18 @@ def _load_records(path: pathlib.Path) -> Dict[str, dict]:
 def pytest_sessionfinish(session, exitstatus):
     """Emit the machine-readable benchmark record, one entry per benchmark.
 
-    Records are merged by benchmark name into whatever the files already
-    hold, so running a subset (``pytest benchmarks/bench_sssp.py``) refreshes
-    those entries without truncating the rest of the committed record.  The
-    merged record is written to ``benchmarks/BENCH_core.json`` and mirrored
-    to the repo root (where the trajectory tooling looks for it); smoke-scale
-    runs are for CI regression checks only and never rewrite the record.
+    Records are merged by benchmark name into whatever the file already
+    holds, so running a subset (``pytest benchmarks/bench_sssp.py``) refreshes
+    those entries without truncating the rest of the committed record.
+    Smoke-scale runs are for CI regression checks only and never rewrite the
+    record.
     """
     if SMOKE:
         return
     benchmark_session = getattr(session.config, "_benchmarksession", None)
     if benchmark_session is None or not benchmark_session.benchmarks:
         return
-    # The committed benchmarks/ record wins over the generated root mirror,
-    # so a stale leftover mirror can never silently revert committed entries.
-    existing = _load_records(ROOT_BENCH_JSON_PATH)
-    existing.update(_load_records(BENCH_JSON_PATH))
+    existing = _load_records(BENCH_JSON_PATH)
     for bench in benchmark_session.benchmarks:
         record = {
             "name": bench.name,
@@ -119,6 +113,4 @@ def pytest_sessionfinish(session, exitstatus):
         record.update(bench.extra_info)
         existing[bench.name] = record
     records = sorted(existing.values(), key=lambda record: record["name"])
-    payload = json.dumps(records, indent=2, default=str) + "\n"
-    BENCH_JSON_PATH.write_text(payload)
-    ROOT_BENCH_JSON_PATH.write_text(payload)
+    BENCH_JSON_PATH.write_text(json.dumps(records, indent=2, default=str) + "\n")

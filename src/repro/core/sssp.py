@@ -12,7 +12,7 @@ All graph-heavy phases (the depth-``h`` skeleton exploration and the final
 Equation (1) combination, reached through :mod:`repro.core.kssp`) run on the
 batched multi-source kernels of :class:`~repro.graphs.graph.WeightedGraph`,
 so a single-source query at ``n`` in the thousands completes in well under a
-second on the CSR backend (see benchmarks/BENCH_core.json).
+second on the CSR backend (see BENCH_core.json).
 """
 
 from __future__ import annotations

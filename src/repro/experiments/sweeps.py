@@ -860,7 +860,7 @@ def _e13_finalize(scale: str, payloads: list[object]) -> ExperimentTable:
             "Each family stresses a different resource: power-law graphs load the "
             "global mode's per-hub capacity, grid-with-highways makes weighted d_h "
             "diverge from hop counts, and the ISP hierarchy has LAN-dense leaves "
-            "behind a small backbone.  All runs stay exact; benchmarks/BENCH_core.json "
+            "behind a small backbone.  All runs stay exact; BENCH_core.json "
             "tracks the wall-clock trajectory.",
         ],
     )

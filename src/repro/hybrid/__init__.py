@@ -5,7 +5,7 @@ Exports the simulation engine (:class:`HybridNetwork`), its configuration
 engine's exception types.
 """
 
-from repro.hybrid.batch import Inboxes, MessageBatch, Outboxes
+from repro.hybrid.batch import MessageBatch
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.errors import (
     CapacityExceededError,
@@ -30,6 +30,4 @@ __all__ = [
     "HybridModelError",
     "ProtocolError",
     "StaleContextError",
-    "Inboxes",
-    "Outboxes",
 ]

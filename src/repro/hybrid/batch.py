@@ -1,12 +1,6 @@
 """Batched representation of global-mode (NCC) message traffic.
 
-The engine's scalar interface moves global messages as
-``dict[sender, list[(target, payload)]]`` outboxes and the mirror-image
-``dict[receiver, list[(sender, payload)]]`` inboxes.  That shape forces a
-Python-level loop per message on both the protocol side (building the dicts
-one tuple at a time) and the engine side (draining them one tuple at a time).
-
-:class:`MessageBatch` is the array-backed form the engine runs on
+:class:`MessageBatch` is the one form global messages travel in
 (DESIGN.md §4): one batch of messages is three parallel columns
 
 * ``senders`` -- integer array, ``senders[i]`` sent message ``i``,
@@ -20,22 +14,16 @@ so the engine can do all round accounting (per-sender counts, per-receiver
 operations and only ever touches payloads to slice them (:meth:`take`: a
 fancy index on an array column, a list comprehension on a list).  Message ``i`` of a
 batch is *earlier* than message ``j > i``: within one sender the array order
-is the sender's queue order, exactly like the list order of a dict-form
-outbox.
-
-The same class serves as the batched inbox (messages in delivery order), and
-:meth:`to_inboxes` / :meth:`to_outboxes` convert to the scalar dict forms for
-interoperability.
+is the sender's queue order.  The same class serves as the batched inbox
+(messages in delivery order).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as _np
 
-Outboxes = dict[int, list[tuple[int, object]]]
-Inboxes = dict[int, list[tuple[int, object]]]
 
 def _as_index_column(values) -> _np.ndarray:
     """Coerce a sender/target column to an int64 array."""
@@ -66,32 +54,6 @@ class MessageBatch:
         return cls([], [], [])
 
     @classmethod
-    def from_outboxes(cls, outboxes: Mapping[int, Sequence[tuple[int, object]]]) -> "MessageBatch":
-        """Flatten dict-form outboxes (sender iteration order, then queue order)."""
-        senders: list[int] = []
-        targets: list[int] = []
-        payloads: list[object] = []
-        for sender, messages in outboxes.items():
-            for target, payload in messages:
-                senders.append(sender)
-                targets.append(target)
-                payloads.append(payload)
-        return cls(senders, targets, payloads)
-
-    @classmethod
-    def from_inboxes(cls, inboxes: Mapping[int, Sequence[tuple[int, object]]]) -> "MessageBatch":
-        """Flatten dict-form inboxes; per-target message order is preserved."""
-        senders: list[int] = []
-        targets: list[int] = []
-        payloads: list[object] = []
-        for target, messages in inboxes.items():
-            for sender, payload in messages:
-                senders.append(sender)
-                targets.append(target)
-                payloads.append(payload)
-        return cls(senders, targets, payloads)
-
-    @classmethod
     def concat(cls, batches: Sequence["MessageBatch"]) -> "MessageBatch":
         """Concatenate batches in order (earlier batches are earlier messages)."""
         batches = [batch for batch in batches if len(batch)]
@@ -118,23 +80,8 @@ class MessageBatch:
             payloads = [payloads[i] for i in indices.tolist()]
         return MessageBatch(self.senders[indices], self.targets[indices], payloads)
 
-    # ------------------------------------------------------------- conversions
     def __len__(self) -> int:
         return len(self.payloads)
-
-    def to_outboxes(self) -> Outboxes:
-        """The scalar dict-of-tuples outbox form (per-sender queue order kept)."""
-        outboxes: Outboxes = {}
-        for sender, target, payload in zip(self.senders, self.targets, self.payloads, strict=True):
-            outboxes.setdefault(int(sender), []).append((int(target), payload))
-        return outboxes
-
-    def to_inboxes(self) -> Inboxes:
-        """The scalar dict-of-tuples inbox form (per-receiver delivery order kept)."""
-        inboxes: Inboxes = {}
-        for sender, target, payload in zip(self.senders, self.targets, self.payloads, strict=True):
-            inboxes.setdefault(int(target), []).append((int(sender), payload))
-        return inboxes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MessageBatch(messages={len(self)})"

@@ -51,8 +51,11 @@ def _group_starts(keys):
 def _admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: int):
     """Which messages a per-message admission scan admits this round.
 
-    The arrays are in canonical order -- sorted by (sender, queue position),
-    each sender's messages contiguous -- and ``scan_positions`` gives each
+    :meth:`HybridNetwork.run_global_exchange` calls it only from the first
+    contested round on; earlier rounds admit exactly each sender's next
+    ``send_cap`` messages, which it schedules in closed form.  The arrays
+    are in canonical order -- sorted by (sender, queue position), each
+    sender's messages contiguous -- and ``scan_positions`` gives each
     message's rank in the round's rotated scan order (the rotation moves
     whole sender runs, so within a sender canonical order *is* scan order).
     A per-message scan admits a message iff, among messages scanned before
@@ -308,52 +311,85 @@ class HybridNetwork:
         return keep
 
     def run_global_exchange(
-        self,
-        batch: MessageBatch,
-        phase: str = "global",
-        receiver_limited: bool = True,
+        self, batch: MessageBatch, phase: str = "global"
     ) -> tuple[MessageBatch, int]:
         """Deliver an arbitrary-size batch of global messages over several rounds.
 
-        Each node sends its queued messages at most ``send_cap`` per round and,
-        when ``receiver_limited`` (the default), each node also receives at
-        most ``receive_cap`` messages per round -- excess messages simply wait
-        in their sender's queue for a later round.  This models the NCC-mode
-        bandwidth constraint on both endpoints and is the workhorse behind
-        "send each of your tokens, Θ(log n) tokens at a time" style loops in
-        the paper's pseudo-code.
+        Each node sends its queued messages at most ``send_cap`` per round and
+        receives at most ``receive_cap`` messages per round -- excess messages
+        simply wait in their sender's queue for a later round.  This models
+        the NCC-mode bandwidth constraint on both endpoints and is the
+        workhorse behind "send each of your tokens, Θ(log n) tokens at a
+        time" style loops in the paper's pseudo-code.
 
-        Senders are served in round-robin order: the ID-sorted sender list is
-        rotated by one position each round, so a contested receive budget is
-        shared fairly.  (A fixed ``sorted(queues)`` order would hand low-ID
-        senders the whole budget every round and starve high-ID senders
-        behind a saturated receiver; see the regression test in
-        tests/test_hybrid_engine.py.)  Every round makes progress: the receive
-        budget is rebuilt per round, so the first message scanned is always
-        admissible -- the scheduler asserts this invariant rather than
-        charging idle rounds.
+        Senders are served in round-robin order: the ID-sorted list of senders
+        with pending messages is rotated by one position each round, so a
+        contested receive budget is shared fairly.  (A fixed
+        ``sorted(queues)`` order would hand low-ID senders the whole budget
+        every round and starve high-ID senders behind a saturated receiver;
+        see the regression test in tests/test_hybrid_engine.py.)  Every round
+        makes progress: the receive budget is rebuilt per round, so the first
+        message scanned is always admissible -- the scheduler asserts this
+        invariant rather than charging idle rounds.
 
-        The pending messages are kept sorted by (sender, queue position) --
-        sorted once up front and filtered in place afterwards, which
-        preserves the order -- so each round's rotated scan order (senders
-        rank ``offset`` and up, then the wrap-around) is a single array
-        rotation at the offset sender's first message, and the active sender
-        list falls out of the run boundaries.  The admissible batch is
-        computed from send/receive budget arrays (:func:`_admit_scan`),
-        accounted via ``np.bincount`` and removed; everything else waits.
-        Payloads are only sliced once, at the end, by the accumulated
-        delivery order (:meth:`MessageBatch.take`).  Returns the delivered
-        messages and the number of global rounds used.
+        The messages are sorted once by (sender, queue position).  A message
+        of per-sender rank ``r`` is *planned* for round ``r // send_cap``, and
+        one ``np.bincount`` of (planned round, target) pairs finds the first
+        *contested* round, in which some target is planned more than
+        ``receive_cap`` messages.  Every earlier round delivers exactly its
+        planned block (DESIGN.md §4 has the induction), in the rotated scan
+        order: the block comes out of a stable sort by planned round sorted
+        by sender, and is rotated at the start of sender run
+        ``round % active senders``.  From the first contested round on, the
+        per-message admission scan (:func:`_admit_scan`) runs on the pending
+        messages, which are still in canonical order; the rotated scan order
+        is then a scan-rank array, and admitted messages leave the queue.
+        Each round is accounted by :meth:`_account_round` in scan order, and
+        payloads are sliced once, at the end, by the accumulated delivery
+        order (:meth:`MessageBatch.take`).  Returns the delivered messages and
+        the number of global rounds used.
         """
         if len(batch) == 0:
             return MessageBatch.empty(), 0
+        n = self.n
+        send_cap = self.send_cap
         order = _np.argsort(batch.senders, kind="stable")
         senders = batch.senders[order]
         targets = batch.targets[order]
-        indices = order
+        planned = (_np.arange(senders.size) - _group_starts(senders)) // send_cap
+        last = int(planned.max())
+        if int(targets.min()) < 0 or int(targets.max()) >= n:
+            # Leave the invalid target to the scan's accounting, which rejects
+            # it in the round it is sent.
+            contested = 0
+        else:
+            over = _np.flatnonzero(_np.bincount(planned * n + targets) > self.receive_cap)
+            contested = int(over[0]) // n if over.size else last + 1
+        if last == 0 and contested:
+            # One uncontested round: the canonical order is the scan order.
+            keep = self._account_round(senders, targets, phase)
+            return batch.take(order if keep is None else order[keep]), 1
         delivered_indices: list[_np.ndarray] = []
-        send_cap = self.send_cap
-        rounds = 0
+        if contested:
+            by_round = _np.argsort(planned, kind="stable")
+            bounds = _np.searchsorted(planned[by_round], _np.arange(contested + 1))
+            for planned_round in range(contested):
+                block = by_round[bounds[planned_round] : bounds[planned_round + 1]]
+                block_senders = senders[block]
+                run_starts = _np.flatnonzero(block_senders[1:] != block_senders[:-1]) + 1
+                offset = planned_round % (run_starts.size + 1)
+                if offset:
+                    split = run_starts[offset - 1]
+                    block = _np.concatenate((block[split:], block[:split]))
+                keep = self._account_round(senders[block], targets[block], phase)
+                delivered_indices.append(order[block] if keep is None else order[block[keep]])
+            if contested > last:
+                return batch.take(_np.concatenate(delivered_indices)), contested
+            waiting = planned >= contested
+            senders = senders[waiting]
+            targets = targets[waiting]
+            order = order[waiting]
+        rounds = contested
         while senders.size:
             length = senders.size
             run_bounds = _np.empty(length, dtype=bool)
@@ -362,19 +398,13 @@ class HybridNetwork:
             run_starts = _np.flatnonzero(run_bounds)
             offset = rounds % run_starts.size
             split = int(run_starts[offset])
-            positions = _np.arange(length)
             # The rotation moves the runs of senders ranked >= offset to the
             # front, which is an element-level rotation of the canonical
             # order at ``split`` -- expressed as a scan-rank array instead of
             # physically reordering the columns.
-            scan_positions = positions - split
+            scan_positions = _np.arange(length) - split
             scan_positions[scan_positions < 0] += length
-            if receiver_limited:
-                admitted = _admit_scan(
-                    senders, targets, scan_positions, send_cap, self.receive_cap
-                )
-            else:
-                admitted = (positions - _group_starts(senders)) < send_cap
+            admitted = _admit_scan(senders, targets, scan_positions, send_cap, self.receive_cap)
             # Progress invariant: the first scanned message is always admitted.
             if not admitted.any():
                 raise AssertionError("global exchange scheduler made no progress")
@@ -387,19 +417,16 @@ class HybridNetwork:
                 # round but never arrived; they are simply not delivered (the
                 # engine does not retry -- see run_reliable_exchange).
                 in_round = in_round[keep]
-            delivered_indices.append(indices[in_round])
+            delivered_indices.append(order[in_round])
             waiting = ~admitted
             senders = senders[waiting]
             targets = targets[waiting]
-            indices = indices[waiting]
+            order = order[waiting]
             rounds += 1
         return batch.take(_np.concatenate(delivered_indices)), rounds
 
     def run_reliable_exchange(
-        self,
-        batch: MessageBatch,
-        phase: str = "global",
-        receiver_limited: bool = True,
+        self, batch: MessageBatch, phase: str = "global"
     ) -> tuple[MessageBatch, int]:
         """Deliver *every* message of ``batch`` despite an unreliable network.
 
@@ -426,7 +453,7 @@ class HybridNetwork:
         partial result must not masquerade as a correct one.
         """
         if self._fault_state is None:
-            return self.run_global_exchange(batch, phase, receiver_limited)
+            return self.run_global_exchange(batch, phase)
         total = len(batch)
         if total == 0:
             return MessageBatch.empty(), 0
@@ -443,7 +470,6 @@ class HybridNetwork:
             inbox, attempt_rounds = self.run_global_exchange(
                 MessageBatch(batch.senders[pending], batch.targets[pending], pending),
                 attempt_phase,
-                receiver_limited,
             )
             rounds += attempt_rounds
             if len(inbox):
@@ -451,7 +477,6 @@ class HybridNetwork:
                 ack_inbox, ack_rounds = self.run_global_exchange(
                     MessageBatch(inbox.targets, inbox.senders, inbox.payloads),
                     phase + ":ack",
-                    receiver_limited,
                 )
                 rounds += ack_rounds
                 pending = pending[~_np.isin(pending, ack_inbox.payloads)]

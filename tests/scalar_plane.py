@@ -9,12 +9,83 @@ budget and its target's receive budget last; every delivered message is
 counted one at a time; and every fault fate comes from
 :meth:`~repro.hybrid.faults.FaultState.drops`.  The message-plane and fault
 tests run the same traffic through both networks and require identical
-deliveries, rounds and ``RoundMetrics``.
+rounds, ``RoundMetrics`` and deliveries -- the delivered messages in the
+order they were sent (round by round, each round in its rotated scan order),
+compared column by column with :func:`columns`.
+
+The module also holds the dict-of-tuples forms of a batch that tests build
+traffic from and read deliveries through: outboxes
+``{sender: [(target, payload), ...]}`` and inboxes
+``{receiver: [(sender, payload), ...]}``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+
+import numpy as np
+
 from repro.hybrid import CapacityExceededError, HybridNetwork, MessageBatch
+
+Outboxes = dict[int, list[tuple[int, object]]]
+Inboxes = dict[int, list[tuple[int, object]]]
+
+
+def from_messages(messages: Sequence[tuple[int, int, object]]) -> MessageBatch:
+    """A batch of ``(sender, target, payload)`` triples, in that order."""
+    return MessageBatch(
+        [sender for sender, _, _ in messages],
+        [target for _, target, _ in messages],
+        [payload for _, _, payload in messages],
+    )
+
+
+def from_outboxes(outboxes: Mapping[int, Sequence[tuple[int, object]]]) -> MessageBatch:
+    """Flatten dict-form outboxes (sender iteration order, then queue order)."""
+    return from_messages(
+        [
+            (sender, target, payload)
+            for sender, messages in outboxes.items()
+            for target, payload in messages
+        ]
+    )
+
+
+def from_inboxes(inboxes: Mapping[int, Sequence[tuple[int, object]]]) -> MessageBatch:
+    """Flatten dict-form inboxes; per-target message order is preserved."""
+    return from_messages(
+        [
+            (sender, target, payload)
+            for target, messages in inboxes.items()
+            for sender, payload in messages
+        ]
+    )
+
+
+def to_outboxes(batch: MessageBatch) -> Outboxes:
+    """The dict-of-tuples outbox form (per-sender queue order kept)."""
+    outboxes: Outboxes = {}
+    for sender, target, payload in zip(batch.senders, batch.targets, batch.payloads, strict=True):
+        outboxes.setdefault(int(sender), []).append((int(target), payload))
+    return outboxes
+
+
+def to_inboxes(batch: MessageBatch) -> Inboxes:
+    """The dict-of-tuples inbox form (per-receiver delivery order kept)."""
+    inboxes: Inboxes = {}
+    for sender, target, payload in zip(batch.senders, batch.targets, batch.payloads, strict=True):
+        inboxes.setdefault(int(target), []).append((int(sender), payload))
+    return inboxes
+
+
+def columns(batch: MessageBatch) -> tuple[list, list, list]:
+    """A batch's sender, target and payload columns as lists, in batch order."""
+    payloads = batch.payloads
+    return (
+        batch.senders.tolist(),
+        batch.targets.tolist(),
+        payloads.tolist() if isinstance(payloads, np.ndarray) else list(payloads),
+    )
 
 
 class ScalarPlaneNetwork(HybridNetwork):
@@ -23,13 +94,13 @@ class ScalarPlaneNetwork(HybridNetwork):
     def global_round(self, batch: MessageBatch, phase: str = "global") -> MessageBatch:
         if len(batch) == 0:
             return MessageBatch.empty()
-        return MessageBatch.from_inboxes(self._scalar_round(batch.to_outboxes(), phase))
+        return from_messages(self._scalar_round(to_outboxes(batch), phase))
 
     def run_global_exchange(
-        self, batch: MessageBatch, phase: str = "global", receiver_limited: bool = True
+        self, batch: MessageBatch, phase: str = "global"
     ) -> tuple[MessageBatch, int]:
-        queues = batch.to_outboxes()
-        inboxes: dict[int, list] = {}
+        queues = to_outboxes(batch)
+        delivered: list[tuple[int, int, object]] = []
         rounds = 0
         while queues:
             order = sorted(queues)
@@ -41,7 +112,7 @@ class ScalarPlaneNetwork(HybridNetwork):
                 sent, waiting = [], []
                 for target, payload in queues[sender]:
                     target_budget = receive_budget.get(target, self.receive_cap)
-                    if send_budget > 0 and (target_budget > 0 or not receiver_limited):
+                    if send_budget > 0 and target_budget > 0:
                         sent.append((target, payload))
                         send_budget -= 1
                         receive_budget[target] = target_budget - 1
@@ -54,12 +125,12 @@ class ScalarPlaneNetwork(HybridNetwork):
                 else:
                     del queues[sender]
             assert round_out, "scalar scheduler made no progress"
-            for receiver, messages in self._scalar_round(round_out, phase).items():
-                inboxes.setdefault(receiver, []).extend(messages)
+            delivered.extend(self._scalar_round(round_out, phase))
             rounds += 1
-        return MessageBatch.from_inboxes(inboxes), rounds
+        return from_messages(delivered), rounds
 
-    def _scalar_round(self, outboxes: dict[int, list], phase: str) -> dict[int, list]:
+    def _scalar_round(self, outboxes: Outboxes, phase: str) -> list[tuple[int, int, object]]:
+        """Account one round; the delivered ``(sender, target, payload)`` in send order."""
         bits = self.config.message_bits
         fault_state = self._fault_state
         if fault_state is not None:
@@ -67,7 +138,7 @@ class ScalarPlaneNetwork(HybridNetwork):
             threshold = fault_state.drop_threshold(fault_round)
             faulty = fault_state.faulty_nodes(fault_round)
             occurrences: dict[tuple[int, int], int] = {}
-        inboxes: dict[int, list] = {}
+        delivered: list[tuple[int, int, object]] = []
         received: dict[int, int] = {}
         crossings = {name: 0 for name, _ in self._cut_watchers}
         sent_total = max_sent = dropped = 0
@@ -88,7 +159,7 @@ class ScalarPlaneNetwork(HybridNetwork):
                     if fault_state.drops(*fate):
                         dropped += 1
                         continue
-                inboxes.setdefault(target, []).append((sender, payload))
+                delivered.append((sender, target, payload))
                 received[target] = received.get(target, 0) + 1
                 for name, mask in self._cut_watchers:
                     if mask[sender] != mask[target]:
@@ -111,7 +182,7 @@ class ScalarPlaneNetwork(HybridNetwork):
         for name, count in crossings.items():
             if count:
                 self.metrics.record_cut_bits(name, count * bits)
-        return inboxes
+        return delivered
 
 
 #: The message planes the identity tests compare, by name.

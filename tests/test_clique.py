@@ -1,6 +1,7 @@
 """Tests for the CLIQUE model simulator and the plug-in CLIQUE algorithms."""
 
 import pytest
+from scalar_plane import from_outboxes, to_inboxes
 
 from repro.clique import (
     BroadcastBellmanFordSSSP,
@@ -12,7 +13,6 @@ from repro.clique import (
     GatherShortestPaths,
 )
 from repro.graphs import generators, reference
-from repro.hybrid.batch import MessageBatch
 from repro.hybrid.errors import CapacityExceededError
 from repro.util.rand import RandomSource
 
@@ -32,7 +32,7 @@ def clique_graph():
 
 def run_round(clique, outboxes):
     """One CLIQUE round from dict-form outboxes, returned as dict-form inboxes."""
-    return clique.exchange(MessageBatch.from_outboxes(outboxes)).to_inboxes()
+    return to_inboxes(clique.exchange(from_outboxes(outboxes)))
 
 
 class TestCliqueNetwork:

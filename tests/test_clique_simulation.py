@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_plane import from_outboxes, to_inboxes
 
 from repro import HybridSession
 from repro.clique import BroadcastKSourceBellmanFord, EccentricityDiameter, GatherShortestPaths
@@ -90,7 +91,7 @@ class TestHybridCliqueTransport:
 
 def run_round(transport, outboxes):
     """One CLIQUE round from dict-form outboxes, returned as dict-form inboxes."""
-    return transport.exchange(MessageBatch.from_outboxes(outboxes)).to_inboxes()
+    return to_inboxes(transport.exchange(from_outboxes(outboxes)))
 
 
 def make_transport(faults=None, seed=9):

@@ -10,7 +10,7 @@ source chunking, and the session's fixed implementation report.
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import PLANES, ScalarPlaneNetwork
+from scalar_plane import PLANES, ScalarPlaneNetwork, columns
 
 from repro.core.sssp import sssp_exact
 from repro.graphs import csr as csr_kernels
@@ -84,10 +84,7 @@ class TestMessagePlaneIdentity:
         inbox, rounds = network.run_global_exchange(batch, phase="test")
         snapshot = network.metrics.as_dict()
         snapshot["received_totals"] = [int(total) for total in network.received_totals]
-        deliveries = sorted(
-            zip(inbox.senders.tolist(), inbox.targets.tolist(), inbox.payloads, strict=True)
-        )
-        return deliveries, rounds, snapshot
+        return columns(inbox), rounds, snapshot
 
     @common_settings
     @given(fault_exchange())

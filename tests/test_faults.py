@@ -24,7 +24,7 @@ numpy = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import PLANES
+from scalar_plane import PLANES, columns, to_inboxes
 
 from repro import (
     FaultModel,
@@ -189,7 +189,7 @@ class TestEngineEnforcement:
         network = self.make(crash_schedule={5: 0})
         pairs = [(5, 1), (1, 5), (2, 3)]
         delivered = network.global_round(build_batch(pairs), "crash")
-        assert delivered.to_inboxes() == {3: [(2, ("payload", 2))]}
+        assert to_inboxes(delivered) == {3: [(2, ("payload", 2))]}
         assert network.metrics.global_dropped == 2
 
     def test_omission_silences_exactly_one_round(self):
@@ -224,7 +224,7 @@ class TestEngineEnforcement:
             )
             inbox, _rounds = network.run_global_exchange(build_batch(pairs), "faulty")
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = inbox.to_inboxes()
+            deliveries[plane] = columns(inbox)
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
 
@@ -332,13 +332,13 @@ class TestReliableExchange:
         assert metrics_snapshot(reliable) == metrics_snapshot(plain)
         # No ack/retry phases exist on the ideal path.
         assert set(reliable.metrics.phases) == {"phase"}
-        assert r_inbox.to_inboxes() == p_inbox.to_inboxes()
+        assert columns(r_inbox) == columns(p_inbox)
 
     def test_lossy_exchange_delivers_everything_exactly_once(self):
         network = self.make(drop_rate=0.4, seed=6, max_attempts=20)
         pairs = [(sender, (sender + 5) % 24) for sender in range(24) for _ in range(2)]
         inbox, rounds = network.run_reliable_exchange(build_batch(pairs), "phase")
-        assert sorted(payload for _, payload in inbox.to_inboxes().get(5, [])) == sorted(
+        assert sorted(payload for _, payload in to_inboxes(inbox).get(5, [])) == sorted(
             ("payload", index) for index, (s, t) in enumerate(pairs) if t == 5
         )
         assert len(inbox) == len(pairs)

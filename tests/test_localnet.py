@@ -308,9 +308,9 @@ class TestColumnTrafficPins:
         shipped = {}
         exchange = HybridNetwork.run_reliable_exchange
 
-        def spy(network, batch, phase="global", receiver_limited=True):
+        def spy(network, batch, phase="global"):
             shipped[phase] = batch.payloads
-            return exchange(network, batch, phase, receiver_limited)
+            return exchange(network, batch, phase)
 
         monkeypatch.setattr(HybridNetwork, "run_reliable_exchange", spy)
         network = HybridNetwork(

@@ -17,13 +17,21 @@ from hypothesis import strategies as st
 
 numpy = pytest.importorskip("numpy")
 
-from scalar_plane import PLANES, ScalarPlaneNetwork
+from scalar_plane import (
+    PLANES,
+    ScalarPlaneNetwork,
+    columns,
+    from_inboxes,
+    from_outboxes,
+    to_inboxes,
+    to_outboxes,
+)
 
 from repro.core.clique_simulation import HybridCliqueTransport
 from repro.core.skeleton import compute_skeleton
 from repro.core.token_routing import make_tokens, route_tokens
 from repro.graphs import generators
-from repro.hybrid import CapacityExceededError, HybridNetwork, MessageBatch, ModelConfig
+from repro.hybrid import CapacityExceededError, FaultModel, HybridNetwork, MessageBatch, ModelConfig
 from repro.hybrid.network import _admit_scan
 from repro.localnet import aggregate_max, aggregate_sum, broadcast_value, disseminate_tokens
 from repro.util.rand import RandomSource
@@ -62,14 +70,14 @@ def build_batch(pairs):
 class TestMessageBatch:
     def test_outbox_round_trip(self):
         outboxes = {3: [(1, "a"), (2, "b")], 0: [(1, "c")]}
-        batch = MessageBatch.from_outboxes(outboxes)
+        batch = from_outboxes(outboxes)
         assert len(batch) == 3
-        assert batch.to_outboxes() == outboxes
+        assert to_outboxes(batch) == outboxes
 
     def test_inbox_round_trip(self):
         inboxes = {1: [(3, "a"), (0, "c")], 2: [(3, "b")]}
-        batch = MessageBatch.from_inboxes(inboxes)
-        assert batch.to_inboxes() == inboxes
+        batch = from_inboxes(inboxes)
+        assert to_inboxes(batch) == inboxes
 
     def test_concat(self):
         first = MessageBatch([0], [1], ["a"])
@@ -125,7 +133,7 @@ class TestBatchedGlobalRound:
         assert isinstance(network, ScalarPlaneNetwork)
         delivered = network.global_round(MessageBatch([0], [3], ["x"]))
         assert isinstance(delivered, MessageBatch)
-        assert delivered.to_inboxes() == {3: [(0, "x")]}
+        assert to_inboxes(delivered) == {3: [(0, "x")]}
 
     def test_send_cap_enforced(self):
         network = self.make()
@@ -282,41 +290,37 @@ class TestPlaneIdentity:
     """The scalar oracle and the engine record bit-identical RoundMetrics."""
 
     @common_settings
-    @given(message_lists, st.booleans())
-    def test_exchange_identical_metrics(self, pairs, receiver_limited):
+    @given(message_lists)
+    def test_exchange_identical_metrics(self, pairs):
         graph = generators.cycle_graph(20)
         snapshots = {}
         deliveries = {}
         for plane in ("scalar", "vectorized"):
             network = PLANES[plane](graph, ModelConfig(rng_seed=1))
             network.add_cut_watcher("half", range(10))
-            inbox, rounds = network.run_global_exchange(
-                build_batch(pairs), receiver_limited=receiver_limited
-            )
+            inbox, rounds = network.run_global_exchange(build_batch(pairs))
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = inbox.to_inboxes()
+            deliveries[plane] = columns(inbox)
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
 
     @common_settings
     @given(message_lists)
     def test_dict_form_and_batched_form_identical_metrics(self, pairs):
-        """Dict-of-tuples outboxes converted by ``MessageBatch.from_outboxes``
-        and the column-built batch of the same messages produce the same
-        metrics and inboxes."""
+        """Dict-of-tuples outboxes converted by ``from_outboxes`` and the
+        column-built batch of the same messages produce the same metrics and
+        deliveries."""
         graph = generators.cycle_graph(20)
         outboxes = {}
         for index, (sender, target) in enumerate(pairs):
             outboxes.setdefault(sender, []).append((target, ("payload", index)))
         dict_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
-        dict_inbox, dict_rounds = dict_network.run_global_exchange(
-            MessageBatch.from_outboxes(outboxes)
-        )
+        dict_inbox, dict_rounds = dict_network.run_global_exchange(from_outboxes(outboxes))
         batch_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
         batch_inbox, batch_rounds = batch_network.run_global_exchange(build_batch(pairs))
         assert dict_rounds == batch_rounds
         assert metrics_snapshot(dict_network) == metrics_snapshot(batch_network)
-        assert batch_inbox.to_inboxes() == dict_inbox.to_inboxes()
+        assert columns(batch_inbox) == columns(dict_inbox)
 
     @common_settings
     @given(message_lists)
@@ -332,6 +336,136 @@ class TestPlaneIdentity:
             network.global_round(build_batch(pairs))
             snapshots[plane] = metrics_snapshot(network)
         assert snapshots["scalar"] == snapshots["vectorized"]
+
+
+def capped_config(n, send_cap, receive_cap, **config):
+    """A ModelConfig whose send and receive caps on ``n`` nodes are exactly the given ones."""
+    scale = math.log2(n)
+    return ModelConfig(
+        global_send_factor=(send_cap - 0.5) / scale,
+        global_receive_factor=(receive_cap - 0.5) / scale,
+        **config,
+    )
+
+
+def first_contested_round(pairs, send_cap, receive_cap):
+    """The first round in which a target is planned more than ``receive_cap``
+    messages, planning each sender's ``k``-th message for round ``k // send_cap``."""
+    ranks: dict[int, int] = {}
+    loads: dict[tuple[int, int], int] = {}
+    for sender, target in pairs:
+        rank = ranks.get(sender, 0)
+        ranks[sender] = rank + 1
+        key = (rank // send_cap, target)
+        loads[key] = loads.get(key, 0) + 1
+    return min((rnd for (rnd, _), load in loads.items() if load > receive_cap), default=None)
+
+
+@st.composite
+def contested_exchanges(draw, n=20):
+    """Multi-round traffic whose first contested round is 0, mid-exchange or absent.
+
+    Before the contested round every sender sends to its own home target
+    (no target is over its cap); in the contested round every sender's window
+    goes to one hot target; afterwards targets are skewed between the two.
+    Senders hold different message counts, so the set of active senders --
+    and with it the rotation -- shrinks as queues run dry.
+    """
+    send_cap = draw(st.integers(min_value=1, max_value=3))
+    senders = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=6, unique=True))
+    receive_cap = draw(st.integers(min_value=send_cap, max_value=len(senders) * send_cap - 1))
+    rounds = draw(st.integers(min_value=2, max_value=5))
+    contested = draw(st.sampled_from([0, None, draw(st.integers(1, rounds - 1))]))
+    homes = draw(st.permutations(range(n)))
+    hot = draw(st.integers(0, n - 1))
+    full_windows = 0 if contested is None else contested + 1
+    queues = {}
+    for sender, home in zip(senders, homes, strict=False):
+        count = draw(st.integers(max(1, full_windows * send_cap), rounds * send_cap))
+        queue = []
+        for rank in range(count):
+            window = rank // send_cap
+            if contested is None or window < contested:
+                queue.append(home)
+            elif window == contested:
+                queue.append(hot)
+            else:
+                queue.append(draw(st.sampled_from([hot, home])))
+        queues[sender] = queue
+    # Interleave the senders' queues; each keeps its own order.
+    turns = draw(st.permutations([s for s, queue in queues.items() for _ in queue]))
+    pairs = [(sender, queues[sender].pop(0)) for sender in turns]
+    return pairs, send_cap, receive_cap, contested
+
+
+class TestClosedFormSchedule:
+    """Rounds before the first contested round are scheduled in closed form
+    (rank // send_cap, each round's block rotated by the round number); the
+    scan takes over from the first contested round.  The oracle scans every
+    round, so identical deliveries *in order* pin both the boundary and the
+    rotation."""
+
+    FAULTS = {"ideal": None, "faulty": dict(drop_rate=0.3, seed=5, crash_schedule={3: 2})}
+
+    @staticmethod
+    def run(plane, pairs, send_cap, receive_cap, faults):
+        config = capped_config(
+            20, send_cap, receive_cap, rng_seed=1, faults=faults and FaultModel(**faults)
+        )
+        network = PLANES[plane](generators.cycle_graph(20), config)
+        assert (network.send_cap, network.receive_cap) == (send_cap, receive_cap)
+        network.add_cut_watcher("half", range(10))
+        inbox, rounds = network.run_global_exchange(build_batch(pairs), "exchange")
+        return columns(inbox), rounds, metrics_snapshot(network)
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @common_settings
+    @given(contested_exchanges())
+    def test_matches_the_scan_at_every_contested_round(self, faults, case):
+        pairs, send_cap, receive_cap, contested = case
+        assert first_contested_round(pairs, send_cap, receive_cap) == contested
+        oracle = self.run("scalar", pairs, send_cap, receive_cap, self.FAULTS[faults])
+        engine = self.run("vectorized", pairs, send_cap, receive_cap, self.FAULTS[faults])
+        assert engine == oracle
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    def test_two_open_rounds_then_one_hot_target(self, faults):
+        # Senders 4, 9, 15 queue 3 windows of send_cap = 2: windows 0 and 1 go
+        # to each sender's own target, window 2 entirely to node 0, whose
+        # receive cap 2 admits one sender's window per round.
+        send_cap, receive_cap = 2, 2
+        homes = {4: 5, 9: 10, 15: 16}
+        pairs = [
+            (sender, home if window < 2 else 0)
+            for window in range(3)
+            for sender, home in homes.items()
+            for _ in range(send_cap)
+        ]
+        assert first_contested_round(pairs, send_cap, receive_cap) == 2
+        oracle = self.run("scalar", pairs, send_cap, receive_cap, self.FAULTS[faults])
+        engine = self.run("vectorized", pairs, send_cap, receive_cap, self.FAULTS[faults])
+        assert engine == oracle
+        if faults == "ideal":
+            (senders, targets, _), rounds, _ = engine
+            # Round t is rotated to start at active sender t mod |active|:
+            # rounds 0, 1 are closed form (4 9 15, then 9 15 4); round 2 is
+            # scanned from sender 15, round 3 from 9 (active 4, 9), round 4
+            # from 4.
+            order = [4, 9, 15, 9, 15, 4, 15, 9, 4]
+            assert senders == [sender for sender in order for _ in range(send_cap)]
+            assert targets[: 6 * send_cap] == [homes[s] for s in order[:6] for _ in range(2)]
+            assert rounds == 5
+
+    @pytest.mark.parametrize("bad_target", [-1, 20])
+    def test_out_of_range_target_rejected_in_its_round(self, bad_target):
+        # Sender 0's third message (round 2 at send_cap 1) has a bad target:
+        # both planes account rounds 0 and 1, then reject it.
+        pairs = [(0, 1), (1, 2), (0, 3), (0, bad_target)]
+        for plane in PLANES:
+            network = PLANES[plane](generators.cycle_graph(20), capped_config(20, 1, 2))
+            with pytest.raises(ValueError):
+                network.run_global_exchange(build_batch(pairs))
+            assert network.metrics.global_rounds == 2, plane
 
 
 def run_on_both_planes(build_graph, protocol):
@@ -406,7 +540,7 @@ class TestProtocolPlaneIdentity:
         def protocol(network):
             skeleton = compute_skeleton(network, 0.2, ensure_connected=True)
             transport = HybridCliqueTransport(network, skeleton)
-            transport.exchange(MessageBatch.from_outboxes({0: [(1, "x")]}))
+            transport.exchange(from_outboxes({0: [(1, "x")]}))
             return skeleton.size
 
         snapshots, outputs = run_on_both_planes(

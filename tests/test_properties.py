@@ -4,13 +4,14 @@ import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scalar_plane import from_outboxes
 
 from repro.analysis import fit_power_law
 from repro.core.helper_sets import helper_parameter
 from repro.core.skeleton import framework_exponent, framework_sampling_probability
 from repro.core.token_routing import make_tokens
 from repro.graphs import generators
-from repro.hybrid import HybridNetwork, MessageBatch, ModelConfig
+from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.hashing import KWiseHashFamily
 from repro.util.rand import RandomSource, split_evenly
 
@@ -167,7 +168,7 @@ def test_global_exchange_delivers_everything_within_caps(pairs):
     outboxes = {}
     for index, (sender, target) in enumerate(pairs):
         outboxes.setdefault(sender, []).append((target, index))
-    inbox, rounds = network.run_global_exchange(MessageBatch.from_outboxes(outboxes))
+    inbox, rounds = network.run_global_exchange(from_outboxes(outboxes))
     delivered = sorted(inbox.payloads)
     assert delivered == sorted(range(len(pairs)))
     assert network.metrics.max_sent_per_round <= network.send_cap
