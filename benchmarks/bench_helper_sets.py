@@ -38,7 +38,7 @@ def test_helper_set_properties(benchmark, member_probability, tokens):
             "min_helper_count": helpers.min_helper_count(),
             "max_membership_load": helpers.max_membership_load(),
             "max_helper_radius": helpers.max_helper_radius(network),
-            "cluster_radius": helpers.clustering.radius,
+            "cluster_radius": helpers.radius,
             "construction_rounds": helpers.rounds_charged,
         },
     )

@@ -10,7 +10,9 @@ algorithm and turns it into a HYBRID algorithm for the *unweighted* diameter
 3. A local phase of ``η·h + 1`` rounds spreads ``D̃(S)`` to every node (every
    node has a skeleton node within ``h`` hops w.h.p.) and lets every node
    compute the largest hop distance ``h_v`` it sees in its ``(η·h+1)``-hop
-   neighbourhood.
+   neighbourhood.  On a connected graph ``h_v = min(ecc(v), η·h+1)``, so
+   ``max_v h_v = min(D, η·h+1)``: the simulation reads it off the graph's
+   cached hop diameter instead of running ``n`` bounded searches.
 4. The maximum ``ĥ = max_v h_v`` is aggregated over the global network in
    ``O(log n)`` rounds (Lemma B.2).
 5. Output ``D̃ = ĥ`` if ``ĥ ≤ η·h`` (then ``D`` was computed exactly), else
@@ -70,6 +72,14 @@ class DiameterResult:
         )
 
 
+def check_diameter_input(network: HybridNetwork) -> None:
+    """Raise ``ValueError`` unless Section 5 applies: unweighted, connected local graph."""
+    if not network.graph.is_unweighted():
+        raise ValueError("the diameter algorithm of Section 5 targets unweighted graphs")
+    if network.local_graph.hop_diameter() == math.inf:
+        raise ValueError("the diameter algorithm of Section 5 needs a connected local graph")
+
+
 def approximate_diameter(
     network: HybridNetwork,
     algorithm: CliqueDiameterAlgorithm,
@@ -79,12 +89,12 @@ def approximate_diameter(
     """Run Algorithm 9 (``Diam-Simulation``) with the given CLIQUE algorithm.
 
     The input graph must be unweighted (Theorem 5.1 approximates the hop
-    diameter ``D(G)``); a weighted graph raises ``ValueError``.  ``context``
-    may supply a prepared skeleton and CLIQUE transport from an earlier query
-    on the same network.
+    diameter ``D(G)``) and its local graph connected (Section 5 assumes a
+    connected ``G``); otherwise ``ValueError`` is raised before any round is
+    charged.  ``context`` may supply a prepared skeleton and CLIQUE transport
+    from an earlier query on the same network.
     """
-    if not network.graph.is_unweighted():
-        raise ValueError("the diameter algorithm of Section 5 targets unweighted graphs")
+    check_diameter_input(network)
     rounds_before = network.metrics.total_rounds
     n = network.n
     spec = algorithm.spec
@@ -104,17 +114,18 @@ def approximate_diameter(
     clique_rounds_before = transport.rounds_used
     skeleton_estimate = algorithm.run(transport, skeleton.incident_edges())
 
-    # Step 3: local phase of η·h + 1 rounds.  Every node's largest locally
-    # observed hop distance h_v is one batched bounded-eccentricity kernel call.
+    # Step 3: local phase of η·h + 1 rounds.  On the connected local graph
+    # max_v h_v = min(D, η·h + 1), read off the cached hop diameter.
     exploration_depth = int(math.ceil(spec.eta * skeleton.hop_length)) + 1
     network.charge_local_rounds(exploration_depth, phase + ":local-horizon")
-    eccentricities = network.local_graph.hop_eccentricities(max_hops=exploration_depth)
-    local_max = {node: float(eccentricities[node]) for node in range(n)}
+    local_max = float(min(network.local_graph.hop_diameter(), exploration_depth))
 
     # Step 4: aggregate ĥ = max_v h_v over the global network (Lemma B.2).
-    local_max_hop = aggregate_max(network, local_max, phase=phase + ":aggregate")
-    if local_max_hop is None:
-        local_max_hop = 0.0
+    # Every node contributes one value, as in the protocol; the traffic does
+    # not depend on the values, and the maximum is ĥ either way.
+    local_max_hop = aggregate_max(
+        network, dict.fromkeys(range(n), local_max), phase=phase + ":aggregate"
+    )
 
     # Step 5: Equation (3).
     threshold = exploration_depth - 1

@@ -21,8 +21,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.hybrid.network import HybridNetwork
-from repro.localnet.clustering import Clustering, cluster_around_rulers
-from repro.localnet.ruling_set import compute_ruling_set
+from repro.localnet.clustering import cluster_around_rulers
 from repro.util.rand import RandomSource
 
 
@@ -38,9 +37,9 @@ class HelperSets:
         The size/radius parameter ``µ`` of Definition 2.1.
     helpers:
         ``w -> sorted list of helper nodes`` for every ``w ∈ W``.
-    clustering:
-        The ruler clustering the construction is based on (exposes the hop
-        radius that bounds property (2)).
+    radius:
+        The hop radius of the ruler clustering the construction is based on
+        (it bounds property (2) and the Routing-Preparation floods).
     rounds_charged:
         Rounds consumed by Algorithm 1 (ruling set + the exploration loops).
     """
@@ -48,7 +47,7 @@ class HelperSets:
     members: list[int]
     mu: int
     helpers: dict[int, list[int]]
-    clustering: Clustering
+    radius: int
     rounds_charged: int
 
     def min_helper_count(self) -> int:
@@ -114,12 +113,12 @@ def compute_helper_sets(
     rounds_before = network.metrics.total_rounds
 
     mu = helper_parameter(network.n, len(member_list), tokens_per_member)
-    ruling = compute_ruling_set(network, mu, phase=phase + ":ruling-set")
-    clustering = cluster_around_rulers(network, ruling.rulers, mu, phase=phase + ":clustering")
+    clustering = cluster_around_rulers(network, mu, phase)
 
     member_set = set(member_list)
     helpers: dict[int, list[int]] = {member: [] for member in member_list}
-    for cluster_members in clustering.members.values():
+    for cluster_array in clustering.members.values():
+        cluster_members = cluster_array.tolist()
         cluster_size = len(cluster_members)
         local_members = [node for node in cluster_members if node in member_set]
         if not local_members:
@@ -143,6 +142,6 @@ def compute_helper_sets(
         members=member_list,
         mu=mu,
         helpers=helpers,
-        clustering=clustering,
+        radius=clustering.radius,
         rounds_charged=rounds_charged,
     )

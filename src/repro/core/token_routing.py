@@ -389,8 +389,8 @@ class TokenRouter:
         # helpers.  As with the clustering, we charge the flood depth the
         # protocol actually needs -- twice the real cluster radii -- capped by
         # the paper's worst-case bound.
-        sender_radius = self.sender_helpers.clustering.radius
-        receiver_radius = self.receiver_helpers.clustering.radius
+        sender_radius = self.sender_helpers.radius
+        receiver_radius = self.receiver_helpers.radius
         paper_bound = max(1, 2 * (self.mu_senders + self.mu_receivers) * log_factor)
         preparation_rounds = max(1, min(2 * (sender_radius + receiver_radius), paper_bound))
         network.charge_local_rounds(preparation_rounds, self.phase + ":preparation-detect")

@@ -2,9 +2,8 @@
 
 The simulation's hot loops are all of the shape *"run one traversal from every
 node"*: the depth-``h`` exploration of Compute-Skeleton (Algorithm 6) runs a
-hop-limited distance computation from all ``n`` sources, the diameter
-algorithm measures a bounded eccentricity per node, and the reference oracles
-run Dijkstra per source.  Doing these one Python-level traversal at a time is
+hop-limited distance computation from all ``n`` sources, and the reference
+oracles run Dijkstra per source.  Doing these one Python-level traversal at a time is
 what capped experiments at a few hundred nodes.
 
 This module stores the graph once as frozen CSR numpy arrays and provides
@@ -27,6 +26,9 @@ This module stores the graph once as frozen CSR numpy arrays and provides
   heuristic.  Most graphs need a few dozen searches; on vertex-transitive
   graphs (cycles, complete graphs) no bound ever settles a node, every node
   is searched once, and the cost matches one all-sources pass.
+* :func:`ruler_clustering` -- the LOCAL-phase outcome of Lemma 2.1 and
+  Algorithm 1: a greedy ruling set and every node's closest ruler, from one
+  level-synchronous multi-source BFS.
 
 All kernels are exact and deterministic: edge weights are positive integers,
 so every distance is an exact float64 sum along a single path and equals the
@@ -41,7 +43,9 @@ first batched traversal and invalidates it on ``add_edge`` /
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -364,6 +368,83 @@ def hop_diameter(csr: CSRAdjacency) -> float:
         np.minimum(upper, hops.min(axis=0), out=upper)
         best = lower.max()
         batch_size *= 2
+
+
+class RulerClustering(NamedTuple):
+    """A ruling set and the clusters around it (:func:`ruler_clustering`)."""
+
+    #: The rulers, ascending (read-only int64).
+    rulers: np.ndarray
+    #: ``ruler -> its members, ascending`` (read-only int64), in ruler order.
+    members: Mapping[int, np.ndarray]
+    #: The largest hop distance from a node to its ruler.
+    radius: int
+
+
+def ruler_clustering(csr: CSRAdjacency, separation: int) -> RulerClustering:
+    """Greedy rulers ``separation + 1`` hops apart, and every node's closest ruler.
+
+    The rulers are the greedy maximal independent set of the
+    ``separation``-th power graph in ID order: a node becomes a ruler unless
+    an earlier ruler lies within ``separation`` hops.  So rulers are pairwise
+    more than ``separation`` hops apart and every node has a ruler within
+    ``separation`` hops of it -- in every connected component.  The scan is
+    sequential (whether a node rules depends on the earlier rulers' balls),
+    so it walks the balls in Python over the CSR lists.
+
+    Every node then joins its closest ruler by hops, ties going to the
+    smaller ruler ID.  One multi-source BFS advances all rulers a level at a
+    time; a node first reached at level ``d`` takes the smallest ruler among
+    its frontier neighbours (``np.minimum.at``), which by induction is the
+    smallest ruler at hop distance ``d``.
+    """
+    n = csr.n
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    # reached_by[v]: the last ruler whose ball reached v (-1: none yet).
+    reached_by = [-1] * n
+    rulers: list[int] = []
+    for node in range(n):
+        if reached_by[node] >= 0:
+            continue
+        rulers.append(node)
+        reached_by[node] = node
+        frontier = [node]
+        for _ in range(separation):
+            next_frontier = []
+            for u in frontier:
+                for v in indices[indptr[u] : indptr[u + 1]]:
+                    if reached_by[v] != node:
+                        reached_by[v] = node
+                        next_frontier.append(v)
+            if not next_frontier:
+                break
+            frontier = next_frontier
+
+    ruler_array = np.asarray(rulers, dtype=np.int64)
+    owner = np.full(n, n, dtype=np.int64)  # n marks "not reached yet"
+    owner[ruler_array] = ruler_array
+    frontier = ruler_array
+    radius = 0
+    while True:
+        flat, counts = _gather_edges(csr, frontier)
+        neighbours = csr.indices[flat]
+        fresh = owner[neighbours] == n
+        if not fresh.any():
+            break
+        neighbours = neighbours[fresh]
+        np.minimum.at(owner, neighbours, np.repeat(owner[frontier], counts)[fresh])
+        frontier = np.unique(neighbours)
+        radius += 1
+
+    order = np.argsort(owner, kind="stable")
+    sizes = np.bincount(owner, minlength=n)[ruler_array]
+    order.flags.writeable = False
+    ruler_array.flags.writeable = False
+    groups = np.split(order, np.cumsum(sizes)[:-1])
+    return RulerClustering(
+        ruler_array, MappingProxyType(dict(zip(rulers, groups, strict=True))), radius
+    )
 
 
 def chunked_sources(

@@ -18,13 +18,16 @@ Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
 the source of truth and feeds the mutation journal, and the single-source
 traversals (``bfs_hops``, ``dijkstra``, ...) walk it in pure Python.  The
 batched multi-source kernels (``bfs_hops_many``, ``hop_limited_distances_many``,
-``dijkstra_many``, the matrix variants, ``hop_eccentricities``,
-``hop_diameter``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
+``dijkstra_many``, the matrix variants, ``hop_diameter``,
+``ruler_clustering``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
 lazily on first use and invalidated by ``add_edge`` / ``remove_edge``.  Both
 return bit-identical results (weights are positive integers, so all float
 distances are exact sums).  The ``d_h`` kernels have no single-source twin
 here: tests check them against the edge-list Bellman-Ford oracle
-:func:`repro.graphs.reference.hop_limited_distances`.
+:func:`repro.graphs.reference.hop_limited_distances`.  What depends on hops
+alone -- the hop diameter and the ruler clusterings -- is cached in one
+hop-topology slot that ``add_edge`` / ``remove_edge`` reset and
+``update_weight`` keeps.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ class WeightedGraph:
         self._adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
         self._edge_count = 0
         self._csr = None
-        self._hop_diameter: float | None = None
+        # Hop-topology cache: "diameter" -> D(G), separation -> RulerClustering.
+        self._hop_cache: dict = {}
         self._version = 0
         self._deltas: deque[GraphDelta] = deque(maxlen=DELTA_LOG_LIMIT)
 
@@ -184,7 +188,7 @@ class WeightedGraph:
         self._adjacency[u][v] = weight
         self._adjacency[v][u] = weight
         self._csr = None
-        self._hop_diameter = None
+        self._hop_cache = {}
         self._version += 1
         self._deltas.append(GraphDelta("add", u, v, weight, None, self._version))
 
@@ -192,11 +196,12 @@ class WeightedGraph:
         """Set the weight of the existing undirected edge ``{u, v}``.
 
         A weight-only mutation leaves the hop topology untouched, so the
-        hop-diameter cache survives and a frozen CSR view is refreshed in
-        place (:func:`repro.graphs.csr.refresh_weight` patches the weight
-        array and shares the topology arrays) instead of being dropped and
-        rebuilt.  Setting the current weight again is a no-op: no version
-        bump, no delta, no cache work (DESIGN.md §12).
+        hop-topology cache (hop diameter, ruler clusterings) survives and a
+        frozen CSR view is refreshed in place
+        (:func:`repro.graphs.csr.refresh_weight` patches the weight array and
+        shares the topology arrays) instead of being dropped and rebuilt.
+        Setting the current weight again is a no-op: no version bump, no
+        delta, no cache work (DESIGN.md §12).
         """
         self._check_node(u)
         self._check_node(v)
@@ -224,7 +229,7 @@ class WeightedGraph:
         del self._adjacency[v][u]
         self._edge_count -= 1
         self._csr = None
-        self._hop_diameter = None
+        self._hop_cache = {}
         self._version += 1
         self._deltas.append(GraphDelta("remove", u, v, None, old_weight, self._version))
 
@@ -371,37 +376,6 @@ class WeightedGraph:
             self._check_node(source)
         return csr_kernels.run_chunked(csr_kernels.distance_matrix, self.csr(), sources)
 
-    def hop_eccentricities(
-        self, sources: Sequence[int] | None = None, max_hops: int | None = None
-    ) -> list[float]:
-        """Hop eccentricities of many sources at once.
-
-        Without ``max_hops`` this is :meth:`hop_eccentricity` per source
-        (``inf`` when the graph is disconnected).  With ``max_hops`` it is the
-        largest hop distance *observed inside the ball*, i.e. the per-node
-        quantity ``h_v`` of Algorithm 9's local phase -- always finite.  Every
-        source gets its own BFS (:meth:`hop_diameter` bounds eccentricities
-        instead of computing all ``n``).
-        """
-        sources = list(self.nodes()) if sources is None else list(sources)
-        for source in sources:
-            self._check_node(source)
-        self._check_max_hops(max_hops)
-        view = self.csr()
-        result: list[float] = []
-        for chunk in csr_kernels.chunked_sources(self._n, sources):
-            levels = csr_kernels.bfs_level_matrix(view, chunk, max_hops)
-            if max_hops is None:
-                reached_all = (levels >= 0).all(axis=1)
-                maxima = levels.max(axis=1)
-                result.extend(
-                    float(m) if ok else INFINITY
-                    for m, ok in zip(maxima.tolist(), reached_all.tolist(), strict=True)
-                )
-            else:
-                result.extend(float(m) for m in levels.max(axis=1).tolist())
-        return result
-
     def hop_distance(self, u: int, v: int) -> float:
         """``hop(u, v)``: the minimum number of edges on a u-v path."""
         if u == v:
@@ -423,13 +397,31 @@ class WeightedGraph:
         bounding that BFS-searches only the nodes whose eccentricity could
         still exceed the best lower bound -- a few dozen on typical graphs,
         every node (one all-sources pass) on vertex-transitive ones.
-        Cached like the CSR view (every simulated network on this graph asks
-        for it), dropped by ``add_edge`` / ``remove_edge`` and kept by
-        ``update_weight`` (hops ignore weights).
+        Cached in the hop-topology slot (every simulated network on this
+        graph asks for it): dropped by ``add_edge`` / ``remove_edge`` and
+        kept by ``update_weight`` (hops ignore weights).
         """
-        if self._hop_diameter is None:
-            self._hop_diameter = csr_kernels.hop_diameter(self.csr())
-        return self._hop_diameter
+        cache = self._hop_cache
+        if "diameter" not in cache:
+            cache["diameter"] = csr_kernels.hop_diameter(self.csr())
+        return cache["diameter"]
+
+    def ruler_clustering(self, separation: int) -> csr_kernels.RulerClustering:
+        """Greedy rulers more than ``separation`` hops apart, and their clusters.
+
+        The rulers, every node grouped under its closest ruler (ties to the
+        smaller ruler ID), and the largest node-to-ruler hop distance
+        (:func:`repro.graphs.csr.ruler_clustering`).  The ruling set of
+        Lemma 2.1 and the clustering of Algorithm 1 both read it with
+        ``separation = 2µ``.  Cached per ``separation`` in the hop-topology
+        slot, like :meth:`hop_diameter`; the arrays are read-only.
+        """
+        if separation < 0:
+            raise ValueError("separation must be non-negative")
+        cache = self._hop_cache
+        if separation not in cache:
+            cache[separation] = csr_kernels.ruler_clustering(self.csr(), separation)
+        return cache[separation]
 
     def is_connected(self) -> bool:
         """Whether the graph is connected (the paper assumes ``G`` connected)."""

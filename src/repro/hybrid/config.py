@@ -12,7 +12,7 @@ skeleton / helper-set constructions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hybrid.faults import FaultModel
 
@@ -49,9 +49,6 @@ class ModelConfig:
     helper_log_factor:
         The ``⌈log n⌉`` factors in Algorithm 1 / Algorithm 3 are multiplied by
         this scale; 1.0 reproduces the paper's pseudo-code literally.
-    hash_independence_factor:
-        Independence of the routing hash family is
-        ``hash_independence_factor * ceil(log2 n)`` (Lemma D.2 needs Θ(log n)).
     cap_local_at_diameter:
         The paper notes that every round bound can be read as
         ``min(D, bound)`` because ``D`` rounds of the LOCAL mode let every node
@@ -76,11 +73,9 @@ class ModelConfig:
     strict_receive: bool = False
     skeleton_xi: float = 0.75
     helper_log_factor: float = 1.0
-    hash_independence_factor: int = 3
     cap_local_at_diameter: bool = True
     faults: FaultModel | None = None
     rng_seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     def send_cap(self, n: int) -> int:
         """Per-node, per-round global send budget for an ``n``-node network."""

@@ -5,6 +5,11 @@
 * :mod:`repro.localnet.clustering` -- clusters around rulers (Algorithm 1, first half).
 * :mod:`repro.localnet.aggregation` -- NCC aggregation and broadcast (Lemma B.2).
 * :mod:`repro.localnet.token_dissemination` -- the ``Õ(√k + ℓ)`` broadcast of Lemma B.1.
+
+The ruling set and the clustering are computed once per hop topology and
+``µ`` by the graph kernel
+:meth:`~repro.graphs.graph.WeightedGraph.ruler_clustering`; these modules
+charge the rounds on every call.
 """
 
 from repro.localnet.aggregation import (
@@ -14,8 +19,7 @@ from repro.localnet.aggregation import (
     broadcast_value,
 )
 from repro.localnet.clustering import Clustering, cluster_around_rulers
-from repro.localnet.flooding import multi_source_hop_distances
-from repro.localnet.ruling_set import RulingSetResult, compute_ruling_set
+from repro.localnet.ruling_set import compute_ruling_set
 from repro.localnet.token_dissemination import DisseminationResult, disseminate_tokens
 
 __all__ = [
@@ -25,8 +29,6 @@ __all__ = [
     "broadcast_value",
     "Clustering",
     "cluster_around_rulers",
-    "multi_source_hop_distances",
-    "RulingSetResult",
     "compute_ruling_set",
     "DisseminationResult",
     "disseminate_tokens",

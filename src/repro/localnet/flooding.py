@@ -9,8 +9,8 @@ outcome, not their message traffic, and the charged rounds are what the
 theorems count.  :func:`explore_limited` is the skeleton's depth-``h``
 exploration: it charges the rounds and returns a :class:`LimitedExploration`
 that computes ``d_h`` rows (:mod:`repro.graphs.csr`) only when a consumer
-reads them.  :func:`multi_source_hop_distances` is the closest-ruler BFS of
-the clustering step.
+reads them.  The closest-ruler BFS of the clustering step is a graph kernel
+too (:meth:`~repro.graphs.graph.WeightedGraph.ruler_clustering`).
 """
 
 from __future__ import annotations
@@ -90,38 +90,3 @@ def explore_limited(
     """
     network.charge_local_rounds(depth, phase)
     return LimitedExploration(network.local_graph.csr(), depth)
-
-
-def multi_source_hop_distances(
-    network: HybridNetwork,
-    sources: Sequence[int],
-    depth: int | None = None,
-) -> dict[int, tuple]:
-    """Closest source (by hops, ties by smaller source ID) for every node.
-
-    Returns ``node -> (hop_distance, source)`` for every node reached within
-    ``depth`` hops (or anywhere, when ``depth`` is None).  No rounds are
-    charged -- callers charge the surrounding protocol loop themselves.
-    This is the "join the cluster of the closest ruler" step of Algorithm 1.
-    """
-    graph = network.local_graph  # hoisted: the view cannot change mid-call
-    assignment: dict[int, tuple] = {}
-    frontier: list[int] = []
-    for source in sorted(sources):
-        if source not in assignment:
-            assignment[source] = (0, source)
-            frontier.append(source)
-    hops = 0
-    while frontier and (depth is None or hops < depth):
-        hops += 1
-        next_frontier: list[int] = []
-        for node in frontier:
-            _, source = assignment[node]
-            for neighbour in graph.neighbors(node):
-                candidate = (hops, source)
-                if neighbour not in assignment or candidate < assignment[neighbour]:
-                    if neighbour not in assignment:
-                        next_frontier.append(neighbour)
-                    assignment[neighbour] = candidate
-        frontier = next_frontier
-    return assignment

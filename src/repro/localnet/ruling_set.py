@@ -7,71 +7,30 @@ rounds in the CONGEST model (Lemma 2.1, citing Kuhn-Maus-Weidner / Awerbuch et
 al.), as the backbone of the helper-set construction (Algorithm 1).
 
 Our construction is the greedy maximal independent set of the ``2µ``-power
-graph, processed in increasing node-ID order.  Its output is a
-``(2µ+1, 2µ)``-ruling set -- strictly stronger than required -- and only the
-output properties plus the charged ``O(µ log n)`` rounds are used downstream
-(see the substitution table in DESIGN.md).
+graph, processed in increasing node-ID order
+(:meth:`~repro.graphs.graph.WeightedGraph.ruler_clustering`, cached per
+hop topology and ``µ``).  Its output is a ``(2µ+1, 2µ)``-ruling set --
+strictly stronger than required -- and only the output properties plus the
+charged ``O(µ log n)`` rounds are used downstream (see the substitution
+table in DESIGN.md).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from repro.hybrid.network import HybridNetwork
 
 
-@dataclass
-class RulingSetResult:
-    """Output of :func:`compute_ruling_set`.
+def compute_ruling_set(network: HybridNetwork, mu: int, phase: str = "ruling-set") -> np.ndarray:
+    """A ``(2µ+1, 2µ⌈log n⌉)``-ruling set of the local graph, ascending and read-only.
 
-    Attributes
-    ----------
-    rulers:
-        The ruling set ``R``, sorted by node ID.
-    min_separation:
-        The guaranteed pairwise hop distance ``α = 2µ + 1``.
-    max_covering_radius:
-        The guaranteed covering radius ``β`` charged for (``2µ⌈log n⌉``); the
-        greedy construction actually achieves ``2µ``.
-    rounds_charged:
-        Local rounds charged for the computation.
-    """
-
-    rulers: list[int]
-    min_separation: int
-    max_covering_radius: int
-    rounds_charged: int
-
-
-def compute_ruling_set(
-    network: HybridNetwork, mu: int, phase: str = "ruling-set"
-) -> RulingSetResult:
-    """Compute a ``(2µ+1, 2µ⌈log n⌉)``-ruling set of the local graph.
-
-    Charges ``O(µ log n)`` local rounds (Lemma 2.1).  ``µ`` must be positive;
-    ``µ = 1`` degenerates to an ordinary maximal independent set.
+    Charges ``O(µ log n)`` local rounds (Lemma 2.1) on every call.  ``µ``
+    must be positive; ``µ = 1`` degenerates to an ordinary maximal
+    independent set of the square graph.
     """
     if mu < 1:
         raise ValueError("mu must be at least 1")
-    graph = network.local_graph
-    separation_radius = 2 * mu
-    covered = [False] * network.n
-    rulers: list[int] = []
-    for node in range(network.n):
-        if covered[node]:
-            continue
-        rulers.append(node)
-        # Mark the ball of radius 2µ as covered so no later node inside it
-        # becomes a ruler; this enforces pairwise distance >= 2µ + 1.
-        for reached in graph.ball(node, separation_radius):
-            covered[reached] = True
-
-    log_factor = network.config.log_rounds(network.n)
-    rounds = max(1, 2 * mu * log_factor)
-    network.charge_local_rounds(rounds, phase)
-    return RulingSetResult(
-        rulers=rulers,
-        min_separation=separation_radius + 1,
-        max_covering_radius=separation_radius * log_factor,
-        rounds_charged=rounds,
-    )
+    rulers = network.local_graph.ruler_clustering(2 * mu).rulers
+    network.charge_local_rounds(max(1, 2 * mu * network.config.log_rounds(network.n)), phase)
+    return rulers

@@ -61,7 +61,6 @@ from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.aggregation import aggregate_sum
 from repro.localnet.clustering import cluster_around_rulers
-from repro.localnet.ruling_set import compute_ruling_set
 from repro.util.hashing import hash_family_for_network
 
 Token = Hashable
@@ -160,8 +159,7 @@ def disseminate_tokens(
 
     # Step 3: clusters of >= µ members with hop radius Õ(µ).
     mu = max(1, min(int(math.isqrt(k)), n))
-    ruling = compute_ruling_set(network, mu, phase=phase + ":ruling-set")
-    clustering = cluster_around_rulers(network, ruling.rulers, mu, phase=phase + ":clustering")
+    clustering = cluster_around_rulers(network, mu, phase)
 
     # Step 4: members fetch disjoint relay shares.  Member number ``r mod
     # |C|`` of every cluster ``C`` sends one request to each occupied relay

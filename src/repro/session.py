@@ -68,7 +68,7 @@ from repro.clique import BroadcastBellmanFordSSSP, GatherDiameter, GatherShortes
 from repro.clique.interfaces import CliqueDiameterAlgorithm, CliqueShortestPathAlgorithm
 from repro.core.apsp import APSPResult, apsp_exact
 from repro.core.context import SkeletonContext, prepare_skeleton_context
-from repro.core.diameter import DiameterResult, approximate_diameter
+from repro.core.diameter import DiameterResult, approximate_diameter, check_diameter_input
 from repro.core.kssp import ShortestPathsResult, shortest_paths_via_clique
 from repro.core.sssp import SSSPResult, sssp_exact
 from repro.core.token_routing import (
@@ -690,11 +690,16 @@ class HybridSession:
             :class:`~repro.core.diameter.DiameterResult` whose ``estimate``
             satisfies the declared ``(α, β)`` guarantee.
 
+        Raises:
+            ValueError: if the graph is weighted or its local graph is
+                disconnected (checked before any round is charged).
+
         Accounting follows DESIGN.md §6; identical concurrent diameter
         queries coalesce onto one call in the serving layer (DESIGN.md §11).
         """
         algorithm = algorithm or GatherDiameter()
         with self._lock:
+            check_diameter_input(self.network)
             with self._preparing() as prep:
                 context = self.context()
                 context.transport(context.label + ":simulation")

@@ -148,13 +148,13 @@ class KWiseHashFamily:
         return KWiseHashFunction(coefficients, self.output_range)
 
 
-def hash_family_for_network(n: int, rng: RandomSource, constant: int = 3) -> KWiseHashFunction:
+def hash_family_for_network(n: int, rng: RandomSource) -> KWiseHashFunction:
     """Convenience helper: draw the hash used by Routing-Scheme on an n-node network.
 
-    Lemma D.2 needs independence ``k ∈ Θ(log n)``; we use ``constant * ceil(log2 n)``.
+    Lemma D.2 needs independence ``k ∈ Θ(log n)``; we use ``3 * ceil(log2 n)``.
     The output range is the node-id space ``[0, n)``.
     """
     import math
 
-    independence = max(2, constant * max(1, math.ceil(math.log2(max(n, 2)))))
+    independence = max(2, 3 * max(1, math.ceil(math.log2(max(n, 2)))))
     return KWiseHashFamily(independence, n).sample(rng)

@@ -1,14 +1,15 @@
 """The batched CSR kernels against the single-source references.
 
 Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
-``balls_many``, ``dijkstra_many`` / ``distance_matrix``,
-``hop_eccentricities`` and ``hop_diameter`` -- must equal, bit for bit, the
-pure-Python single-source traversal it batches (``bfs_hops``, ``dijkstra``,
-``hop_eccentricity``; DESIGN.md §4).  The ``d_h`` kernels
-(``hop_limited_distances_many`` / ``hop_limited_distance_matrix``) must equal
-the edge-list Bellman-Ford oracle ``reference.hop_limited_distances``, and
-``csr.hop_diameter`` the edge-list BFS oracle ``reference.hop_diameter``;
-neither oracle shares code with ``WeightedGraph``.  The properties run over
+``balls_many``, ``dijkstra_many`` / ``distance_matrix`` and ``hop_diameter``
+-- must equal, bit for bit, the pure-Python single-source traversal it
+batches (``bfs_hops``, ``dijkstra``, ``hop_eccentricity``; DESIGN.md §4).
+The ``d_h`` kernels (``hop_limited_distances_many`` /
+``hop_limited_distance_matrix``) must equal the edge-list Bellman-Ford oracle
+``reference.hop_limited_distances``, ``csr.hop_diameter`` the edge-list BFS
+oracle ``reference.hop_diameter``, and ``ruler_clustering`` a greedy scan
+plus one BFS per node over ``graph.edges()`` (:func:`oracle_clustering`);
+no oracle shares code with ``WeightedGraph``.  The properties run over
 random graph families: connected and disconnected, n = 1, unit and heavy
 weights, empty and duplicate source lists, and source lists split into many
 chunks.
@@ -118,11 +119,15 @@ class TestTraversalEquivalence:
     def test_eccentricities_and_diameter_agree(self, case):
         graph, hop_limit, _ = case
         nodes = list(graph.nodes())
-        assert graph.hop_eccentricities() == [graph.hop_eccentricity(u) for u in nodes]
-        assert graph.hop_eccentricities(max_hops=hop_limit) == [
-            float(max(graph.bfs_hops(u, hop_limit).values())) for u in nodes
-        ]
-        assert graph.hop_diameter() == max(graph.hop_eccentricity(u) for u in nodes)
+        diameter = graph.hop_diameter()
+        assert diameter == reference.hop_diameter(graph)
+        assert diameter == max(graph.hop_eccentricity(u) for u in nodes)
+        if diameter < INFINITY:
+            # Algorithm 9's local phase: on a connected graph the largest hop
+            # distance any node sees within hop_limit hops is min(D, hop_limit).
+            assert min(diameter, hop_limit) == max(
+                max(graph.bfs_hops(u, hop_limit).values()) for u in nodes
+            )
 
     @common_settings
     @given(graph_case())
@@ -151,8 +156,9 @@ class TestTraversalEquivalence:
         graph = WeightedGraph(1)
         assert graph.bfs_hops_many([0]) == [{0: 0}]
         assert graph.dijkstra_many([0]) == [{0: 0.0}]
-        assert graph.hop_eccentricities() == [0.0]
+        assert reference.hop_diameter(graph) == 0.0
         assert graph.hop_diameter() == 0.0
+        assert clustering_lists(graph.ruler_clustering(2)) == ([0], {0: [0]}, 0)
         cycle = generators.cycle_graph(5)
         assert cycle.bfs_hops_many([]) == []
         assert cycle.distance_matrix([]).shape == (0, 5)
@@ -350,7 +356,7 @@ class TestHopDiameterKernel:
         monkeypatch.undo()
         assert len(searched) <= 128
         assert len(set(searched)) == len(searched)
-        assert diameter == max(graph.hop_eccentricities())
+        assert diameter == reference.hop_diameter(graph)
 
     def test_vertex_transitive_graph_searches_each_source_once(self, monkeypatch):
         # No bound settles any node of a cycle: every node is searched, once.
@@ -359,6 +365,81 @@ class TestHopDiameterKernel:
         searched = self._count_searched_sources(monkeypatch)
         assert csr_kernels.hop_diameter(csr) == n // 2
         assert sorted(searched) == list(range(n))
+
+
+def oracle_clustering(graph, separation):
+    """Greedy rulers and closest-ruler clusters from one BFS per node over ``graph.edges()``."""
+    n = graph.node_count
+    adjacency = [[] for _ in range(n)]
+    for u, v, _ in graph.edges():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+
+    def hops_from(source):
+        hops = {source: 0}
+        queue = [source]
+        for node in queue:
+            for other in adjacency[node]:
+                if other not in hops:
+                    hops[other] = hops[node] + 1
+                    queue.append(other)
+        return hops
+
+    hops = [hops_from(node) for node in range(n)]
+    rulers = []
+    for node in range(n):
+        if all(hops[ruler].get(node, INFINITY) > separation for ruler in rulers):
+            rulers.append(node)
+    members = {ruler: [] for ruler in rulers}
+    radius = 0
+    for node in range(n):
+        distance, ruler = min((hops[node].get(r, INFINITY), r) for r in rulers)
+        members[ruler].append(node)
+        radius = max(radius, distance)
+    return rulers, members, radius
+
+
+def clustering_lists(clustering):
+    rulers, members, radius = clustering
+    return rulers.tolist(), {r: m.tolist() for r, m in members.items()}, radius
+
+
+class TestRulerClustering:
+    @common_settings
+    @given(graph_case(), st.integers(min_value=0, max_value=8))
+    @example((generators.cycle_graph(30), 0, []), 10)
+    @example((WeightedGraph(3), 0, []), 2)
+    def test_kernel_matches_oracle(self, case, separation):
+        graph = case[0]
+        clustering = graph.ruler_clustering(separation)
+        assert clustering_lists(clustering) == oracle_clustering(graph, separation)
+        assert list(clustering.members) == clustering.rulers.tolist()
+        for array in (clustering.rulers, *clustering.members.values()):
+            assert array.dtype == numpy.int64
+            assert not array.flags.writeable
+
+    def test_negative_separation_rejected(self):
+        with pytest.raises(ValueError, match="separation must be non-negative"):
+            generators.path_graph(3).ruler_clustering(-1)
+
+    def test_cache_lifecycle(self):
+        graph = generators.connected_workload(40, RandomSource(5), weighted=True, max_weight=6)
+        clustering = graph.ruler_clustering(4)
+        assert graph.ruler_clustering(4) is clustering
+        # Hops ignore weights: a weight update keeps the very same object.
+        u, v, w = next(graph.edges())
+        graph.update_weight(u, v, w + 1)
+        assert graph.ruler_clustering(4) is clustering
+        # A topology change recomputes, and the new result is the new graph's.
+        graph.remove_edge(u, v)
+        removed = graph.ruler_clustering(4)
+        assert removed is not clustering
+        assert clustering_lists(removed) == oracle_clustering(graph, 4)
+        graph.add_edge(u, v, w)
+        added = graph.ruler_clustering(4)
+        assert added is not removed
+        assert clustering_lists(added) == oracle_clustering(graph, 4)
+        assert clustering_lists(added) == clustering_lists(clustering)
 
 
 class TestChunking:
@@ -377,9 +458,6 @@ class TestChunking:
             assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
             assert graph.hop_limited_distances_many(sources, hop_limit) == [
                 reference.hop_limited_distances(graph, s, hop_limit) for s in sources
-            ]
-            assert graph.hop_eccentricities() == [
-                graph.hop_eccentricity(u) for u in graph.nodes()
             ]
             # One source per batch: the doubling batches stay within the budget.
             assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)

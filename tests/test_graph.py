@@ -4,6 +4,7 @@
 import numpy
 import pytest
 
+from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
 from repro.graphs.graph import DELTA_LOG_LIMIT, INFINITY, WeightedGraph
 from repro.util.rand import RandomSource
@@ -152,18 +153,22 @@ class TestTraversal:
             lambda: path.ball(0, -1),
             lambda: path.bfs_hops_many([0], -1),
             lambda: path.balls_many([0], -1),
-            lambda: path.hop_eccentricities(max_hops=-1),
         ):
             with pytest.raises(ValueError, match="max_hops must be non-negative"):
                 call()
 
-    def test_hop_eccentricities_rejects_out_of_range_sources(self):
+    def test_batched_kernels_reject_out_of_range_sources(self):
         # -1 must not wrap around to node n - 1, and n must raise the graph's
         # own error rather than scipy's.
         path = generators.path_graph(4)
         for sources in ([-1], [4], [0, 4]):
-            with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
-                path.hop_eccentricities(sources)
+            for call in (
+                lambda: path.bfs_hops_many(sources),
+                lambda: path.distance_matrix(sources),
+                lambda: path.hop_limited_distance_matrix(sources, 2),
+            ):
+                with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+                    call()
 
     def test_ball(self):
         path = generators.path_graph(7)
@@ -309,11 +314,15 @@ class TestMutationSemantics:
         assert graph.weight(2, 0) == 4
         assert graph.version == version + 1
 
-    def test_update_weight_keeps_hop_diameter_cache(self):
+    def test_update_weight_keeps_hop_diameter_cache(self, monkeypatch):
         graph = build_triangle()
         assert graph.hop_diameter() == 1
         graph.update_weight(0, 1, 9)
-        assert graph._hop_diameter is not None
+
+        def recompute(csr):
+            raise AssertionError("the hop diameter was recomputed")
+
+        monkeypatch.setattr(csr_kernels, "hop_diameter", recompute)
         assert graph.hop_diameter() == 1
 
     def test_update_weight_refreshes_csr_in_place(self):

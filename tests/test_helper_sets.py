@@ -55,7 +55,7 @@ class TestComputeHelperSets:
         helpers = compute_helper_sets(network, members, tokens_per_member=16)
         # Property (2): hop distance Õ(µ); the clustering radius is the bound
         # our construction guarantees.
-        radius_bound = 2 * helpers.clustering.radius + 1
+        radius_bound = 2 * helpers.radius + 1
         assert helpers.max_helper_radius(network) <= radius_bound
 
     def test_mu_matches_parameter_formula(self, network):

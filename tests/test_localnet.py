@@ -17,7 +17,6 @@ from repro.localnet import (
     cluster_around_rulers,
     compute_ruling_set,
     disseminate_tokens,
-    multi_source_hop_distances,
 )
 from repro.localnet.flooding import explore_limited
 from repro.util.rand import RandomSource
@@ -47,38 +46,39 @@ class TestFlooding:
             reached = {other: d for other, d in enumerate(row) if d < math.inf}
             assert reached == reference.hop_limited_distances(network.graph, node, 3)
 
-    def test_multi_source_hop_distances_ties_by_id(self, ring_network):
-        assignment = multi_source_hop_distances(ring_network, [0, 10])
-        hops, source = assignment[5]
-        assert hops == 5
-        assert source == 0  # equidistant, smaller ID wins
+
+def owners(clustering, n):
+    """``owner[v]``: the ruler of ``v``'s cluster."""
+    owner = np.full(n, -1, dtype=np.int64)
+    for ruler, members in clustering.members.items():
+        owner[members] = ruler
+    return owner
 
 
 class TestRulingSetsAndClusters:
     def test_ruling_set_separation(self, network):
-        result = compute_ruling_set(network, mu=2)
-        rulers = result.rulers
-        for i, r1 in enumerate(rulers):
+        rulers = compute_ruling_set(network, mu=2)
+        for i, r1 in enumerate(rulers.tolist()):
             hops = network.graph.bfs_hops(r1)
-            for r2 in rulers[i + 1 :]:
-                assert hops.get(r2, float("inf")) >= result.min_separation
+            for r2 in rulers[i + 1 :].tolist():
+                assert hops.get(r2, float("inf")) >= 2 * 2 + 1
 
     def test_ruling_set_covering(self, network):
-        result = compute_ruling_set(network, mu=2)
+        rulers = compute_ruling_set(network, mu=2)
         covered = set()
-        for ruler in result.rulers:
-            covered.update(network.graph.ball(ruler, result.min_separation - 1))
+        for ruler in rulers.tolist():
+            covered.update(network.graph.ball(ruler, 2 * 2))
         assert covered == set(range(network.n))
 
     def test_ruling_set_nonempty_and_charged(self, network):
         before = network.metrics.total_rounds
-        result = compute_ruling_set(network, mu=3)
-        assert result.rulers
+        rulers = compute_ruling_set(network, mu=3)
+        assert rulers.size
+        assert not rulers.flags.writeable
         assert network.metrics.total_rounds > before
 
     def test_ruling_set_mu_one_is_mis(self, ring_network):
-        result = compute_ruling_set(ring_network, mu=1)
-        rulers = set(result.rulers)
+        rulers = set(compute_ruling_set(ring_network, mu=1).tolist())
         # Independence in the power-2 graph: no two rulers within 2 hops.
         for r in rulers:
             assert not (set(ring_network.graph.ball(r, 2)) - {r}) & rulers
@@ -88,29 +88,105 @@ class TestRulingSetsAndClusters:
             compute_ruling_set(network, mu=0)
 
     def test_clustering_partitions_all_nodes(self, network):
-        ruling = compute_ruling_set(network, mu=2)
-        clustering = cluster_around_rulers(network, ruling.rulers, mu=2)
+        clustering = cluster_around_rulers(network, 2, "clustering")
+        assert list(clustering.members) == compute_ruling_set(network, mu=2).tolist()
         assert sorted(node for members in clustering.members.values() for node in members) == list(
             range(network.n)
         )
 
     def test_clustering_minimum_size(self, ring_network):
         mu = 3
-        ruling = compute_ruling_set(ring_network, mu=mu)
-        clustering = cluster_around_rulers(ring_network, ruling.rulers, mu=mu)
+        clustering = cluster_around_rulers(ring_network, mu, "clustering")
         # Rulers are >= 2µ+1 apart on a cycle, so each cluster has >= µ nodes.
-        assert min(clustering.cluster_sizes()) >= mu
+        assert min(len(members) for members in clustering.members.values()) >= mu
 
     def test_clustering_members_close_to_ruler(self, network):
-        ruling = compute_ruling_set(network, mu=2)
-        clustering = cluster_around_rulers(network, ruling.rulers, mu=2)
+        clustering = cluster_around_rulers(network, 2, "clustering")
         for ruler, members in clustering.members.items():
             hops = network.graph.bfs_hops(ruler)
-            assert all(hops[m] <= clustering.radius for m in members)
+            assert all(hops[m] <= clustering.radius for m in members.tolist())
 
-    def test_clustering_requires_rulers(self, network):
+    def test_clustering_ties_by_smaller_ruler(self, ring_network):
+        # µ = 4 on a 30-cycle: rulers 0, 9 and 18; node 24 is 6 hops from
+        # both 18 and 0, and the smaller ID wins.
+        clustering = cluster_around_rulers(ring_network, 4, "clustering")
+        assert list(clustering.members) == [0, 9, 18]
+        assert owners(clustering, ring_network.n)[24] == 0
+        assert owners(clustering, ring_network.n)[23] == 18
+
+    def test_clustering_rejects_invalid_mu(self, network):
+        before = network.metrics.total_rounds
         with pytest.raises(ValueError):
-            cluster_around_rulers(network, [], mu=1)
+            cluster_around_rulers(network, 0, "clustering")
+        assert network.metrics.total_rounds == before
+
+
+def clustering_graph(name):
+    """The graphs of :class:`TestClusteringPins` (and their fault models)."""
+    if name == "cycle30":
+        return generators.cycle_graph(30), None
+    if name == "workload36":
+        graph = generators.connected_workload(36, RandomSource(21), weighted=True, max_weight=5)
+        return graph, None
+    if name == "grid":
+        return generators.grid_graph(9, 7), None
+    if name == "locality1024":
+        # The query-mix and serve-coalesced graph of benchmarks/e2e.
+        graph = generators.random_geometric_like_graph(
+            1024, neighbourhood=2, rng=RandomSource(1), extra_edge_probability=0.01
+        )
+        return graph, None
+    if name == "random1024":
+        # The cold-start and mutate-repair graph of benchmarks/e2e.
+        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+        return graph, None
+    # Two outages split the 40-cycle into two 20-node paths.
+    return generators.cycle_graph(40), FaultModel(edge_outages=[(0, 1), (20, 21)])
+
+
+def crc(array):
+    return zlib.crc32(np.ascontiguousarray(array, dtype=np.int64).tobytes())
+
+
+class TestClusteringPins:
+    """Rulers, clusters, radius and charges, recorded before the graph kernel.
+
+    Recorded with the per-call greedy scan over ``WeightedGraph.ball`` and
+    the dict-based closest-ruler BFS; the cached kernel must not move one
+    ruler, member, radius or round.  Each entry is (ruler count, CRC of the
+    rulers, CRC of every node's ruler, radius, ``pin:ruling-set`` rounds,
+    ``pin:clustering`` rounds).
+    """
+
+    EXPECTED = {
+        ("cycle30", 1): (10, 2221427940, 2373978104, 1, 10, 3),
+        ("cycle30", 3): (4, 1019980606, 4032723036, 4, 15, 12),
+        ("workload36", 1): (6, 3066942767, 3951155603, 2, 5, 5),
+        ("workload36", 2): (1, 1696784233, 3958532690, 4, 5, 5),
+        ("workload36", 4): (1, 1696784233, 3958532690, 4, 5, 5),
+        ("grid", 2): (6, 567128140, 2955553592, 3, 14, 9),
+        ("locality1024", 1): (204, 4011870089, 1209215019, 2, 20, 6),
+        ("locality1024", 4): (54, 1907168673, 1006605345, 8, 80, 24),
+        ("locality1024", 16): (10, 3524840495, 4035214087, 25, 136, 75),
+        ("random1024", 1): (146, 2581624563, 929941858, 2, 11, 6),
+        ("random1024", 3): (3, 1970306834, 966437420, 6, 11, 11),
+        ("random1024", 12): (1, 1696784233, 3639908756, 7, 11, 11),
+        ("outage-split40", 2): (8, 2288871111, 646282305, 4, 24, 12),
+        ("outage-split40", 3): (6, 3936868771, 1737733128, 6, 36, 18),
+    }
+
+    @pytest.mark.parametrize("name, mu", sorted(EXPECTED))
+    def test_clustering_matches_recorded(self, name, mu):
+        graph, faults = clustering_graph(name)
+        network = HybridNetwork(graph, ModelConfig(rng_seed=3, faults=faults))
+        clustering = cluster_around_rulers(network, mu, "pin")
+        rulers = np.fromiter(clustering.members, dtype=np.int64)
+        owner = owners(clustering, network.n)
+        phases = network.metrics.phases
+        assert set(phases) == {"pin:ruling-set", "pin:clustering"}
+        rounds = (phases["pin:ruling-set"].local_rounds, phases["pin:clustering"].local_rounds)
+        pinned = (rulers.size, crc(rulers), crc(owner), clustering.radius, *rounds)
+        assert pinned == self.EXPECTED[name, mu]
 
 
 class TestAggregation:

@@ -35,6 +35,7 @@ from repro.clique import (
     GatherDiameter,
     GatherShortestPaths,
 )
+from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
 from repro.graphs.graph import WeightedGraph
 from repro.hybrid.metrics import RoundMetrics
@@ -177,6 +178,30 @@ class TestSessionReuse:
         session.shortest_paths([3, 9])
         session.apsp()
         assert counter.calls == 1
+
+    def test_warm_sssp_computes_each_clustering_once(self, monkeypatch):
+        """The ruler clustering is computed once per (hop topology, µ)."""
+        computed: list[int] = []
+        asked: list[int] = []
+        kernel = csr_kernels.ruler_clustering
+        cached = WeightedGraph.ruler_clustering
+
+        def computing(csr, separation):
+            computed.append(separation)
+            return kernel(csr, separation)
+
+        def asking(graph, separation):
+            asked.append(separation)
+            return cached(graph, separation)
+
+        monkeypatch.setattr(csr_kernels, "ruler_clustering", computing)
+        monkeypatch.setattr(WeightedGraph, "ruler_clustering", asking)
+        session = HybridSession(locality_graph(23, n=128), ModelConfig(rng_seed=23))
+        for source in range(0, 120, 6):
+            session.sssp(source)
+        assert len(session.queries) == 20
+        assert sorted(computed) == sorted(set(asked))
+        assert len(asked) > 2 * len(computed)
 
     def test_warm_apsp_charges_no_new_preparation(self):
         graph = locality_graph(22)
