@@ -16,13 +16,16 @@ from repro.util.rand import RandomSource
 
 
 def measured_stretch(graph, result, sources):
+    """The largest ``d̃(v, s) / d(v, s)``; an undershoot anywhere fails outright."""
     truth = reference.multi_source_distances(graph, sources)
     worst = 1.0
     for s in sources:
         for v in range(graph.node_count):
             true_value = truth[s][v]
+            estimate = result.estimate(v, s)
+            assert estimate >= true_value - 1e-9, f"d̃({v}, {s}) = {estimate} < {true_value}"
             if true_value > 0:
-                worst = max(worst, result.estimate(v, s) / true_value)
+                worst = max(worst, estimate / true_value)
     return worst
 
 
@@ -38,6 +41,8 @@ def test_kssp_gather_plugin(benchmark, k):
         return shortest_paths_via_clique(network, sources, GatherShortestPaths())
 
     result = run_once(benchmark, run)
+    stretch = measured_stretch(graph, result, sources)
+    guaranteed = result.guaranteed_alpha(weighted=True)
     attach(
         benchmark,
         {
@@ -46,12 +51,13 @@ def test_kssp_gather_plugin(benchmark, k):
             "k": k,
             "measured_rounds": result.rounds,
             "runtime_shape": predicted_framework_rounds(n, result.spec),
-            "measured_stretch": round(measured_stretch(graph, result, sources), 4),
-            "guaranteed_alpha_weighted": result.guaranteed_alpha(weighted=True),
+            "measured_stretch": round(stretch, 4),
+            "guaranteed_alpha_weighted": guaranteed,
             "skeleton_size": result.skeleton_size,
             "clique_rounds": result.clique_rounds,
         },
     )
+    assert stretch <= guaranteed + 1e-9, f"stretch {stretch} above the Theorem 4.1 factor"
 
 
 def test_kssp_bellman_ford_plugin(benchmark):
@@ -66,6 +72,8 @@ def test_kssp_bellman_ford_plugin(benchmark):
         return shortest_paths_via_clique(network, sources, BroadcastKSourceBellmanFord())
 
     result = run_once(benchmark, run)
+    stretch = measured_stretch(graph, result, sources)
+    guaranteed = result.guaranteed_alpha(weighted=False)
     attach(
         benchmark,
         {
@@ -73,7 +81,8 @@ def test_kssp_bellman_ford_plugin(benchmark):
             "n": n,
             "k": k,
             "measured_rounds": result.rounds,
-            "measured_stretch": round(measured_stretch(graph, result, sources), 4),
-            "guaranteed_alpha_unweighted": result.guaranteed_alpha(weighted=False),
+            "measured_stretch": round(stretch, 4),
+            "guaranteed_alpha_unweighted": guaranteed,
         },
     )
+    assert stretch <= guaranteed + 1e-9, f"stretch {stretch} above the Theorem 4.1 factor"

@@ -38,6 +38,7 @@ def test_sssp_exact(benchmark, n):
             "skeleton_size": result.skeleton_size,
         },
     )
+    assert exact, "Theorem 1.3 answer differs from the Dijkstra oracle"
 
 
 def test_sssp_on_barbell(benchmark):
@@ -63,3 +64,4 @@ def test_sssp_on_barbell(benchmark):
             "shortest_path_diameter": reference.shortest_path_diameter(graph),
         },
     )
+    assert exact, "Theorem 1.3 answer differs from the Dijkstra oracle"

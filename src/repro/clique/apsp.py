@@ -23,13 +23,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as _np
+from scipy.sparse import csgraph
 
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueShortestPathAlgorithm,
     CliqueTransport,
 )
-from repro.graphs.graph import INFINITY, WeightedGraph
+from repro.graphs.graph import INFINITY
 from repro.hybrid.batch import MessageBatch
 
 
@@ -42,27 +43,20 @@ def _broadcast(senders: _np.ndarray, payloads: _np.ndarray, size: int) -> Messag
     )
 
 
-def _gather_graph(
-    transport: CliqueTransport, incident_edges: Sequence[dict[int, int]]
-) -> WeightedGraph:
-    """Make the whole graph known to every node; return it (identical everywhere).
+def _gather_weights(transport: CliqueTransport, weights: _np.ndarray) -> _np.ndarray:
+    """Make the whole graph known to every node; return its weight matrix (identical everywhere).
 
     Round ``r``: every node broadcasts its ``r``-th incident edge (by
     neighbour) to all nodes, as the edge's int64 position in the
-    concatenated per-node edge lists.  The number of CLIQUE rounds is the
-    maximum degree (at least 1 so that even an edgeless instance costs a
-    round).
+    concatenated per-node edge lists (the row-major order of the finite
+    entries of ``weights``).  The number of CLIQUE rounds is the maximum
+    degree (at least 1 so that even an edgeless instance costs a round).
+    Both endpoints report an edge, so each entry of the symmetric matrix
+    arrives once.
     """
     size = transport.size
-    heads: list[int] = []
-    tails: list[int] = []
-    weights: list[int] = []
-    for node, edges in enumerate(incident_edges):
-        for neighbour, weight in sorted(edges.items()):
-            heads.append(node)
-            tails.append(neighbour)
-            weights.append(weight)
-    degrees = _np.asarray([len(edges) for edges in incident_edges], dtype=_np.int64)
+    heads, tails = _np.nonzero(_np.isfinite(weights))
+    degrees = _np.bincount(heads, minlength=size)
     offsets = _np.cumsum(degrees) - degrees
     known: list[_np.ndarray] = []
     for r in range(max(1, int(degrees.max(initial=1)))):
@@ -71,25 +65,11 @@ def _gather_graph(
         # Every node receives the same edges; record the lowest receiver's.
         if len(delivered):
             known.append(delivered.payloads[delivered.targets == delivered.targets.min()])
-    graph = WeightedGraph(size)
-    positions = _np.concatenate(known).tolist() if known else []
-    # Heaviest first: a later add of the same edge replaces the weight, so
-    # each edge keeps its lightest reported weight.
-    positions.sort(key=lambda position: -weights[position])
-    for position in positions:
-        if heads[position] != tails[position]:
-            graph.add_edge(heads[position], tails[position], weights[position])
-    return graph
-
-
-def _weight_matrix(incident_edges: Sequence[dict[int, int]]) -> _np.ndarray:
-    """``W[v, u]`` = the weight ``v`` knows for edge ``{v, u}``, ``inf`` if none."""
-    size = len(incident_edges)
-    weights = _np.full((size, size), INFINITY)
-    for node, edges in enumerate(incident_edges):
-        if edges:
-            weights[node, list(edges)] = list(edges.values())
-    return weights
+    positions = _np.concatenate(known) if known else _np.empty(0, dtype=_np.int64)
+    gathered = _np.full((size, size), INFINITY)
+    reported = (heads[positions], tails[positions])
+    gathered[reported] = weights[reported]
+    return gathered
 
 
 class GatherShortestPaths(CliqueShortestPathAlgorithm):
@@ -101,18 +81,9 @@ class GatherShortestPaths(CliqueShortestPathAlgorithm):
         )
 
     def run(
-        self,
-        transport: CliqueTransport,
-        incident_edges: Sequence[dict[int, int]],
-        sources: Sequence[int],
-    ) -> list[dict[int, float]]:
-        graph = _gather_graph(transport, incident_edges)
-        estimates: list[dict[int, float]] = [dict() for _ in range(transport.size)]
-        rows = graph.distance_matrix(sources).tolist()
-        for source, row in zip(sources, rows, strict=True):
-            for node, distance in enumerate(row):
-                estimates[node][source] = distance
-        return estimates
+        self, transport: CliqueTransport, weights: _np.ndarray, sources: Sequence[int]
+    ) -> _np.ndarray:
+        return csgraph.dijkstra(_gather_weights(transport, weights), indices=list(sources)).T
 
 
 class BroadcastKSourceBellmanFord(CliqueShortestPathAlgorithm):
@@ -130,19 +101,11 @@ class BroadcastKSourceBellmanFord(CliqueShortestPathAlgorithm):
         )
 
     def run(
-        self,
-        transport: CliqueTransport,
-        incident_edges: Sequence[dict[int, int]],
-        sources: Sequence[int],
-    ) -> list[dict[int, float]]:
-        size = transport.size
-        weights = _weight_matrix(incident_edges)
-        estimates: list[dict[int, float]] = [dict() for _ in range(size)]
-        for source in sources:
-            distances = _bellman_ford_phase(transport, weights, source).tolist()
-            for node in range(size):
-                estimates[node][source] = distances[node]
-        return estimates
+        self, transport: CliqueTransport, weights: _np.ndarray, sources: Sequence[int]
+    ) -> _np.ndarray:
+        return _np.column_stack(
+            [_bellman_ford_phase(transport, weights, source) for source in sources]
+        )
 
 
 def _bellman_ford_phase(
@@ -151,8 +114,8 @@ def _bellman_ford_phase(
     """One broadcast-based Bellman-Ford run from ``source``; returns all distances.
 
     Every round, each node with a finite estimate broadcasts it (the origin
-    is the sender) and every node relaxes the delivered estimates against
-    ``weights`` (:func:`_weight_matrix`); the run stops after the first round
+    is the sender) and every node relaxes the delivered estimates against its
+    row of ``weights``; the run stops after the first round
     that changes nothing, or after ``size`` rounds.
     """
     size = transport.size

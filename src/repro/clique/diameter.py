@@ -14,9 +14,10 @@ DESIGN.md):
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import numpy as _np
+from scipy.sparse import csgraph
 
-from repro.clique.apsp import _bellman_ford_phase, _gather_graph, _weight_matrix
+from repro.clique.apsp import _bellman_ford_phase, _gather_weights
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueDiameterAlgorithm,
@@ -32,12 +33,9 @@ class GatherDiameter(CliqueDiameterAlgorithm):
             gamma=1.0, delta=1.0, eta=1.0, alpha=1.0, beta=0.0, name="gather-diameter"
         )
 
-    def run(
-        self, transport: CliqueTransport, incident_edges: Sequence[dict[int, int]]
-    ) -> float:
+    def run(self, transport: CliqueTransport, weights: _np.ndarray) -> float:
         # ``inf`` marks a disconnected pair, so it is also the maximum then.
-        distances = _gather_graph(transport, incident_edges).distance_matrix()
-        return float(distances.max())
+        return float(csgraph.dijkstra(_gather_weights(transport, weights)).max())
 
 
 class EccentricityDiameter(CliqueDiameterAlgorithm):
@@ -48,8 +46,5 @@ class EccentricityDiameter(CliqueDiameterAlgorithm):
             gamma=0.0, delta=1.0, eta=1.0, alpha=2.0, beta=0.0, name="eccentricity-diameter"
         )
 
-    def run(
-        self, transport: CliqueTransport, incident_edges: Sequence[dict[int, int]]
-    ) -> float:
-        distances = _bellman_ford_phase(transport, _weight_matrix(incident_edges), source=0)
-        return 2.0 * float(distances.max())
+    def run(self, transport: CliqueTransport, weights: _np.ndarray) -> float:
+        return 2.0 * float(_bellman_ford_phase(transport, weights, source=0).max())

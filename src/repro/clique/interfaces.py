@@ -19,6 +19,15 @@ A CLIQUE round travels as one :class:`~repro.hybrid.batch.MessageBatch`
 whose senders and targets are CLIQUE indices and whose payload column the
 algorithm chooses (the algorithms here ship float64 distances and int64
 edge positions), the same message format the HYBRID engine runs on.
+
+Input and output are dense arrays as well.  An algorithm receives the
+instance as one symmetric ``size × size`` float64 weight matrix with ``inf``
+where there is no edge (the diagonal included); row ``v`` is node ``v``'s
+incident edges, the only part of it node ``v`` may read before the first
+round.  A shortest-path algorithm returns a ``(size, len(sources))`` float64
+array whose column ``j`` holds every node's estimate of its distance to
+``sources[j]`` (``inf`` when unreachable); a diameter algorithm returns one
+float.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from abc import ABC, abstractmethod
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
+
+import numpy as np
 
 from repro.hybrid.batch import MessageBatch
 
@@ -100,28 +111,27 @@ class CliqueShortestPathAlgorithm(ABC):
 
     @abstractmethod
     def run(
-        self,
-        transport: CliqueTransport,
-        incident_edges: Sequence[dict[int, int]],
-        sources: Sequence[int],
-    ) -> list[dict[int, float]]:
+        self, transport: CliqueTransport, weights: np.ndarray, sources: Sequence[int]
+    ) -> np.ndarray:
         """Execute the algorithm.
 
         Parameters
         ----------
         transport:
             The CLIQUE round transport.
-        incident_edges:
-            Per node, its incident edges ``{neighbour: weight}`` -- the local
-            input of the CLIQUE problem.
+        weights:
+            The symmetric ``size × size`` edge-weight matrix, ``inf`` where
+            there is no edge; row ``v`` (node ``v``'s incident edges) is
+            node ``v``'s local input.
         sources:
             The source node indices.
 
         Returns
         -------
-        list of dict
-            ``result[v][s]`` is the node ``v``'s distance estimate to source
-            ``s`` and must satisfy ``d(v,s) <= result[v][s] <= α d(v,s) + β``.
+        numpy.ndarray
+            A ``(size, len(sources))`` float64 array: ``result[v, j]`` is node
+            ``v``'s distance estimate to ``sources[j]`` and must satisfy
+            ``d(v,s) <= result[v, j] <= α d(v,s) + β`` for ``s = sources[j]``.
         """
 
 
@@ -131,9 +141,10 @@ class CliqueDiameterAlgorithm(ABC):
     spec: CliqueAlgorithmSpec
 
     @abstractmethod
-    def run(
-        self,
-        transport: CliqueTransport,
-        incident_edges: Sequence[dict[int, int]],
-    ) -> float:
-        """Return a diameter estimate ``D̃`` with ``D <= D̃ <= α D + β``."""
+    def run(self, transport: CliqueTransport, weights: np.ndarray) -> float:
+        """Return a diameter estimate ``D̃`` with ``D <= D̃ <= α D + β``.
+
+        ``weights`` is the instance's edge-weight matrix, as for
+        :meth:`CliqueShortestPathAlgorithm.run`; ``inf`` is returned for a
+        disconnected instance.
+        """

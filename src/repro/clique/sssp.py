@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.clique.apsp import _bellman_ford_phase, _weight_matrix
+import numpy as _np
+
+from repro.clique.apsp import _bellman_ford_phase
 from repro.clique.interfaces import (
     CliqueAlgorithmSpec,
     CliqueShortestPathAlgorithm,
@@ -34,13 +36,8 @@ class BroadcastBellmanFordSSSP(CliqueShortestPathAlgorithm):
         )
 
     def run(
-        self,
-        transport: CliqueTransport,
-        incident_edges: Sequence[dict[int, int]],
-        sources: Sequence[int],
-    ) -> list[dict[int, float]]:
+        self, transport: CliqueTransport, weights: _np.ndarray, sources: Sequence[int]
+    ) -> _np.ndarray:
         if len(sources) != 1:
             raise ValueError("an SSSP algorithm expects exactly one source")
-        source = sources[0]
-        distances = _bellman_ford_phase(transport, _weight_matrix(incident_edges), source)
-        return [{source: distance} for distance in distances.tolist()]
+        return _bellman_ford_phase(transport, weights, sources[0])[:, _np.newaxis]

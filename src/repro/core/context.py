@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.clique_simulation import HybridCliqueTransport
 from repro.core.skeleton import Skeleton, compute_skeleton, skeleton_from_exploration
 from repro.core.token_routing import TokenRouter
-from repro.graphs.graph import GraphDelta, WeightedGraph
+from repro.graphs.graph import GraphDelta
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.errors import StaleContextError
 from repro.hybrid.network import HybridNetwork
@@ -84,22 +84,24 @@ def _estimated_damage(
     return damaged
 
 
-def _changed_skeleton_edges(
-    old_graph: WeightedGraph, new_graph: WeightedGraph
-) -> list[tuple[int, int, int | None]]:
-    """Skeleton edges (by skeleton index) whose weight changed, plus removals.
+def _edge_tokens(
+    skeleton: Skeleton, edges: np.ndarray
+) -> dict[int, list[tuple[int, int, int | None]]]:
+    """Dissemination tokens ``(u, v, weight)`` of the skeleton edges marked in ``edges``.
 
-    Removed edges carry weight None -- the dissemination token is then a
-    retraction.  Sorted for determinism.
+    ``edges`` is a boolean upper-triangle mask over skeleton indices; tokens
+    carry original IDs, are held by ``u`` and are listed by ``(u, v)``.  An
+    edge absent from the skeleton (a removal) carries weight None -- the
+    token is then a retraction.
     """
-    old_edges = {(u, v): w for u, v, w in old_graph.edges()}
-    new_edges = {(u, v): w for u, v, w in new_graph.edges()}
-    changed: list[tuple[int, int, int | None]] = []
-    for key in sorted(old_edges.keys() | new_edges.keys()):
-        new_weight = new_edges.get(key)
-        if old_edges.get(key) != new_weight:
-            changed.append((key[0], key[1], new_weight))
-    return changed
+    tokens: dict[int, list[tuple[int, int, int | None]]] = {}
+    nodes = skeleton.nodes
+    for u, v in zip(*(index.tolist() for index in np.nonzero(edges)), strict=True):
+        weight = skeleton.weights[u, v]
+        tokens.setdefault(nodes[u], []).append(
+            (nodes[u], nodes[v], int(weight) if weight != np.inf else None)
+        )
+    return tokens
 
 
 @dataclass
@@ -192,15 +194,9 @@ class SkeletonContext:
         """
         if self._skeleton_distances is None:
             rounds_before = self.network.metrics.total_rounds
-            skeleton = self.skeleton
-            edge_tokens: dict[int, list[tuple[int, int, int]]] = {}
-            for u, v, w in skeleton.graph.edges():
-                holder = skeleton.original_id(u)
-                edge_tokens.setdefault(holder, []).append(
-                    (skeleton.original_id(u), skeleton.original_id(v), w)
-                )
-            disseminate_tokens(self.network, edge_tokens, phase=phase)
-            self._skeleton_distances = skeleton.graph.distance_matrix()
+            edges = np.triu(np.isfinite(self.skeleton.weights), 1)
+            disseminate_tokens(self.network, _edge_tokens(self.skeleton, edges), phase=phase)
+            self._skeleton_distances = self.skeleton.distances()
             self.publish_rounds += self.network.metrics.total_rounds - rounds_before
         return self._skeleton_distances
 
@@ -338,7 +334,7 @@ class SkeletonContext:
         skeleton = skeleton_from_exploration(
             exploration, base.nodes, rows, base.sampling_probability, base.rounds_charged
         )
-        if skeleton.size > 1 and not skeleton.graph.is_connected():
+        if not skeleton.is_connected():
             return None
         weight_only = all(not delta.topological for delta in deltas)
         repaired = SkeletonContext(
@@ -355,16 +351,15 @@ class SkeletonContext:
             label=self.label,
         )
         if self._skeleton_distances is not None:
-            changed = _changed_skeleton_edges(base.graph, skeleton.graph)
-            if changed:
-                edge_tokens: dict[int, list[tuple[int, int, int | None]]] = {}
-                for u, v, weight in changed:
-                    holder = skeleton.original_id(u)
-                    edge_tokens.setdefault(holder, []).append(
-                        (skeleton.original_id(u), skeleton.original_id(v), weight)
-                    )
-                disseminate_tokens(network, edge_tokens, phase=self.label + ":repair:publish")
-            repaired._skeleton_distances = skeleton.graph.distance_matrix()
+            # Changed and removed skeleton edges; a removal is a retraction token.
+            changed = np.triu(base.weights != skeleton.weights, 1)
+            if changed.any():
+                disseminate_tokens(
+                    network,
+                    _edge_tokens(skeleton, changed),
+                    phase=self.label + ":repair:publish",
+                )
+            repaired._skeleton_distances = skeleton.distances()
         if weight_only:
             repaired._transport = self._transport
             repaired._apsp_router = self._apsp_router
@@ -432,7 +427,7 @@ class SkeletonContext:
             base.sampling_probability,
             0,
         )
-        if skeleton.size > 1 and not skeleton.graph.is_connected():
+        if not skeleton.is_connected():
             return None
         derived = SkeletonContext(
             network=self.network,

@@ -112,7 +112,7 @@ def approximate_diameter(
     # Step 2: simulate the CLIQUE diameter algorithm on the skeleton.
     transport = context.transport(phase + ":simulation")
     clique_rounds_before = transport.rounds_used
-    skeleton_estimate = algorithm.run(transport, skeleton.incident_edges())
+    skeleton_estimate = algorithm.run(transport, skeleton.weights)
 
     # Step 3: local phase of η·h + 1 rounds.  On the connected local graph
     # max_v h_v = min(D, η·h + 1), read off the cached hop diameter.

@@ -31,7 +31,11 @@ import numpy as np
 
 from repro.clique.interfaces import CliqueAlgorithmSpec, CliqueShortestPathAlgorithm
 from repro.core.context import SkeletonContext, prepare_skeleton_context
-from repro.core.representatives import Representatives, compute_representatives
+from repro.core.representatives import (
+    Representatives,
+    choose_representatives,
+    compute_representatives,
+)
 from repro.core.skeleton import (
     Skeleton,
     framework_exponent,
@@ -48,10 +52,11 @@ class ShortestPathsResult:
     Attributes
     ----------
     sources:
-        The query sources (original node IDs).
+        The query sources (original node IDs, sorted and distinct).
     estimates:
-        Per node ``v``: ``{source: d̃(v, source)}``, satisfying the transformed
-        approximation guarantee of Theorem 4.1.
+        The ``(n, len(sources))`` array ``estimates[v, j] = d̃(v, sources[j])``
+        (``inf`` when unreachable), satisfying the transformed approximation
+        guarantee of Theorem 4.1.
     rounds:
         Total rounds consumed.
     skeleton_size / hop_length:
@@ -66,7 +71,7 @@ class ShortestPathsResult:
     """
 
     sources: list[int]
-    estimates: list[dict[int, float]]
+    estimates: np.ndarray
     rounds: int
     skeleton_size: int
     hop_length: int
@@ -75,8 +80,10 @@ class ShortestPathsResult:
     exploration_depth: int
 
     def estimate(self, node: int, source: int) -> float:
-        """The estimate ``d̃(node, source)``."""
-        return self.estimates[node].get(source, INFINITY)
+        """The estimate ``d̃(node, source)`` (``inf`` for a source not queried)."""
+        if source not in self.sources:
+            return INFINITY
+        return float(self.estimates[node, self.sources.index(source)])
 
     def guaranteed_alpha(self, weighted: bool) -> float:
         """The multiplicative guarantee of Theorem 4.1 for this run.
@@ -124,6 +131,7 @@ def shortest_paths_via_clique(
             phase=phase + ":skeleton",
         )
     skeleton = context.skeleton
+    check_skeleton_sources(network, skeleton, sources, spec)
 
     # Step 2: representatives of the sources on the skeleton.
     representatives = compute_representatives(
@@ -134,7 +142,7 @@ def shortest_paths_via_clique(
     transport = context.transport(phase + ":simulation")
     clique_rounds_before = transport.rounds_used
     clique_sources = [skeleton.index_of[rep] for rep in representatives.skeleton_sources]
-    skeleton_estimates = algorithm.run(transport, skeleton.incident_edges(), clique_sources)
+    skeleton_estimates = algorithm.run(transport, skeleton.weights, clique_sources)
 
     # Step 4: local spreading of the results and combination via Equation (1).
     exploration_depth = max(
@@ -163,14 +171,37 @@ def shortest_paths_via_clique(
     )
 
 
+def check_skeleton_sources(
+    network: HybridNetwork,
+    skeleton: Skeleton,
+    sources: Sequence[int],
+    spec: CliqueAlgorithmSpec,
+) -> None:
+    """Raise ``ValueError`` if a ``γ = 0`` algorithm would get several skeleton sources.
+
+    Representatives are chosen locally at no cost in rounds
+    (:func:`~repro.core.representatives.choose_representatives`), so callers
+    check before the representatives' announcement and before any CLIQUE
+    transport is built.
+    """
+    if spec.gamma == 0:
+        representative, _ = choose_representatives(network, skeleton, sources)
+        distinct = len(set(representative.values()))
+        if distinct > 1:
+            raise ValueError(
+                f"{spec.name} handles one source (γ = 0), "
+                f"got {distinct} distinct skeleton sources"
+            )
+
+
 def _combine_estimates(
     network: HybridNetwork,
     skeleton: Skeleton,
     representatives: Representatives,
-    skeleton_estimates: Sequence[dict[int, float]],
+    skeleton_estimates: np.ndarray,
     sources: Sequence[int],
     exploration_depth: int,
-) -> list[dict[int, float]]:
+) -> np.ndarray:
     """Equation (1): combine local exact distances with skeleton estimates.
 
     ``d̃(v, s) = min( d_{ηh}(v, s),
@@ -178,33 +209,22 @@ def _combine_estimates(
 
     The first term is the literal ``d_{ηh}`` (one batched kernel call over all
     sources); the skeleton detour term is a vectorised min-plus product over
-    the near-skeleton matrix.
+    the near-skeleton matrix.  ``skeleton_estimates`` has one column per
+    representative (``representatives.skeleton_sources``); the result one
+    column per source.
     """
-    n = network.n
-    n_s = skeleton.size
-    estimates: list[dict[int, float]] = [dict() for _ in range(n)]
-
     # The ηh-limited distances d_{ηh}(v, s), one row per source (symmetric).
     local_limited = network.local_graph.hop_limited_distance_matrix(sources, exploration_depth)
 
     # near[v, i] = d_h(v, skeleton node i), shared by every source.
     near = skeleton.near_distances
-
-    for row, source in enumerate(sources):
+    estimates = np.empty((network.n, len(sources)))
+    for column, source in enumerate(sources):
         rep = representatives.representative[source]
-        rep_index = skeleton.index_of[rep]
+        to_rep = skeleton_estimates[:, representatives.skeleton_sources.index(rep)]
         rep_distance = representatives.distance_to_representative[source]
-        to_rep = np.fromiter(
-            (skeleton_estimates[u_index].get(rep_index, INFINITY) for u_index in range(n_s)),
-            dtype=np.float64,
-            count=n_s,
-        )
-        best = local_limited[row].copy()
-        if n_s:
-            detour = (near + to_rep[np.newaxis, :]).min(axis=1) + rep_distance
-            np.minimum(best, detour, out=best)
-        for v, value in enumerate(best.tolist()):
-            estimates[v][source] = value
+        detour = (near + to_rep[np.newaxis, :]).min(axis=1) + rep_distance
+        np.minimum(local_limited[column], detour, out=estimates[:, column])
     return estimates
 
 

@@ -42,25 +42,20 @@ class Representatives:
     rounds: int
 
 
-def compute_representatives(
-    network: HybridNetwork,
-    skeleton: Skeleton,
-    sources: Sequence[int],
-    phase: str = "representatives",
-) -> Representatives:
-    """Run Algorithm 7 (``Compute-Representatives``) for the given sources.
+def choose_representatives(
+    network: HybridNetwork, skeleton: Skeleton, sources: Sequence[int]
+) -> tuple[dict[int, int], dict[int, float]]:
+    """The local step of Algorithm 7: every source's representative and its distance.
 
     Every source picks the skeleton node minimising its ``h``-limited distance
     (itself if it is a skeleton node).  If a source has no skeleton node within
     ``h`` hops -- possible at simulation scale even though Lemma C.1 excludes
     it w.h.p. -- the closest skeleton node in the whole graph is used instead
     and the (rare) extra cost is ignored; benchmarks record how often this
-    fallback fired via the returned distances.
+    fallback fired via the returned distances.  Charges no rounds.
     """
-    rounds_before = network.metrics.total_rounds
     representative: dict[int, int] = {}
     distance: dict[int, float] = {}
-
     for source in sources:
         if skeleton.contains(source):
             representative[source] = source
@@ -80,6 +75,22 @@ def compute_representatives(
         else:
             representative[source] = closest
             distance[source] = float(skeleton.near_distances[source, skeleton.index_of[closest]])
+    return representative, distance
+
+
+def compute_representatives(
+    network: HybridNetwork,
+    skeleton: Skeleton,
+    sources: Sequence[int],
+    phase: str = "representatives",
+) -> Representatives:
+    """Run Algorithm 7 (``Compute-Representatives``) for the given sources.
+
+    The sources pick their representatives locally
+    (:func:`choose_representatives`), then the pairs are announced.
+    """
+    rounds_before = network.metrics.total_rounds
+    representative, distance = choose_representatives(network, skeleton, sources)
 
     # Make ⟨d_h(s, r_s), s, r_s⟩ public knowledge (token dissemination, Õ(√k)).
     tokens: dict[int, list[tuple[float, int, int]]] = {}

@@ -22,8 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csgraph
 
-from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.flooding import LimitedExploration, explore_limited
@@ -43,8 +43,12 @@ class Skeleton:
         The sampled node IDs ``V_S`` (original graph IDs, sorted).
     index_of:
         Mapping original node ID -> index in the relabelled skeleton graph.
-    graph:
-        The skeleton ``S`` itself on nodes ``0..|V_S|-1`` with ``d_h`` weights.
+    weights:
+        The skeleton ``S`` itself on nodes ``0..|V_S|-1``: the read-only,
+        symmetric ``|V_S| × |V_S|`` float64 matrix of edge weights
+        ``max(1, round(d_h))``, ``inf`` where there is no edge (the diagonal
+        included).  Row ``i`` is skeleton node ``i``'s incident edges, its
+        local input to a simulated CLIQUE algorithm (Fact 4.3).
     sampling_probability:
         The probability each node was sampled with.
     rounds_charged:
@@ -64,7 +68,7 @@ class Skeleton:
 
     nodes: list[int]
     index_of: dict[int, int]
-    graph: WeightedGraph
+    weights: np.ndarray = field(repr=False)
     sampling_probability: float
     rounds_charged: int
     exploration: LimitedExploration = field(repr=False)
@@ -100,17 +104,16 @@ class Skeleton:
         """The original graph ID of skeleton index ``index``."""
         return self.nodes[index]
 
-    def incident_edges(self) -> list[dict[int, int]]:
-        """Per skeleton index, its incident skeleton edges ``{neighbour_index: weight}``.
+    def is_connected(self) -> bool:
+        """Whether the skeleton graph ``S`` is connected."""
+        components = csgraph.connected_components(
+            self.weights, directed=False, return_labels=False
+        )
+        return components <= 1
 
-        This is the *local input* each skeleton node feeds into a simulated
-        CLIQUE algorithm (it knows only its own incident edges, Fact 4.3).
-        """
-        edges: list[dict[int, int]] = [dict() for _ in range(self.graph.node_count)]
-        for u, v, w in self.graph.edges():
-            edges[u][v] = w
-            edges[v][u] = w
-        return edges
+    def distances(self) -> np.ndarray:
+        """All-pairs skeleton distances ``d_S`` (``inf`` between components)."""
+        return csgraph.dijkstra(self.weights)
 
     def closest_skeleton_node(self, node: int) -> int | None:
         """The skeleton node minimising ``d_h(node, ·)`` (None if none within ``h`` hops).
@@ -137,28 +140,25 @@ def skeleton_from_exploration(
     ``rows`` holds the members' ``d_h`` rows of ``exploration``
     (``rows[i, v] = d_h(nodes[i], v)``, ``inf`` outside the ball); sampled
     nodes within each other's ball are connected by an edge weighted
-    ``max(1, round(d_h))``.  The one constructor of :class:`Skeleton`, shared
-    by :func:`compute_skeleton`, :meth:`SkeletonContext.extended
+    ``max(1, round(d_h))``, read off the upper triangle and mirrored.  The
+    one constructor of :class:`Skeleton`, shared by :func:`compute_skeleton`,
+    :meth:`SkeletonContext.extended
     <repro.core.context.SkeletonContext.extended>` and
     :meth:`SkeletonContext.repair <repro.core.context.SkeletonContext.repair>`
     so the three paths can never diverge.
     """
     nodes = list(nodes)
-    node_array = np.asarray(nodes, dtype=np.int64)
-    skeleton_graph = WeightedGraph(max(1, len(nodes)))
-    if len(nodes) > 1:
-        pairwise = rows[:, node_array]
-        edge_u, edge_v = np.nonzero(np.isfinite(pairwise))
-        edge_w = pairwise[edge_u, edge_v]
-        for u, v, distance in zip(edge_u.tolist(), edge_v.tolist(), edge_w.tolist(), strict=True):
-            if u < v:
-                skeleton_graph.add_edge(u, v, max(1, int(round(distance))))
+    weights = np.maximum(1.0, np.round(rows[:, np.asarray(nodes, dtype=np.int64)]))
+    lower = np.tril_indices(len(nodes))
+    weights[lower] = weights.T[lower]
+    np.fill_diagonal(weights, np.inf)
+    weights.flags.writeable = False
     near_distances = np.ascontiguousarray(rows.T)
     near_distances.flags.writeable = False
     return Skeleton(
         nodes=nodes,
         index_of={node: index for index, node in enumerate(nodes)},
-        graph=skeleton_graph,
+        weights=weights,
         sampling_probability=sampling_probability,
         rounds_charged=rounds_charged,
         exploration=exploration,
@@ -226,7 +226,7 @@ def compute_skeleton(
             sampling_probability,
             network.metrics.total_rounds - rounds_before,
         )
-        connected = len(nodes) <= 1 or skeleton.graph.is_connected()
+        connected = skeleton.is_connected()
         if connected or not ensure_connected or hop_length >= network.n:
             return skeleton
         hop_length = min(network.n, 2 * hop_length)

@@ -12,7 +12,7 @@ All graph-heavy phases (the depth-``h`` skeleton exploration and the final
 Equation (1) combination, reached through :mod:`repro.core.kssp`) run on the
 batched multi-source kernels of :class:`~repro.graphs.graph.WeightedGraph`,
 so a single-source query at ``n`` in the thousands completes in well under a
-second on the CSR backend (see BENCH_core.json).
+second (see BENCH_core.json).
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ class SSSPResult:
 
     ``distances`` holds one entry per node of the network, including
     ``float('inf')`` for nodes unreachable from the source -- the same
-    contract as the ``inf`` entries of :attr:`APSPResult.matrix`.  (Earlier
-    revisions silently dropped unreachable nodes from the dict, so iterating
-    it disagreed with the APSP result on disconnected graphs.)
+    contract as the ``inf`` entries of :attr:`APSPResult.matrix`.  Its keys
+    are ``0..n-1`` in order; it is built once from the framework's estimate
+    column and is the one distance dict of the query path.
     """
 
     source: int
@@ -76,12 +76,9 @@ def sssp_exact(
     result: ShortestPathsResult = shortest_paths_via_clique(
         network, [source], algorithm, phase=phase, context=context
     )
-    distances = {
-        node: result.estimates[node].get(source, INFINITY) for node in range(network.n)
-    }
     return SSSPResult(
         source=source,
-        distances=distances,
+        distances=dict(enumerate(result.estimates[:, 0].tolist())),
         rounds=result.rounds,
         skeleton_size=result.skeleton_size,
         hop_length=result.hop_length,

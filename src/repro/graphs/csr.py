@@ -488,14 +488,10 @@ def hop_limited_rows(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) 
     return run_chunked(hop_limited_matrix, csr, sources, hop_limit)
 
 
-def rows_to_dicts(matrix: np.ndarray, cast) -> list[dict]:
-    """Convert kernel output rows to ``{reached node: value}`` dicts."""
-    result: list[dict] = []
-    for row in matrix:
-        if row.dtype == np.int64:
-            reached = np.flatnonzero(row >= 0)
-        else:
-            reached = np.flatnonzero(np.isfinite(row))
-        values = row[reached]
-        result.append(dict(zip(reached.tolist(), map(cast, values.tolist()), strict=True)))
+def levels_to_dicts(levels: np.ndarray) -> list[dict[int, int]]:
+    """Convert :func:`bfs_level_matrix` rows to ``{reached node: hops}`` dicts."""
+    result: list[dict[int, int]] = []
+    for row in levels:
+        reached = np.flatnonzero(row >= 0)
+        result.append(dict(zip(reached.tolist(), row[reached].tolist(), strict=True)))
     return result

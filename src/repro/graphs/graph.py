@@ -17,8 +17,8 @@ aggregation trees) rely on the ID space being exactly ``[0, n)``.
 Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
 the source of truth and feeds the mutation journal, and the single-source
 traversals (``bfs_hops``, ``dijkstra``, ...) walk it in pure Python.  The
-batched multi-source kernels (``bfs_hops_many``, ``hop_limited_distances_many``,
-``dijkstra_many``, the matrix variants, ``hop_diameter``,
+batched multi-source kernels (``bfs_hops_many``, ``balls_many``,
+``hop_limited_distance_matrix``, ``distance_matrix``, ``hop_diameter``,
 ``ruler_clustering``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
 lazily on first use and invalidated by ``add_edge`` / ``remove_edge``.  Both
 return bit-identical results (weights are positive integers, so all float
@@ -321,9 +321,9 @@ class WeightedGraph:
 
     # ------------------------------------------------- batched traversal kernels
     #
-    # The *_many methods advance every source together on the frozen CSR view
-    # (repro.graphs.csr); ``bfs_hops_many`` and ``dijkstra_many`` equal the
-    # single-source traversals, one per source.
+    # The batched methods advance every source together on the frozen CSR
+    # view (repro.graphs.csr); ``bfs_hops_many`` and ``distance_matrix`` equal
+    # the single-source traversals, one per source.
 
     def bfs_hops_many(
         self, sources: Sequence[int], max_hops: int | None = None
@@ -336,18 +336,11 @@ class WeightedGraph:
         levels = csr_kernels.run_chunked(
             csr_kernels.bfs_level_matrix, self.csr(), sources, max_hops
         )
-        return csr_kernels.rows_to_dicts(levels, int)
+        return csr_kernels.levels_to_dicts(levels)
 
     def balls_many(self, sources: Sequence[int], radius: int) -> list[list[int]]:
         """The ``radius``-hop balls of many sources at once."""
         return [list(hops) for hops in self.bfs_hops_many(sources, radius)]
-
-    def hop_limited_distances_many(
-        self, sources: Sequence[int], hop_limit: int
-    ) -> list[dict[int, float]]:
-        """The literal ``d_{hop_limit}`` maps of many sources (Section 1.3)."""
-        matrix = self.hop_limited_distance_matrix(sources, hop_limit)
-        return csr_kernels.rows_to_dicts(matrix, float)
 
     def hop_limited_distance_matrix(self, sources: Sequence[int], hop_limit: int):
         """``d_{hop_limit}`` as a dense ``(len(sources), n)`` float matrix.
@@ -360,10 +353,6 @@ class WeightedGraph:
         if hop_limit < 0:
             raise ValueError("hop_limit must be non-negative")
         return csr_kernels.hop_limited_rows(self.csr(), sources, hop_limit)
-
-    def dijkstra_many(self, sources: Sequence[int]) -> list[dict[int, float]]:
-        """Exact distances from many sources at once (one dict per source)."""
-        return csr_kernels.rows_to_dicts(self.distance_matrix(sources), float)
 
     def distance_matrix(self, sources: Sequence[int] | None = None):
         """Exact distances as a dense ``(len(sources), n)`` float matrix.

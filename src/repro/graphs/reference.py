@@ -4,7 +4,9 @@ The distributed algorithms in :mod:`repro.core` are validated against these
 centralised computations: exact single-source / all-pairs distances, weighted
 and hop diameters, eccentricities and shortest-path diameters.  They are the
 "oracle" in tests and in the approximation-ratio measurements of
-EXPERIMENTS.md, so they are written for clarity rather than speed.
+EXPERIMENTS.md, so they are written for clarity rather than speed: textbook
+heapq Dijkstra, BFS and Bellman-Ford over adjacency lists rebuilt from
+``graph.edges()``, sharing no code with the traversal kernels they check.
 """
 
 from __future__ import annotations
@@ -14,28 +16,6 @@ from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.graphs.graph import INFINITY, WeightedGraph
-
-
-def single_source_distances(graph: WeightedGraph, source: int) -> dict[int, float]:
-    """Exact weighted distances from ``source`` to every reachable node."""
-    return graph.dijkstra(source)
-
-
-def multi_source_distances(
-    graph: WeightedGraph, sources: Sequence[int]
-) -> dict[int, dict[int, float]]:
-    """Exact distances from every source: ``result[s][v] = d(s, v)``.
-
-    One batched kernel call; under the CSR backend all sources advance
-    together instead of one Python-level Dijkstra per source.
-    """
-    sources = list(sources)
-    return dict(zip(sources, graph.dijkstra_many(sources), strict=True))
-
-
-def all_pairs_distances(graph: WeightedGraph) -> dict[int, dict[int, float]]:
-    """Exact APSP by running Dijkstra from every node."""
-    return multi_source_distances(graph, list(graph.nodes()))
 
 
 def _edge_list_adjacency(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
@@ -50,6 +30,41 @@ def _edge_list_adjacency(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
         adjacency[u].append((v, w))
         adjacency[v].append((u, w))
     return adjacency
+
+
+def _dijkstra(adjacency: list[list[tuple[int, int]]], source: int) -> dict[int, float]:
+    """Textbook heapq Dijkstra: ``{node: d(source, node)}`` for every reachable node, by ID."""
+    if not 0 <= source < len(adjacency):
+        raise ValueError(f"node {source} outside [0, {len(adjacency)})")
+    settled: dict[int, float] = {}
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    while heap:
+        distance, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = distance
+        for v, w in adjacency[u]:
+            if v not in settled:
+                heapq.heappush(heap, (distance + w, v))
+    return dict(sorted(settled.items()))
+
+
+def single_source_distances(graph: WeightedGraph, source: int) -> dict[int, float]:
+    """Exact weighted distances from ``source`` to every reachable node."""
+    return _dijkstra(_edge_list_adjacency(graph), source)
+
+
+def multi_source_distances(
+    graph: WeightedGraph, sources: Sequence[int]
+) -> dict[int, dict[int, float]]:
+    """Exact distances from every source: ``result[s][v] = d(s, v)`` (one Dijkstra each)."""
+    adjacency = _edge_list_adjacency(graph)
+    return {source: _dijkstra(adjacency, source) for source in sources}
+
+
+def all_pairs_distances(graph: WeightedGraph) -> dict[int, dict[int, float]]:
+    """Exact APSP by running Dijkstra from every node."""
+    return multi_source_distances(graph, list(graph.nodes()))
 
 
 def hop_limited_distances(graph: WeightedGraph, source: int, hop_limit: int) -> dict[int, float]:
@@ -103,7 +118,7 @@ def eccentricity(graph: WeightedGraph, node: int, weighted: bool = False) -> flo
         raise ValueError(f"node {node} outside [0, {graph.node_count})")
     if not weighted:
         return _hop_eccentricity(_edge_list_adjacency(graph), node)
-    distances = graph.dijkstra(node)
+    distances = _dijkstra(_edge_list_adjacency(graph), node)
     if len(distances) != graph.node_count:
         return INFINITY
     return max(distances.values())
@@ -122,7 +137,9 @@ def hop_diameter(graph: WeightedGraph) -> float:
 def weighted_diameter(graph: WeightedGraph) -> float:
     """The weighted diameter ``max_{u,v} d(u, v)`` used in Section 7."""
     best = 0.0
-    for distances in graph.dijkstra_many(graph.nodes()):
+    adjacency = _edge_list_adjacency(graph)
+    for source in graph.nodes():
+        distances = _dijkstra(adjacency, source)
         if len(distances) != graph.node_count:
             return INFINITY
         best = max(best, max(distances.values()))

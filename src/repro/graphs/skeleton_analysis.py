@@ -48,19 +48,14 @@ def build_skeleton_offline(
     ``hop_length``-limited distance ``d_h`` (Fact 4.3).  Returns the skeleton
     (relabelled ``0..|V_S|-1``) and the mapping original-id -> skeleton-id.
     """
+    skeleton_nodes = list(skeleton_nodes)
     mapping = {node: index for index, node in enumerate(skeleton_nodes)}
     skeleton = WeightedGraph(max(1, len(skeleton_nodes)))
-    skeleton_set = set(skeleton_nodes)
-    all_limited = graph.hop_limited_distances_many(list(skeleton_nodes), hop_length)
-    for node, limited in zip(skeleton_nodes, all_limited, strict=True):
-        for other, dist in limited.items():
-            if other in skeleton_set and other != node:
-                u, v = mapping[node], mapping[other]
-                weight = int(dist)
-                if not skeleton.has_edge(u, v) or skeleton.weight(u, v) > weight:
-                    if skeleton.has_edge(u, v):
-                        skeleton.remove_edge(u, v)
-                    skeleton.add_edge(u, v, max(1, weight))
+    limited = graph.hop_limited_distance_matrix(skeleton_nodes, hop_length)[:, skeleton_nodes]
+    for u, row in enumerate(limited.tolist()):
+        for v, dist in enumerate(row[u + 1 :], start=u + 1):
+            if dist != INFINITY:
+                skeleton.add_edge(u, v, max(1, int(dist)))
     return skeleton, mapping
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -159,19 +160,14 @@ def build_tokens(query: Query) -> list[RoutingToken]:
     ]
 
 
-def encode_distances(distances: dict[int, float], n: int) -> list[float | None]:
-    """Dense JSON-safe distance list: ``None`` marks unreachable nodes."""
-    return [
-        None if (value := distances.get(node, INFINITY)) == INFINITY else value
-        for node in range(n)
-    ]
+def encode_distances(row: Iterable[float]) -> list[float | None]:
+    """One dense distance row as a JSON-safe list: ``None`` marks unreachable nodes."""
+    return [None if value == INFINITY else float(value) for value in row]
 
 
 def matrix_checksum(matrix: Any) -> str:
     """CRC-32 of an APSP matrix's canonical text form (stable across planes)."""
-    rows = [
-        [None if value == INFINITY else float(value) for value in row] for row in matrix
-    ]
+    rows = [encode_distances(row) for row in matrix]
     digest = zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
     return f"{digest:08x}"
 

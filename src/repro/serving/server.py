@@ -34,10 +34,9 @@ import asyncio
 import contextlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.graphs.graph import INFINITY
 from repro.serving import protocol
 from repro.serving.batching import plan_batches
 from repro.serving.protocol import ProtocolError, Query
@@ -386,7 +385,7 @@ class QueryServer:
             return [
                 {
                     "source": result.source,
-                    "distances": protocol.encode_distances(result.distances, n),
+                    "distances": protocol.encode_distances(result.distances.values()),
                     "cost": {
                         "rounds": result.rounds,
                         "skeleton_size": result.skeleton_size,
@@ -406,10 +405,7 @@ class QueryServer:
             for query in group:
                 entry = dict(encoded)
                 if query.params.get("include_matrix"):
-                    entry["matrix"] = [
-                        [None if value == INFINITY else float(value) for value in row]
-                        for row in result.matrix
-                    ]
+                    entry["matrix"] = [protocol.encode_distances(row) for row in result.matrix]
                 out.append(entry)
             return out
         if op == "diameter":
@@ -424,15 +420,13 @@ class QueryServer:
         if op == "shortest-paths":
             sources = list(group[0].params["sources"])
             result = self.session.shortest_paths(sources)
-            per_source = {
-                source: protocol.encode_distances(
-                    {node: result.estimate(node, source) for node in range(n)}, n
-                )
-                for source in sources
-            }
+            columns = result.estimates.T.tolist()
             encoded_sp = {
                 "sources": sources,
-                "distances": {str(source): per_source[source] for source in sources},
+                "distances": {
+                    str(source): protocol.encode_distances(column)
+                    for source, column in zip(result.sources, columns, strict=True)
+                },
                 "cost": {"rounds": result.rounds},
             }
             return [encoded_sp] * len(group)

@@ -69,7 +69,11 @@ from repro.clique.interfaces import CliqueDiameterAlgorithm, CliqueShortestPathA
 from repro.core.apsp import APSPResult, apsp_exact
 from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.diameter import DiameterResult, approximate_diameter, check_diameter_input
-from repro.core.kssp import ShortestPathsResult, shortest_paths_via_clique
+from repro.core.kssp import (
+    ShortestPathsResult,
+    check_skeleton_sources,
+    shortest_paths_via_clique,
+)
 from repro.core.sssp import SSSPResult, sssp_exact
 from repro.core.token_routing import (
     RoutingToken,
@@ -79,7 +83,7 @@ from repro.core.token_routing import (
     endpoint_loads,
     token_labels,
 )
-from repro.graphs.graph import INFINITY, WeightedGraph
+from repro.graphs.graph import WeightedGraph
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.faults import FaultModel
 from repro.hybrid.metrics import RoundMetrics
@@ -607,15 +611,11 @@ class HybridSession:
                 context.simulation_preparation_rounds,
                 batch,
             )
-        n = self.network.n
         per_source: dict[int, SSSPResult] = {}
-        for source in unique:
-            distances = {
-                node: batch.estimates[node].get(source, INFINITY) for node in range(n)
-            }
+        for source, column in zip(unique, batch.estimates.T.tolist(), strict=True):
             per_source[source] = SSSPResult(
                 source=source,
-                distances=distances,
+                distances=dict(enumerate(column)),
                 rounds=batch.rounds,
                 skeleton_size=batch.skeleton_size,
                 hop_length=batch.hop_length,
@@ -640,12 +640,17 @@ class HybridSession:
                 :class:`~repro.clique.GatherShortestPaths`.
 
         Returns:
-            :class:`~repro.core.kssp.ShortestPathsResult` with per-node
-            estimate maps and the framework's run statistics.
+            :class:`~repro.core.kssp.ShortestPathsResult` with the
+            ``(n, len(sources))`` estimate array (one column per distinct
+            source, sorted) and the framework's run statistics.
 
         Raises:
             ValueError: if ``sources`` is empty or any source is outside the
-                network.
+                network (before any round is charged), or the algorithm
+                handles one source (``γ = 0``) and the sources have several
+                distinct representatives (after preparing the skeleton,
+                before the representatives' announcement and the CLIQUE
+                transport).
 
         Accounting follows DESIGN.md §6; batching semantics DESIGN.md §11.
         """
@@ -661,6 +666,7 @@ class HybridSession:
                     context = self._context_with_members(list(sources))
                 else:
                     context = self.context()
+                check_skeleton_sources(self.network, context.skeleton, sources, algorithm.spec)
                 context.transport(context.label + ":simulation")
             with self.network.metrics.scoped() as scope:
                 result = shortest_paths_via_clique(

@@ -1,12 +1,12 @@
 """The batched CSR kernels against the single-source references.
 
 Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
-``balls_many``, ``dijkstra_many`` / ``distance_matrix`` and ``hop_diameter``
--- must equal, bit for bit, the pure-Python single-source traversal it
-batches (``bfs_hops``, ``dijkstra``, ``hop_eccentricity``; DESIGN.md §4).
-The ``d_h`` kernels (``hop_limited_distances_many`` /
-``hop_limited_distance_matrix``) must equal the edge-list Bellman-Ford oracle
-``reference.hop_limited_distances``, ``csr.hop_diameter`` the edge-list BFS
+``balls_many``, ``distance_matrix`` and ``hop_diameter`` -- must equal, bit
+for bit, the pure-Python single-source traversal it batches (``bfs_hops``,
+``dijkstra``, ``hop_eccentricity``; DESIGN.md §4); ``distance_matrix`` must
+also equal the edge-list heapq Dijkstra oracle ``reference``.
+The ``d_h`` kernel ``hop_limited_distance_matrix`` must equal the edge-list
+Bellman-Ford oracle ``reference.hop_limited_distances``, ``csr.hop_diameter`` the edge-list BFS
 oracle ``reference.hop_diameter``, and ``ruler_clustering`` a greedy scan
 plus one BFS per node over ``graph.edges()`` (:func:`oracle_clustering`);
 no oracle shares code with ``WeightedGraph``.  The properties run over
@@ -104,15 +104,17 @@ class TestTraversalEquivalence:
     @given(graph_case())
     def test_dijkstra_agree(self, case):
         graph, _, sources = case
-        assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
+        oracle = [reference.single_source_distances(graph, s) for s in sources]
+        assert numpy.array_equal(graph.distance_matrix(sources), dense(oracle, graph.node_count))
 
     @common_settings
     @given(graph_case())
     def test_hop_limited_distances_agree(self, case):
         graph, hop_limit, sources = case
-        assert graph.hop_limited_distances_many(sources, hop_limit) == [
-            reference.hop_limited_distances(graph, s, hop_limit) for s in sources
-        ]
+        assert numpy.array_equal(
+            graph.hop_limited_distance_matrix(sources, hop_limit),
+            hop_limited_reference(graph, sources, hop_limit),
+        )
 
     @common_settings
     @given(graph_case())
@@ -132,16 +134,9 @@ class TestTraversalEquivalence:
     @common_settings
     @given(graph_case())
     def test_distance_matrix_agree(self, case):
-        graph, hop_limit, sources = case
-        expected = numpy.full((len(sources), graph.node_count), numpy.inf)
-        for row, source in enumerate(sources):
-            for node, value in graph.dijkstra(source).items():
-                expected[row, node] = value
+        graph, _, sources = case
+        expected = dense([graph.dijkstra(s) for s in sources], graph.node_count)
         assert numpy.array_equal(graph.distance_matrix(sources), expected)
-        assert numpy.array_equal(
-            graph.hop_limited_distance_matrix(sources, hop_limit),
-            hop_limited_reference(graph, sources, hop_limit),
-        )
 
     def test_disconnected_graphs_agree(self):
         graph = WeightedGraph(6)
@@ -149,13 +144,14 @@ class TestTraversalEquivalence:
         graph.add_edge(2, 3, 1)
         sources = list(range(6))
         assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
-        assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
+        expected = dense([graph.dijkstra(s) for s in sources], 6)
+        assert numpy.array_equal(graph.distance_matrix(sources), expected)
         assert graph.hop_diameter() == INFINITY
 
     def test_single_node_and_empty_sources(self):
         graph = WeightedGraph(1)
         assert graph.bfs_hops_many([0]) == [{0: 0}]
-        assert graph.dijkstra_many([0]) == [{0: 0.0}]
+        assert graph.distance_matrix([0]).tolist() == [[0.0]]
         assert reference.hop_diameter(graph) == 0.0
         assert graph.hop_diameter() == 0.0
         assert clustering_lists(graph.ruler_clustering(2)) == ([0], {0: [0]}, 0)
@@ -219,13 +215,19 @@ def weighted_path(weights, n=None, extra=()):
     return graph
 
 
+def dense(maps, n):
+    """Single-source ``{node: value}`` maps as one row each (``inf`` where absent)."""
+    matrix = numpy.full((len(maps), n), numpy.inf)
+    for row, values in enumerate(maps):
+        for node, value in values.items():
+            matrix[row, node] = value
+    return matrix
+
+
 def hop_limited_reference(graph, sources, hop_limit):
     """The oracle's ``reference.hop_limited_distances`` maps as a dense matrix."""
-    expected = numpy.full((len(sources), graph.node_count), numpy.inf)
-    for row, source in enumerate(sources):
-        for node, value in reference.hop_limited_distances(graph, source, hop_limit).items():
-            expected[row, node] = value
-    return expected
+    maps = [reference.hop_limited_distances(graph, s, hop_limit) for s in sources]
+    return dense(maps, graph.node_count)
 
 
 class TestHopCertificate:
@@ -455,10 +457,12 @@ class TestChunking:
             assert graph.bfs_hops_many(sources, hop_limit) == [
                 graph.bfs_hops(s, hop_limit) for s in sources
             ]
-            assert graph.dijkstra_many(sources) == [graph.dijkstra(s) for s in sources]
-            assert graph.hop_limited_distances_many(sources, hop_limit) == [
-                reference.hop_limited_distances(graph, s, hop_limit) for s in sources
-            ]
+            expected = dense([graph.dijkstra(s) for s in sources], graph.node_count)
+            assert numpy.array_equal(graph.distance_matrix(sources), expected)
+            assert numpy.array_equal(
+                graph.hop_limited_distance_matrix(sources, hop_limit),
+                hop_limited_reference(graph, sources, hop_limit),
+            )
             # One source per batch: the doubling batches stay within the budget.
             assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)
         finally:

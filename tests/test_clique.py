@@ -1,5 +1,6 @@
 """Tests for the CLIQUE model simulator and the plug-in CLIQUE algorithms."""
 
+import numpy as np
 import pytest
 from scalar_plane import from_outboxes, to_inboxes
 
@@ -17,12 +18,12 @@ from repro.hybrid.errors import CapacityExceededError
 from repro.util.rand import RandomSource
 
 
-def incident_edges_of(graph):
-    edges = [dict() for _ in range(graph.node_count)]
+def weights_of(graph):
+    """The CLIQUE input: the edge-weight matrix, ``inf`` where there is no edge."""
+    weights = np.full((graph.node_count, graph.node_count), np.inf)
     for u, v, w in graph.edges():
-        edges[u][v] = w
-        edges[v][u] = w
-    return edges
+        weights[u, v] = weights[v, u] = w
+    return weights
 
 
 @pytest.fixture
@@ -87,17 +88,18 @@ class TestGatherShortestPaths:
         clique = CliqueNetwork(clique_graph.node_count)
         algorithm = GatherShortestPaths()
         sources = list(range(clique_graph.node_count))
-        estimates = algorithm.run(clique, incident_edges_of(clique_graph), sources)
-        # The pure-Python Dijkstra shares no code with the scipy kernel the
-        # gather solves with.
+        estimates = algorithm.run(clique, weights_of(clique_graph), sources)
+        assert estimates.shape == (clique_graph.node_count, len(sources))
+        # The heapq Dijkstra shares no code with the scipy kernel the gather
+        # solves with.
         for s in sources:
             truth = reference.single_source_distances(clique_graph, s)
             for v in range(clique_graph.node_count):
-                assert estimates[v][s] == truth[v]
+                assert estimates[v, s] == truth[v]
 
     def test_round_count_is_max_degree(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
-        GatherShortestPaths().run(clique, incident_edges_of(clique_graph), [0])
+        GatherShortestPaths().run(clique, weights_of(clique_graph), [0])
         assert clique.rounds_used == clique_graph.max_degree()
 
     def test_spec_is_exact(self):
@@ -107,37 +109,38 @@ class TestGatherShortestPaths:
 class TestBellmanFordAlgorithms:
     def test_sssp_exact(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
-        estimates = BroadcastBellmanFordSSSP().run(clique, incident_edges_of(clique_graph), [3])
+        estimates = BroadcastBellmanFordSSSP().run(clique, weights_of(clique_graph), [3])
+        assert estimates.shape == (clique_graph.node_count, 1)
         truth = reference.single_source_distances(clique_graph, 3)
         for v in range(clique_graph.node_count):
-            assert estimates[v][3] == pytest.approx(truth[v])
+            assert estimates[v, 0] == truth[v]
 
     def test_sssp_requires_single_source(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
         with pytest.raises(ValueError):
-            BroadcastBellmanFordSSSP().run(clique, incident_edges_of(clique_graph), [0, 1])
+            BroadcastBellmanFordSSSP().run(clique, weights_of(clique_graph), [0, 1])
 
     def test_kssp_exact(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
         sources = [0, 4, 9]
         estimates = BroadcastKSourceBellmanFord().run(
-            clique, incident_edges_of(clique_graph), sources
+            clique, weights_of(clique_graph), sources
         )
         truth = reference.multi_source_distances(clique_graph, sources)
         for v in range(clique_graph.node_count):
-            for s in sources:
-                assert estimates[v][s] == pytest.approx(truth[s][v])
+            for column, s in enumerate(sources):
+                assert estimates[v, column] == truth[s][v]
 
     def test_bellman_ford_rounds_bounded_by_size(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
-        BroadcastBellmanFordSSSP().run(clique, incident_edges_of(clique_graph), [0])
+        BroadcastBellmanFordSSSP().run(clique, weights_of(clique_graph), [0])
         assert clique.rounds_used <= clique_graph.node_count + 1
 
 
 class TestDiameterAlgorithms:
     def test_gather_diameter_exact(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
-        estimate = GatherDiameter().run(clique, incident_edges_of(clique_graph))
+        estimate = GatherDiameter().run(clique, weights_of(clique_graph))
         assert estimate == max(
             max(reference.single_source_distances(clique_graph, s).values())
             for s in clique_graph.nodes()
@@ -145,7 +148,7 @@ class TestDiameterAlgorithms:
 
     def test_eccentricity_diameter_within_factor_two(self, clique_graph):
         clique = CliqueNetwork(clique_graph.node_count)
-        estimate = EccentricityDiameter().run(clique, incident_edges_of(clique_graph))
+        estimate = EccentricityDiameter().run(clique, weights_of(clique_graph))
         true_diameter = reference.weighted_diameter(clique_graph)
         assert true_diameter <= estimate <= 2 * true_diameter + 1e-9
 
@@ -157,5 +160,5 @@ class TestDiameterAlgorithms:
         graph = generators.path_graph(4)
         graph.remove_edge(1, 2)
         clique = CliqueNetwork(4)
-        assert GatherDiameter().run(clique, incident_edges_of(graph)) == float("inf")
-        assert EccentricityDiameter().run(clique, incident_edges_of(graph)) == float("inf")
+        assert GatherDiameter().run(clique, weights_of(graph)) == float("inf")
+        assert EccentricityDiameter().run(clique, weights_of(graph)) == float("inf")

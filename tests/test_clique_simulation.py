@@ -14,7 +14,8 @@ from repro.clique import BroadcastKSourceBellmanFord, EccentricityDiameter, Gath
 from repro.clique.model import CliqueNetwork
 from repro.core.clique_simulation import HybridCliqueTransport, predicted_simulation_rounds
 from repro.core.skeleton import compute_skeleton
-from repro.graphs import generators
+from repro.graphs import generators, reference
+from repro.graphs.graph import WeightedGraph
 from repro.hybrid import CapacityExceededError, HybridNetwork, ModelConfig
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.faults import FaultModel
@@ -73,10 +74,13 @@ class TestHybridCliqueTransport:
         transport = HybridCliqueTransport(network, skeleton)
         algorithm = GatherShortestPaths()
         sources = [0]
-        estimates = algorithm.run(transport, skeleton.incident_edges(), sources)
-        truth = skeleton.graph.dijkstra(0)
-        for index in range(skeleton.graph.node_count):
-            assert estimates[index][0] == pytest.approx(truth.get(index, float("inf")))
+        estimates = algorithm.run(transport, skeleton.weights, sources)
+        heads, tails = np.nonzero(np.triu(np.isfinite(skeleton.weights), 1))
+        weights = skeleton.weights[heads, tails].astype(int)
+        edges = zip(heads.tolist(), tails.tolist(), weights.tolist(), strict=True)
+        truth = reference.single_source_distances(WeightedGraph.from_edges(skeleton.size, edges), 0)
+        for index in range(skeleton.size):
+            assert estimates[index, 0] == truth.get(index, float("inf"))
 
     def test_predicted_rounds_formula(self):
         assert predicted_simulation_rounds(100, 10) == pytest.approx(1.0 + 10 ** 0.5)
@@ -350,9 +354,8 @@ def run_clique_queries(weighted, faults):
         (results[0].clique_rounds, digest([sorted(r.distances.items()) for r in results]))
     )
     result = session.shortest_paths([2, 9, 30], BroadcastKSourceBellmanFord())
-    answers.append(
-        (result.clique_rounds, digest([sorted(e.items()) for e in result.estimates]))
-    )
+    pairs = [list(zip(result.sources, row, strict=True)) for row in result.estimates.tolist()]
+    answers.append((result.clique_rounds, digest(pairs)))
     if not weighted:
         for algorithm in (None, EccentricityDiameter()):
             result = session.diameter(algorithm)
@@ -416,3 +419,80 @@ class TestCliqueQueryPin:
     @pytest.mark.parametrize("faults", [None, FaultModel(drop_rate=0.05, seed=3)])
     def test_queries_match_recorded(self, weighted, faults):
         assert run_clique_queries(weighted, faults) == self.EXPECTED[weighted, faults is not None]
+
+
+def e2e_family(family, n):
+    """The two graph families of the end-to-end bench, built the same way."""
+    if family == "locality":
+        return generators.random_geometric_like_graph(
+            n, neighbourhood=2, rng=RandomSource(1), extra_edge_probability=0.01
+        )
+    return generators.connected_workload(n, RandomSource(1), weighted=True, max_weight=8)
+
+
+def run_apsp_repair(family, faults):
+    """``apsp()``, one weight change off the skeleton, then a repaired ``apsp()``."""
+    u, v, weight = TestApspRepairPin.MUTATIONS[family]
+    session = HybridSession(
+        e2e_family(family, 256), ModelConfig(rng_seed=1, skeleton_xi=0.75), fault_model=faults
+    )
+    first = session.apsp()
+    session.update_weight(u, v, weight)
+    second = session.apsp()
+    republished = any(":repair:publish:" in name for name in session.network.metrics.phases)
+    return (
+        pin(session.network.metrics),
+        zlib.crc32(first.matrix.tobytes()),
+        zlib.crc32(second.matrix.tobytes()),
+        [(r.key_tag, r.action, r.deltas, r.rounds) for r in session.repairs],
+        republished,
+    )
+
+
+class TestApspRepairPin:
+    """APSP and a repaired APSP on both end-to-end graph families at n=256.
+
+    Each mutation raises an edge away from the skeleton and changes a
+    skeleton edge's weight, so the repair re-disseminates the changed edges
+    (``:repair:publish``).  Recorded with the dict-of-dicts skeleton graph;
+    the dense skeleton weight matrix must not move a round, message, phase,
+    matrix entry or repair decision.
+    """
+
+    MUTATIONS = {"locality": (129, 131, 4), "random": (12, 60, 9)}
+
+    EXPECTED = {
+        ("locality", False): (
+            (917, 23793, 1522752, 0, 0, 29, 2669495807),
+            732681442,
+            3672560331,
+            [("p0.0625", "repaired", 1, 108)],
+            True,
+        ),
+        ("locality", True): (
+            (1056, 50350, 3222400, 2463, 2417, 51, 2196034807),
+            732681442,
+            3672560331,
+            [("p0.0625", "repaired", 1, 147)],
+            True,
+        ),
+        ("random", False): (
+            (251, 23028, 1473792, 0, 0, 29, 1786259251),
+            3452292103,
+            2378020973,
+            [("p0.0625", "repaired", 1, 52)],
+            True,
+        ),
+        ("random", True): (
+            (388, 48692, 3116288, 2440, 2395, 50, 289943732),
+            3452292103,
+            2378020973,
+            [("p0.0625", "repaired", 1, 88)],
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("family", ["locality", "random"])
+    @pytest.mark.parametrize("faults", [None, FaultModel(drop_rate=0.05, seed=3)])
+    def test_apsp_and_repair_match_recorded(self, family, faults):
+        assert run_apsp_repair(family, faults) == self.EXPECTED[family, faults is not None]

@@ -1,5 +1,6 @@
 """Tests for the k-SSP framework (Theorem 4.1) and exact SSSP (Theorem 1.3)."""
 
+import numpy as np
 import pytest
 
 from repro.clique import BroadcastKSourceBellmanFord, GatherShortestPaths
@@ -120,8 +121,8 @@ class TestSSSP:
             def __init__(self):
                 self.spec = CliqueAlgorithmSpec(0, 1, 1, 2.0, 0.0)
 
-            def run(self, transport, incident_edges, sources):
-                return [dict() for _ in range(transport.size)]
+            def run(self, transport, weights, sources):
+                return np.zeros((transport.size, len(sources)))
 
         _, network = make_network(35)
         with pytest.raises(ValueError):

@@ -62,6 +62,53 @@ class TestDistances:
         assert reference.shortest_path_diameter(graph) == 4
 
 
+def disconnected_graph():
+    graph = generators.connected_workload(12, RandomSource(5), weighted=True, max_weight=6)
+    split = WeightedGraph(20)
+    for u, v, w in graph.edges():
+        split.add_edge(u, v, w)
+    for node in range(12, 19):
+        split.add_edge(node, node + 1, 1 + node % 4)
+    return split
+
+
+class TestNetworkxCrossCheck:
+    """The heapq Dijkstra oracles against networkx, built from the edge list alone."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            generators.connected_workload(40, RandomSource(3), weighted=True, max_weight=9),
+            generators.random_geometric_like_graph(
+                40, neighbourhood=2, rng=RandomSource(4), extra_edge_probability=0.05
+            ),
+            disconnected_graph(),
+            WeightedGraph(1),
+        ],
+        ids=["weighted", "locality", "disconnected", "single-node"],
+    )
+    def test_distance_oracles_match_networkx(self, graph):
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(graph.node_count))
+        theirs.add_weighted_edges_from(graph.edges())
+        expected = dict(nx.all_pairs_dijkstra_path_length(theirs))
+        nodes = list(graph.nodes())
+        assert reference.all_pairs_distances(graph) == expected
+        assert reference.multi_source_distances(graph, nodes[::3]) == {
+            s: expected[s] for s in nodes[::3]
+        }
+        for source in nodes:
+            assert reference.single_source_distances(graph, source) == expected[source]
+        if nx.is_connected(theirs):
+            eccentricity = nx.eccentricity(theirs, weight="weight")
+            assert reference.weighted_diameter(graph) == nx.diameter(theirs, weight="weight")
+        else:
+            eccentricity = dict.fromkeys(nodes, INFINITY)
+            assert reference.weighted_diameter(graph) == INFINITY
+        for node in nodes:
+            assert reference.eccentricity(graph, node, weighted=True) == eccentricity[node]
+
+
 class TestHopLimitedOracle:
     def test_rejects_out_of_range_source(self, graph):
         for bad in (-1, graph.node_count):

@@ -22,6 +22,7 @@ import pytest
 
 from repro import HybridSession, ModelConfig
 from repro.graphs import generators
+from repro.graphs.graph import WeightedGraph
 from repro.serving import (
     ProtocolError,
     QueryServer,
@@ -186,6 +187,54 @@ class TestEveryOperation:
             str(source): [expected.estimate(node, source) for node in range(40)]
             for source in sources
         }
+
+
+def split_graph():
+    """A weighted 24-node component plus a separate 10-node path."""
+    graph = WeightedGraph(34)
+    for u, v, w in make_graph(seed=5, n=24).edges():
+        graph.add_edge(u, v, w)
+    for node in range(24, 33):
+        graph.add_edge(node, node + 1, 2)
+    return graph
+
+
+def as_wire(values):
+    """Distances as the protocol encodes them: ``None`` for ``inf``."""
+    return [None if value == float("inf") else value for value in values]
+
+
+class TestServedEdge:
+    """Served answers on a disconnected graph and on n = 1 (DESIGN.md §11)."""
+
+    @pytest.mark.parametrize(
+        "graph, sources",
+        [(split_graph(), [0, 7, 33]), (WeightedGraph(1), [0])],
+        ids=["disconnected", "single-node"],
+    )
+    def test_unreachable_as_null_and_equal_to_session(self, graph, sources):
+        requests = [sssp_request(index, source) for index, source in enumerate(sources)]
+        requests.append({"id": "sp", "op": "shortest-paths", "sources": sources})
+        responses, _ = serve(requests, make_session(graph), ServerConfig(batch_window=0.05))
+        assert all(response["ok"] for response in responses), responses
+        *served_sssp, served_sp = responses
+
+        batch = make_session(graph).sssp_batch(sources)
+        for response, expected in zip(served_sssp, batch, strict=True):
+            distances = response["result"]["distances"]
+            assert response["result"]["source"] == expected.source
+            assert list(expected.distances) == list(range(graph.node_count))
+            assert distances == as_wire(expected.distances.values())
+
+        expected = make_session(graph).shortest_paths(sources)
+        assert served_sp["result"]["distances"] == {
+            str(source): as_wire(expected.estimates[:, column].tolist())
+            for column, source in enumerate(expected.sources)
+        }
+        unreachable = graph.node_count > 1
+        assert any(None in response["result"]["distances"] for response in served_sssp) == (
+            unreachable
+        )
 
 
 class TestServerCoalescing:

@@ -13,6 +13,7 @@ import dataclasses
 import gc
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -128,7 +129,7 @@ class TestColdPathBitIdentity:
         result_prepared = shortest_paths_via_clique(
             prepared, sources, GatherShortestPaths(), context=context
         )
-        assert result_plain.estimates == result_prepared.estimates
+        assert np.array_equal(result_plain.estimates, result_prepared.estimates)
         assert result_prepared.rounds + skeleton_rounds == result_plain.rounds
         assert result_plain.clique_rounds == result_prepared.clique_rounds
         assert plain.metrics == prepared.metrics
@@ -385,6 +386,24 @@ class TestSessionValidation:
         (result, again) = session.sssp_batch([3, 3], BroadcastBellmanFordSSSP())
         assert result.distances == again.distances == session.sssp(3).distances
 
+    def test_single_source_algorithm_rejects_several_representatives(self):
+        # A γ = 0 algorithm handles one skeleton source.  Representatives are
+        # chosen locally, so the query is refused before the representatives'
+        # announcement and before the CLIQUE transport is built: every
+        # charged round is in the preprocessing ledger.
+        graph = generators.connected_workload(200, RandomSource(1))
+        session = HybridSession(graph, ModelConfig(rng_seed=1))
+        with pytest.raises(ValueError, match="one source"):
+            session.shortest_paths([3, 150], BroadcastBellmanFordSSSP())
+        assert session.queries == []
+        assert session.context()._transport is None
+        assert session.metrics.total_rounds == session.preprocessing_rounds
+        # The same sources through the cold framework are refused as early.
+        network = HybridNetwork(graph, ModelConfig(rng_seed=1))
+        with pytest.raises(ValueError, match="one source"):
+            shortest_paths_via_clique(network, [3, 150], BroadcastBellmanFordSSSP())
+        assert not any("representatives" in phase for phase in network.metrics.phases)
+
     def test_repeat_flag_validated_by_query_command(self, capsys):
         from repro.cli import main
 
@@ -612,9 +631,7 @@ class TestDeltaRepair:
             warm_context.skeleton.knowledge_matrix
             == cold_context.skeleton.knowledge_matrix
         ).all()
-        assert sorted(warm_context.skeleton.graph.edges()) == sorted(
-            cold_context.skeleton.graph.edges()
-        )
+        assert np.array_equal(warm_context.skeleton.weights, cold_context.skeleton.weights)
         assert (warm_result.matrix == cold_result.matrix).all()
 
     def test_weight_only_delta_keeps_routers_topology_drops_them(self):
@@ -760,9 +777,7 @@ class TestDeltaRepair:
             warm_context.skeleton.knowledge_matrix
             == cold_context.skeleton.knowledge_matrix
         ).all()
-        assert sorted(warm_context.skeleton.graph.edges()) == sorted(
-            cold_context.skeleton.graph.edges()
-        )
+        assert np.array_equal(warm_context.skeleton.weights, cold_context.skeleton.weights)
 
 
 @pytest.mark.slow
