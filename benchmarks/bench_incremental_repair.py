@@ -3,8 +3,8 @@
 Drives one warm ``HybridSession`` through the E17 mutate-then-query schedule
 (single-edge weight increases on heavy off-skeleton edges, one APSP after
 each) twice: once repairing its cached context through the graph's delta log
-(DESIGN.md §12) and once with ``enable_repair=False``, which rebuilds the
-preprocessing from scratch after every mutation.  The schedule is identical
+(DESIGN.md §12) and once calling ``invalidate()`` after every mutation, which
+rebuilds the preprocessing from scratch.  The schedule is identical
 in both modes, so the wall-clock pair isolates the repair path and the
 attached post-warmup round totals record the machine-independent amortized
 win the regression gate pins.
@@ -28,16 +28,12 @@ EVENTS = smoke_scaled(6, 3)
 MAX_WEIGHT = 8
 
 
-def _run_schedule(graph, enable_repair: bool):
+def _run_schedule(graph, repair: bool):
     """Warm a session, then apply the E17 mutation schedule with a query each.
 
     Returns the session together with the post-warmup ("tail") round total.
     """
-    session = HybridSession(
-        graph.copy(),
-        ModelConfig(rng_seed=N, **BENCH_CONFIG),
-        enable_repair=enable_repair,
-    )
+    session = HybridSession(graph.copy(), ModelConfig(rng_seed=N, **BENCH_CONFIG))
     session.apsp()
     warm_rounds = session.network.metrics.total_rounds
     skeleton_nodes = set(session.context().skeleton.nodes)
@@ -52,6 +48,8 @@ def _run_schedule(graph, enable_repair: bool):
         )
         u, v = heavy[rng.randrange(len(heavy))]
         session.update_weight(u, v, session.graph.weight(u, v) + 1 + rng.randrange(4))
+        if not repair:
+            session.invalidate()
         session.apsp()
     return session, session.network.metrics.total_rounds - warm_rounds
 
@@ -61,16 +59,16 @@ def _run_schedule(graph, enable_repair: bool):
 def test_session_mutation_schedule(benchmark, mode):
     """Warm-up + mutate/query tail, repairing vs rebuilding after each event."""
     graph = random_workload(N, seed=N)
-    enable_repair = mode == "repair"
+    repair = mode == "repair"
 
     result, _ = run_repeated(
-        benchmark, lambda: _run_schedule(graph, enable_repair), rounds=3
+        benchmark, lambda: _run_schedule(graph, repair), rounds=3
     )
     assert result.queries[-1].kind == "apsp"
 
     # One untimed replay for the deterministic round record: the schedule is
     # a pure function of (graph, seed, mode), so these counts are exact.
-    session, tail_rounds = _run_schedule(graph, enable_repair)
+    session, tail_rounds = _run_schedule(graph, repair)
     attach(
         benchmark,
         {

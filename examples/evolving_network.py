@@ -5,8 +5,8 @@ several mutate-then-query rounds.  Each weight update is journalled as a
 ``GraphDelta`` on the graph, and the next query routes the cached
 ``SkeletonContext`` through ``repair`` -- re-exploring only the damaged
 exploration rows -- instead of rebuilding from scratch (DESIGN.md §12).  A
-second session with ``enable_repair=False`` replays the identical schedule
-the old way so the round savings (and the bit-identical answers) are visible
+second session calls ``invalidate()`` after each mutation and replays the
+identical schedule the old way so the round savings (and the bit-identical answers) are visible
 side by side.
 
 Run with:  python examples/evolving_network.py [n]
@@ -48,7 +48,7 @@ def main(n: int = 96) -> None:
           f"version {graph.version}")
 
     warm = HybridSession(graph, ModelConfig(rng_seed=1))
-    cold = HybridSession(graph.copy(), ModelConfig(rng_seed=1), enable_repair=False)
+    cold = HybridSession(graph.copy(), ModelConfig(rng_seed=1))
 
     warm.apsp()
     cold.apsp()
@@ -63,6 +63,7 @@ def main(n: int = 96) -> None:
         new_weight = weight + 1 + mutation_rng.randrange(4)
         warm.update_weight(u, v, new_weight)
         cold.update_weight(u, v, new_weight)
+        cold.invalidate()
 
         warm_apsp = warm.apsp()
         cold_apsp = cold.apsp()

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.graphs import reference
+import numpy as _np
+
 from repro.hybrid.network import HybridNetwork
 
 
@@ -25,6 +26,16 @@ class LocalOnlyResult:
     diameter: float
 
 
+def distances_by_node(matrix: _np.ndarray, sources: Sequence[int]) -> list[dict[int, float]]:
+    """``estimates[v][s] = d(s, v)`` for every finite entry of a ``(k, n)`` source-row matrix."""
+    estimates: list[dict[int, float]] = [{} for _ in range(matrix.shape[1])]
+    for source, row in zip(sources, matrix, strict=True):
+        reached = _np.flatnonzero(_np.isfinite(row))
+        for node, distance in zip(reached.tolist(), row[reached].tolist(), strict=True):
+            estimates[node][source] = distance
+    return estimates
+
+
 def local_only_shortest_paths(
     network: HybridNetwork, sources: Sequence[int], phase: str = "local-only"
 ) -> LocalOnlyResult:
@@ -34,11 +45,7 @@ def local_only_shortest_paths(
         raise ValueError("graph must be connected")
     rounds = int(diameter)
     network.charge_local_rounds(rounds, phase)
-    per_source = reference.multi_source_distances(network.local_graph, list(sources))
-    estimates: list[dict[int, float]] = [dict() for _ in range(network.n)]
-    for source, distances in per_source.items():
-        for node, value in distances.items():
-            estimates[node][source] = value
+    estimates = distances_by_node(network.local_graph.distance_matrix(sources), sources)
     return LocalOnlyResult(rounds=rounds, distances=estimates, diameter=diameter)
 
 

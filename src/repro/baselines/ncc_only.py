@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as _np
 
-from repro.graphs import reference
-from repro.hybrid.batch import MessageBatch
+from repro.baselines.local_only import distances_by_node
 from repro.hybrid.network import HybridNetwork
 
 
@@ -42,33 +41,14 @@ def ncc_only_shortest_paths(
     rounds_before = network.metrics.total_rounds
     graph = network.graph
 
-    # One message per edge, from its smaller endpoint, carrying the edge's position.
+    # One message per edge, from its smaller endpoint.
     senders = _np.array([u for u, _, _ in graph.edges()], dtype=_np.int64)
-    network.run_global_exchange(
-        MessageBatch(senders, _np.zeros_like(senders), _np.arange(senders.size)),
-        phase + ":gather",
-    )
+    network.run_global_exchange(senders, _np.zeros_like(senders), phase + ":gather")
 
-    per_source = reference.multi_source_distances(graph, list(sources))
-    estimates: list[dict[int, float]] = [dict() for _ in range(network.n)]
-    for source, distances in per_source.items():
-        for node, value in distances.items():
-            estimates[node][source] = value
-
-    # Node 0 sends every other node one message per source that reaches it,
-    # carrying the source's ID.
-    scatter = _np.array(
-        [
-            (node, source)
-            for node in range(1, network.n)
-            for source in sources
-            if source in estimates[node]
-        ],
-        dtype=_np.int64,
-    ).reshape(-1, 2)
-    network.run_global_exchange(
-        MessageBatch(_np.zeros(len(scatter)), scatter[:, 0], scatter[:, 1]), phase + ":scatter"
-    )
+    matrix = graph.distance_matrix(sources)
+    # Node 0 sends every other node one message per source that reaches it.
+    targets = _np.nonzero(_np.isfinite(matrix[:, 1:]).T)[0] + 1
+    network.run_global_exchange(_np.zeros_like(targets), targets, phase + ":scatter")
 
     rounds = network.metrics.total_rounds - rounds_before
-    return NCCOnlyResult(rounds=rounds, distances=estimates)
+    return NCCOnlyResult(rounds=rounds, distances=distances_by_node(matrix, sources))

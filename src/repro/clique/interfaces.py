@@ -18,7 +18,8 @@ Corollary 4.1 (:mod:`repro.core.clique_simulation`).
 A CLIQUE round travels as one :class:`~repro.hybrid.batch.MessageBatch`
 whose senders and targets are CLIQUE indices and whose payload column the
 algorithm chooses (the algorithms here ship float64 distances and int64
-edge positions), the same message format the HYBRID engine runs on.
+edge positions); the HYBRID-backed transport routes its labels and reads
+the payloads back by position.
 
 Input and output are dense arrays as well.  An algorithm receives the
 instance as one symmetric ``size × size`` float64 weight matrix with ``inf``

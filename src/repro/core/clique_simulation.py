@@ -13,9 +13,9 @@ with senders = receivers = ``S`` and ``k_S = k_R = |S|``.
 :mod:`repro.clique` can be executed unchanged inside a HYBRID network.
 
 A CLIQUE round arrives as a :class:`~repro.hybrid.batch.MessageBatch` of
-skeleton indices and leaves as the batch of delivered messages, so one
-message format runs from the CLIQUE algorithms down to
-:meth:`~repro.hybrid.network.HybridNetwork.global_round`.  Every round routes
+skeleton indices and leaves as the batch of delivered messages; in between
+only the routing labels' sender/target columns cross the global network,
+and the payloads are read back by position.  Every round routes
 the same label set -- ``(s, r, 0)`` for each ordered pair of skeleton nodes,
 built once as label columns -- and maps each pair's position
 (``sender * |S| + target``) to the batch message that fills it, so the

@@ -23,11 +23,12 @@ The protocol (Algorithms 2-4):
 
 Representation (DESIGN.md §4): the router works on *label columns* -- three
 int64 arrays of senders, receivers and indices -- and never sees a payload.
-:meth:`TokenRouter.route` ships token positions through the three global
-phases and returns the :class:`RoutingPlan`, whose delivery order tells the
-caller which positions each receiver got; the caller keeps its payloads in a
-column of its own and reads them by position.  The plan is a function of the
-labels alone, so a router reuses it when it routes the same label set again.
+:meth:`TokenRouter.route` ships the routable tokens' sender/target columns
+through the three global phases and returns the :class:`RoutingPlan`, whose
+delivery order tells the caller which positions each receiver got; the
+caller keeps its payloads in a column of its own and reads them by position.
+The plan is a function of the labels alone, so a router reuses it when it
+routes the same label set again.
 :class:`RoutingToken` is only the public edge's form: :func:`route_tokens`
 and :meth:`HybridSession.route_tokens <repro.session.HybridSession.route_tokens>`
 validate and convert token lists with :func:`token_labels` and hand the
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.core.helper_sets import HelperSets, compute_helper_sets, helper_parameter
-from repro.hybrid.batch import MessageBatch
 from repro.hybrid.errors import ProtocolError
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.aggregation import broadcast_value
@@ -54,38 +54,29 @@ def _assign_round_robin(endpoints: _np.ndarray, helper_lists: dict[int, list[int
     """Per token, the helper its endpoint deals it to (``c % helper_count``).
 
     ``endpoints[i]`` is token ``i``'s sender (or receiver); token number ``c``
-    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  Large
-    batches group the positions per endpoint and assign them with one take
-    per endpoint instead of dict lookups per token.
+    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  The
+    positions are grouped per endpoint and assigned with one take per
+    endpoint.
     """
-    if len(endpoints) < 64:
-        result: list[int] = [0] * len(endpoints)
-        counters: dict[int, int] = {}
-        for position, endpoint in enumerate(endpoints.tolist()):
-            helpers = helper_lists.get(endpoint)
-            if helpers is None:
-                raise ProtocolError(f"token {role} {endpoint} is not in the {role} set")
-            count = counters.get(endpoint, 0)
-            counters[endpoint] = count + 1
-            result[position] = helpers[count % len(helpers)]
-        return _np.asarray(result, dtype=_np.int64)
+    result = _np.empty(endpoints.size, dtype=_np.int64)
+    if not endpoints.size:
+        return result
     order = _np.argsort(endpoints, kind="stable")
     sorted_endpoints = endpoints[order]
     starts = _np.flatnonzero(
         _np.concatenate(([True], sorted_endpoints[1:] != sorted_endpoints[:-1]))
     )
     bounds = _np.concatenate((starts, [order.size]))
-    result_arr = _np.empty(endpoints.size, dtype=_np.int64)
     for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
         endpoint = int(sorted_endpoints[begin])
         helpers = helper_lists.get(endpoint)
         if helpers is None:
             raise ProtocolError(f"token {role} {endpoint} is not in the {role} set")
-        result_arr[order[begin:end]] = _np.take(
+        result[order[begin:end]] = _np.take(
             _np.asarray(helpers, dtype=_np.int64),
             _np.arange(end - begin) % len(helpers),
         )
-    return result_arr
+    return result
 
 
 @dataclass(frozen=True)
@@ -322,9 +313,8 @@ class TokenRouter:
         # Each label is hashed exactly once -- the whole batch in one
         # vectorised field evaluation over the (sender, receiver, index)
         # lanes, the keys the scalar hash sees on RoutingToken.label.
-        intermediates = _np.asarray(
-            self.hash_function.many((routed_senders, routed_receivers, indices[routable])),
-            dtype=_np.int64,
+        intermediates = self.hash_function.many(
+            (routed_senders, routed_receivers, indices[routable])
         )
         # Helper assignment deals each endpoint's tokens round-robin: token
         # number c of an endpoint goes to helper ``c % helper_count``, the
@@ -378,7 +368,6 @@ class TokenRouter:
         plan = self._plan
         if plan is None or not plan.matches(senders, receivers, indices):
             plan = self._plan = self.plan(senders, receivers, indices)
-        routable = plan.routable
         intermediates = plan.intermediates
         sender_helper_of = plan.sender_helper_of
         receiver_helper_of = plan.receiver_helper_of
@@ -397,33 +386,25 @@ class TokenRouter:
         network.charge_local_rounds(preparation_rounds, self.phase + ":preparation-distribute")
 
         # -------------------------------------------------- Routing-Scheme
-        # The three phases ship their traffic as MessageBatch columns built
+        # The three phases ship their traffic as sender/target columns taken
         # straight from the plan's helper/intermediate arrays (one message
-        # per routable token and phase, its payload the token's position), so
-        # the engine schedules and accounts them with whole-array operations.
-        # Each phase runs as a *reliable* exchange: on the ideal model that is
-        # plain run_global_exchange (bit-identical rounds), under an active
+        # per routable token and phase), so the engine schedules and
+        # accounts them with whole-array operations.  Each phase runs as a
+        # *reliable* exchange: on the ideal model that is plain
+        # run_global_exchange (bit-identical rounds), under an active
         # FaultModel it retransmits unacknowledged messages within the retry
         # budget and raises FaultToleranceExceededError when beaten -- so a
         # completed exchange always delivered every queued message, and the
         # request an intermediate receives for a label and the token it
-        # stores for that label both follow from the same position: phase
-        # C's outboxes are derived from it directly instead of re-keying a
-        # per-intermediate store off the phase B inboxes.
+        # stores for that label are the same routable position: phase C's
+        # traffic is phase B's reversed.
         # Phase A: sender-helpers push tokens to their intermediate nodes.
-        network.run_reliable_exchange(
-            MessageBatch(sender_helper_of, intermediates, routable), self.phase + ":push"
-        )
-        # Phase B: receiver-helpers request their labels from the
-        # intermediates (the position stands for ``(label, requester)``).
-        network.run_reliable_exchange(
-            MessageBatch(receiver_helper_of, intermediates, routable),
-            self.phase + ":request",
-        )
+        network.run_reliable_exchange(sender_helper_of, intermediates, self.phase + ":push")
+        # Phase B: receiver-helpers request their labels from the intermediates.
+        network.run_reliable_exchange(receiver_helper_of, intermediates, self.phase + ":request")
         # Phase C: intermediates answer every request with the stored token.
-        response_inboxes, _ = network.run_reliable_exchange(
-            MessageBatch(intermediates, receiver_helper_of, routable),
-            self.phase + ":respond",
+        responded, _ = network.run_reliable_exchange(
+            intermediates, receiver_helper_of, self.phase + ":respond"
         )
 
         # Receivers collect the fetched tokens from their helpers locally.
@@ -433,10 +414,9 @@ class TokenRouter:
         # The exchange must have carried one response per routed token; with
         # the count verified, each receiver's tokens are the plan's delivery
         # group (label-determined) instead of a per-message fold of the inbox.
-        if len(response_inboxes) != routable.size:
+        if responded.size != plan.routable.size:
             raise ProtocolError(
-                f"token routing delivered {len(response_inboxes)} of "
-                f"{routable.size} routed tokens"
+                f"token routing delivered {responded.size} of {plan.routable.size} routed tokens"
             )
         return plan
 

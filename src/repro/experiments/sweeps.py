@@ -1273,7 +1273,7 @@ _E17_NOTES = [
     "Both sessions answer an identical warm-APSP workload over an identical "
     "mutation schedule; the repair row reuses the warm SkeletonContext "
     "through the HybridSession delta log while the rebuild column pays a "
-    "cold context per mutation (enable_repair=False).  The identical column "
+    "cold context per mutation (invalidate() after each).  The identical column "
     "pins the DESIGN.md \u00a712 determinism contract: repaired answers are "
     "bit-identical to cold ones.  Amortized columns are tail rounds per "
     "mutate-then-query event and the ratio is rebuild/repair (higher is a "
@@ -1329,9 +1329,7 @@ def incremental_repair_shard(
         _e17_graph(family, n, seed, max_weight), ModelConfig(rng_seed=seed)
     )
     rebuild_session = HybridSession(
-        _e17_graph(family, n, seed, max_weight),
-        ModelConfig(rng_seed=seed),
-        enable_repair=False,
+        _e17_graph(family, n, seed, max_weight), ModelConfig(rng_seed=seed)
     )
 
     identical = bool(
@@ -1358,6 +1356,7 @@ def incremental_repair_shard(
         new_weight = repair_session.graph.weight(u, v) + 1 + rng.randrange(4)
         repair_session.update_weight(u, v, new_weight)
         rebuild_session.update_weight(u, v, new_weight)
+        rebuild_session.invalidate()
         identical = identical and bool(
             (repair_session.apsp().matrix == rebuild_session.apsp().matrix).all()
         )

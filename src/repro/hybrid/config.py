@@ -31,7 +31,7 @@ class ModelConfig:
         reference value benchmarks compare the measured maximum against.
     message_bits:
         Nominal size of one global message in bits (``O(log n)``); only used
-        for bit accounting, payloads themselves are Python objects.
+        for bit accounting (the engine moves no payloads).
     strict_send:
         If True (default) a protocol handing the engine more than the per-round
         send budget for a single node is a bug and raises

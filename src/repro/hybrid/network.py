@@ -14,9 +14,12 @@ protocol implementations exactly the two communication modes of the model:
 * **Global mode (NCC).**  Each round every node may send at most
   ``ModelConfig.send_cap(n)`` messages of ``O(log n)`` bits to arbitrary node
   IDs; the engine enforces the send budget, counts every round and message,
-  and records the per-round receive maxima that Lemma D.2 bounds.  Messages
-  travel as an array-backed :class:`~repro.hybrid.batch.MessageBatch`,
-  scheduled and accounted with whole-array numpy operations that make
+  and records the per-round receive maxima that Lemma D.2 bounds.  The
+  engine charges only for who sends to whom, so a batch of messages is two
+  int64 columns, ``senders`` and ``targets``, and every global call returns
+  the *positions* of the delivered messages; a caller that needs a payload
+  keeps it in a column of its own and indexes it with those positions.
+  Scheduling and accounting are whole-array numpy operations that make
   exactly the decisions of a per-message scan (the message-plane tests check
   the engine against such a scalar scheduler; DESIGN.md §4).
 
@@ -31,7 +34,6 @@ from collections.abc import Iterable
 import numpy as _np
 
 from repro.graphs.graph import WeightedGraph
-from repro.hybrid.batch import MessageBatch
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.errors import CapacityExceededError, FaultToleranceExceededError
 from repro.hybrid.faults import FaultState
@@ -209,33 +211,35 @@ class HybridNetwork:
             mask[node] = True
         self._cut_watchers.append((name, mask))
 
-    def global_round(self, batch: MessageBatch, phase: str = "global") -> MessageBatch:
+    def global_round(self, senders, targets, phase: str = "global") -> _np.ndarray:
         """Execute exactly one round of the global (NCC) mode.
 
         Parameters
         ----------
-        batch:
-            The round's messages as parallel sender/target/payload columns.
-            With ``strict_send`` (default) a node exceeding the send budget
-            raises :class:`~repro.hybrid.errors.CapacityExceededError` -- a
-            correct protocol never does.
+        senders, targets:
+            The round's messages as two int64 columns: message ``i`` goes
+            from ``senders[i]`` to ``targets[i]``.  With ``strict_send``
+            (default) a node exceeding the send budget raises
+            :class:`~repro.hybrid.errors.CapacityExceededError` -- a correct
+            protocol never does.
         phase:
             Name under which the round is accounted.
 
         Returns
         -------
-        MessageBatch
-            The delivered messages.  With an active
-            :class:`~repro.hybrid.faults.FaultModel`, messages it drops are
-            excluded and tallied in ``metrics.global_dropped``.
+        numpy.ndarray
+            The positions of the delivered messages, ascending.  With an
+            active :class:`~repro.hybrid.faults.FaultModel`, messages it drops
+            are excluded and tallied in ``metrics.global_dropped``.
         """
         # No traffic means no use of the global mode: an empty round charges
         # zero global rounds (regression tests in tests/test_message_plane.py,
         # next to the n=1 cases) and leaves the fault clock untouched.
-        if len(batch) == 0:
-            return MessageBatch.empty()
-        keep = self._account_round(batch.senders, batch.targets, phase)
-        return batch if keep is None else batch.take(keep)
+        positions = _np.arange(senders.size)
+        if not senders.size:
+            return positions
+        keep = self._account_round(senders, targets, phase)
+        return positions if keep is None else positions[keep]
 
     def _account_round(self, senders, targets, phase: str):
         """Validate and account one global round given as sender/target arrays.
@@ -311,8 +315,8 @@ class HybridNetwork:
         return keep
 
     def run_global_exchange(
-        self, batch: MessageBatch, phase: str = "global"
-    ) -> tuple[MessageBatch, int]:
+        self, senders, targets, phase: str = "global"
+    ) -> tuple[_np.ndarray, int]:
         """Deliver an arbitrary-size batch of global messages over several rounds.
 
         Each node sends its queued messages at most ``send_cap`` per round and
@@ -320,7 +324,9 @@ class HybridNetwork:
         simply wait in their sender's queue for a later round.  This models
         the NCC-mode bandwidth constraint on both endpoints and is the
         workhorse behind "send each of your tokens, Θ(log n) tokens at a
-        time" style loops in the paper's pseudo-code.
+        time" style loops in the paper's pseudo-code.  Message ``i`` goes
+        from ``senders[i]`` to ``targets[i]`` (two int64 columns); within
+        one sender the column order is the sender's queue order.
 
         Senders are served in round-robin order: the ID-sorted list of senders
         with pending messages is rotated by one position each round, so a
@@ -344,18 +350,18 @@ class HybridNetwork:
         per-message admission scan (:func:`_admit_scan`) runs on the pending
         messages, which are still in canonical order; the rotated scan order
         is then a scan-rank array, and admitted messages leave the queue.
-        Each round is accounted by :meth:`_account_round` in scan order, and
-        payloads are sliced once, at the end, by the accumulated delivery
-        order (:meth:`MessageBatch.take`).  Returns the delivered messages and
-        the number of global rounds used.
+        Each round is accounted by :meth:`_account_round` in scan order.
+        Returns the positions of the delivered messages in delivery order
+        (round by round, each round in scan order) and the number of global
+        rounds used.
         """
-        if len(batch) == 0:
-            return MessageBatch.empty(), 0
+        if not senders.size:
+            return _np.arange(0), 0
         n = self.n
         send_cap = self.send_cap
-        order = _np.argsort(batch.senders, kind="stable")
-        senders = batch.senders[order]
-        targets = batch.targets[order]
+        order = _np.argsort(senders, kind="stable")
+        senders = senders[order]
+        targets = targets[order]
         planned = (_np.arange(senders.size) - _group_starts(senders)) // send_cap
         last = int(planned.max())
         if int(targets.min()) < 0 or int(targets.max()) >= n:
@@ -368,7 +374,7 @@ class HybridNetwork:
         if last == 0 and contested:
             # One uncontested round: the canonical order is the scan order.
             keep = self._account_round(senders, targets, phase)
-            return batch.take(order if keep is None else order[keep]), 1
+            return (order if keep is None else order[keep]), 1
         delivered_indices: list[_np.ndarray] = []
         if contested:
             by_round = _np.argsort(planned, kind="stable")
@@ -384,7 +390,7 @@ class HybridNetwork:
                 keep = self._account_round(senders[block], targets[block], phase)
                 delivered_indices.append(order[block] if keep is None else order[block[keep]])
             if contested > last:
-                return batch.take(_np.concatenate(delivered_indices)), contested
+                return _np.concatenate(delivered_indices), contested
             waiting = planned >= contested
             senders = senders[waiting]
             targets = targets[waiting]
@@ -423,63 +429,60 @@ class HybridNetwork:
             targets = targets[waiting]
             order = order[waiting]
             rounds += 1
-        return batch.take(_np.concatenate(delivered_indices)), rounds
+        return _np.concatenate(delivered_indices), rounds
 
     def run_reliable_exchange(
-        self, batch: MessageBatch, phase: str = "global"
-    ) -> tuple[MessageBatch, int]:
-        """Deliver *every* message of ``batch`` despite an unreliable network.
+        self, senders, targets, phase: str = "global"
+    ) -> tuple[_np.ndarray, int]:
+        """Deliver *every* message of the batch despite an unreliable network.
 
         Without active global faults this is exactly
-        :meth:`run_global_exchange` -- same rounds, same phases, same metrics
-        -- so loss-tolerant protocols cost nothing on the ideal model (the
-        bit-identity tests pin this).  With faults, the exchange runs the
-        acknowledged-retransmission scheme the paper's w.h.p. analyses
-        license: after each delivery attempt every receiver returns one ACK
-        per arrived message (ACKs cross the same lossy global plane), and
-        senders re-send everything unacknowledged.  Each attempt succeeds
-        per message with constant probability, so
+        :meth:`run_global_exchange` -- same rounds, same phases, same metrics,
+        same delivery order -- so loss-tolerant protocols cost nothing on the
+        ideal model (the bit-identity tests pin this).  With faults, the
+        exchange runs the acknowledged-retransmission scheme the paper's
+        w.h.p. analyses license: after each delivery attempt every receiver
+        returns one ACK per arrived message (ACKs cross the same lossy global
+        plane), and senders re-send everything unacknowledged.  Each attempt
+        succeeds per message with constant probability, so
         ``max_attempts = Θ(log n)`` amplifies delivery to w.h.p. -- the
-        classic success-amplification argument.  Duplicates caused by lost
-        ACKs are absorbed here (receivers deduplicate by message identity),
-        so callers keep exactly-once semantics.
+        classic success-amplification argument.  A message and its ACK are
+        matched by the message's position in the batch, so duplicates caused
+        by lost ACKs are absorbed here and callers keep exactly-once
+        semantics.
 
-        Returns the delivered messages (in the order of ``batch``, which is
-        what full delivery means) and the total global rounds consumed,
-        ACK rounds included.  Raises
+        Returns the delivered positions and the total global rounds consumed,
+        ACK rounds included; under faults the positions are all of them, in
+        batch order, which is what full delivery means.  Raises
         :class:`~repro.hybrid.errors.FaultToleranceExceededError` if messages
         remain undelivered when the model's ``max_attempts`` budget runs out
         -- the injected faults beat the configured amplification, and a
         partial result must not masquerade as a correct one.
         """
         if self._fault_state is None:
-            return self.run_global_exchange(batch, phase)
-        total = len(batch)
-        if total == 0:
-            return MessageBatch.empty(), 0
+            return self.run_global_exchange(senders, targets, phase)
+        total = senders.size
         pending = _np.arange(total)
+        if not total:
+            return pending, 0
         rounds = 0
         max_attempts = self.faults.max_attempts
         for attempt in range(max_attempts):
             if attempt:
                 self.metrics.record_fault_losses(retried=int(pending.size))
             attempt_phase = phase if attempt == 0 else phase + ":retry"
-            # Each message travels as its original batch index, so receivers
-            # acknowledge (and deduplicate) by message identity; the payloads
-            # themselves never need to move.
-            inbox, attempt_rounds = self.run_global_exchange(
-                MessageBatch(batch.senders[pending], batch.targets[pending], pending),
-                attempt_phase,
+            delivered, attempt_rounds = self.run_global_exchange(
+                senders[pending], targets[pending], attempt_phase
             )
             rounds += attempt_rounds
-            if len(inbox):
+            if delivered.size:
                 # One ACK per arrival, back over the same faulty plane.
-                ack_inbox, ack_rounds = self.run_global_exchange(
-                    MessageBatch(inbox.targets, inbox.senders, inbox.payloads),
-                    phase + ":ack",
+                arrived = pending[delivered]
+                acked, ack_rounds = self.run_global_exchange(
+                    targets[arrived], senders[arrived], phase + ":ack"
                 )
                 rounds += ack_rounds
-                pending = pending[~_np.isin(pending, ack_inbox.payloads)]
+                pending = pending[~_np.isin(pending, arrived[acked])]
             if not pending.size:
                 break
         if pending.size:
@@ -488,8 +491,8 @@ class HybridNetwork:
                 f"{max_attempts} attempts in phase {phase!r}"
             )
         # Everything arrived (possibly more than once; duplicates are
-        # dropped), so the delivered set is the original batch itself.
-        return batch, rounds
+        # dropped), so the delivered set is the whole batch.
+        return _np.arange(total), rounds
 
     # ------------------------------------------------------------- shortcuts
     def max_total_received(self) -> int:

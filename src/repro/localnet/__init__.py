@@ -13,7 +13,6 @@ charge the rounds on every call.
 """
 
 from repro.localnet.aggregation import (
-    aggregate,
     aggregate_max,
     aggregate_sum,
     broadcast_value,
@@ -23,7 +22,6 @@ from repro.localnet.ruling_set import compute_ruling_set
 from repro.localnet.token_dissemination import DisseminationResult, disseminate_tokens
 
 __all__ = [
-    "aggregate",
     "aggregate_max",
     "aggregate_sum",
     "broadcast_value",

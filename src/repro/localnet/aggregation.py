@@ -11,78 +11,59 @@ inputs of all ``n`` nodes.  Each node sends exactly one message per round, so
 the send budget is never stressed.  A single-value broadcast uses the same
 doubling pattern seeded at the source.
 
-All message traffic is built as :class:`~repro.hybrid.batch.MessageBatch`
-columns (``np.arange``-shifted sender/target arrays, one slice per round)
-rather than per-node tuple loops; a single node already knows every input, so
-``n = 1`` never charges a round.
+All message traffic is two sender/target columns (``np.arange``-shifted
+int64 arrays, one pair per round); the engine returns the delivered
+positions, and a node that receives a message is *informed*.  Only the round
+count depends on the traffic: every receiver folds the partial aggregate its
+sender holds, so the aggregate every node ends with is the fold of the
+inputs themselves, and the simulation moves no values.  A single node
+already knows every input, so ``n = 1`` never charges a round.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from typing import TypeVar
 
 import numpy as _np
 
-from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 
 T = TypeVar("T")
 
 
-def aggregate(
-    network: HybridNetwork,
-    values: dict[int, T],
-    combine: Callable[[T, T], T],
-    phase: str = "aggregation",
-) -> T | None:
-    """All nodes learn ``combine`` folded over ``values`` in ``O(log n)`` rounds.
+def _ring_doubling(network: HybridNetwork, seeds, phase: str) -> None:
+    """``⌈log2 n⌉`` doubling rounds from the informed ``seeds``.
 
-    ``combine`` must be associative and commutative (max, min, +, set union...).
-    Returns the aggregate (``None`` when ``values`` is empty), which after the
-    protocol is known to every node.
+    In round ``i`` every informed node sends one message to the node ``2^i``
+    positions ahead, which becomes informed if the message arrives.  Targets
+    are distinct (sender -> sender + step is a bijection mod n), so each
+    receiver folds at most one message.
     """
-    if not values:
-        return None
     n = network.n
-    partial: list[T | None] = [None] * n
-    for node, value in values.items():
-        partial[node] = value
-
-    if n > 1:
-        for i in range(max(1, math.ceil(math.log2(n)))):
-            step = 1 << i
-            senders = [node for node in range(n) if partial[node] is not None]
-            targets = [(node + step) % n for node in senders]
-            batch = MessageBatch(senders, targets, [partial[node] for node in senders])
-            delivered = network.global_round(batch, phase)
-            # Ring-doubling targets are distinct (sender -> sender + step is a
-            # bijection mod n), so each receiver folds at most one message.
-            for receiver, payload in zip(delivered.targets, delivered.payloads, strict=True):
-                receiver = int(receiver)
-                if partial[receiver] is None:
-                    partial[receiver] = payload
-                else:
-                    partial[receiver] = combine(partial[receiver], payload)
-
-    # After ⌈log n⌉ doubling rounds on a ring every position has folded every
-    # input at least once (values may be folded multiple times, which is why
-    # combine must be idempotent-friendly for exact counts -- see aggregate_sum
-    # for the sum case, which uses a tree instead).
-    result = None
-    for value in partial:
-        if value is None:
-            continue
-        result = value if result is None else combine(result, value)
-    return result
+    if n < 2:
+        return
+    informed = _np.zeros(n, dtype=bool)
+    informed[seeds] = True
+    for i in range(max(1, math.ceil(math.log2(n)))):
+        senders = _np.flatnonzero(informed)
+        targets = (senders + (1 << i)) % n
+        informed[targets[network.global_round(senders, targets, phase)]] = True
 
 
 def aggregate_max(
     network: HybridNetwork, values: dict[int, float], phase: str = "aggregation-max"
 ) -> float | None:
-    """All nodes learn ``max(values)`` in ``O(log n)`` global rounds."""
-    return aggregate(network, values, max, phase)
+    """All nodes learn ``max(values)`` in ``O(log n)`` global rounds.
+
+    Ring doubling seeded at the input holders, each message carrying its
+    sender's partial maximum.  Returns ``None`` when ``values`` is empty (no
+    round is charged).
+    """
+    if not values:
+        return None
+    _ring_doubling(network, list(values), phase)
+    return max(values.values())
 
 
 def aggregate_sum(
@@ -106,25 +87,14 @@ def aggregate_sum(
     and charges exactly one global round -- ``⌊log2 n⌋`` rounds in total.
     """
     n = network.n
-    totals = [0.0] * n
-    for node, value in values.items():
-        totals[node] += value
     # Convergecast: deepest occupied level first.  (Levels are never empty:
     # level ℓ holds nodes [2^ℓ - 1, 2^{ℓ+1} - 1) and 2^ℓ - 1 < n for every
     # ℓ ≤ ⌊log2 n⌋.)
     depth = int(math.log2(n)) if n > 1 else 0
     for level in range(depth, 0, -1):
-        low = (1 << level) - 1
-        high = min(n, (1 << (level + 1)) - 1)
-        senders = _np.arange(low, high, dtype=_np.int64)
-        targets = (senders - 1) // 2
-        payloads = [totals[node] for node in range(low, high)]
-        delivered, _ = network.run_reliable_exchange(
-            MessageBatch(senders, targets, payloads), phase
-        )
-        for parent, value in zip(delivered.targets, delivered.payloads, strict=True):
-            totals[int(parent)] += value
-    total = totals[0]
+        senders = _np.arange((1 << level) - 1, min(n, (1 << (level + 1)) - 1))
+        network.run_reliable_exchange(senders, (senders - 1) // 2, phase)
+    total = float(sum(values.values()))
     broadcast_value(network, total, source=0, phase=phase)
     return total
 
@@ -137,16 +107,8 @@ def broadcast_value(
     Binomial-tree doubling over node IDs: the set of informed nodes doubles
     every round, so ``⌈log2 n⌉`` rounds suffice and each informed node sends a
     single message per round.  A single node is already informed and charges
-    no rounds.  Every message carries the same value, which no receiver reads
-    back, so the payload column holds the sender IDs rather than copies of it.
+    no rounds.  Every message carries the same value, so the traffic is the
+    informed set's sender/target columns alone.
     """
-    n = network.n
-    if n > 1:
-        informed = _np.zeros(n, dtype=bool)
-        informed[source] = True
-        for i in range(max(1, math.ceil(math.log2(n)))):
-            senders = _np.flatnonzero(informed)
-            targets = (senders + (1 << i)) % n
-            delivered = network.global_round(MessageBatch(senders, targets, senders), phase)
-            informed[delivered.targets] = True
+    _ring_doubling(network, [source], phase)
     return value

@@ -34,10 +34,10 @@ hashed with one ``KWiseHashFunction.many`` call.
 
 Only the round count depends on the traffic: the returned token set is the
 deduplicated input, so no node's copy of a token is ever read back.  All three
-global phases therefore ship int64 :class:`~repro.hybrid.batch.MessageBatch`
-columns built with whole-array numpy operations, never a token object: a relay
-or response message carries its token's *position* in the deduplicated token
-list, a request carries its requester's ID.
+global phases therefore ship int64 sender/target columns built with
+whole-array numpy operations, never a token object, and read back only the
+delivered positions: how many tokens each relay holds, and which member each
+request came from.
 
 All three global phases go through
 :meth:`~repro.hybrid.network.HybridNetwork.run_reliable_exchange`: on the
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 
 import numpy as _np
 
-from repro.hybrid.batch import MessageBatch
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.aggregation import aggregate_sum
 from repro.localnet.clustering import cluster_around_rulers
@@ -144,18 +143,13 @@ def disseminate_tokens(
         return DisseminationResult(tokens=[], token_count=0, rounds=rounds)
 
     # Step 2: relay every token to a pseudo-random node.  The whole batch is
-    # hashed in one vectorised field evaluation over canonical token keys; a
-    # message carries its token's position in ``all_tokens``.
+    # hashed in one vectorised field evaluation over canonical token keys.
     hash_function = hash_family_for_network(n, network.fork_rng(phase + ":hash"))
     relays = hash_function.many((_canonical_token_keys(all_tokens), [1] * k))
-    relay_inboxes, _ = network.run_reliable_exchange(
-        MessageBatch(holders, relays, _np.arange(k, dtype=_np.int64)), phase + ":relay"
+    relayed, _ = network.run_reliable_exchange(
+        _np.asarray(holders, dtype=_np.int64), relays, phase + ":relay"
     )
-    # Relay r holds ``held[held_start[r] : held_start[r] + held_count[r]]`` (arrival order).
-    arrival = _np.argsort(relay_inboxes.targets, kind="stable")
-    held = _np.asarray(relay_inboxes.payloads, dtype=_np.int64)[arrival]
-    held_count = _np.bincount(relay_inboxes.targets, minlength=n)
-    held_start = _np.cumsum(held_count) - held_count
+    held_count = _np.bincount(relays[relayed], minlength=n)
 
     # Step 3: clusters of >= µ members with hop radius Õ(µ).
     mu = max(1, min(int(math.isqrt(k)), n))
@@ -172,22 +166,16 @@ def disseminate_tokens(
     rank = relay % sizes[cluster]
     order = _np.lexsort((relay, rank, cluster))
     requesters = member_column[(_np.cumsum(sizes) - sizes)[cluster] + rank][order]
-    request_inboxes, _ = network.run_reliable_exchange(
-        MessageBatch(requesters, relay[order], requesters), phase + ":requests"
-    )
+    relay = relay[order]
+    requested, _ = network.run_reliable_exchange(requesters, relay, phase + ":requests")
 
     # Each relay answers its requesters (in arrival order) with every token it
-    # holds, one token position per message; relays answer in ID order.
-    arrival = _np.argsort(request_inboxes.targets, kind="stable")
-    responders = request_inboxes.targets[arrival]
-    counts = held_count[responders]
-    offsets = _np.arange(counts.sum()) - _np.repeat(_np.cumsum(counts) - counts, counts)
+    # holds, one message per token; relays answer in ID order.
+    arrival = requested[_np.argsort(relay[requested], kind="stable")]
+    counts = held_count[relay[arrival]]
     network.run_reliable_exchange(
-        MessageBatch(
-            _np.repeat(responders, counts),
-            _np.repeat(request_inboxes.senders[arrival], counts),
-            held[_np.repeat(held_start[responders], counts) + offsets],
-        ),
+        _np.repeat(relay[arrival], counts),
+        _np.repeat(requesters[arrival], counts),
         phase + ":responses",
     )
 

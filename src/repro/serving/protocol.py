@@ -17,7 +17,8 @@ internal        the simulation raised (message carries the exception)
 Request/response examples live in the README's Serving runbook.  Distances
 are encoded as dense lists with ``null`` for unreachable (``inf``) entries,
 so responses stay valid JSON; APSP matrices are summarized by a CRC-32
-checksum (the full ``n × n`` matrix rides along only on request).
+checksum of their float64 bytes (the full ``n × n`` matrix rides along only
+on request; :func:`matrix_checksum` says how to recompute it).
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import zlib
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as _np
 
 from repro.core.token_routing import RoutingToken
 from repro.graphs.graph import INFINITY
@@ -166,9 +169,14 @@ def encode_distances(row: Iterable[float]) -> list[float | None]:
 
 
 def matrix_checksum(matrix: Any) -> str:
-    """CRC-32 of an APSP matrix's canonical text form (stable across planes)."""
-    rows = [encode_distances(row) for row in matrix]
-    digest = zlib.crc32(json.dumps(rows, separators=(",", ":")).encode())
+    """CRC-32 of an APSP matrix's little-endian float64 bytes, row-major.
+
+    A client recomputes it from an ``include_matrix`` reply by mapping each
+    ``null`` back to ``inf`` and hashing the row-major float64 bytes, e.g.
+    ``zlib.crc32(np.array(rows, dtype="<f8").tobytes())`` after the
+    substitution; it is 8 lowercase hex digits.
+    """
+    digest = zlib.crc32(_np.ascontiguousarray(matrix, dtype="<f8").tobytes())
     return f"{digest:08x}"
 
 

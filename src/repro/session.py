@@ -24,8 +24,8 @@ fraction of damaged exploration rows, not a session setting) says so;
 each decision is recorded in :attr:`HybridSession.repairs` and the repair
 rounds land in the preprocessing ledger, so the amortized-vs-cold invariant
 ("amortized + preprocessing = network total") keeps holding.  Repaired
-answers are bit-identical to cold rebuilds.  ``enable_repair=False`` restores
-the old drop-everything behaviour (the E17 baseline).
+answers are bit-identical to cold rebuilds.  Calling :meth:`HybridSession.invalidate`
+after a mutation drops everything instead (the E17 cold-rebuild baseline).
 
 By default every query of a session shares one canonical skeleton sampled
 with probability ``1/√n`` (the Theorem 1.1 optimum; exact for APSP and, with
@@ -185,13 +185,6 @@ class HybridSession:
     keep_results:
         When True, each :class:`QueryRecord` retains the query's result
         object; off by default so the query log holds only the accounting.
-    enable_repair:
-        When True (default), a graph-version mismatch is resolved by delta
-        repair of every cached context (DESIGN.md §12); when False the
-        session falls back to the drop-everything :meth:`invalidate`, which
-        is the cold-rebuild baseline E17 measures against.  Whether a key
-        is repaired or rebuilt is decided by the fixed damage threshold
-        :data:`~repro.core.context.DAMAGE_THRESHOLD`.
     fault_model:
         Optional :class:`~repro.hybrid.faults.FaultModel` the session's
         network runs under; it overrides ``config.faults``.  With faults
@@ -211,7 +204,6 @@ class HybridSession:
         skeleton_probability: float | None = None,
         keep_results: bool = False,
         fault_model: FaultModel | None = None,
-        enable_repair: bool = True,
     ) -> None:
         if fault_model is not None:
             config = dataclasses.replace(config or ModelConfig(), faults=fault_model)
@@ -222,7 +214,6 @@ class HybridSession:
             raise ValueError("skeleton_probability must be in (0, 1]")
         self.skeleton_probability = skeleton_probability
         self.keep_results = keep_results
-        self.enable_repair = enable_repair
         #: Rounds (and traffic) charged preparing shared state, across all keys.
         self.preprocessing = RoundMetrics()
         #: One record per answered query, in order.
@@ -294,8 +285,7 @@ class HybridSession:
     def _check_version(self) -> None:
         """Resolve a graph-version mismatch by delta repair (DESIGN.md §12).
 
-        With repair enabled and the delta log covering the gap, every cached
-        context is offered the delta batch: a successful repair keeps the key
+        With the delta log covering the gap, every cached context is offered the delta batch: a successful repair keeps the key
         warm (bit-identical to a cold rebuild), a refusal drops the key so
         the next query needing it re-prepares cold.  Routers survive
         weight-only batches (helper sets are hop-topology functions) and are
@@ -306,7 +296,7 @@ class HybridSession:
         with self._lock:
             if self.graph.version == self._graph_version:
                 return
-            deltas = self.graph.deltas_since(self._graph_version) if self.enable_repair else None
+            deltas = self.graph.deltas_since(self._graph_version)
             if not deltas:
                 self.invalidate()
                 return

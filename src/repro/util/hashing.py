@@ -103,17 +103,18 @@ class KWiseHashFunction:
             value = (value * x + coefficient) % _FIELD_PRIME
         return value % self._range
 
-    def many(self, lanes: Sequence) -> "list[int]":
+    def many(self, lanes: Sequence) -> _np.ndarray:
         """Batched evaluation on tuple keys given as per-lane integer arrays.
 
         ``lanes`` holds one array-like per tuple position (e.g. the senders,
         receivers and indices of a batch of token labels); element ``i`` of
         the result equals ``self((lanes[0][i], lanes[1][i], ...))`` exactly.
         The whole batch is one vectorised Horner evaluation over the Mersenne
-        field (31-bit limb arithmetic, see :func:`_vec_mulmod`).
+        field (31-bit limb arithmetic, see :func:`_vec_mulmod`).  Returns an
+        int64 array (empty when ``lanes`` is).
         """
         if not lanes:
-            return []
+            return _np.empty(0, dtype=_np.int64)
         lanes = [_np.asarray(lane, dtype=_np.uint64) for lane in lanes]
         # Vectorised _encode_key: fixed multiplier fold over the lanes.
         multiplier = _np.uint64(1048583)
@@ -124,7 +125,7 @@ class KWiseHashFunction:
         value = _np.zeros_like(encoded)
         for coefficient in self._coefficients:
             value = _vec_reduce(_vec_mulmod(value, encoded) + _np.uint64(coefficient))
-        return (value % _np.uint64(self._range)).astype(_np.int64).tolist()
+        return (value % _np.uint64(self._range)).astype(_np.int64)
 
 
 class KWiseHashFamily:

@@ -3,20 +3,24 @@
 :class:`~repro.hybrid.network.HybridNetwork` schedules and accounts global
 traffic with whole-array numpy operations.  :class:`ScalarPlaneNetwork` is the
 same network with ``global_round`` and ``run_global_exchange`` replaced by the
-textbook loop over single messages: senders take turns in ID order, rotated
-by one position per round; a message is admitted while its sender's send
-budget and its target's receive budget last; every delivered message is
-counted one at a time; and every fault fate comes from
-:meth:`~repro.hybrid.faults.FaultState.drops`.  The message-plane and fault
-tests run the same traffic through both networks and require identical
-rounds, ``RoundMetrics`` and deliveries -- the delivered messages in the
-order they were sent (round by round, each round in its rotated scan order),
-compared column by column with :func:`columns`.
+textbook loop over single messages: a round scans its messages one at a time
+in send order; an exchange queues each sender's message positions, lets the
+senders take turns in ID order, rotated by one position per round, and admits
+a message while its sender's send budget and its target's receive budget
+last; every delivered message is counted one at a time; and every fault fate
+comes from :meth:`~repro.hybrid.faults.FaultState.drops`.  Both take the same
+sender/target columns as the engine and return the delivered positions in
+the order they were sent (round by round, each round in its rotated scan
+order).  The message-plane and fault tests run the same traffic through both
+networks and require identical rounds, ``RoundMetrics`` and positions.
 
-The module also holds the dict-of-tuples forms of a batch that tests build
-traffic from and read deliveries through: outboxes
-``{sender: [(target, payload), ...]}`` and inboxes
-``{receiver: [(sender, payload), ...]}``.
+The module also holds the dict-of-tuples forms tests build traffic from and
+read deliveries through: outboxes ``{sender: [(target, payload), ...]}`` and
+inboxes ``{receiver: [(sender, payload), ...]}``, converted to and from a
+:class:`~repro.hybrid.batch.MessageBatch` whose payload column holds the
+Python objects unchanged.  A global call takes the batch's ``senders`` and
+``targets``; ``batch.take(positions)`` reads the delivered messages
+(:func:`deliver_round` and :func:`deliver_exchange` do both).
 """
 
 from __future__ import annotations
@@ -33,10 +37,11 @@ Inboxes = dict[int, list[tuple[int, object]]]
 
 def from_messages(messages: Sequence[tuple[int, int, object]]) -> MessageBatch:
     """A batch of ``(sender, target, payload)`` triples, in that order."""
+    payloads = np.empty(len(messages), dtype=object)
+    for index, (_, _, payload) in enumerate(messages):
+        payloads[index] = payload
     return MessageBatch(
-        [sender for sender, _, _ in messages],
-        [target for _, target, _ in messages],
-        [payload for _, _, payload in messages],
+        [sender for sender, _, _ in messages], [target for _, target, _ in messages], payloads
     )
 
 
@@ -65,72 +70,84 @@ def from_inboxes(inboxes: Mapping[int, Sequence[tuple[int, object]]]) -> Message
 def to_outboxes(batch: MessageBatch) -> Outboxes:
     """The dict-of-tuples outbox form (per-sender queue order kept)."""
     outboxes: Outboxes = {}
-    for sender, target, payload in zip(batch.senders, batch.targets, batch.payloads, strict=True):
-        outboxes.setdefault(int(sender), []).append((int(target), payload))
+    for sender, target, payload in zip(*columns(batch), strict=True):
+        outboxes.setdefault(sender, []).append((target, payload))
     return outboxes
 
 
 def to_inboxes(batch: MessageBatch) -> Inboxes:
     """The dict-of-tuples inbox form (per-receiver delivery order kept)."""
     inboxes: Inboxes = {}
-    for sender, target, payload in zip(batch.senders, batch.targets, batch.payloads, strict=True):
-        inboxes.setdefault(int(target), []).append((int(sender), payload))
+    for sender, target, payload in zip(*columns(batch), strict=True):
+        inboxes.setdefault(target, []).append((sender, payload))
     return inboxes
 
 
 def columns(batch: MessageBatch) -> tuple[list, list, list]:
     """A batch's sender, target and payload columns as lists, in batch order."""
-    payloads = batch.payloads
-    return (
-        batch.senders.tolist(),
-        batch.targets.tolist(),
-        payloads.tolist() if isinstance(payloads, np.ndarray) else list(payloads),
-    )
+    return batch.senders.tolist(), batch.targets.tolist(), batch.payloads.tolist()
+
+
+def deliver_round(network: HybridNetwork, outboxes: Outboxes, phase: str = "global") -> Inboxes:
+    """One ``global_round`` of dict-form outboxes; the delivered messages as inboxes."""
+    batch = from_outboxes(outboxes)
+    return to_inboxes(batch.take(network.global_round(batch.senders, batch.targets, phase)))
+
+
+def deliver_exchange(
+    network: HybridNetwork, outboxes: Outboxes, phase: str = "global"
+) -> tuple[Inboxes, int]:
+    """``run_global_exchange`` of dict-form outboxes; inboxes (delivery order) and rounds."""
+    batch = from_outboxes(outboxes)
+    delivered, rounds = network.run_global_exchange(batch.senders, batch.targets, phase)
+    return to_inboxes(batch.take(delivered)), rounds
 
 
 class ScalarPlaneNetwork(HybridNetwork):
     """A :class:`HybridNetwork` whose global mode runs message by message."""
 
-    def global_round(self, batch: MessageBatch, phase: str = "global") -> MessageBatch:
-        if len(batch) == 0:
-            return MessageBatch.empty()
-        return from_messages(self._scalar_round(to_outboxes(batch), phase))
+    def global_round(self, senders, targets, phase: str = "global") -> np.ndarray:
+        if not len(senders):
+            return np.arange(0)
+        return self._scalar_round(senders, targets, range(len(senders)), phase)
 
     def run_global_exchange(
-        self, batch: MessageBatch, phase: str = "global"
-    ) -> tuple[MessageBatch, int]:
-        queues = to_outboxes(batch)
-        delivered: list[tuple[int, int, object]] = []
+        self, senders, targets, phase: str = "global"
+    ) -> tuple[np.ndarray, int]:
+        queues: dict[int, list[int]] = {}
+        for position, sender in enumerate(senders.tolist()):
+            queues.setdefault(sender, []).append(position)
+        delivered: list[np.ndarray] = [np.arange(0)]
         rounds = 0
         while queues:
             order = sorted(queues)
             offset = rounds % len(order)
             receive_budget: dict[int, int] = {}
-            round_out: dict[int, list] = {}
+            scanned: list[int] = []
             for sender in order[offset:] + order[:offset]:
                 send_budget = self.send_cap
-                sent, waiting = [], []
-                for target, payload in queues[sender]:
+                waiting = []
+                for position in queues[sender]:
+                    target = int(targets[position])
                     target_budget = receive_budget.get(target, self.receive_cap)
                     if send_budget > 0 and target_budget > 0:
-                        sent.append((target, payload))
+                        scanned.append(position)
                         send_budget -= 1
                         receive_budget[target] = target_budget - 1
                     else:
-                        waiting.append((target, payload))
-                if sent:
-                    round_out[sender] = sent
+                        waiting.append(position)
                 if waiting:
                     queues[sender] = waiting
                 else:
                     del queues[sender]
-            assert round_out, "scalar scheduler made no progress"
-            delivered.extend(self._scalar_round(round_out, phase))
+            assert scanned, "scalar scheduler made no progress"
+            delivered.append(self._scalar_round(senders, targets, scanned, phase))
             rounds += 1
-        return from_messages(delivered), rounds
+        return np.concatenate(delivered), rounds
 
-    def _scalar_round(self, outboxes: Outboxes, phase: str) -> list[tuple[int, int, object]]:
-        """Account one round; the delivered ``(sender, target, payload)`` in send order."""
+    def _scalar_round(self, senders, targets, positions, phase: str) -> np.ndarray:
+        """Account one round of the messages at ``positions``, scanned in that
+        order; the delivered positions in scan order."""
         bits = self.config.message_bits
         fault_state = self._fault_state
         if fault_state is not None:
@@ -138,32 +155,35 @@ class ScalarPlaneNetwork(HybridNetwork):
             threshold = fault_state.drop_threshold(fault_round)
             faulty = fault_state.faulty_nodes(fault_round)
             occurrences: dict[tuple[int, int], int] = {}
-        delivered: list[tuple[int, int, object]] = []
-        received: dict[int, int] = {}
-        crossings = {name: 0 for name, _ in self._cut_watchers}
-        sent_total = max_sent = dropped = 0
-        for sender, messages in outboxes.items():
+        sent: dict[int, int] = {}
+        for position in positions:
+            sender, target = int(senders[position]), int(targets[position])
             if not 0 <= sender < self.n:
                 raise ValueError(f"sender {sender} outside the network")
-            if len(messages) > self.send_cap and self.config.strict_send:
-                raise CapacityExceededError(f"node {sender} exceeded the send cap")
-            max_sent = max(max_sent, len(messages))
-            sent_total += len(messages)
-            for target, payload in messages:
-                if not 0 <= target < self.n:
-                    raise ValueError(f"target {target} outside the network")
-                if fault_state is not None:
-                    occurrence = occurrences.get((sender, target), 0)
-                    occurrences[(sender, target)] = occurrence + 1
-                    fate = (fault_round, sender, target, occurrence, threshold, faulty)
-                    if fault_state.drops(*fate):
-                        dropped += 1
-                        continue
-                delivered.append((sender, target, payload))
-                received[target] = received.get(target, 0) + 1
-                for name, mask in self._cut_watchers:
-                    if mask[sender] != mask[target]:
-                        crossings[name] += 1
+            if not 0 <= target < self.n:
+                raise ValueError(f"target {target} outside the network")
+            sent[sender] = sent.get(sender, 0) + 1
+        max_sent = max(sent.values())
+        if max_sent > self.send_cap and self.config.strict_send:
+            raise CapacityExceededError(f"a node exceeded the send cap ({max_sent} messages)")
+        delivered: list[int] = []
+        received: dict[int, int] = {}
+        crossings = {name: 0 for name, _ in self._cut_watchers}
+        dropped = 0
+        for position in positions:
+            sender, target = int(senders[position]), int(targets[position])
+            if fault_state is not None:
+                occurrence = occurrences.get((sender, target), 0)
+                occurrences[(sender, target)] = occurrence + 1
+                fate = (fault_round, sender, target, occurrence, threshold, faulty)
+                if fault_state.drops(*fate):
+                    dropped += 1
+                    continue
+            delivered.append(position)
+            received[target] = received.get(target, 0) + 1
+            for name, mask in self._cut_watchers:
+                if mask[sender] != mask[target]:
+                    crossings[name] += 1
         max_received = max(received.values(), default=0)
         if max_received > self.receive_cap and self.config.strict_receive:
             raise CapacityExceededError(f"a node received {max_received} messages in one round")
@@ -171,8 +191,8 @@ class ScalarPlaneNetwork(HybridNetwork):
             self.received_totals[target] += count
         self.metrics.charge_global(1, phase)
         self.metrics.record_global_traffic(
-            messages=sent_total,
-            bits=sent_total * bits,
+            messages=len(positions),
+            bits=len(positions) * bits,
             max_sent=max_sent,
             max_received=max_received,
             receive_cap=self.receive_cap,
@@ -182,7 +202,7 @@ class ScalarPlaneNetwork(HybridNetwork):
         for name, count in crossings.items():
             if count:
                 self.metrics.record_cut_bits(name, count * bits)
-        return delivered
+        return np.asarray(delivered, dtype=np.int64)
 
 
 #: The message planes the identity tests compare, by name.

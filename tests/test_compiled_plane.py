@@ -7,17 +7,18 @@ every seed.  Also pinned here: the per-round fault-context memo, byte-budget
 source chunking, and the session's fixed implementation report.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import PLANES, ScalarPlaneNetwork, columns
+from scalar_plane import PLANES, ScalarPlaneNetwork
 
 from repro.core.sssp import sssp_exact
 from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
 from repro.graphs.csr import chunked_sources
 from repro.graphs.graph import WeightedGraph
-from repro.hybrid import HybridNetwork, MessageBatch, ModelConfig
+from repro.hybrid import HybridNetwork, ModelConfig
 from repro.hybrid.faults import FaultModel, FaultState, fault_hash, fault_hash_from_prefix
 from repro.session import HybridSession
 from repro.util.rand import RandomSource
@@ -76,15 +77,12 @@ class TestMessagePlaneIdentity:
     def _run(network_class, n, pairs, model, seed):
         graph = generators.cycle_graph(n)
         network = network_class(graph, ModelConfig(rng_seed=seed, faults=model))
-        batch = MessageBatch(
-            [sender for sender, _ in pairs],
-            [target for _, target in pairs],
-            list(range(len(pairs))),
-        )
-        inbox, rounds = network.run_global_exchange(batch, phase="test")
-        snapshot = network.metrics.as_dict()
-        snapshot["received_totals"] = [int(total) for total in network.received_totals]
-        return columns(inbox), rounds, snapshot
+        senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+        targets = np.array([target for _, target in pairs], dtype=np.int64)
+        network.add_cut_watcher("low", range(n // 2))
+        delivered, rounds = network.run_global_exchange(senders, targets, phase="test")
+        received = [int(total) for total in network.received_totals]
+        return delivered.tolist(), rounds, network.metrics, received
 
     @common_settings
     @given(fault_exchange())

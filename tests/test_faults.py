@@ -24,7 +24,7 @@ numpy = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import PLANES, columns, to_inboxes
+from scalar_plane import PLANES, from_outboxes, to_inboxes
 
 from repro import (
     FaultModel,
@@ -38,7 +38,6 @@ from repro.clique import GatherDiameter
 from repro.core.apsp import apsp_exact
 from repro.core.diameter import approximate_diameter
 from repro.core.sssp import sssp_exact
-from repro.hybrid import MessageBatch
 from repro.hybrid.faults import (
     MESSAGE_LANE,
     FaultState,
@@ -59,12 +58,11 @@ message_lists = st.lists(
 )
 
 
-def build_batch(pairs):
-    return MessageBatch(
-        [sender for sender, _ in pairs],
-        [target for _, target in pairs],
-        [("payload", index) for index in range(len(pairs))],
-    )
+def build_columns(pairs):
+    """The sender and target columns of ``(sender, target)`` pairs."""
+    senders = numpy.array([sender for sender, _ in pairs], dtype=numpy.int64)
+    targets = numpy.array([target for _, target in pairs], dtype=numpy.int64)
+    return senders, targets
 
 
 def metrics_snapshot(network):
@@ -73,6 +71,7 @@ def metrics_snapshot(network):
         name: (breakdown.local_rounds, breakdown.global_rounds)
         for name, breakdown in network.metrics.phases.items()
     }
+    snapshot["cut_bits"] = dict(network.metrics.cut_bits)
     snapshot["received_totals"] = [int(total) for total in network.received_totals]
     return snapshot
 
@@ -177,7 +176,7 @@ class TestEngineEnforcement:
     def test_drops_are_counted_but_not_delivered(self, plane):
         network = self.make(plane=plane, drop_rate=0.5, seed=3)
         pairs = [(sender, (sender + 1) % 20) for sender in range(20) for _ in range(3)]
-        delivered = network.global_round(build_batch(pairs), "lossy")
+        delivered = network.global_round(*build_columns(pairs), "lossy")
         dropped = network.metrics.global_dropped
         assert 0 < dropped < len(pairs)
         assert len(delivered) == len(pairs) - dropped
@@ -187,16 +186,16 @@ class TestEngineEnforcement:
 
     def test_crashed_node_sends_and_receives_nothing(self):
         network = self.make(crash_schedule={5: 0})
-        pairs = [(5, 1), (1, 5), (2, 3)]
-        delivered = network.global_round(build_batch(pairs), "crash")
-        assert to_inboxes(delivered) == {3: [(2, ("payload", 2))]}
+        batch = from_outboxes({5: [(1, "a")], 1: [(5, "b")], 2: [(3, "c")]})
+        delivered = network.global_round(batch.senders, batch.targets, "crash")
+        assert to_inboxes(batch.take(delivered)) == {3: [(2, "c")]}
         assert network.metrics.global_dropped == 2
 
     def test_omission_silences_exactly_one_round(self):
         network = self.make(omission_schedule={0: [1]})
-        first = network.global_round(build_batch([(1, 2)]), "omit")
+        first = network.global_round(*build_columns([(1, 2)]), "omit")
         assert len(first) == 0
-        second = network.global_round(build_batch([(1, 2)]), "omit")
+        second = network.global_round(*build_columns([(1, 2)]), "omit")
         assert len(second) == 1
 
     def test_burst_drops_everything_while_active(self):
@@ -205,7 +204,7 @@ class TestEngineEnforcement:
         network = self.make(burst_rate=1.0, burst_length=2, burst_drop_rate=1.0, drop_rate=0.0)
         state = network._fault_state
         assert state.in_burst(0) and state.in_burst(1)
-        lost = network.global_round(build_batch([(0, 1), (2, 3)]), "burst")
+        lost = network.global_round(*build_columns([(0, 1), (2, 3)]), "burst")
         assert len(lost) == 0 and network.metrics.global_dropped == 2
 
     @fuzz_settings
@@ -222,11 +221,34 @@ class TestEngineEnforcement:
             network = PLANES[plane](
                 generators.cycle_graph(20), ModelConfig(rng_seed=1, faults=model)
             )
-            inbox, _rounds = network.run_global_exchange(build_batch(pairs), "faulty")
+            network.add_cut_watcher("half", range(10))
+            delivered, rounds = network.run_global_exchange(*build_columns(pairs), "faulty")
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = columns(inbox)
+            deliveries[plane] = delivered.tolist(), rounds
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
+
+    @fuzz_settings
+    @given(message_lists, st.integers(min_value=0, max_value=2**31))
+    def test_reliable_exchange_identical_on_both_planes(self, pairs, fault_seed):
+        """ACKs match messages by position: both planes retransmit, acknowledge
+        and give up on exactly the same messages."""
+        outcomes = {}
+        model = FaultModel(
+            drop_rate=0.35, seed=fault_seed, max_attempts=3, crash_schedule={19: 4}
+        )
+        for plane in ("scalar", "vectorized"):
+            network = PLANES[plane](
+                generators.cycle_graph(20), ModelConfig(rng_seed=1, faults=model)
+            )
+            network.add_cut_watcher("half", range(10))
+            try:
+                delivered, rounds = network.run_reliable_exchange(*build_columns(pairs), "p")
+                outcome = delivered.tolist(), rounds
+            except FaultToleranceExceededError as error:
+                outcome = str(error)
+            outcomes[plane] = outcome, metrics_snapshot(network)
+        assert outcomes["scalar"] == outcomes["vectorized"]
 
     def test_edge_outages_shrink_the_local_mode_only(self):
         graph = generators.cycle_graph(8)
@@ -241,7 +263,7 @@ class TestEngineEnforcement:
         assert network.hop_diameter() == 7
         assert 1 not in reference.hop_limited_distances(network.local_graph, 0, 1)
         # The global plane still reaches node 1 by ID.
-        delivered = network.global_round(build_batch([(0, 1)]), "global")
+        delivered = network.global_round(*build_columns([(0, 1)]), "global")
         assert len(delivered) == 1
 
     def test_sssp_respects_edge_outages_end_to_end(self):
@@ -307,10 +329,10 @@ class TestEngineEnforcement:
     def test_reset_metrics_replays_the_fault_schedule(self):
         network = self.make(drop_rate=0.4, seed=9)
         pairs = [(sender, (sender + 3) % 20) for sender in range(20)]
-        first = len(network.global_round(build_batch(pairs), "round"))
+        first = len(network.global_round(*build_columns(pairs), "round"))
         network.reset_metrics()
         assert network._fault_state.round_index == 0
-        second = len(network.global_round(build_batch(pairs), "round"))
+        second = len(network.global_round(*build_columns(pairs), "round"))
         assert first == second
 
 
@@ -325,23 +347,21 @@ class TestReliableExchange:
     def test_fault_free_is_plain_exchange(self):
         pairs = [(sender, (sender + 5) % 24) for sender in range(24) for _ in range(2)]
         reliable = self.make()
-        r_inbox, r_rounds = reliable.run_reliable_exchange(build_batch(pairs), "phase")
+        r_delivered, r_rounds = reliable.run_reliable_exchange(*build_columns(pairs), "phase")
         plain = self.make()
-        p_inbox, p_rounds = plain.run_global_exchange(build_batch(pairs), "phase")
+        p_delivered, p_rounds = plain.run_global_exchange(*build_columns(pairs), "phase")
         assert r_rounds == p_rounds
         assert metrics_snapshot(reliable) == metrics_snapshot(plain)
         # No ack/retry phases exist on the ideal path.
         assert set(reliable.metrics.phases) == {"phase"}
-        assert columns(r_inbox) == columns(p_inbox)
+        assert r_delivered.tolist() == p_delivered.tolist()
 
     def test_lossy_exchange_delivers_everything_exactly_once(self):
         network = self.make(drop_rate=0.4, seed=6, max_attempts=20)
         pairs = [(sender, (sender + 5) % 24) for sender in range(24) for _ in range(2)]
-        inbox, rounds = network.run_reliable_exchange(build_batch(pairs), "phase")
-        assert sorted(payload for _, payload in to_inboxes(inbox).get(5, [])) == sorted(
-            ("payload", index) for index, (s, t) in enumerate(pairs) if t == 5
-        )
-        assert len(inbox) == len(pairs)
+        delivered, rounds = network.run_reliable_exchange(*build_columns(pairs), "phase")
+        # Full delivery: every position, in batch order.
+        assert delivered.tolist() == list(range(len(pairs)))
         assert network.metrics.global_dropped > 0
         assert network.metrics.global_retried > 0
         assert rounds > 0
@@ -351,19 +371,19 @@ class TestReliableExchange:
     def test_budget_exhaustion_raises(self):
         network = self.make(drop_rate=1.0, max_attempts=3)
         with pytest.raises(FaultToleranceExceededError):
-            network.run_reliable_exchange(build_batch([(0, 1)]), "doomed")
+            network.run_reliable_exchange(*build_columns([(0, 1)]), "doomed")
         # All three attempts were spent (two of them retransmissions).
         assert network.metrics.global_retried == 2
 
     def test_permanently_crashed_receiver_beats_the_budget(self):
         network = self.make(crash_schedule={3: 0}, max_attempts=4)
         with pytest.raises(FaultToleranceExceededError):
-            network.run_reliable_exchange(build_batch([(0, 3)]), "dead-target")
+            network.run_reliable_exchange(*build_columns([(0, 3)]), "dead-target")
 
     def test_aggregate_sum_is_exact_under_drops(self):
         # A dropped partial sum is unrecoverable (sums are not idempotent),
-        # so the tree convergecast rides the reliable exchange: the returned
-        # total must be exact on a lossy network, never silently short.
+        # so the tree convergecast rides the reliable exchange: on a lossy
+        # network it completes (and returns the exact total) or raises.
         from repro.localnet import aggregate_sum
 
         network = self.make(drop_rate=0.4, seed=0, max_attempts=16)
@@ -373,8 +393,8 @@ class TestReliableExchange:
 
     def test_empty_batch_is_free(self):
         network = self.make(drop_rate=0.5)
-        inbox, rounds = network.run_reliable_exchange(MessageBatch.empty(), "empty")
-        assert len(inbox) == 0 and rounds == 0
+        delivered, rounds = network.run_reliable_exchange(*build_columns([]), "empty")
+        assert delivered.size == 0 and rounds == 0
         assert network.metrics.global_rounds == 0
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the HYBRID model engine (config, metrics, network)."""
 
 import pytest
-from scalar_plane import from_outboxes, to_inboxes
+from scalar_plane import deliver_exchange, deliver_round
 
 from repro.graphs import generators
 from repro.hybrid import (
@@ -103,8 +103,7 @@ class TestHybridNetwork:
         assert net.metrics.local_rounds == 500
 
     def test_global_round_delivers(self, network):
-        batch = from_outboxes({0: [(5, "hello")], 1: [(5, "world")]})
-        inboxes = to_inboxes(network.global_round(batch))
+        inboxes = deliver_round(network, {0: [(5, "hello")], 1: [(5, "world")]})
         assert sorted(payload for _, payload in inboxes[5]) == ["hello", "world"]
         assert network.metrics.global_rounds == 1
         assert network.metrics.global_messages == 2
@@ -112,13 +111,12 @@ class TestHybridNetwork:
     def test_global_round_send_cap_enforced(self, network):
         too_many = [(i % network.n, i) for i in range(network.send_cap + 1)]
         with pytest.raises(CapacityExceededError):
-            network.global_round(from_outboxes({0: too_many}))
+            deliver_round(network, {0: too_many})
 
     def test_global_round_send_cap_not_enforced_when_lenient(self):
         graph = generators.path_graph(8)
         net = HybridNetwork(graph, ModelConfig(strict_send=False))
-        batch = from_outboxes({0: [(1, i) for i in range(50)]})
-        inboxes = to_inboxes(net.global_round(batch))
+        inboxes = deliver_round(net, {0: [(1, i) for i in range(50)]})
         assert len(inboxes[1]) == 50
 
     def test_strict_receive_raises(self):
@@ -126,16 +124,15 @@ class TestHybridNetwork:
         net = HybridNetwork(graph, ModelConfig(strict_receive=True, global_receive_factor=0.1))
         outboxes = {sender: [(0, "x")] for sender in range(1, 16)}
         with pytest.raises(CapacityExceededError):
-            net.global_round(from_outboxes(outboxes))
+            deliver_round(net, outboxes)
 
     def test_invalid_target_rejected(self, network):
         with pytest.raises(ValueError):
-            network.global_round(from_outboxes({0: [(network.n + 5, "x")]}))
+            deliver_round(network, {0: [(network.n + 5, "x")]})
 
     def test_run_global_exchange_respects_send_cap(self, network):
         messages = [(1, i) for i in range(35)]
-        inbox, rounds = network.run_global_exchange(from_outboxes({0: messages}))
-        inboxes = to_inboxes(inbox)
+        inboxes, rounds = deliver_exchange(network, {0: messages})
         assert len(inboxes[1]) == 35
         assert rounds >= (35 + network.receive_cap - 1) // network.receive_cap
         assert network.metrics.max_sent_per_round <= network.send_cap
@@ -143,13 +140,13 @@ class TestHybridNetwork:
     def test_run_global_exchange_receiver_limited(self, network):
         # Many senders target node 0; per-round receive load must stay capped.
         outboxes = {sender: [(0, sender)] * 3 for sender in range(1, 20)}
-        inbox, rounds = network.run_global_exchange(from_outboxes(outboxes))
-        assert len(to_inboxes(inbox)[0]) == 19 * 3
+        inboxes, rounds = deliver_exchange(network, outboxes)
+        assert len(inboxes[0]) == 19 * 3
         assert network.metrics.max_received_per_round <= network.receive_cap
 
     def test_cut_watcher_counts_crossing_bits(self, network):
         network.add_cut_watcher("half", set(range(network.n // 2)))
-        network.global_round(from_outboxes({0: [(network.n - 1, "x")], 1: [(2, "y")]}))
+        deliver_round(network, {0: [(network.n - 1, "x")], 1: [(2, "y")]})
         assert network.metrics.cut_bits["half"] == network.config.message_bits
 
     def test_cut_watcher_membership_order_invariant(self, network):
@@ -159,13 +156,13 @@ class TestHybridNetwork:
         half = network.n // 2
         network.add_cut_watcher("fwd", set(range(half)))
         network.add_cut_watcher("rev", set(reversed(range(half))))
-        network.global_round(from_outboxes({0: [(network.n - 1, "x")], 1: [(2, "y")]}))
+        deliver_round(network, {0: [(network.n - 1, "x")], 1: [(2, "y")]})
         assert network.metrics.cut_bits["fwd"] == network.metrics.cut_bits["rev"]
         assert network.metrics.cut_bits["fwd"] == network.config.message_bits
 
     def test_received_totals_accumulate(self, network):
-        network.global_round(from_outboxes({0: [(3, "a")]}))
-        network.global_round(from_outboxes({1: [(3, "b")]}))
+        deliver_round(network, {0: [(3, "a")]})
+        deliver_round(network, {1: [(3, "b")]})
         assert network.received_totals[3] == 2
         assert network.max_total_received() == 2
 
@@ -194,8 +191,8 @@ class TestSenderFairness:
         # ~180 earlier messages; rotation must serve it within a few rounds.
         outboxes = {s: [(7, ("bulk", s, i)) for i in range(30)] for s in range(6)}
         outboxes[6] = [(7, ("urgent", 6, 0))]
-        inbox, rounds = network.run_global_exchange(from_outboxes(outboxes))
-        delivered = to_inboxes(inbox)[7]
+        inboxes, rounds = deliver_exchange(network, outboxes)
+        delivered = inboxes[7]
         assert len(delivered) == 181
         urgent_position = next(
             index for index, (sender, _) in enumerate(delivered) if sender == 6
@@ -209,8 +206,8 @@ class TestSenderFairness:
         graph = generators.path_graph(6)
         network = HybridNetwork(graph, ModelConfig(rng_seed=0))
         outboxes = {s: [(5, (s, i)) for i in range(7)] for s in range(4)}
-        inbox, _ = network.run_global_exchange(from_outboxes(outboxes))
-        assert sorted(payload for _, payload in to_inboxes(inbox)[5]) == sorted(
+        inboxes, _ = deliver_exchange(network, outboxes)
+        assert sorted(payload for _, payload in inboxes[5]) == sorted(
             (s, i) for s in range(4) for i in range(7)
         )
         assert network.metrics.global_messages == 28

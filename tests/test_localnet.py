@@ -379,23 +379,68 @@ class TestColumnTrafficPins:
         assert broadcast_value(network, 7.5, source=9) == 7.5
         assert metrics_pin(network.metrics) == expected_broadcast
 
+    @pytest.mark.parametrize(
+        "aggregate, faults, expected",
+        [
+            (
+                "max",
+                "ideal",
+                (30.0, (7, 0, 7, 601, 38464, 1, 1, 0, 0, 0, 1, 504145680), 12544, 4009377659),
+            ),
+            (
+                "max",
+                "faulty",
+                (30.0, (7, 0, 7, 593, 37952, 1, 1, 0, 31, 0, 1, 504145680), 11968, 1088188633),
+            ),
+            (
+                "sum",
+                "ideal",
+                (497.0, (13, 0, 13, 226, 14464, 1, 2, 0, 0, 0, 1, 1000738799), 8192, 857387663),
+            ),
+            (
+                "sum",
+                "faulty",
+                (497.0, (27, 0, 27, 313, 20032, 2, 2, 0, 16, 8, 3, 1519824018), 9152, 329267379),
+            ),
+        ],
+    )
+    def test_aggregation_under_a_cut(self, aggregate, faults, expected):
+        """Ring doubling under drops, the reliable convergecast, cut bits and
+        every node's receive total."""
+        network = HybridNetwork(
+            generators.cycle_graph(100), ModelConfig(rng_seed=4, faults=FAULTS[faults])
+        )
+        network.add_cut_watcher("left", range(37))
+        values = {node: float((7 * node) % 31) for node in range(0, 100, 3)}
+        result = {"max": aggregate_max, "sum": aggregate_sum}[aggregate](network, values)
+        totals = np.ascontiguousarray(network.received_totals, dtype="<i8").tobytes()
+        pinned = (result, metrics_pin(network.metrics), network.metrics.cut_bits["left"])
+        assert (*pinned, zlib.crc32(totals)) == expected
+
     @pytest.mark.parametrize("faults", sorted(FAULTS))
     def test_dissemination_ships_only_int64_columns(self, faults, monkeypatch):
         shipped = {}
         exchange = HybridNetwork.run_reliable_exchange
 
-        def spy(network, batch, phase="global"):
-            shipped[phase] = batch.payloads
-            return exchange(network, batch, phase)
+        def spy(network, senders, targets, phase="global"):
+            shipped[phase] = senders, targets
+            return exchange(network, senders, targets, phase)
 
         monkeypatch.setattr(HybridNetwork, "run_reliable_exchange", spy)
         network = HybridNetwork(
             generators.cycle_graph(100), ModelConfig(rng_seed=4, faults=FAULTS[faults])
         )
         disseminate_tokens(network, PLACEMENTS["four-per-node"], phase="tokens")
-        for name in ("tokens:relay", "tokens:requests", "tokens:responses"):
-            assert isinstance(shipped[name], np.ndarray), name
-            assert shipped[name].dtype == np.int64, name
-        # Relays and responses carry positions in the 400-token list.
-        assert shipped["tokens:relay"].tolist() == list(range(400))
-        assert set(shipped["tokens:responses"].tolist()) == set(range(400))
+        for name in ("tokens:count", "tokens:relay", "tokens:requests", "tokens:responses"):
+            for column in shipped[name]:
+                assert isinstance(column, np.ndarray), name
+                assert column.dtype == np.int64, name
+        # Every holder sends its four tokens to their relays ...
+        holders, relays = shipped["tokens:relay"]
+        assert holders.tolist() == [node for node in range(100) for _ in range(4)]
+        # ... and every cluster fetches each relay's holding once.
+        responders = shipped["tokens:responses"][0]
+        clusters = responders.size // 400
+        assert clusters >= 1 and responders.size == 400 * clusters
+        held = np.bincount(relays, minlength=100)
+        assert np.bincount(responders, minlength=100).tolist() == (clusters * held).tolist()

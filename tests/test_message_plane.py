@@ -1,11 +1,13 @@
-"""The batched NCC message plane: MessageBatch + identity with the scalar oracle.
+"""The batched NCC message plane: identity with the scalar oracle.
 
-The engine executes global traffic with a whole-array scheduler; the
-per-message scheduler of ``tests/scalar_plane.py`` is its oracle.  The
-property tests here drive both with the same messages (hypothesis-generated
-exchanges and the protocol workloads behind experiments E1/E8/E12) and assert
-*identical* RoundMetrics: rounds, messages, bits, per-round maxima, per-phase
-breakdowns and cut crossings.
+The engine executes global traffic -- sender/target columns in, delivered
+positions out -- with a whole-array scheduler; the per-message scheduler of
+``tests/scalar_plane.py`` is its oracle.  The property tests here drive both
+with the same messages (hypothesis-generated exchanges and the protocol
+workloads behind experiments E1/E8/E12) and assert *identical* delivered
+positions and RoundMetrics: rounds, messages, bits, per-round maxima,
+per-phase breakdowns, cut crossings and receive totals.  ``MessageBatch``,
+the CLIQUE round format, is covered here too.
 """
 
 import math
@@ -20,7 +22,6 @@ numpy = pytest.importorskip("numpy")
 from scalar_plane import (
     PLANES,
     ScalarPlaneNetwork,
-    columns,
     from_inboxes,
     from_outboxes,
     to_inboxes,
@@ -59,12 +60,11 @@ def metrics_snapshot(network):
     return snapshot
 
 
-def build_batch(pairs):
-    return MessageBatch(
-        [sender for sender, _ in pairs],
-        [target for _, target in pairs],
-        [("payload", index) for index in range(len(pairs))],
-    )
+def build_columns(pairs):
+    """The sender and target columns of ``(sender, target)`` pairs."""
+    senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+    targets = np.array([target for _, target in pairs], dtype=np.int64)
+    return senders, targets
 
 
 class TestMessageBatch:
@@ -79,28 +79,21 @@ class TestMessageBatch:
         batch = from_inboxes(inboxes)
         assert to_inboxes(batch) == inboxes
 
-    def test_concat(self):
-        first = MessageBatch([0], [1], ["a"])
-        second = MessageBatch([2, 3], [1, 0], ["b", "c"])
-        merged = MessageBatch.concat([first, MessageBatch.empty(), second])
-        assert merged.senders.tolist() == [0, 2, 3]
-        assert merged.payloads == ["a", "b", "c"]
-
     def test_array_payload_column_kept(self):
-        positions = np.arange(4, dtype=np.int64)
-        batch = MessageBatch([0, 1, 2, 3], [5, 4, 5, 5], positions)
-        assert batch.payloads is positions
+        distances = np.arange(4, dtype=np.float64)
+        batch = MessageBatch([0, 1, 2, 3], [5, 4, 5, 5], distances)
+        assert batch.payloads is distances
         taken = batch.take(np.array([True, False, True, True]))
-        assert isinstance(taken.payloads, np.ndarray)
+        assert taken.payloads.dtype == np.float64
         assert taken.payloads.tolist() == [0, 2, 3]
         assert taken.senders.tolist() == [0, 2, 3]
-        merged = MessageBatch.concat([batch, taken])
-        assert merged.payloads.tolist() == [0, 1, 2, 3, 0, 2, 3]
 
     def test_take_orders_list_payloads(self):
+        # A list payload argument becomes an array column.
         batch = MessageBatch([0, 1, 2], [3, 4, 5], ["a", "b", "c"])
+        assert isinstance(batch.payloads, np.ndarray)
         taken = batch.take(np.array([2, 0]))
-        assert taken.payloads == ["c", "a"]
+        assert taken.payloads.tolist() == ["c", "a"]
         assert taken.targets.tolist() == [5, 3]
 
     def test_mismatched_columns_rejected(self):
@@ -121,9 +114,9 @@ class TestBatchedGlobalRound:
 
     def test_delivers_batch(self):
         network = self.make()
-        delivered = network.global_round(MessageBatch([0, 1], [5, 5], ["hello", "world"]))
-        assert isinstance(delivered, MessageBatch)
-        assert delivered.payloads == ["hello", "world"]
+        delivered = network.global_round(*build_columns([(0, 5), (1, 5)]))
+        assert delivered.dtype == np.int64
+        assert delivered.tolist() == [0, 1]
         assert network.metrics.global_rounds == 1
         assert network.metrics.global_messages == 2
         assert network.metrics.max_received_per_round == 2
@@ -131,50 +124,48 @@ class TestBatchedGlobalRound:
     def test_scalar_plane_accepts_batches(self):
         network = self.make(plane="scalar")
         assert isinstance(network, ScalarPlaneNetwork)
-        delivered = network.global_round(MessageBatch([0], [3], ["x"]))
-        assert isinstance(delivered, MessageBatch)
-        assert to_inboxes(delivered) == {3: [(0, "x")]}
+        batch = from_outboxes({0: [(3, "x")]})
+        delivered = network.global_round(batch.senders, batch.targets)
+        assert to_inboxes(batch.take(delivered)) == {3: [(0, "x")]}
 
     def test_send_cap_enforced(self):
         network = self.make()
         count = network.send_cap + 1
-        batch = MessageBatch([0] * count, list(range(count)), list(range(count)))
         with pytest.raises(CapacityExceededError):
-            network.global_round(batch)
+            network.global_round(*build_columns([(0, target) for target in range(count)]))
 
     def test_strict_receive_enforced(self):
         network = self.make(strict_receive=True, global_receive_factor=0.1)
-        batch = MessageBatch(list(range(1, 16)), [0] * 15, list(range(15)))
         with pytest.raises(CapacityExceededError):
-            network.global_round(batch)
+            network.global_round(*build_columns([(sender, 0) for sender in range(1, 16)]))
 
     def test_invalid_target_rejected(self):
         network = self.make()
         with pytest.raises(ValueError):
-            network.global_round(MessageBatch([0], [network.n + 5], ["x"]))
+            network.global_round(*build_columns([(0, network.n + 5)]))
         with pytest.raises(ValueError):
-            network.global_round(MessageBatch([-1], [0], ["x"]))
+            network.global_round(*build_columns([(-1, 0)]))
 
     @pytest.mark.parametrize("plane", ["scalar", "vectorized"])
     def test_empty_batch_charges_no_round_on_either_plane(self, plane):
         # Regression (alongside the n=1 aggregation cases): a round with no
-        # traffic does not use the global mode at all, so an empty
-        # MessageBatch must charge zero global rounds on both planes.
+        # traffic does not use the global mode at all, so empty columns must
+        # charge zero global rounds on both planes.
         network = self.make(plane=plane)
-        delivered = network.global_round(MessageBatch.empty())
-        assert isinstance(delivered, MessageBatch) and len(delivered) == 0
+        delivered = network.global_round(*build_columns([]))
+        assert delivered.dtype == np.int64 and delivered.size == 0
         assert network.metrics.global_rounds == 0
         assert network.metrics.global_messages == 0
         assert network.metrics.phases == {}
         # The exchange path was already round-free for empty batches.
-        _, rounds = network.run_global_exchange(MessageBatch.empty())
+        delivered, rounds = network.run_global_exchange(*build_columns([]))
+        assert delivered.size == 0
         assert rounds == 0 and network.metrics.global_rounds == 0
 
     def test_batched_exchange_respects_caps(self):
         network = self.make()
-        batch = MessageBatch([0] * 35, [1] * 35, list(range(35)))
-        inboxes, rounds = network.run_global_exchange(batch)
-        assert len(inboxes) == 35
+        delivered, rounds = network.run_global_exchange(*build_columns([(0, 1)] * 35))
+        assert sorted(delivered.tolist()) == list(range(35))
         assert rounds >= math.ceil(35 / network.receive_cap)
         assert network.metrics.max_sent_per_round <= network.send_cap
         assert network.metrics.max_received_per_round <= network.receive_cap
@@ -280,8 +271,8 @@ class TestSaturatedReceiverProgress:
         # 19 senders with 3 messages each can fill the receive budget every
         # round, so the drain takes exactly ceil(total / receive_cap) rounds.
         assert (n - 2) * per_sender >= network.receive_cap
-        inboxes, rounds = network.run_global_exchange(build_batch(pairs))
-        assert len(inboxes) == total
+        delivered, rounds = network.run_global_exchange(*build_columns(pairs))
+        assert sorted(delivered.tolist()) == list(range(total))
         assert rounds == math.ceil(total / network.receive_cap)
         assert network.metrics.global_rounds == rounds
 
@@ -298,9 +289,9 @@ class TestPlaneIdentity:
         for plane in ("scalar", "vectorized"):
             network = PLANES[plane](graph, ModelConfig(rng_seed=1))
             network.add_cut_watcher("half", range(10))
-            inbox, rounds = network.run_global_exchange(build_batch(pairs))
+            delivered, rounds = network.run_global_exchange(*build_columns(pairs))
             snapshots[plane] = metrics_snapshot(network)
-            deliveries[plane] = columns(inbox)
+            deliveries[plane] = delivered.tolist(), rounds
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert deliveries["scalar"] == deliveries["vectorized"]
 
@@ -308,19 +299,23 @@ class TestPlaneIdentity:
     @given(message_lists)
     def test_dict_form_and_batched_form_identical_metrics(self, pairs):
         """Dict-of-tuples outboxes converted by ``from_outboxes`` and the
-        column-built batch of the same messages produce the same metrics and
-        deliveries."""
+        columns of the same messages produce the same metrics and deliveries
+        (each sender's queue keeps its order, so a message's payload follows
+        it)."""
         graph = generators.cycle_graph(20)
         outboxes = {}
         for index, (sender, target) in enumerate(pairs):
-            outboxes.setdefault(sender, []).append((target, ("payload", index)))
+            outboxes.setdefault(sender, []).append((target, index))
+        batch = from_outboxes(outboxes)
         dict_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
-        dict_inbox, dict_rounds = dict_network.run_global_exchange(from_outboxes(outboxes))
-        batch_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
-        batch_inbox, batch_rounds = batch_network.run_global_exchange(build_batch(pairs))
-        assert dict_rounds == batch_rounds
-        assert metrics_snapshot(dict_network) == metrics_snapshot(batch_network)
-        assert columns(batch_inbox) == columns(dict_inbox)
+        dict_delivered, dict_rounds = dict_network.run_global_exchange(
+            batch.senders, batch.targets
+        )
+        column_network = HybridNetwork(graph, ModelConfig(rng_seed=1))
+        delivered, rounds = column_network.run_global_exchange(*build_columns(pairs))
+        assert dict_rounds == rounds
+        assert metrics_snapshot(dict_network) == metrics_snapshot(column_network)
+        assert batch.payloads[dict_delivered].tolist() == delivered.tolist()
 
     @common_settings
     @given(message_lists)
@@ -333,8 +328,8 @@ class TestPlaneIdentity:
         for plane in ("scalar", "vectorized"):
             network = PLANES[plane](graph, ModelConfig(rng_seed=1, strict_send=False))
             network.add_cut_watcher("half", range(10))
-            network.global_round(build_batch(pairs))
-            snapshots[plane] = metrics_snapshot(network)
+            delivered = network.global_round(*build_columns(pairs))
+            snapshots[plane] = metrics_snapshot(network), delivered.tolist()
         assert snapshots["scalar"] == snapshots["vectorized"]
 
 
@@ -415,8 +410,8 @@ class TestClosedFormSchedule:
         network = PLANES[plane](generators.cycle_graph(20), config)
         assert (network.send_cap, network.receive_cap) == (send_cap, receive_cap)
         network.add_cut_watcher("half", range(10))
-        inbox, rounds = network.run_global_exchange(build_batch(pairs), "exchange")
-        return columns(inbox), rounds, metrics_snapshot(network)
+        delivered, rounds = network.run_global_exchange(*build_columns(pairs), "exchange")
+        return delivered.tolist(), rounds, metrics_snapshot(network)
 
     @pytest.mark.parametrize("faults", sorted(FAULTS))
     @common_settings
@@ -446,7 +441,9 @@ class TestClosedFormSchedule:
         engine = self.run("vectorized", pairs, send_cap, receive_cap, self.FAULTS[faults])
         assert engine == oracle
         if faults == "ideal":
-            (senders, targets, _), rounds, _ = engine
+            delivered, rounds, _ = engine
+            senders = [pairs[position][0] for position in delivered]
+            targets = [pairs[position][1] for position in delivered]
             # Round t is rotated to start at active sender t mod |active|:
             # rounds 0, 1 are closed form (4 9 15, then 9 15 4); round 2 is
             # scanned from sender 15, round 3 from 9 (active 4, 9), round 4
@@ -464,7 +461,7 @@ class TestClosedFormSchedule:
         for plane in PLANES:
             network = PLANES[plane](generators.cycle_graph(20), capped_config(20, 1, 2))
             with pytest.raises(ValueError):
-                network.run_global_exchange(build_batch(pairs))
+                network.run_global_exchange(*build_columns(pairs))
             assert network.metrics.global_rounds == 2, plane
 
 

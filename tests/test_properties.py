@@ -2,9 +2,9 @@
 
 import math
 
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import from_outboxes
 
 from repro.analysis import fit_power_law
 from repro.core.helper_sets import helper_parameter
@@ -165,11 +165,9 @@ def test_local_charge_never_exceeds_diameter_cap(rounds, n):
 def test_global_exchange_delivers_everything_within_caps(pairs):
     graph = generators.cycle_graph(20)
     network = HybridNetwork(graph, ModelConfig(rng_seed=1))
-    outboxes = {}
-    for index, (sender, target) in enumerate(pairs):
-        outboxes.setdefault(sender, []).append((target, index))
-    inbox, rounds = network.run_global_exchange(from_outboxes(outboxes))
-    delivered = sorted(inbox.payloads)
-    assert delivered == sorted(range(len(pairs)))
+    senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+    targets = np.array([target for _, target in pairs], dtype=np.int64)
+    delivered, rounds = network.run_global_exchange(senders, targets)
+    assert sorted(delivered.tolist()) == list(range(len(pairs)))
     assert network.metrics.max_sent_per_round <= network.send_cap
     assert network.metrics.max_received_per_round <= network.receive_cap

@@ -17,7 +17,9 @@ Pins the contracts the serving surface documents:
 
 import asyncio
 import json
+import zlib
 
+import numpy as np
 import pytest
 
 from repro import HybridSession, ModelConfig
@@ -88,6 +90,13 @@ class TestProtocol:
         with pytest.raises(ProtocolError) as excinfo:
             parse_request(raw)
         assert excinfo.value.code == "bad-request"
+
+    def test_matrix_checksum_tracks_every_entry(self):
+        matrix = np.array([[0.0, 2.0, np.inf], [2.0, 0.0, 5.0], [np.inf, 5.0, 0.0]])
+        assert protocol.matrix_checksum(matrix) == protocol.matrix_checksum(matrix.copy())
+        changed = matrix.copy()
+        changed[1, 2] = 6.0
+        assert protocol.matrix_checksum(changed) != protocol.matrix_checksum(matrix)
 
     def test_shortest_paths_sources_sorted_deduped(self):
         query = parse_request(
@@ -235,6 +244,17 @@ class TestServedEdge:
         assert any(None in response["result"]["distances"] for response in served_sssp) == (
             unreachable
         )
+
+    def test_apsp_checksum_recomputes_from_the_served_matrix(self):
+        request = {"id": "m", "op": "apsp", "include_matrix": True}
+        (response,), _ = serve([request], make_session(split_graph()), ServerConfig())
+        assert response["ok"], response
+        rows = [
+            [np.inf if value is None else value for value in row]
+            for row in response["result"]["matrix"]
+        ]
+        digest = zlib.crc32(np.array(rows, dtype="<f8").tobytes())
+        assert response["result"]["checksum"] == f"{digest:08x}"
 
 
 class TestServerCoalescing:

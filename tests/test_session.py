@@ -412,15 +412,16 @@ class TestSessionValidation:
 
 class TestSessionInvalidation:
     def test_mutation_invalidates_contexts(self, monkeypatch):
-        # The cold-rebuild pin: repair is switched off so a mutation must
-        # re-run the skeleton computation (TestDeltaRepair covers the warm
-        # path).
+        # The cold-rebuild pin: the session is invalidated after the
+        # mutation, so the skeleton computation re-runs (TestDeltaRepair
+        # covers the warm path).
         counter = CountingSkeletons(monkeypatch)
         graph = locality_graph(31)
-        session = HybridSession(graph, ModelConfig(rng_seed=31), enable_repair=False)
+        session = HybridSession(graph, ModelConfig(rng_seed=31))
         session.apsp()
         assert counter.calls == 1
         session.add_edge(0, graph.node_count // 2, 1)
+        session.invalidate()
         result = session.apsp()
         assert counter.calls == 2
         assert session.last_query.preparation_rounds > 0
@@ -658,14 +659,13 @@ class TestDeltaRepair:
         assert sorted(delivered) == sorted(token.label for token in tokens)
         assert session.last_query.preparation_rounds > 0
 
-    def test_enable_repair_false_always_rebuilds(self, monkeypatch):
+    def test_invalidate_after_mutation_always_rebuilds(self, monkeypatch):
         counter = CountingSkeletons(monkeypatch)
-        session = HybridSession(
-            make_graph(36), ModelConfig(rng_seed=36), enable_repair=False
-        )
+        session = HybridSession(make_graph(36), ModelConfig(rng_seed=36))
         session.apsp()
         u, v, weight = repairable_edge(session)
         session.update_weight(u, v, weight + 3)
+        session.invalidate()
         session.apsp()
         assert counter.calls == 2
         assert session.repairs == []

@@ -12,8 +12,10 @@ from repro.core.token_routing import (
     token_labels,
 )
 from repro import HybridSession
+from repro.core.clique_simulation import HybridCliqueTransport
+from repro.core.skeleton import compute_skeleton
 from repro.graphs import generators
-from repro.hybrid import HybridNetwork, ModelConfig
+from repro.hybrid import HybridNetwork, MessageBatch, ModelConfig
 from repro.hybrid.errors import ProtocolError
 from repro.util.rand import RandomSource
 
@@ -186,6 +188,36 @@ class TestRoutingPlanMemo:
         assert list(groups) == [3, 5, 7]
         assert groups == {3: [1, 0], 5: [3, 2], 7: [4]}
         assert plan.routable.tolist() == [0, 2, 4]
+
+
+class TestNoRoutableToken:
+    """Label sets whose tokens are all self-addressed reach the helper
+    assignment with empty columns and route nothing over the global mode."""
+
+    def test_all_self_addressed_batch(self, network):
+        tokens = make_tokens({3: [(3, "a"), (3, "b")], 5: [(5, "c")]})
+        result = route_tokens(network, tokens)
+        payloads = {
+            receiver: [token.payload for token in items]
+            for receiver, items in result.delivered.items()
+        }
+        assert payloads == {3: ["a", "b"], 5: ["c"]}
+        for step in ("push", "request", "respond"):
+            assert f"token-routing:{step}" not in network.metrics.phases
+
+    def test_one_node_skeleton_transport(self):
+        network = HybridNetwork(generators.cycle_graph(12), ModelConfig(rng_seed=1))
+        skeleton = compute_skeleton(network, 1e-9)
+        assert skeleton.size == 1
+        transport = HybridCliqueTransport(network, skeleton)
+        delivered = transport.exchange(MessageBatch([0], [0], [2.5]))
+        assert delivered.payloads.tolist() == [2.5]
+        assert transport.rounds_used == 1
+
+    def test_endpoint_outside_the_population_rejected(self, network):
+        router = TokenRouter(network, [0, 1], [2, 3], 2, 2)
+        with pytest.raises(ProtocolError, match="token sender 9"):
+            router.route([0, 9, 1], [2, 3, 3], [0, 0, 0])
 
 
 class TestPredictedRounds:
