@@ -490,7 +490,8 @@ def serve_query_workload(n: int, seed: int, repeat: int, mutate: int = 0) -> int
     )
     if session.repairs:
         decisions = ", ".join(
-            f"{record.key_tag}: {record.action} ({record.rounds} rounds)"
+            f"{record.key_tag}: {record.action} ({record.rounds} rounds, "
+            f"{record.rows} d_h rows recomputed)"
             for record in session.repairs
         )
         print(f"context repairs after mutations: {decisions}")

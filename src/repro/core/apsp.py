@@ -21,7 +21,11 @@ that forced ``Õ(n^{2/3})`` rounds) with a token-routing instance:
    labels ``⟨d(s, v), s, v⟩`` through its ``h``-hop neighbourhood
    (``Õ(√n)`` local rounds).
 6. Every node ``u`` outputs ``d(u, v) = min(d_h(u, v),
-   min_{s ∈ V_S ∩ ball_h(u)} d_h(u, s) + d(s, v))``.
+   min_{s ∈ V_S ∩ ball_h(u)} d_h(u, s) + d(s, v))``.  The simulator
+   evaluates the minimum only on rows without the hop certificate
+   (:func:`repro.graphs.csr.certified_rows`): a certified row already has
+   ``d_h(u, ·) = d(u, ·)``, which no path through the skeleton can beat, so
+   its output is its ``d_h`` row, bit for bit.
 """
 
 from __future__ import annotations
@@ -156,18 +160,26 @@ def _distances_to_skeleton(
 
 
 def _combine_distances(skeleton: Skeleton, skeleton_to_all: np.ndarray) -> np.ndarray:
-    """Final per-node combination (step 6): local distances vs routes via the skeleton."""
-    n = skeleton.knowledge_matrix.shape[0]
-    matrix = np.full((n, n), np.inf)
-    np.fill_diagonal(matrix, 0.0)
-    np.minimum(matrix, skeleton.knowledge_matrix, out=matrix)
-    n_s = skeleton.size
-    candidate = np.empty((n, n))
-    for s_index in range(n_s):
+    """Final per-node combination (step 6): local distances vs routes via the skeleton.
+
+    A hop-certified row already holds exact distances (``d_h = d``), and every
+    candidate ``d_h(u, s) + d(s, v)`` is the weight of a real path, so the
+    minimum cannot move it: certified rows are copied from the exploration
+    and the min-plus loop runs only over the others.
+    """
+    matrix = np.array(skeleton.knowledge_matrix, copy=True)
+    rows = np.flatnonzero(~skeleton.exploration.certified())
+    if rows.size == 0:
+        return matrix
+    combined = matrix[rows]
+    near = skeleton.near_distances[rows]
+    candidate = np.empty_like(combined)
+    for s_index in range(skeleton.size):
         np.add(
-            skeleton.near_distances[:, s_index : s_index + 1],
+            near[:, s_index : s_index + 1],
             skeleton_to_all[s_index : s_index + 1, :],
             out=candidate,
         )
-        np.minimum(matrix, candidate, out=matrix)
+        np.minimum(combined, candidate, out=combined)
+    matrix[rows] = combined
     return matrix

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.clique_simulation import HybridCliqueTransport
 from repro.core.skeleton import Skeleton, compute_skeleton, skeleton_from_exploration
 from repro.core.token_routing import TokenRouter
+from repro.graphs.csr import bfs_level_matrix
 from repro.graphs.graph import GraphDelta
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.errors import StaleContextError
@@ -54,16 +55,17 @@ def _estimated_damage(
     The *decision* metric behind the damage threshold: a row ``s`` is counted
     as damaged when some mutated edge is plausibly on one of its ``d_h``
     shortest paths -- the edge is *tight* from ``s`` in the old exploration
-    (``d_h(s,u) + w == d_h(s,v)`` either way round; removals and weight
-    increases only matter on such rows) or the new weight creates an
-    improving detour (``d_h(s,u) + w_new <= d_h(s,v)``; additions and weight
-    decreases).  This is an estimate, not a certificate: correctness never
-    depends on it, because :meth:`SkeletonContext.repair` *recomputes* the
-    sound superset of rows (anything that can reach an endpoint within ``h``
-    hops in the old or new topology).  At simulation scale that superset is
-    usually "everyone" -- ``h`` rivals the diameter -- which would make a
-    superset-based threshold refuse every repair; the tight estimate instead
-    tracks how much of the published state actually moves (DESIGN.md §12).
+    (``d_h(s,u) + w == d_h(s,v)`` either way round, tested only where both
+    columns are finite; removals and weight increases only matter on such
+    rows) or the new weight creates an improving detour (``d_h(s,u) + w_new
+    <= d_h(s,v)``; additions and weight decreases).  This is an estimate,
+    not a certificate: correctness never depends on it, because
+    :meth:`SkeletonContext.repair` *recomputes* the sound superset of rows
+    (anything that can reach an endpoint within ``h`` hops in the old or new
+    topology).  At simulation scale that superset is usually "everyone" --
+    ``h`` rivals the diameter -- which would make a superset-based threshold
+    refuse every repair; the tight estimate instead tracks how much of the
+    published state actually moves (DESIGN.md §12).
     """
     damaged = np.zeros(n, dtype=bool)
     for delta in deltas:
@@ -72,9 +74,11 @@ def _estimated_damage(
         finite_u = np.isfinite(to_u)
         finite_v = np.isfinite(to_v)
         if delta.old_weight is not None:  # the edge existed: tightness test
-            w = delta.old_weight
-            damaged |= finite_u & (np.abs(to_u + w - to_v) < 1e-9)
-            damaged |= finite_v & (np.abs(to_v + w - to_u) < 1e-9)
+            # Only where both columns are finite: an edge is never tight
+            # towards an endpoint the row cannot see.
+            both = np.flatnonzero(finite_u & finite_v)
+            gap = np.abs(to_u[both] - to_v[both])
+            damaged[both] |= np.abs(gap - delta.old_weight) < 1e-9
         if delta.weight is not None and (
             delta.old_weight is None or delta.weight < delta.old_weight
         ):  # the edge is new or got cheaper: improvement test
@@ -146,6 +150,9 @@ class SkeletonContext:
     #: ``cold_rounds`` must not include it -- repair charges land in the
     #: owner's preprocessing ledger instead (DESIGN.md §12).
     repair_rounds: int = 0
+    #: ``d_h`` rows the repair that produced this context recomputed (0 for a
+    #: context that no repair produced).
+    repair_rows: int = 0
     #: Stable name for phases charged by the lazy pieces when the *owner* of
     #: the context (rather than a query) realises them -- the session names
     #: contexts after their cache key so preparation phases are independent
@@ -253,11 +260,12 @@ class SkeletonContext:
         to the repaired skeleton, so the next APSP query pays nothing extra;
         otherwise only the damaged members' rows are recomputed.  The
         decision reads the old exploration's rows of the delta endpoints
-        either way.  On weight-only delta batches the CLIQUE transport and
-        the APSP router survive: helper sets, the routing hash and the
-        padding plan are functions of the hop topology, the skeleton
-        membership and the RNG labels alone, so they are exactly what a cold
-        rebuild would reconstruct.
+        either way, and the repaired context records how many rows it
+        recomputed in ``repair_rows``.  On weight-only delta batches the
+        CLIQUE transport and the APSP router survive: helper sets, the
+        routing hash and the padding plan are functions of the hop topology,
+        the skeleton membership and the RNG labels alone, so they are
+        exactly what a cold rebuild would reconstruct.
 
         Determinism contract (DESIGN.md §12): skeleton sampling is a pure
         function of the seed and the phase label, so a cold rebuild after
@@ -299,6 +307,7 @@ class SkeletonContext:
         # The old exploration's rows of the delta endpoints: by symmetry they
         # are the columns d_h(., u) both the decision and the superset read.
         old = base.exploration
+        hop_length = base.hop_length
         endpoints = sorted({node for delta in deltas for node in (delta.u, delta.v)})
         endpoint_rows = old.rows(endpoints)
         to_endpoint = dict(zip(endpoints, endpoint_rows, strict=True))
@@ -308,29 +317,29 @@ class SkeletonContext:
             return None
         # The rows actually recomputed are the sound superset: anything that
         # could reach a mutated endpoint within h hops, old or new topology.
+        snapshot = network.local_graph.csr()
         damaged = np.isfinite(endpoint_rows).any(axis=0)
-        local = network.local_graph
-        for ball in local.balls_many(endpoints, base.hop_length):
-            damaged[ball] = True
+        damaged |= (bfs_level_matrix(snapshot, endpoints, hop_length) >= 0).any(axis=0)
 
         # The repair flood: the delta records propagate h hops so every
         # damaged source can re-derive its d_h row -- min(h, D) local rounds,
         # like the cold exploration, but none of the cold global phases.
         rounds_before = network.metrics.total_rounds
-        network.charge_local_rounds(base.hop_length, phase=self.label + ":repair:exploration")
-        exploration = LimitedExploration(local.csr(), base.hop_length)
+        network.charge_local_rounds(hop_length, phase=self.label + ":repair:exploration")
+        exploration = LimitedExploration(snapshot, hop_length)
         if old.materialised:
             # Patch the full matrix, so the next APSP query pays nothing.
+            stale = np.flatnonzero(damaged)
             patched = np.array(old.matrix(), copy=True)
-            sources = np.flatnonzero(damaged)
-            patched[sources] = exploration.rows(sources)
-            exploration = LimitedExploration(exploration.snapshot, base.hop_length, patched)
+            patched[stale] = exploration.rows(stale)
+            exploration = LimitedExploration(snapshot, hop_length, patched)
             rows = exploration.rows(base.nodes)
         else:
             # Only the members' rows exist; recompute the damaged ones.
+            members = np.asarray(base.nodes, dtype=np.int64)
             rows = np.array(base.near_distances.T)
-            stale = np.flatnonzero(damaged[base.nodes])
-            rows[stale] = exploration.rows([base.nodes[index] for index in stale])
+            stale = np.flatnonzero(damaged[members])
+            rows[stale] = exploration.rows(members[stale])
         skeleton = skeleton_from_exploration(
             exploration, base.nodes, rows, base.sampling_probability, base.rounds_charged
         )
@@ -349,6 +358,7 @@ class SkeletonContext:
             transport_rounds=self.transport_rounds if weight_only else 0,
             router_rounds=self.router_rounds if weight_only else 0,
             label=self.label,
+            repair_rows=int(stale.size),
         )
         if self._skeleton_distances is not None:
             # Changed and removed skeleton edges; a removal is a retraction token.

@@ -12,10 +12,10 @@ This module stores the graph once as frozen CSR numpy arrays and provides
 * :func:`bfs_level_matrix` -- hop levels from many sources, via the C
   implementation of :func:`scipy.sparse.csgraph.dijkstra` (unweighted);
 * :func:`hop_limited_matrix` -- the paper's *literal* ``d_h`` (Section 1.3):
-  one bounded :func:`scipy.sparse.csgraph.dijkstra` call per chunk plus a
-  per-row hop certificate, with numpy synchronous Bellman-Ford rounds
-  (:func:`_relax_rounds`) only on the rows the certificate cannot settle
-  (BFS levels when every weight is 1); and
+  one bounded :func:`scipy.sparse.csgraph.dijkstra` call per chunk plus the
+  per-row hop certificate (:func:`certified_rows`), with numpy synchronous
+  Bellman-Ford rounds (:func:`_relax_rounds`) only on the rows the
+  certificate cannot settle (BFS levels when every weight is 1); and
 * :func:`distance_matrix` -- exact weighted distances via
   :func:`scipy.sparse.csgraph.dijkstra`; and
 * :func:`hop_diameter` -- the exact hop diameter ``D(G)`` by eccentricity
@@ -266,6 +266,28 @@ def _levels_as_distances(levels: np.ndarray) -> np.ndarray:
     return dist
 
 
+def certified_rows(
+    csr: CSRAdjacency, sources: Sequence[int], dist: np.ndarray, hop_limit: int
+) -> np.ndarray:
+    """The hop certificate: which ``d_{hop_limit}`` rows equal exact distances.
+
+    ``dist[i]`` is a ``d_{hop_limit}`` row of ``sources[i]`` on ``csr``.  The
+    row is certified iff it is finite on exactly the nodes of the source's
+    connected component and its largest finite value is at most
+    ``hop_limit * min_weight``: a path of weight ``d`` has at most
+    ``d / min_weight`` edges, so every distance of the row is realised within
+    the hop limit and ``d_h = d`` on the whole row.  This is the one
+    definition :func:`hop_limited_matrix` settles rows with, the skeleton
+    exploration caches and APSP's combination step reads; it is a function
+    of the row values, so equal rows give equal masks.
+    """
+    src = np.asarray(sources, dtype=np.int64)
+    finite = np.isfinite(dist)
+    reached = np.count_nonzero(finite, axis=1)
+    largest = np.max(dist, axis=1, where=finite, initial=0.0)
+    return (reached == _component_sizes(csr)[src]) & (largest <= hop_limit * csr.min_weight)
+
+
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
     """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball).
 
@@ -275,21 +297,19 @@ def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int
     ``k`` edges weighs at least ``min_weight``, so ``d <= bound`` implies
     ``k <= hop_limit`` and hence ``d_h = d``.  A row whose bounded search
     reached the source's whole component therefore has no finite ``d`` above
-    the bound and *is* its ``d_h`` row (certified); unreached nodes of other
-    components are ``inf`` in both.  The remaining rows are recomputed by
-    :func:`_relax_rounds`.  Weights are integers, so both paths produce the
-    same exact float64 sums and the result is bit-identical to running the
-    rounds on every row.
+    the bound and *is* its ``d_h`` row (:func:`certified_rows`); unreached
+    nodes of other components are ``inf`` in both.  The remaining rows are
+    recomputed by :func:`_relax_rounds`.  Weights are integers, so both paths
+    produce the same exact float64 sums and the result is bit-identical to
+    running the rounds on every row.
     """
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, hop_limit))
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
         return np.empty((0, csr.n), dtype=np.float64)
-    bound = hop_limit * csr.min_weight
-    dist = csgraph.dijkstra(_scipy_view(csr), indices=src, limit=bound)
-    reached = np.count_nonzero(np.isfinite(dist), axis=1)
-    uncertified = np.flatnonzero(reached != _component_sizes(csr)[src])
+    dist = csgraph.dijkstra(_scipy_view(csr), indices=src, limit=hop_limit * csr.min_weight)
+    uncertified = np.flatnonzero(~certified_rows(csr, src, dist, hop_limit))
     if uncertified.size:
         dist[uncertified] = _relax_rounds(csr, src[uncertified], hop_limit)
     return dist

@@ -17,7 +17,7 @@ aggregation trees) rely on the ID space being exactly ``[0, n)``.
 Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
 the source of truth and feeds the mutation journal, and the single-source
 traversals (``bfs_hops``, ``dijkstra``, ...) walk it in pure Python.  The
-batched multi-source kernels (``bfs_hops_many``, ``balls_many``,
+batched multi-source kernels (``bfs_hops_many``,
 ``hop_limited_distance_matrix``, ``distance_matrix``, ``hop_diameter``,
 ``ruler_clustering``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
 lazily on first use and invalidated by ``add_edge`` / ``remove_edge``.  Both
@@ -337,10 +337,6 @@ class WeightedGraph:
             csr_kernels.bfs_level_matrix, self.csr(), sources, max_hops
         )
         return csr_kernels.levels_to_dicts(levels)
-
-    def balls_many(self, sources: Sequence[int], radius: int) -> list[list[int]]:
-        """The ``radius``-hop balls of many sources at once."""
-        return [list(hops) for hops in self.bfs_hops_many(sources, radius)]
 
     def hop_limited_distance_matrix(self, sources: Sequence[int], hop_limit: int):
         """``d_{hop_limit}`` as a dense ``(len(sources), n)`` float matrix.

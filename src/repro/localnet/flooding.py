@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.graphs.csr import CSRAdjacency, hop_limited_rows
+from repro.graphs.csr import CSRAdjacency, certified_rows, hop_limited_rows
 from repro.hybrid.network import HybridNetwork
 
 
@@ -45,9 +45,15 @@ class LimitedExploration:
 
     :meth:`matrix` builds the full ``n × n`` matrix on its first call and
     caches it read-only; :meth:`rows` slices it from then on.
+    :meth:`certified` is the matrix's per-row hop certificate
+    (:func:`~repro.graphs.csr.certified_rows`: row ``v`` is certified when
+    ``d_h(v, ·) = d(v, ·)`` provably), cached read-only next to it.  A
+    repaired exploration is built from a patched matrix, and its mask is
+    computed from those patched values on the snapshot of the new version,
+    so it equals a cold exploration's mask whenever the values do.
     """
 
-    __slots__ = ("snapshot", "hop_length", "_matrix")
+    __slots__ = ("snapshot", "hop_length", "_matrix", "_certified")
 
     def __init__(self, snapshot: CSRAdjacency, hop_length: int, matrix=None) -> None:
         self.snapshot = snapshot
@@ -55,6 +61,7 @@ class LimitedExploration:
         if matrix is not None:
             matrix.flags.writeable = False
         self._matrix = matrix
+        self._certified = None
 
     @property
     def materialised(self) -> bool:
@@ -73,6 +80,16 @@ class LimitedExploration:
             self._matrix = hop_limited_rows(self.snapshot, range(self.snapshot.n), self.hop_length)
             self._matrix.flags.writeable = False
         return self._matrix
+
+    def certified(self) -> np.ndarray:
+        """The read-only mask ``certified[v]``: row ``v`` of :meth:`matrix` is hop-certified."""
+        if self._certified is None:
+            matrix = self.matrix()
+            self._certified = certified_rows(
+                self.snapshot, range(self.snapshot.n), matrix, self.hop_length
+            )
+            self._certified.flags.writeable = False
+        return self._certified
 
 
 def explore_limited(

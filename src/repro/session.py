@@ -161,12 +161,17 @@ class RepairRecord:
     rounds:
         Network rounds charged by the repair attempt (0 for an uncharged
         refusal); accounted in the session's preprocessing ledger.
+    rows:
+        ``d_h`` rows the repair recomputed (0 for a refusal): the damaged
+        rows of the old exploration, those that could see a mutated
+        endpoint within ``h`` hops (:meth:`SkeletonContext.repair`).
     """
 
     key_tag: str
     action: str
     deltas: int
     rounds: int
+    rows: int
 
 
 class HybridSession:
@@ -308,12 +313,12 @@ class HybridSession:
                     repaired = context.repair(deltas)
                     rounds = self.network.metrics.total_rounds - rounds_before
                     if repaired is None:
-                        action = "rebuilt"
+                        action, rows = "rebuilt", 0
                     else:
-                        action = "repaired"
+                        action, rows = "repaired", repaired.repair_rows
                         surviving[key] = repaired
                     self.repairs.append(
-                        RepairRecord(self._key_tag(key), action, len(deltas), rounds)
+                        RepairRecord(self._key_tag(key), action, len(deltas), rounds, rows)
                     )
             self._contexts = surviving
             if any(delta.topological for delta in deltas):

@@ -1,7 +1,7 @@
 """The batched CSR kernels against the single-source references.
 
 Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
-``balls_many``, ``distance_matrix`` and ``hop_diameter`` -- must equal, bit
+``distance_matrix`` and ``hop_diameter`` -- must equal, bit
 for bit, the pure-Python single-source traversal it batches (``bfs_hops``,
 ``dijkstra``, ``hop_eccentricity``; DESIGN.md §4); ``distance_matrix`` must
 also equal the edge-list heapq Dijkstra oracle ``reference``.
@@ -95,9 +95,6 @@ class TestTraversalEquivalence:
         assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
         assert graph.bfs_hops_many(sources, hop_limit) == [
             graph.bfs_hops(s, hop_limit) for s in sources
-        ]
-        assert [set(ball) for ball in graph.balls_many(sources, hop_limit)] == [
-            set(graph.ball(s, hop_limit)) for s in sources
         ]
 
     @common_settings

@@ -1,6 +1,7 @@
 """Tests for the experiment registry and the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -203,6 +204,7 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "mutate edge" in output
         assert "context repairs after mutations:" in output
+        assert re.search(r"(repaired|rebuilt) \(\d+ rounds, \d+ d_h rows recomputed\)", output)
 
     def test_query_command_rejects_negative_mutate(self, capsys):
         assert main(["query", "--n", "48", "--mutate", "-1"]) == 2

@@ -13,7 +13,11 @@ tests pin that
   computes at most ``|V_S| + 2`` rows;
 * rows describe the graph version the exploration ran on, not the live graph;
 * repair makes the same decision, charges the same rounds and yields the same
-  member rows whether or not the full matrix was materialised.
+  member rows whether or not the full matrix was materialised;
+* the hop certificate (``csr.certified_rows``) holds only on exact rows, and
+  repair recomputes every row that changes, so a repaired session -- its
+  certified mask included -- equals a cold one bit for bit, also on a family
+  with ``h`` below the hop diameter.
 """
 
 import numpy as np
@@ -22,7 +26,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import HybridNetwork, HybridSession, ModelConfig
-from repro.core.context import prepare_skeleton_context
+from repro.baselines.apsp_broadcast import apsp_broadcast_baseline
+from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.skeleton import compute_skeleton
 from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
@@ -325,3 +330,315 @@ class TestRepairWithoutTheFullMatrix:
         # Both equal a cold exploration of the mutated graph.
         assert_matches_full_matrix(eager_context.skeleton, eager.graph)
         assert_matches_full_matrix(lazy_context.skeleton, lazy.graph)
+
+
+def reference_matrix(graph):
+    """All-pairs distances from the edge-list Dijkstra oracle, as an array."""
+    return np.array(
+        reference.distances_as_matrix(graph, reference.all_pairs_distances(graph))
+    )
+
+
+def copy_graph(graph):
+    copy = WeightedGraph(graph.node_count)
+    for u, v, w in graph.edges():
+        copy.add_edge(u, v, w)
+    return copy
+
+
+class RecomputeSpy:
+    """Record the ``d_h`` rows each :meth:`SkeletonContext.repair` recomputes.
+
+    A repair reads the old exploration (its snapshot) and recomputes rows on
+    the new graph's snapshot; only the latter are recorded, one set per
+    repair call.
+    """
+
+    def __init__(self, monkeypatch):
+        self.recomputed: list[set[int]] = []
+        self._old = None
+        original_repair = SkeletonContext.repair
+        original_kernel = csr_kernels.hop_limited_matrix
+
+        def repair(context, deltas):
+            self._old = context.skeleton.exploration.snapshot
+            self.recomputed.append(set())
+            try:
+                return original_repair(context, deltas)
+            finally:
+                self._old = None
+
+        def kernel(csr, sources, hop_limit):
+            sources = list(sources)
+            if self._old is not None and csr is not self._old:
+                self.recomputed[-1].update(int(source) for source in sources)
+            return original_kernel(csr, sources, hop_limit)
+
+        monkeypatch.setattr(SkeletonContext, "repair", repair)
+        monkeypatch.setattr(csr_kernels, "hop_limited_matrix", kernel)
+
+
+def barbell_case(seed):
+    """Two weighted 60-cliques joined by an 80-edge unit path: ``h`` = 57 < D = 82.
+
+    Rows near the middle of the path reach everything within the bound and
+    are certified; clique rows are not.
+    """
+    graph = generators.barbell_graph(60, 80)
+    rng = RandomSource(seed)
+    for u, v, _ in sorted(graph.edges()):
+        if max(u, v) < 120:  # a clique edge
+            graph.update_weight(u, v, 1 + rng.randrange(3))
+    return graph
+
+
+class TestHopCertificate:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(exploration_case(), st.integers(min_value=0, max_value=12))
+    def test_certified_rows_are_exact_and_match_the_bounded_search(self, case, hop_limit):
+        network, _, _ = case
+        csr = network.local_graph.csr()
+        sources = range(csr.n)
+        d_h = csr_kernels.hop_limited_matrix(csr, sources, hop_limit)
+        certified = csr_kernels.certified_rows(csr, sources, d_h, hop_limit)
+        exact = csr_kernels.distance_matrix(csr, sources)
+        assert np.array_equal(d_h[certified], exact[certified])
+        # The kernel's own test: the bounded search reaches the whole component.
+        bounded = exact <= hop_limit * csr.min_weight
+        reached = np.count_nonzero(bounded, axis=1)
+        assert np.array_equal(certified, reached == csr_kernels._component_sizes(csr))
+
+    def test_exploration_caches_a_read_only_mask(self):
+        graph = barbell_case(1)
+        skeleton = compute_skeleton(HybridNetwork(graph, ModelConfig(rng_seed=1)), 0.07)
+        mask = skeleton.exploration.certified()
+        assert mask is skeleton.exploration.certified()
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0] = False
+
+    @pytest.mark.parametrize("faults", [None, FaultModel(drop_rate=0.05, seed=3)])
+    def test_mixed_family_apsp_baseline_and_repair_match_reference(self, faults):
+        graph = barbell_case(2)
+        session = HybridSession(graph, ModelConfig(rng_seed=2), fault_model=faults)
+        matrix = session.apsp().matrix
+        certified = session.context().skeleton.exploration.certified()
+        assert 0 < int(certified.sum()) < graph.node_count
+        truth = reference_matrix(graph)
+        assert np.array_equal(matrix, truth)
+        baseline = apsp_broadcast_baseline(
+            HybridNetwork(copy_graph(graph), ModelConfig(rng_seed=2, faults=faults))
+        )
+        assert np.array_equal(baseline.matrix, truth)
+
+        # A heavy left-clique edge raised: the right clique's rows are beyond
+        # h hops of both endpoints, so both endpoint columns are inf there and
+        # the tightness test must skip them without an inf - inf warning.
+        old = session.context().skeleton.exploration
+        members = set(session.context().skeleton.nodes)
+        u, v, w = max(
+            (edge for edge in graph.edges() if max(edge[:2]) < 60 and not members & set(edge[:2])),
+            key=lambda edge: (edge[2], edge[0], edge[1]),
+        )
+        session.update_weight(u, v, w + 4)
+        repaired = session.apsp().matrix
+        assert [record.action for record in session.repairs] == ["repaired"]
+        assert 0 < session.repairs[0].rows < graph.node_count
+        assert (~np.isfinite(old.rows([u, v])).any(axis=0)).any()
+
+        cold = HybridSession(copy_graph(graph), ModelConfig(rng_seed=2), fault_model=faults)
+        assert np.array_equal(repaired, cold.apsp().matrix)
+        assert np.array_equal(repaired, reference_matrix(graph))
+        warm_exploration = session.context().skeleton.exploration
+        cold_exploration = cold.context().skeleton.exploration
+        assert np.array_equal(warm_exploration.matrix(), cold_exploration.matrix())
+        assert np.array_equal(warm_exploration.certified(), cold_exploration.certified())
+
+
+def apply_delta(session, members, kind, pick, amount):
+    """One mutation of ``kind`` off the skeleton ``members`` (None when none applies)."""
+    graph = session.graph
+    edges = sorted(edge for edge in graph.edges() if not members & set(edge[:2]))
+    if not edges:
+        return None
+    u, v, weight = edges[pick % len(edges)]
+    if kind == "raise":
+        session.update_weight(u, v, weight + amount)
+    elif kind == "lower":
+        if weight == 1:
+            return None
+        session.update_weight(u, v, max(1, weight - amount))
+    elif kind == "add":
+        n = graph.node_count
+        missing = [
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if not graph.has_edge(a, b) and not members & {a, b}
+        ]
+        if not missing:
+            return None
+        session.add_edge(*missing[pick % len(missing)], 1 + amount % 8)
+    else:
+        survivor = copy_graph(graph)
+        survivor.remove_edge(u, v)
+        if not survivor.is_connected():
+            return None
+        session.remove_edge(u, v)
+    return kind
+
+
+def locality_case(seed):
+    """A weighted locality graph on 64 nodes: hop diameter 16 exceeds ``h`` = 10 at ξ = 0.3."""
+    base = generators.random_geometric_like_graph(
+        64, 2, RandomSource(seed), extra_edge_probability=0.02
+    )
+    rng = RandomSource(seed + 1000)
+    graph = WeightedGraph(64)
+    for u, v, _ in sorted(base.edges()):
+        graph.add_edge(u, v, 2 + rng.randrange(7))
+    return graph
+
+
+def pendant_triangle_case(seed):
+    """A random weighted graph on 0..61 (weights 2..8) with the triangle 0-62-63 (weight 2).
+
+    Every row but 62's and 63's is equidistant from 62 and 63, so lowering
+    {62, 63} to 1 flags two rows while halving the certificate's bound.
+    """
+    base = generators.connected_workload(62, RandomSource(seed), weighted=True, max_weight=7)
+    graph = WeightedGraph(64)
+    for u, v, w in base.edges():
+        graph.add_edge(u, v, w + 1)
+    for u, v in ((0, 62), (0, 63), (62, 63)):
+        graph.add_edge(u, v, 2)
+    return graph
+
+
+delta_kinds = st.sampled_from(["raise", "lower", "add", "remove"])
+delta_batch = st.lists(
+    st.tuples(delta_kinds, st.integers(0, 10_000), st.integers(1, 8)), min_size=1, max_size=3
+)
+
+
+class TestRepairMatchesCold:
+    """A repaired session equals a cold one, certified mask included (DESIGN.md §12)."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    # Lowering the pendant edge {62, 63} (the last one, pick -1) to 1 drops
+    # w_min from 2, and repair keeps the batch: rows lose their certificate
+    # although their values stay.
+    @example(
+        family="pendant", seed=5, batch=[("lower", -1, 8)], faults=False, materialised=True
+    )
+    @example(
+        family="pendant",
+        seed=12,
+        batch=[("lower", -1, 8), ("raise", 3, 5)],
+        faults=True,
+        materialised=False,
+    )
+    @example(
+        family="pendant",
+        seed=3,
+        batch=[("raise", 3, 3), ("add", 15, 6), ("remove", 9, 1)],
+        faults=True,
+        materialised=True,
+    )
+    @example(
+        family="pendant",
+        seed=27,
+        batch=[("raise", 3, 3), ("add", 15, 6), ("remove", 9, 1)],
+        faults=False,
+        materialised=False,
+    )
+    @given(
+        family=st.sampled_from(["pendant", "locality"]),
+        seed=st.integers(0, 200),
+        batch=delta_batch,
+        faults=st.booleans(),
+        materialised=st.booleans(),
+    )
+    def test_recomputes_every_changed_row_and_matches_cold(
+        self, family, seed, batch, faults, materialised
+    ):
+        if family == "pendant":
+            graph, config = pendant_triangle_case(seed), ModelConfig(rng_seed=seed)
+        else:
+            graph, config = locality_case(seed), ModelConfig(rng_seed=seed, skeleton_xi=0.3)
+        fault_model = FaultModel(drop_rate=0.05, seed=3) if faults else None
+        warm = HybridSession(graph, config, fault_model=fault_model)
+        if materialised:
+            warm.apsp()
+        else:
+            warm.sssp(seed % 64)
+        context = warm.context()
+        hop_length = context.skeleton.hop_length
+        before = warm.network.local_graph.hop_limited_distance_matrix(range(64), hop_length)
+        members = set(context.skeleton.nodes)
+        if not any([apply_delta(warm, members, *delta) for delta in batch]):
+            return
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            spy = RecomputeSpy(monkeypatch)
+            warm_matrix = warm.apsp().matrix
+
+        cold = HybridSession(copy_graph(graph), config, fault_model=fault_model)
+        cold_matrix = cold.apsp().matrix
+        assert np.array_equal(warm_matrix, cold_matrix)
+        if family == "pendant":
+            # At ξ = 0.3 the locality family's skeleton misses Lemma C.1's
+            # sample every h hops, so APSP may be inexact there; the repair
+            # contract is bit-identity with the cold session either way.
+            assert np.array_equal(cold_matrix, reference_matrix(graph))
+        warm_skeleton, cold_skeleton = warm.context().skeleton, cold.context().skeleton
+        assert np.array_equal(warm_skeleton.knowledge_matrix, cold_skeleton.knowledge_matrix)
+        assert np.array_equal(
+            warm_skeleton.exploration.certified(), cold_skeleton.exploration.certified()
+        )
+        assert np.array_equal(warm_skeleton.weights, cold_skeleton.weights)
+
+        record = warm.repairs[-1]
+        if record.action != "repaired":
+            assert record.rows == 0
+            return
+        recomputed = spy.recomputed[-1]
+        assert record.rows == len(recomputed)
+        changed = set(np.flatnonzero((before != cold_skeleton.knowledge_matrix).any(axis=1)))
+        if not materialised:
+            changed &= set(context.skeleton.nodes)
+        assert changed <= recomputed
+
+    def test_a_lower_w_min_decertifies_the_repaired_rows(self):
+        # A weight-2 path 0..29 ending in the triangle 29-30-31.  Lowering
+        # {30, 31} to 1 halves the bound h * w_min; rows 9..21 were certified
+        # and lose it although the lowering moves none of their distances
+        # (30 and 31 are equidistant from them).  The repaired exploration's
+        # mask is read on the new graph, so it loses them as a cold one does.
+        graph = WeightedGraph(32)
+        for node in range(29):
+            graph.add_edge(node, node + 1, 2)
+        for u, v in ((29, 30), (29, 31), (30, 31)):
+            graph.add_edge(u, v, 2)
+        config = ModelConfig(rng_seed=0, skeleton_xi=1.5)
+        session = HybridSession(graph, config, skeleton_probability=0.25)
+        session.apsp()
+        certified_before = np.flatnonzero(session.context().skeleton.exploration.certified())
+        assert certified_before.tolist() == list(range(9, 22))
+
+        session.update_weight(30, 31, 1)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            spy = RecomputeSpy(monkeypatch)
+            matrix = session.apsp().matrix
+        record = session.repairs[-1]
+        assert record.action == "repaired"
+        # Nodes 9..31 are within h = 21 hops of the triangle: the superset.
+        assert spy.recomputed[-1] == set(range(9, 32))
+        assert record.rows == 23
+
+        cold = HybridSession(copy_graph(graph), config, skeleton_probability=0.25)
+        assert np.array_equal(matrix, cold.apsp().matrix)
+        warm_exploration = session.context().skeleton.exploration
+        cold_exploration = cold.context().skeleton.exploration
+        assert not warm_exploration.certified().any()
+        assert np.array_equal(warm_exploration.certified(), cold_exploration.certified())
+        assert np.array_equal(warm_exploration.matrix(), cold_exploration.matrix())

@@ -152,7 +152,6 @@ class TestTraversal:
             lambda: path.bfs_hops(0, -1),
             lambda: path.ball(0, -1),
             lambda: path.bfs_hops_many([0], -1),
-            lambda: path.balls_many([0], -1),
         ):
             with pytest.raises(ValueError, match="max_hops must be non-negative"):
                 call()
