@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.clique_simulation import HybridCliqueTransport
 from repro.core.skeleton import Skeleton, compute_skeleton, skeleton_from_exploration
 from repro.core.token_routing import TokenRouter
-from repro.graphs.csr import bfs_level_matrix
 from repro.graphs.graph import GraphDelta
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.errors import StaleContextError
@@ -317,9 +316,11 @@ class SkeletonContext:
             return None
         # The rows actually recomputed are the sound superset: anything that
         # could reach a mutated endpoint within h hops, old or new topology.
+        # The old rows' finite entries cover both: a new path of at most h
+        # hops reaches its first delta endpoint through old edges only
+        # (DESIGN.md §12).
         snapshot = network.local_graph.csr()
         damaged = np.isfinite(endpoint_rows).any(axis=0)
-        damaged |= (bfs_level_matrix(snapshot, endpoints, hop_length) >= 0).any(axis=0)
 
         # The repair flood: the delta records propagate h hops so every
         # damaged source can re-derive its d_h row -- min(h, D) local rounds,

@@ -45,7 +45,7 @@ import numpy as _np
 
 from repro.core.helper_sets import HelperSets, compute_helper_sets, helper_parameter
 from repro.hybrid.errors import ProtocolError
-from repro.hybrid.network import HybridNetwork
+from repro.hybrid.network import ExchangeSchedule, HybridNetwork
 from repro.localnet.aggregation import broadcast_value
 from repro.util.hashing import hash_family_for_network
 
@@ -169,12 +169,14 @@ def endpoint_loads(labels: LabelColumns) -> tuple[list[int], list[int], int, int
 class RoutingPlan:
     """The deterministic part of one routing instance (see TokenRouter.plan).
 
-    Everything here is a pure function of the label columns and the router's
-    shared hash function, and refers to tokens by their *position* in the
-    label columns: the routable (not self-addressed) positions, each routable
-    token's intermediate node and round-robin helper on both sides, and the
-    per-receiver delivery order.  Payloads never enter the plan, so one plan
-    serves every routing instance over the same label set.
+    Everything here is a pure function of the label columns, the router's
+    shared hash function and the network's caps, and refers to tokens by
+    their *position* in the label columns: the routable (not self-addressed)
+    positions, each routable token's intermediate node and round-robin
+    helper on both sides, the three global phases' exchange schedules, and
+    the per-receiver delivery order.  Payloads never enter the plan, so one
+    plan serves every routing instance over the same label set, and a reused
+    plan schedules nothing.
     """
 
     senders: _np.ndarray
@@ -186,6 +188,11 @@ class RoutingPlan:
     intermediates: _np.ndarray
     sender_helper_of: _np.ndarray
     receiver_helper_of: _np.ndarray
+    #: The push, request and respond phases' exchange schedules: the
+    #: columns above never change, so neither do the schedules.
+    push_schedule: ExchangeSchedule
+    request_schedule: ExchangeSchedule
+    respond_schedule: ExchangeSchedule
     #: All positions grouped per receiver: receivers holding a
     #: self-addressed token come first (in order of that token), then the
     #: rest ascending; within a receiver, self-addressed tokens precede
@@ -336,6 +343,8 @@ class TokenRouter:
         by_value = _np.argsort(ranked)
         rank = by_value[_np.searchsorted(ranked[by_value], receivers)]
         delivery_order = _np.lexsort((_np.arange(senders.size), ~self_addressed, rank))
+        # The global phases' columns are fixed here, and so are their schedules.
+        schedule = self.network.schedule_exchange
         return RoutingPlan(
             senders=senders,
             receivers=receivers,
@@ -344,6 +353,9 @@ class TokenRouter:
             intermediates=intermediates,
             sender_helper_of=sender_helper_of,
             receiver_helper_of=receiver_helper_of,
+            push_schedule=schedule(sender_helper_of, intermediates),
+            request_schedule=schedule(receiver_helper_of, intermediates),
+            respond_schedule=schedule(intermediates, receiver_helper_of),
             delivery_order=delivery_order,
         )
 
@@ -388,8 +400,8 @@ class TokenRouter:
         # -------------------------------------------------- Routing-Scheme
         # The three phases ship their traffic as sender/target columns taken
         # straight from the plan's helper/intermediate arrays (one message
-        # per routable token and phase), so the engine schedules and
-        # accounts them with whole-array operations.  Each phase runs as a
+        # per routable token and phase) by the plan's schedules, so a reused
+        # plan only accounts them.  Each phase runs as a
         # *reliable* exchange: on the ideal model that is plain
         # run_global_exchange (bit-identical rounds), under an active
         # FaultModel it retransmits unacknowledged messages within the retry
@@ -399,12 +411,22 @@ class TokenRouter:
         # stores for that label are the same routable position: phase C's
         # traffic is phase B's reversed.
         # Phase A: sender-helpers push tokens to their intermediate nodes.
-        network.run_reliable_exchange(sender_helper_of, intermediates, self.phase + ":push")
+        network.run_reliable_exchange(
+            sender_helper_of, intermediates, self.phase + ":push", schedule=plan.push_schedule
+        )
         # Phase B: receiver-helpers request their labels from the intermediates.
-        network.run_reliable_exchange(receiver_helper_of, intermediates, self.phase + ":request")
+        network.run_reliable_exchange(
+            receiver_helper_of,
+            intermediates,
+            self.phase + ":request",
+            schedule=plan.request_schedule,
+        )
         # Phase C: intermediates answer every request with the stored token.
         responded, _ = network.run_reliable_exchange(
-            intermediates, receiver_helper_of, self.phase + ":respond"
+            intermediates,
+            receiver_helper_of,
+            self.phase + ":respond",
+            schedule=plan.respond_schedule,
         )
 
         # Receivers collect the fetched tokens from their helpers locally.

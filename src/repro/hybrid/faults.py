@@ -264,11 +264,13 @@ class FaultState:
         # because a round's decisions are all made before the clock advances.
         self._context_round = -1
         self._context: tuple[int, frozenset[int], int] = (0, frozenset(), 0)
+        # Per node, its crash round (built for the network's n on first use).
+        self._crash_at: _np.ndarray | None = None
 
-    def next_round(self) -> int:
-        """Advance the global-round clock; returns the round just started."""
+    def advance(self, rounds: int) -> int:
+        """Advance the clock by ``rounds`` global rounds; returns the first of them."""
         index = self.round_index
-        self.round_index += 1
+        self.round_index += rounds
         return index
 
     # ----------------------------------------------------------- round status
@@ -304,10 +306,11 @@ class FaultState:
 
         All three are pure functions of the round index, so they are computed
         once per global round and memoized rather than re-derived per message
-        (the burst check alone re-hashes ``burst_length`` lanes): the engine
-        folds per-message lanes onto the returned prefix via
-        :func:`fault_hash_array`, the reference :meth:`drops` via
-        :func:`fault_hash_from_prefix`.
+        (the burst check alone re-hashes ``burst_length`` lanes): the
+        reference :meth:`drops` folds the per-message lanes onto the returned
+        prefix via :func:`fault_hash_from_prefix`.  The engine's
+        :meth:`keep_mask` computes the same three column-wise for every round
+        of an exchange at once.
         """
         if round_index != self._context_round:
             self._context = (
@@ -339,38 +342,101 @@ class FaultState:
         coin = fault_hash_from_prefix(prefix, sender, target, occurrence)
         return coin < threshold
 
-    def keep_mask(self, senders, targets, round_index: int, n: int):
-        """The engine's keep mask for one round (None = keep all).
+    def keep_mask(self, senders, targets, rounds, n: int):
+        """The engine's keep mask for the messages of one or more rounds (None = keep all).
 
-        ``senders`` / ``targets`` are the round's messages in delivery scan
-        order; the occurrence index (rank among the round's earlier messages
-        of the same (sender, target) pair) is recovered with a stable sort,
-        so the mask equals the per-message decisions of :meth:`drops` exactly.
+        ``senders`` / ``targets`` are the messages in delivery order and
+        ``rounds`` is each message's global round index (one int for a
+        single round).  Every message gets its own round's drop threshold,
+        faulty nodes and hash prefix, all computed column-wise: the burst
+        windows from the burst-start hashes of the rounds involved, the
+        crashes from a per-node crash-round column, the omissions as
+        ``(round, node)`` keys.  The occurrence index (rank among the same
+        round's earlier messages of the same (sender, target) pair) is
+        recovered with one stable sort, so the mask equals the per-message
+        decisions of :meth:`drops` exactly.
         """
         count = int(senders.size)
         if count == 0:
             return None
-        threshold, faulty, prefix = self.round_context(round_index)
-        drop = None
-        if threshold >= (1 << 64):
-            drop = _np.ones(count, dtype=bool)
-        elif threshold > 0:
-            keys = senders.astype(_np.int64) * _np.int64(n) + targets.astype(_np.int64)
-            order = _np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            change = _np.empty(count, dtype=bool)
-            change[0] = True
-            _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
-            positions = _np.arange(count)
-            starts = _np.maximum.accumulate(_np.where(change, positions, 0))
-            occurrences = _np.empty(count, dtype=_np.int64)
-            occurrences[order] = positions - starts
-            hashes = fault_hash_array(prefix, senders, targets, occurrences)
-            drop = hashes < _np.uint64(threshold)
-        if faulty:
-            faulty_column = _np.fromiter(faulty, dtype=_np.int64, count=len(faulty))
-            node_fault = _np.isin(senders, faulty_column) | _np.isin(targets, faulty_column)
-            drop = node_fault if drop is None else (drop | node_fault)
-        if drop is None or not drop.any():
+        rounds = _np.broadcast_to(_np.asarray(rounds, dtype=_np.int64), senders.shape)
+        first = int(rounds.min())
+        span = int(rounds.max()) - first + 1
+        in_burst = self._bursts(first, span)[rounds - first]
+        # The messages of burst and of ordinary rounds, each with its threshold.
+        rates = ((~in_burst, self._iid_threshold), (in_burst, self._burst_threshold))
+        classes = [(mask, threshold) for mask, threshold in rates if threshold > 0 and mask.any()]
+        drop = _np.zeros(count, dtype=bool)
+        if any(threshold < (1 << 64) for _, threshold in classes):
+            hashes = fault_hash_array(
+                fault_hash(self.model.seed, MESSAGE_LANE),
+                rounds,
+                senders,
+                targets,
+                self._occurrences(senders, targets, rounds - first, n),
+            )
+        for mask, threshold in classes:
+            if threshold >= (1 << 64):
+                drop |= mask
+            else:
+                drop |= mask & (hashes < _np.uint64(threshold))
+        if self._crash_rounds:
+            crash_at = self._crash_column(n)
+            drop |= (crash_at[senders] <= rounds) | (crash_at[targets] <= rounds)
+        omitted = [
+            round_index * n + node
+            for round_index, nodes in self._omissions.items()
+            if first <= round_index < first + span
+            for node in nodes
+            if 0 <= node < n
+        ]
+        if omitted:
+            keys = _np.asarray(omitted, dtype=_np.int64)
+            base = rounds * n
+            drop |= _np.isin(base + senders, keys) | _np.isin(base + targets, keys)
+        if not drop.any():
             return None
         return ~drop
+
+    def _bursts(self, first: int, span: int):
+        """Whether a loss burst covers each of the rounds ``first .. first + span - 1``."""
+        model = self.model
+        if self._burst_start_threshold <= 0 or model.burst_length <= 0:
+            return _np.zeros(span, dtype=bool)
+        # A burst covers round r iff one starts in [r - burst_length + 1, r].
+        lowest = max(0, first - model.burst_length + 1)
+        starts = _np.arange(lowest, first + span, dtype=_np.int64)
+        if self._burst_start_threshold >= (1 << 64):
+            started = _np.ones(starts.size, dtype=bool)
+        else:
+            hashes = fault_hash_array(fault_hash(model.seed, BURST_LANE), starts)
+            started = hashes < _np.uint64(self._burst_start_threshold)
+        running = _np.concatenate(([0], _np.cumsum(started)))
+        covered = _np.arange(first, first + span)
+        window_start = _np.maximum(covered - model.burst_length + 1, lowest)
+        return running[covered - lowest + 1] > running[window_start - lowest]
+
+    def _crash_column(self, n: int):
+        """Per node, the global round it crashes in (beyond every round if never)."""
+        if self._crash_at is None or self._crash_at.size != n:
+            crash_at = _np.full(n, _np.iinfo(_np.int64).max, dtype=_np.int64)
+            for node, crash_round in self._crash_rounds.items():
+                if 0 <= node < n:
+                    crash_at[node] = crash_round
+            self._crash_at = crash_at
+        return self._crash_at
+
+    @staticmethod
+    def _occurrences(senders, targets, rounds, n: int):
+        """Each message's rank among its round's earlier messages of the same pair."""
+        keys = (rounds * n + senders) * n + targets
+        order = _np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        change = _np.empty(keys.size, dtype=bool)
+        change[0] = True
+        _np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=change[1:])
+        positions = _np.arange(keys.size)
+        starts = _np.maximum.accumulate(_np.where(change, positions, 0))
+        occurrences = _np.empty(keys.size, dtype=_np.int64)
+        occurrences[order] = positions - starts
+        return occurrences

@@ -170,16 +170,26 @@ class RoundMetrics:
         max_sent: int,
         max_received: int,
         receive_cap: int | None = None,
+        violations: int | None = None,
     ) -> None:
-        """Record one global round's traffic statistics."""
+        """Record the traffic of one global round, or of several folded into one.
+
+        ``max_sent`` / ``max_received`` are the largest per-node counts of
+        any of the rounds.  For one round, ``receive_cap`` decides whether it
+        violated the receive cap; a folded record passes ``violations``, the
+        number of its rounds that received more than the cap.
+        """
+        if violations is None:
+            violations = int(receive_cap is not None and max_received > receive_cap)
         self.global_messages += messages
         self.global_bits += bits
         self.max_sent_per_round = max(self.max_sent_per_round, max_sent)
         self.max_received_per_round = max(self.max_received_per_round, max_received)
-        if receive_cap is not None and max_received > receive_cap:
-            self.receive_cap_violations += 1
+        self.receive_cap_violations += violations
         for scope in self._scopes:
-            scope.record_global_traffic(messages, bits, max_sent, max_received, receive_cap)
+            scope.record_global_traffic(
+                messages, bits, max_sent, max_received, violations=violations
+            )
 
     def record_fault_losses(self, dropped: int = 0, retried: int = 0) -> None:
         """Tally fault-injected message losses and the retransmissions that

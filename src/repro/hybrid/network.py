@@ -19,9 +19,15 @@ protocol implementations exactly the two communication modes of the model:
   int64 columns, ``senders`` and ``targets``, and every global call returns
   the *positions* of the delivered messages; a caller that needs a payload
   keeps it in a column of its own and indexes it with those positions.
-  Scheduling and accounting are whole-array numpy operations that make
-  exactly the decisions of a per-message scan (the message-plane tests check
-  the engine against such a scalar scheduler; DESIGN.md §4).
+  A global exchange is two steps.  :meth:`HybridNetwork.schedule_exchange`
+  computes its :class:`ExchangeSchedule` -- the delivery order and the round
+  bounds, a read-only value that depends only on the columns and the caps,
+  so a caller that sends the same columns again (a reused routing plan)
+  keeps it.  :meth:`HybridNetwork.account` then charges all of its rounds
+  in one pass; ``global_round`` is a one-round schedule through the same
+  call.  Both are whole-array numpy operations that make exactly the
+  decisions of a per-message, round-by-round scan (the message-plane tests
+  check the engine against such a scalar scheduler; DESIGN.md §4).
 
 All counters live in :class:`~repro.hybrid.metrics.RoundMetrics`; the sum of
 local and global rounds is the quantity the paper's theorems are about.
@@ -30,6 +36,7 @@ local and global rounds is the quantity the paper's theorems are about.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as _np
 
@@ -53,7 +60,7 @@ def _group_starts(keys):
 def _admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: int):
     """Which messages a per-message admission scan admits this round.
 
-    :meth:`HybridNetwork.run_global_exchange` calls it only from the first
+    :meth:`HybridNetwork.schedule_exchange` calls it only from the first
     contested round on; earlier rounds admit exactly each sender's next
     ``send_cap`` messages, which it schedules in closed form.  The arrays
     are in canonical order -- sorted by (sender, queue position), each
@@ -93,6 +100,93 @@ def _admit_scan(senders, targets, scan_positions, send_cap: int, receive_cap: in
             break
         admitted = refined
     return admitted
+
+
+def _closed_form_rounds(senders, planned, contested: int):
+    """Delivery order and bounds of every round before the first contested one.
+
+    ``senders`` is in canonical order (sorted by sender, each sender's queue
+    in order) and ``planned`` is each message's planned round, rank
+    ``// send_cap``.  Round ``t < contested`` delivers exactly its planned
+    block (DESIGN.md §4), and a stable sort by planned round lists each
+    block sorted by sender; the scan starts at sender run ``t % runs``, so
+    the block is rotated there.  All blocks are rotated at once: position
+    ``i`` of round ``t`` moves to ``bounds[t] + (i - split[t]) % length[t]``.
+    Returns the canonical indices in delivery order and the round bounds.
+    """
+    by_round = _np.argsort(planned, kind="stable")[: _np.count_nonzero(planned < contested)]
+    rounds = planned[by_round]
+    block_senders = senders[by_round]
+    bounds = _np.searchsorted(rounds, _np.arange(contested + 1))
+    # A sender run ends where the sender changes or a new round's block
+    # begins (one sender may close a block and open the next).
+    run_start = _np.empty(by_round.size, dtype=bool)
+    run_start[0] = True
+    _np.not_equal(block_senders[1:], block_senders[:-1], out=run_start[1:])
+    run_start[bounds[1:-1]] = True
+    run_starts = _np.flatnonzero(run_start)
+    runs = _np.bincount(rounds[run_starts], minlength=contested)
+    first_run = _np.cumsum(runs) - runs
+    split = run_starts[first_run + _np.arange(contested) % runs]
+    lengths = _np.diff(bounds)
+    destination = bounds[rounds] + (_np.arange(by_round.size) - split[rounds]) % lengths[rounds]
+    rotated = _np.empty_like(by_round)
+    rotated[destination] = by_round
+    return rotated, bounds
+
+
+def _endpoint_error(senders, targets, bounds, n: int) -> tuple[int, ValueError]:
+    """The first round that names a node outside the network, and its error.
+
+    Within that round a bad sender is reported before a bad target, each
+    the first in the round's scan order -- the order a round-by-round
+    validation meets them in.
+    """
+    bad_sender = (senders < 0) | (senders >= n)
+    bad_target = (targets < 0) | (targets >= n)
+    first_bad = int(_np.argmax(bad_sender | bad_target))
+    failing = int(_np.searchsorted(bounds, first_bad, side="right")) - 1
+    in_round = slice(int(bounds[failing]), int(bounds[failing + 1]))
+    if bad_sender[in_round].any():
+        bad = senders[in_round][bad_sender[in_round]][0]
+        return failing, ValueError(f"sender {int(bad)} outside the network")
+    bad = targets[in_round][bad_target[in_round]][0]
+    return failing, ValueError(f"target {int(bad)} outside the network")
+
+
+@dataclass(frozen=True, eq=False)
+class ExchangeSchedule:
+    """When each message of one global exchange is sent: a read-only value.
+
+    ``order`` lists the batch positions in delivery order -- round by round,
+    each round in its rotated scan order -- and round ``r`` sends
+    ``order[bounds[r]:bounds[r + 1]]``.  A schedule is a pure function of
+    the sender/target columns and the network's caps; fault fates never
+    feed back into it (DESIGN.md §4).  So it is computed once per column
+    pair (:meth:`HybridNetwork.schedule_exchange`) and can be sent any
+    number of times (:meth:`HybridNetwork.account`).
+    """
+
+    order: _np.ndarray
+    bounds: _np.ndarray
+
+    def __post_init__(self) -> None:
+        self.order.setflags(write=False)
+        self.bounds.setflags(write=False)
+
+    @property
+    def rounds(self) -> int:
+        """The number of global rounds the schedule takes."""
+        return int(self.bounds.size) - 1
+
+    @classmethod
+    def single_round(cls, count: int) -> ExchangeSchedule:
+        """All ``count`` messages in one round, in batch order."""
+        return cls(_np.arange(count), _np.array([0, count]))
+
+
+#: The cap of a check that is switched off (``strict_send`` / ``strict_receive``).
+_UNCAPPED = _np.iinfo(_np.int64).max
 
 
 class HybridNetwork:
@@ -235,98 +329,18 @@ class HybridNetwork:
         # No traffic means no use of the global mode: an empty round charges
         # zero global rounds (regression tests in tests/test_message_plane.py,
         # next to the n=1 cases) and leaves the fault clock untouched.
-        positions = _np.arange(senders.size)
         if not senders.size:
-            return positions
-        keep = self._account_round(senders, targets, phase)
-        return positions if keep is None else positions[keep]
+            return _np.arange(0)
+        return self.account(ExchangeSchedule.single_round(senders.size), senders, targets, phase)
 
-    def _account_round(self, senders, targets, phase: str):
-        """Validate and account one global round given as sender/target arrays.
-
-        Per-sender counts for the send-cap check, ``np.bincount`` receive
-        accounting, and mask comparisons for cut crossings.
-
-        Returns the boolean keep mask of the messages the fault model let
-        through, or ``None`` when every message was delivered (in particular
-        always ``None`` on the ideal fault-free path).  Sends -- message and
-        bit totals, the send-cap check -- count all attempted messages;
-        receives (inboxes, maxima, cumulative totals, cut crossings) only the
-        delivered ones.
-        """
-        n = self.n
-        count = int(senders.size)
-        max_sent = 0
-        max_received = 0
-        keep = None
-        dropped = 0
-        # The fault clock ticks once per round, before any validation.
-        fault_round = self._fault_state.next_round() if self._fault_state is not None else None
-        if count:
-            if int(senders.min()) < 0 or int(senders.max()) >= n:
-                bad = senders[(senders < 0) | (senders >= n)][0]
-                raise ValueError(f"sender {int(bad)} outside the network")
-            if int(targets.min()) < 0 or int(targets.max()) >= n:
-                bad = targets[(targets < 0) | (targets >= n)][0]
-                raise ValueError(f"target {int(bad)} outside the network")
-            sent_counts = _np.bincount(senders, minlength=n)
-            max_sent = int(sent_counts.max())
-            if max_sent > self.send_cap and self.config.strict_send:
-                offender = int(sent_counts.argmax())
-                raise CapacityExceededError(
-                    f"node {offender} tried to send {max_sent} global messages in one "
-                    f"round (cap {self.send_cap})"
-                )
-            delivered_targets = targets
-            delivered_senders = senders
-            if fault_round is not None:
-                keep = self._fault_state.keep_mask(senders, targets, fault_round, n)
-                if keep is not None:
-                    delivered_senders = senders[keep]
-                    delivered_targets = targets[keep]
-                    dropped = count - int(delivered_targets.size)
-            if delivered_targets.size:
-                receive_counts = _np.bincount(delivered_targets, minlength=n)
-                max_received = int(receive_counts.max())
-                if max_received > self.receive_cap and self.config.strict_receive:
-                    raise CapacityExceededError(
-                        f"a node received {max_received} global messages in one round "
-                        f"(cap {self.receive_cap})"
-                    )
-                # repro-lint: waive[RL008] -- monotone traffic counter, never derived from the graph
-                self.received_totals += receive_counts
-        self.metrics.charge_global(1, phase)
-        self.metrics.record_global_traffic(
-            messages=count,
-            bits=count * self.config.message_bits,
-            max_sent=max_sent,
-            max_received=max_received,
-            receive_cap=self.receive_cap,
-        )
-        if dropped:
-            self.metrics.record_fault_losses(dropped=dropped)
-        if count and delivered_targets.size:
-            for name, mask in self._cut_watchers:
-                crossings = int(
-                    _np.count_nonzero(mask[delivered_senders] != mask[delivered_targets])
-                )
-                if crossings:
-                    self.metrics.record_cut_bits(name, crossings * self.config.message_bits)
-        return keep
-
-    def run_global_exchange(
-        self, senders, targets, phase: str = "global"
-    ) -> tuple[_np.ndarray, int]:
-        """Deliver an arbitrary-size batch of global messages over several rounds.
+    def schedule_exchange(self, senders, targets) -> ExchangeSchedule:
+        """The round-by-round schedule of a batch of global messages.
 
         Each node sends its queued messages at most ``send_cap`` per round and
         receives at most ``receive_cap`` messages per round -- excess messages
-        simply wait in their sender's queue for a later round.  This models
-        the NCC-mode bandwidth constraint on both endpoints and is the
-        workhorse behind "send each of your tokens, Θ(log n) tokens at a
-        time" style loops in the paper's pseudo-code.  Message ``i`` goes
-        from ``senders[i]`` to ``targets[i]`` (two int64 columns); within
-        one sender the column order is the sender's queue order.
+        simply wait in their sender's queue for a later round.  Message ``i``
+        goes from ``senders[i]`` to ``targets[i]`` (two int64 columns);
+        within one sender the column order is the sender's queue order.
 
         Senders are served in round-robin order: the ID-sorted list of senders
         with pending messages is rotated by one position each round, so a
@@ -344,19 +358,22 @@ class HybridNetwork:
         *contested* round, in which some target is planned more than
         ``receive_cap`` messages.  Every earlier round delivers exactly its
         planned block (DESIGN.md §4 has the induction), in the rotated scan
-        order: the block comes out of a stable sort by planned round sorted
-        by sender, and is rotated at the start of sender run
-        ``round % active senders``.  From the first contested round on, the
-        per-message admission scan (:func:`_admit_scan`) runs on the pending
-        messages, which are still in canonical order; the rotated scan order
-        is then a scan-rank array, and admitted messages leave the queue.
-        Each round is accounted by :meth:`_account_round` in scan order.
-        Returns the positions of the delivered messages in delivery order
-        (round by round, each round in scan order) and the number of global
-        rounds used.
+        order that :func:`_closed_form_rounds` computes for all of them at
+        once.  From the first contested round on, the per-message admission
+        scan (:func:`_admit_scan`) runs on the pending messages, which are
+        still in canonical order; the rotated scan order is then a scan-rank
+        array, and admitted messages leave the queue.  An out-of-range target
+        skips the closed form, so :meth:`account` rejects it in the round it
+        is sent.
+
+        The schedule depends on the columns and the caps only: a message a
+        fault drops has still used its sender's budget, so fault fates never
+        feed back into it, and one schedule serves every exchange of the same
+        columns (a :class:`~repro.core.token_routing.RoutingPlan` keeps its
+        three).
         """
         if not senders.size:
-            return _np.arange(0), 0
+            return ExchangeSchedule(_np.arange(0), _np.zeros(1, dtype=_np.int64))
         n = self.n
         send_cap = self.send_cap
         order = _np.argsort(senders, kind="stable")
@@ -365,37 +382,29 @@ class HybridNetwork:
         planned = (_np.arange(senders.size) - _group_starts(senders)) // send_cap
         last = int(planned.max())
         if int(targets.min()) < 0 or int(targets.max()) >= n:
-            # Leave the invalid target to the scan's accounting, which rejects
-            # it in the round it is sent.
+            # An invalid target cannot be bincounted: leave it to the scan,
+            # so account rejects it in the round it is sent.
             contested = 0
         else:
             over = _np.flatnonzero(_np.bincount(planned * n + targets) > self.receive_cap)
             contested = int(over[0]) // n if over.size else last + 1
         if last == 0 and contested:
             # One uncontested round: the canonical order is the scan order.
-            keep = self._account_round(senders, targets, phase)
-            return (order if keep is None else order[keep]), 1
-        delivered_indices: list[_np.ndarray] = []
+            return ExchangeSchedule(order, _np.array([0, order.size]))
         if contested:
-            by_round = _np.argsort(planned, kind="stable")
-            bounds = _np.searchsorted(planned[by_round], _np.arange(contested + 1))
-            for planned_round in range(contested):
-                block = by_round[bounds[planned_round] : bounds[planned_round + 1]]
-                block_senders = senders[block]
-                run_starts = _np.flatnonzero(block_senders[1:] != block_senders[:-1]) + 1
-                offset = planned_round % (run_starts.size + 1)
-                if offset:
-                    split = run_starts[offset - 1]
-                    block = _np.concatenate((block[split:], block[:split]))
-                keep = self._account_round(senders[block], targets[block], phase)
-                delivered_indices.append(order[block] if keep is None else order[block[keep]])
+            rotated, bounds = _closed_form_rounds(senders, planned, contested)
             if contested > last:
-                return _np.concatenate(delivered_indices), contested
+                return ExchangeSchedule(order[rotated], bounds)
+            pieces = [order[rotated]]
             waiting = planned >= contested
             senders = senders[waiting]
             targets = targets[waiting]
             order = order[waiting]
+        else:
+            pieces = []
+            bounds = _np.zeros(1, dtype=_np.int64)
         rounds = contested
+        sizes = []
         while senders.size:
             length = senders.size
             run_bounds = _np.empty(length, dtype=bool)
@@ -415,24 +424,184 @@ class HybridNetwork:
             if not admitted.any():
                 raise AssertionError("global exchange scheduler made no progress")
             admitted_at = _np.flatnonzero(admitted)
-            # Deliveries are recorded in scan order.
-            in_round = admitted_at[_np.argsort(scan_positions[admitted_at])]
-            keep = self._account_round(senders[in_round], targets[in_round], phase)
-            if keep is not None:
-                # Fault-dropped messages consumed their sender's budget this
-                # round but never arrived; they are simply not delivered (the
-                # engine does not retry -- see run_reliable_exchange).
-                in_round = in_round[keep]
-            delivered_indices.append(order[in_round])
+            # Deliveries are listed in scan order.
+            pieces.append(order[admitted_at[_np.argsort(scan_positions[admitted_at])]])
+            sizes.append(admitted_at.size)
             waiting = ~admitted
             senders = senders[waiting]
             targets = targets[waiting]
             order = order[waiting]
             rounds += 1
-        return _np.concatenate(delivered_indices), rounds
+        return ExchangeSchedule(
+            _np.concatenate(pieces), _np.concatenate((bounds, bounds[-1] + _np.cumsum(sizes)))
+        )
+
+    def account(
+        self, schedule: ExchangeSchedule, senders, targets, phase: str = "global"
+    ) -> _np.ndarray:
+        """Send a schedule's messages: charge all of its rounds in one pass.
+
+        ``schedule`` is :meth:`schedule_exchange` of these ``senders`` /
+        ``targets`` columns (or :meth:`ExchangeSchedule.single_round`).  The
+        rounds are folded with whole-array operations: per-round send and
+        receive counts from one ``np.bincount`` of ``round * n + node`` cells
+        per side (so the per-round maxima and the cumulative receive totals
+        are reductions of them), drops and cut crossings over all delivered
+        messages, and one
+        :meth:`~repro.hybrid.metrics.RoundMetrics.charge_global` plus one
+        traffic record for all rounds.  Under faults each message's fate uses
+        its own round's index (:meth:`~repro.hybrid.faults.FaultState.keep_mask`
+        takes the round column) and the fault clock advances by the number
+        of rounds.  Sends -- message and bit totals, the send-cap check --
+        count all attempted messages; receives (maxima, totals, cut
+        crossings) only the delivered ones.
+
+        A round that sends from or to a node outside the network raises
+        ``ValueError``; one over the send cap (``strict_send``) or, after the
+        fault drops, over the receive cap (``strict_receive``) raises
+        :class:`~repro.hybrid.errors.CapacityExceededError`.  The first such
+        round raises: every earlier round is charged in full, the failing
+        round charges nothing, and the fault clock has ticked through it --
+        exactly as a round-by-round execution would leave the network.
+
+        Returns the positions of the delivered messages in delivery order.
+        """
+        rounds = schedule.rounds
+        order = schedule.order
+        if not rounds:
+            return order
+        n = self.n
+        bounds = schedule.bounds
+        # Per-round counts do not depend on the order within a round, so they
+        # are taken over the columns as given; message ``at[i]`` of the
+        # columns is the ``i``-th in delivery order.  ``rounds`` and
+        # ``count`` shrink to the rounds before the first failing one and the
+        # messages they send.
+        at = order
+        count = order.size
+        sender_nodes = senders
+        target_nodes = targets
+        error: Exception | None = None
+        ends = _np.concatenate((senders, targets))
+        if int(ends.min()) < 0 or int(ends.max()) >= n:
+            rounds, error = _endpoint_error(senders[order], targets[order], bounds, n)
+            count = int(bounds[rounds])
+            sender_nodes = senders[order[:count]]
+            target_nodes = targets[order[:count]]
+            at = _np.arange(count)
+        widths = bounds[1 : rounds + 1] - bounds[:rounds]
+        if rounds > 1:
+            # Cell ``round * n + node``: one bincount per side counts every
+            # round's sends per sender and deliveries per target.
+            round_base = _np.empty(count, dtype=_np.int64)
+            round_base[at] = _np.repeat(_np.arange(0, rounds * n, n), widths)
+            sender_cells = round_base + sender_nodes
+            target_cells = round_base + target_nodes
+        else:
+            sender_cells = sender_nodes
+            target_cells = target_nodes
+        fault_state = self._fault_state
+        keep = None
+        if fault_state is not None and count:
+            # A fate depends on the scan order within its round.
+            first_round = fault_state.round_index
+            round_of = _np.repeat(_np.arange(first_round, first_round + rounds), widths)
+            keep = fault_state.keep_mask(sender_nodes[at], target_nodes[at], round_of, n)
+            if keep is not None:
+                target_cells = target_cells[at[keep]]
+        sent = _np.bincount(sender_cells, minlength=rounds * n).reshape(rounds, n)
+        received = _np.bincount(target_cells, minlength=rounds * n).reshape(rounds, n)
+        max_sent = int(sent.max(initial=0))
+        max_received = int(received.max(initial=0))
+        if (self.config.strict_send and max_sent > self.send_cap) or (
+            self.config.strict_receive and max_received > self.receive_cap
+        ):
+            rounds, error = self._first_over_cap(sent, received)
+            count = int(bounds[rounds])
+            sent = sent[:rounds]
+            received = received[:rounds]
+            keep = None if keep is None else keep[:count]
+            max_sent = int(sent.max(initial=0))
+            max_received = int(received.max(initial=0))
+        if fault_state is not None:
+            # The clock ticks once per round, the failing round included.
+            fault_state.advance(rounds + (error is not None))
+        positions = order[:count]
+        if keep is not None:
+            positions = positions[keep]
+        if rounds:
+            # repro-lint: waive[RL008] -- monotone traffic counter, never derived from the graph
+            self.received_totals += received[0] if rounds == 1 else received.sum(axis=0)
+            self.metrics.charge_global(rounds, phase)
+            violations = 0
+            if max_received > self.receive_cap:
+                violations = int(_np.count_nonzero(received.max(axis=1) > self.receive_cap))
+            self.metrics.record_global_traffic(
+                messages=count,
+                bits=count * self.config.message_bits,
+                max_sent=max_sent,
+                max_received=max_received,
+                violations=violations,
+            )
+            if positions.size < count:
+                self.metrics.record_fault_losses(dropped=count - int(positions.size))
+            for name, mask in self._cut_watchers:
+                crossings = int(
+                    _np.count_nonzero(mask[senders[positions]] != mask[targets[positions]])
+                )
+                if crossings:
+                    self.metrics.record_cut_bits(name, crossings * self.config.message_bits)
+        if error is not None:
+            raise error
+        return positions
+
+    def _first_over_cap(self, sent, received) -> tuple[int, CapacityExceededError]:
+        """The first round over an enforced cap, and its error.
+
+        ``sent`` / ``received`` hold each round's sends per sender and
+        deliveries per target.  Within a round the send cap is checked
+        first, as a round's sends are checked before its deliveries.
+        """
+        max_sent = sent.max(axis=1)
+        max_received = received.max(axis=1)
+        send_over = max_sent > (self.send_cap if self.config.strict_send else _UNCAPPED)
+        receive_over = max_received > (
+            self.receive_cap if self.config.strict_receive else _UNCAPPED
+        )
+        failing = int((send_over | receive_over).argmax())
+        if send_over[failing]:
+            return failing, CapacityExceededError(
+                f"node {int(sent[failing].argmax())} tried to send {int(max_sent[failing])} "
+                f"global messages in one round (cap {self.send_cap})"
+            )
+        return failing, CapacityExceededError(
+            f"a node received {int(max_received[failing])} global messages in one round "
+            f"(cap {self.receive_cap})"
+        )
+
+    def run_global_exchange(
+        self, senders, targets, phase: str = "global", schedule: ExchangeSchedule | None = None
+    ) -> tuple[_np.ndarray, int]:
+        """Deliver an arbitrary-size batch of global messages over several rounds.
+
+        The workhorse behind "send each of your tokens, Θ(log n) tokens at a
+        time" style loops in the paper's pseudo-code: the batch is scheduled
+        (:meth:`schedule_exchange`, unless the caller passes the ``schedule``
+        it already holds for these columns) and every round of the schedule
+        is charged in one pass (:meth:`account`).  Message ``i`` goes from
+        ``senders[i]`` to ``targets[i]`` (two int64 columns); within one
+        sender the column order is the sender's queue order.
+
+        Returns the positions of the delivered messages in delivery order
+        (round by round, each round in its rotated scan order) and the number
+        of global rounds used.
+        """
+        if schedule is None:
+            schedule = self.schedule_exchange(senders, targets)
+        return self.account(schedule, senders, targets, phase), schedule.rounds
 
     def run_reliable_exchange(
-        self, senders, targets, phase: str = "global"
+        self, senders, targets, phase: str = "global", schedule: ExchangeSchedule | None = None
     ) -> tuple[_np.ndarray, int]:
         """Deliver *every* message of the batch despite an unreliable network.
 
@@ -449,7 +618,9 @@ class HybridNetwork:
         classic success-amplification argument.  A message and its ACK are
         matched by the message's position in the batch, so duplicates caused
         by lost ACKs are absorbed here and callers keep exactly-once
-        semantics.
+        semantics.  A ``schedule`` the caller holds for these columns
+        (:meth:`schedule_exchange`) sends the first attempt; retries and ACKs
+        are new columns and are scheduled as they come.
 
         Returns the delivered positions and the total global rounds consumed,
         ACK rounds included; under faults the positions are all of them, in
@@ -460,7 +631,7 @@ class HybridNetwork:
         partial result must not masquerade as a correct one.
         """
         if self._fault_state is None:
-            return self.run_global_exchange(senders, targets, phase)
+            return self.run_global_exchange(senders, targets, phase, schedule=schedule)
         total = senders.size
         pending = _np.arange(total)
         if not total:
@@ -471,8 +642,13 @@ class HybridNetwork:
             if attempt:
                 self.metrics.record_fault_losses(retried=int(pending.size))
             attempt_phase = phase if attempt == 0 else phase + ":retry"
+            # The first attempt sends the whole batch, so a schedule the
+            # caller holds for it applies; retries and ACKs are new columns.
             delivered, attempt_rounds = self.run_global_exchange(
-                senders[pending], targets[pending], attempt_phase
+                senders[pending],
+                targets[pending],
+                attempt_phase,
+                schedule=schedule if attempt == 0 else None,
             )
             rounds += attempt_rounds
             if delivered.size:
@@ -497,7 +673,7 @@ class HybridNetwork:
     # ------------------------------------------------------------- shortcuts
     def max_total_received(self) -> int:
         """Largest cumulative global receive count of any node over the run."""
-        return int(max(self.received_totals)) if self.n else 0
+        return int(self.received_totals.max()) if self.n else 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

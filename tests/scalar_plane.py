@@ -112,8 +112,10 @@ class ScalarPlaneNetwork(HybridNetwork):
         return self._scalar_round(senders, targets, range(len(senders)), phase)
 
     def run_global_exchange(
-        self, senders, targets, phase: str = "global"
+        self, senders, targets, phase: str = "global", schedule=None
     ) -> tuple[np.ndarray, int]:
+        # A schedule the caller holds (a routing plan's) is ignored: the
+        # oracle scans every round itself.
         queues: dict[int, list[int]] = {}
         for position, sender in enumerate(senders.tolist()):
             queues.setdefault(sender, []).append(position)
@@ -151,7 +153,7 @@ class ScalarPlaneNetwork(HybridNetwork):
         bits = self.config.message_bits
         fault_state = self._fault_state
         if fault_state is not None:
-            fault_round = fault_state.next_round()
+            fault_round = fault_state.advance(1)
             threshold = fault_state.drop_threshold(fault_round)
             faulty = fault_state.faulty_nodes(fault_round)
             occurrences: dict[tuple[int, int], int] = {}

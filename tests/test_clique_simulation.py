@@ -221,6 +221,24 @@ class TestRoutingPlanReuse:
         run_round(transport, {2: [(0, "d")]})
         assert len(calls) == 3 and calls[-1] == transport.size**2
 
+    def test_reused_plan_schedules_nothing(self, monkeypatch):
+        # A plan carries its push, request and respond schedules, so a Gather
+        # run of R CLIQUE rounds on one plan schedules 3 exchanges, not 3R.
+        transport = make_transport()
+        scheduled = []
+        original = HybridNetwork.schedule_exchange
+
+        def counted(network, senders, targets):
+            scheduled.append(senders.size)
+            return original(network, senders, targets)
+
+        monkeypatch.setattr(HybridNetwork, "schedule_exchange", counted)
+        plans = count_plans(transport)
+        GatherShortestPaths().run(transport, transport.skeleton.weights, [0])
+        assert transport.rounds_used > 3
+        assert len(plans) == 1
+        assert len(scheduled) == 3
+
     # Per round, a digest of the inboxes in delivery order; then the
     # transport's whole RoundMetrics pin.  Recorded with the dict-of-tuples
     # transport (and its per-pair extra-token loop).

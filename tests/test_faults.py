@@ -43,6 +43,7 @@ from repro.hybrid.faults import (
     FaultState,
     fault_hash,
     fault_hash_array,
+    fault_hash_from_prefix,
 )
 from repro.session import HybridSession
 from repro.util.rand import RandomSource
@@ -165,6 +166,46 @@ class TestFaultModel:
         assert state.faulty_nodes(1) == frozenset({9})
         assert state.faulty_nodes(2) == frozenset({4})
         assert state.faulty_nodes(3) == frozenset({4})
+
+
+class TestFaultRoundContext:
+    def test_prefix_folding_matches_full_hash(self):
+        for seed in (0, 1, 77):
+            prefix = fault_hash(seed, 1, 5)
+            for lanes in ((0, 0, 0), (3, 4, 5), (1 << 40, 2, 9)):
+                assert fault_hash_from_prefix(prefix, *lanes) == fault_hash(seed, 1, 5, *lanes)
+
+    def test_round_context_matches_per_round_queries(self):
+        model = FaultModel(
+            drop_rate=0.3,
+            burst_rate=0.4,
+            burst_length=2,
+            burst_drop_rate=0.95,
+            crash_schedule={2: 1},
+            omission_schedule={3: [4]},
+            seed=11,
+        )
+        state = FaultState(model)
+        for round_index in (0, 1, 2, 3, 4, 2, 0):  # revisits hit the memo
+            threshold, faulty, prefix = state.round_context(round_index)
+            assert threshold == state.drop_threshold(round_index)
+            assert faulty == state.faulty_nodes(round_index)
+            assert prefix == fault_hash(model.seed, 1, round_index)
+
+    def test_context_is_memoized(self):
+        state = FaultState(FaultModel(drop_rate=0.5, seed=3))
+        first = state.round_context(7)
+        assert state.round_context(7) is first
+
+    def test_drops_uses_memoized_prefix(self):
+        model = FaultModel(drop_rate=0.5, seed=21)
+        state = FaultState(model)
+        threshold, faulty, _ = state.round_context(4)
+        for sender, target, occurrence in ((0, 1, 0), (5, 5, 2), (9, 0, 1)):
+            expected = (
+                fault_hash(model.seed, 1, 4, sender, target, occurrence) < threshold
+            )
+            assert state.drops(4, sender, target, occurrence, threshold, faulty) == expected
 
 
 class TestEngineEnforcement:

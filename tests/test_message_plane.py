@@ -30,15 +30,26 @@ from scalar_plane import (
 
 from repro.core.clique_simulation import HybridCliqueTransport
 from repro.core.skeleton import compute_skeleton
+from repro.core.sssp import sssp_exact
 from repro.core.token_routing import make_tokens, route_tokens
 from repro.graphs import generators
-from repro.hybrid import CapacityExceededError, FaultModel, HybridNetwork, MessageBatch, ModelConfig
+from repro.hybrid import (
+    CapacityExceededError,
+    ExchangeSchedule,
+    FaultModel,
+    HybridNetwork,
+    MessageBatch,
+    ModelConfig,
+)
 from repro.hybrid.network import _admit_scan
 from repro.localnet import aggregate_max, aggregate_sum, broadcast_value, disseminate_tokens
 from repro.util.rand import RandomSource
 
 common_settings = settings(
     max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+identity_settings = settings(
+    max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 
 message_lists = st.lists(
@@ -465,6 +476,128 @@ class TestClosedFormSchedule:
             assert network.metrics.global_rounds == 2, plane
 
 
+@st.composite
+def accounting_cases(draw):
+    """An exchange, contested or not, with its caps, plus a one-round batch
+    of single messages from distinct senders that overflows one target."""
+    if draw(st.booleans()):
+        pairs, send_cap, receive_cap, _ = draw(contested_exchanges())
+    else:
+        pairs = draw(message_lists)
+        send_cap = draw(st.integers(min_value=1, max_value=4))
+        receive_cap = draw(st.integers(min_value=1, max_value=6))
+    hot = draw(st.integers(0, 19))
+    crowd = draw(st.lists(st.integers(0, 19), min_size=receive_cap + 1, max_size=20, unique=True))
+    return pairs, [(sender, hot) for sender in crowd], send_cap, receive_cap
+
+
+class TestOnePassAccounting:
+    """``account`` charges all rounds of a schedule in one pass; the oracle
+    accounts round by round.  The same traffic must give the same delivered
+    positions in order, rounds, receive totals, cut bits and full
+    RoundMetrics -- of the network and of two nested scopes -- for an
+    exchange, a one-round batch over the receive cap (``strict_receive``
+    off) and the exchange's schedule sent a second time."""
+
+    FAULTS = {
+        "ideal": None,
+        "faulty": dict(drop_rate=0.2, burst_rate=0.2, burst_length=2, burst_drop_rate=0.9, seed=7),
+    }
+
+    @staticmethod
+    def run(plane, case, faults):
+        pairs, overflow, send_cap, receive_cap = case
+        config = capped_config(
+            20,
+            send_cap,
+            receive_cap,
+            rng_seed=1,
+            strict_receive=False,
+            faults=faults and FaultModel(**faults),
+        )
+        network = PLANES[plane](generators.cycle_graph(20), config)
+        assert (network.send_cap, network.receive_cap) == (send_cap, receive_cap)
+        network.add_cut_watcher("half", range(10))
+        network.add_cut_watcher("odd", range(1, 20, 2))
+        senders, targets = build_columns(pairs)
+
+        def exchange(phase):
+            if plane == "scalar":
+                delivered, rounds = network.run_global_exchange(senders, targets, phase)
+            else:
+                delivered = network.account(schedule, senders, targets, phase)
+                rounds = schedule.rounds
+            return delivered.tolist(), rounds
+
+        schedule = network.schedule_exchange(senders, targets)
+        with network.metrics.scoped("outer") as outer:
+            first = exchange("exchange")
+            with network.metrics.scoped("inner") as inner:
+                overflowed = network.global_round(*build_columns(overflow), "overflow").tolist()
+                again = exchange("again")
+        return first, overflowed, again, metrics_snapshot(network), network.metrics, outer, inner
+
+    @pytest.mark.parametrize("faults", sorted(FAULTS))
+    @common_settings
+    @given(accounting_cases())
+    def test_matches_round_by_round_accounting(self, faults, case):
+        oracle = self.run("scalar", case, self.FAULTS[faults])
+        engine = self.run("vectorized", case, self.FAULTS[faults])
+        assert engine == oracle
+        if faults == "ideal":
+            inner = engine[-1]
+            assert inner.receive_cap_violations == 1
+            assert inner.max_received_per_round == len(case[1])
+
+    @pytest.mark.parametrize("bad_target", [-1, 20])
+    def test_rejected_round_ticks_the_fault_clock(self, bad_target):
+        # Sender 0's third message (round 2 at send_cap 1) has a bad target:
+        # rounds 0 and 1 are charged, round 2 ticks the fault clock, and a
+        # following exchange's drops see the same clock on both planes.
+        pairs = [(0, 1), (1, 2), (0, 3), (0, bad_target)]
+        follow = [(sender, (sender + 3) % 20) for sender in range(20) for _ in range(2)]
+        snapshots = {}
+        for plane in PLANES:
+            config = capped_config(20, 1, 2, faults=FaultModel(drop_rate=0.3, seed=5))
+            network = PLANES[plane](generators.cycle_graph(20), config)
+            with pytest.raises(ValueError):
+                network.run_global_exchange(*build_columns(pairs))
+            assert network._fault_state.round_index == 3, plane
+            delivered, rounds = network.run_global_exchange(*build_columns(follow))
+            snapshots[plane] = delivered.tolist(), rounds, metrics_snapshot(network)
+        assert snapshots["scalar"] == snapshots["vectorized"]
+
+    def test_folded_record_counts_every_round_over_the_cap(self):
+        # Two rounds of four messages into node 1 (receive cap 2), folded
+        # into one record: two violations, as two separate rounds record.
+        pairs = [(sender, 1) for sender in range(8)]
+        senders, targets = build_columns(pairs)
+        config = capped_config(20, 1, 2, strict_receive=False)
+        folded = HybridNetwork(generators.cycle_graph(20), config)
+        schedule = ExchangeSchedule(np.arange(8), np.array([0, 4, 8]))
+        assert folded.account(schedule, senders, targets, "x").tolist() == list(range(8))
+        separate = HybridNetwork(generators.cycle_graph(20), config)
+        for block in (slice(0, 4), slice(4, 8)):
+            separate.global_round(senders[block], targets[block], "x")
+        assert folded.metrics == separate.metrics
+        assert folded.metrics.receive_cap_violations == 2
+
+    def test_schedule_is_a_read_only_value(self):
+        network = HybridNetwork(generators.cycle_graph(20), capped_config(20, 1, 2))
+        senders, targets = build_columns([(0, 1), (0, 2), (1, 1), (2, 1), (3, 1)])
+        schedule = network.schedule_exchange(senders, targets)
+        # Round 0 scans senders 0-3 and admits two messages to node 1; round
+        # 1 scans from sender 2 (offset 1 of senders 0, 2, 3).
+        assert schedule.rounds == 2 and schedule.bounds.tolist() == [0, 2, 5]
+        assert schedule.order.tolist() == [0, 2, 3, 4, 1]
+        with pytest.raises(ValueError):
+            schedule.order[0] = 4
+        # Sending it twice charges twice and delivers the same positions.
+        first = network.account(schedule, senders, targets, "x")
+        assert network.account(schedule, senders, targets, "x").tolist() == first.tolist()
+        assert network.metrics.global_rounds == 4
+
+
 def run_on_both_planes(build_graph, protocol):
     """Run a protocol on the oracle and the engine; return both metric snapshots."""
     snapshots = {}
@@ -545,3 +678,67 @@ class TestProtocolPlaneIdentity:
         )
         assert snapshots["scalar"] == snapshots["vectorized"]
         assert outputs["scalar"] == outputs["vectorized"]
+
+
+@st.composite
+def fault_exchange(draw):
+    """A random message batch plus a lossy fault model."""
+    n = draw(st.integers(min_value=3, max_value=16))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            min_size=0,
+            max_size=60,
+        )
+    )
+    model = FaultModel(
+        drop_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        burst_rate=draw(st.sampled_from([0.0, 0.3])),
+        burst_length=2,
+        burst_drop_rate=0.9,
+        crash_schedule={0: 3} if draw(st.booleans()) else {},
+        seed=draw(st.integers(min_value=0, max_value=99)),
+        max_attempts=64,
+    )
+    seed = draw(st.integers(min_value=0, max_value=99))
+    return n, pairs, model, seed
+
+
+class TestMessagePlaneIdentity:
+    """Engine vs scalar oracle: identical deliveries and metrics."""
+
+    @staticmethod
+    def _run(network_class, n, pairs, model, seed):
+        graph = generators.cycle_graph(n)
+        network = network_class(graph, ModelConfig(rng_seed=seed, faults=model))
+        senders = np.array([sender for sender, _ in pairs], dtype=np.int64)
+        targets = np.array([target for _, target in pairs], dtype=np.int64)
+        network.add_cut_watcher("low", range(n // 2))
+        delivered, rounds = network.run_global_exchange(senders, targets, phase="test")
+        received = [int(total) for total in network.received_totals]
+        return delivered.tolist(), rounds, network.metrics, received
+
+    @identity_settings
+    @given(fault_exchange())
+    def test_exchange_identical_across_planes(self, case):
+        n, pairs, model, seed = case
+        reference = self._run(ScalarPlaneNetwork, n, pairs, model, seed)
+        assert self._run(HybridNetwork, n, pairs, model, seed) == reference
+
+    @pytest.mark.parametrize("plane", ["scalar", "vectorized"])
+    def test_sssp_identical_across_planes(self, plane):
+        graph = generators.connected_workload(48, RandomSource(5), weighted=True, max_weight=6)
+        reference_net = HybridNetwork(graph.copy(), ModelConfig(rng_seed=5))
+        reference = sssp_exact(reference_net, source=0)
+        network = PLANES[plane](graph.copy(), ModelConfig(rng_seed=5))
+        result = sssp_exact(network, source=0)
+        assert result.distances == reference.distances
+        assert result.rounds == reference.rounds
+        assert network.metrics.as_dict() == reference_net.metrics.as_dict()
+        # Same fork labels => same protocol randomness on every plane.
+        assert network.fork_rng("check").randrange(1 << 30) == reference_net.fork_rng(
+            "check"
+        ).randrange(1 << 30)
