@@ -12,31 +12,41 @@ The construction (Algorithm 1) computes a ``(2µ+1, 2µ⌈log n⌉)``-ruling set
 clusters every node around its closest ruler, and then lets each cluster
 member join ``H_w`` for each ``w ∈ W`` in its cluster independently with
 probability ``q = min(2µ/|C|, 1)``.
+
+The helper sets are int64 arrays: one helper column grouped per member
+(:class:`HelperSets`), sampled with one draw of uniforms for every coin flip
+(:func:`sample_helpers`).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.graphs import csr as csr_kernels
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.clustering import cluster_around_rulers
 from repro.util.rand import RandomSource
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class HelperSets:
     """A family of helper sets for the member set ``W`` (Definition 2.1).
+
+    The helpers are one int64 column grouped per member: member
+    ``members[j]`` is helped by ``nodes[bounds[j]:bounds[j + 1]]``, ascending.
 
     Attributes
     ----------
     members:
-        The set ``W`` the helpers were computed for.
+        The set ``W`` the helpers were computed for (ascending int64).
     mu:
         The size/radius parameter ``µ`` of Definition 2.1.
-    helpers:
-        ``w -> sorted list of helper nodes`` for every ``w ∈ W``.
+    nodes, bounds:
+        The helper column and each member's slice of it (int64).
     radius:
         The hop radius of the ruler clustering the construction is based on
         (it bounds property (2) and the Routing-Preparation floods).
@@ -44,35 +54,45 @@ class HelperSets:
         Rounds consumed by Algorithm 1 (ruling set + the exploration loops).
     """
 
-    members: list[int]
+    members: np.ndarray
     mu: int
-    helpers: dict[int, list[int]]
+    nodes: np.ndarray
+    bounds: np.ndarray
     radius: int
     rounds_charged: int
 
+    def __post_init__(self) -> None:
+        for column in (self.members, self.nodes, self.bounds):
+            column.setflags(write=False)
+
+    @property
+    def helpers(self) -> dict[int, np.ndarray]:
+        """``w -> ascending int64 helper nodes`` for every ``w ∈ W``."""
+        pieces = np.split(self.nodes, self.bounds[1:-1])
+        return dict(zip(self.members.tolist(), pieces, strict=True))
+
+    def counts(self) -> np.ndarray:
+        """``|H_w|`` per member, in member order."""
+        return np.diff(self.bounds)
+
     def min_helper_count(self) -> int:
         """Smallest ``|H_w|`` over all members (property (1) wants ``≥ µ``)."""
-        if not self.helpers:
-            return 0
-        return min(len(h) for h in self.helpers.values())
+        return int(self.counts().min()) if self.members.size else 0
 
     def max_membership_load(self) -> int:
         """Largest number of helper sets any single node belongs to (property (3))."""
-        load: dict[int, int] = {}
-        for helper_nodes in self.helpers.values():
-            for node in helper_nodes:
-                load[node] = load.get(node, 0) + 1
-        return max(load.values()) if load else 0
+        return int(np.bincount(self.nodes).max()) if self.nodes.size else 0
 
     def max_helper_radius(self, network: HybridNetwork) -> int:
-        """Largest hop distance between a member and one of its helpers (property (2))."""
-        worst = 0
-        members = [member for member, helper_nodes in self.helpers.items() if helper_nodes]
-        all_hops = network.local_graph.bfs_hops_many(members)
-        for member, hops in zip(members, all_hops, strict=True):
-            for helper in self.helpers[member]:
-                worst = max(worst, int(hops.get(helper, network.n)))
-        return worst
+        """Largest hop distance between a member and one of its helpers (property (2)).
+
+        A helper its member cannot reach counts as ``n`` hops.
+        """
+        if not self.nodes.size:
+            return 0
+        levels = csr_kernels.bfs_level_matrix(network.local_graph.csr(), self.members)
+        hops = levels[np.repeat(np.arange(self.members.size), self.counts()), self.nodes]
+        return int(np.where(hops < 0, network.n, hops).max())
 
 
 def helper_parameter(n: int, member_count: int, tokens_per_member: int) -> int:
@@ -109,39 +129,65 @@ def compute_helper_sets(
     member_list = sorted(set(members))
     if not member_list:
         raise ValueError("the member set W must be non-empty")
+    if member_list[0] < 0 or member_list[-1] >= network.n:
+        raise ValueError(f"the member set W must lie in [0, {network.n})")
     rng = rng or network.fork_rng(phase + ":sampling")
     rounds_before = network.metrics.total_rounds
 
     mu = helper_parameter(network.n, len(member_list), tokens_per_member)
     clustering = cluster_around_rulers(network, mu, phase)
 
-    member_set = set(member_list)
-    helpers: dict[int, list[int]] = {member: [] for member in member_list}
-    for cluster_array in clustering.members.values():
-        cluster_members = cluster_array.tolist()
-        cluster_size = len(cluster_members)
-        local_members = [node for node in cluster_members if node in member_set]
-        if not local_members:
-            continue
-        probability = min(2.0 * mu / cluster_size, 1.0)
-        for node in cluster_members:
-            for member in local_members:
-                if rng.bernoulli(probability):
-                    helpers[member].append(node)
-    # A member always serves as its own helper; this guarantees non-empty
-    # helper sets even in the degenerate small-n / tiny-cluster regime where
-    # the w.h.p. size guarantee of Lemma 2.2 has no bite.
-    for member in member_list:
-        if member not in helpers[member]:
-            helpers[member].append(member)
-    for member in member_list:
-        helpers[member].sort()
-
+    member_array = np.array(member_list, dtype=np.int64)
+    nodes, bounds = sample_helpers(clustering.members, member_array, mu, network.n, rng)
     rounds_charged = network.metrics.total_rounds - rounds_before
     return HelperSets(
-        members=member_list,
+        members=member_array,
         mu=mu,
-        helpers=helpers,
+        nodes=nodes,
+        bounds=bounds,
         radius=clustering.radius,
         rounds_charged=rounds_charged,
     )
+
+
+def sample_helpers(
+    clusters: Mapping[int, np.ndarray], members: np.ndarray, mu: int, n: int, rng: RandomSource
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sampling step of Algorithm 1: the helper column and its member bounds.
+
+    ``clusters`` partitions ``[0, n)`` (ascending int64 members per cluster,
+    in cluster order) and ``members`` is ``W``, ascending.  Every cluster
+    node joins ``H_w`` for each ``w ∈ W`` of its cluster independently with
+    probability ``q = min(2µ/|C|, 1)``: one coin flip per (cluster node,
+    local member) pair, in (cluster, node, member) order.  Clusters with
+    ``q ≥ 1`` keep every pair without a draw, so only the other pairs
+    consume randomness, all from one :meth:`RandomSource.uniforms` draw
+    (``u < q``).  A member always serves as its own helper; this guarantees
+    non-empty helper sets even in the degenerate small-n / tiny-cluster
+    regime where the w.h.p. size guarantee of Lemma 2.2 has no bite.
+
+    Returns ``(nodes, bounds)`` as in :class:`HelperSets`.
+    """
+    column = np.concatenate(list(clusters.values()))
+    sizes = np.array([nodes.size for nodes in clusters.values()], dtype=np.int64)
+    cluster_of = np.repeat(np.arange(sizes.size), sizes)
+    is_member = np.zeros(n, dtype=bool)
+    is_member[members] = True
+    local = is_member[column]
+    local_counts = np.bincount(cluster_of[local], minlength=sizes.size)
+    # Pair p meets node pair_node[p] with the rank-th local member of its cluster.
+    per_node = local_counts[cluster_of]
+    pair_node = np.repeat(column, per_node)
+    pair_cluster = np.repeat(cluster_of, per_node)
+    rank = np.arange(pair_node.size) - np.repeat(np.cumsum(per_node) - per_node, per_node)
+    pair_member = column[local][(np.cumsum(local_counts) - local_counts)[pair_cluster] + rank]
+    probability = np.minimum(2.0 * mu / sizes, 1.0)[pair_cluster]
+    chosen = probability >= 1.0
+    drawn = np.flatnonzero(~chosen)
+    chosen[drawn] = rng.uniforms(drawn.size) < probability[drawn]
+    # One sorted ``member · n + node`` key column groups the helpers per member.
+    keys = np.unique(
+        np.concatenate((pair_member[chosen], members)) * n
+        + np.concatenate((pair_node[chosen], members))
+    )
+    return keys % n, np.searchsorted(keys, np.append(members, n) * n)

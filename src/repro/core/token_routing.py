@@ -50,33 +50,30 @@ from repro.localnet.aggregation import broadcast_value
 from repro.util.hashing import hash_family_for_network
 
 
-def _assign_round_robin(endpoints: _np.ndarray, helper_lists: dict[int, list[int]], role: str):
+def _assign_round_robin(endpoints: _np.ndarray, helper_sets: HelperSets, role: str):
     """Per token, the helper its endpoint deals it to (``c % helper_count``).
 
     ``endpoints[i]`` is token ``i``'s sender (or receiver); token number ``c``
-    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  The
-    positions are grouped per endpoint and assigned with one take per
-    endpoint.
+    of an endpoint goes to that endpoint's helper ``c % len(helpers)``.  With
+    ``c`` from one stable sort of the endpoints, that is one gather from the
+    helper column: ``nodes[bounds[slot] + c % count[slot]]``.
     """
-    result = _np.empty(endpoints.size, dtype=_np.int64)
     if not endpoints.size:
-        return result
+        return _np.empty(0, dtype=_np.int64)
+    members = helper_sets.members
+    slot = _np.minimum(_np.searchsorted(members, endpoints), members.size - 1)
+    unknown = members[slot] != endpoints
+    if unknown.any():
+        endpoint = int(endpoints[unknown].min())
+        raise ProtocolError(f"token {role} {endpoint} is not in the {role} set")
     order = _np.argsort(endpoints, kind="stable")
     sorted_endpoints = endpoints[order]
-    starts = _np.flatnonzero(
-        _np.concatenate(([True], sorted_endpoints[1:] != sorted_endpoints[:-1]))
-    )
-    bounds = _np.concatenate((starts, [order.size]))
-    for begin, end in zip(bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
-        endpoint = int(sorted_endpoints[begin])
-        helpers = helper_lists.get(endpoint)
-        if helpers is None:
-            raise ProtocolError(f"token {role} {endpoint} is not in the {role} set")
-        result[order[begin:end]] = _np.take(
-            _np.asarray(helpers, dtype=_np.int64),
-            _np.arange(end - begin) % len(helpers),
-        )
-    return result
+    position = _np.arange(order.size)
+    first = _np.concatenate(([True], sorted_endpoints[1:] != sorted_endpoints[:-1]))
+    rank = _np.empty(order.size, dtype=_np.int64)
+    rank[order] = position - _np.maximum.accumulate(_np.where(first, position, 0))
+    counts = helper_sets.counts()[slot]
+    return helper_sets.nodes[helper_sets.bounds[slot] + rank % counts]
 
 
 @dataclass(frozen=True)
@@ -326,11 +323,9 @@ class TokenRouter:
         # Helper assignment deals each endpoint's tokens round-robin: token
         # number c of an endpoint goes to helper ``c % helper_count``, the
         # balanced ⌈k/µ⌉-per-helper split of Fact 2.4.
-        sender_helper_of = _assign_round_robin(
-            routed_senders, self.sender_helpers.helpers, "sender"
-        )
+        sender_helper_of = _assign_round_robin(routed_senders, self.sender_helpers, "sender")
         receiver_helper_of = _assign_round_robin(
-            routed_receivers, self.receiver_helpers.helpers, "receiver"
+            routed_receivers, self.receiver_helpers, "receiver"
         )
         # Everything queued is delivered, so the per-receiver grouping is
         # label-determined as well: rank the receivers (self-addressed first

@@ -221,6 +221,10 @@ class HybridNetwork:
         )
         self._outage_graph: WeightedGraph | None = None
         self._outage_version: int | None = None
+        # aggregate_sum's convergecast levels as (senders, targets, schedule):
+        # the columns depend on n alone and the schedules on them and the
+        # caps, so they are built on first use and reused.
+        self.convergecast_levels: tuple | None = None
 
     def reset_metrics(self) -> None:
         """Zero all counters (e.g. between benchmark repetitions).

@@ -86,17 +86,33 @@ def aggregate_sum(
     level of node ``n-1``); every level down to the root is then non-empty
     and charges exactly one global round -- ``⌊log2 n⌋`` rounds in total.
     """
-    n = network.n
-    # Convergecast: deepest occupied level first.  (Levels are never empty:
-    # level ℓ holds nodes [2^ℓ - 1, 2^{ℓ+1} - 1) and 2^ℓ - 1 < n for every
-    # ℓ ≤ ⌊log2 n⌋.)
-    depth = int(math.log2(n)) if n > 1 else 0
-    for level in range(depth, 0, -1):
-        senders = _np.arange((1 << level) - 1, min(n, (1 << (level + 1)) - 1))
-        network.run_reliable_exchange(senders, (senders - 1) // 2, phase)
+    for senders, targets, schedule in _convergecast_levels(network):
+        network.run_reliable_exchange(senders, targets, phase, schedule=schedule)
     total = float(sum(values.values()))
     broadcast_value(network, total, source=0, phase=phase)
     return total
+
+
+def _convergecast_levels(network: HybridNetwork):
+    """The convergecast's levels, deepest first, as (senders, targets, schedule).
+
+    Level ``ℓ`` holds nodes ``[2^ℓ - 1, 2^{ℓ+1} - 1)``, each sending to its
+    parent ``(i - 1) // 2``.  The levels are never empty (``2^ℓ - 1 < n``
+    for every ``ℓ ≤ ⌊log2 n⌋``).  The columns are a function of ``n`` and
+    their schedules of the network's caps, so both are built once per
+    network (:attr:`HybridNetwork.convergecast_levels`).
+    """
+    if network.convergecast_levels is None:
+        n = network.n
+        levels = []
+        for level in range(int(math.log2(n)) if n > 1 else 0, 0, -1):
+            senders = _np.arange((1 << level) - 1, min(n, (1 << (level + 1)) - 1))
+            targets = (senders - 1) // 2
+            senders.setflags(write=False)
+            targets.setflags(write=False)
+            levels.append((senders, targets, network.schedule_exchange(senders, targets)))
+        network.convergecast_levels = tuple(levels)
+    return network.convergecast_levels
 
 
 def broadcast_value(

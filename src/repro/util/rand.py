@@ -14,6 +14,8 @@ import random
 from collections.abc import Iterable, Sequence
 from typing import TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -72,6 +74,23 @@ class RandomSource:
     def shuffle(self, items: list[T]) -> None:
         """In-place Fisher-Yates shuffle."""
         self._rng.shuffle(items)
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` :meth:`random` values in one draw (float64 array).
+
+        ``random()`` turns two consecutive 32-bit MT19937 words ``a, b`` into
+        ``((a >> 5) · 2^26 + (b >> 6)) / 2^53``.  ``getrandbits(64 · count)``
+        consumes the same ``2 · count`` words from the same state, first word
+        least significant, so its little-endian bytes are the word stream and
+        the doubles come out bit for bit; the source is left where ``count``
+        calls to :meth:`random` would leave it (DESIGN.md §4).
+        """
+        if count <= 0:
+            return np.empty(0)
+        words = np.frombuffer(
+            self._rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4"
+        )
+        return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
     def bernoulli(self, probability: float) -> bool:
         """Return ``True`` with the given probability."""

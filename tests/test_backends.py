@@ -35,7 +35,8 @@ from repro.graphs import generators, reference
 from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid import HybridNetwork, ModelConfig
-from repro.util.hashing import hash_family_for_network
+from repro.util import hashing
+from repro.util.hashing import KWiseHashFunction, hash_family_for_network
 from repro.util.rand import RandomSource
 
 common_settings = settings(
@@ -531,3 +532,42 @@ class TestBatchedHashing:
         function = hash_family_for_network(64, RandomSource(1))
         empty = function.many(())
         assert empty.dtype == numpy.int64 and empty.size == 0
+
+    def test_many_reduces_lazy_representatives(self):
+        # At the field's edges the lazily folded value lands on p itself
+        # (x + 0 at key p - 1 encodes x = p); the result is still canonical.
+        prime = (1 << 61) - 1
+        keys = [0, 1, prime - 2, prime - 1, prime, (1 << 62) - 2, (1 << 62) - 1]
+        for coefficients in ([1, 0], [1, prime - 1], [2, 2], [prime - 1] * 3):
+            function = KWiseHashFunction(coefficients, 1 << 40)
+            assert function.many([keys]).tolist() == [function(key) for key in keys]
+
+    # Lane values up to 2^62 - 1 (the range _canonical_token_keys emits),
+    # with the field's edges mixed in; batches on both sides of the block.
+    EDGES = [0, 1, (1 << 61) - 2, (1 << 61) - 1, 1 << 61, (1 << 62) - 1]
+    SIZES = [0, 1, 2, 30, hashing._BLOCK - 1, hashing._BLOCK, hashing._BLOCK + 1]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        n=st.sampled_from([2, 3, 64, 257, 1024, 1 << 17]),
+        seed=st.integers(min_value=0, max_value=2**32),
+        lane_count=st.integers(min_value=1, max_value=3),
+        size=st.sampled_from(SIZES),
+        prefix=st.lists(st.integers(min_value=0, max_value=(1 << 62) - 1), max_size=6),
+    )
+    def test_many_matches_scalar_on_any_lanes(self, n, seed, lane_count, size, prefix):
+        function = hash_family_for_network(n, RandomSource(seed))
+        rng = RandomSource(seed + 1)
+        lanes = []
+        for lane_index in range(lane_count):
+            lane = [
+                rng.choice(self.EDGES) if rng.random() < 0.2 else rng.randrange(1 << 62)
+                for _ in range(size)
+            ]
+            head = prefix[lane_index:][:size]
+            lane[: len(head)] = head
+            lanes.append(lane)
+        batched = function.many(lanes)
+        expected = [function(tuple(lane[i] for lane in lanes)) for i in range(size)]
+        assert batched.dtype == numpy.int64 and batched.size == size
+        assert batched.tolist() == expected

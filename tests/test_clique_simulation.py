@@ -19,6 +19,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.hybrid import CapacityExceededError, HybridNetwork, ModelConfig
 from repro.hybrid.batch import MessageBatch
 from repro.hybrid.faults import FaultModel
+from repro.localnet.token_dissemination import disseminate_tokens
 from repro.util.rand import RandomSource
 
 
@@ -274,6 +275,35 @@ class TestRoutingPlanReuse:
         assert reused.network.metrics == fresh.network.metrics
         if faults is not None:
             assert reused.network.metrics.global_dropped > 0
+
+
+class TestConvergecastScheduleReuse:
+    def test_second_dissemination_schedules_no_count_level(self, monkeypatch):
+        # aggregate_sum's convergecast levels (dissemination step 1, phase
+        # ":count") are columns of n alone, so a network schedules them once.
+        n = 100
+        network = HybridNetwork(generators.cycle_graph(n), ModelConfig(rng_seed=4))
+        levels = []
+        for level in range(n.bit_length() - 1, 0, -1):
+            senders = list(range((1 << level) - 1, min(n, (1 << (level + 1)) - 1)))
+            levels.append((senders, [(sender - 1) // 2 for sender in senders]))
+        scheduled = []
+        original = HybridNetwork.schedule_exchange
+
+        def counted(network, senders, targets):
+            scheduled.append((senders.tolist(), targets.tolist()))
+            return original(network, senders, targets)
+
+        monkeypatch.setattr(HybridNetwork, "schedule_exchange", counted)
+        tokens = {node: [("t", node)] for node in range(0, n, 10)}
+        disseminate_tokens(network, tokens, phase="tokens")
+        first, rounds = list(scheduled), network.metrics.total_rounds
+        scheduled.clear()
+        disseminate_tokens(network, tokens, phase="tokens")
+        assert all(level in first for level in levels)
+        assert not any(level in scheduled for level in levels)
+        assert len(scheduled) == len(first) - len(levels)
+        assert network.metrics.total_rounds == 2 * rounds
 
 
 class TestColumnTraffic:

@@ -31,6 +31,7 @@ from repro.core.context import SkeletonContext, prepare_skeleton_context
 from repro.core.skeleton import compute_skeleton
 from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
+from repro.graphs.csr import chunked_sources
 from repro.graphs.graph import WeightedGraph
 from repro.graphs.skeleton_analysis import skeleton_hop_length
 from repro.hybrid.faults import FaultModel
@@ -642,3 +643,29 @@ class TestRepairMatchesCold:
         assert not warm_exploration.certified().any()
         assert np.array_equal(warm_exploration.certified(), cold_exploration.certified())
         assert np.array_equal(warm_exploration.matrix(), cold_exploration.matrix())
+
+
+# The batched kernels' byte-budget source chunking never changes a result.
+class TestChunkedSources:
+    def test_default_budget_preserved(self):
+        # 128 MiB / (8 bytes x scratch factor 4) = 1<<22 cells.
+        assert chunked_sources(1, list(range(10))) == [list(range(10))]
+        chunks = chunked_sources(1 << 21, list(range(8)))
+        assert chunks == [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+    def test_explicit_budget(self):
+        # budget 8*4*10 bytes => 10 cells => chunk of 2 sources at n=5.
+        chunks = chunked_sources(5, list(range(5)), byte_budget=8 * 4 * 10)
+        assert chunks == [[0, 1], [2, 3], [4]]
+
+    def test_tiny_budget_still_progresses(self):
+        assert chunked_sources(100, [1, 2], byte_budget=1) == [[1], [2]]
+
+    def test_chunk_size_never_changes_results(self, monkeypatch):
+        graph = generators.random_connected_graph(40, 3.0, RandomSource(13), max_weight=7)
+        baseline = graph.distance_matrix()
+        diameter = reference.hop_diameter(graph)
+        monkeypatch.setattr(csr_kernels, "CHUNK_BYTES", 8 * 4 * 40 * 3)  # 3 sources/chunk
+        rechunked = WeightedGraph.from_edges(40, graph.edges())
+        assert (rechunked.distance_matrix() == baseline).all()
+        assert rechunked.hop_diameter() == diameter

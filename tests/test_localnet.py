@@ -422,9 +422,9 @@ class TestColumnTrafficPins:
         shipped = {}
         exchange = HybridNetwork.run_reliable_exchange
 
-        def spy(network, senders, targets, phase="global"):
+        def spy(network, senders, targets, phase="global", schedule=None):
             shipped[phase] = senders, targets
-            return exchange(network, senders, targets, phase)
+            return exchange(network, senders, targets, phase, schedule=schedule)
 
         monkeypatch.setattr(HybridNetwork, "run_reliable_exchange", spy)
         network = HybridNetwork(

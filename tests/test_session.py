@@ -799,3 +799,19 @@ class TestE17Smoke:
             random_row[index["repair tail rounds"]]
             < random_row[index["rebuild tail rounds"]]
         )
+
+
+# The session reports one fixed implementation per layer (DESIGN.md §9).
+class TestPlaneSelection:
+    def test_session_reports_acceleration(self):
+        session = HybridSession(generators.cycle_graph(8), ModelConfig())
+        assert session.acceleration() == {
+            "graph_backend": "csr",
+            "message_plane": "vectorized",
+            "kernels": {
+                "distance_matrix": "scipy",
+                "bfs_level_matrix": "scipy",
+                "hop_limited_matrix": "scipy",
+                "hop_diameter": "scipy",
+            },
+        }
