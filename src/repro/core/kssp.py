@@ -179,13 +179,15 @@ def check_skeleton_sources(
 ) -> None:
     """Raise ``ValueError`` if a ``γ = 0`` algorithm would get several skeleton sources.
 
-    Representatives are chosen locally at no cost in rounds
-    (:func:`~repro.core.representatives.choose_representatives`), so callers
+    Representatives are chosen locally
+    (:func:`~repro.core.representatives.choose_representatives`, which
+    charges nothing: a fallback's flood is charged by
+    :func:`~repro.core.representatives.compute_representatives`), so callers
     check before the representatives' announcement and before any CLIQUE
     transport is built.
     """
     if spec.gamma == 0:
-        representative, _ = choose_representatives(network, skeleton, sources)
+        representative, _, _ = choose_representatives(network, skeleton, sources)
         distinct = len(set(representative.values()))
         if distinct > 1:
             raise ValueError(

@@ -10,10 +10,12 @@ representative into a distance estimate to the original source.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.skeleton import Skeleton
+from repro.graphs.graph import WeightedGraph
 from repro.hybrid.network import HybridNetwork
 from repro.localnet.token_dissemination import disseminate_tokens
 
@@ -44,18 +46,23 @@ class Representatives:
 
 def choose_representatives(
     network: HybridNetwork, skeleton: Skeleton, sources: Sequence[int]
-) -> tuple[dict[int, int], dict[int, float]]:
+) -> tuple[dict[int, int], dict[int, float], int]:
     """The local step of Algorithm 7: every source's representative and its distance.
 
     Every source picks the skeleton node minimising its ``h``-limited distance
-    (itself if it is a skeleton node).  If a source has no skeleton node within
-    ``h`` hops -- possible at simulation scale even though Lemma C.1 excludes
-    it w.h.p. -- the closest skeleton node in the whole graph is used instead
-    and the (rare) extra cost is ignored; benchmarks record how often this
-    fallback fired via the returned distances.  Charges no rounds.
+    (itself if it is a skeleton node), which the skeleton's exploration has
+    already paid for.  If a source has no skeleton node within ``h`` hops --
+    possible at simulation scale even though Lemma C.1 excludes it w.h.p. --
+    the closest skeleton node in the whole graph is used instead, and its
+    distance is learned by a longer flood: as many rounds as the fewest hops
+    of a shortest path to it.  Returns the representatives, their distances
+    and the rounds of the longest such flood (0 when no source fell back);
+    the floods run in parallel, and :func:`compute_representatives` charges
+    them.
     """
     representative: dict[int, int] = {}
     distance: dict[int, float] = {}
+    fallback_rounds = 0
     for source in sources:
         if skeleton.contains(source):
             representative[source] = source
@@ -65,17 +72,40 @@ def choose_representatives(
         if closest is None:
             # w.h.p. impossible for h = ξ x ln n (Lemma C.1); fall back to the
             # true closest skeleton node to keep small simulations correct.
-            exact = network.local_graph.dijkstra(source, targets=list(skeleton.nodes))
-            candidates = [(exact[s], s) for s in skeleton.nodes if s in exact]
-            if not candidates:
-                raise ValueError("graph must be connected")
-            best_distance, closest = min(candidates)
+            best_distance, closest, hops = _closest_member(network.local_graph, source, skeleton)
             representative[source] = closest
             distance[source] = best_distance
+            fallback_rounds = max(fallback_rounds, hops)
         else:
             representative[source] = closest
             distance[source] = float(skeleton.near_distances[source, skeleton.index_of[closest]])
-    return representative, distance
+    return representative, distance, fallback_rounds
+
+
+def _closest_member(graph: WeightedGraph, source: int, skeleton: Skeleton) -> tuple:
+    """``(distance, member, hops)`` of the skeleton node closest to ``source``.
+
+    Dijkstra ordered by (distance, hops), so each settled node carries the
+    fewest hops of a shortest path to it; ties between members go to the
+    smallest ID.  Raises ``ValueError`` when no member is reachable.
+    """
+    remaining = set(skeleton.nodes)
+    settled: dict[int, tuple[float, int]] = {}
+    heap = [(0.0, 0, source)]
+    while heap and remaining:
+        d, hops, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        settled[u] = d, hops
+        remaining.discard(u)
+        for v in graph.neighbors(u):
+            if v not in settled:
+                heapq.heappush(heap, (d + graph.weight(u, v), hops + 1, v))
+    candidates = [(settled[s][0], s) for s in skeleton.nodes if s in settled]
+    if not candidates:
+        raise ValueError("graph must be connected")
+    best_distance, closest = min(candidates)
+    return best_distance, closest, settled[closest][1]
 
 
 def compute_representatives(
@@ -87,10 +117,14 @@ def compute_representatives(
     """Run Algorithm 7 (``Compute-Representatives``) for the given sources.
 
     The sources pick their representatives locally
-    (:func:`choose_representatives`), then the pairs are announced.
+    (:func:`choose_representatives`; a source with no skeleton node within
+    ``h`` hops charges its longer flood under ``phase + ":fallback"``), then
+    the pairs are announced.
     """
     rounds_before = network.metrics.total_rounds
-    representative, distance = choose_representatives(network, skeleton, sources)
+    representative, distance, fallback_rounds = choose_representatives(network, skeleton, sources)
+    if fallback_rounds:
+        network.charge_local_rounds(fallback_rounds, phase + ":fallback")
 
     # Make ⟨d_h(s, r_s), s, r_s⟩ public knowledge (token dissemination, Õ(√k)).
     tokens: dict[int, list[tuple[float, int, int]]] = {}

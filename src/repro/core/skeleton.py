@@ -106,10 +106,7 @@ class Skeleton:
 
     def is_connected(self) -> bool:
         """Whether the skeleton graph ``S`` is connected."""
-        components = csgraph.connected_components(
-            self.weights, directed=False, return_labels=False
-        )
-        return components <= 1
+        return weights_connected(self.weights)
 
     def distances(self) -> np.ndarray:
         """All-pairs skeleton distances ``d_S`` (``inf`` between components)."""
@@ -126,6 +123,26 @@ class Skeleton:
         if not np.isfinite(row[index]):
             return None
         return self.nodes[index]
+
+
+def weights_connected(weights: np.ndarray) -> bool:
+    """Whether a symmetric weight matrix (``inf`` = no edge) is one component.
+
+    A boolean frontier search from node 0 over the finite entries: one
+    ``any`` over the frontier's rows per hop, with none of the validation
+    a sparse-graph routine spends on a small dense matrix.  No node and one
+    node are both connected.
+    """
+    edges = np.isfinite(weights)
+    reached = np.zeros(edges.shape[0], dtype=bool)
+    if not reached.size:
+        return True
+    reached[0] = True
+    frontier = reached
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
 
 
 def skeleton_from_exploration(

@@ -35,7 +35,7 @@ local and global rounds is the quantity the paper's theorems are about.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as _np
@@ -184,6 +184,22 @@ class ExchangeSchedule:
         """All ``count`` messages in one round, in batch order."""
         return cls(_np.arange(count), _np.array([0, count]))
 
+    @classmethod
+    def chain(cls, schedules: Iterable[ExchangeSchedule]) -> ExchangeSchedule:
+        """The schedules one after another, over their concatenated columns.
+
+        Each schedule keeps its own rounds; its positions and bounds are
+        offset by the messages of the schedules before it.
+        """
+        orders = [_np.arange(0)]
+        bounds = [_np.zeros(1, dtype=_np.int64)]
+        offset = 0
+        for schedule in schedules:
+            orders.append(schedule.order + offset)
+            bounds.append(schedule.bounds[1:] + offset)
+            offset += schedule.order.size
+        return cls(_np.concatenate(orders), _np.concatenate(bounds))
+
 
 #: The cap of a check that is switched off (``strict_send`` / ``strict_receive``).
 _UNCAPPED = _np.iinfo(_np.int64).max
@@ -221,10 +237,9 @@ class HybridNetwork:
         )
         self._outage_graph: WeightedGraph | None = None
         self._outage_version: int | None = None
-        # aggregate_sum's convergecast levels as (senders, targets, schedule):
-        # the columns depend on n alone and the schedules on them and the
-        # caps, so they are built on first use and reused.
-        self.convergecast_levels: tuple | None = None
+        # Exchanges whose columns depend on n and the caps alone, keyed by
+        # their builder (see fixed_exchange).
+        self._fixed_exchanges: dict[Callable, tuple] = {}
 
     def reset_metrics(self) -> None:
         """Zero all counters (e.g. between benchmark repetitions).
@@ -308,6 +323,31 @@ class HybridNetwork:
         for node in sorted(set(node_set)):
             mask[node] = True
         self._cut_watchers.append((name, mask))
+
+    @property
+    def lossless(self) -> bool:
+        """Whether every global message arrives: no active global fault model.
+
+        On a lossless plane a protocol's traffic cannot depend on delivery
+        fates, so a protocol may compute all of its rounds up front and send
+        them as one exchange (DESIGN.md §4); under faults the fates feed
+        back, and reliable exchanges retransmit (§8).
+        """
+        return self._fault_state is None
+
+    def fixed_exchange(self, build: Callable[[HybridNetwork], tuple]) -> tuple:
+        """What ``build(self)`` returns, built on first use and kept.
+
+        For traffic that depends on ``n`` and the caps alone (aggregation's
+        tree levels and doubling rounds, :mod:`repro.localnet.aggregation`):
+        ``build`` returns ``(senders, targets, schedule)`` with read-only
+        columns, or a tuple of such exchanges, and every later call with the
+        same ``build`` returns the same value.
+        """
+        exchange = self._fixed_exchanges.get(build)
+        if exchange is None:
+            exchange = self._fixed_exchanges[build] = build(self)
+        return exchange
 
     def global_round(self, senders, targets, phase: str = "global") -> _np.ndarray:
         """Execute exactly one round of the global (NCC) mode.
@@ -634,7 +674,7 @@ class HybridNetwork:
         -- the injected faults beat the configured amplification, and a
         partial result must not masquerade as a correct one.
         """
-        if self._fault_state is None:
+        if self.lossless:
             return self.run_global_exchange(senders, targets, phase, schedule=schedule)
         total = senders.size
         pending = _np.arange(total)

@@ -12,24 +12,70 @@ the send budget is never stressed.  A single-value broadcast uses the same
 doubling pattern seeded at the source.
 
 All message traffic is two sender/target columns (``np.arange``-shifted
-int64 arrays, one pair per round); the engine returns the delivered
-positions, and a node that receives a message is *informed*.  Only the round
+int64 arrays); a node that receives a message is *informed*.  Only the round
 count depends on the traffic: every receiver folds the partial aggregate its
 sender holds, so the aggregate every node ends with is the fold of the
 inputs themselves, and the simulation moves no values.  A single node
 already knows every input, so ``n = 1`` never charges a round.
+
+On a lossless plane (:attr:`HybridNetwork.lossless`) every message arrives,
+so the informed set of each round is known before it is sent, and each
+primitive sends all of its rounds as one exchange -- one
+:meth:`HybridNetwork.account` call, each round still its own round.  The
+traffic of ``aggregate_sum`` (tree levels, then doubling from node 0) is a
+function of ``n`` alone, so its columns and schedule are built once per
+network (:meth:`HybridNetwork.fixed_exchange`); ``broadcast_value`` shifts
+the cached doubling from node 0 to its source.  Under an active global
+fault model the fates feed back into the informed set, so the rounds are
+sent one at a time and the tree levels as reliable exchanges (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import TypeVar
 
 import numpy as _np
 
-from repro.hybrid.network import HybridNetwork
+from repro.hybrid.network import ExchangeSchedule, HybridNetwork
 
 T = TypeVar("T")
+
+
+def _doubling_round_count(n: int) -> int:
+    """``⌈log2 n⌉`` doubling rounds (none for a single node)."""
+    return max(1, math.ceil(math.log2(n))) if n > 1 else 0
+
+
+def _chain(exchanges: Iterable[tuple]) -> tuple:
+    """``(senders, targets, schedule)`` exchanges sent one after another, as one."""
+    exchanges = list(exchanges)
+    senders = _np.concatenate([_np.arange(0)] + [exchange[0] for exchange in exchanges])
+    targets = _np.concatenate([_np.arange(0)] + [exchange[1] for exchange in exchanges])
+    senders.setflags(write=False)
+    targets.setflags(write=False)
+    return senders, targets, ExchangeSchedule.chain(exchange[2] for exchange in exchanges)
+
+
+def _lossless_doubling(n: int, seeds) -> tuple:
+    """Ring doubling from the informed ``seeds`` when every message arrives.
+
+    Returns the rounds as one exchange: round ``i`` is one round of its own
+    in which every informed node sends to the node ``2^i`` positions ahead,
+    and all of those targets become informed.
+    """
+    if n < 2:
+        return _chain(())
+    informed = _np.zeros(n, dtype=bool)
+    informed[seeds] = True
+    rounds = []
+    for i in range(_doubling_round_count(n)):
+        senders = _np.flatnonzero(informed)
+        targets = (senders + (1 << i)) % n
+        informed[targets] = True
+        rounds.append((senders, targets, ExchangeSchedule.single_round(senders.size)))
+    return _chain(rounds)
 
 
 def _ring_doubling(network: HybridNetwork, seeds, phase: str) -> None:
@@ -41,14 +87,49 @@ def _ring_doubling(network: HybridNetwork, seeds, phase: str) -> None:
     receiver folds at most one message.
     """
     n = network.n
+    if network.lossless:
+        senders, targets, schedule = _lossless_doubling(n, seeds)
+        network.account(schedule, senders, targets, phase)
+        return
     if n < 2:
         return
     informed = _np.zeros(n, dtype=bool)
     informed[seeds] = True
-    for i in range(max(1, math.ceil(math.log2(n)))):
+    for i in range(_doubling_round_count(n)):
         senders = _np.flatnonzero(informed)
         targets = (senders + (1 << i)) % n
         informed[targets[network.global_round(senders, targets, phase)]] = True
+
+
+def _doubling_from_zero(network: HybridNetwork) -> tuple:
+    """The lossless doubling from node 0: round ``i`` sends offsets ``[0, 2^i)``."""
+    return _lossless_doubling(network.n, [0])
+
+
+def _convergecast_levels(network: HybridNetwork) -> tuple:
+    """The convergecast's levels, deepest first, as (senders, targets, schedule).
+
+    Level ``ℓ`` holds nodes ``[2^ℓ - 1, 2^{ℓ+1} - 1)``, each sending to its
+    parent ``(i - 1) // 2``.  The levels are never empty (``2^ℓ - 1 < n``
+    for every ``ℓ ≤ ⌊log2 n⌋``).  Each level has its own schedule, so a
+    receive cap below 2 splits a level into two rounds.
+    """
+    n = network.n
+    levels = []
+    for level in range(int(math.log2(n)) if n > 1 else 0, 0, -1):
+        senders = _np.arange((1 << level) - 1, min(n, (1 << (level + 1)) - 1))
+        targets = (senders - 1) // 2
+        senders.setflags(write=False)
+        targets.setflags(write=False)
+        levels.append((senders, targets, network.schedule_exchange(senders, targets)))
+    return tuple(levels)
+
+
+def _aggregation(network: HybridNetwork) -> tuple:
+    """``aggregate_sum``'s whole lossless traffic: the levels, then the doubling from 0."""
+    return _chain(
+        (*network.fixed_exchange(_convergecast_levels), network.fixed_exchange(_doubling_from_zero))
+    )
 
 
 def aggregate_max(
@@ -74,45 +155,32 @@ def aggregate_sum(
     Sums are not idempotent, so instead of ring doubling we aggregate up an
     implicit binary tree over node IDs (child ``2i+1, 2i+2`` -> parent ``i``)
     and then broadcast the root's total back down; both directions take
-    ``O(log n)`` rounds and one message per node per round.  Because a lost
-    partial sum is unrecoverable (unlike the idempotent ring primitives,
-    where every input keeps folding), the convergecast levels travel as
-    *reliable* exchanges: on the ideal model that is exactly one global
-    round per level, under an active fault model dropped subtree totals
-    retransmit -- so the returned sum is exact or the exchange raises.
+    ``O(log n)`` rounds and one message per node per round.
 
     The convergecast starts at the deepest *occupied* level
     ``⌊log2 n⌋`` (node ``i`` lives at level ``⌊log2(i+1)⌋``, so that is the
     level of node ``n-1``); every level down to the root is then non-empty
-    and charges exactly one global round -- ``⌊log2 n⌋`` rounds in total.
+    and charges one global round (two if a parent's two messages exceed the
+    receive cap) -- ``⌊log2 n⌋`` rounds in total at the default caps.  The
+    broadcast is :func:`broadcast_value` from node 0.
+
+    None of this depends on the values, so on a lossless plane the levels
+    and the broadcast are one exchange, built once per network and charged
+    with one :meth:`~HybridNetwork.account` call.  Under an active fault
+    model a lost partial sum is unrecoverable (unlike the idempotent ring
+    primitives, where every input keeps folding), so each level travels as
+    a *reliable* exchange and dropped subtree totals retransmit -- the
+    returned sum is exact or the exchange raises.
     """
-    for senders, targets, schedule in _convergecast_levels(network):
-        network.run_reliable_exchange(senders, targets, phase, schedule=schedule)
     total = float(sum(values.values()))
-    broadcast_value(network, total, source=0, phase=phase)
+    if network.lossless:
+        senders, targets, schedule = network.fixed_exchange(_aggregation)
+        network.account(schedule, senders, targets, phase)
+        return total
+    for senders, targets, schedule in network.fixed_exchange(_convergecast_levels):
+        network.run_reliable_exchange(senders, targets, phase, schedule=schedule)
+    _ring_doubling(network, [0], phase)
     return total
-
-
-def _convergecast_levels(network: HybridNetwork):
-    """The convergecast's levels, deepest first, as (senders, targets, schedule).
-
-    Level ``ℓ`` holds nodes ``[2^ℓ - 1, 2^{ℓ+1} - 1)``, each sending to its
-    parent ``(i - 1) // 2``.  The levels are never empty (``2^ℓ - 1 < n``
-    for every ``ℓ ≤ ⌊log2 n⌋``).  The columns are a function of ``n`` and
-    their schedules of the network's caps, so both are built once per
-    network (:attr:`HybridNetwork.convergecast_levels`).
-    """
-    if network.convergecast_levels is None:
-        n = network.n
-        levels = []
-        for level in range(int(math.log2(n)) if n > 1 else 0, 0, -1):
-            senders = _np.arange((1 << level) - 1, min(n, (1 << (level + 1)) - 1))
-            targets = (senders - 1) // 2
-            senders.setflags(write=False)
-            targets.setflags(write=False)
-            levels.append((senders, targets, network.schedule_exchange(senders, targets)))
-        network.convergecast_levels = tuple(levels)
-    return network.convergecast_levels
 
 
 def broadcast_value(
@@ -124,7 +192,19 @@ def broadcast_value(
     every round, so ``⌈log2 n⌉`` rounds suffice and each informed node sends a
     single message per round.  A single node is already informed and charges
     no rounds.  Every message carries the same value, so the traffic is the
-    informed set's sender/target columns alone.
+    informed set's sender/target columns alone.  On a lossless plane round
+    ``i`` informs offsets ``[0, 2^{i+1})`` from the source, so the traffic is
+    the network's cached doubling from node 0 shifted by ``source``.
     """
-    _ring_doubling(network, [source], phase)
+    n = network.n
+    if not 0 <= source < n:
+        raise ValueError(f"source {source} outside the network")
+    if not network.lossless:
+        _ring_doubling(network, [source], phase)
+        return value
+    senders, targets, schedule = network.fixed_exchange(_doubling_from_zero)
+    if source:
+        senders = (senders + source) % n
+        targets = (targets + source) % n
+    network.account(schedule, senders, targets, phase)
     return value

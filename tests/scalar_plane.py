@@ -2,12 +2,14 @@
 
 :class:`~repro.hybrid.network.HybridNetwork` schedules and accounts global
 traffic with whole-array numpy operations.  :class:`ScalarPlaneNetwork` is the
-same network with ``global_round`` and ``run_global_exchange`` replaced by the
-textbook loop over single messages: a round scans its messages one at a time
-in send order; an exchange queues each sender's message positions, lets the
-senders take turns in ID order, rotated by one position per round, and admits
-a message while its sender's send budget and its target's receive budget
-last; every delivered message is counted one at a time; and every fault fate
+same network with ``global_round``, ``run_global_exchange`` and ``account``
+replaced by the textbook loop over single messages: a round scans its
+messages one at a time in send order; an exchange queues each sender's
+message positions, lets the senders take turns in ID order, rotated by one
+position per round, and admits a message while its sender's send budget and
+its target's receive budget last; a given schedule (``account``, which the
+one-exchange aggregation primitives call directly) is sent one round at a
+time; every delivered message is counted one at a time; and every fault fate
 comes from :meth:`~repro.hybrid.faults.FaultState.drops`.  Both take the same
 sender/target columns as the engine and return the delivered positions in
 the order they were sent (round by round, each round in its rotated scan
@@ -146,6 +148,15 @@ class ScalarPlaneNetwork(HybridNetwork):
             delivered.append(self._scalar_round(senders, targets, scanned, phase))
             rounds += 1
         return np.concatenate(delivered), rounds
+
+    def account(self, schedule, senders, targets, phase: str = "global") -> np.ndarray:
+        # The caller's schedule fixes each round's messages; every round is
+        # scanned and accounted by itself, in the schedule's order.
+        delivered: list[np.ndarray] = [np.arange(0)]
+        for start, end in zip(schedule.bounds[:-1], schedule.bounds[1:], strict=True):
+            positions = schedule.order[start:end].tolist()
+            delivered.append(self._scalar_round(senders, targets, positions, phase))
+        return np.concatenate(delivered)
 
     def _scalar_round(self, senders, targets, positions, phase: str) -> np.ndarray:
         """Account one round of the messages at ``positions``, scanned in that

@@ -421,20 +421,35 @@ class TestColumnTrafficPins:
     def test_dissemination_ships_only_int64_columns(self, faults, monkeypatch):
         shipped = {}
         exchange = HybridNetwork.run_reliable_exchange
+        account = HybridNetwork.account
+        counted = []
 
         def spy(network, senders, targets, phase="global", schedule=None):
             shipped[phase] = senders, targets
             return exchange(network, senders, targets, phase, schedule=schedule)
 
+        def spy_account(network, schedule, senders, targets, phase="global"):
+            # The ":count" aggregation is one account call on the ideal
+            # model; under faults its levels and rounds are sent one by one.
+            if phase == "tokens:count":
+                counted.append((senders, targets))
+            return account(network, schedule, senders, targets, phase)
+
         monkeypatch.setattr(HybridNetwork, "run_reliable_exchange", spy)
+        monkeypatch.setattr(HybridNetwork, "account", spy_account)
         network = HybridNetwork(
             generators.cycle_graph(100), ModelConfig(rng_seed=4, faults=FAULTS[faults])
         )
         disseminate_tokens(network, PLACEMENTS["four-per-node"], phase="tokens")
-        for name in ("tokens:count", "tokens:relay", "tokens:requests", "tokens:responses"):
-            for column in shipped[name]:
-                assert isinstance(column, np.ndarray), name
-                assert column.dtype == np.int64, name
+        # Faulty: the first attempt of each of the ⌊log2 100⌋ = 6 levels and
+        # the ⌈log2 100⌉ = 7 doubling rounds.
+        assert len(counted) == (1 if faults == "ideal" else 6 + 7)
+        columns = [column for pair in counted for column in pair]
+        for name in ("tokens:relay", "tokens:requests", "tokens:responses"):
+            columns.extend(shipped[name])
+        for column in columns:
+            assert isinstance(column, np.ndarray)
+            assert column.dtype == np.int64
         # Every holder sends its four tokens to their relays ...
         holders, relays = shipped["tokens:relay"]
         assert holders.tolist() == [node for node in range(100) for _ in range(4)]

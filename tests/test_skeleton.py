@@ -1,6 +1,9 @@
 """Tests for skeleton construction (Algorithm 6, Lemmas C.1/C.2) and
 representatives (Algorithm 7)."""
 
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from repro.core.skeleton import (
     framework_exponent,
     framework_sampling_probability,
     skeleton_from_exploration,
+    weights_connected,
 )
 from repro.graphs import generators, reference
 from repro.graphs.graph import WeightedGraph
@@ -130,6 +134,47 @@ class TestComputeSkeleton:
         assert not weights.flags.writeable
 
 
+def random_weights(size, density, seed):
+    """A symmetric weight matrix with ``inf`` off-edge and on the diagonal."""
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 9, (size, size)).astype(float)
+    weights[rng.random((size, size)) >= density] = np.inf
+    weights = np.minimum(weights, weights.T)
+    np.fill_diagonal(weights, np.inf)
+    return weights
+
+
+def networkx_connected(weights):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(weights.shape[0]))
+    graph.add_edges_from(zip(*np.nonzero(np.isfinite(weights)), strict=True))
+    return nx.is_connected(graph)
+
+
+class TestWeightsConnected:
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "size, density", [(2, 0.3), (5, 0.2), (29, 0.06), (29, 0.2), (60, 0.04)]
+    )
+    def test_matches_networkx(self, size, density, seed):
+        weights = random_weights(size, density, seed)
+        assert weights_connected(weights) == networkx_connected(weights)
+
+    def test_one_node_is_connected(self):
+        assert weights_connected(np.full((1, 1), np.inf))
+
+    def test_no_node_is_connected(self):
+        assert weights_connected(np.zeros((0, 0)))
+
+    def test_two_components(self):
+        weights = random_weights(20, 1.0, 0)
+        weights[:10, 10:] = weights[10:, :10] = np.inf
+        assert networkx_connected(weights[:10, :10]) and networkx_connected(weights[10:, 10:])
+        assert not weights_connected(weights)
+        weights[3, 15] = weights[15, 3] = 2.0
+        assert weights_connected(weights)
+
+
 class TestSkeletonAnalysis:
     def test_offline_skeleton_distance_preservation(self):
         graph = generators.connected_workload(40, RandomSource(3), weighted=True, max_weight=4)
@@ -201,3 +246,70 @@ class TestRepresentatives:
         before = network.metrics.total_rounds
         reps = compute_representatives(network, skeleton, [4, 5])
         assert reps.rounds == network.metrics.total_rounds - before
+
+
+def fallback_case(graph):
+    """The network on ``graph`` with a skeleton of node 20 alone and h = 3.
+
+    Every source more than 3 hops from node 20 falls back to the
+    whole-graph distance.
+    """
+    network = HybridNetwork(graph, ModelConfig(rng_seed=1))
+    exploration = LimitedExploration(graph.csr(), 3)
+    skeleton = skeleton_from_exploration(exploration, [20], exploration.rows([20]), 0.5, 0)
+    return network, skeleton
+
+
+def two_route_network():
+    """Node 0 reaches node 20 over 20 unit edges or over 10 edges of weight 2.
+
+    A unit-weight tail 20 - 30 - ... - 59 keeps the hop diameter (45) above
+    both routes.
+    """
+    graph = WeightedGraph(60)
+    for u in range(20):
+        graph.add_edge(u, u + 1, 1)
+    route = [0, *range(21, 30), 20]
+    for u, v in itertools.pairwise(route):
+        graph.add_edge(u, v, 2)
+    tail = [20, *range(30, 60)]
+    for u, v in itertools.pairwise(tail):
+        graph.add_edge(u, v, 1)
+    return fallback_case(graph)
+
+
+class TestRepresentativeFallback:
+    @pytest.mark.parametrize(
+        "sources, expected_rounds",
+        # The fewest hops of a shortest path: 10 from node 0 (the weight-2
+        # route ties the unit one), 15 from node 5, 16 from node 45 (down
+        # the tail); parallel floods charge the longest.
+        [([0], 10), ([5], 15), ([0, 5], 15), ([45, 0], 16)],
+    )
+    def test_fallback_flood_is_charged(self, sources, expected_rounds):
+        network, skeleton = two_route_network()
+        assert all(skeleton.closest_skeleton_node(source) is None for source in sources)
+        reps = compute_representatives(network, skeleton, sources, phase="reps")
+        phases = network.metrics.phases
+        assert phases["reps:fallback"].local_rounds == expected_rounds
+        assert phases["reps:fallback"].global_rounds == 0
+        for source in sources:
+            assert reps.representative[source] == 20
+            exact = network.graph.dijkstra(source)[20]
+            assert reps.distance_to_representative[source] == exact
+        assert reps.rounds == network.metrics.total_rounds
+
+    def test_flood_is_capped_at_the_diameter(self):
+        # A 21-node cycle: unit edges 0 - 1 - ... - 20 and a heavy edge
+        # 0 - 20.  Node 5's shortest path to 20 takes 15 hops; D = 10.
+        graph = generators.path_graph(21)
+        graph.add_edge(0, 20, 50)
+        network, skeleton = fallback_case(graph)
+        assert network.hop_diameter() == 10
+        compute_representatives(network, skeleton, [5], phase="reps")
+        assert network.metrics.phases["reps:fallback"].local_rounds == 10
+
+    def test_sources_near_the_skeleton_charge_no_fallback(self):
+        network, skeleton = two_route_network()
+        compute_representatives(network, skeleton, [18, 20, 29], phase="reps")
+        assert "reps:fallback" not in network.metrics.phases
