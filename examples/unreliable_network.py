@@ -2,16 +2,17 @@
 
 The paper's guarantees are "with high probability" statements about a model
 in which every admitted global message arrives.  Real global channels --
-internet tunnels between data centers, wireless flyways -- drop packets,
-burst-fail and lose whole nodes.  This example attaches a seeded
+internet tunnels between data centers, wireless flyways -- drop packets
+and burst-fail.  This example attaches a seeded
 :class:`~repro.hybrid.faults.FaultModel` to a ``HybridSession`` and shows
 
 * the fault-free path (drop rate 0) is bit-identical to the ideal model,
 * under i.i.d. and bursty message loss the loss-tolerant protocols
   (acknowledged retransmission, DESIGN.md §8) still return *exact* answers,
   paying for reliability only in extra rounds, and
-* when the loss is hopeless (a crashed relay partner) the engine raises
-  ``FaultToleranceExceededError`` instead of serving a wrong result.
+* when the loss is hopeless (heavier than the retry budget can beat) the
+  engine raises ``FaultToleranceExceededError`` instead of serving a wrong
+  result.
 
 Run with:  python examples/unreliable_network.py
 """
@@ -79,9 +80,7 @@ def main() -> None:
     )
 
     # Loss so heavy that a 2-attempt budget cannot amplify delivery to
-    # certainty -- the engine refuses to fake an answer.  (crash_schedule /
-    # omission_schedule model permanently or transiently dead nodes the same
-    # way; see DESIGN.md §8.)
+    # certainty -- the engine refuses to fake an answer (DESIGN.md §8).
     doomed = FaultModel(drop_rate=0.9, seed=3, max_attempts=2)
     session = HybridSession(graph, ModelConfig(rng_seed=5), fault_model=doomed)
     try:

@@ -49,7 +49,6 @@ CACHE_CLASSES = {
     "WeightedGraph": ("_version", ()),
     "SkeletonContext": ("graph_version", ()),
     "HybridSession": ("_graph_version", ("invalidate", "_check_version")),
-    "HybridNetwork": ("_outage_version", ()),
 }
 
 #: Methods exempt per se: constructors and the hooks themselves.

@@ -40,12 +40,12 @@ def local_only_shortest_paths(
     network: HybridNetwork, sources: Sequence[int], phase: str = "local-only"
 ) -> LocalOnlyResult:
     """Exact k-SSP using only the local network (``Θ(D)`` rounds)."""
-    diameter = network.local_graph.hop_diameter()
+    diameter = network.graph.hop_diameter()
     if diameter == float("inf"):
         raise ValueError("graph must be connected")
     rounds = int(diameter)
     network.charge_local_rounds(rounds, phase)
-    estimates = distances_by_node(network.local_graph.distance_matrix(sources), sources)
+    estimates = distances_by_node(network.graph.distance_matrix(sources), sources)
     return LocalOnlyResult(rounds=rounds, distances=estimates, diameter=diameter)
 
 
@@ -53,7 +53,7 @@ def local_only_diameter(
     network: HybridNetwork, phase: str = "local-only-diameter"
 ) -> LocalOnlyResult:
     """Exact diameter using only the local network (``Θ(D)`` rounds)."""
-    diameter = network.local_graph.hop_diameter()
+    diameter = network.graph.hop_diameter()
     if diameter == float("inf"):
         raise ValueError("graph must be connected")
     rounds = int(diameter)

@@ -319,7 +319,7 @@ class SkeletonContext:
         # The old rows' finite entries cover both: a new path of at most h
         # hops reaches its first delta endpoint through old edges only
         # (DESIGN.md §12).
-        snapshot = network.local_graph.csr()
+        snapshot = network.graph.csr()
         damaged = np.isfinite(endpoint_rows).any(axis=0)
 
         # The repair flood: the delta records propagate h hops so every

@@ -76,7 +76,7 @@ def check_diameter_input(network: HybridNetwork) -> None:
     """Raise ``ValueError`` unless Section 5 applies: unweighted, connected local graph."""
     if not network.graph.is_unweighted():
         raise ValueError("the diameter algorithm of Section 5 targets unweighted graphs")
-    if network.local_graph.hop_diameter() == math.inf:
+    if network.graph.hop_diameter() == math.inf:
         raise ValueError("the diameter algorithm of Section 5 needs a connected local graph")
 
 
@@ -118,7 +118,7 @@ def approximate_diameter(
     # max_v h_v = min(D, η·h + 1), read off the cached hop diameter.
     exploration_depth = int(math.ceil(spec.eta * skeleton.hop_length)) + 1
     network.charge_local_rounds(exploration_depth, phase + ":local-horizon")
-    local_max = float(min(network.local_graph.hop_diameter(), exploration_depth))
+    local_max = float(min(network.graph.hop_diameter(), exploration_depth))
 
     # Step 4: aggregate ĥ = max_v h_v over the global network (Lemma B.2).
     # Every node contributes one value, as in the protocol; the traffic does

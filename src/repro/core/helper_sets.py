@@ -90,7 +90,7 @@ class HelperSets:
         """
         if not self.nodes.size:
             return 0
-        levels = csr_kernels.bfs_level_matrix(network.local_graph.csr(), self.members)
+        levels = csr_kernels.bfs_level_matrix(network.graph.csr(), self.members)
         hops = levels[np.repeat(np.arange(self.members.size), self.counts()), self.nodes]
         return int(np.where(hops < 0, network.n, hops).max())
 

@@ -216,7 +216,7 @@ def _combine_estimates(
     column per source.
     """
     # The ηh-limited distances d_{ηh}(v, s), one row per source (symmetric).
-    local_limited = network.local_graph.hop_limited_distance_matrix(sources, exploration_depth)
+    local_limited = network.graph.hop_limited_distance_matrix(sources, exploration_depth)
 
     # near[v, i] = d_h(v, skeleton node i), shared by every source.
     near = skeleton.near_distances

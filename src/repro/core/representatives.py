@@ -72,7 +72,7 @@ def choose_representatives(
         if closest is None:
             # w.h.p. impossible for h = ξ x ln n (Lemma C.1); fall back to the
             # true closest skeleton node to keep small simulations correct.
-            best_distance, closest, hops = _closest_member(network.local_graph, source, skeleton)
+            best_distance, closest, hops = _closest_member(network.graph, source, skeleton)
             representative[source] = closest
             distance[source] = best_distance
             fallback_rounds = max(fallback_rounds, hops)

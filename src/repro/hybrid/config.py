@@ -57,8 +57,8 @@ class ModelConfig:
         per phase and keeps the accounting honest on small-diameter graphs.
     faults:
         Optional :class:`~repro.hybrid.faults.FaultModel` describing an
-        unreliable network (seeded message drops, bursts, node crash /
-        omission sets, local-edge outages).  ``None`` (the default) -- or a
+        unreliable global plane (seeded i.i.d. and burst message drops; the
+        LOCAL mode never fails).  ``None`` (the default) -- or a
         model whose :attr:`~repro.hybrid.faults.FaultModel.enabled` is False
         -- keeps the ideal engine paths, bit-identical to earlier releases
         (pinned by tests/test_faults.py).

@@ -1,20 +1,18 @@
 """Fault injection for unreliable HYBRID networks.
 
-The paper's algorithms carry w.h.p. guarantees, but the engine historically
-only simulated the *ideal* model: every global message admitted by the
-capacity caps is delivered and every node survives.  :class:`FaultModel`
-describes an adversarial-but-seeded environment on top of the same engine:
+The paper's HYBRID model is synchronous: every node survives and every local
+edge carries every round.  What can fail is the w.h.p. delivery of capped
+global messages, which the paper's analyses cover by success amplification.
+:class:`FaultModel` describes a seeded lossy global plane on top of the same
+engine:
 
 * **i.i.d. message drop** -- every global message is lost independently with
-  probability ``drop_rate``,
+  probability ``drop_rate``, and
 * **burst drop** -- with probability ``burst_rate`` per global round a burst
   starts and elevates the drop probability to ``burst_drop_rate`` for
-  ``burst_length`` consecutive rounds (a crude Gilbert-Elliott channel),
-* **node crash / omission sets** -- a crashed node neither sends nor receives
-  global messages from its crash round on; an omission set silences a node
-  for exactly one round, and
-* **local-edge outages** -- listed local edges are down for the whole run
-  (the LOCAL mode computes on the graph minus those edges).
+  ``burst_length`` consecutive rounds (a crude Gilbert-Elliott channel).
+
+The LOCAL mode is never faulty.
 
 Faults are *deterministic given the model's seed*: each message's fate is a
 pure function of ``(seed, global round index, sender, target, occurrence)``
@@ -36,7 +34,6 @@ DESIGN.md §8.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 import numpy as _np
@@ -120,15 +117,6 @@ def _drop_threshold(rate: float) -> int:
     return int(rate * float(1 << 64))
 
 
-def _normalize_pairs(value) -> tuple[tuple[int, int], ...]:
-    """Coerce a mapping or iterable of pairs to a sorted tuple of int pairs."""
-    if isinstance(value, Mapping):
-        items = value.items()
-    else:
-        items = value
-    return tuple(sorted((int(a), int(b)) for a, b in items))
-
-
 @dataclass(frozen=True)
 class FaultModel:
     """A seeded description of how an unreliable HYBRID network misbehaves.
@@ -137,7 +125,7 @@ class FaultModel:
     as :class:`~repro.session.HybridSession`'s ``fault_model=``).  The
     default-constructed model injects nothing: a network configured with
     ``FaultModel()`` is bit-identical to one configured with ``faults=None``
-    (the engine checks :attr:`enabled` once and takes the ideal path).
+    (the network checks :attr:`enabled` once and takes the lossless path).
     Semantics, retransmission layer and the fault-free-identity contract:
     DESIGN.md §8.
 
@@ -149,16 +137,6 @@ class FaultModel:
         Per-round probability that a loss burst starts, how many global
         rounds a burst lasts, and the drop probability while one is active
         (it replaces ``drop_rate`` for those rounds).
-    crash_schedule:
-        ``node -> global round index`` (mapping or iterable of pairs): from
-        that round on the node's sends and receives are all lost.
-    omission_schedule:
-        ``global round index -> nodes`` silenced for exactly that round
-        (mapping or iterable of ``(round, nodes)`` pairs).
-    edge_outages:
-        Local edges (as ``(u, v)`` pairs, order-insensitive) that are down
-        for the whole run; the LOCAL mode -- balls, hop-limited exploration,
-        the diameter cap -- computes on the graph minus these edges.
     max_attempts:
         Retransmission budget of one :meth:`HybridNetwork.run_reliable_exchange`
         call (send + ACK counts as one attempt).  Retrying ``Θ(log n)`` times
@@ -175,9 +153,6 @@ class FaultModel:
     burst_rate: float = 0.0
     burst_length: int = 0
     burst_drop_rate: float = 1.0
-    crash_schedule: Mapping[int, int] | Iterable[tuple[int, int]] = ()
-    omission_schedule: Mapping[int, Iterable[int]] | Iterable[tuple[int, Iterable[int]]] = ()
-    edge_outages: Iterable[tuple[int, int]] = ()
     max_attempts: int = 8
     seed: int = 0
 
@@ -190,54 +165,13 @@ class FaultModel:
             raise ValueError("burst_length must be non-negative")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        # Duplicate keys in the pair forms merge rather than overwrite: a node
-        # crashes at its *earliest* scheduled round, and a round's omission
-        # set is the union of every pair naming it.
-        crashes: dict[int, int] = {}
-        for node, crash_round in _normalize_pairs(self.crash_schedule):
-            if node not in crashes or crash_round < crashes[node]:
-                crashes[node] = crash_round
-        object.__setattr__(self, "crash_schedule", tuple(sorted(crashes.items())))
-        omissions = self.omission_schedule
-        if isinstance(omissions, Mapping):
-            omission_items = omissions.items()
-        else:
-            omission_items = omissions
-        merged: dict[int, set] = {}
-        for round_index, nodes in omission_items:
-            merged.setdefault(int(round_index), set()).update(int(node) for node in nodes)
-        object.__setattr__(
-            self,
-            "omission_schedule",
-            tuple(
-                (round_index, tuple(sorted(nodes)))
-                for round_index, nodes in sorted(merged.items())
-            ),
-        )
-        object.__setattr__(
-            self,
-            "edge_outages",
-            tuple(
-                sorted(
-                    (min(int(u), int(v)), max(int(u), int(v))) for u, v in self.edge_outages
-                )
-            ),
-        )
-
-    @property
-    def affects_global(self) -> bool:
-        """Whether any global-plane fault can ever fire."""
-        return bool(
-            self.drop_rate > 0.0
-            or (self.burst_rate > 0.0 and self.burst_length > 0 and self.burst_drop_rate > 0.0)
-            or self.crash_schedule
-            or any(nodes for _, nodes in self.omission_schedule)
-        )
 
     @property
     def enabled(self) -> bool:
-        """Whether the model injects any fault at all (global or local)."""
-        return self.affects_global or bool(self.edge_outages)
+        """Whether the model can ever drop a global message."""
+        return self.drop_rate > 0.0 or (
+            self.burst_rate > 0.0 and self.burst_length > 0 and self.burst_drop_rate > 0.0
+        )
 
 
 class FaultState:
@@ -253,19 +187,13 @@ class FaultState:
     def __init__(self, model: FaultModel) -> None:
         self.model = model
         self.round_index = 0
-        self._crash_rounds: dict[int, int] = dict(model.crash_schedule)
-        self._omissions: dict[int, frozenset[int]] = {
-            round_index: frozenset(nodes) for round_index, nodes in model.omission_schedule
-        }
         self._iid_threshold = _drop_threshold(model.drop_rate)
         self._burst_threshold = _drop_threshold(model.burst_drop_rate)
         self._burst_start_threshold = _drop_threshold(model.burst_rate)
         # Memoized per-round context (see round_context): one entry suffices
         # because a round's decisions are all made before the clock advances.
         self._context_round = -1
-        self._context: tuple[int, frozenset[int], int] = (0, frozenset(), 0)
-        # Per node, its crash round (built for the network's n on first use).
-        self._crash_at: _np.ndarray | None = None
+        self._context: tuple[int, int] = (0, 0)
 
     def advance(self, rounds: int) -> int:
         """Advance the clock by ``rounds`` global rounds; returns the first of them."""
@@ -291,31 +219,20 @@ class FaultState:
             return self._burst_threshold
         return self._iid_threshold
 
-    def faulty_nodes(self, round_index: int) -> frozenset[int]:
-        """Nodes that neither send nor receive in this global round."""
-        crashed = {
-            node for node, crash_round in self._crash_rounds.items() if round_index >= crash_round
-        }
-        omitted = self._omissions.get(round_index)
-        if omitted:
-            crashed |= omitted
-        return frozenset(crashed)
+    def round_context(self, round_index: int) -> tuple[int, int]:
+        """``(drop threshold, message-hash prefix)`` for a round.
 
-    def round_context(self, round_index: int) -> tuple[int, frozenset[int], int]:
-        """``(drop threshold, faulty node set, message-hash prefix)`` for a round.
-
-        All three are pure functions of the round index, so they are computed
+        Both are pure functions of the round index, so they are computed
         once per global round and memoized rather than re-derived per message
         (the burst check alone re-hashes ``burst_length`` lanes): the
         reference :meth:`drops` folds the per-message lanes onto the returned
         prefix via :func:`fault_hash_from_prefix`.  The engine's
-        :meth:`keep_mask` computes the same three column-wise for every round
+        :meth:`keep_mask` computes the same two column-wise for every round
         of an exchange at once.
         """
         if round_index != self._context_round:
             self._context = (
                 self.drop_threshold(round_index),
-                self.faulty_nodes(round_index),
                 fault_hash(self.model.seed, MESSAGE_LANE, round_index),
             )
             self._context_round = round_index
@@ -329,16 +246,13 @@ class FaultState:
         target: int,
         occurrence: int,
         threshold: int,
-        faulty: frozenset[int],
     ) -> bool:
         """The drop decision for one message (the reference for :meth:`keep_mask`)."""
-        if faulty and (sender in faulty or target in faulty):
-            return True
         if threshold <= 0:
             return False
         # Fold only the per-message lanes onto the round's memoized prefix;
         # identical to hashing the full (seed, lane, round, ...) chain.
-        prefix = self.round_context(round_index)[2]
+        prefix = self.round_context(round_index)[1]
         coin = fault_hash_from_prefix(prefix, sender, target, occurrence)
         return coin < threshold
 
@@ -347,14 +261,12 @@ class FaultState:
 
         ``senders`` / ``targets`` are the messages in delivery order and
         ``rounds`` is each message's global round index (one int for a
-        single round).  Every message gets its own round's drop threshold,
-        faulty nodes and hash prefix, all computed column-wise: the burst
-        windows from the burst-start hashes of the rounds involved, the
-        crashes from a per-node crash-round column, the omissions as
-        ``(round, node)`` keys.  The occurrence index (rank among the same
-        round's earlier messages of the same (sender, target) pair) is
-        recovered with one stable sort, so the mask equals the per-message
-        decisions of :meth:`drops` exactly.
+        single round).  Every message gets its own round's drop threshold
+        and hash prefix, both computed column-wise, the burst windows from
+        the burst-start hashes of the rounds involved.  The occurrence index
+        (rank among the same round's earlier messages of the same (sender,
+        target) pair) is recovered with one stable sort, so the mask equals
+        the per-message decisions of :meth:`drops` exactly.
         """
         count = int(senders.size)
         if count == 0:
@@ -380,20 +292,6 @@ class FaultState:
                 drop |= mask
             else:
                 drop |= mask & (hashes < _np.uint64(threshold))
-        if self._crash_rounds:
-            crash_at = self._crash_column(n)
-            drop |= (crash_at[senders] <= rounds) | (crash_at[targets] <= rounds)
-        omitted = [
-            round_index * n + node
-            for round_index, nodes in self._omissions.items()
-            if first <= round_index < first + span
-            for node in nodes
-            if 0 <= node < n
-        ]
-        if omitted:
-            keys = _np.asarray(omitted, dtype=_np.int64)
-            base = rounds * n
-            drop |= _np.isin(base + senders, keys) | _np.isin(base + targets, keys)
         if not drop.any():
             return None
         return ~drop
@@ -415,16 +313,6 @@ class FaultState:
         covered = _np.arange(first, first + span)
         window_start = _np.maximum(covered - model.burst_length + 1, lowest)
         return running[covered - lowest + 1] > running[window_start - lowest]
-
-    def _crash_column(self, n: int):
-        """Per node, the global round it crashes in (beyond every round if never)."""
-        if self._crash_at is None or self._crash_at.size != n:
-            crash_at = _np.full(n, _np.iinfo(_np.int64).max, dtype=_np.int64)
-            for node, crash_round in self._crash_rounds.items():
-                if 0 <= node < n:
-                    crash_at[node] = crash_round
-            self._crash_at = crash_at
-        return self._crash_at
 
     @staticmethod
     def _occurrences(senders, targets, rounds, n: int):

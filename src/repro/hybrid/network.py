@@ -226,17 +226,10 @@ class HybridNetwork:
         # trade-offs are about.
         self.received_totals = _np.zeros(self.n, dtype=_np.int64)
         # Fault injection (DESIGN.md §8).  A disabled/absent FaultModel keeps
-        # every engine path on the ideal branch -- `_fault_state is None` is
-        # the single check the hot loops make.
+        # every engine path on the lossless branch -- `_fault_state is None`
+        # is the single check the hot loops make.
         faults = self.config.faults
-        self.faults = faults if faults is not None and faults.enabled else None
-        self._fault_state = (
-            FaultState(self.faults)
-            if self.faults is not None and self.faults.affects_global
-            else None
-        )
-        self._outage_graph: WeightedGraph | None = None
-        self._outage_version: int | None = None
+        self._fault_state = FaultState(faults) if faults is not None and faults.enabled else None
         # Exchanges whose columns depend on n and the caps alone, keyed by
         # their builder (see fixed_exchange).
         self._fixed_exchanges: dict[Callable, tuple] = {}
@@ -248,12 +241,10 @@ class HybridNetwork:
         is part of the run being measured, so every repetition replays the
         same seeded drops.
         """
-        # repro-lint: waive[RL008] -- accounting reset by design; no graph-derived cache reads metrics
         self.metrics = RoundMetrics()
         self.metrics.attach_ambient_observers()
         if self._fault_state is not None:
-            # repro-lint: waive[RL008] -- fault clock restart, documented above; independent of the outage cache
-            self._fault_state = FaultState(self.faults)
+            self._fault_state = FaultState(self._fault_state.model)
 
     def fork_rng(self, label: str) -> RandomSource:
         """A child random source for one protocol phase (reproducible per label)."""
@@ -261,38 +252,14 @@ class HybridNetwork:
         return self.rng.fork(label)
 
     # ------------------------------------------------------------- local mode
-    @property
-    def local_graph(self) -> WeightedGraph:
-        """The graph the LOCAL mode computes on.
-
-        Identical to :attr:`graph` unless the fault model declares local-edge
-        outages, in which case it is the graph minus the outage edges
-        (rebuilt lazily when the underlying graph mutates).  The global plane
-        is unaffected -- NCC messages travel point to point by node ID.
-        """
-        if self.faults is None or not self.faults.edge_outages:
-            return self.graph
-        if self._outage_graph is None or self._outage_version != self.graph.version:
-            survivor = WeightedGraph(self.n)
-            outages = set(self.faults.edge_outages)
-            for u, v, weight in self.graph.edges():
-                if (min(u, v), max(u, v)) not in outages:
-                    survivor.add_edge(u, v, weight)
-            self._outage_graph = survivor
-            self._outage_version = self.graph.version
-        return self._outage_graph
-
     def hop_diameter(self) -> int:
         """The hop diameter ``D(G)``, with infinity clamped to ``n``.
 
         Delegates to the graph's own mutation-invalidated cache, so a session
         that mutates the graph between queries never charges local rounds
-        against a stale diameter cap.  Under local-edge outages the diameter
-        of the surviving graph applies (a disconnected survivor clamps to
-        ``n``): the paper's ``min(D, ·)`` shortcut only holds for edges that
-        actually carry messages.
+        against a stale diameter cap.
         """
-        diameter = self.local_graph.hop_diameter()
+        diameter = self.graph.hop_diameter()
         return self.n if diameter == float("inf") else int(diameter)
 
     def charge_local_rounds(self, rounds: int, phase: str = "local") -> None:
@@ -574,7 +541,6 @@ class HybridNetwork:
         if keep is not None:
             positions = positions[keep]
         if rounds:
-            # repro-lint: waive[RL008] -- monotone traffic counter, never derived from the graph
             self.received_totals += received[0] if rounds == 1 else received.sum(axis=0)
             self.metrics.charge_global(rounds, phase)
             violations = 0
@@ -681,7 +647,7 @@ class HybridNetwork:
         if not total:
             return pending, 0
         rounds = 0
-        max_attempts = self.faults.max_attempts
+        max_attempts = self._fault_state.model.max_attempts
         for attempt in range(max_attempts):
             if attempt:
                 self.metrics.record_fault_losses(retried=int(pending.size))

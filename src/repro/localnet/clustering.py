@@ -57,7 +57,7 @@ def cluster_around_rulers(network: HybridNetwork, mu: int, phase: str) -> Cluste
     small-scale round counts meaningful.
     """
     compute_ruling_set(network, mu, phase=phase + ":ruling-set")
-    _, members, radius = network.local_graph.ruler_clustering(2 * mu)
+    _, members, radius = network.graph.ruler_clustering(2 * mu)
     paper_bound = max(1, 6 * mu * network.config.log_rounds(network.n))
     network.charge_local_rounds(max(1, min(3 * radius, paper_bound)), phase + ":clustering")
     return Clustering(members=members, radius=radius)

@@ -106,4 +106,4 @@ def explore_limited(
     (:func:`repro.graphs.csr.hop_limited_rows`).
     """
     network.charge_local_rounds(depth, phase)
-    return LimitedExploration(network.local_graph.csr(), depth)
+    return LimitedExploration(network.graph.csr(), depth)

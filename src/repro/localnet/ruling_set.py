@@ -31,6 +31,6 @@ def compute_ruling_set(network: HybridNetwork, mu: int, phase: str = "ruling-set
     """
     if mu < 1:
         raise ValueError("mu must be at least 1")
-    rulers = network.local_graph.ruler_clustering(2 * mu).rulers
+    rulers = network.graph.ruler_clustering(2 * mu).rulers
     network.charge_local_rounds(max(1, 2 * mu * network.config.log_rounds(network.n)), phase)
     return rulers

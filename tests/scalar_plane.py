@@ -166,7 +166,6 @@ class ScalarPlaneNetwork(HybridNetwork):
         if fault_state is not None:
             fault_round = fault_state.advance(1)
             threshold = fault_state.drop_threshold(fault_round)
-            faulty = fault_state.faulty_nodes(fault_round)
             occurrences: dict[tuple[int, int], int] = {}
         sent: dict[int, int] = {}
         for position in positions:
@@ -188,8 +187,7 @@ class ScalarPlaneNetwork(HybridNetwork):
             if fault_state is not None:
                 occurrence = occurrences.get((sender, target), 0)
                 occurrences[(sender, target)] = occurrence + 1
-                fate = (fault_round, sender, target, occurrence, threshold, faulty)
-                if fault_state.drops(*fate):
+                if fault_state.drops(fault_round, sender, target, occurrence, threshold):
                     dropped += 1
                     continue
             delivered.append(position)

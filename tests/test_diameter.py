@@ -95,30 +95,18 @@ class TestDiameterApproximation:
             approximate_diameter(network, GatherDiameter())
         assert network.metrics.total_rounds == 0
 
-    def test_outage_split_local_graph_rejected(self):
-        outages = FaultModel(edge_outages=[(0, 1), (20, 21)])
-        network = HybridNetwork(
-            generators.cycle_graph(40), ModelConfig(rng_seed=51, skeleton_xi=1.0, faults=outages)
-        )
-        with pytest.raises(ValueError, match="connected"):
-            approximate_diameter(network, GatherDiameter())
-        assert network.metrics.total_rounds == 0
-
 
 def unfit_session(case):
     """A cold session on a graph Section 5 does not cover."""
     if case == "weighted":
         graph = generators.connected_workload(40, RandomSource(52), weighted=True, max_weight=5)
         return HybridSession(graph, ModelConfig(rng_seed=52))
-    if case == "disconnected":
-        graph = WeightedGraph.from_edges(40, [(u, u + 1, 1) for u in range(39) if u != 19])
-        return HybridSession(graph, ModelConfig(rng_seed=52))
-    outages = FaultModel(edge_outages=[(0, 1), (20, 21)])
-    return HybridSession(generators.cycle_graph(40), ModelConfig(rng_seed=52), fault_model=outages)
+    graph = WeightedGraph.from_edges(40, [(u, u + 1, 1) for u in range(39) if u != 19])
+    return HybridSession(graph, ModelConfig(rng_seed=52))
 
 
 class TestSessionDiameterValidation:
-    @pytest.mark.parametrize("case", ["weighted", "disconnected", "outage-split"])
+    @pytest.mark.parametrize("case", ["weighted", "disconnected"])
     def test_rejected_before_any_charge(self, case):
         session = unfit_session(case)
         with pytest.raises(ValueError):

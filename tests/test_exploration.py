@@ -7,7 +7,7 @@ time something reads it (only APSP's final combination step does).  These
 tests pin that
 
 * a skeleton built from member rows equals one built from the full matrix,
-  on connected, disconnected, single-node and edge-outage survivor graphs,
+  on connected, disconnected, single-node and edge-removed graphs,
   through the connectivity-doubling path and through ``extended``;
 * no query except ``apsp`` materialises the full matrix, and a cold ``sssp``
   computes at most ``|V_S| + 2`` rows;
@@ -59,8 +59,8 @@ def full_matrix_skeleton(full, nodes):
     return weights, full[:, nodes]
 
 
-def assert_matches_full_matrix(skeleton, local_graph):
-    full = literal_d_h(local_graph, skeleton.hop_length)
+def assert_matches_full_matrix(skeleton, graph):
+    full = literal_d_h(graph, skeleton.hop_length)
     weights, near = full_matrix_skeleton(full, skeleton.nodes)
     assert np.array_equal(skeleton.weights, weights)
     assert not skeleton.weights.flags.writeable
@@ -72,8 +72,8 @@ def assert_matches_full_matrix(skeleton, local_graph):
 
 @st.composite
 def exploration_case(draw):
-    """A network (connected, disconnected, n = 1 or with edge outages) and a probability."""
-    family = draw(st.sampled_from(["connected", "sparse", "single", "outages", "path"]))
+    """A network (connected, disconnected, n = 1 or with edges removed) and a probability."""
+    family = draw(st.sampled_from(["connected", "sparse", "single", "removed-edges", "path"]))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = RandomSource(seed)
     n = 1 if family == "single" else draw(st.integers(min_value=2, max_value=28))
@@ -92,13 +92,13 @@ def exploration_case(draw):
         graph = WeightedGraph(1)
     else:
         graph = generators.connected_workload(n, rng, weighted=True, max_weight=6)
-    faults = None
-    if family == "outages":
+    if family == "removed-edges":
         edges = sorted((u, v) for u, v, _ in graph.edges())
         picks = draw(st.lists(st.integers(min_value=0, max_value=len(edges) - 1), max_size=4))
-        faults = FaultModel(edge_outages=[edges[pick] for pick in picks])
+        for pick in sorted(set(picks)):
+            graph.remove_edge(*edges[pick])
     xi = 0.05 if family == "path" else draw(st.sampled_from([0.3, 0.75, 1.0]))
-    config = ModelConfig(rng_seed=seed, skeleton_xi=xi, faults=faults)
+    config = ModelConfig(rng_seed=seed, skeleton_xi=xi)
     probability = draw(st.sampled_from([0.1, 0.3, 1.0]))
     ensure_connected = family == "path" or draw(st.booleans())
     return HybridNetwork(graph, config), probability, ensure_connected
@@ -111,13 +111,13 @@ class TestMemberRowsEqualFullMatrix:
         network, probability, ensure_connected = case
         skeleton = compute_skeleton(network, probability, ensure_connected=ensure_connected)
         assert not skeleton.exploration.materialised
-        assert_matches_full_matrix(skeleton, network.local_graph)
+        assert_matches_full_matrix(skeleton, network.graph)
 
         # A derived skeleton (one more member) gets the same treatment.
         context = prepare_skeleton_context(network, probability)
         extended = context.extended([pick % network.n])
         if extended is not None:
-            assert_matches_full_matrix(extended.skeleton, network.local_graph)
+            assert_matches_full_matrix(extended.skeleton, network.graph)
 
     def test_connectivity_retry_doubles_and_matches(self):
         config = ModelConfig(rng_seed=3, skeleton_xi=0.05)
@@ -126,17 +126,7 @@ class TestMemberRowsEqualFullMatrix:
         first = skeleton_hop_length(network.n, 1 / 0.3, xi=0.05)
         assert skeleton.hop_length > first  # the doubling path ran
         assert skeleton.is_connected()
-        assert_matches_full_matrix(skeleton, network.local_graph)
-
-    def test_survivor_graph_rows_ignore_outage_edges(self):
-        graph = generators.connected_workload(24, RandomSource(4), weighted=True, max_weight=5)
-        outages = sorted((u, v) for u, v, _ in graph.edges())[::3]
-        network = HybridNetwork(
-            graph, ModelConfig(rng_seed=4, faults=FaultModel(edge_outages=outages))
-        )
-        skeleton = compute_skeleton(network, 0.3)
-        assert network.local_graph is not graph
-        assert_matches_full_matrix(skeleton, network.local_graph)
+        assert_matches_full_matrix(skeleton, network.graph)
 
     @example(extra=[0])
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -398,7 +388,7 @@ class TestHopCertificate:
     @given(exploration_case(), st.integers(min_value=0, max_value=12))
     def test_certified_rows_are_exact_and_match_the_bounded_search(self, case, hop_limit):
         network, _, _ = case
-        csr = network.local_graph.csr()
+        csr = network.graph.csr()
         sources = range(csr.n)
         d_h = csr_kernels.hop_limited_matrix(csr, sources, hop_limit)
         certified = csr_kernels.certified_rows(csr, sources, d_h, hop_limit)
@@ -575,7 +565,7 @@ class TestRepairMatchesCold:
             warm.sssp(seed % 64)
         context = warm.context()
         hop_length = context.skeleton.hop_length
-        before = warm.network.local_graph.hop_limited_distance_matrix(range(64), hop_length)
+        before = warm.network.graph.hop_limited_distance_matrix(range(64), hop_length)
         members = set(context.skeleton.nodes)
         if not any([apply_delta(warm, members, *delta) for delta in batch]):
             return

@@ -1,5 +1,5 @@
-"""The fault-injection subsystem: seeded drops, crashes, bursts, outages,
-acknowledged retransmission, and the differential fuzzer.
+"""The fault-injection subsystem: seeded drops and bursts, acknowledged
+retransmission, and the differential fuzzer.
 
 Three contracts are pinned here:
 
@@ -18,13 +18,15 @@ Three contracts are pinned here:
   -- never a silently wrong result.
 """
 
+import dataclasses
+
 import pytest
 
 numpy = pytest.importorskip("numpy")
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scalar_plane import PLANES, from_outboxes, to_inboxes
+from scalar_plane import PLANES
 
 from repro import (
     FaultModel,
@@ -80,7 +82,7 @@ def metrics_snapshot(network):
 class TestFaultModel:
     def test_defaults_inject_nothing(self):
         model = FaultModel()
-        assert not model.enabled and not model.affects_global
+        assert not model.enabled
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):
@@ -92,26 +94,20 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultModel(burst_length=-1)
 
-    def test_schedules_normalize_from_mappings_and_pairs(self):
-        from_mapping = FaultModel(
-            crash_schedule={3: 5}, omission_schedule={2: [7, 1]}, edge_outages=[(9, 4)]
-        )
-        from_pairs = FaultModel(
-            crash_schedule=[(3, 5)], omission_schedule=[(2, (1, 7))], edge_outages=[(4, 9)]
-        )
-        assert from_mapping == from_pairs
-        assert from_mapping.enabled and from_mapping.affects_global
-        # Duplicate keys in the pair forms merge instead of overwriting: the
-        # earliest crash round wins and omission sets union per round.
-        merged = FaultModel(
-            crash_schedule=[(4, 9), (4, 2)], omission_schedule=[(3, [1]), (3, [2])]
-        )
-        assert merged.crash_schedule == ((4, 2),)
-        assert merged.omission_schedule == ((3, (1, 2)),)
-
-    def test_outage_only_model_does_not_touch_global_plane(self):
-        model = FaultModel(edge_outages=[(0, 1)])
-        assert model.enabled and not model.affects_global
+    def test_loss_is_the_only_fault_class(self):
+        # The HYBRID model has no node crashes and no local-edge failures:
+        # the model describes global-message loss and its retry budget only,
+        # and an option naming anything else is rejected, not ignored.
+        assert [field.name for field in dataclasses.fields(FaultModel)] == [
+            "drop_rate",
+            "burst_rate",
+            "burst_length",
+            "burst_drop_rate",
+            "max_attempts",
+            "seed",
+        ]
+        with pytest.raises(TypeError):
+            FaultModel(node_crashes={3: 5})
 
     def test_hash_scalar_and_array_agree(self):
         rng = RandomSource(1)
@@ -132,15 +128,12 @@ class TestFaultModel:
         targets = numpy.array([rng.randrange(12) for _ in range(150)], dtype=numpy.int64)
         for round_index in range(4):
             threshold = state.drop_threshold(round_index)
-            faulty = state.faulty_nodes(round_index)
             occurrences = {}
             expected = []
             for sender, target in zip(senders.tolist(), targets.tolist(), strict=True):
                 occurrence = occurrences.get((sender, target), 0)
                 occurrences[(sender, target)] = occurrence + 1
-                expected.append(
-                    not state.drops(round_index, sender, target, occurrence, threshold, faulty)
-                )
+                expected.append(not state.drops(round_index, sender, target, occurrence, threshold))
             mask = state.keep_mask(senders, targets, round_index, 12)
             got = [True] * 150 if mask is None else mask.tolist()
             assert got == expected
@@ -160,14 +153,6 @@ class TestFaultModel:
             for r in range(s, s + 3):
                 assert state.in_burst(r)
 
-    def test_crash_and_omission_round_semantics(self):
-        state = FaultState(FaultModel(crash_schedule={4: 2}, omission_schedule={1: [9]}))
-        assert state.faulty_nodes(0) == frozenset()
-        assert state.faulty_nodes(1) == frozenset({9})
-        assert state.faulty_nodes(2) == frozenset({4})
-        assert state.faulty_nodes(3) == frozenset({4})
-
-
 class TestFaultRoundContext:
     def test_prefix_folding_matches_full_hash(self):
         for seed in (0, 1, 77):
@@ -181,15 +166,12 @@ class TestFaultRoundContext:
             burst_rate=0.4,
             burst_length=2,
             burst_drop_rate=0.95,
-            crash_schedule={2: 1},
-            omission_schedule={3: [4]},
             seed=11,
         )
         state = FaultState(model)
         for round_index in (0, 1, 2, 3, 4, 2, 0):  # revisits hit the memo
-            threshold, faulty, prefix = state.round_context(round_index)
+            threshold, prefix = state.round_context(round_index)
             assert threshold == state.drop_threshold(round_index)
-            assert faulty == state.faulty_nodes(round_index)
             assert prefix == fault_hash(model.seed, 1, round_index)
 
     def test_context_is_memoized(self):
@@ -200,12 +182,12 @@ class TestFaultRoundContext:
     def test_drops_uses_memoized_prefix(self):
         model = FaultModel(drop_rate=0.5, seed=21)
         state = FaultState(model)
-        threshold, faulty, _ = state.round_context(4)
+        threshold, _ = state.round_context(4)
         for sender, target, occurrence in ((0, 1, 0), (5, 5, 2), (9, 0, 1)):
             expected = (
                 fault_hash(model.seed, 1, 4, sender, target, occurrence) < threshold
             )
-            assert state.drops(4, sender, target, occurrence, threshold, faulty) == expected
+            assert state.drops(4, sender, target, occurrence, threshold) == expected
 
 
 class TestEngineEnforcement:
@@ -225,20 +207,6 @@ class TestEngineEnforcement:
         assert network.metrics.global_messages == len(pairs)
         assert sum(int(total) for total in network.received_totals) == len(delivered)
 
-    def test_crashed_node_sends_and_receives_nothing(self):
-        network = self.make(crash_schedule={5: 0})
-        batch = from_outboxes({5: [(1, "a")], 1: [(5, "b")], 2: [(3, "c")]})
-        delivered = network.global_round(batch.senders, batch.targets, "crash")
-        assert to_inboxes(batch.take(delivered)) == {3: [(2, "c")]}
-        assert network.metrics.global_dropped == 2
-
-    def test_omission_silences_exactly_one_round(self):
-        network = self.make(omission_schedule={0: [1]})
-        first = network.global_round(*build_columns([(1, 2)]), "omit")
-        assert len(first) == 0
-        second = network.global_round(*build_columns([(1, 2)]), "omit")
-        assert len(second) == 1
-
     def test_burst_drops_everything_while_active(self):
         # A guaranteed burst from round 0 (rate 1.0) of length 2: the first
         # two global rounds lose all traffic, the third is clean again.
@@ -256,7 +224,11 @@ class TestEngineEnforcement:
         snapshots = {}
         deliveries = {}
         model = FaultModel(
-            drop_rate=0.35, seed=fault_seed, omission_schedule={1: [0, 7]}, crash_schedule={19: 2}
+            drop_rate=0.35,
+            burst_rate=0.3,
+            burst_length=2,
+            burst_drop_rate=0.9,
+            seed=fault_seed,
         )
         for plane in ("scalar", "vectorized"):
             network = PLANES[plane](
@@ -276,7 +248,12 @@ class TestEngineEnforcement:
         and give up on exactly the same messages."""
         outcomes = {}
         model = FaultModel(
-            drop_rate=0.35, seed=fault_seed, max_attempts=3, crash_schedule={19: 4}
+            drop_rate=0.35,
+            burst_rate=0.3,
+            burst_length=2,
+            burst_drop_rate=0.9,
+            seed=fault_seed,
+            max_attempts=3,
         )
         for plane in ("scalar", "vectorized"):
             network = PLANES[plane](
@@ -290,82 +267,6 @@ class TestEngineEnforcement:
                 outcome = str(error)
             outcomes[plane] = outcome, metrics_snapshot(network)
         assert outcomes["scalar"] == outcomes["vectorized"]
-
-    def test_edge_outages_shrink_the_local_mode_only(self):
-        graph = generators.cycle_graph(8)
-        network = HybridNetwork(
-            graph, ModelConfig(rng_seed=1, faults=FaultModel(edge_outages=[(0, 1)]))
-        )
-        assert network.graph.has_edge(0, 1)  # the graph itself is untouched
-        assert not network.local_graph.has_edge(0, 1)
-        # The 1-hop ball of node 0 lost neighbour 1; the cycle's severed ring
-        # now has hop diameter 7 instead of 4.
-        assert 1 not in network.local_graph.ball(0, 1)
-        assert network.hop_diameter() == 7
-        assert 1 not in reference.hop_limited_distances(network.local_graph, 0, 1)
-        # The global plane still reaches node 1 by ID.
-        delivered = network.global_round(*build_columns([(0, 1)]), "global")
-        assert len(delivered) == 1
-
-    def test_sssp_respects_edge_outages_end_to_end(self):
-        # The whole LOCAL mode (flooding, exploration, helper/ruling sets)
-        # computes on the survivor graph, so SSSP under an outage must equal
-        # Dijkstra on the graph *minus* the downed edge -- and differ from
-        # the intact graph when the edge was load-bearing.
-        from repro import WeightedGraph
-
-        graph = generators.random_geometric_like_graph(
-            30, neighbourhood=2, rng=RandomSource(3), extra_edge_probability=0.1
-        )
-        full_truth = reference.single_source_distances(graph, 0)
-        outage = survivor = None
-        for u, v, _w in sorted(graph.edges()):
-            candidate = WeightedGraph(graph.node_count)
-            for a, b, w in graph.edges():
-                if {a, b} != {u, v}:
-                    candidate.add_edge(a, b, w)
-            if candidate.is_connected():
-                candidate_truth = reference.single_source_distances(candidate, 0)
-                if any(
-                    abs(candidate_truth[node] - full_truth[node]) > 1e-9
-                    for node in candidate_truth
-                ):
-                    outage, survivor = (u, v), candidate
-                    break
-        assert outage is not None, "graph should have a load-bearing, removable edge"
-        network = HybridNetwork(
-            graph,
-            ModelConfig(rng_seed=2, faults=FaultModel(edge_outages=[outage])),
-        )
-        result = sssp_exact(network, source=0)
-        truth = reference.single_source_distances(survivor, 0)
-        assert all(abs(result.distance(v) - d) <= 1e-9 for v, d in truth.items())
-        assert any(abs(result.distance(node) - full_truth[node]) > 1e-9 for node in full_truth)
-
-    def test_disconnecting_outages_clamp_local_charges_to_n(self):
-        # Cutting two edges of a cycle splits the survivor graph, so its hop
-        # diameter is infinite; the min(D, .) cap must clamp to n, not inf.
-        network = HybridNetwork(
-            generators.cycle_graph(8),
-            ModelConfig(rng_seed=1, faults=FaultModel(edge_outages=[(0, 1), (4, 5)])),
-        )
-        assert network.local_graph.hop_diameter() == float("inf")
-        assert network.hop_diameter() == 8
-        before = network.metrics.local_rounds
-        network.charge_local_rounds(100, "flood")
-        assert network.metrics.local_rounds - before == 8
-        network.charge_local_rounds(3, "flood")
-        assert network.metrics.local_rounds - before == 8 + 3
-
-    def test_outage_graph_tracks_graph_mutations(self):
-        graph = generators.cycle_graph(8)
-        network = HybridNetwork(
-            graph, ModelConfig(rng_seed=1, faults=FaultModel(edge_outages=[(0, 1)]))
-        )
-        assert network.hop_diameter() == 7
-        graph.add_edge(0, 4, 1)  # a chord the outage view must pick up
-        assert network.local_graph.has_edge(0, 4)
-        assert not network.local_graph.has_edge(0, 1)
 
     def test_reset_metrics_replays_the_fault_schedule(self):
         network = self.make(drop_rate=0.4, seed=9)
@@ -415,11 +316,6 @@ class TestReliableExchange:
             network.run_reliable_exchange(*build_columns([(0, 1)]), "doomed")
         # All three attempts were spent (two of them retransmissions).
         assert network.metrics.global_retried == 2
-
-    def test_permanently_crashed_receiver_beats_the_budget(self):
-        network = self.make(crash_schedule={3: 0}, max_attempts=4)
-        with pytest.raises(FaultToleranceExceededError):
-            network.run_reliable_exchange(*build_columns([(0, 3)]), "dead-target")
 
     def test_aggregate_sum_is_exact_under_drops(self):
         # A dropped partial sum is unrecoverable (sums are not idempotent),
@@ -522,8 +418,6 @@ class TestDifferentialFuzzer:
             faults.update(
                 burst_rate=0.02, burst_length=1 + case % 3, burst_drop_rate=0.9
             )
-        if case % 5 == 0:
-            faults["omission_schedule"] = {rng.randrange(20): [rng.randrange(n)]}
         return graph, FaultModel(**faults)
 
     def test_zero_mismatches_over_200_schedules(self):

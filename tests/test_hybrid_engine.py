@@ -96,6 +96,20 @@ class TestHybridNetwork:
         network.charge_local_rounds(10_000, "test")
         assert network.metrics.local_rounds == diameter
 
+    def test_local_charge_clamped_to_n_on_disconnected_graph(self):
+        # Two cuts split the 8-cycle, so its hop diameter is infinite; the
+        # min(D, .) cap must clamp to n, not inf.
+        graph = generators.cycle_graph(8)
+        graph.remove_edge(0, 1)
+        graph.remove_edge(4, 5)
+        network = HybridNetwork(graph, ModelConfig(rng_seed=1))
+        assert network.graph.hop_diameter() == float("inf")
+        assert network.hop_diameter() == 8
+        network.charge_local_rounds(100, "flood")
+        assert network.metrics.local_rounds == 8
+        network.charge_local_rounds(3, "flood")
+        assert network.metrics.local_rounds == 8 + 3
+
     def test_local_charge_uncapped_when_disabled(self):
         graph = generators.path_graph(10)
         net = HybridNetwork(graph, ModelConfig(cap_local_at_diameter=False))

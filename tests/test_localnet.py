@@ -122,26 +122,26 @@ class TestRulingSetsAndClusters:
 
 
 def clustering_graph(name):
-    """The graphs of :class:`TestClusteringPins` (and their fault models)."""
+    """The graphs of :class:`TestClusteringPins`."""
     if name == "cycle30":
-        return generators.cycle_graph(30), None
+        return generators.cycle_graph(30)
     if name == "workload36":
-        graph = generators.connected_workload(36, RandomSource(21), weighted=True, max_weight=5)
-        return graph, None
+        return generators.connected_workload(36, RandomSource(21), weighted=True, max_weight=5)
     if name == "grid":
-        return generators.grid_graph(9, 7), None
+        return generators.grid_graph(9, 7)
     if name == "locality1024":
         # The query-mix and serve-coalesced graph of benchmarks/e2e.
-        graph = generators.random_geometric_like_graph(
+        return generators.random_geometric_like_graph(
             1024, neighbourhood=2, rng=RandomSource(1), extra_edge_probability=0.01
         )
-        return graph, None
     if name == "random1024":
         # The cold-start and mutate-repair graph of benchmarks/e2e.
-        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
-        return graph, None
-    # Two outages split the 40-cycle into two 20-node paths.
-    return generators.cycle_graph(40), FaultModel(edge_outages=[(0, 1), (20, 21)])
+        return generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+    # Two missing edges split the 40-cycle into two 20-node paths.
+    graph = generators.cycle_graph(40)
+    graph.remove_edge(0, 1)
+    graph.remove_edge(20, 21)
+    return graph
 
 
 def crc(array):
@@ -177,8 +177,7 @@ class TestClusteringPins:
 
     @pytest.mark.parametrize("name, mu", sorted(EXPECTED))
     def test_clustering_matches_recorded(self, name, mu):
-        graph, faults = clustering_graph(name)
-        network = HybridNetwork(graph, ModelConfig(rng_seed=3, faults=faults))
+        network = HybridNetwork(clustering_graph(name), ModelConfig(rng_seed=3))
         clustering = cluster_around_rulers(network, mu, "pin")
         rulers = np.fromiter(clustering.members, dtype=np.int64)
         owner = owners(clustering, network.n)
@@ -311,7 +310,11 @@ PLACEMENTS = {
     "four-per-node": {node: [("t", node, i) for i in range(4)] for node in range(100)},
 }
 
-FAULTS = {"ideal": None, "faulty": FaultModel(drop_rate=0.05, seed=3)}
+FAULTS = {
+    "ideal": None,
+    "faulty": FaultModel(drop_rate=0.05, seed=3),
+    "bursty": FaultModel(drop_rate=0.05, burst_rate=0.05, burst_length=3, seed=5),
+}
 
 
 class TestColumnTrafficPins:
@@ -336,6 +339,13 @@ class TestColumnTrafficPins:
                 "four-per-node",
                 "faulty",
                 (205, 150, 55, 3329, 213056, 7, 13, 0, 163, 155, 15, 2001055662),
+            ),
+            ("one", "bursty", (81, 24, 57, 626, 40064, 7, 27, 0, 192, 129, 15, 2979760087)),
+            ("sqrt-n", "bursty", (116, 62, 54, 1124, 71936, 7, 14, 0, 235, 172, 15, 650121685)),
+            (
+                "four-per-node",
+                "bursty",
+                (210, 150, 60, 4276, 273664, 7, 13, 0, 1118, 1055, 15, 474189181),
             ),
         ],
     )
@@ -401,6 +411,16 @@ class TestColumnTrafficPins:
                 "sum",
                 "faulty",
                 (497.0, (27, 0, 27, 313, 20032, 2, 2, 0, 16, 8, 3, 1519824018), 9152, 329267379),
+            ),
+            (
+                "max",
+                "bursty",
+                (30.0, (7, 0, 7, 477, 30528, 1, 1, 0, 209, 0, 1, 504145680), 9152, 2543035312),
+            ),
+            (
+                "sum",
+                "bursty",
+                (497.0, (34, 0, 34, 485, 31040, 2, 2, 0, 186, 123, 3, 906585376), 7424, 1196327635),
             ),
         ],
     )

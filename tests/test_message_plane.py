@@ -411,7 +411,10 @@ class TestClosedFormSchedule:
     round, so identical deliveries *in order* pin both the boundary and the
     rotation."""
 
-    FAULTS = {"ideal": None, "faulty": dict(drop_rate=0.3, seed=5, crash_schedule={3: 2})}
+    FAULTS = {
+        "ideal": None,
+        "faulty": dict(drop_rate=0.3, burst_rate=0.3, burst_length=2, burst_drop_rate=0.9, seed=5),
+    }
 
     @staticmethod
     def run(plane, pairs, send_cap, receive_cap, faults):
@@ -699,7 +702,6 @@ def fault_exchange(draw):
         burst_rate=draw(st.sampled_from([0.0, 0.3])),
         burst_length=2,
         burst_drop_rate=0.9,
-        crash_schedule={0: 3} if draw(st.booleans()) else {},
         seed=draw(st.integers(min_value=0, max_value=99)),
         max_attempts=64,
     )
