@@ -3,11 +3,12 @@
 Public surface:
 
 * :class:`~repro.graphs.graph.WeightedGraph` -- the adjacency structure used by
-  the whole library, with single-source traversals and batched multi-source
-  kernels (DESIGN.md §4).
+  the whole library; every traversal runs on its frozen CSR view
+  (DESIGN.md §4).
 * :mod:`repro.graphs.csr` -- the frozen numpy CSR view and its kernels.
 * :mod:`repro.graphs.generators` -- workload graph families.
-* :mod:`repro.graphs.reference` -- sequential ground-truth algorithms.
+* :mod:`repro.graphs.reference` -- sequential ground-truth algorithms, the
+  one oracle the kernels are tested against.
 * :mod:`repro.graphs.skeleton_analysis` -- offline audits of skeleton graphs
   (Appendix C).
 """

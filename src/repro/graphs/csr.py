@@ -32,10 +32,9 @@ This module stores the graph once as frozen CSR numpy arrays and provides
 
 All kernels are exact and deterministic: edge weights are positive integers,
 so every distance is an exact float64 sum along a single path and equals the
-single-source pure-Python traversals of
-:class:`~repro.graphs.graph.WeightedGraph` bit for bit (the kernel tests pin
-this).  The same exactness is why a certified Dijkstra row and a relaxation
-row are interchangeable: both hold the same sums.
+edge-list oracles of :mod:`repro.graphs.reference` bit for bit (the kernel
+tests pin this).  The same exactness is why a certified Dijkstra row and a
+relaxation row are interchangeable: both hold the same sums.
 :class:`~repro.graphs.graph.WeightedGraph` freezes a :class:`CSRAdjacency` on
 first batched traversal and invalidates it on ``add_edge`` /
 ``remove_edge``.
@@ -92,7 +91,7 @@ class CSRAdjacency:
         # _scipy_view); the adjacency is frozen, so the view never goes stale.
         self.sparse_view = None
         # Lazily computed size of each node's connected component (see
-        # _component_sizes); frozen with the topology like the scipy view.
+        # component_sizes); frozen with the topology like the scipy view.
         self.component_sizes = None
         # With unit weights d_h degenerates to BFS levels, which the weighted
         # kernels exploit as a fast path.
@@ -164,7 +163,7 @@ def _scipy_view(csr: CSRAdjacency):
     return view
 
 
-def _component_sizes(csr: CSRAdjacency) -> np.ndarray:
+def component_sizes(csr: CSRAdjacency) -> np.ndarray:
     """``sizes[v]``: the number of nodes in ``v``'s connected component (cached)."""
     sizes = csr.component_sizes
     if sizes is None:
@@ -285,7 +284,7 @@ def certified_rows(
     finite = np.isfinite(dist)
     reached = np.count_nonzero(finite, axis=1)
     largest = np.max(dist, axis=1, where=finite, initial=0.0)
-    return (reached == _component_sizes(csr)[src]) & (largest <= hop_limit * csr.min_weight)
+    return (reached == component_sizes(csr)[src]) & (largest <= hop_limit * csr.min_weight)
 
 
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
@@ -354,7 +353,7 @@ def hop_diameter(csr: CSRAdjacency) -> float:
     all-sources pass instead of ``n`` separate calls.
     """
     n = csr.n
-    if _component_sizes(csr)[0] != n:
+    if component_sizes(csr)[0] != n:
         return np.inf
     view = _scipy_view(csr)
     max_batch = _chunk_rows(n)
@@ -507,11 +506,3 @@ def hop_limited_rows(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) 
     """
     return run_chunked(hop_limited_matrix, csr, sources, hop_limit)
 
-
-def levels_to_dicts(levels: np.ndarray) -> list[dict[int, int]]:
-    """Convert :func:`bfs_level_matrix` rows to ``{reached node: hops}`` dicts."""
-    result: list[dict[int, int]] = []
-    for row in levels:
-        reached = np.flatnonzero(row >= 0)
-        result.append(dict(zip(reached.tolist(), row[reached].tolist(), strict=True)))
-    return result

@@ -17,8 +17,6 @@ which role in the reduction).
 
 from __future__ import annotations
 
-import math
-
 from repro.graphs.graph import WeightedGraph
 from repro.util.rand import RandomSource
 
@@ -460,14 +458,3 @@ def connected_workload(
         max_weight=max_weight if weighted else 1,
     )
 
-
-def suggested_hop_diameter(graph: WeightedGraph) -> int:
-    """Cheap upper estimate of the hop diameter (2x eccentricity of node 0).
-
-    Used by generators/tests that only need the order of magnitude of ``D``
-    without paying for an exact all-pairs computation.
-    """
-    ecc = graph.hop_eccentricity(0)
-    if ecc == math.inf:
-        raise ValueError("graph is disconnected")
-    return int(2 * ecc)

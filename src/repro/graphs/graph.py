@@ -3,36 +3,31 @@
 The paper's local communication graph ``G = (V, E)`` is an undirected graph
 with integer edge weights ``w : E -> [W]`` where ``W`` is at most polynomial in
 ``n`` (Section 1.3).  :class:`WeightedGraph` is a small adjacency structure
-with exactly the operations the HYBRID algorithms need:
+with exactly the reads the HYBRID algorithms need:
 
 * neighbourhood queries (the LOCAL mode),
-* hop-limited breadth-first search (``hop(u, v)`` and ``h``-hop balls),
-* hop-limited weighted distances ``d_h(u, v)`` (Section 1.3), and
-* conversions to/from :mod:`networkx` for cross-checking in tests.
+* hop-limited weighted distances ``d_h(u, v)`` (Section 1.3),
+* exact distances, the hop diameter ``D`` and the ruler clusterings.
 
 Nodes are always the integers ``0 .. n-1``; the paper identifies nodes with IDs
 ``[n]`` and several protocols (hashing to intermediate nodes, implicit
 aggregation trees) rely on the ID space being exactly ``[0, n)``.
 
 Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
-the source of truth and feeds the mutation journal, and the single-source
-traversals (``bfs_hops``, ``dijkstra``, ...) walk it in pure Python.  The
-batched multi-source kernels (``bfs_hops_many``,
+the source of truth and feeds the mutation journal.  Every traversal --
 ``hop_limited_distance_matrix``, ``distance_matrix``, ``hop_diameter``,
-``ruler_clustering``) run on a frozen CSR view (:mod:`repro.graphs.csr`) built
-lazily on first use and invalidated by ``add_edge`` / ``remove_edge``.  Both
-return bit-identical results (weights are positive integers, so all float
-distances are exact sums).  The ``d_h`` kernels have no single-source twin
-here: tests check them against the edge-list Bellman-Ford oracle
-:func:`repro.graphs.reference.hop_limited_distances`.  What depends on hops
-alone -- the hop diameter and the ruler clusterings -- is cached in one
+``ruler_clustering``, ``is_connected`` -- runs on a frozen CSR view
+(:mod:`repro.graphs.csr`) built lazily on first use and invalidated by
+``add_edge`` / ``remove_edge``; there is no second, dict-walking traversal
+path.  Tests check the kernels against :mod:`repro.graphs.reference`, the
+edge-list oracle that shares no code with them.  What depends on hops alone
+-- the hop diameter and the ruler clusterings -- is cached in one
 hop-topology slot that ``add_edge`` / ``remove_edge`` reset and
 ``update_weight`` keeps.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -243,14 +238,6 @@ class WeightedGraph:
         """Iterate over the neighbours of ``u``."""
         return iter(self._adjacency[u])
 
-    def degree(self, u: int) -> int:
-        """Number of neighbours of ``u``."""
-        return len(self._adjacency[u])
-
-    def max_degree(self) -> int:
-        """Maximum degree over all nodes."""
-        return max(len(adj) for adj in self._adjacency)
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Iterate over undirected edges as ``(u, v, weight)`` with ``u < v``."""
         for u in range(self._n):
@@ -270,10 +257,6 @@ class WeightedGraph:
         """Whether every edge has weight 1 (the paper's ``W = 1`` case)."""
         return all(w == 1 for _, _, w in self.edges())
 
-    def total_weight(self) -> int:
-        """Sum of all edge weights."""
-        return sum(w for _, _, w in self.edges())
-
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self._n:
             raise ValueError(f"node {u} outside [0, {self._n})")
@@ -287,57 +270,7 @@ class WeightedGraph:
         if weight <= 0:
             raise ValueError("edge weights must be positive")
 
-    @staticmethod
-    def _check_max_hops(max_hops: int | None) -> None:
-        if max_hops is not None and max_hops < 0:
-            raise ValueError("max_hops must be non-negative")
-
-    # ----------------------------------------------------------- traversal
-    def bfs_hops(self, source: int, max_hops: int | None = None) -> dict[int, int]:
-        """Hop distances from ``source`` to every node within ``max_hops`` hops.
-
-        This is ``hop(source, ·)`` from Section 1.3 restricted to the ball of
-        radius ``max_hops`` (or the whole component when ``max_hops`` is None).
-        """
-        self._check_node(source)
-        self._check_max_hops(max_hops)
-        distances = {source: 0}
-        frontier = [source]
-        hops = 0
-        while frontier and (max_hops is None or hops < max_hops):
-            hops += 1
-            next_frontier: list[int] = []
-            for u in frontier:
-                for v in self._adjacency[u]:
-                    if v not in distances:
-                        distances[v] = hops
-                        next_frontier.append(v)
-            frontier = next_frontier
-        return distances
-
-    def ball(self, source: int, radius: int) -> list[int]:
-        """The nodes within ``radius`` hops of ``source`` (including itself)."""
-        return list(self.bfs_hops(source, radius))
-
-    # ------------------------------------------------- batched traversal kernels
-    #
-    # The batched methods advance every source together on the frozen CSR
-    # view (repro.graphs.csr); ``bfs_hops_many`` and ``distance_matrix`` equal
-    # the single-source traversals, one per source.
-
-    def bfs_hops_many(
-        self, sources: Sequence[int], max_hops: int | None = None
-    ) -> list[dict[int, int]]:
-        """``bfs_hops`` from many sources at once (one dict per source)."""
-        sources = list(sources)
-        for source in sources:
-            self._check_node(source)
-        self._check_max_hops(max_hops)
-        levels = csr_kernels.run_chunked(
-            csr_kernels.bfs_level_matrix, self.csr(), sources, max_hops
-        )
-        return csr_kernels.levels_to_dicts(levels)
-
+    # ---------------------------------------------------------- CSR kernels
     def hop_limited_distance_matrix(self, sources: Sequence[int], hop_limit: int):
         """``d_{hop_limit}`` as a dense ``(len(sources), n)`` float matrix.
 
@@ -360,20 +293,6 @@ class WeightedGraph:
         for source in sources:
             self._check_node(source)
         return csr_kernels.run_chunked(csr_kernels.distance_matrix, self.csr(), sources)
-
-    def hop_distance(self, u: int, v: int) -> float:
-        """``hop(u, v)``: the minimum number of edges on a u-v path."""
-        if u == v:
-            return 0
-        distances = self.bfs_hops(u)
-        return distances.get(v, INFINITY)
-
-    def hop_eccentricity(self, u: int) -> float:
-        """Largest hop distance from ``u`` to any node (infinite if disconnected)."""
-        distances = self.bfs_hops(u)
-        if len(distances) != self._n:
-            return INFINITY
-        return max(distances.values())
 
     def hop_diameter(self) -> float:
         """``D(G)``: the maximum hop distance over all pairs (Section 1.3).
@@ -409,118 +328,20 @@ class WeightedGraph:
         return cache[separation]
 
     def is_connected(self) -> bool:
-        """Whether the graph is connected (the paper assumes ``G`` connected)."""
-        return len(self.bfs_hops(0)) == self._n
+        """Whether the graph is connected (the paper assumes ``G`` connected).
 
-    def connected_components(self) -> list[list[int]]:
-        """List of connected components (each a sorted list of nodes)."""
-        seen = [False] * self._n
-        components: list[list[int]] = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            component = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                u = stack.pop()
-                component.append(u)
-                for v in self._adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            components.append(sorted(component))
-        return components
-
-    # ----------------------------------------------------------- distances
-    def dijkstra(self, source: int, targets: Sequence[int] | None = None) -> dict[int, float]:
-        """Exact weighted distances ``d(source, ·)`` via Dijkstra.
-
-        If ``targets`` is given, the search may stop early once all targets are
-        settled; the returned dict still contains every settled node.
+        Reads the component sizes cached on the frozen CSR view -- the ones
+        the ``d_h`` hop certificate reads (:func:`repro.graphs.csr.component_sizes`).
         """
-        self._check_node(source)
-        remaining = set(targets) if targets is not None else None
-        dist: dict[int, float] = {source: 0.0}
-        settled: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, source)]
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in settled:
-                continue
-            settled[u] = d
-            if remaining is not None:
-                remaining.discard(u)
-                if not remaining:
-                    break
-            for v, w in self._adjacency[u].items():
-                nd = d + w
-                if nd < dist.get(v, INFINITY):
-                    dist[v] = nd
-                    heapq.heappush(heap, (nd, v))
-        return settled
-
-    def shortest_path_hops(self, source: int, target: int) -> list[int] | None:
-        """One shortest u-v path in *hops* (None if disconnected)."""
-        if source == target:
-            return [source]
-        parents: dict[int, int] = {source: source}
-        frontier = [source]
-        while frontier:
-            next_frontier: list[int] = []
-            for u in frontier:
-                for v in self._adjacency[u]:
-                    if v not in parents:
-                        parents[v] = u
-                        if v == target:
-                            path = [v]
-                            while path[-1] != source:
-                                path.append(parents[path[-1]])
-                            return list(reversed(path))
-                        next_frontier.append(v)
-            frontier = next_frontier
-        return None
+        return int(csr_kernels.component_sizes(self.csr())[0]) == self._n
 
     # ----------------------------------------------------------- conversion
-    def subgraph(self, nodes: Sequence[int]) -> tuple["WeightedGraph", dict[int, int]]:
-        """Induced subgraph on ``nodes``.
-
-        Returns the subgraph (relabelled ``0 .. len(nodes)-1``) and the mapping
-        from original node ID to new ID.
-        """
-        mapping = {node: index for index, node in enumerate(nodes)}
-        sub = WeightedGraph(len(nodes))
-        for u in nodes:
-            for v, w in self._adjacency[u].items():
-                if v in mapping and u < v:
-                    sub.add_edge(mapping[u], mapping[v], w)
-        return sub, mapping
-
     def copy(self) -> "WeightedGraph":
         """Deep copy of the graph."""
         clone = WeightedGraph(self._n)
         for u, v, w in self.edges():
             clone.add_edge(u, v, w)
         return clone
-
-    def to_networkx(self):
-        """Convert to a :class:`networkx.Graph` (for cross-checking in tests)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self._n))
-        for u, v, w in self.edges():
-            graph.add_edge(u, v, weight=w)
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph) -> "WeightedGraph":
-        """Build from a :class:`networkx.Graph` with integer node labels 0..n-1."""
-        n = graph.number_of_nodes()
-        result = cls(n)
-        for u, v, data in graph.edges(data=True):
-            result.add_edge(int(u), int(v), int(data.get("weight", 1)))
-        return result
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int, int]]) -> "WeightedGraph":

@@ -1,12 +1,14 @@
 """Sequential reference algorithms (ground truth for every distributed result).
 
 The distributed algorithms in :mod:`repro.core` are validated against these
-centralised computations: exact single-source / all-pairs distances, weighted
-and hop diameters, eccentricities and shortest-path diameters.  They are the
-"oracle" in tests and in the approximation-ratio measurements of
-EXPERIMENTS.md, so they are written for clarity rather than speed: textbook
-heapq Dijkstra, BFS and Bellman-Ford over adjacency lists rebuilt from
-``graph.edges()``, sharing no code with the traversal kernels they check.
+centralised computations: exact single-source / all-pairs distances, hop
+distances, hop-limited distances, shortest paths, weighted and hop diameters,
+eccentricities and shortest-path diameters.  They are the one oracle in tests
+and in the approximation-ratio measurements of EXPERIMENTS.md (the CSR
+kernels of :mod:`repro.graphs.csr` are the one production path), so they are
+written for clarity rather than speed: textbook heapq Dijkstra, BFS and
+Bellman-Ford over adjacency lists rebuilt from ``graph.edges()``, sharing no
+code with the traversal kernels they check.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from repro.graphs.graph import INFINITY, WeightedGraph
 def _edge_list_adjacency(graph: WeightedGraph) -> list[list[tuple[int, int]]]:
     """``(neighbour, weight)`` lists rebuilt from ``graph.edges()`` alone.
 
-    The oracles below walk these lists rather than any of
-    ``WeightedGraph``'s traversal methods, so they share no code with the
-    kernels they check.
+    The oracles below walk these lists rather than the CSR view, so they
+    share no code with the kernels they check.
     """
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(graph.node_count)]
     for u, v, w in graph.edges():
@@ -94,19 +95,39 @@ def hop_limited_distances(graph: WeightedGraph, source: int, hop_limit: int) -> 
     return {node: value for node, value in enumerate(distance) if value != INFINITY}
 
 
-def _hop_eccentricity(adjacency: list[list[tuple[int, int]]], source: int) -> float:
-    """Textbook BFS: the largest hop distance from ``source``.
-
-    ``inf`` when some node is unreached.
-    """
+def _bfs(
+    adjacency: list[list[tuple[int, int]]], source: int, max_hops: int | None = None
+) -> dict[int, int]:
+    """Textbook queue BFS: ``{node: hop(source, node)}`` within ``max_hops`` hops."""
     hops = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        if hops[u] == max_hops:
+            continue
         for v, _ in adjacency[u]:
             if v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)
+    return hops
+
+
+def hop_distances(graph: WeightedGraph, source: int, max_hops: int | None = None) -> dict[int, int]:
+    """``hop(source, ·)`` (Section 1.3) for every node within ``max_hops`` hops.
+
+    The whole component when ``max_hops`` is None; unreached nodes are
+    absent from the result.
+    """
+    if not 0 <= source < graph.node_count:
+        raise ValueError(f"node {source} outside [0, {graph.node_count})")
+    if max_hops is not None and max_hops < 0:
+        raise ValueError("max_hops must be non-negative")
+    return _bfs(_edge_list_adjacency(graph), source, max_hops)
+
+
+def _hop_eccentricity(adjacency: list[list[tuple[int, int]]], source: int) -> float:
+    """The largest hop distance from ``source`` (``inf`` when some node is unreached)."""
+    hops = _bfs(adjacency, source)
     if len(hops) != len(adjacency):
         return INFINITY
     return float(max(hops.values()))
@@ -157,18 +178,44 @@ def shortest_path_diameter(graph: WeightedGraph) -> int:
     adjacency = _edge_list_adjacency(graph)
     spd = 0
     for source in graph.nodes():
-        hops = _min_hops_on_shortest_paths(adjacency, source)
+        hops, _ = _min_hop_shortest_paths(adjacency, source)
         if hops:
             spd = max(spd, max(hops.values()))
     return spd
 
 
-def _min_hops_on_shortest_paths(
+def shortest_path(graph: WeightedGraph, source: int, target: int) -> list[int] | None:
+    """One shortest weighted ``source``-``target`` path with the fewest hops.
+
+    The nodes from ``source`` to ``target``; None when they are disconnected.
+    Among several fewest-hop shortest paths, the heap order ``(distance,
+    hops, node)`` picks one deterministically.
+    """
+    n = graph.node_count
+    for node in (source, target):
+        if not 0 <= node < n:
+            raise ValueError(f"node {node} outside [0, {n})")
+    _, parent = _min_hop_shortest_paths(_edge_list_adjacency(graph), source)
+    if target not in parent:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _min_hop_shortest_paths(
     adjacency: list[list[tuple[int, int]]], source: int
-) -> dict[int, int]:
-    """For each node, the fewest hops among all shortest weighted paths from source."""
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Dijkstra on ``(distance, hops)``: the fewest hops among all shortest paths.
+
+    Returns ``hops[v]`` and the ``parent[v]`` of ``v`` on one such path
+    (``parent[source] = source``).  Weights are positive, so a node's
+    ``(distance, hops)`` and parent never change after it is settled.
+    """
     dist: dict[int, float] = {source: 0.0}
     hops: dict[int, int] = {source: 0}
+    parent: dict[int, int] = {source: source}
     heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
     settled: dict[int, int] = {}
     while heap:
@@ -183,8 +230,9 @@ def _min_hops_on_shortest_paths(
             if nd < known or (nd == known and nh < hops.get(v, 1 << 60)):
                 dist[v] = nd
                 hops[v] = nh
+                parent[v] = u
                 heapq.heappush(heap, (nd, nh, v))
-    return settled
+    return settled, parent
 
 
 def distances_as_matrix(

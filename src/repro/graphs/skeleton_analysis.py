@@ -19,6 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from repro.graphs import reference
 from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.util.rand import RandomSource
 
@@ -94,13 +95,14 @@ class SkeletonReport:
 def sample_gap_on_shortest_path(
     graph: WeightedGraph, sampled: Sequence[int], source: int, target: int
 ) -> int | None:
-    """Largest run of consecutive non-sampled nodes on one shortest hop-path.
+    """Largest run of consecutive non-sampled nodes on one shortest path.
 
-    Returns ``None`` when source and target are disconnected.  Lemma C.1 is a
-    statement about *some* shortest path; auditing the BFS path gives a
-    conservative (upper-bound) measurement of the gap.
+    The path is a weighted shortest path with the fewest hops among them
+    (:func:`repro.graphs.reference.shortest_path`).  Returns ``None`` when
+    source and target are disconnected.  Lemma C.1 bounds the gap on
+    shortest paths by ``h`` w.h.p.; this measures it on one of them.
     """
-    path = graph.shortest_path_hops(source, target)
+    path = reference.shortest_path(graph, source, target)
     if path is None:
         return None
     sampled_set = set(sampled)
@@ -125,7 +127,9 @@ def audit_skeleton(
     """Measure Lemma C.1/C.2 properties on a concrete skeleton.
 
     Distance preservation is checked on up to ``pair_samples`` random sampled
-    pairs; the path-gap audit runs on the same pairs mapped back to ``G``.
+    pairs, from one ``distance_matrix`` call on ``G`` and one on ``S`` over
+    the pairs' sources; the path-gap audit runs on the same pairs mapped back
+    to ``G``.
     """
     skeleton, mapping = build_skeleton_offline(graph, skeleton_nodes, hop_length)
     connected = skeleton.node_count <= 1 or skeleton.is_connected()
@@ -139,13 +143,16 @@ def audit_skeleton(
             if u != v:
                 pairs.append((u, v))
 
+    sources = sorted({u for u, _ in pairs})
+    row = {u: index for index, u in enumerate(sources)}
+    true_rows = graph.distance_matrix(sources).tolist()
+    skeleton_rows = skeleton.distance_matrix([mapping[u] for u in sources]).tolist()
     max_error = 0.0
     preserving = True
     max_gap = 0
     for u, v in pairs:
-        true_distances = graph.dijkstra(u, targets=[v])
-        true_d = true_distances.get(v, INFINITY)
-        skel_d = skeleton.dijkstra(mapping[u], targets=[mapping[v]]).get(mapping[v], INFINITY)
+        true_d = true_rows[row[u]][v]
+        skel_d = skeleton_rows[row[u]][mapping[v]]
         if true_d == INFINITY:
             continue
         if skel_d == INFINITY:

@@ -144,7 +144,9 @@ class FaultModel:
         matching the paper's analysis style; when the budget is exhausted
         with messages still undelivered the engine raises
         :class:`~repro.hybrid.errors.FaultToleranceExceededError` instead of
-        silently returning a partial result.
+        silently returning a partial result.  The default is the constant 8,
+        and attempts run back to back, so one burst can cover several of
+        them (DESIGN.md §8).
     seed:
         Root seed of every fault decision (independent of the protocol RNG).
     """

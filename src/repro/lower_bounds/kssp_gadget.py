@@ -143,7 +143,7 @@ def distance_gap_factor(gadget: KSSPGadget) -> float:
     tell whether a source is near or far cannot α-approximate for any
     ``α`` below it.
     """
-    distances = gadget.graph.dijkstra(gadget.bottleneck_node)
+    distances = gadget.graph.distance_matrix([gadget.bottleneck_node])[0].tolist()
     near = min(distances[s] for s in gadget.near_sources)
     far = min(distances[s] for s in gadget.far_sources)
     return far / near

@@ -1,18 +1,17 @@
-"""The batched CSR kernels against the single-source references.
+"""The CSR kernels against the one oracle, ``repro.graphs.reference``.
 
-Every batched multi-source method of ``WeightedGraph`` -- ``bfs_hops_many``,
-``distance_matrix`` and ``hop_diameter`` -- must equal, bit
-for bit, the pure-Python single-source traversal it batches (``bfs_hops``,
-``dijkstra``, ``hop_eccentricity``; DESIGN.md §4); ``distance_matrix`` must
-also equal the edge-list heapq Dijkstra oracle ``reference``.
-The ``d_h`` kernel ``hop_limited_distance_matrix`` must equal the edge-list
-Bellman-Ford oracle ``reference.hop_limited_distances``, ``csr.hop_diameter`` the edge-list BFS
-oracle ``reference.hop_diameter``, and ``ruler_clustering`` a greedy scan
-plus one BFS per node over ``graph.edges()`` (:func:`oracle_clustering`);
-no oracle shares code with ``WeightedGraph``.  The properties run over
-random graph families: connected and disconnected, n = 1, unit and heavy
-weights, empty and duplicate source lists, and source lists split into many
-chunks.
+The kernels are the only traversal path of ``WeightedGraph`` (DESIGN.md §4),
+and each must equal, bit for bit, its edge-list oracle: the BFS levels of
+``csr.bfs_level_matrix`` equal ``reference.hop_distances``,
+``distance_matrix`` the heapq Dijkstra ``reference.single_source_distances``,
+the ``d_h`` kernel ``hop_limited_distance_matrix`` the Bellman-Ford
+``reference.hop_limited_distances``, ``csr.hop_diameter`` the BFS
+``reference.hop_diameter`` and ``reference.eccentricity``, and
+``ruler_clustering`` a greedy scan over ``reference.hop_distances`` from
+every node (:func:`oracle_clustering`); no oracle shares code with the CSR
+view.  The properties run over random graph families: connected and
+disconnected, n = 1, unit and heavy weights, empty and duplicate source
+lists, and source lists split into many chunks.
 The weighted ``d_h`` kernel answers most rows from one bounded Dijkstra call
 and a hop certificate and falls back to Bellman-Ford rounds on the rest;
 both paths are pinned against the rounds and the oracle.
@@ -82,10 +81,10 @@ class TestBackendSelection:
         graph.add_edge(2, 3, 5)
         assert graph._csr is None
         assert graph.csr().directed_edge_count == 6
-        assert graph.bfs_hops_many([0])[0] == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert hop_levels(graph, [0]).tolist() == [[0, 1, 2, 3]]
         graph.remove_edge(2, 3)
         assert graph._csr is None
-        assert graph.bfs_hops_many([0])[0] == {0: 0, 1: 1, 2: 2}
+        assert hop_levels(graph, [0]).tolist() == [[0, 1, 2, -1]]
 
 
 class TestTraversalEquivalence:
@@ -93,17 +92,16 @@ class TestTraversalEquivalence:
     @given(graph_case())
     def test_bfs_hops_agree(self, case):
         graph, hop_limit, sources = case
-        assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
-        assert graph.bfs_hops_many(sources, hop_limit) == [
-            graph.bfs_hops(s, hop_limit) for s in sources
-        ]
+        assert numpy.array_equal(hop_levels(graph, sources), hop_reference(graph, sources))
+        assert numpy.array_equal(
+            hop_levels(graph, sources, hop_limit), hop_reference(graph, sources, hop_limit)
+        )
 
     @common_settings
     @given(graph_case())
     def test_dijkstra_agree(self, case):
         graph, _, sources = case
-        oracle = [reference.single_source_distances(graph, s) for s in sources]
-        assert numpy.array_equal(graph.distance_matrix(sources), dense(oracle, graph.node_count))
+        assert numpy.array_equal(graph.distance_matrix(sources), distance_reference(graph, sources))
 
     @common_settings
     @given(graph_case())
@@ -121,19 +119,20 @@ class TestTraversalEquivalence:
         nodes = list(graph.nodes())
         diameter = graph.hop_diameter()
         assert diameter == reference.hop_diameter(graph)
-        assert diameter == max(graph.hop_eccentricity(u) for u in nodes)
+        assert diameter == max(reference.eccentricity(graph, u) for u in nodes)
         if diameter < INFINITY:
             # Algorithm 9's local phase: on a connected graph the largest hop
             # distance any node sees within hop_limit hops is min(D, hop_limit).
-            assert min(diameter, hop_limit) == max(
-                max(graph.bfs_hops(u, hop_limit).values()) for u in nodes
-            )
+            assert min(diameter, hop_limit) == hop_levels(graph, nodes, hop_limit).max()
 
     @common_settings
     @given(graph_case())
     def test_distance_matrix_agree(self, case):
+        # A shortest path has at most n - 1 edges, so d_{n-1} is the exact
+        # distance: the Bellman-Ford oracle pins distance_matrix independently
+        # of the heapq Dijkstra one.
         graph, _, sources = case
-        expected = dense([graph.dijkstra(s) for s in sources], graph.node_count)
+        expected = hop_limited_reference(graph, sources, max(graph.node_count - 1, 0))
         assert numpy.array_equal(graph.distance_matrix(sources), expected)
 
     def test_disconnected_graphs_agree(self):
@@ -141,20 +140,19 @@ class TestTraversalEquivalence:
         graph.add_edge(0, 1, 3)
         graph.add_edge(2, 3, 1)
         sources = list(range(6))
-        assert graph.bfs_hops_many(sources) == [graph.bfs_hops(s) for s in sources]
-        expected = dense([graph.dijkstra(s) for s in sources], 6)
-        assert numpy.array_equal(graph.distance_matrix(sources), expected)
+        assert numpy.array_equal(hop_levels(graph, sources), hop_reference(graph, sources))
+        assert numpy.array_equal(graph.distance_matrix(sources), distance_reference(graph, sources))
         assert graph.hop_diameter() == INFINITY
 
     def test_single_node_and_empty_sources(self):
         graph = WeightedGraph(1)
-        assert graph.bfs_hops_many([0]) == [{0: 0}]
+        assert hop_levels(graph, [0]).tolist() == [[0]]
         assert graph.distance_matrix([0]).tolist() == [[0.0]]
         assert reference.hop_diameter(graph) == 0.0
         assert graph.hop_diameter() == 0.0
         assert clustering_lists(graph.ruler_clustering(2)) == ([0], {0: [0]}, 0)
         cycle = generators.cycle_graph(5)
-        assert cycle.bfs_hops_many([]) == []
+        assert hop_levels(cycle, []).shape == (0, 5)
         assert cycle.distance_matrix([]).shape == (0, 5)
         assert cycle.hop_limited_distance_matrix([], 2).shape == (0, 5)
 
@@ -213,13 +211,30 @@ def weighted_path(weights, n=None, extra=()):
     return graph
 
 
-def dense(maps, n):
-    """Single-source ``{node: value}`` maps as one row each (``inf`` where absent)."""
-    matrix = numpy.full((len(maps), n), numpy.inf)
+def dense(maps, n, missing=numpy.inf):
+    """Single-source ``{node: value}`` maps as one row each (``missing`` where absent)."""
+    matrix = numpy.full((len(maps), n), missing)
     for row, values in enumerate(maps):
         for node, value in values.items():
             matrix[row, node] = value
     return matrix
+
+
+def hop_levels(graph, sources, max_hops=None):
+    """The production BFS levels, chunked like every batched kernel (``-1``: unreached)."""
+    return csr_kernels.run_chunked(csr_kernels.bfs_level_matrix, graph.csr(), sources, max_hops)
+
+
+def hop_reference(graph, sources, max_hops=None):
+    """The oracle's ``reference.hop_distances`` maps as a dense ``-1``-filled matrix."""
+    maps = [reference.hop_distances(graph, s, max_hops) for s in sources]
+    return dense(maps, graph.node_count, missing=-1)
+
+
+def distance_reference(graph, sources):
+    """The oracle's ``reference.single_source_distances`` maps as a dense matrix."""
+    maps = [reference.single_source_distances(graph, s) for s in sources]
+    return dense(maps, graph.node_count)
 
 
 def hop_limited_reference(graph, sources, hop_limit):
@@ -368,24 +383,9 @@ class TestHopDiameterKernel:
 
 
 def oracle_clustering(graph, separation):
-    """Greedy rulers and closest-ruler clusters from one BFS per node over ``graph.edges()``."""
+    """Greedy rulers and closest-ruler clusters from ``reference.hop_distances`` of every node."""
     n = graph.node_count
-    adjacency = [[] for _ in range(n)]
-    for u, v, _ in graph.edges():
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
-    def hops_from(source):
-        hops = {source: 0}
-        queue = [source]
-        for node in queue:
-            for other in adjacency[node]:
-                if other not in hops:
-                    hops[other] = hops[node] + 1
-                    queue.append(other)
-        return hops
-
-    hops = [hops_from(node) for node in range(n)]
+    hops = [reference.hop_distances(graph, node) for node in range(n)]
     rulers = []
     for node in range(n):
         if all(hops[ruler].get(node, INFINITY) > separation for ruler in rulers):
@@ -452,11 +452,12 @@ class TestChunking:
         original = csr_kernels.CHUNK_BYTES
         csr_kernels.CHUNK_BYTES = 1
         try:
-            assert graph.bfs_hops_many(sources, hop_limit) == [
-                graph.bfs_hops(s, hop_limit) for s in sources
-            ]
-            expected = dense([graph.dijkstra(s) for s in sources], graph.node_count)
-            assert numpy.array_equal(graph.distance_matrix(sources), expected)
+            assert numpy.array_equal(
+                hop_levels(graph, sources, hop_limit), hop_reference(graph, sources, hop_limit)
+            )
+            assert numpy.array_equal(
+                graph.distance_matrix(sources), distance_reference(graph, sources)
+            )
             assert numpy.array_equal(
                 graph.hop_limited_distance_matrix(sources, hop_limit),
                 hop_limited_reference(graph, sources, hop_limit),

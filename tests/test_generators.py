@@ -1,9 +1,15 @@
 """Unit tests for the workload graph generators (repro.graphs.generators)."""
 
+import numpy
 import pytest
 
 from repro.graphs import generators
 from repro.util.rand import RandomSource
+
+
+def degrees(graph):
+    """Every node's degree, read from the CSR view's row bounds."""
+    return numpy.diff(graph.csr().indptr)
 
 
 @pytest.fixture
@@ -28,7 +34,7 @@ class TestSimpleFamilies:
 
     def test_star_graph(self):
         graph = generators.star_graph(7)
-        assert graph.degree(0) == 6
+        assert degrees(graph)[0] == 6
         assert graph.hop_diameter() == 2
 
     def test_complete_graph(self):
@@ -43,7 +49,7 @@ class TestSimpleFamilies:
 
     def test_torus_graph_is_regular(self):
         graph = generators.torus_graph(4, 4)
-        assert all(graph.degree(v) == 4 for v in graph.nodes())
+        assert (degrees(graph) == 4).all()
 
     def test_torus_too_small(self):
         with pytest.raises(ValueError):
@@ -117,10 +123,6 @@ class TestRandomFamilies:
         assert all(1 <= w <= 6 for _, _, w in weighted.edges())
         assert weighted.edge_count == graph.edge_count
 
-    def test_suggested_hop_diameter_upper_bounds_real_one(self, rng):
-        graph = generators.random_connected_graph(40, 4.0, rng)
-        assert generators.suggested_hop_diameter(graph) >= graph.hop_diameter()
-
 
 class TestScenarioFamilies:
     def test_power_law_graph_connected_with_hubs(self, rng):
@@ -129,7 +131,7 @@ class TestScenarioFamilies:
         # Preferential attachment concentrates degree: the busiest node sees
         # many times the average degree.
         average = 2.0 * graph.edge_count / graph.node_count
-        assert graph.max_degree() >= 3 * average
+        assert degrees(graph).max() >= 3 * average
 
     def test_power_law_graph_weighted(self, rng):
         graph = generators.power_law_graph(60, rng, attachment=3, max_weight=9)
@@ -196,7 +198,7 @@ class TestScenarioFamilies:
         assert graph.is_connected()
         # Leaves are degree-1 access nodes hanging off regionals.
         leaf_base = 5 + 15
-        assert all(graph.degree(node) == 1 for node in range(leaf_base, graph.node_count))
+        assert (degrees(graph)[leaf_base:] == 1).all()
 
     def test_hierarchical_isp_rejects_bad_dimensions(self, rng):
         with pytest.raises(ValueError):

@@ -71,7 +71,7 @@ class TestBasicStructure:
         graph.add_edge(0, 1, numpy.int64(4))
         graph.add_edge(1, 2, numpy.int32(2))
         graph.update_weight(0, 1, numpy.int16(5))
-        assert graph.dijkstra(0) == {0: 0.0, 1: 5.0, 2: 7.0}
+        assert graph.distance_matrix([0]).tolist() == [[0.0, 5.0, 7.0]]
         with pytest.raises(ValueError, match="positive"):
             graph.update_weight(0, 1, numpy.int64(0))
 
@@ -108,8 +108,7 @@ class TestBasicStructure:
     def test_neighbors_and_degree(self):
         graph = build_triangle()
         assert sorted(graph.neighbors(0)) == [1, 2]
-        assert graph.degree(0) == 2
-        assert graph.max_degree() == 2
+        assert numpy.diff(graph.csr().indptr).tolist() == [2, 2, 2]
 
     def test_edges_iteration_is_undirected_once(self):
         edges = list(build_triangle().edges())
@@ -123,9 +122,6 @@ class TestBasicStructure:
         unweighted = generators.path_graph(4)
         assert unweighted.is_unweighted()
 
-    def test_total_weight(self):
-        assert build_triangle().total_weight() == 15
-
     def test_copy_is_independent(self):
         graph = build_triangle()
         clone = graph.copy()
@@ -134,27 +130,26 @@ class TestBasicStructure:
         assert not clone.has_edge(0, 1)
 
 
+def hop_levels(graph, source, max_hops=None):
+    """The production BFS levels of one source (``-1`` marks unreached nodes)."""
+    return csr_kernels.bfs_level_matrix(graph.csr(), [source], max_hops)[0].tolist()
+
+
 class TestTraversal:
     def test_bfs_hops_on_path(self):
         path = generators.path_graph(6)
-        hops = path.bfs_hops(0)
-        assert hops[5] == 5
-        assert hops[0] == 0
+        assert hop_levels(path, 0) == [0, 1, 2, 3, 4, 5]
 
     def test_bfs_hops_with_limit(self):
         path = generators.path_graph(6)
-        hops = path.bfs_hops(0, max_hops=2)
-        assert set(hops) == {0, 1, 2}
+        assert hop_levels(path, 0, max_hops=2) == [0, 1, 2, -1, -1, -1]
 
     def test_negative_max_hops_rejected(self):
         path = generators.path_graph(4)
-        for call in (
-            lambda: path.bfs_hops(0, -1),
-            lambda: path.ball(0, -1),
-            lambda: path.bfs_hops_many([0], -1),
-        ):
-            with pytest.raises(ValueError, match="max_hops must be non-negative"):
-                call()
+        with pytest.raises(ValueError, match="max_hops must be non-negative"):
+            reference.hop_distances(path, 0, -1)
+        with pytest.raises(ValueError, match="hop_limit must be non-negative"):
+            path.hop_limited_distance_matrix([0], -1)
 
     def test_batched_kernels_reject_out_of_range_sources(self):
         # -1 must not wrap around to node n - 1, and n must raise the graph's
@@ -162,7 +157,6 @@ class TestTraversal:
         path = generators.path_graph(4)
         for sources in ([-1], [4], [0, 4]):
             for call in (
-                lambda: path.bfs_hops_many(sources),
                 lambda: path.distance_matrix(sources),
                 lambda: path.hop_limited_distance_matrix(sources, 2),
             ):
@@ -171,18 +165,18 @@ class TestTraversal:
 
     def test_ball(self):
         path = generators.path_graph(7)
-        assert sorted(path.ball(3, 1)) == [2, 3, 4]
+        assert hop_levels(path, 3, 1) == [-1, -1, 1, 0, 1, -1, -1]
 
     def test_hop_distance(self):
         path = generators.path_graph(5)
-        assert path.hop_distance(0, 4) == 4
-        assert path.hop_distance(2, 2) == 0
+        assert hop_levels(path, 2) == [2, 1, 0, 1, 2]
 
     def test_hop_distance_disconnected(self):
         graph = WeightedGraph(4)
         graph.add_edge(0, 1, 1)
         graph.add_edge(2, 3, 1)
-        assert graph.hop_distance(0, 3) == INFINITY
+        assert hop_levels(graph, 0) == [0, 1, -1, -1]
+        assert reference.hop_distances(graph, 0) == {0: 0, 1: 1}
 
     def test_hop_diameter_of_path(self):
         assert generators.path_graph(9).hop_diameter() == 8
@@ -205,20 +199,53 @@ class TestTraversal:
         graph = WeightedGraph(5)
         graph.add_edge(0, 1, 1)
         graph.add_edge(2, 3, 1)
-        components = graph.connected_components()
-        assert [0, 1] in components and [2, 3] in components and [4] in components
+        assert csr_kernels.component_sizes(graph.csr()).tolist() == [2, 2, 2, 2, 1]
+
+
+class TestIsConnected:
+    """``is_connected`` reads the component sizes cached on the CSR view."""
+
+    def test_single_node(self):
+        assert WeightedGraph(1).is_connected()
+
+    def test_edgeless_pair(self):
+        assert not WeightedGraph(2).is_connected()
+
+    def test_two_components(self):
+        graph = WeightedGraph.from_edges(5, [(0, 1, 1), (1, 2, 3), (3, 4, 2)])
+        assert not graph.is_connected()
+        graph.add_edge(2, 3, 1)
+        assert graph.is_connected()
+
+    def test_follows_topology_mutations(self):
+        graph = generators.path_graph(4)
+        assert graph.is_connected()
+        graph.remove_edge(1, 2)
+        # The dropped view must not answer with the old component sizes.
+        assert graph._csr is None
+        assert not graph.is_connected()
+        graph.add_edge(0, 3, 2)
+        assert graph._csr is None
+        assert graph.is_connected()
+
+    def test_follows_weight_update(self):
+        graph = WeightedGraph.from_edges(3, [(0, 1, 1)])
+        assert not graph.is_connected()
+        before = graph.csr()
+        graph.update_weight(0, 1, 7)
+        # A fresh view on the same topology, with its own (same) answer.
+        assert graph.csr() is not before
+        assert not graph.is_connected()
+        graph.add_edge(1, 2, 4)
+        graph.update_weight(1, 2, 5)
+        assert graph.is_connected()
 
 
 class TestDistances:
     def test_dijkstra_prefers_light_path(self):
         graph = build_triangle()
-        distances = graph.dijkstra(0)
+        distances = graph.distance_matrix([0])[0]
         assert distances[2] == 5  # via node 1, not the weight-10 edge
-
-    def test_dijkstra_with_targets_contains_target(self):
-        graph = build_triangle()
-        distances = graph.dijkstra(0, targets=[2])
-        assert distances[2] == 5
 
     def test_hop_limited_distances_respects_limit(self):
         graph = build_triangle()
@@ -230,7 +257,7 @@ class TestDistances:
     def test_hop_limited_distances_equals_dijkstra_with_enough_hops(self):
         rng = RandomSource(5)
         graph = generators.connected_workload(25, rng, weighted=True, max_weight=7)
-        exact = graph.dijkstra(0)
+        exact = reference.single_source_distances(graph, 0)
         limited = reference.hop_limited_distances(graph, 0, 25)
         assert limited == exact
 
@@ -240,28 +267,18 @@ class TestDistances:
 
     def test_shortest_path_hops(self):
         path = generators.path_graph(5)
-        assert path.shortest_path_hops(0, 4) == [0, 1, 2, 3, 4]
+        assert reference.shortest_path(path, 0, 4) == [0, 1, 2, 3, 4]
+        # The weighted shortest path, not the fewest-hop one.
+        assert reference.shortest_path(build_triangle(), 0, 2) == [0, 1, 2]
+        assert reference.shortest_path(path, 3, 3) == [3]
 
     def test_shortest_path_hops_disconnected(self):
         graph = WeightedGraph(3)
         graph.add_edge(0, 1, 1)
-        assert graph.shortest_path_hops(0, 2) is None
+        assert reference.shortest_path(graph, 0, 2) is None
 
 
 class TestConversion:
-    def test_subgraph(self):
-        graph = build_triangle()
-        sub, mapping = graph.subgraph([0, 1])
-        assert sub.node_count == 2
-        assert sub.has_edge(mapping[0], mapping[1])
-        assert sub.edge_count == 1
-
-    def test_networkx_roundtrip(self):
-        graph = build_triangle()
-        back = WeightedGraph.from_networkx(graph.to_networkx())
-        assert back.edge_count == graph.edge_count
-        assert back.weight(0, 2) == 10
-
     def test_from_edges(self):
         graph = WeightedGraph.from_edges(3, [(0, 1, 4), (1, 2, 5)])
         assert graph.weight(0, 1) == 4

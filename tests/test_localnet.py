@@ -59,7 +59,7 @@ class TestRulingSetsAndClusters:
     def test_ruling_set_separation(self, network):
         rulers = compute_ruling_set(network, mu=2)
         for i, r1 in enumerate(rulers.tolist()):
-            hops = network.graph.bfs_hops(r1)
+            hops = reference.hop_distances(network.graph, r1)
             for r2 in rulers[i + 1 :].tolist():
                 assert hops.get(r2, float("inf")) >= 2 * 2 + 1
 
@@ -67,7 +67,7 @@ class TestRulingSetsAndClusters:
         rulers = compute_ruling_set(network, mu=2)
         covered = set()
         for ruler in rulers.tolist():
-            covered.update(network.graph.ball(ruler, 2 * 2))
+            covered.update(reference.hop_distances(network.graph, ruler, 2 * 2))
         assert covered == set(range(network.n))
 
     def test_ruling_set_nonempty_and_charged(self, network):
@@ -81,7 +81,7 @@ class TestRulingSetsAndClusters:
         rulers = set(compute_ruling_set(ring_network, mu=1).tolist())
         # Independence in the power-2 graph: no two rulers within 2 hops.
         for r in rulers:
-            assert not (set(ring_network.graph.ball(r, 2)) - {r}) & rulers
+            assert not (set(reference.hop_distances(ring_network.graph, r, 2)) - {r}) & rulers
 
     def test_ruling_set_invalid_mu(self, network):
         with pytest.raises(ValueError):
@@ -103,7 +103,7 @@ class TestRulingSetsAndClusters:
     def test_clustering_members_close_to_ruler(self, network):
         clustering = cluster_around_rulers(network, 2, "clustering")
         for ruler, members in clustering.members.items():
-            hops = network.graph.bfs_hops(ruler)
+            hops = reference.hop_distances(network.graph, ruler)
             assert all(hops[m] <= clustering.radius for m in members.tolist())
 
     def test_clustering_ties_by_smaller_ruler(self, ring_network):

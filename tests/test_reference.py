@@ -1,11 +1,21 @@
 """Unit tests for the sequential reference algorithms (repro.graphs.reference)."""
 
+import itertools
+
 import networkx as nx
 import pytest
 
 from repro.graphs import generators, reference
 from repro.graphs.graph import INFINITY, WeightedGraph
 from repro.util.rand import RandomSource
+
+
+def to_networkx(graph):
+    """The same graph as a :class:`networkx.Graph`, built from ``graph.edges()`` alone."""
+    theirs = nx.Graph()
+    theirs.add_nodes_from(range(graph.node_count))
+    theirs.add_weighted_edges_from(graph.edges())
+    return theirs
 
 
 @pytest.fixture
@@ -16,7 +26,7 @@ def graph():
 class TestDistances:
     def test_single_source_matches_networkx(self, graph):
         ours = reference.single_source_distances(graph, 0)
-        theirs = nx.single_source_dijkstra_path_length(graph.to_networkx(), 0)
+        theirs = nx.single_source_dijkstra_path_length(to_networkx(graph), 0)
         assert ours == pytest.approx(theirs)
 
     def test_all_pairs_symmetry(self, graph):
@@ -34,12 +44,12 @@ class TestDistances:
 
     def test_weighted_diameter_matches_networkx(self, graph):
         ours = reference.weighted_diameter(graph)
-        lengths = dict(nx.all_pairs_dijkstra_path_length(graph.to_networkx()))
+        lengths = dict(nx.all_pairs_dijkstra_path_length(to_networkx(graph)))
         theirs = max(max(row.values()) for row in lengths.values())
         assert ours == pytest.approx(theirs)
 
     def test_hop_diameter_matches_networkx(self, graph):
-        assert reference.hop_diameter(graph) == nx.diameter(graph.to_networkx())
+        assert reference.hop_diameter(graph) == nx.diameter(to_networkx(graph))
 
     def test_eccentricity_hops(self):
         path = generators.path_graph(7)
@@ -88,9 +98,7 @@ class TestNetworkxCrossCheck:
         ids=["weighted", "locality", "disconnected", "single-node"],
     )
     def test_distance_oracles_match_networkx(self, graph):
-        theirs = nx.Graph()
-        theirs.add_nodes_from(range(graph.node_count))
-        theirs.add_weighted_edges_from(graph.edges())
+        theirs = to_networkx(graph)
         expected = dict(nx.all_pairs_dijkstra_path_length(theirs))
         nodes = list(graph.nodes())
         assert reference.all_pairs_distances(graph) == expected
@@ -107,6 +115,59 @@ class TestNetworkxCrossCheck:
             assert reference.weighted_diameter(graph) == INFINITY
         for node in nodes:
             assert reference.eccentricity(graph, node, weighted=True) == eccentricity[node]
+
+
+CROSS_CHECK_GRAPHS = {
+    "weighted": lambda: generators.connected_workload(
+        40, RandomSource(3), weighted=True, max_weight=9
+    ),
+    "heavy shortcut": lambda: WeightedGraph.from_edges(
+        5, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1), (0, 4, 100), (1, 3, 2)]
+    ),
+    "disconnected": disconnected_graph,
+    "single-node": lambda: WeightedGraph(1),
+}
+
+
+class TestHopAndPathOracles:
+    """``hop_distances`` and ``shortest_path`` against networkx."""
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_GRAPHS))
+    def test_hop_distances_match_networkx(self, name):
+        graph = CROSS_CHECK_GRAPHS[name]()
+        theirs = to_networkx(graph)
+        for source in graph.nodes():
+            expected = nx.single_source_shortest_path_length(theirs, source)
+            assert reference.hop_distances(graph, source) == expected
+            for max_hops in (0, 1, 3):
+                limited = nx.single_source_shortest_path_length(theirs, source, cutoff=max_hops)
+                assert reference.hop_distances(graph, source, max_hops) == limited
+
+    @pytest.mark.parametrize("name", sorted(CROSS_CHECK_GRAPHS))
+    def test_shortest_path_is_a_fewest_hop_shortest_path(self, name):
+        graph = CROSS_CHECK_GRAPHS[name]()
+        theirs = to_networkx(graph)
+        for source in graph.nodes():
+            distances = nx.single_source_dijkstra_path_length(theirs, source)
+            for target in graph.nodes():
+                path = reference.shortest_path(graph, source, target)
+                if target not in distances:
+                    assert path is None
+                    continue
+                assert path[0] == source and path[-1] == target
+                weight = sum(graph.weight(u, v) for u, v in itertools.pairwise(path))
+                assert weight == distances[target]
+                fewest = min(
+                    len(p) for p in nx.all_shortest_paths(theirs, source, target, weight="weight")
+                )
+                assert len(path) == fewest
+
+    def test_rejects_bad_arguments(self, graph):
+        for bad in (-1, graph.node_count):
+            with pytest.raises(ValueError):
+                reference.hop_distances(graph, bad)
+            with pytest.raises(ValueError):
+                reference.shortest_path(graph, 0, bad)
 
 
 class TestHopLimitedOracle:
@@ -126,7 +187,7 @@ class TestHopLimitedOracle:
 
     def test_enough_hops_match_networkx(self, graph):
         # A second opinion that shares no code with the package.
-        theirs = nx.single_source_dijkstra_path_length(graph.to_networkx(), 0)
+        theirs = nx.single_source_dijkstra_path_length(to_networkx(graph), 0)
         assert reference.hop_limited_distances(graph, 0, graph.node_count) == theirs
 
 

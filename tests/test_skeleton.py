@@ -78,9 +78,9 @@ class TestComputeSkeleton:
             w = skeleton.weights[u, v]
             original_u = skeleton.original_id(u)
             original_v = skeleton.original_id(v)
-            hops = network.graph.hop_distance(original_u, original_v)
+            hops = reference.hop_distances(network.graph, original_u)[original_v]
             assert hops <= skeleton.hop_length
-            assert w >= network.graph.dijkstra(original_u)[original_v] - 1e-9
+            assert w >= reference.single_source_distances(network.graph, original_u)[original_v]
 
     def test_near_distances_only_contain_skeleton_nodes(self, network):
         skeleton = compute_skeleton(network, 0.2)
@@ -190,6 +190,12 @@ class TestSkeletonAnalysis:
         gap = sample_gap_on_shortest_path(path, sampled=[0, 4, 8, 11], source=0, target=11)
         assert gap == 3
 
+    def test_gap_is_measured_on_a_weighted_shortest_path(self):
+        # The direct edge 0-2 is the fewest-hop path but not a shortest one:
+        # d(0, 2) = 2 runs through the unsampled node 1.
+        triangle = WeightedGraph.from_edges(3, [(0, 1, 1), (1, 2, 1), (0, 2, 10)])
+        assert sample_gap_on_shortest_path(triangle, sampled=[0, 2], source=0, target=2) == 1
+
     def test_gap_none_when_disconnected(self):
         graph = generators.path_graph(4)
         graph.remove_edge(1, 2)
@@ -200,11 +206,11 @@ class TestSkeletonAnalysis:
         sampled = list(range(0, 30, 4))
         skeleton, mapping = build_skeleton_offline(graph, sampled, hop_length=30)
         for u in sampled[:3]:
-            exact = graph.dijkstra(u)
-            skel = skeleton.dijkstra(mapping[u])
+            exact = reference.single_source_distances(graph, u)
+            skel = reference.single_source_distances(skeleton, mapping[u])
             for v in sampled:
                 if v != u:
-                    assert skel[mapping[v]] == pytest.approx(exact[v])
+                    assert skel[mapping[v]] == exact[v]
 
 
 class TestRepresentatives:
@@ -228,8 +234,8 @@ class TestRepresentatives:
         reps = compute_representatives(network, skeleton, sources)
         for source in sources:
             rep = reps.representative[source]
-            exact = network.graph.dijkstra(source)[rep]
-            assert reps.distance_to_representative[source] >= exact - 1e-9
+            exact = reference.single_source_distances(network.graph, source)[rep]
+            assert reps.distance_to_representative[source] >= exact
 
     def test_representative_distance_is_d_h_from_member_rows(self, network):
         skeleton = compute_skeleton(network, 0.2)
@@ -295,7 +301,7 @@ class TestRepresentativeFallback:
         assert phases["reps:fallback"].global_rounds == 0
         for source in sources:
             assert reps.representative[source] == 20
-            exact = network.graph.dijkstra(source)[20]
+            exact = reference.single_source_distances(network.graph, source)[20]
             assert reps.distance_to_representative[source] == exact
         assert reps.rounds == network.metrics.total_rounds
 
