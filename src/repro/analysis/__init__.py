@@ -12,6 +12,7 @@ from repro.analysis.regression import (
     Violation,
     compare_benchmarks,
     compare_manifests,
+    median_walls,
     run_regression,
 )
 from repro.analysis.report import (
@@ -25,6 +26,7 @@ __all__ = [
     "Violation",
     "compare_benchmarks",
     "compare_manifests",
+    "median_walls",
     "run_regression",
     "PowerLawFit",
     "exponent_gap",

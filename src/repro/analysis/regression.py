@@ -8,33 +8,39 @@ into enforceable contracts:
 * **Round counts are exact.**  Every simulation is deterministic at fixed
   seeds, so any change in a ``*rounds*`` metric is a real behavioural change
   and fails the gate outright.
-* **Wall-clock gets a relative tolerance** (default ±25%).  Because the
-  baseline was recorded on a different machine than CI runs on, ratios are
-  first normalized by the median current/baseline ratio across all records
-  (the machine-speed factor); a single benchmark regressing >25% beyond that
-  shared factor is flagged, while a uniformly slower runner is not.  Pass
-  ``normalize=False`` (CLI ``--no-normalize``) for same-machine comparisons.
-  Records whose baseline wall time is below ``min_wall_seconds`` (default
-  50ms) are exempt from the wall-clock check only: timer jitter at that
-  scale routinely exceeds any honest tolerance, and such micro-benchmarks
-  remain fully gated through their exact round counts.
+* **Wall-clock is judged against the parent commit on the same machine**
+  with a relative tolerance (default ±25%).  The committed baseline was
+  recorded on another machine, so its wall times say nothing about this
+  one.  Instead the caller runs the benchmarks on the parent commit and on
+  the change, several times each and alternating which goes first, and
+  each record's median wall time over the change's runs must stay within
+  the tolerance of its median over the parent's runs (:func:`median_walls`).
+  Without parent runs no wall time is gated.  Normalising by the median
+  ratio across records instead would let a change that speeds up most
+  records fail records whose own time did not move.  Records whose parent
+  wall time is below ``min_wall_seconds`` (default 50ms) are exempt from the
+  wall-clock check only: timer jitter at that scale routinely exceeds any
+  honest tolerance, and such micro-benchmarks remain fully gated through
+  their exact round counts.
 * **Everything else deterministic** (message counts, skeleton sizes, ...) is
   reported as drift but does not fail the gate, keeping the contract exactly
-  "round counts exact, wall-clock within tolerance".
+  "round counts exact against the baseline, wall-clock within tolerance of
+  the parent".
 
 Sweep manifests are fully deterministic, so their comparison is exact on the
 per-shard payload hashes.
 
 ``python -m repro.cli regress`` is the command-line entry point; CI's
-``bench-regression`` job fails the build when :attr:`RegressionReport.status`
-is ``"fail"``.
+``bench-regression`` job runs ``pytest benchmarks/`` twice on the merge-base
+and twice on the head, alternating which goes first, and fails the build
+when :attr:`RegressionReport.status` is ``"fail"``.
 """
 
 from __future__ import annotations
 
 import json
 import statistics
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +91,6 @@ class RegressionReport:
     checked_metrics: int = 0
     wall_tolerance: float = 0.25
     min_wall_seconds: float = 0.05
-    speed_factor: float | None = None
 
     @property
     def status(self) -> str:
@@ -99,7 +104,6 @@ class RegressionReport:
             "checked_metrics": self.checked_metrics,
             "wall_tolerance": self.wall_tolerance,
             "min_wall_seconds": self.min_wall_seconds,
-            "speed_factor": self.speed_factor,
             "violations": [violation.as_dict() for violation in self.violations],
             "notes": self.notes,
         }
@@ -110,10 +114,6 @@ class RegressionReport:
             f"regression gate [{self.kind}]: {self.status.upper()} "
             f"({self.checked_records} records, {self.checked_metrics} metrics checked)"
         ]
-        if self.speed_factor is not None:
-            lines.append(
-                f"machine-speed normalization factor (median wall ratio): {self.speed_factor:.3f}"
-            )
         for violation in self.violations:
             lines.append(
                 f"  VIOLATION [{violation.kind}] {violation.record} :: {violation.metric}: "
@@ -131,14 +131,48 @@ def _numeric(value: object) -> float | None:
     return float(value)
 
 
+def median_walls(runs: Sequence[Sequence[dict[str, object]]]) -> list[dict[str, object]]:
+    """Several runs of the same benchmarks as one record list.
+
+    Every wall-clock metric becomes its median over the runs that recorded
+    it; every other field is the first run's (they are deterministic).
+    """
+    merged: dict[str, dict[str, object]] = {}
+    walls: dict[tuple[str, str], list[float]] = {}
+    for records in runs:
+        for record in records:
+            name = str(record["name"])
+            merged.setdefault(name, dict(record))
+            for key, seconds in _wall_metrics(record):
+                walls.setdefault((name, key), []).append(seconds)
+    for (name, key), values in walls.items():
+        merged[name][key] = statistics.median(values)
+    return list(merged.values())
+
+
+def _wall_metrics(record: dict[str, object]) -> Iterable[tuple[str, float]]:
+    """A record's positive wall-clock metrics (smoke runs record null)."""
+    for key, value in record.items():
+        seconds = _numeric(value)
+        if is_wall_clock_metric(key) and seconds and seconds > 0:
+            yield key, seconds
+
+
 def compare_benchmarks(
     baseline_records: Sequence[dict[str, object]],
     current_records: Sequence[dict[str, object]],
     wall_tolerance: float = 0.25,
-    normalize: bool = True,
     min_wall_seconds: float = 0.05,
+    parent_records: Sequence[dict[str, object]] | None = None,
 ) -> RegressionReport:
-    """Diff two ``BENCH_core.json``-style record lists (baseline vs fresh)."""
+    """Diff fresh records against the baseline and, for wall time, the parent.
+
+    Round counts (and the drift notes) compare ``current_records`` with the
+    committed ``baseline_records``.  Wall-clock metrics compare them with
+    ``parent_records``, the same benchmarks run on the parent commit on the
+    same machine (pass :func:`median_walls` of several runs on each side);
+    with no parent records, wall time is not gated.
+    """
     report = RegressionReport(
         kind="benchmarks", wall_tolerance=wall_tolerance, min_wall_seconds=min_wall_seconds
     )
@@ -152,29 +186,11 @@ def compare_benchmarks(
             Violation(name, "-", "missing-record", message="record absent from current run")
         )
 
-    common = sorted(set(baseline) & set(current))
-
-    # Machine-speed factor: the median wall-clock ratio across the records
-    # that are actually wall-clock gated.  Micro-benchmarks below the floor
-    # are excluded here too -- their ratios measure timer jitter and fixed
-    # call overhead, not machine speed, and would skew the factor the real
-    # benchmarks get normalized by.
-    ratios = []
-    for name in common:
-        for key, base_value in baseline[name].items():
-            if not is_wall_clock_metric(key):
-                continue
-            base_t, cur_t = _numeric(base_value), _numeric(current[name].get(key))
-            if base_t and cur_t and base_t >= min_wall_seconds and cur_t > 0:
-                ratios.append(cur_t / base_t)
-    speed_factor = statistics.median(ratios) if (normalize and ratios) else 1.0
-    report.speed_factor = speed_factor
-
-    for name in common:
+    for name in sorted(set(baseline) & set(current)):
         report.checked_records += 1
         base_record, current_record = baseline[name], current[name]
         for key, base_value in base_record.items():
-            if key in _IDENTITY_KEYS:
+            if key in _IDENTITY_KEYS or is_wall_clock_metric(key):
                 continue
             if key not in current_record:
                 report.violations.append(
@@ -184,37 +200,40 @@ def compare_benchmarks(
                 continue
             current_value = current_record[key]
             report.checked_metrics += 1
-            if is_wall_clock_metric(key):
-                base_t, cur_t = _numeric(base_value), _numeric(current_value)
-                if not base_t or not cur_t or base_t <= 0 or cur_t <= 0:
-                    continue  # smoke runs record null wall times
-                if base_t < min_wall_seconds:
-                    continue  # micro-benchmark: jitter dominates; rounds still gate it
-                adjusted = (cur_t / base_t) / speed_factor
-                if adjusted > 1.0 + wall_tolerance:
-                    report.violations.append(
-                        Violation(
-                            name, key, "wall-clock", base_t, cur_t,
-                            message=f"normalized ratio {adjusted:.2f} exceeds "
-                                    f"1+{wall_tolerance:.2f}",
-                        )
-                    )
-                elif adjusted < 1.0 - wall_tolerance:
-                    report.notes.append(
-                        f"improvement: {name} :: {key} normalized ratio {adjusted:.2f}"
-                    )
-            elif is_round_count_metric(key):
+            if is_round_count_metric(key):
                 if base_value != current_value:
                     report.violations.append(
                         Violation(name, key, "round-count", base_value, current_value,
                                   message="round counts must match the baseline exactly")
                     )
-            else:
-                if base_value != current_value:
-                    report.notes.append(
-                        f"drift (informational): {name} :: {key} "
-                        f"{base_value!r} -> {current_value!r}"
+            elif base_value != current_value:
+                report.notes.append(
+                    f"drift (informational): {name} :: {key} "
+                    f"{base_value!r} -> {current_value!r}"
+                )
+
+    if parent_records is None:
+        report.notes.append("wall-clock unchecked: no same-machine parent runs given")
+        return report
+    parent = {record["name"]: record for record in parent_records}
+    for name in sorted(set(parent) & set(current)):
+        current_walls = dict(_wall_metrics(current[name]))
+        for key, parent_t in _wall_metrics(parent[name]):
+            cur_t = current_walls.get(key)
+            if cur_t is None or parent_t < min_wall_seconds:
+                continue  # micro-benchmark: jitter dominates; rounds still gate it
+            report.checked_metrics += 1
+            ratio = cur_t / parent_t
+            if ratio > 1.0 + wall_tolerance:
+                report.violations.append(
+                    Violation(
+                        name, key, "wall-clock", parent_t, cur_t,
+                        message=f"median ratio to the parent {ratio:.2f} exceeds "
+                                f"1+{wall_tolerance:.2f}",
                     )
+                )
+            elif ratio < 1.0 - wall_tolerance:
+                report.notes.append(f"improvement: {name} :: {key} median ratio {ratio:.2f}")
     return report
 
 
@@ -251,29 +270,40 @@ def load_json(path) -> object:
 
 def run_regression(
     baseline_path,
-    current_path,
+    current_paths: Sequence,
+    parent_paths: Sequence = (),
     wall_tolerance: float = 0.25,
-    normalize: bool = True,
     min_wall_seconds: float = 0.05,
 ) -> RegressionReport:
-    """Compare two files, auto-detecting benchmark records vs sweep manifests."""
+    """Compare files, auto-detecting benchmark records vs sweep manifests.
+
+    ``current_paths`` are one or more runs of the change and
+    ``parent_paths`` zero or more runs of the parent commit on the same
+    machine; each side's wall times are its per-record medians.  A sweep
+    manifest is deterministic, so it takes exactly one current file and no
+    parent.
+    """
     baseline = load_json(baseline_path)
-    current = load_json(current_path)
+    currents = [load_json(path) for path in current_paths]
+    parents = [load_json(path) for path in parent_paths]
+    if not currents:
+        raise ValueError("no current file given")
     baseline_is_manifest = isinstance(baseline, dict) and "shards" in baseline
-    current_is_manifest = isinstance(current, dict) and "shards" in current
-    if baseline_is_manifest != current_is_manifest:
+    if any((isinstance(run, dict) and "shards" in run) != baseline_is_manifest for run in currents):
         raise ValueError(
             "baseline and current files have different formats "
             "(one is a sweep manifest, the other a benchmark record list)"
         )
     if baseline_is_manifest:
-        return compare_manifests(baseline, current)
-    if not isinstance(baseline, list) or not isinstance(current, list):
+        if len(currents) > 1 or parents:
+            raise ValueError("a sweep manifest is compared with exactly one current manifest")
+        return compare_manifests(baseline, currents[0])
+    if not all(isinstance(run, list) for run in [baseline, *currents, *parents]):
         raise ValueError("benchmark records must be JSON lists of objects with a 'name'")
     return compare_benchmarks(
         baseline,
-        current,
+        median_walls(currents),
         wall_tolerance=wall_tolerance,
-        normalize=normalize,
         min_wall_seconds=min_wall_seconds,
+        parent_records=median_walls(parents) if parents else None,
     )

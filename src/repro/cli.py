@@ -6,7 +6,7 @@ Usage::
     python -m repro.cli run E2 [--scale medium]
     python -m repro.cli run-all [--scale small] [--output EXPERIMENTS_GENERATED.md]
     python -m repro.cli sweep [--jobs 4] [--resume] [--only E3,E14] [--scale medium]
-    python -m repro.cli regress --baseline benchmarks/BENCH_baseline.json
+    python -m repro.cli regress --baseline BASELINE [--current RUN ...] [--parent RUN ...]
     python -m repro.cli query [--n 200] [--seed 1] [--repeat 2]
     python -m repro.cli lint [--format json|github] [--select RL001,RL006] [--waiver-report]
 
@@ -19,11 +19,13 @@ payloads -- including the E15 robustness sweep (``--only E15``), which runs
 the loss-tolerant protocols under seeded
 :class:`~repro.hybrid.faults.FaultModel` drop schedules and reports round
 overhead and accuracy per drop rate and graph family.
-``regress`` diffs a fresh ``BENCH_core.json`` (or sweep manifest)
-against a committed baseline and exits non-zero on tolerance violations --
-the CI regression gate.  ``query`` serves a mixed SSSP/diameter/APSP workload
-from one :class:`~repro.session.HybridSession` and prints the per-query
-amortized vs cold-equivalent accounting.  ``lint`` runs the static invariant
+``regress`` diffs fresh ``BENCH_core.json`` runs (or a sweep manifest)
+against a committed baseline -- round counts exact -- and their median wall
+times against same-machine runs of the parent commit (``--parent``), and
+exits non-zero on violations -- the CI regression gate.  ``query`` serves a
+mixed SSSP/diameter/APSP workload from one
+:class:`~repro.session.HybridSession` and prints the per-query amortized vs
+cold-equivalent accounting.  ``lint`` runs the static invariant
 linter (:mod:`repro.analysis.lint`): AST-level checks RL001, RL002, RL004
 and RL005 for nondeterminism sources, unordered iteration,
 metrics-accounting discipline and RNG fork labels, plus the whole-program
@@ -121,8 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     regress_parser.add_argument(
         "--current",
-        default="BENCH_core.json",
-        help="freshly produced JSON to check (default: BENCH_core.json)",
+        nargs="+",
+        default=["BENCH_core.json"],
+        help=(
+            "freshly produced JSON to check, one file per run; wall times are the "
+            "per-record median over the runs (default: BENCH_core.json)"
+        ),
+    )
+    regress_parser.add_argument(
+        "--parent",
+        nargs="*",
+        default=[],
+        help=(
+            "runs of the parent commit on the same machine; each record's median "
+            "wall time over --current must stay within the tolerance of its median "
+            "over these (without them, wall time is not gated)"
+        ),
     )
     regress_parser.add_argument(
         "--wall-tolerance",
@@ -131,16 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative wall-clock tolerance (default 0.25 = ±25%%)",
     )
     regress_parser.add_argument(
-        "--no-normalize",
-        action="store_true",
-        help="disable median machine-speed normalization of wall-clock ratios",
-    )
-    regress_parser.add_argument(
         "--min-wall-seconds",
         type=float,
         default=0.05,
         help=(
-            "skip the wall-clock check (only) for records whose baseline wall time "
+            "skip the wall-clock check (only) for records whose parent wall time "
             "is below this; round counts still gate them (default 0.05)"
         ),
     )
@@ -393,8 +404,8 @@ def run_regress_command(args) -> int:
         report = run_regression(
             args.baseline,
             args.current,
+            args.parent,
             wall_tolerance=args.wall_tolerance,
-            normalize=not args.no_normalize,
             min_wall_seconds=args.min_wall_seconds,
         )
     except (OSError, ValueError) as error:

@@ -12,10 +12,22 @@ This module stores the graph once as frozen CSR numpy arrays and provides
 * :func:`bfs_level_matrix` -- hop levels from many sources, via the C
   implementation of :func:`scipy.sparse.csgraph.dijkstra` (unweighted);
 * :func:`hop_limited_matrix` -- the paper's *literal* ``d_h`` (Section 1.3):
-  one bounded :func:`scipy.sparse.csgraph.dijkstra` call per chunk plus the
-  per-row hop certificate (:func:`certified_rows`), with numpy synchronous
+  the distances bounded at ``h * w_min`` from every source plus the per-row
+  hop certificate (:func:`certified_rows`), with numpy synchronous
   Bellman-Ford rounds (:func:`_relax_rounds`) only on the rows the
-  certificate cannot settle (BFS levels when every weight is 1); and
+  certificate cannot settle (BFS levels when every weight is 1).  The
+  bounded distances come from one of two passes, picked per call from the
+  call's own input (:func:`_bounded_distances`): one bounded
+  :func:`scipy.sparse.csgraph.dijkstra` call, or, for many sources on a
+  graph of small weighted depth, a bit-parallel multi-source search
+  (:func:`_bitset_bounded_distances`: "The More the Merrier", Then et al.,
+  PVLDB 8(4), 2014, over Dial's integer-distance buckets) that advances 64
+  sources per machine word.  The search costs one sweep over the arcs per
+  distance value whatever the number of sources, so it wins on the
+  1024-row APSP exploration (about 45 ms against 250 ms for scipy on the
+  mutate-repair graph) and loses on a single row (3 ms against 0.3 ms);
+  the selection rule (:data:`HOP_LIMITED_SELECTION`) keeps each call on
+  its cheaper side; and
 * :func:`distance_matrix` -- exact weighted distances via
   :func:`scipy.sparse.csgraph.dijkstra`; and
 * :func:`hop_diameter` -- the exact hop diameter ``D(G)`` by eccentricity
@@ -34,7 +46,9 @@ All kernels are exact and deterministic: edge weights are positive integers,
 so every distance is an exact float64 sum along a single path and equals the
 edge-list oracles of :mod:`repro.graphs.reference` bit for bit (the kernel
 tests pin this).  The same exactness is why a certified Dijkstra row and a
-relaxation row are interchangeable: both hold the same sums.
+relaxation row are interchangeable, and why the bit-parallel search, which
+records each distance as an integer, equals the bounded Dijkstra: all of
+them hold the same sums.
 :class:`~repro.graphs.graph.WeightedGraph` freezes a :class:`CSRAdjacency` on
 first batched traversal and invalidates it on ``add_edge`` /
 ``remove_edge``.
@@ -54,6 +68,26 @@ from scipy.sparse import csgraph
 #: time so a batched call over all ``n`` sources never allocates more than
 #: roughly this much scratch at once.
 CHUNK_BYTES = 128 * 1024 * 1024
+
+#: The bit-parallel pass of :func:`hop_limited_matrix` runs only on calls with
+#: at least this many sources (one machine word of them): its fixed cost per
+#: call is a few milliseconds, which one scipy row does not repay.
+BITSET_MIN_SOURCES = 64
+
+#: ... and only while both the probe row's largest distance and the largest
+#: arc weight are at most this.  The pass costs one sweep over the arcs per
+#: distance value, so its time follows the weighted depth, and its ring
+#: holds ``max_weight + 1`` frontiers.  64 is a conservative start: the pass
+#: still won at 1024 sources with a probe value of 166 and broke even at 64
+#: sources with 109.
+BITSET_MAX_DEPTH = 64
+
+#: How :func:`hop_limited_matrix` picks its bounded pass, for
+#: :meth:`HybridSession.acceleration <repro.session.HybridSession.acceleration>`.
+HOP_LIMITED_SELECTION = (
+    f"scipy dijkstra, or bitset when >= {BITSET_MIN_SOURCES} sources, arc weights "
+    f"<= {BITSET_MAX_DEPTH} and the first source's row hop-certified within {BITSET_MAX_DEPTH}"
+)
 
 #: A relaxation round materialises a few same-shaped float64 scratch arrays
 #: (candidates, keys, the chunk matrix itself); the budget is divided by this
@@ -78,6 +112,7 @@ class CSRAdjacency:
         "weights",
         "unit_weights",
         "min_weight",
+        "max_weight",
         "sparse_view",
         "component_sizes",
     )
@@ -99,6 +134,9 @@ class CSRAdjacency:
         # The hop certificate of hop_limited_matrix: a path of weight d has at
         # most d / min_weight edges (1.0 for an edgeless graph).
         self.min_weight = float(weights.min()) if weights.size else 1.0
+        # The bit-parallel d_h pass keeps one frontier per distance value up
+        # to this far back (_bitset_bounded_distances).
+        self.max_weight = float(weights.max()) if weights.size else 1.0
 
     @property
     def directed_edge_count(self) -> int:
@@ -137,7 +175,8 @@ def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjac
     to re-freezing the mutated adjacency: per-row neighbour order is
     unchanged, so the new weight lands in exactly the slot a rebuild would
     put it in (``unit_weights`` and ``min_weight`` are re-derived from the
-    patched array).
+    patched array).  The component sizes depend on the topology alone, so
+    the refreshed view keeps them too.
     """
     weights = csr.weights.copy()
     for a, b in ((u, v), (v, u)):
@@ -146,7 +185,9 @@ def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjac
         if position >= stop or int(csr.indices[position]) != b:
             raise KeyError(f"edge {{{u}, {v}}} not present in the CSR view")
         weights[position] = float(weight)
-    return CSRAdjacency(csr.n, csr.indptr, csr.indices, weights)
+    refreshed = CSRAdjacency(csr.n, csr.indptr, csr.indices, weights)
+    refreshed.component_sizes = csr.component_sizes
+    return refreshed
 
 
 def _scipy_view(csr: CSRAdjacency):
@@ -271,43 +312,183 @@ def certified_rows(
     """The hop certificate: which ``d_{hop_limit}`` rows equal exact distances.
 
     ``dist[i]`` is a ``d_{hop_limit}`` row of ``sources[i]`` on ``csr``.  The
-    row is certified iff it is finite on exactly the nodes of the source's
-    connected component and its largest finite value is at most
-    ``hop_limit * min_weight``: a path of weight ``d`` has at most
-    ``d / min_weight`` edges, so every distance of the row is realised within
-    the hop limit and ``d_h = d`` on the whole row.  This is the one
-    definition :func:`hop_limited_matrix` settles rows with, the skeleton
-    exploration caches and APSP's combination step reads; it is a function
-    of the row values, so equal rows give equal masks.
+    row is certified iff it is at most ``hop_limit * min_weight`` on every
+    node of the source's connected component: a path of weight ``d`` has at
+    most ``d / min_weight`` edges, so every distance of the row is realised
+    within the hop limit and ``d_h = d`` on the whole row.  A row is finite
+    only inside the source's component, so one count of the entries within
+    the bound decides it (an entry within the bound is finite and lies in
+    the component).  This is the one definition :func:`hop_limited_matrix`
+    settles rows with, the skeleton exploration caches and APSP's
+    combination step reads; it is a function of the row values, so equal
+    rows give equal masks.
     """
     src = np.asarray(sources, dtype=np.int64)
-    finite = np.isfinite(dist)
-    reached = np.count_nonzero(finite, axis=1)
-    largest = np.max(dist, axis=1, where=finite, initial=0.0)
-    return (reached == component_sizes(csr)[src]) & (largest <= hop_limit * csr.min_weight)
+    within = np.count_nonzero(dist <= hop_limit * csr.min_weight, axis=1)
+    return within == component_sizes(csr)[src]
+
+
+def _bitset_scratch_bytes(csr: CSRAdjacency, count: int) -> int:
+    """The bytes :func:`_bitset_bounded_distances` allocates for ``count`` sources.
+
+    The float64 output plus the pass's scratch: the ring, the bit-planes and
+    four node bitsets of ``⌈count / 64⌉`` words per node, the per-distance
+    gather of one bitset per arc, and one word's unpacked bits.
+    """
+    n, words = csr.n, -(-count // 64)
+    planes = BITSET_MAX_DEPTH.bit_length() + 1
+    per_word = 8 * (n * (int(csr.max_weight) + 1 + planes + 4) + csr.directed_edge_count)
+    return 8 * count * n + words * per_word + 3 * planes * n * 64
+
+
+def _bounded_distances(csr: CSRAdjacency, src: np.ndarray, hop_limit: int) -> np.ndarray:
+    """``csgraph.dijkstra(limit=hop_limit * min_weight)`` rows, from the cheaper pass.
+
+    The bit-parallel pass is picked from what the call itself sees: at least
+    :data:`BITSET_MIN_SOURCES` sources, arc weights of at most
+    :data:`BITSET_MAX_DEPTH`, scratch within :data:`CHUNK_BYTES`, and a probe
+    row -- the first source's, from scipy -- that is hop-certified with its
+    largest value at most :data:`BITSET_MAX_DEPTH`.  Both passes return the
+    same exact sums, so the choice moves wall time only.
+    """
+    view = _scipy_view(csr)
+    limit = hop_limit * csr.min_weight
+    if (
+        src.size >= BITSET_MIN_SOURCES
+        and csr.max_weight <= BITSET_MAX_DEPTH
+        and _bitset_scratch_bytes(csr, src.size) <= CHUNK_BYTES
+    ):
+        probe = csgraph.dijkstra(view, indices=src[:1], limit=limit)
+        if (
+            certified_rows(csr, src[:1], probe, hop_limit)[0]
+            and np.max(probe, where=np.isfinite(probe), initial=0.0) <= BITSET_MAX_DEPTH
+        ):
+            return _bitset_bounded_distances(csr, src, limit)
+    return csgraph.dijkstra(view, indices=src, limit=limit)
+
+
+def _bitset_bounded_distances(
+    csr: CSRAdjacency, sources: Sequence[int], limit: float
+) -> np.ndarray:
+    """Every source's distances up to ``limit`` (``inf`` beyond), 64 sources a word.
+
+    A bit-parallel multi-source search (Then et al., "The More the Merrier",
+    PVLDB 8(4), 2014) over Dial's integer-distance buckets.  Node ``v`` holds
+    a bitset over the sources (``⌈S / 64⌉`` uint64 words); ``frontier[d][v]``
+    marks the sources at distance exactly ``d`` from ``v``.  Weights are
+    positive integers, so a source is at distance ``d`` from ``v`` iff it is
+    at distance ``d - w`` from a neighbour ``u`` over an arc of weight ``w``
+    and not nearer to ``v``: ``frontier[d][v]`` is the OR of
+    ``frontier[d - w][u]`` over the arcs into ``v``, minus the sources
+    already visited at ``v``.  Only the last ``max_weight + 1`` frontiers are
+    ever read, so they live in a ring; each distance is one gather of the
+    ring row every arc reads and one ``np.bitwise_or.reduceat`` over the CSR
+    rows (row ``v`` lists the arcs into ``v``: the graph is undirected).  An
+    arc heavier than ``d`` reads a ring slot no frontier has reached yet,
+    which is still zero.  The search stops at ``⌊limit⌋``, once every source
+    has visited every node, or once the ring holds no frontier.
+
+    The distance of each visited entry is kept in bit-planes (plane ``b``
+    holds bit ``b`` of the distance), which become the float64 output one
+    64-source word at a time.  Every value is an integer path weight, so the
+    output equals ``csgraph.dijkstra(limit=limit)`` bit for bit.
+    """
+    n = csr.n
+    src = np.asarray(list(sources), dtype=np.int64)
+    count = src.size
+    words = -(-count // 64)
+    depth = int(limit) if csr.directed_edge_count else 0
+    ring_size = int(csr.max_weight) + 1
+    # Bit i of node src[i]'s bitset is bit i % 8 of its byte i // 8, the
+    # little-endian bit order np.unpackbits reads back, on any byte order.
+    seeds = np.zeros((n, words), dtype=np.uint64)
+    positions = np.arange(count)
+    masks = np.left_shift(1, positions % 8).astype(np.uint8)
+    np.bitwise_or.at(seeds.view(np.uint8), (src, positions // 8), masks)
+    # The padding bits past the last source count as visited, so "every
+    # source visited every node" is a plain all-zero test of `unvisited`.
+    sources_mask = np.packbits(np.arange(64 * words) < count, bitorder="little").view(np.uint64)
+    unvisited = sources_mask & ~seeds
+    # ring[(d % ring_size) * n + v] = frontier[d][v].
+    ring = np.zeros((ring_size * n, words), dtype=np.uint64)
+    ring[:n] = seeds
+    arc_weights = csr.weights.astype(np.int64)
+    rows = np.flatnonzero(np.diff(csr.indptr))
+    starts = csr.indptr[rows]
+    reached = np.zeros((n, words), dtype=np.uint64)
+    gathered = np.empty((csr.directed_edge_count, words), dtype=np.uint64)
+    planes: list[np.ndarray] = []  # planes[b]: bit b of each visited entry's distance
+    last = 0
+    for d in range(1, depth + 1):
+        if d - last >= ring_size or not unvisited.any():
+            break
+        slots = (d - arc_weights) % ring_size
+        np.take(ring, slots * n + csr.indices, axis=0, out=gathered, mode="clip")
+        reached[rows] = np.bitwise_or.reduceat(gathered, starts, axis=0)
+        frontier = ring[(d % ring_size) * n : (d % ring_size + 1) * n]
+        np.bitwise_and(reached, unvisited, out=frontier)
+        if frontier.any():
+            last = d
+            unvisited ^= frontier
+            while len(planes) < d.bit_length():
+                planes.append(np.zeros((n, words), dtype=np.uint64))
+            for bit, plane in enumerate(planes):
+                if d >> bit & 1:
+                    plane |= frontier
+    del ring, gathered, reached
+    return _planes_to_distances(planes, unvisited, count)
+
+
+def _planes_to_distances(planes: list[np.ndarray], unvisited: np.ndarray, count: int) -> np.ndarray:
+    """The ``(count, n)`` float64 distances held in bit-planes (``inf`` where unvisited).
+
+    One 64-source word at a time: the word's planes plus its unvisited bits
+    (as the top plane) unpack to a ``(planes + 1, n, 64)`` bit array, whose
+    planes combine into one code per entry, and a lookup table maps codes to
+    distances (``inf`` for every code with the top bit).
+    """
+    n, words = unvisited.shape
+    width = len(planes) + 1
+    code_type = np.min_scalar_type(2**width - 1)
+    table = np.arange(2**width, dtype=np.float64)
+    table[2 ** (width - 1) :] = np.inf
+    dist = np.empty((count, n), dtype=np.float64)
+    for word in range(words):
+        lo, hi = 64 * word, min(count, 64 * word + 64)
+        block = np.stack([plane[:, word] for plane in (*planes, unvisited)]).view(np.uint8)
+        bits = np.unpackbits(block.reshape(width, n, 8), axis=2, bitorder="little")
+        codes = bits[0].astype(code_type)
+        for bit in range(1, width):
+            codes |= bits[bit].astype(code_type) << bit
+        np.take(table, codes.T[: hi - lo], out=dist[lo:hi], mode="clip")
+    return dist
 
 
 def hop_limited_matrix(csr: CSRAdjacency, sources: Sequence[int], hop_limit: int) -> np.ndarray:
     """``dist[s, v] = d_{hop_limit}(source_s, v)`` (``inf`` outside the ball).
 
-    Unit weights reduce ``d_h`` to BFS levels.  Otherwise one Dijkstra call
-    computes, per source, the exact distances ``d`` up to the bound
-    ``hop_limit * min_weight``.  A shortest path is simple and each of its
-    ``k`` edges weighs at least ``min_weight``, so ``d <= bound`` implies
-    ``k <= hop_limit`` and hence ``d_h = d``.  A row whose bounded search
-    reached the source's whole component therefore has no finite ``d`` above
-    the bound and *is* its ``d_h`` row (:func:`certified_rows`); unreached
-    nodes of other components are ``inf`` in both.  The remaining rows are
-    recomputed by :func:`_relax_rounds`.  Weights are integers, so both paths
-    produce the same exact float64 sums and the result is bit-identical to
-    running the rounds on every row.
+    Unit weights reduce ``d_h`` to BFS levels.  Otherwise one pass computes,
+    per source, the exact distances ``d`` up to the bound
+    ``hop_limit * min_weight`` (:func:`_bounded_distances`: one bounded scipy
+    Dijkstra call, or the bit-parallel search of
+    :func:`_bitset_bounded_distances` when the call has many sources and a
+    shallow weighted depth; both give the same sums).  A shortest path is
+    simple and each of its ``k`` edges weighs at least ``min_weight``, so
+    ``d <= bound`` implies ``k <= hop_limit`` and hence ``d_h = d``.  A row
+    whose bounded search reached the source's whole component therefore has
+    no finite ``d`` above the bound and *is* its ``d_h`` row
+    (:func:`certified_rows`); unreached nodes of other components are
+    ``inf`` in both.  The remaining rows are recomputed by
+    :func:`_relax_rounds`.  Weights are integers, so every path produces the
+    same exact float64 sums and the result is bit-identical to running the
+    rounds on every row.
     """
     if csr.unit_weights:
         return _levels_as_distances(bfs_level_matrix(csr, sources, hop_limit))
     src = np.asarray(list(sources), dtype=np.int64)
     if src.size == 0:
         return np.empty((0, csr.n), dtype=np.float64)
-    dist = csgraph.dijkstra(_scipy_view(csr), indices=src, limit=hop_limit * csr.min_weight)
+    dist = _bounded_distances(csr, src, hop_limit)
     uncertified = np.flatnonzero(~certified_rows(csr, src, dist, hop_limit))
     if uncertified.size:
         dist[uncertified] = _relax_rounds(csr, src[uncertified], hop_limit)

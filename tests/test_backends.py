@@ -12,9 +12,10 @@ every node (:func:`oracle_clustering`); no oracle shares code with the CSR
 view.  The properties run over random graph families: connected and
 disconnected, n = 1, unit and heavy weights, empty and duplicate source
 lists, and source lists split into many chunks.
-The weighted ``d_h`` kernel answers most rows from one bounded Dijkstra call
-and a hop certificate and falls back to Bellman-Ford rounds on the rest;
-both paths are pinned against the rounds and the oracle.
+The weighted ``d_h`` kernel answers most rows from one bounded search and a
+hop certificate and falls back to Bellman-Ford rounds on the rest; both
+paths are pinned against the rounds and the oracle, and the bit-parallel
+bounded search against scipy's bounded Dijkstra.
 End to end, the engine must record the same RoundMetrics as the per-message
 scalar oracle of ``tests/scalar_plane.py``.
 """
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scalar_plane import ScalarPlaneNetwork
+from scipy.sparse import csgraph
 
 from repro.core.apsp import apsp_exact
 from repro.core.sssp import sssp_exact
@@ -163,7 +165,9 @@ def hop_certificate_case(draw):
 
     ``small`` hop limits on weighted paths and heavy weights force the
     Bellman-Ford fallback, ``large`` ones (at least ``n * max_weight``)
-    certify every row, and ``mixed`` ones land anywhere in between.
+    certify every row, and ``mixed`` ones land anywhere in between.  Source
+    lists of 64 to 130 entries (a partial last word) reach the bit-parallel
+    pass whenever the first source's row is certified.
     """
     n = draw(st.integers(min_value=1, max_value=24))
     rng = RandomSource(draw(st.integers(min_value=0, max_value=10_000)))
@@ -195,6 +199,7 @@ def hop_certificate_case(draw):
         st.one_of(
             st.just(list(range(n))),
             st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n + 3),
+            st.lists(st.integers(min_value=0, max_value=n - 1), min_size=64, max_size=130),
         )
     )
     byte_budget = draw(st.sampled_from([None, 1, 8 * 4 * 3 * n]))
@@ -243,8 +248,13 @@ def hop_limited_reference(graph, sources, hop_limit):
     return dense(maps, graph.node_count)
 
 
+#: Beside a path 0 -1- 1 -2- 2: a second component 3 -3- 4 -3- 5 -3- 6 of a
+#: larger weighted diameter, and the isolated node 7.
+TWO_PATHS = [(3, 4, 3), (4, 5, 3), (5, 6, 3)]
+
+
 class TestHopCertificate:
-    """``hop_limited_matrix``: certified Dijkstra rows plus the rounds fallback."""
+    """``hop_limited_matrix``: certified bounded rows plus the rounds fallback."""
 
     @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(hop_certificate_case())
@@ -252,6 +262,15 @@ class TestHopCertificate:
     # two light edges, and a unit-weight component next to a heavy one.
     @example((weighted_path((2, 1, 1)), 1, [0, 1, 2, 3], None))
     @example((weighted_path((1, 1), n=5, extra=[(3, 4, 2)]), 1, [1, 0, 3], 1))
+    # The bit-parallel pass: a limit equal to a realised distance (node 2 at
+    # d = 4 = h * min_weight from node 0; the bound is inclusive), an arc
+    # heavier than the limit, two components of different weighted
+    # diameters beside an isolated node (h = 5 leaves the heavier one
+    # uncertified), and n = 1.
+    @example((weighted_path((2, 2)), 2, [0, 1, 2] * 22, None))
+    @example((weighted_path((1, 1), extra=[(0, 2, 50)]), 2, [0, 1, 2] * 30, None))
+    @example((weighted_path((1, 2), n=8, extra=TWO_PATHS), 5, [*range(8)] * 9, None))
+    @example((WeightedGraph(1), 3, [0] * 64, None))
     def test_matches_rounds_and_single_source(self, case):
         graph, hop_limit, sources, byte_budget = case
         csr = graph.csr()
@@ -262,6 +281,12 @@ class TestHopCertificate:
         assert kernel.shape == (len(sources), graph.node_count)
         assert numpy.array_equal(kernel, csr_kernels._relax_rounds(csr, sources, hop_limit))
         assert numpy.array_equal(kernel, hop_limited_reference(graph, sources, hop_limit))
+        # The bit-parallel pass equals scipy's bounded Dijkstra on every case,
+        # whether or not the kernel picked it.
+        limit = hop_limit * csr.min_weight
+        bounded = csgraph.dijkstra(csr_kernels._scipy_view(csr), indices=sources, limit=limit)
+        bitset = csr_kernels._bitset_bounded_distances(csr, sources, limit)
+        assert numpy.array_equal(bitset, bounded.reshape(len(sources), graph.node_count))
 
     @staticmethod
     def _count_fallback_rows(monkeypatch):
@@ -307,6 +332,33 @@ class TestHopCertificate:
         calls = self._count_fallback_rows(monkeypatch)
         graph.hop_limited_distance_matrix(range(8), 2)
         assert calls and calls[0]
+
+    def test_bitset_pass_runs_only_for_many_rows_of_shallow_weighted_depth(self, monkeypatch):
+        calls: list[int] = []
+        bitset = csr_kernels._bitset_bounded_distances
+
+        def counting(csr, sources, limit):
+            calls.append(len(sources))
+            return bitset(csr, sources, limit)
+
+        monkeypatch.setattr(csr_kernels, "_bitset_bounded_distances", counting)
+        n = 1024
+        hop_limit = skeleton_hop_length(n, n**0.5, xi=0.75)
+        graph = generators.connected_workload(n, RandomSource(1), weighted=True, max_weight=8)
+        for rows in (n, 64, 63, 1):
+            graph.hop_limited_distance_matrix(range(rows), hop_limit)
+        assert calls == [n, 64]
+        # Unit weights keep scipy BFS; a weighted cycle's first row is not
+        # hop-certified at this depth (its weighted eccentricity is 1024).
+        calls.clear()
+        unit = generators.connected_workload(n, RandomSource(1))
+        unit.hop_limited_distance_matrix(range(n), hop_limit)
+        cycle = generators.cycle_graph(n, weight=2)
+        kernel = cycle.hop_limited_distance_matrix(range(64), hop_limit)
+        assert calls == []
+        monkeypatch.undo()
+        rounds = csr_kernels._relax_rounds(cycle.csr(), range(64), hop_limit)
+        assert numpy.array_equal(kernel, rounds)
 
 
 def disconnected_pair_of_paths(n):

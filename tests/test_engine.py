@@ -9,6 +9,7 @@ import pytest
 from repro.analysis.regression import (
     compare_benchmarks,
     compare_manifests,
+    median_walls,
     run_regression,
 )
 from repro.experiments import (
@@ -335,17 +336,21 @@ class TestRegressionGate:
         assert report.status == "pass" and not report.violations
         assert report.checked_records == 3
 
-    def test_uniform_slowdown_is_normalized_away(self):
-        current = _records()
-        for record in current:
-            record["wall_time_seconds"] *= 3.0  # a slower CI runner, not a regression
-        report = compare_benchmarks(_records(), current)
+    def test_uniform_slowdown_of_both_sides_passes(self):
+        # A runner 3x slower than the baseline's machine slows the parent and
+        # the change alike: wall time compares them, not the baseline.
+        parent, current = _records(), _records()
+        for record in parent + current:
+            record["wall_time_seconds"] *= 3.0
+        report = compare_benchmarks(_records(), current, parent_records=parent)
         assert report.status == "pass"
-        assert report.speed_factor == pytest.approx(3.0)
+        assert report.checked_metrics == 9  # 6 deterministic fields, 3 wall times
 
     def test_single_record_wall_clock_regression_fails(self):
         report = compare_benchmarks(
-            _records(), _records(bench_b={"wall_time_seconds": 2.0 * 1.35})
+            _records(),
+            _records(bench_b={"wall_time_seconds": 2.0 * 1.35}),
+            parent_records=_records(),
         )
         assert report.status == "fail"
         assert [v.kind for v in report.violations] == ["wall-clock"]
@@ -370,32 +375,47 @@ class TestRegressionGate:
     def test_micro_benchmarks_are_exempt_from_wall_clock_only(self):
         base = _records(bench_a={"wall_time_seconds": 0.004})
         current = _records(bench_a={"wall_time_seconds": 0.009})  # 2.2x, but 4ms
-        assert compare_benchmarks(base, current).status == "pass"
+        assert compare_benchmarks(base, current, parent_records=base).status == "pass"
         # Round counts still gate micro-benchmarks exactly.
         current = _records(bench_a={"wall_time_seconds": 0.009, "measured_rounds": 101})
-        report = compare_benchmarks(base, current)
+        report = compare_benchmarks(base, current, parent_records=base)
         assert report.status == "fail"
         assert [v.kind for v in report.violations] == ["round-count"]
         # And the floor is configurable.
         assert (
             compare_benchmarks(
-                base, _records(bench_a={"wall_time_seconds": 0.009}), min_wall_seconds=0.001
+                base,
+                _records(bench_a={"wall_time_seconds": 0.009}),
+                min_wall_seconds=0.001,
+                parent_records=base,
             ).status
             == "fail"
         )
-        # Micro-benchmarks are also excluded from the machine-speed median:
-        # bench_a's 2.2x jitter ratio must not skew the factor the real
-        # benchmarks get normalized by.
-        report = compare_benchmarks(base, _records(bench_a={"wall_time_seconds": 0.009}))
-        assert report.speed_factor == pytest.approx(1.0)
 
-    def test_normalization_can_be_disabled(self):
+    def test_wall_clock_is_unchecked_without_parent_runs(self):
+        # The committed baseline comes from another machine: a 3x slower run
+        # against it alone says nothing, so only the rounds are gated.
         current = _records()
         for record in current:
             record["wall_time_seconds"] *= 3.0
-        report = compare_benchmarks(_records(), current, normalize=False)
+        report = compare_benchmarks(_records(), current)
+        assert report.status == "pass"
+        assert any("wall-clock unchecked" in note for note in report.notes)
+        report = compare_benchmarks(_records(), current, parent_records=_records())
         assert report.status == "fail"
         assert all(v.kind == "wall-clock" for v in report.violations)
+
+    def test_median_of_runs_on_each_side(self):
+        # One slow outlier run on either side does not move the median of three.
+        runs = [_records(), _records(bench_b={"wall_time_seconds": 9.0}), _records()]
+        merged = median_walls(runs)
+        assert [record["wall_time_seconds"] for record in merged] == [1.0, 2.0, 4.0]
+        assert merged == _records()
+        slower = [_records(bench_b={"wall_time_seconds": 2.0 * 1.35})] * 2 + [_records()]
+        report = compare_benchmarks(
+            _records(), median_walls(slower), parent_records=median_walls(runs)
+        )
+        assert [(v.record, v.kind) for v in report.violations] == [("bench_b", "wall-clock")]
 
     def test_manifest_comparison_is_exact(self, tmp_path):
         shards = plan_shards(["E6"], scale="small")
@@ -412,9 +432,12 @@ class TestRegressionGate:
     def test_run_regression_detects_file_kinds(self, tmp_path):
         bench = tmp_path / "bench.json"
         bench.write_text(json.dumps(_records()))
-        assert run_regression(bench, bench).kind == "benchmarks"
+        assert run_regression(bench, [bench]).kind == "benchmarks"
+        assert run_regression(bench, [bench, bench], [bench, bench]).status == "pass"
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"version": 1, "shards": {}}))
-        assert run_regression(manifest, manifest).kind == "manifest"
+        assert run_regression(manifest, [manifest]).kind == "manifest"
         with pytest.raises(ValueError):
-            run_regression(bench, manifest)
+            run_regression(bench, [manifest])
+        with pytest.raises(ValueError):
+            run_regression(manifest, [manifest, manifest])

@@ -139,7 +139,11 @@ class TestCLI:
             ["regress", "--baseline", "benchmarks/BENCH_baseline.json", "--wall-tolerance", "0.5"]
         )
         assert (regress_args.command, regress_args.wall_tolerance) == ("regress", 0.5)
-        assert regress_args.current == "BENCH_core.json"
+        assert (regress_args.current, regress_args.parent) == (["BENCH_core.json"], [])
+        argv = ["regress", "--baseline", "b.json", "--current", "h1.json", "h2.json"]
+        regress_args = parser.parse_args(argv + ["--parent", "p1.json", "p2.json"])
+        assert regress_args.current == ["h1.json", "h2.json"]
+        assert regress_args.parent == ["p1.json", "p2.json"]
 
     def test_sweep_command_runs_resumes_and_writes_report(self, tmp_path, capsys):
         store = tmp_path / "artifacts"
@@ -185,6 +189,12 @@ class TestCLI:
         current.write_text(json.dumps(bad))
         assert main(argv) == 1
         assert "round-count" in capsys.readouterr().out
+        # Wall time is judged against the parent's runs, medians on each side.
+        slow = [{"name": "b", "wall_time_seconds": 1.5, "measured_rounds": 10}]
+        current.write_text(json.dumps(slow))
+        assert main(argv) == 0
+        assert main(argv + ["--parent", str(baseline), str(baseline)]) == 1
+        assert "wall-clock" in capsys.readouterr().out
         # Unreadable baseline is a usage error, not a crash.
         assert main(["regress", "--baseline", str(tmp_path / "missing.json")]) == 2
 

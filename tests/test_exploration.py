@@ -399,6 +399,29 @@ class TestHopCertificate:
         reached = np.count_nonzero(bounded, axis=1)
         assert np.array_equal(certified, reached == csr_kernels.component_sizes(csr))
 
+    @pytest.mark.parametrize("hop_limit", [0, 1, 2, 3, 5, 8, 12])
+    def test_two_components_and_an_isolated_node(self, hop_limit):
+        # Path 0 -1- 1 -2- 2 (weighted diameter 3), path 3 -3- 4 -3- 5 -3- 6
+        # (diameter 9) and the isolated node 7: each component's rows pass
+        # the certificate at their own hop limit, node 7's at every limit.
+        graph = WeightedGraph.from_edges(8, [(0, 1, 1), (1, 2, 2), (3, 4, 3), (4, 5, 3), (5, 6, 3)])
+        csr = graph.csr()
+        sources = range(8)
+        d_h = csr_kernels.hop_limited_matrix(csr, sources, hop_limit)
+        certified = csr_kernels.certified_rows(csr, sources, d_h, hop_limit)
+        # The certificate as first written: finite on the whole component,
+        # largest finite value within the bound.
+        finite = np.isfinite(d_h)
+        largest = np.max(d_h, axis=1, where=finite, initial=0.0)
+        written = (np.count_nonzero(finite, axis=1) == [3, 3, 3, 4, 4, 4, 4, 1]) & (
+            largest <= hop_limit * csr.min_weight
+        )
+        assert np.array_equal(certified, written)
+        assert certified[7]
+        assert certified[0] == (hop_limit >= 3) and certified[3] == (hop_limit >= 9)
+        exact = csr_kernels.distance_matrix(csr, sources)
+        assert np.array_equal(d_h[certified], exact[certified])
+
     def test_exploration_caches_a_read_only_mask(self):
         graph = barbell_case(1)
         skeleton = compute_skeleton(HybridNetwork(graph, ModelConfig(rng_seed=1)), 0.07)

@@ -232,9 +232,12 @@ class TestIsConnected:
         graph = WeightedGraph.from_edges(3, [(0, 1, 1)])
         assert not graph.is_connected()
         before = graph.csr()
+        sizes = csr_kernels.component_sizes(before)
         graph.update_weight(0, 1, 7)
-        # A fresh view on the same topology, with its own (same) answer.
+        # A fresh view on the same topology, with its own (same) answer: the
+        # component sizes depend on the topology alone and carry over.
         assert graph.csr() is not before
+        assert graph.csr().component_sizes is sizes
         assert not graph.is_connected()
         graph.add_edge(1, 2, 4)
         graph.update_weight(1, 2, 5)

@@ -811,7 +811,10 @@ class TestPlaneSelection:
             "kernels": {
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
-                "hop_limited_matrix": "scipy",
+                "hop_limited_matrix": (
+                    "scipy dijkstra, or bitset when >= 64 sources, arc weights <= 64 "
+                    "and the first source's row hop-certified within 64"
+                ),
                 "hop_diameter": "scipy",
             },
         }
