@@ -5,9 +5,11 @@ and the 2-approximate CLIQUE plug-ins, next to the transformed guarantee
 ``α + 2/η + β/T_B``.
 
 Also records the hop-diameter kernel behind every ``min(D, ·)`` local charge
-(``csr.hop_diameter``): its wall time and how many BFS sources it searched,
-on the cold-start random graph (the usual case, a few dozen sources) and on
-a cycle (vertex-transitive, the worst case: every source).
+(``csr.hop_diameter``): its wall time, how many BFS sources scipy searched
+and how many levels the all-sources bitset sweep ran (0 when eccentricity
+bounding finished instead), on the cold-start random graph (shallow: node
+0's search, then an 11-level sweep) and on a cycle (too deep to sweep and
+vertex-transitive, the worst case of bounding: every source).
 """
 
 import pytest
@@ -65,15 +67,23 @@ def test_hop_diameter_kernel(benchmark, monkeypatch, family):
     csr = graph.csr()
     diameter = run_repeated(benchmark, lambda: csr_kernels.hop_diameter(csr))
 
-    # One more, untimed call counts the sources handed to scipy's searches.
+    # One more, untimed call counts the sources handed to scipy's searches
+    # and the levels of the sweep, if one ran.
     searched = []
+    sweep_levels = []
     dijkstra = csr_kernels.csgraph.dijkstra
+    sweep = csr_kernels._bitset_hop_diameter
 
     def counting(*args, indices=None, **kwargs):
         searched.append(len(indices))
         return dijkstra(*args, indices=indices, **kwargs)
 
+    def counting_sweep(csr):
+        sweep_levels.append(sweep(csr))
+        return sweep_levels[-1]
+
     monkeypatch.setattr(csr_kernels.csgraph, "dijkstra", counting)
+    monkeypatch.setattr(csr_kernels, "_bitset_hop_diameter", counting_sweep)
     assert csr_kernels.hop_diameter(csr) == diameter
     attach(
         benchmark,
@@ -85,5 +95,6 @@ def test_hop_diameter_kernel(benchmark, monkeypatch, family):
             "hop_diameter": diameter,
             "sources_searched": sum(searched),
             "scipy_calls": len(searched),
+            "sweep_levels": sum(sweep_levels),
         },
     )

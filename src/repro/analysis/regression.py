@@ -31,9 +31,10 @@ Sweep manifests are fully deterministic, so their comparison is exact on the
 per-shard payload hashes.
 
 ``python -m repro.cli regress`` is the command-line entry point; CI's
-``bench-regression`` job runs ``pytest benchmarks/`` twice on the merge-base
-and twice on the head, alternating which goes first, and fails the build
-when :attr:`RegressionReport.status` is ``"fail"``.
+``bench-regression`` job runs ``pytest benchmarks/`` three times on the
+merge-base and three times on the head, alternating which goes first
+(parent, head, head, parent, parent, head), and fails the build when
+:attr:`RegressionReport.status` is ``"fail"``.
 """
 
 from __future__ import annotations

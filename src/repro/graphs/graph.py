@@ -297,10 +297,13 @@ class WeightedGraph:
     def hop_diameter(self) -> float:
         """``D(G)``: the maximum hop distance over all pairs (Section 1.3).
 
-        Computed by :func:`repro.graphs.csr.hop_diameter`: exact eccentricity
+        Computed by :func:`repro.graphs.csr.hop_diameter`: one BFS from
+        node 0, then, on a shallow graph of small degree, one bit-parallel
+        BFS from all sources at once (one search and an 11-level sweep on
+        the 1024-node cold-start graph); otherwise exact eccentricity
         bounding that BFS-searches only the nodes whose eccentricity could
-        still exceed the best lower bound -- a few dozen on typical graphs,
-        every node (one all-sources pass) on vertex-transitive ones.
+        still exceed the best lower bound -- every node (one all-sources
+        pass) on a cycle.
         Cached in the hop-topology slot (every simulated network on this
         graph asks for it): dropped by ``add_edge`` / ``remove_edge`` and
         kept by ``update_weight`` (hops ignore weights).

@@ -83,7 +83,7 @@ from repro.core.token_routing import (
     endpoint_loads,
     token_labels,
 )
-from repro.graphs.csr import HOP_LIMITED_SELECTION
+from repro.graphs.csr import HOP_DIAMETER_SELECTION, HOP_LIMITED_SELECTION
 from repro.graphs.graph import WeightedGraph
 from repro.hybrid.config import ModelConfig
 from repro.hybrid.faults import FaultModel
@@ -263,7 +263,8 @@ class HybridSession:
         Every session runs the same code: the batched graph kernels of
         :mod:`repro.graphs.csr` and the array message plane of
         :mod:`repro.hybrid.network` (DESIGN.md §4).  ``hop_limited_matrix``
-        has two passes for its bounded distances, and the report names both
+        has two passes for its bounded distances and ``hop_diameter`` two
+        ways to finish after its first search; the report names both of each
         and the rule that picks one per call (DESIGN.md §9).  Experiment logs
         record the report so a run says which kernels produced it.
         """
@@ -274,7 +275,7 @@ class HybridSession:
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
                 "hop_limited_matrix": HOP_LIMITED_SELECTION,
-                "hop_diameter": "scipy",
+                "hop_diameter": HOP_DIAMETER_SELECTION,
             },
         }
 

@@ -433,6 +433,69 @@ class TestHopDiameterKernel:
         assert csr_kernels.hop_diameter(csr) == n // 2
         assert sorted(searched) == list(range(n))
 
+    @staticmethod
+    def _count_sweeps(monkeypatch):
+        """Record the diameter each all-sources sweep returns."""
+        sweeps: list[int] = []
+        sweep = csr_kernels._bitset_hop_diameter
+
+        def counting(csr):
+            sweeps.append(sweep(csr))
+            return sweeps[-1]
+
+        monkeypatch.setattr(csr_kernels, "_bitset_hop_diameter", counting)
+        return sweeps
+
+    @common_settings
+    @given(graph_case())
+    def test_sweep_matches_independent_oracle(self, case):
+        # The sweep on its own, whatever the selection rule would pick.
+        graph = case[0]
+        if graph.node_count > 1 and graph.is_connected():
+            sweep = csr_kernels._bitset_hop_diameter(graph.csr())
+            assert sweep == reference.hop_diameter(graph)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+    def test_sweep_at_word_boundaries(self, monkeypatch, n):
+        graphs = [generators.connected_workload(n, RandomSource(n), weighted=True, max_weight=8)]
+        if n - 1 <= csr_kernels.BITSET_MAX_DEPTH:
+            graphs.append(generators.complete_graph(n))
+        sweeps = self._count_sweeps(monkeypatch)
+        for graph in graphs:
+            assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)
+        assert sweeps == [reference.hop_diameter(graph) for graph in graphs]
+
+    def test_cold_start_instance_searches_node_zero_then_sweeps(self, monkeypatch):
+        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+        csr = graph.csr()
+        searched = self._count_searched_sources(monkeypatch)
+        sweeps = self._count_sweeps(monkeypatch)
+        assert csr_kernels.hop_diameter(csr) == 11
+        assert searched == [0]
+        assert sweeps == [11]
+
+    @pytest.mark.parametrize(
+        "family, build",
+        [
+            # Degree rule: node 0 is the hub (eccentricity 1, degree 1023).
+            ("star", lambda: generators.star_graph(1024)),
+            # Depth rule: node 0's eccentricity is 512 ...
+            ("cycle", lambda: generators.cycle_graph(1024)),
+            # ... and 109 on the ring of 2-neighbourhoods with 1% long links.
+            (
+                "locality",
+                lambda: generators.random_geometric_like_graph(
+                    1024, neighbourhood=2, rng=RandomSource(1), extra_edge_probability=0.01
+                ),
+            ),
+        ],
+    )
+    def test_deep_or_high_degree_graphs_keep_bounding(self, monkeypatch, family, build):
+        graph = build()
+        sweeps = self._count_sweeps(monkeypatch)
+        assert csr_kernels.hop_diameter(graph.csr()) == reference.hop_diameter(graph)
+        assert sweeps == []
+
 
 def oracle_clustering(graph, separation):
     """Greedy rulers and closest-ruler clusters from ``reference.hop_distances`` of every node."""

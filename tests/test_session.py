@@ -815,6 +815,13 @@ class TestPlaneSelection:
                     "scipy dijkstra, or bitset when >= 64 sources, arc weights <= 64 "
                     "and the first source's row hop-certified within 64"
                 ),
-                "hop_diameter": "scipy",
+                "hop_diameter": (
+                    "scipy BFS from node 0, then a bitset all-sources sweep when twice its "
+                    "eccentricity and every degree are <= 64 and the sweep's scratch fits the "
+                    "chunk budget, else scipy eccentricity bounding"
+                ),
             },
         }
+        assert session.acceleration()["kernels"]["hop_diameter"] == (
+            csr_kernels.HOP_DIAMETER_SELECTION
+        )
