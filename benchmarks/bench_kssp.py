@@ -20,12 +20,9 @@ def measured_stretch(graph, result, sources):
     truth = reference.multi_source_distances(graph, sources)
     worst = 1.0
     for s in sources:
-        for v in range(graph.node_count):
-            true_value = truth[s][v]
-            estimate = result.estimate(v, s)
-            assert estimate >= true_value - 1e-9, f"d̃({v}, {s}) = {estimate} < {true_value}"
-            if true_value > 0:
-                worst = max(worst, estimate / true_value)
+        found = {v: result.estimate(v, s) for v in range(graph.node_count)}
+        assert reference.has_one_sided_error(truth[s], found), f"an estimate d̃(·, {s}) undershoots"
+        worst = max(worst, reference.max_stretch(truth[s], found))
     return worst
 
 

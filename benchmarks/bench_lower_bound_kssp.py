@@ -11,6 +11,7 @@ import pytest
 from benchmarks.conftest import attach, bench_network, run_once
 from repro.clique import GatherShortestPaths
 from repro.core.kssp import shortest_paths_via_clique
+from repro.hybrid.config import MESSAGE_BITS
 from repro.lower_bounds import (
     assignment_entropy_bits,
     build_kssp_gadget,
@@ -41,9 +42,7 @@ def test_kssp_gadget_bottleneck(benchmark, k):
             "distance_gap_factor": round(distance_gap_factor(gadget), 2),
             "entropy_bits": round(assignment_entropy_bits(gadget), 1),
             "implied_lower_bound_rounds": round(
-                implied_round_lower_bound(
-                    gadget, network.config.message_bits, network.send_cap
-                ),
+                implied_round_lower_bound(gadget, MESSAGE_BITS, network.send_cap),
                 2,
             ),
             "upper_bound_algorithm_rounds": upper.rounds,

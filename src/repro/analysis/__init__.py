@@ -2,10 +2,8 @@
 
 from repro.analysis.complexity import (
     PowerLawFit,
-    exponent_gap,
     fit_power_law,
     fit_power_law_with_log,
-    geometric_sweep,
 )
 from repro.analysis.regression import (
     RegressionReport,
@@ -15,11 +13,7 @@ from repro.analysis.regression import (
     median_walls,
     run_regression,
 )
-from repro.analysis.report import (
-    format_key_values,
-    format_markdown_table,
-    summarize_comparison,
-)
+from repro.analysis.report import format_markdown_table
 
 __all__ = [
     "RegressionReport",
@@ -29,11 +23,7 @@ __all__ = [
     "median_walls",
     "run_regression",
     "PowerLawFit",
-    "exponent_gap",
     "fit_power_law",
     "fit_power_law_with_log",
-    "geometric_sweep",
-    "format_key_values",
     "format_markdown_table",
-    "summarize_comparison",
 ]

@@ -79,25 +79,3 @@ def fit_power_law_with_log(xs: Sequence[float], ys: Sequence[float]) -> PowerLaw
         r_squared=base.r_squared,
         with_log_factor=True,
     )
-
-
-def exponent_gap(measured: PowerLawFit, theoretical_exponent: float) -> float:
-    """Absolute difference between the fitted and the theoretical exponent."""
-    return abs(measured.exponent - theoretical_exponent)
-
-
-def geometric_sweep(start: int, stop: int, points: int) -> list[int]:
-    """Geometrically spaced integer sweep values (inclusive, deduplicated).
-
-    The benchmarks use this for their ``n`` / ``k`` sweeps so the log-log fits
-    get evenly spaced support.
-    """
-    if start < 1 or stop < start or points < 2:
-        raise ValueError("need 1 <= start <= stop and at least two points")
-    values = np.geomspace(start, stop, points)
-    result: list[int] = []
-    for value in values:
-        candidate = int(round(value))
-        if not result or candidate > result[-1]:
-            result.append(candidate)
-    return result

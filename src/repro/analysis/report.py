@@ -1,14 +1,15 @@
-"""Small reporting helpers used by benchmarks and examples.
+"""Reporting helpers of the experiment registry.
 
-The benchmark harness regenerates, for every theorem, a table of
+Every experiment regenerates, for one theorem, a table of
 ``parameter -> measured rounds / approximation ratio`` next to the paper's
-bound.  These helpers format such tables as GitHub-flavoured markdown so the
-output can be pasted directly into EXPERIMENTS.md.
+bound.  :func:`format_markdown_table` renders such a table as GitHub-flavoured
+markdown (:meth:`~repro.experiments.runner.ExperimentTable.to_markdown`), and
+:func:`summarize_robustness` writes the E15 table's one-line note.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 
 
 def format_markdown_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -30,16 +31,6 @@ def _format_cell(cell: object) -> str:
     return str(cell)
 
 
-def format_key_values(values: Mapping[str, object], title: str | None = None) -> str:
-    """Render a mapping as an indented, human-readable block."""
-    lines: list[str] = []
-    if title:
-        lines.append(title)
-    for key, value in values.items():
-        lines.append(f"  {key}: {_format_cell(value)}")
-    return "\n".join(lines)
-
-
 def summarize_robustness(
     rows: Iterable[Sequence[object]], rate_index: int, overhead_index: int
 ) -> str:
@@ -59,16 +50,3 @@ def summarize_robustness(
         for rate, values in sorted(by_rate.items())
     ]
     return "mean round overhead by drop rate: " + ", ".join(parts)
-
-
-def summarize_comparison(
-    label_a: str, rounds_a: float, label_b: str, rounds_b: float
-) -> str:
-    """One-line comparison of two round counts (used by examples)."""
-    if rounds_b <= 0:
-        return f"{label_a}: {rounds_a:.0f} rounds; {label_b}: {rounds_b:.0f} rounds"
-    factor = rounds_a / rounds_b
-    return (
-        f"{label_a}: {rounds_a:.0f} rounds vs {label_b}: {rounds_b:.0f} rounds "
-        f"({factor:.2f}x)"
-    )

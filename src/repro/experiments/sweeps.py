@@ -53,6 +53,7 @@ from repro.graphs import generators, reference
 from repro.graphs.skeleton_analysis import audit_skeleton
 from repro.hybrid import FaultModel, FaultToleranceExceededError, HybridNetwork, ModelConfig
 from repro.hybrid.batch import MessageBatch
+from repro.hybrid.config import MESSAGE_BITS
 from repro.localnet import aggregate_max, disseminate_tokens
 from repro.lower_bounds import (
     assignment_entropy_bits,
@@ -291,16 +292,9 @@ def kssp_shard(scale: str, seed: int, params: dict[str, object]) -> list[list[ob
     network = _network(graph, seed=k)
     result = shortest_paths_via_clique(network, sources, GatherShortestPaths())
     truth = reference.multi_source_distances(graph, sources)
-    stretch = 1.0
-    undershoot = False
-    for s in sources:
-        for v in range(n):
-            true_value = truth[s][v]
-            estimate = result.estimate(v, s)
-            if estimate < true_value - 1e-9:
-                undershoot = True
-            if true_value > 0:
-                stretch = max(stretch, estimate / true_value)
+    found = {s: {v: result.estimate(v, s) for v in range(n)} for s in sources}
+    stretch = max(reference.max_stretch(truth[s], found[s]) for s in sources)
+    one_sided = all(reference.has_one_sided_error(truth[s], found[s]) for s in sources)
     return [
         [
             n,
@@ -310,7 +304,7 @@ def kssp_shard(scale: str, seed: int, params: dict[str, object]) -> list[list[ob
             round(predicted_framework_rounds(n, result.spec), 1),
             round(stretch, 3),
             round(result.guaranteed_alpha(weighted), 2),
-            not undershoot,
+            one_sided,
             result.skeleton_size,
         ]
     ]
@@ -454,7 +448,7 @@ def kssp_lower_bound_shard(scale: str, seed: int, params: dict[str, object]) -> 
     gadget = build_kssp_gadget(path_hops, k, RandomSource(k))
     config = ModelConfig()
     n = gadget.graph.node_count
-    bound = kssp_lb.implied_round_lower_bound(gadget, config.message_bits, config.send_cap(n))
+    bound = kssp_lb.implied_round_lower_bound(gadget, MESSAGE_BITS, config.send_cap(n))
     return [
         [
             k,

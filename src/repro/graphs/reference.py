@@ -235,38 +235,6 @@ def _min_hop_shortest_paths(
     return settled, parent
 
 
-def distances_as_matrix(
-    graph: WeightedGraph, distances: Mapping[int, Mapping[int, float]]
-) -> list[list[float]]:
-    """Convert a nested distance dict into a dense ``n x n`` matrix (∞ if absent)."""
-    n = graph.node_count
-    matrix = [[INFINITY] * n for _ in range(n)]
-    for u in range(n):
-        matrix[u][u] = 0.0
-        row = distances.get(u, {})
-        for v, d in row.items():
-            matrix[u][v] = d
-    return matrix
-
-
-def max_absolute_error(
-    expected: Mapping[int, float], actual: Mapping[int, float], keys: Iterable[int] | None = None
-) -> float:
-    """Largest absolute difference between two distance maps over ``keys``."""
-    if keys is None:
-        keys = expected.keys()
-    worst = 0.0
-    for key in keys:
-        e = expected.get(key, INFINITY)
-        a = actual.get(key, INFINITY)
-        if e == INFINITY and a == INFINITY:
-            continue
-        if e == INFINITY or a == INFINITY:
-            return INFINITY
-        worst = max(worst, abs(e - a))
-    return worst
-
-
 def max_stretch(
     expected: Mapping[int, float], actual: Mapping[int, float], keys: Iterable[int] | None = None
 ) -> float:

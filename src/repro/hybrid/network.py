@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as _np
 
 from repro.graphs.graph import WeightedGraph
-from repro.hybrid.config import ModelConfig
+from repro.hybrid.config import MESSAGE_BITS, ModelConfig
 from repro.hybrid.errors import CapacityExceededError, FaultToleranceExceededError
 from repro.hybrid.faults import FaultState
 from repro.hybrid.metrics import RoundMetrics
@@ -201,10 +201,6 @@ class ExchangeSchedule:
         return cls(_np.concatenate(orders), _np.concatenate(bounds))
 
 
-#: The cap of a check that is switched off (``strict_send`` / ``strict_receive``).
-_UNCAPPED = _np.iinfo(_np.int64).max
-
-
 class HybridNetwork:
     """One simulated HYBRID network: graph + global channel + accounting."""
 
@@ -269,14 +265,12 @@ class HybridNetwork:
         rounds of flooding could have delivered (i.e. the ``rounds``-hop
         neighbourhood of each node); see the module docstring.
 
-        When ``cap_local_at_diameter`` is enabled (the default), the charge is
-        capped at ``D(G)``: after ``D`` rounds of the unbounded local mode
-        every node knows the entire graph state at the start of the phase, so
-        no local phase ever needs more (the paper's "min(D, ·)" remark).
+        The charge is capped at ``D(G)``: after ``D`` rounds of the unbounded
+        local mode every node knows the entire graph state at the start of the
+        phase, so no local phase ever needs more (the paper's "min(D, ·)"
+        remark).
         """
-        if self.config.cap_local_at_diameter:
-            rounds = min(rounds, self.hop_diameter())
-        self.metrics.charge_local(rounds, phase)
+        self.metrics.charge_local(min(rounds, self.hop_diameter()), phase)
 
     # ------------------------------------------------------------ global mode
     def add_cut_watcher(self, name: str, node_set: Iterable[int]) -> None:
@@ -323,10 +317,10 @@ class HybridNetwork:
         ----------
         senders, targets:
             The round's messages as two int64 columns: message ``i`` goes
-            from ``senders[i]`` to ``targets[i]``.  With ``strict_send``
-            (default) a node exceeding the send budget raises
-            :class:`~repro.hybrid.errors.CapacityExceededError` -- a correct
-            protocol never does.
+            from ``senders[i]`` to ``targets[i]``.  A node exceeding the send
+            budget raises :class:`~repro.hybrid.errors.CapacityExceededError`
+            -- a correct protocol never does; receives over the receive
+            budget are counted in ``metrics.receive_cap_violations``.
         phase:
             Name under which the round is accounted.
 
@@ -468,9 +462,11 @@ class HybridNetwork:
         crossings) only the delivered ones.
 
         A round that sends from or to a node outside the network raises
-        ``ValueError``; one over the send cap (``strict_send``) or, after the
-        fault drops, over the receive cap (``strict_receive``) raises
-        :class:`~repro.hybrid.errors.CapacityExceededError`.  The first such
+        ``ValueError``; one over the send cap raises
+        :class:`~repro.hybrid.errors.CapacityExceededError`.  A round over the
+        receive cap (after the fault drops) does not raise: the paper bounds
+        receives only w.h.p. (Lemma D.2), so such rounds are counted in
+        ``metrics.receive_cap_violations``.  The first failing
         round raises: every earlier round is charged in full, the failing
         round charges nothing, and the fault clock has ticked through it --
         exactly as a round-by-round execution would leave the network.
@@ -524,10 +520,8 @@ class HybridNetwork:
         received = _np.bincount(target_cells, minlength=rounds * n).reshape(rounds, n)
         max_sent = int(sent.max(initial=0))
         max_received = int(received.max(initial=0))
-        if (self.config.strict_send and max_sent > self.send_cap) or (
-            self.config.strict_receive and max_received > self.receive_cap
-        ):
-            rounds, error = self._first_over_cap(sent, received)
+        if max_sent > self.send_cap:
+            rounds, error = self._first_over_cap(sent)
             count = int(bounds[rounds])
             sent = sent[:rounds]
             received = received[:rounds]
@@ -548,7 +542,7 @@ class HybridNetwork:
                 violations = int(_np.count_nonzero(received.max(axis=1) > self.receive_cap))
             self.metrics.record_global_traffic(
                 messages=count,
-                bits=count * self.config.message_bits,
+                bits=count * MESSAGE_BITS,
                 max_sent=max_sent,
                 max_received=max_received,
                 violations=violations,
@@ -560,33 +554,21 @@ class HybridNetwork:
                     _np.count_nonzero(mask[senders[positions]] != mask[targets[positions]])
                 )
                 if crossings:
-                    self.metrics.record_cut_bits(name, crossings * self.config.message_bits)
+                    self.metrics.record_cut_bits(name, crossings * MESSAGE_BITS)
         if error is not None:
             raise error
         return positions
 
-    def _first_over_cap(self, sent, received) -> tuple[int, CapacityExceededError]:
-        """The first round over an enforced cap, and its error.
+    def _first_over_cap(self, sent) -> tuple[int, CapacityExceededError]:
+        """The first round over the send cap, and its error.
 
-        ``sent`` / ``received`` hold each round's sends per sender and
-        deliveries per target.  Within a round the send cap is checked
-        first, as a round's sends are checked before its deliveries.
+        ``sent`` holds each round's sends per sender.
         """
         max_sent = sent.max(axis=1)
-        max_received = received.max(axis=1)
-        send_over = max_sent > (self.send_cap if self.config.strict_send else _UNCAPPED)
-        receive_over = max_received > (
-            self.receive_cap if self.config.strict_receive else _UNCAPPED
-        )
-        failing = int((send_over | receive_over).argmax())
-        if send_over[failing]:
-            return failing, CapacityExceededError(
-                f"node {int(sent[failing].argmax())} tried to send {int(max_sent[failing])} "
-                f"global messages in one round (cap {self.send_cap})"
-            )
+        failing = int((max_sent > self.send_cap).argmax())
         return failing, CapacityExceededError(
-            f"a node received {int(max_received[failing])} global messages in one round "
-            f"(cap {self.receive_cap})"
+            f"node {int(sent[failing].argmax())} tried to send {int(max_sent[failing])} "
+            f"global messages in one round (cap {self.send_cap})"
         )
 
     def run_global_exchange(

@@ -29,7 +29,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from repro.hybrid.config import ModelConfig
+from repro.hybrid.config import MESSAGE_BITS, ModelConfig
 from repro.hybrid.network import HybridNetwork
 from repro.lower_bounds.diameter_gadget import GammaGadget
 
@@ -80,10 +80,10 @@ def disjointness_bits_required(k: int) -> float:
 def per_round_cut_capacity_bits(node_count: int, config: ModelConfig) -> float:
     """Global bits that can cross the Alice/Bob cut in one round.
 
-    Every node can send at most ``send_cap`` messages of ``message_bits`` bits,
-    so at most ``n · send_cap · message_bits`` bits cross any cut per round.
+    Every node can send at most ``send_cap`` messages of ``MESSAGE_BITS`` bits,
+    so at most ``n · send_cap · MESSAGE_BITS`` bits cross any cut per round.
     """
-    return float(node_count * config.send_cap(node_count) * config.message_bits)
+    return float(node_count * config.send_cap(node_count) * MESSAGE_BITS)
 
 
 def implied_round_lower_bound(gadget: GammaGadget, config: ModelConfig) -> float:

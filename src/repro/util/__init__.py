@@ -9,8 +9,7 @@ graph algorithms themselves:
   Definition D.1 / Lemma D.1, used by the token routing protocol (Section 2)
   to pick pseudo-random intermediate nodes.
 * :mod:`repro.util.chernoff` -- the Chernoff / union bound calculators of
-  Appendix A, used by tests and by the analysis layer to compute "w.h.p."
-  thresholds that measured quantities are compared against.
+  Appendix A ("w.h.p." thresholds); only their own unit tests call them.
 """
 
 from repro.util.chernoff import (

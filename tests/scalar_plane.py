@@ -32,6 +32,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.hybrid import CapacityExceededError, HybridNetwork, MessageBatch
+from repro.hybrid.config import MESSAGE_BITS
 
 Outboxes = dict[int, list[tuple[int, object]]]
 Inboxes = dict[int, list[tuple[int, object]]]
@@ -161,7 +162,6 @@ class ScalarPlaneNetwork(HybridNetwork):
     def _scalar_round(self, senders, targets, positions, phase: str) -> np.ndarray:
         """Account one round of the messages at ``positions``, scanned in that
         order; the delivered positions in scan order."""
-        bits = self.config.message_bits
         fault_state = self._fault_state
         if fault_state is not None:
             fault_round = fault_state.advance(1)
@@ -176,8 +176,12 @@ class ScalarPlaneNetwork(HybridNetwork):
                 raise ValueError(f"target {target} outside the network")
             sent[sender] = sent.get(sender, 0) + 1
         max_sent = max(sent.values())
-        if max_sent > self.send_cap and self.config.strict_send:
-            raise CapacityExceededError(f"a node exceeded the send cap ({max_sent} messages)")
+        if max_sent > self.send_cap:
+            busiest = min(node for node, count in sent.items() if count == max_sent)
+            raise CapacityExceededError(
+                f"node {busiest} tried to send {max_sent} global messages in one round "
+                f"(cap {self.send_cap})"
+            )
         delivered: list[int] = []
         received: dict[int, int] = {}
         crossings = {name: 0 for name, _ in self._cut_watchers}
@@ -196,14 +200,12 @@ class ScalarPlaneNetwork(HybridNetwork):
                 if mask[sender] != mask[target]:
                     crossings[name] += 1
         max_received = max(received.values(), default=0)
-        if max_received > self.receive_cap and self.config.strict_receive:
-            raise CapacityExceededError(f"a node received {max_received} messages in one round")
         for target, count in received.items():
             self.received_totals[target] += count
         self.metrics.charge_global(1, phase)
         self.metrics.record_global_traffic(
             messages=len(positions),
-            bits=len(positions) * bits,
+            bits=len(positions) * MESSAGE_BITS,
             max_sent=max_sent,
             max_received=max_received,
             receive_cap=self.receive_cap,
@@ -212,7 +214,7 @@ class ScalarPlaneNetwork(HybridNetwork):
             self.metrics.record_fault_losses(dropped=dropped)
         for name, count in crossings.items():
             if count:
-                self.metrics.record_cut_bits(name, count * bits)
+                self.metrics.record_cut_bits(name, count * MESSAGE_BITS)
         return np.asarray(delivered, dtype=np.int64)
 
 

@@ -4,15 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import (
-    exponent_gap,
-    fit_power_law,
-    fit_power_law_with_log,
-    format_key_values,
-    format_markdown_table,
-    geometric_sweep,
-    summarize_comparison,
-)
+from repro.analysis import fit_power_law, fit_power_law_with_log, format_markdown_table
 
 
 class TestPowerLawFits:
@@ -45,19 +37,6 @@ class TestPowerLawFits:
         with pytest.raises(ValueError):
             fit_power_law([1, 2], [0, 3])
 
-    def test_exponent_gap(self):
-        fit = fit_power_law([10, 100], [10, 100])
-        assert exponent_gap(fit, 1.0) == pytest.approx(0.0)
-
-    def test_geometric_sweep_monotone(self):
-        sweep = geometric_sweep(32, 512, 5)
-        assert sweep[0] == 32 and sweep[-1] == 512
-        assert all(a < b for a, b in zip(sweep, sweep[1:], strict=False))
-
-    def test_geometric_sweep_validation(self):
-        with pytest.raises(ValueError):
-            geometric_sweep(10, 5, 3)
-
 
 class TestReporting:
     def test_markdown_table_shape(self):
@@ -71,12 +50,3 @@ class TestReporting:
         table = format_markdown_table(["x"], [[0.123456], [float("inf")]])
         assert "0.123" in table
         assert "inf" in table
-
-    def test_key_values_block(self):
-        text = format_key_values({"rounds": 12, "ratio": 1.5}, title="Run")
-        assert text.startswith("Run")
-        assert "  rounds: 12" in text
-
-    def test_summarize_comparison(self):
-        line = summarize_comparison("baseline", 200, "ours", 100)
-        assert "2.00x" in line

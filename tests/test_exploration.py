@@ -325,9 +325,10 @@ class TestRepairWithoutTheFullMatrix:
 
 def reference_matrix(graph):
     """All-pairs distances from the edge-list Dijkstra oracle, as an array."""
-    return np.array(
-        reference.distances_as_matrix(graph, reference.all_pairs_distances(graph))
-    )
+    matrix = np.full((graph.node_count, graph.node_count), np.inf)
+    for source, row in reference.all_pairs_distances(graph).items():
+        matrix[source, list(row)] = list(row.values())
+    return matrix
 
 
 def copy_graph(graph):

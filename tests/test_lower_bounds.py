@@ -4,6 +4,7 @@ import pytest
 
 from repro.graphs import reference
 from repro.hybrid import ModelConfig
+from repro.hybrid.config import MESSAGE_BITS
 from repro.lower_bounds import (
     assignment_entropy_bits,
     build_gamma_gadget,
@@ -143,7 +144,7 @@ class TestSetDisjointnessAccounting:
 
     def test_cut_capacity_formula(self):
         config = ModelConfig()
-        expected = 64 * config.send_cap(64) * config.message_bits
+        expected = 64 * config.send_cap(64) * MESSAGE_BITS
         assert per_round_cut_capacity_bits(64, config) == expected
 
     def test_implied_lower_bound_bounded_by_half_path(self):

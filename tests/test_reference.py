@@ -192,19 +192,6 @@ class TestHopLimitedOracle:
 
 
 class TestComparisonHelpers:
-    def test_distances_as_matrix(self, graph):
-        all_pairs = reference.all_pairs_distances(graph)
-        matrix = reference.distances_as_matrix(graph, all_pairs)
-        assert matrix[0][0] == 0.0
-        assert matrix[0][5] == pytest.approx(all_pairs[0][5])
-
-    def test_max_absolute_error(self):
-        error = reference.max_absolute_error({1: 5.0, 2: 3.0}, {1: 5.5, 2: 3.0})
-        assert error == pytest.approx(0.5)
-
-    def test_max_absolute_error_infinite_mismatch(self):
-        assert reference.max_absolute_error({1: 5.0}, {}) == INFINITY
-
     def test_max_stretch(self):
         assert reference.max_stretch({1: 2.0, 2: 4.0}, {1: 3.0, 2: 4.0}) == pytest.approx(1.5)
 
