@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from repro.graphs import reference
 from repro.hybrid import ModelConfig
+from repro.hybrid.config import MESSAGE_BITS
 from repro.lower_bounds import (
     assignment_entropy_bits,
     build_gamma_gadget,
@@ -36,13 +37,15 @@ from repro.util.rand import RandomSource
 def kssp_gadget_demo() -> None:
     print("=" * 72)
     print("Figure 1 / Theorem 1.5: k-SSP lower bound gadget")
+    config = ModelConfig()
     for k in (16, 64, 256):
         gadget = build_kssp_gadget(path_hops=400, source_count=k, rng=RandomSource(k))
+        send_cap = config.send_cap(gadget.graph.node_count)
         print(f"\n  k = {k:4d}  (n = {gadget.graph.node_count}, L = {gadget.bottleneck_distance})")
         print(f"    distance gap factor Θ(n/√k): {distance_gap_factor(gadget):8.1f}")
         print(f"    hidden entropy:              {assignment_entropy_bits(gadget):8.1f} bits")
         print(f"    implied round lower bound:   "
-              f"{implied_round_lower_bound(gadget, message_bits=64, send_cap=8):8.2f}"
+              f"{implied_round_lower_bound(gadget, MESSAGE_BITS, send_cap):8.4f}"
               f"   (√k = {k ** 0.5:.1f})")
 
 

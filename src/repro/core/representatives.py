@@ -89,6 +89,7 @@ def _closest_member(graph: WeightedGraph, source: int, skeleton: Skeleton) -> tu
     fewest hops of a shortest path to it; ties between members go to the
     smallest ID.  Raises ``ValueError`` when no member is reachable.
     """
+    csr = graph.csr()
     remaining = set(skeleton.nodes)
     settled: dict[int, tuple[float, int]] = {}
     heap = [(0.0, 0, source)]
@@ -98,9 +99,10 @@ def _closest_member(graph: WeightedGraph, source: int, skeleton: Skeleton) -> tu
             continue
         settled[u] = d, hops
         remaining.discard(u)
-        for v in graph.neighbors(u):
+        row = slice(csr.indptr[u], csr.indptr[u + 1])
+        for v, w in zip(csr.indices[row].tolist(), csr.weights[row].tolist()):
             if v not in settled:
-                heapq.heappush(heap, (d + graph.weight(u, v), hops + 1, v))
+                heapq.heappush(heap, (d + w, hops + 1, v))
     candidates = [(settled[s][0], s) for s in skeleton.nodes if s in settled]
     if not candidates:
         raise ValueError("graph must be connected")

@@ -56,7 +56,8 @@ tests pin this).  The same exactness is why a certified Dijkstra row and a
 relaxation row are interchangeable, and why the bit-parallel search, which
 records each distance as an integer, equals the bounded Dijkstra: all of
 them hold the same sums.
-:class:`~repro.graphs.graph.WeightedGraph` freezes a :class:`CSRAdjacency` on
+:class:`~repro.graphs.graph.WeightedGraph` freezes its edge map into a
+:class:`CSRAdjacency` (:func:`build_csr`, one sort, no loop over nodes) on
 first batched traversal and invalidates it on ``add_edge`` /
 ``remove_edge``.
 """
@@ -64,6 +65,7 @@ first batched traversal and invalidates it on ``add_edge`` /
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from itertools import chain
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -159,25 +161,16 @@ class CSRAdjacency:
         return int(self.indices.shape[0])
 
 
-def build_csr(adjacency: Sequence[dict]) -> CSRAdjacency:
-    """Freeze a dict-of-dicts adjacency into CSR arrays."""
-    n = len(adjacency)
-    degrees = np.fromiter((len(adj) for adj in adjacency), dtype=np.int64, count=n)
+def build_csr(n: int, weights: Mapping[tuple[int, int], int]) -> CSRAdjacency:
+    """Freeze an ``{(u, v): weight}`` edge map: both arc directions, one lexsort."""
+    m = len(weights)
+    ends = np.fromiter(chain.from_iterable(weights), dtype=np.int64, count=2 * m).reshape(m, 2)
+    tails, heads = np.concatenate((ends, ends[:, ::-1])).T
+    values = np.fromiter(weights.values(), dtype=np.float64, count=m)
+    order = np.lexsort((heads, tails))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    total = int(indptr[-1])
-    indices = np.empty(total, dtype=np.int64)
-    weights = np.empty(total, dtype=np.float64)
-    position = 0
-    for adj in adjacency:
-        if not adj:
-            continue
-        neighbours = sorted(adj)
-        stop = position + len(neighbours)
-        indices[position:stop] = neighbours
-        weights[position:stop] = [adj[v] for v in neighbours]
-        position = stop
-    return CSRAdjacency(n, indptr, indices, weights)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return CSRAdjacency(n, indptr, heads[order], np.tile(values, 2)[order])
 
 
 def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjacency:
@@ -185,13 +178,13 @@ def refresh_weight(csr: CSRAdjacency, u: int, v: int, weight: float) -> CSRAdjac
 
     A weight-only mutation leaves ``indptr``/``indices`` (the frozen
     topology) valid, so the refreshed view *shares* them and only copies and
-    patches the weight array -- ``O(m)`` array work instead of the
-    Python-loop re-freeze of :func:`build_csr`.  The result is bit-identical
-    to re-freezing the mutated adjacency: per-row neighbour order is
-    unchanged, so the new weight lands in exactly the slot a rebuild would
-    put it in (``unit_weights`` and ``min_weight`` are re-derived from the
-    patched array).  The component sizes depend on the topology alone, so
-    the refreshed view keeps them too.
+    patches the weight array -- ``O(m)`` array work instead of a re-freeze
+    and its sort.  The result is bit-identical to re-freezing the mutated
+    edge map: per-row neighbour order is unchanged, so the new weight lands
+    in exactly the slot a rebuild would put it in (``unit_weights`` and
+    ``min_weight`` are re-derived from the patched array).  The component
+    sizes depend on the topology alone, so the refreshed view keeps them
+    too.
     """
     weights = csr.weights.copy()
     for a, b in ((u, v), (v, u)):

@@ -2,10 +2,10 @@
 
 The paper's local communication graph ``G = (V, E)`` is an undirected graph
 with integer edge weights ``w : E -> [W]`` where ``W`` is at most polynomial in
-``n`` (Section 1.3).  :class:`WeightedGraph` is a small adjacency structure
+``n`` (Section 1.3).  :class:`WeightedGraph` is a small edge-map structure
 with exactly the reads the HYBRID algorithms need:
 
-* neighbourhood queries (the LOCAL mode),
+* edge and weight queries (the LOCAL mode),
 * hop-limited weighted distances ``d_h(u, v)`` (Section 1.3),
 * exact distances, the hop diameter ``D`` and the ruler clusterings.
 
@@ -13,17 +13,17 @@ Nodes are always the integers ``0 .. n-1``; the paper identifies nodes with IDs
 ``[n]`` and several protocols (hashing to intermediate nodes, implicit
 aggregation trees) rely on the ID space being exactly ``[0, n)``.
 
-Storage and traversal (DESIGN.md §4): the mutable dict-of-dicts adjacency is
-the source of truth and feeds the mutation journal.  Every traversal --
-``hop_limited_distance_matrix``, ``distance_matrix``, ``hop_diameter``,
-``ruler_clustering``, ``is_connected`` -- runs on a frozen CSR view
-(:mod:`repro.graphs.csr`) built lazily on first use and invalidated by
-``add_edge`` / ``remove_edge``; there is no second, dict-walking traversal
-path.  Tests check the kernels against :mod:`repro.graphs.reference`, the
-edge-list oracle that shares no code with them.  What depends on hops alone
--- the hop diameter and the ruler clusterings -- is cached in one
-hop-topology slot that ``add_edge`` / ``remove_edge`` reset and
-``update_weight`` keeps.
+Storage and traversal (DESIGN.md §4): one insertion-ordered edge map
+``{(min(u, v), max(u, v)): weight}`` is the graph and feeds the mutation
+journal.  Every traversal -- ``hop_limited_distance_matrix``,
+``distance_matrix``, ``hop_diameter``, ``ruler_clustering``,
+``is_connected`` -- runs on a frozen CSR view (:mod:`repro.graphs.csr`)
+built from the map on first use and invalidated by ``add_edge`` /
+``remove_edge``.  Tests check the kernels against
+:mod:`repro.graphs.reference`, the edge-list oracle that shares no code with
+them.  What depends on hops alone -- the hop diameter and the ruler
+clusterings -- is cached in one hop-topology slot that ``add_edge`` /
+``remove_edge`` reset and ``update_weight`` keeps.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ class WeightedGraph:
         if n <= 0:
             raise ValueError("a graph needs at least one node")
         self._n = n
-        self._adjacency: list[dict[int, int]] = [dict() for _ in range(n)]
-        self._edge_count = 0
+        # {(smaller endpoint, larger endpoint): weight} in insertion order: an
+        # update keeps an edge's place, a re-add moves it to the end.
+        self._weights: dict[tuple[int, int], int] = {}
         self._csr = None
         # Hop-topology cache: "diameter" -> D(G), separation -> RulerClustering.
         self._hop_cache: dict = {}
@@ -136,7 +137,7 @@ class WeightedGraph:
     def csr(self) -> csr_kernels.CSRAdjacency:
         """The frozen CSR view (built on first use, dropped on mutation)."""
         if self._csr is None:
-            self._csr = csr_kernels.build_csr(self._adjacency)
+            self._csr = csr_kernels.build_csr(self._n, self._weights)
         return self._csr
 
     @property
@@ -147,7 +148,7 @@ class WeightedGraph:
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return self._edge_count
+        return len(self._weights)
 
     def nodes(self) -> range:
         """Iterable over all node IDs."""
@@ -155,9 +156,7 @@ class WeightedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adjacency[u]
+        return self._key(u, v) in self._weights
 
     def add_edge(self, u: int, v: int, weight: int = 1) -> None:
         """Insert the undirected edge ``{u, v}``, or update its weight.
@@ -171,17 +170,14 @@ class WeightedGraph:
         a no-op that bumps neither :attr:`version` nor the delta log and
         leaves every frozen cache intact.
         """
-        self._check_node(u)
-        self._check_node(v)
+        key = self._key(u, v)
         if u == v:
             raise ValueError("self loops are not allowed")
         self._check_weight(weight)
-        if v in self._adjacency[u]:
+        if key in self._weights:
             self.update_weight(u, v, weight)
             return
-        self._edge_count += 1
-        self._adjacency[u][v] = weight
-        self._adjacency[v][u] = weight
+        self._weights[key] = weight
         self._csr = None
         self._hop_cache = {}
         self._version += 1
@@ -198,16 +194,14 @@ class WeightedGraph:
         Setting the current weight again is a no-op: no version bump, no
         delta, no cache work (DESIGN.md §12).
         """
-        self._check_node(u)
-        self._check_node(v)
-        current = self._adjacency[u].get(v)
+        key = self._key(u, v)
+        current = self._weights.get(key)
         if current is None:
             raise KeyError(f"edge {{{u}, {v}}} does not exist")
         self._check_weight(weight)
         if weight == current:
             return
-        self._adjacency[u][v] = weight
-        self._adjacency[v][u] = weight
+        self._weights[key] = weight
         if self._csr is not None:
             self._csr = csr_kernels.refresh_weight(self._csr, u, v, weight)
         self._version += 1
@@ -215,14 +209,9 @@ class WeightedGraph:
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the undirected edge ``{u, v}`` (must exist)."""
-        self._check_node(u)
-        self._check_node(v)
-        if v not in self._adjacency[u]:
+        old_weight = self._weights.pop(self._key(u, v), None)
+        if old_weight is None:
             raise KeyError(f"edge {{{u}, {v}}} does not exist")
-        old_weight = self._adjacency[u][v]
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-        self._edge_count -= 1
         self._csr = None
         self._hop_cache = {}
         self._version += 1
@@ -230,32 +219,29 @@ class WeightedGraph:
 
     def weight(self, u: int, v: int) -> int:
         """Weight of the edge ``{u, v}`` (must exist)."""
-        self._check_node(u)
-        self._check_node(v)
-        return self._adjacency[u][v]
-
-    def neighbors(self, u: int) -> Iterator[int]:
-        """Iterate over the neighbours of ``u``."""
-        return iter(self._adjacency[u])
+        return self._weights[self._key(u, v)]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Iterate over undirected edges as ``(u, v, weight)`` with ``u < v``."""
-        for u in range(self._n):
-            for v, w in self._adjacency[u].items():
-                if u < v:
-                    yield (u, v, w)
+        """Iterate over undirected edges as ``(u, v, weight)`` with ``u < v``.
+
+        By ``u`` ascending, in insertion order within one ``u`` (a stable
+        sort): the order the generators draw random weights in.
+        """
+        for (u, v), w in sorted(self._weights.items(), key=lambda item: item[0][0]):
+            yield (u, v, w)
 
     def max_weight(self) -> int:
         """Largest edge weight ``W`` (1 for an edgeless graph)."""
-        best = 1
-        for _, _, w in self.edges():
-            if w > best:
-                best = w
-        return best
+        return max(self._weights.values(), default=1)
 
     def is_unweighted(self) -> bool:
         """Whether every edge has weight 1 (the paper's ``W = 1`` case)."""
-        return all(w == 1 for _, _, w in self.edges())
+        return self.csr().unit_weights
+
+    def _key(self, u: int, v: int) -> tuple[int, int]:
+        self._check_node(u)
+        self._check_node(v)
+        return (u, v) if u < v else (v, u)
 
     def _check_node(self, u: int) -> None:
         if not 0 <= u < self._n:
@@ -340,10 +326,9 @@ class WeightedGraph:
 
     # ----------------------------------------------------------- conversion
     def copy(self) -> "WeightedGraph":
-        """Deep copy of the graph."""
+        """Copy of the edge map at version 0, with no delta or cache shared."""
         clone = WeightedGraph(self._n)
-        for u, v, w in self.edges():
-            clone.add_edge(u, v, w)
+        clone._weights = dict(self._weights)
         return clone
 
     @classmethod
@@ -355,4 +340,4 @@ class WeightedGraph:
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"WeightedGraph(n={self._n}, m={self._edge_count})"
+        return f"WeightedGraph(n={self._n}, m={len(self._weights)})"

@@ -6,6 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.hybrid import ModelConfig
+from repro.hybrid.config import MESSAGE_BITS
+from repro.lower_bounds import build_kssp_gadget, implied_round_lower_bound
+from repro.util.rand import RandomSource
+
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
 
 
@@ -59,3 +64,9 @@ class TestExamples:
         output = capsys.readouterr().out
         assert "WRONG" not in output
         assert "Figure 1" in output and "Figure 2" in output
+        # The k = 16 bound is printed with the model's message size and the
+        # gadget network's own send cap.
+        gadget = build_kssp_gadget(path_hops=400, source_count=16, rng=RandomSource(16))
+        send_cap = ModelConfig().send_cap(gadget.graph.node_count)
+        bound = implied_round_lower_bound(gadget, MESSAGE_BITS, send_cap)
+        assert f"implied round lower bound:   {bound:8.4f}" in output

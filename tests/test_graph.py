@@ -1,8 +1,12 @@
 """Unit tests for the weighted graph kernel (repro.graphs.graph)."""
 
 
+import zlib
+
 import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graphs import csr as csr_kernels
 from repro.graphs import generators, reference
@@ -106,9 +110,10 @@ class TestBasicStructure:
                 graph.weight(u, v)
 
     def test_neighbors_and_degree(self):
-        graph = build_triangle()
-        assert sorted(graph.neighbors(0)) == [1, 2]
-        assert numpy.diff(graph.csr().indptr).tolist() == [2, 2, 2]
+        csr = build_triangle().csr()
+        assert csr.indices[csr.indptr[0] : csr.indptr[1]].tolist() == [1, 2]
+        assert csr.weights[csr.indptr[0] : csr.indptr[1]].tolist() == [2.0, 10.0]
+        assert numpy.diff(csr.indptr).tolist() == [2, 2, 2]
 
     def test_edges_iteration_is_undirected_once(self):
         edges = list(build_triangle().edges())
@@ -124,10 +129,135 @@ class TestBasicStructure:
 
     def test_copy_is_independent(self):
         graph = build_triangle()
+        graph.update_weight(0, 1, 4)
+        graph.csr()
+        graph.hop_diameter()
         clone = graph.copy()
+        version = graph.version
+        assert list(clone.edges()) == list(graph.edges())
+        assert clone.version == 0 and clone.deltas_since(0) == []
+        # The copy freezes its own view and computes its own hop diameter.
+        assert clone._csr is None and clone._hop_cache == {}
+        assert clone.csr() is not graph.csr()
         clone.remove_edge(0, 1)
         assert graph.has_edge(0, 1)
         assert not clone.has_edge(0, 1)
+        graph.update_weight(1, 2, 7)
+        graph.add_edge(0, 1, 9)
+        assert clone.weight(1, 2) == 3 and not clone.has_edge(0, 1)
+        clone.add_edge(0, 1, 5)
+        assert graph.weight(0, 1) == 9
+        assert clone.version == 2 and graph.version == version + 2
+        assert [d.kind for d in clone.deltas_since(0)] == ["remove", "add"]
+        assert clone.csr().weights.tolist() != graph.csr().weights.tolist()
+
+
+class AdjacencyModel:
+    """Per-node dicts: the store the edge map replaced, kept as the order model.
+
+    A re-add at an existing key keeps its place, a removed edge re-added goes
+    to the end of both endpoints' dicts, and ``edges()`` walks the smaller
+    endpoint's dict.
+    """
+
+    def __init__(self, n):
+        self.adjacency = [{} for _ in range(n)]
+
+    def set(self, u, v, w):
+        self.adjacency[u][v] = self.adjacency[v][u] = w
+
+    def remove(self, u, v):
+        del self.adjacency[u][v], self.adjacency[v][u]
+
+    def edges(self):
+        return [(u, v, w) for u, adj in enumerate(self.adjacency) for v, w in adj.items() if u < v]
+
+
+def csr_rows_from_edges(n, edges):
+    """``(indptr, indices, weights)`` from sorted neighbour lists of ``edges``."""
+    rows = [[] for _ in range(n)]
+    for u, v, w in edges:
+        rows[u].append((v, float(w)))
+        rows[v].append((u, float(w)))
+    arcs = [arc for row in rows for arc in sorted(row)]
+    indptr = numpy.cumsum([0] + [len(row) for row in rows]).tolist()
+    return indptr, [v for v, _ in arcs], [w for _, w in arcs]
+
+
+mutation = st.tuples(
+    st.sampled_from(["add", "remove", "update", "freeze"]),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+class TestEdgeOrderContract:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.lists(mutation, max_size=40))
+    def test_edges_follow_per_node_insertion_order(self, n, steps):
+        graph, model = WeightedGraph(n), AdjacencyModel(n)
+        for kind, u, v, w in steps:
+            u, v = u % n, v % n
+            if kind == "freeze":
+                # A frozen view goes through the in-place weight patch.
+                graph.csr()
+            elif u == v:
+                continue
+            elif kind == "add":
+                graph.add_edge(u, v, w)
+                model.set(u, v, w)
+            elif not graph.has_edge(u, v):
+                with pytest.raises(KeyError):
+                    if kind == "remove":
+                        graph.remove_edge(u, v)
+                    else:
+                        graph.update_weight(u, v, w)
+            elif kind == "remove":
+                graph.remove_edge(u, v)
+                model.remove(u, v)
+            else:
+                graph.update_weight(u, v, w)
+                model.set(u, v, w)
+        edges = list(graph.edges())
+        assert edges == model.edges()
+        assert graph.edge_count == len(edges)
+        assert graph.max_weight() == max((w for _, _, w in edges), default=1)
+        csr = graph.csr()
+        indptr, indices, weights = csr_rows_from_edges(n, edges)
+        assert csr.indptr.tolist() == indptr
+        assert csr.indices.tolist() == indices
+        assert csr.weights.tolist() == weights
+        assert csr.indptr.dtype == csr.indices.dtype == numpy.int64
+        assert csr.weights.dtype == numpy.float64
+
+
+def _instance_crcs(graph):
+    csr = graph.csr()
+    arrays = (
+        csr.indptr.astype("<i8").tobytes()
+        + csr.indices.astype("<i8").tobytes()
+        + csr.weights.astype("<f8").tobytes()
+    )
+    return graph.edge_count, zlib.crc32(repr(list(graph.edges())).encode()), zlib.crc32(arrays)
+
+
+class TestInstancePins:
+    """The benchmark's two 1024-node instances, recorded on the per-node-dict store.
+
+    ``(edge_count, CRC of list(edges()), CRC of the CSR arrays)``: a storage
+    change that reorders ``edges()`` re-weights the random instances.
+    """
+
+    def test_random_connected_instance(self):
+        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+        assert _instance_crcs(graph) == (2048, 1354572115, 2021476498)
+
+    def test_locality_instance(self):
+        graph = generators.random_geometric_like_graph(
+            1024, neighbourhood=2, rng=RandomSource(1), extra_edge_probability=0.01
+        )
+        assert _instance_crcs(graph) == (2058, 4031272147, 2581502921)
 
 
 def hop_levels(graph, source, max_hops=None):
