@@ -75,7 +75,7 @@ def gamma_gadget_demo() -> None:
         print(f"    Lemma 7.3 partition property: "
               f"{verify_simulation_partition(gadget, gadget.path_hops // 2)}")
         print(f"    implied round lower bound:    "
-              f"{diameter_lower_bound(gadget, config):.2f} (n = {gadget.node_count})")
+              f"{diameter_lower_bound(gadget, config):.3g} (n = {gadget.node_count})")
 
 
 if __name__ == "__main__":

@@ -160,9 +160,13 @@ def sample_helpers(
     node joins ``H_w`` for each ``w ∈ W`` of its cluster independently with
     probability ``q = min(2µ/|C|, 1)``: one coin flip per (cluster node,
     local member) pair, in (cluster, node, member) order.  Clusters with
-    ``q ≥ 1`` keep every pair without a draw, so only the other pairs
-    consume randomness, all from one :meth:`RandomSource.uniforms` draw
-    (``u < q``).  A member always serves as its own helper; this guarantees
+    ``q ≥ 1`` keep every pair without a draw, so only the other clusters'
+    pairs consume randomness, all from one :meth:`RandomSource.uniforms`
+    draw (``u < q``).  No per-pair column is built: a cluster with ``L``
+    local members numbers its pairs ``node rank · L + member rank``, so a
+    kept pair's flat index decodes to its cluster (one ``searchsorted`` over
+    the clusters' pair offsets) and to its node and member (one ``divmod``
+    by ``L``).  A member always serves as its own helper; this guarantees
     non-empty helper sets even in the degenerate small-n / tiny-cluster
     regime where the w.h.p. size guarantee of Lemma 2.2 has no bite.
 
@@ -170,24 +174,39 @@ def sample_helpers(
     """
     column = np.concatenate(list(clusters.values()))
     sizes = np.array([nodes.size for nodes in clusters.values()], dtype=np.int64)
-    cluster_of = np.repeat(np.arange(sizes.size), sizes)
     is_member = np.zeros(n, dtype=bool)
     is_member[members] = True
     local = is_member[column]
-    local_counts = np.bincount(cluster_of[local], minlength=sizes.size)
-    # Pair p meets node pair_node[p] with the rank-th local member of its cluster.
-    per_node = local_counts[cluster_of]
-    pair_node = np.repeat(column, per_node)
-    pair_cluster = np.repeat(cluster_of, per_node)
-    rank = np.arange(pair_node.size) - np.repeat(np.cumsum(per_node) - per_node, per_node)
-    pair_member = column[local][(np.cumsum(local_counts) - local_counts)[pair_cluster] + rank]
-    probability = np.minimum(2.0 * mu / sizes, 1.0)[pair_cluster]
-    chosen = probability >= 1.0
-    drawn = np.flatnonzero(~chosen)
-    chosen[drawn] = rng.uniforms(drawn.size) < probability[drawn]
+    local_counts = np.bincount(np.repeat(np.arange(sizes.size), sizes)[local], minlength=sizes.size)
+    local_members = column[local]
+    node_starts = np.cumsum(sizes) - sizes
+    member_starts = np.cumsum(local_counts) - local_counts
+    probability = np.minimum(2.0 * mu / sizes, 1.0)
+    pairs = sizes * local_counts
+    drawn = np.flatnonzero((probability < 1.0) & (pairs > 0))
+    full = np.flatnonzero((probability >= 1.0) & (pairs > 0))
+
+    def decode(groups: np.ndarray, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (member, node) of each flat pair index over the ``groups`` clusters' pairs."""
+        ends = np.cumsum(pairs[groups])
+        position = np.searchsorted(ends, flat, side="right")
+        cluster = groups[position]
+        node_rank, member_rank = np.divmod(
+            flat - (ends - pairs[groups])[position], local_counts[cluster]
+        )
+        return (
+            local_members[member_starts[cluster] + member_rank],
+            column[node_starts[cluster] + node_rank],
+        )
+
+    coins = rng.uniforms(int(pairs[drawn].sum()))
+    hit_members, hit_nodes = decode(
+        drawn, np.flatnonzero(coins < np.repeat(probability[drawn], pairs[drawn]))
+    )
+    full_members, full_nodes = decode(full, np.arange(pairs[full].sum()))
     # One sorted ``member · n + node`` key column groups the helpers per member.
     keys = np.unique(
-        np.concatenate((pair_member[chosen], members)) * n
-        + np.concatenate((pair_node[chosen], members))
+        np.concatenate((hit_members, full_members, members)) * n
+        + np.concatenate((hit_nodes, full_nodes, members))
     )
     return keys % n, np.searchsorted(keys, np.append(members, n) * n)

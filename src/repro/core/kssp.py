@@ -209,14 +209,14 @@ def _combine_estimates(
     ``d̃(v, s) = min( d_{ηh}(v, s),
                      min_{u ∈ V_S near v} d_h(v, u) + d̃(u, r_s) + d_h(r_s, s) )``
 
-    The first term is the literal ``d_{ηh}`` (one batched kernel call over all
-    sources); the skeleton detour term is a vectorised min-plus product over
-    the near-skeleton matrix.  ``skeleton_estimates`` has one column per
+    The first term is the literal ``d_{ηh}`` (:func:`_source_rows`); the
+    skeleton detour term is a vectorised min-plus product over the
+    near-skeleton matrix.  ``skeleton_estimates`` has one column per
     representative (``representatives.skeleton_sources``); the result one
     column per source.
     """
     # The ηh-limited distances d_{ηh}(v, s), one row per source (symmetric).
-    local_limited = network.graph.hop_limited_distance_matrix(sources, exploration_depth)
+    local_limited = _source_rows(network, skeleton, sources, exploration_depth)
 
     # near[v, i] = d_h(v, skeleton node i), shared by every source.
     near = skeleton.near_distances
@@ -228,6 +228,29 @@ def _combine_estimates(
         detour = (near + to_rep[np.newaxis, :]).min(axis=1) + rep_distance
         np.minimum(local_limited[column], detour, out=estimates[:, column])
     return estimates
+
+
+def _source_rows(
+    network: HybridNetwork, skeleton: Skeleton, sources: Sequence[int], depth: int
+) -> np.ndarray:
+    """``rows[j, v] = d_depth(sources[j], v)``, read from the skeleton when it holds them.
+
+    At ``depth = h`` (``η = 1``, e.g. exact SSSP, whose source joined the
+    skeleton) a source that is a skeleton member already has its ``d_h`` row
+    as its column of ``skeleton.near_distances``: ``d_h`` is symmetric, and
+    the column came from the same kernel on the exploration's snapshot.
+    While that snapshot is the live graph's view the columns are the
+    kernel's rows bit for bit; otherwise (other depths, non-member sources,
+    a context of an older graph version) the kernel computes the rows.
+    """
+    index_of = skeleton.index_of
+    if (
+        depth == skeleton.hop_length
+        and skeleton.exploration.snapshot is network.graph.csr()
+        and all(source in index_of for source in sources)
+    ):
+        return skeleton.near_distances[:, [index_of[source] for source in sources]].T
+    return network.graph.hop_limited_distance_matrix(sources, depth)
 
 
 def predicted_framework_rounds(n: int, spec: CliqueAlgorithmSpec) -> float:

@@ -78,24 +78,20 @@ from scipy.sparse import csgraph
 #: roughly this much scratch at once.
 CHUNK_BYTES = 128 * 1024 * 1024
 
-#: The bit-parallel pass of :func:`hop_limited_matrix` runs only on calls with
-#: at least this many sources (one machine word of them): its fixed cost per
-#: call is a few milliseconds, which one scipy row does not repay.
-BITSET_MIN_SOURCES = 64
-
-#: ... and only while both the probe row's largest distance and the largest
-#: arc weight are at most this.  The pass costs one sweep over the arcs per
-#: distance value, so its time follows the weighted depth, and its ring
-#: holds ``max_weight + 1`` frontiers.  64 is a conservative start: the pass
-#: still won at 1024 sources with a probe value of 166 and broke even at 64
-#: sources with 109.
+#: The bit-parallel pass of :func:`hop_limited_matrix` runs only while both
+#: the probe row's largest distance and the largest arc weight are at most
+#: this.  The pass costs one sweep over the arcs per distance value, so its
+#: time follows the weighted depth, and its ring holds ``max_weight + 1``
+#: frontiers.  64 is a conservative start: the pass still won at 1024
+#: sources with a probe value of 166 and broke even at 64 sources with 109.
 BITSET_MAX_DEPTH = 64
 
 #: How :func:`hop_limited_matrix` picks its bounded pass, for
 #: :meth:`HybridSession.acceleration <repro.session.HybridSession.acceleration>`.
 HOP_LIMITED_SELECTION = (
-    f"scipy dijkstra, or bitset when >= {BITSET_MIN_SOURCES} sources, arc weights "
-    f"<= {BITSET_MAX_DEPTH} and the first source's row hop-certified within {BITSET_MAX_DEPTH}"
+    f"scipy dijkstra, or bitset when arc weights are <= {BITSET_MAX_DEPTH}, the first "
+    f"source's scipy row is hop-certified with depth <= {BITSET_MAX_DEPTH}, and the call "
+    f"has at least half that depth in sources"
 )
 
 #: How :func:`hop_diameter` picks its pass, for
@@ -352,27 +348,29 @@ def _bitset_scratch_bytes(csr: CSRAdjacency, count: int) -> int:
 def _bounded_distances(csr: CSRAdjacency, src: np.ndarray, hop_limit: int) -> np.ndarray:
     """``csgraph.dijkstra(limit=hop_limit * min_weight)`` rows, from the cheaper pass.
 
-    The bit-parallel pass is picked from what the call itself sees: at least
-    :data:`BITSET_MIN_SOURCES` sources, arc weights of at most
-    :data:`BITSET_MAX_DEPTH`, scratch within :data:`CHUNK_BYTES`, and a probe
-    row -- the first source's, from scipy -- that is hop-certified with its
-    largest value at most :data:`BITSET_MAX_DEPTH`.  Both passes return the
-    same exact sums, so the choice moves wall time only.
+    The bit-parallel pass is picked from what the call itself sees: arc
+    weights of at most :data:`BITSET_MAX_DEPTH`, scratch within
+    :data:`CHUNK_BYTES`, and a probe row -- the first source's, from scipy
+    -- that is hop-certified with a depth (its largest finite value) of at
+    most :data:`BITSET_MAX_DEPTH` and at most twice the number of sources.
+    The pass costs about one sweep over the arcs per distance value and a
+    sweep about half a scipy row, so ``⌈depth / 2⌉`` sources repay it.
+    Otherwise the probe is kept as the first row and scipy runs on the
+    rest.  Both passes return the same exact sums, so the choice moves wall
+    time only.
     """
     view = _scipy_view(csr)
     limit = hop_limit * csr.min_weight
-    if (
-        src.size >= BITSET_MIN_SOURCES
-        and csr.max_weight <= BITSET_MAX_DEPTH
-        and _bitset_scratch_bytes(csr, src.size) <= CHUNK_BYTES
-    ):
-        probe = csgraph.dijkstra(view, indices=src[:1], limit=limit)
-        if (
-            certified_rows(csr, src[:1], probe, hop_limit)[0]
-            and np.max(probe, where=np.isfinite(probe), initial=0.0) <= BITSET_MAX_DEPTH
-        ):
-            return _bitset_bounded_distances(csr, src, limit)
-    return csgraph.dijkstra(view, indices=src, limit=limit)
+    if csr.max_weight > BITSET_MAX_DEPTH or _bitset_scratch_bytes(csr, src.size) > CHUNK_BYTES:
+        return csgraph.dijkstra(view, indices=src, limit=limit)
+    probe = csgraph.dijkstra(view, indices=src[:1], limit=limit)
+    if src.size == 1:
+        return probe
+    depth = np.max(probe, where=np.isfinite(probe), initial=0.0)
+    shallow = depth <= min(BITSET_MAX_DEPTH, 2 * src.size)
+    if shallow and certified_rows(csr, src[:1], probe, hop_limit)[0]:
+        return _bitset_bounded_distances(csr, src, limit)
+    return np.concatenate((probe, csgraph.dijkstra(view, indices=src[1:], limit=limit)))
 
 
 def _source_bitsets(n: int, src: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

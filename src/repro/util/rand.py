@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable, Sequence
+from itertools import compress
 from typing import TypeVar
 
 import numpy as np
@@ -105,9 +106,17 @@ def sample_nodes(nodes: Iterable[int], probability: float, rng: RandomSource) ->
     """Sample each node independently with the given probability.
 
     This is the sampling primitive behind skeleton graphs (Lemma C.1) and the
-    sender/receiver sets of Theorem 2.2.
+    sender/receiver sets of Theorem 2.2.  The coins are one
+    :meth:`RandomSource.uniforms` draw, ``u < probability`` per node in
+    order -- the stream of one :meth:`RandomSource.bernoulli` per node --
+    and, like ``bernoulli``, a probability outside ``(0, 1)`` draws nothing.
     """
-    return [node for node in nodes if rng.bernoulli(probability)]
+    nodes = list(nodes)
+    if probability >= 1.0:
+        return nodes
+    if probability <= 0.0:
+        return []
+    return list(compress(nodes, (rng.uniforms(len(nodes)) < probability).tolist()))
 
 
 def split_evenly(items: Sequence[T], bucket_count: int) -> list[list[T]]:

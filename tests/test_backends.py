@@ -271,6 +271,12 @@ class TestHopCertificate:
     @example((weighted_path((1, 1), extra=[(0, 2, 50)]), 2, [0, 1, 2] * 30, None))
     @example((weighted_path((1, 2), n=8, extra=TWO_PATHS), 5, [*range(8)] * 9, None))
     @example((WeightedGraph(1), 3, [0] * 64, None))
+    # Partial words of 16 to 63 sources: a probe depth of 12 (the pass), and
+    # of 40 (the pass from 20 sources on, scipy below).
+    @example((weighted_path((1, 2) * 4), 12, [*range(9)] * 2, None))
+    @example((generators.cycle_graph(40, weight=2), 30, [*range(0, 40, 2)] * 2, None))
+    @example((generators.cycle_graph(40, weight=2), 30, [*range(40)] + [5] * 23, None))
+    @example((generators.cycle_graph(40, weight=2), 30, [*range(19)], None))
     def test_matches_rounds_and_single_source(self, case):
         graph, hop_limit, sources, byte_budget = case
         csr = graph.csr()
@@ -345,9 +351,13 @@ class TestHopCertificate:
         n = 1024
         hop_limit = skeleton_hop_length(n, n**0.5, xi=0.75)
         graph = generators.connected_workload(n, RandomSource(1), weighted=True, max_weight=8)
-        for rows in (n, 64, 63, 1):
+        # Node 0's row, the probe, has depth 29: calls of at least 15 sources
+        # take the pass (a cold sssp's 29 members' rows among them), 14 do not.
+        probe = graph.hop_limited_distance_matrix([0], hop_limit)
+        assert probe[numpy.isfinite(probe)].max() == 29
+        for rows in (n, 29, 15, 14, 8, 1):
             graph.hop_limited_distance_matrix(range(rows), hop_limit)
-        assert calls == [n, 64]
+        assert calls == [n, 29, 15]
         # Unit weights keep scipy BFS; a weighted cycle's first row is not
         # hop-certified at this depth (its weighted eccentricity is 1024).
         calls.clear()

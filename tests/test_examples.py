@@ -1,5 +1,6 @@
 """Smoke tests: every example script runs end to end and reports sane results."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -8,7 +9,15 @@ import pytest
 
 from repro.hybrid import ModelConfig
 from repro.hybrid.config import MESSAGE_BITS
-from repro.lower_bounds import build_kssp_gadget, implied_round_lower_bound
+from repro.lower_bounds import (
+    build_gamma_gadget,
+    build_kssp_gadget,
+    implied_round_lower_bound,
+    random_disjointness_instance,
+)
+from repro.lower_bounds.set_disjointness import (
+    implied_round_lower_bound as diameter_lower_bound,
+)
 from repro.util.rand import RandomSource
 
 EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples"
@@ -70,3 +79,13 @@ class TestExamples:
         send_cap = ModelConfig().send_cap(gadget.graph.node_count)
         bound = implied_round_lower_bound(gadget, MESSAGE_BITS, send_cap)
         assert f"implied round lower bound:   {bound:8.4f}" in output
+        # Each Figure 2 bound (unweighted, then W = 40) shows a non-zero value
+        # that is the Γ gadget's bound at the printed precision.
+        printed = re.findall(r"lower bound:    (\S+) \(n = 143\)", output)
+        expected = []
+        for weight in (1, 40):
+            a, b = random_disjointness_instance(6, RandomSource(9), True)
+            gamma = build_gamma_gadget(6, 10, weight, a, b)
+            expected.append(f"{diameter_lower_bound(gamma, ModelConfig()):.3g}")
+        assert printed == expected
+        assert all(float(value) > 0 for value in printed)

@@ -1,13 +1,17 @@
 """Tests for helper sets (Definition 2.1 / Algorithm 1 / Lemma 2.2)."""
 
+import zlib
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import token_routing
 from repro.core.helper_sets import compute_helper_sets, helper_parameter, sample_helpers
 from repro.graphs import generators
 from repro.hybrid import HybridNetwork, ModelConfig
+from repro.session import HybridSession
 from repro.localnet.clustering import cluster_around_rulers
 from repro.util.rand import RandomSource, sample_nodes
 
@@ -204,9 +208,19 @@ class TestComputeHelperSets:
             compute_helper_sets(network, [0, network.n], tokens_per_member=3)
 
 
+#: The cold-start instance's shape: one cluster of 1024 nodes holding 30
+#: members at µ = 5 (q = 10/1024), and clusters of which only some hold a
+#: member, drawn (size 12 at µ = 1) and full (size 2) alike.
+ONE_BIG_CLUSTER = (1024, {0: np.arange(1024)}, list(range(3, 1024, 34))[:30], 5)
+CUTS = ((0, 12), (12, 24), (24, 36), (36, 38), (38, 40))
+MEMBERLESS_CLUSTERS = (40, {a: np.arange(a, b) for a, b in CUTS}, [5, 30, 31, 38], 1)
+
+
 class TestBatchedSampling:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(clusterings(), st.integers(min_value=0, max_value=2**32))
+    @example(ONE_BIG_CLUSTER, 1)
+    @example(MEMBERLESS_CLUSTERS, 7)
     def test_equals_scalar_loop(self, case, seed):
         n, clusters, members, mu = case
         batched_rng, scalar_rng = RandomSource(seed), RandomSource(seed)
@@ -230,3 +244,39 @@ class TestBatchedSampling:
         nodes, bounds = sample_helpers(clusters, np.array([1, 4]), 2, 6, rng)
         assert nodes.tolist() == [0, 1, 2, 3, 4, 5] and bounds.tolist() == [0, 3, 6]
         assert rng.random() == untouched.random()
+
+
+def crc(values) -> int:
+    return zlib.crc32(np.ascontiguousarray(values, dtype="<i8").tobytes())
+
+
+class TestColdStartSamplingPins:
+    """One cold ``sssp`` on the cold-start instance, recorded before the sampling was batched.
+
+    The skeleton sample (Lemma C.1) and the two helper sets of the CLIQUE
+    transport's token router (senders, receivers: Algorithm 1) are CRCs of
+    their int64 columns; a sampling change that keeps every random stream
+    keeps all of them.
+    """
+
+    def test_skeleton_members_and_helper_sets(self, monkeypatch):
+        recorded = []
+        compute = token_routing.compute_helper_sets
+
+        def recording(*args, **kwargs):
+            recorded.append(compute(*args, **kwargs))
+            return recorded[-1]
+
+        monkeypatch.setattr(token_routing, "compute_helper_sets", recording)
+        graph = generators.connected_workload(1024, RandomSource(1), weighted=True, max_weight=8)
+        session = HybridSession(graph, ModelConfig(rng_seed=1))
+        session.sssp(17)
+        members = session.context().skeleton.nodes
+        assert (len(members), crc(members)) == (29, 962755402)
+        got = [
+            (h.mu, h.nodes.size, crc(h.members), crc(h.nodes), crc(h.bounds)) for h in recorded
+        ]
+        assert got == [
+            (5, 364, 232702044, 1500736600, 2023950943),
+            (5, 333, 232702044, 1369729164, 143604893),
+        ]

@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.context as context_module
+import repro.core.kssp as kssp_module
 from repro import (
     HybridNetwork,
     HybridSession,
@@ -591,6 +592,56 @@ def repairable_edge(session):
     )
 
 
+class TestSourceRowReuse:
+    """Equation (1)'s local ``d_h`` rows of member sources come from the skeleton (η = 1)."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Per combination step: (did the kernel run, do the rows equal the kernel's)."""
+        records = []
+        source_rows = kssp_module._source_rows
+        kernel = WeightedGraph.hop_limited_distance_matrix
+
+        def recording(network, skeleton, sources, depth):
+            calls = []
+
+            def counted(graph, *args):
+                calls.append(args)
+                return kernel(graph, *args)
+
+            monkeypatch.setattr(WeightedGraph, "hop_limited_distance_matrix", counted)
+            rows = source_rows(network, skeleton, sources, depth)
+            monkeypatch.setattr(WeightedGraph, "hop_limited_distance_matrix", kernel)
+            expected = kernel(network.graph, sources, depth)
+            records.append((bool(calls), np.array_equal(rows, expected)))
+            return rows
+
+        monkeypatch.setattr(kssp_module, "_source_rows", recording)
+        return records
+
+    def test_member_sources_read_the_skeleton(self, monkeypatch):
+        records = self.spy(monkeypatch)
+        session = HybridSession(make_graph(36), ModelConfig(rng_seed=36))
+        session.sssp(5)  # cold
+        session.sssp(9)  # warm: the base context extended by another source
+        session.sssp_batch([3, 20, 41])
+        u, v, weight = repairable_edge(session)
+        session.update_weight(u, v, weight + 3)
+        session.sssp(5)
+        assert [record.action for record in session.repairs] == ["repaired"]
+        assert records == [(False, True)] * 4
+
+    def test_non_member_sources_keep_the_kernel(self, monkeypatch):
+        records = self.spy(monkeypatch)
+        session = HybridSession(make_graph(36), ModelConfig(rng_seed=36))
+        members = session.context().skeleton.nodes
+        outside = [node for node in range(48) if node not in members]
+        session.shortest_paths(outside[:3])
+        # A member first (sources are sorted) and non-members after it.
+        session.shortest_paths([members[0], *[node for node in outside if node > members[0]][:2]])
+        assert records == [(True, True)] * 2
+
+
 class TestDeltaRepair:
     """Delta repair of warm contexts over evolving graphs (DESIGN.md §12)."""
 
@@ -812,8 +863,9 @@ class TestPlaneSelection:
                 "distance_matrix": "scipy",
                 "bfs_level_matrix": "scipy",
                 "hop_limited_matrix": (
-                    "scipy dijkstra, or bitset when >= 64 sources, arc weights <= 64 "
-                    "and the first source's row hop-certified within 64"
+                    "scipy dijkstra, or bitset when arc weights are <= 64, the first source's "
+                    "scipy row is hop-certified with depth <= 64, and the call has at least "
+                    "half that depth in sources"
                 ),
                 "hop_diameter": (
                     "scipy BFS from node 0, then a bitset all-sources sweep when twice its "

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.util.chernoff import (
     chernoff_lower_tail,
@@ -65,6 +67,22 @@ class TestRandomSource:
     def test_sample_nodes_probability_zero(self):
         rng = RandomSource(6)
         assert sample_nodes(range(10), 0.0, rng) == []
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.integers(min_value=0, max_value=10**6), max_size=80),
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 1.5, -0.5]),
+            st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        ),
+    )
+    def test_sample_nodes_equals_per_node_bernoulli(self, seed, nodes, probability):
+        # One draw of uniforms replays one bernoulli per node, and leaves the
+        # source where the per-node loop would (no draw at all outside (0, 1)).
+        batched, scalar = RandomSource(seed), RandomSource(seed)
+        expected = [node for node in nodes if scalar.bernoulli(probability)]
+        assert sample_nodes(iter(nodes), probability, batched) == expected
+        assert batched.random() == scalar.random()
 
     def test_split_evenly_balanced(self):
         buckets = split_evenly(list(range(10)), 3)
