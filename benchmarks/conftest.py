@@ -4,7 +4,7 @@ Every benchmark measures wall-clock time of the *simulation* (pytest-benchmark's
 native metric) but the quantity the paper is about -- simulated HYBRID rounds --
 is attached to ``benchmark.extra_info`` together with the relevant theoretical
 bound, so ``pytest benchmarks/ --benchmark-only`` regenerates the comparison
-tables of EXPERIMENTS.md.
+tables of the experiments indexed in DESIGN.md §5.
 
 At session end the harness additionally writes ``BENCH_core.json`` at the
 repository root: one machine-readable record per benchmark (name, wall time, and whatever the
@@ -24,8 +24,8 @@ from repro.hybrid import HybridNetwork, ModelConfig
 from repro.util.rand import RandomSource
 
 # Benchmark workloads are intentionally modest so the whole harness finishes in
-# a few minutes; EXPERIMENTS.md records a larger offline sweep produced with
-# the same code.
+# a few minutes; ``repro.cli run-all --scale medium`` runs the larger sweeps
+# with the same code.
 BENCH_CONFIG = dict(skeleton_xi=0.75)
 
 #: Output of the machine-readable benchmark record, at the repository root

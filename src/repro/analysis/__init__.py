@@ -1,4 +1,7 @@
-"""Analysis utilities: scaling-law fits and markdown reporting for EXPERIMENTS.md."""
+"""Analysis utilities: scaling-law fits and markdown reporting for the experiments.
+
+The experiments are indexed in DESIGN.md §5.
+"""
 
 from repro.analysis.complexity import (
     PowerLawFit,

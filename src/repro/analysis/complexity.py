@@ -3,9 +3,10 @@
 Every upper-bound theorem in the paper has the form ``Õ(n^e)`` (or ``Õ(k^e)``).
 The benchmarks sweep the relevant parameter, measure total rounds on the
 simulator and use :func:`fit_power_law` to extract the empirical exponent,
-which EXPERIMENTS.md reports next to the theoretical one.  Because the hidden
-polylog factors are real at simulation scale, :func:`fit_power_law_with_log`
-additionally fits ``c · x^e · log2(x)`` which is usually the better model.
+which the experiment tables (DESIGN.md §5) report next to the theoretical
+one.  Because the hidden polylog factors are real at simulation scale,
+:func:`fit_power_law_with_log` additionally fits ``c · x^e · log2(x)`` which
+is usually the better model.
 """
 
 from __future__ import annotations

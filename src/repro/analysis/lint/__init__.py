@@ -2,15 +2,12 @@
 
 The repository's correctness rests on invariants that ordinary linters do not
 know about: message fates and RNG fork labels must be order- and
-composition-independent, derived caches must be invalidated on mutation, and
-``RoundMetrics`` may only move through the accounting layer.  This package
-enforces them *statically* -- at review time, on every PR -- with an
-AST-based checker framework (:mod:`repro.analysis.lint.framework`), inline
-reviewed waivers that fail the build when they go stale
-(:mod:`repro.analysis.lint.waivers`), a whole-program resolution layer
-(symbol table, import resolver, conservative call graph, data-flow pass:
-:mod:`~repro.analysis.lint.symbols` / :mod:`~repro.analysis.lint.callgraph`
-/ :mod:`~repro.analysis.lint.dataflow`), and seven project-specific rules:
+composition-independent, and ``RoundMetrics`` may only move through the
+accounting layer.  This package enforces them *statically* -- at review
+time, on every PR -- with an AST-based checker framework
+(:mod:`repro.analysis.lint.framework`), inline reviewed waivers that fail the
+build when they go stale or name no rule
+(:mod:`repro.analysis.lint.waivers`), and five project-specific rules:
 
 ========  ==================================================================
 RL001     nondeterminism sources (``random.*``, wall clocks, ``os.urandom``,
@@ -20,15 +17,14 @@ RL004     metrics accounting (no direct ``RoundMetrics`` field writes
           outside the accounting layer)
 RL005     RNG fork-label discipline (literal, canonical ``area:purpose``,
           globally unique)
-RL006     fork safety (module-level mutable state reachable from the
-          ``ExperimentEngine`` worker entry points)
-RL008     cache-invalidation discipline (attribute writes on cache-backed
-          classes bump a version or call an invalidation hook)
 RL009     docstring discipline (public serving/session surface documented,
           query methods cross-referencing their DESIGN.md section)
-RL090/91  malformed / stale waiver comments
+RL090/91  malformed or orphan / stale waiver comments
 RL000     unreadable / unparsable file (syntax error)
 ========  ==================================================================
+
+Cache invalidation and worker-state independence are tested on behaviour,
+not linted (DESIGN.md §10).
 
 Run it as ``python -m repro.cli lint [--format json|github] [--select
 CODES] [--waiver-report]``.

@@ -9,11 +9,12 @@ milliseconds per file.  Checkers come in two granularities:
   source file (RL001, RL002, RL004), and
 * **cross-module** -- override :meth:`Checker.check_project`; called once
   with every parsed file, for invariants no single file can witness (RL005
-  global fork-label uniqueness, the whole-program rules RL006 and RL008).
+  global fork-label uniqueness).
 
 :func:`run_lint` wires it together: discover files, parse, run the selected
 checkers, then fold in the waiver layer (:mod:`repro.analysis.lint.waivers`)
-so suppressed findings stay recorded and stale waivers fail the run.
+so suppressed findings stay recorded and stale or orphan waivers fail the
+run.
 """
 
 from __future__ import annotations
@@ -143,5 +144,6 @@ def run_lint(
         diagnostics.extend(checker.check_project(sources))
 
     validated = {checker.code for checker in active_checkers}
-    report.diagnostics = apply_waivers(diagnostics, waivers, validated)
+    registered = {checker.code for checker in checkers}
+    report.diagnostics = apply_waivers(diagnostics, waivers, validated, registered)
     return report.finalize()

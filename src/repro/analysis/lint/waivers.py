@@ -9,11 +9,15 @@ or, standing alone on the line *above* the finding it suppresses::
     # repro-lint: waive[RL001,RL002] -- seeded entropy fallback
     risky_call()
 
-Three properties keep waivers honest, all enforced here:
+Four properties keep waivers honest, all enforced here:
 
 * **A reason is mandatory.**  ``waive[RL001]`` with no ``-- reason`` is a
   malformed waiver (``RL090``): the comment exists to record a reviewed
   decision, and a decision without a rationale is not reviewable.
+* **A waiver names registered rules.**  ``waive[RL077]`` when no checker
+  has the code ``RL077`` is malformed too (``RL090``), whatever ``--select``
+  says: such a waiver can never be used, and it would otherwise never be
+  judged stale either.
 * **Waivers are validated as still-needed.**  A waiver whose codes match no
   diagnostic on its target line is *stale* (``RL091``) and fails the run:
   when the underlying finding is fixed, the waiver must be deleted with it,
@@ -127,12 +131,15 @@ def apply_waivers(
     diagnostics: list[Diagnostic],
     waivers: list[Waiver],
     validated_codes: set,
+    registered_codes: set,
 ) -> list[Diagnostic]:
-    """Suppress waived diagnostics and report stale waivers.
+    """Suppress waived diagnostics and report stale and orphan waivers.
 
     ``validated_codes`` is the set of checker codes that actually ran (the
     ``--select`` filter): a waiver naming only codes outside it cannot be
-    judged stale, because its checker never looked.
+    judged stale, because its checker never looked.  ``registered_codes``
+    is every checker's code: a waiver naming a code outside it is an RL090
+    finding whichever checkers ran.
     """
     by_location: dict[tuple[str, int], list[Waiver]] = {}
     for waiver in waivers:
@@ -162,6 +169,17 @@ def apply_waivers(
             result.append(diagnostic)
 
     for waiver in waivers:
+        orphans = [code for code in waiver.codes if code not in registered_codes]
+        if orphans:
+            result.append(
+                Diagnostic(
+                    waiver.path,
+                    waiver.comment_line,
+                    waiver.col,
+                    MALFORMED_WAIVER,
+                    f"waiver names no registered rule: {', '.join(orphans)}",
+                )
+            )
         judged = [code for code in waiver.codes if code in validated_codes]
         unused = [code for code in judged if code not in waiver.used_codes]
         if judged and unused:

@@ -8,10 +8,10 @@ Usage::
     python -m repro.cli sweep [--jobs 4] [--resume] [--only E3,E14] [--scale medium]
     python -m repro.cli regress --baseline BASELINE [--current RUN ...] [--parent RUN ...]
     python -m repro.cli query [--n 200] [--seed 1] [--repeat 2]
-    python -m repro.cli lint [--format json|github] [--select RL001,RL006] [--waiver-report]
+    python -m repro.cli lint [--format json|github] [--select RL001,RL005] [--waiver-report]
 
 ``run`` prints one experiment's markdown table; ``run-all`` renders every
-registered experiment serially (the content recorded in EXPERIMENTS.md).
+registered experiment serially (the experiment index of DESIGN.md §5).
 ``sweep`` is the scalable path: it decomposes the selected experiments into
 independent shards, executes them across a process pool, persists each shard
 to a resumable artifact store and assembles the same tables from the stored
@@ -28,9 +28,8 @@ mixed SSSP/diameter/APSP workload from one
 cold-equivalent accounting.  ``lint`` runs the static invariant
 linter (:mod:`repro.analysis.lint`): AST-level checks RL001, RL002, RL004
 and RL005 for nondeterminism sources, unordered iteration,
-metrics-accounting discipline and RNG fork labels, plus the whole-program
-rules RL006 and RL008 (fork safety, cache-invalidation discipline) built on
-the symbol-table/call-graph layer, honouring inline
+metrics-accounting discipline and RNG fork labels, plus RL009 for the
+serving surface's docstrings, honouring inline
 ``# repro-lint: waive[CODE] -- reason`` comments and exiting non-zero on any
 unwaived finding or stale waiver -- the CI invariant gate.  ``--format
 github`` emits workflow ``::error`` annotations; ``--waiver-report`` lists
@@ -262,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated checker codes to run (default: all), e.g. RL001,RL006",
+        help="comma-separated checker codes to run (default: all), e.g. RL001,RL005",
     )
     lint_parser.add_argument(
         "--show-waived",

@@ -6,7 +6,7 @@ substitute (:class:`BroadcastBellmanFordSSSP`) is an exact broadcast-based
 Bellman-Ford whose declared exponent is ``δ = 1``; the framework transformation
 itself (skeleton, representative handling, Equation (1)) is identical, only the
 final runtime exponent differs and is reported with the substitute's ``δ`` in
-EXPERIMENTS.md.
+the experiment tables (DESIGN.md §5).
 """
 
 from __future__ import annotations

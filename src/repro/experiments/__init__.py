@@ -1,4 +1,6 @@
-"""The experiment registry: programmatic re-generation of every EXPERIMENTS.md table.
+"""The experiment registry: programmatic re-generation of every experiment table.
+
+The experiments are indexed in DESIGN.md §5.
 
 ``run_experiment("E2")`` reruns the corresponding sweep serially; ``run_all()``
 rebuilds the whole evaluation.  The process-parallel, resumable path is

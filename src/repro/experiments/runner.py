@@ -7,8 +7,8 @@ bound construction).  Each experiment is registered as a :class:`Sweep`: a
 parameter point each), a *shard runner* that executes one shard and returns a
 JSON-serialisable payload, and a *finalizer* that assembles the payloads into
 an :class:`ExperimentTable`.  The CLI (``python -m repro.cli``) renders tables
-as the markdown recorded in EXPERIMENTS.md, so the whole evaluation can be
-regenerated with one command; the process-parallel engine
+as markdown (the experiment index is DESIGN.md §5), so the whole evaluation
+can be regenerated with one command; the process-parallel engine
 (:mod:`repro.experiments.engine`) executes the same shards across a worker
 pool and persists each one to an artifact store, so serial and parallel runs
 are bit-identical by construction.
@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from repro.analysis.report import format_markdown_table
 
 #: The sweep sizes every experiment supports, in increasing cost order:
-#: ``small`` (seconds; the test suite and CI), ``medium`` (the scale recorded
-#: in EXPERIMENTS.md) and ``large`` (offline only; used by the E14 multi-query
-#: amortization sweep).  Single source of truth -- the CLI's ``--scale``
-#: choices and the runner's validation both read it.
+#: ``small`` (seconds; the test suite and CI), ``medium`` (the reporting
+#: scale of the DESIGN.md §5 experiments) and ``large`` (offline only; used
+#: by the E14 multi-query amortization sweep).  Single source of truth --
+#: the CLI's ``--scale`` choices and the runner's validation both read it.
 SCALES = ("small", "medium", "large")
 
 
@@ -124,6 +124,7 @@ class Sweep:
         return self.finalize(scale, payloads)
 
 
+#: Filled by ``register_sweep`` at import; worker processes only read it.
 _REGISTRY: dict[str, Sweep] = {}
 
 
@@ -157,26 +158,22 @@ def unregister(experiment_id: str) -> None:
 
 def available_experiments() -> list[str]:
     """Sorted list of registered experiment identifiers."""
-    # repro-lint: waive[RL006] -- registry is frozen after import; worker access is read-only
     return sorted(_REGISTRY, key=lambda key: (len(key), key))
 
 
 def get_sweep(experiment_id: str) -> Sweep:
     """The registered :class:`Sweep` for an identifier (case-insensitive)."""
     key = experiment_id.upper()
-    # repro-lint: waive[RL006] -- registry is frozen after import; worker access is read-only
     if key not in _REGISTRY:
         # Worker processes started with the ``spawn`` method import this
         # module without going through ``repro.experiments``; pull in the
         # sweep definitions lazily so the registry is populated either way.
         import repro.experiments.sweeps  # noqa: F401
 
-    # repro-lint: waive[RL006] -- registry is frozen after import; worker access is read-only
     if key not in _REGISTRY:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; available: {', '.join(available_experiments())}"
         )
-    # repro-lint: waive[RL006] -- registry is frozen after import; worker access is read-only
     return _REGISTRY[key]
 
 

@@ -13,10 +13,10 @@ library's serving layer).  Each is registered via
   :class:`~repro.experiments.runner.ExperimentTable`.
 
 The supported scales are :data:`~repro.experiments.runner.SCALES`: ``small``
-(seconds, used by the test suite and CI), ``medium`` (the scale recorded in
-EXPERIMENTS.md) and ``large`` (offline; exercised by the E14 amortization
-sweep).  All sweeps are deterministic given the built-in seeds, which is what
-makes serial and process-parallel execution bit-identical
+(seconds, used by the test suite and CI), ``medium`` (the reporting scale of
+the DESIGN.md §5 experiments) and ``large`` (offline; exercised by the E14
+amortization sweep).  All sweeps are deterministic given the built-in seeds,
+which is what makes serial and process-parallel execution bit-identical
 (tests/test_engine.py pins this).
 """
 
@@ -199,7 +199,7 @@ def _e2_finalize(scale: str, payloads: list[object]) -> ExperimentTable:
             "cost separates √n from n^2/3 in the paper.",
             "At simulation scale total rounds are dominated by local phases capped at D "
             "(the paper's min(D, ·) reading), so the separation is visible in the "
-            "last-step columns rather than in the totals (discussion in EXPERIMENTS.md).",
+            "last-step columns rather than in the totals (discussion in DESIGN.md §3).",
         ],
     )
 

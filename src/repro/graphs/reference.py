@@ -4,7 +4,7 @@ The distributed algorithms in :mod:`repro.core` are validated against these
 centralised computations: exact single-source / all-pairs distances, hop
 distances, hop-limited distances, shortest paths, weighted and hop diameters,
 eccentricities and shortest-path diameters.  They are the one oracle in tests
-and in the approximation-ratio measurements of EXPERIMENTS.md (the CSR
+and in the approximation-ratio measurements of DESIGN.md §5 (the CSR
 kernels of :mod:`repro.graphs.csr` are the one production path), so they are
 written for clarity rather than speed: textbook heapq Dijkstra, BFS and
 Bellman-Ford over adjacency lists rebuilt from ``graph.edges()``, sharing no

@@ -48,15 +48,13 @@ def ambient_observer() -> Iterator["RoundMetrics"]:
     Charges on networks created *before* the context opened are not seen.
     """
     scope = RoundMetrics()
-    # repro-lint: waive[RL006] -- per-process ambient scope stack; each worker opens its own scope
+    # Per-process stack: each worker opens its own scope.
     _AMBIENT_OBSERVERS.append(scope)
     try:
         yield scope
     finally:
-        # repro-lint: waive[RL006] -- per-process ambient scope stack; scopes never cross processes
         for index, active in enumerate(_AMBIENT_OBSERVERS):
             if active is scope:
-                # repro-lint: waive[RL006] -- removes only the scope this process appended above
                 del _AMBIENT_OBSERVERS[index]
                 break
 

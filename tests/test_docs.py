@@ -3,9 +3,10 @@
 RL009 requires the serving surface to anchor itself with ``DESIGN.md §``
 references; this suite closes the loop from the other side (DESIGN.md §10):
 every section a docstring or README paragraph cites must actually exist as a
-``## §N`` heading, every example script the README names must exist, and the
-serving runbook must stay in sync with the wire protocol's documented
-operations and error codes.
+``## §N`` heading, every markdown file a source or benchmark file names must
+exist, every example script the README names must exist, and the serving
+runbook must stay in sync with the wire protocol's documented operations and
+error codes.
 """
 
 import re
@@ -18,6 +19,8 @@ DESIGN = (REPO / "DESIGN.md").read_text()
 README = (REPO / "README.md").read_text()
 
 SECTION_REFERENCE = re.compile(r"DESIGN\.md\s*§(\d+)")
+#: A markdown file name; one after ``--output`` is a file a command writes.
+MARKDOWN_NAME = re.compile(r"(--output\s+)?(?<![\w./-])([\w./-]+\.md)\b")
 SECTION_HEADING = re.compile(r"^## §(\d+) ", re.MULTILINE)
 
 
@@ -46,6 +49,21 @@ class TestSectionReferences:
             if missing:
                 offenders[str(path.relative_to(REPO))] = sorted(missing)
         assert not offenders, f"dangling DESIGN.md references: {offenders}"
+
+    def test_source_markdown_names_exist(self):
+        # A docstring or comment that sends the reader to a document must
+        # name one the repository has, at its root or beside the file.
+        offenders = {}
+        sources = [*(REPO / "src" / "repro").rglob("*.py"), *(REPO / "benchmarks").rglob("*.py")]
+        for path in sorted(sources):
+            missing = {
+                name
+                for output, name in MARKDOWN_NAME.findall(path.read_text())
+                if not output and not any((root / name).is_file() for root in (REPO, path.parent))
+            }
+            if missing:
+                offenders[str(path.relative_to(REPO))] = sorted(missing)
+        assert not offenders, f"source cites missing markdown files: {offenders}"
 
     def test_serving_surface_is_anchored(self):
         # The §11 anchor RL009 demands must point somewhere real.

@@ -20,6 +20,7 @@ from repro.experiments import (
     execute_shard,
     plan_shards,
     run_experiment,
+    sweeps,
 )
 from repro.experiments.engine import replica_seeds
 from repro.experiments.runner import ShardPlan, register_sweep, unregister
@@ -28,6 +29,14 @@ HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 #: Cheap experiments used by the end-to-end engine tests (sub-second total).
 CHEAP = ["E6", "E12"]
+
+
+@pytest.fixture(scope="module")
+def serial_small_manifest(tmp_path_factory):
+    """The manifest of one serial run of every registered shard at small scale."""
+    store = ArtifactStore(tmp_path_factory.mktemp("serial"))
+    assert ExperimentEngine(store, jobs=1).run(plan_shards(scale="small")).ok
+    return store.build_manifest()
 
 
 @pytest.fixture
@@ -190,17 +199,39 @@ class TestEngine:
             # sweeps, so rows must match exactly.
             assert got_rows == [list(row) for row in expected.rows]
 
-    def test_full_small_sweep_manifest_is_run_invariant(self, tmp_path):
-        # Every experiment, E1-E14, at small scale: a parallel and a serial
-        # run must produce identical artifact-store manifests -- including
-        # E13, whose wall-clock measurement rides outside the hashed payload,
-        # and E14's single-shard session sweep.
-        shards = plan_shards(scale="small")
-        parallel_store = ArtifactStore(tmp_path / "parallel")
+    @pytest.mark.parametrize("mp_context", ["fork", "spawn"])
+    def test_full_small_sweep_manifest_is_run_invariant(
+        self, tmp_path, mp_context, serial_small_manifest
+    ):
+        # Every registered shard at small scale: a pool run under either
+        # start method must produce the serial run's artifact-store manifest
+        # -- including E13, whose wall-clock measurement rides outside the
+        # hashed payload.  A fork worker inherits the parent's module state
+        # and a spawn worker re-imports it, and the pool takes the plan in
+        # reverse, so a payload that depends on module state or on the
+        # shards run before it, instead of on (spec, seed) alone, differs.
+        if mp_context not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{mp_context} start method unavailable")
+        store = ArtifactStore(tmp_path / mp_context)
+        engine = ExperimentEngine(store, jobs=2, mp_context=mp_context)
+        assert engine.run(plan_shards(scale="small")[::-1]).ok
+        assert store.build_manifest() == serial_small_manifest
+
+    def test_spawn_run_misses_module_state_written_in_the_parent(self, tmp_path, monkeypatch):
+        # The check above can see module state: a shard helper rebound in
+        # the parent reaches the serial run but not the re-imported modules
+        # of a spawn worker, so the two manifests differ.
+        original = sweeps._locality_graph
+        monkeypatch.setattr(
+            sweeps, "_locality_graph", lambda n, seed=1: original(n, seed=seed + 1)
+        )
+        shards = plan_shards(["E1"], scale="small")
+        assert len(shards) > 1  # one shard would run inline, not in the pool
         serial_store = ArtifactStore(tmp_path / "serial")
-        assert ExperimentEngine(parallel_store, jobs=2).run(shards).ok
+        spawn_store = ArtifactStore(tmp_path / "spawn")
         assert ExperimentEngine(serial_store, jobs=1).run(shards).ok
-        assert parallel_store.build_manifest() == serial_store.build_manifest()
+        assert ExperimentEngine(spawn_store, jobs=2, mp_context="spawn").run(shards).ok
+        assert serial_store.build_manifest() != spawn_store.build_manifest()
 
     def test_resume_skips_finished_shards_and_merges(self, tmp_path):
         shards = plan_shards(CHEAP, scale="small")
